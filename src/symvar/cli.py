@@ -194,8 +194,10 @@ class _Out:
     def write_csv(self, header, rows):
         lines = [",".join(header)]
         for row in rows:
-            lines.append(",".join(repr(x) if isinstance(x, float) else str(x)
-                                  for x in row))
+            # float(x): numpy floats subclass float but repr as np.float64(...)
+            lines.append(",".join(
+                repr(float(x)) if isinstance(x, float) else str(x)
+                for x in row))
         self.csv_path.write_text("\n".join(lines) + "\n")
 
     def write_function(self, u, extra=None):

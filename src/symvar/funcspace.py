@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .errors import InvalidExponent, InvalidGrid, SpaceMismatch
 
@@ -238,7 +239,10 @@ def _matrices(space: GridSpace):
         lap = np.kron(lap1, eye) + np.kron(eye, lap1)
     a_grad = (m / h ** 2) * lap
     gram = a_grad + m * np.eye(space.n_cells)
-    return a_grad, gram
+    # upper factor U (gram = UᵀU), Fortran-ordered so LAPACK takes it uncopied
+    chol_upper = np.linalg.cholesky(gram).T
+    chol_upper.setflags(write=False)
+    return a_grad, gram, chol_upper
 
 
 def laplacian_matrix(space: GridSpace) -> np.ndarray:
@@ -252,8 +256,12 @@ def gram_matrix(space: GridSpace) -> np.ndarray:
 
 
 def riesz_from_euclidean(space: GridSpace, g: np.ndarray) -> np.ndarray:
-    """Solve Gx·rep = g: X-Riesz representative of the Euclidean gradient g."""
-    return np.linalg.solve(gram_matrix(space), np.asarray(g, float))
+    """Solve Gx·rep = g: X-Riesz representative of the Euclidean gradient g,
+    by two triangular solves on the grid's cached Cholesky factor of Gx."""
+    rep, info = dpotrs(_matrices(space)[2], np.asarray(g, float), lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpotrs returned info={info}")
+    return rep
 
 
 # ---------------------------------------------------------------------------

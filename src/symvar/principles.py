@@ -32,7 +32,7 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, norm_X, theta, function_to_json,
-                        _norm_V_raw, _norm_X_raw)
+                        _matrices, _norm_V_raw, _norm_X_raw)
 from .rearrange import (approx_symmetrize, is_family_fixed, polarize,
                         polarizer_sequence_json, schwarz)
 from .slopes import strong_slope
@@ -473,7 +473,9 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
             fv = fun(v)
             log.append([float(fv), float(metric.dist(w_best, vk))])
             if len(log) >= 2 and log[-1][0] > log[-2][0] + 1e-12:
-                raise AssertionError("engine energy increased along the chain")
+                raise AssumptionViolated(
+                    "engine energy increased along the chain: f rose on "
+                    "re-evaluation at the accepted point", witness=log)
         else:
             break
     return v, log
@@ -1185,10 +1187,9 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     rep_f = f.derivative(v).values
     if saturated:
         reps = np.stack([G[j].derivative(v).values for j in saturated]).T
-        gram = gram_matrix(space)
-        L = np.linalg.cholesky(gram)
-        A = L.T @ reps
-        y = L.T @ rep_f
+        U = _matrices(space)[2]  # cached Cholesky factor, gram = UᵀU
+        A = U @ reps
+        y = U @ rep_f
         sv = np.linalg.svd(A, compute_uv=False)
         if sv.size and sv.min() < 1e-10 * max(1.0, sv.max()):
             raise ConstraintDegeneracy("saturated constraint gradients are "

@@ -206,6 +206,10 @@ def test_approx_symmetrize_subcommand_writes_word(tmp_path):
     out = json.loads((tmp_path / "approx_symmetrize_function.json").read_text())
     assert out["values"] == [0.0, 1.0, 0.0, 0.0]
     assert out["polarizer_sequence"] == [{"axis": [1.0], "offset": 0.0}]
+    # numpy scalars in the row must be written as plain numbers
+    header, row = (tmp_path / "approx_symmetrize.csv").read_text().split()
+    assert header == "rho,residual,sequence_length"
+    assert [float(x) for x in row.split(",")] == [0.01, 0.0, 1.0]
 
 
 def test_shipped_schema_matches_registry():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from symvar import (GridFunction, InvalidExponent, InvalidGrid, SpaceMismatch,
                     function_from_json, function_to_json, make_grid, norm_Lr,
                     norm_V, norm_W, norm_X, theta)
+from symvar.funcspace import _matrices, gram_matrix, riesz_from_euclidean
 
 
 def test_make_grid_1d_four_cells():
@@ -148,3 +149,29 @@ def test_q_V_default_collision_bumped():
     # p < dimension uses the critical exponent
     g2 = make_grid(2, 4, 1.0, 1.5, 2.0)
     assert g2.q_V == pytest.approx(2 * 1.5 / (2 - 1.5))
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 8), (1, 128), (2, 8)])
+def test_riesz_matches_dense_solve(dimension, n):
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        grad = rng.standard_normal(g.n_cells)
+        dense = np.linalg.solve(gram_matrix(g), grad)
+        rep = riesz_from_euclidean(g, grad)
+        assert np.linalg.norm(rep - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_riesz_reuses_cached_factor(g1d8):
+    upper = _matrices(g1d8)[2]
+    assert np.array_equal(upper, np.triu(upper))
+    assert np.allclose(upper.T @ upper, gram_matrix(g1d8), rtol=1e-13)
+    assert not upper.flags.writeable
+    grad = np.arange(8.0)
+    first = riesz_from_euclidean(g1d8, grad)
+    before = _matrices.cache_info()
+    for _ in range(3):
+        assert np.array_equal(riesz_from_euclidean(g1d8, grad), first)
+    after = _matrices.cache_info()
+    assert after.hits - before.hits == 3
+    assert after.misses == before.misses

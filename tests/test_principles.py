@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from symvar import (AssumptionViolated, BadStart, Certificate,
                     symmetric_zhong, theta, verify_certificate, whole_space,
                     zhong_radius)
 from symvar.funcspace import gram_matrix, riesz_from_euclidean
-from symvar.principles import XMetric, box_set
+from symvar.principles import XMetric, _ekeland_chain, box_set
 
 from conftest import double_well, quad_V, quad_X, random_S, sym_center
 
@@ -53,6 +54,25 @@ def test_ekeland_quadratic_hand_bound(g1d4):
     assert f(cert.v) <= f(u0) + 1e-12
     dva = norm_X(cert.v - a)
     assert dva * dva <= sigma * dva + cert.slack + 1e-12
+
+
+def test_ekeland_chain_energy_rise_is_typed(g1d4):
+    # f rises by 10 each time it is re-evaluated at a point it has seen, so
+    # the chain's re-evaluation of its accepted point breaks monotonicity
+    seen = Counter()
+
+    def ev(u):
+        key = u.values.tobytes()
+        seen[key] += 1
+        return float(u.values @ u.values) + 10.0 * (seen[key] - 1)
+
+    f = Functional(eval=ev, name="drifting")
+    with pytest.raises(AssumptionViolated) as exc:
+        _ekeland_chain(f, g1d4, whole_space(g1d4), np.ones(4), 0.1,
+                       XMetric(g1d4), np.random.default_rng(0))
+    log = exc.value.witness
+    assert log[0] == [4.0, 0.0]
+    assert log[-1][0] > log[-2][0]
 
 
 def test_ekeland_double_well_brute_force(g1d2):
