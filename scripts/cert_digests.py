@@ -1,0 +1,181 @@
+"""Print one sha256 digest per certificate kind, for diffing two commits.
+
+Issues one certificate of every engine kind on small grids with fixed seeds
+and prints ``<kind> <sha256 of the certificate JSON bytes>``, one line each.
+A refactor that must keep certificates byte-identical runs this script on
+both commits and diffs the two outputs::
+
+    PYTHONPATH=src python scripts/cert_digests.py > after.txt
+
+Schedule engines (SQPS, semilinear) emit a list of certificates; their
+digest covers the list serialized as the CLI writes it.  The drop-point
+engine is left out: one drop certificate takes minutes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+
+from symvar import GridFunction, make_grid, nonneg_cone, schwarz, whole_space
+from symvar import applications as ap
+from symvar import principles as pr
+from symvar.funcspace import Functional, gram_matrix, norm_X, riesz_from_euclidean
+
+N_SAMPLES = 300
+U0_WELL = [0.55, 0.65, 0.75, 0.85, 0.85, 0.75, 0.65, 0.55]
+
+
+def l2_double_well(space, radius=1.0):
+    """(m·Σu² − r²)²: rearrangement-invariant, so admissible everywhere."""
+    m, r2 = space.cell_measure, radius ** 2
+
+    def ev(u):
+        return (m * float(u.values @ u.values) - r2) ** 2
+
+    def dv(u):
+        g = 4.0 * (m * float(u.values @ u.values) - r2) * m * u.values
+        return GridFunction(space, riesz_from_euclidean(space, g))
+
+    return Functional(eval=ev, derivative=dv,
+                      symmetry_class="polarization-invariant",
+                      lower_bound=0.0, name="l2_double_well")
+
+
+def quad_X(a):
+    """‖u−a‖²_X with its exact Riesz derivative 2(u−a)."""
+    gram = gram_matrix(a.space)
+
+    def ev(u):
+        d = u.values - a.values
+        return float(d @ gram @ d)
+
+    return Functional(eval=ev,
+                      derivative=lambda u: GridFunction(a.space,
+                                                        2.0 * (u.values - a.values)),
+                      symmetry_class="polarization-nonincreasing",
+                      lower_bound=0.0, name="quadX")
+
+
+def radial_double_well(space):
+    """r²(r−1)² in r = ‖u‖_X: a mountain pass between 0 and the unit sphere."""
+    gram = gram_matrix(space)
+
+    def ev(u):
+        r = np.sqrt(float(u.values @ gram @ u.values))
+        return r * r * (r - 1.0) ** 2
+
+    def dv(u):
+        r = np.sqrt(float(u.values @ gram @ u.values))
+        if r == 0:
+            return space.zeros()
+        return GridFunction(space, (2.0 * (r - 1.0) ** 2 + 2.0 * r * (r - 1.0))
+                            * u.values)
+
+    return Functional(eval=ev, derivative=dv,
+                      symmetry_class="polarization-nonincreasing",
+                      lower_bound=0.0, name="radial_double_well")
+
+
+def l2_sphere(space, level=1.0):
+    m = space.cell_measure
+    return Functional(
+        eval=lambda u: m * float(u.values @ u.values) - level,
+        derivative=lambda u: GridFunction(
+            space, riesz_from_euclidean(space, 2.0 * m * u.values)),
+        name="l2_sphere")
+
+
+def diag_ray():
+    def project(v):
+        a = max(1.0, 0.5 * (v[0] + v[1]))
+        return np.array([a, a])
+
+    return pr.SetOracle(
+        contains=lambda v: bool(abs(v[0] - v[1]) <= 1e-9 and v[0] >= 1.0 - 1e-12),
+        project=project, kind="custom", description="{(a,a): a >= 1}")
+
+
+def cases():
+    g2 = make_grid(1, 2, 1.0, 2, 4)
+    g4 = make_grid(1, 4, 1.0, 2, 4)
+    g8 = make_grid(1, 8, 1.0, 2, 4)
+    well = l2_double_well(g8)
+    u0 = g8.function(U0_WELL)
+    far = g8.function([0.4, 0.7, 0.5, 0.3, 0.2, 0.1, 0.0, 0.0])
+    box = pr.box_set(g8, 0.0, 2.0)
+
+    def sym_ekeland(variant, u=u0, **kw):
+        return lambda: pr.symmetric_ekeland(well, g8, u, 0.1, 0.1,
+                                            variant=variant, seed=3,
+                                            n_samples=N_SAMPLES, **kw)
+
+    yield "EkelandCore", lambda: pr.ekeland_point(
+        well, whole_space(g8), u0, 0.1, 0.1, seed=1, n_samples=N_SAMPLES)
+    yield "SymEkelandI/X/cone", sym_ekeland("I", domain=nonneg_cone(g8))
+    yield "SymEkelandI/X/box", sym_ekeland("I", domain=box)
+    yield "SymEkelandII/X", sym_ekeland("II")
+    yield "SymEkelandII/V", sym_ekeland("II", metric=pr.VMetric(g8))
+    yield "SymEkelandIII", sym_ekeland("III", Y=[schwarz(u0)])
+    yield "SymEkelandIV", sym_ekeland("IV", rho2=0.05)
+    yield "SymEkelandV/X", sym_ekeland("V", u=far)
+    yield "SymEkelandV/V/box", sym_ekeland("V", u=far, domain=box,
+                                           metric=pr.VMetric(g8))
+    yield "SymBP/p2", lambda: pr.symmetric_borwein_preiss(
+        well, g8, u0, 0.1, 0.1, p_exp=2, seed=4, n_samples=N_SAMPLES)
+    yield "SymBP/p1", lambda: pr.symmetric_borwein_preiss(
+        well, g8, u0, 0.1, 0.1, p_exp=1, seed=4, n_samples=N_SAMPLES)
+    yield "SymZhong/linear", lambda: pr.symmetric_zhong(
+        well, g8, u0, 0.1, 0.1, lambda s: s, seed=5, n_samples=N_SAMPLES)
+    yield "DGZCheck", lambda: pr.dgz_check(
+        well, pr.bump_perturbation(g8, schwarz(u0), 0.1, 1.0), schwarz(u0),
+        0.1, seed=6, n_samples=N_SAMPLES)
+    yield "Constrained", lambda: pr.constrained_symmetric_ekeland(
+        quad_X(g2.zeros()), [l2_sphere(g2)], 1, g2.function([1.0, 1.0]),
+        0.05, seed=7, n_samples=N_SAMPLES)
+    ones = np.ones(2)
+    psi = g2.function(ones / np.sqrt(ones @ gram_matrix(g2) @ ones))
+    yield "PathMinimax", lambda: pr.path_minimax(
+        radial_double_well(g2), psi, 8, 0.05, seed=8, n_samples=N_SAMPLES)
+    yield "SQPS", lambda: [c for c, _ in pr.sqps_sequence(
+        well, g8, [0.1, 0.05], seed=9, n_samples=N_SAMPLES, q_probes=8)]
+    yield "quasilinear", lambda: ap.quasilinear_experiment(
+        ap.forced_dirichlet_integrand(1.0), g8, 0.01, seed=10,
+        n_samples=N_SAMPLES)
+    yield "semilinear", lambda: ap.semilinear_experiment(
+        ap.SemilinearNonlinearity(g=lambda s: -s, G=lambda s: -0.5 * s * s,
+                                  a1=1.0, a2=2.0, b=1.0, p=3.0,
+                                  name="linear_damping"),
+        g8, [0.1, 0.05], seed=11, n_samples=N_SAMPLES, q_probes=8,
+        second_order_samples=8)
+    yield "Caristi", lambda: ap.caristi_fixed_point(
+        lambda u: GridFunction(g4, 0.5 * u.values),
+        Functional(eval=lambda u: 2.0 * norm_X(u),
+                   symmetry_class="polarization-nonincreasing",
+                   lower_bound=0.0, name="caristi-potential"),
+        0.25, g4, seed=12, n_samples=N_SAMPLES, return_certificate=True)[2]
+    yield "Clarke", lambda: ap.clarke_fixed_point(
+        lambda u: GridFunction(g4, 0.4 * u.values), 0.4, 0.3, g4, seed=13,
+        n_samples=N_SAMPLES, return_certificate=True)[2]
+    yield "petal/l1", lambda: ap.symmetric_petal_point(
+        g2.function([1.0, 1.0]), g2.zeros(), diag_ray(), 0.3,
+        norm=lambda vals: float(np.sum(np.abs(vals))), seed=14,
+        n_samples=N_SAMPLES, minimality_samples=1000)
+
+
+def certificate_bytes(out) -> bytes:
+    if isinstance(out, list):
+        return json.dumps([c.to_json_dict() for c in out], indent=1).encode()
+    return out.to_json_bytes()
+
+
+def main():
+    for kind, issue in cases():
+        print(kind, hashlib.sha256(certificate_bytes(issue())).hexdigest(),
+              flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -14,6 +14,7 @@ Unknown config keys are rejected with a field-path diagnostic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,16 +39,22 @@ WEIGHTS = {
     "quadratic": lambda s: s * s,
 }
 
-_TOP_KEYS = {"schema", "subcommand", "grid", "functional", "parameters",
-             "seed", "output"}
-_GRID_KEYS = {"dimension", "n", "radius", "p", "qW", "qV"}
-_OUT_KEYS = {"certificate", "csv", "function"}
+
+@functools.lru_cache(maxsize=None)
+def _schema_keys():
+    """Known keys of the config and of each of its sections, by field path,
+    as the shipped schema names them."""
+    props = json.loads(CONFIG_SCHEMA_PATH.read_text())["properties"]
+    keys = {f"config.{k}": frozenset(v["properties"])
+            for k, v in props.items() if "properties" in v}
+    keys["config"] = frozenset(props)
+    return keys
 
 
-def _check_keys(obj, allowed, path):
+def _check_keys(obj, path):
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - set(allowed))
+    unknown = sorted(set(obj) - _schema_keys()[path])
     if unknown:
         raise ConfigError(f"{path}: unknown key(s) {unknown}")
 
@@ -140,7 +147,7 @@ SCALAR_FUNCS = {
 
 def _build_grid(cfg):
     grid = _need(cfg, "grid", "config")
-    _check_keys(grid, _GRID_KEYS, "config.grid")
+    _check_keys(grid, "config.grid")
     return fs.make_grid(_need(grid, "dimension", "config.grid"),
                         _need(grid, "n", "config.grid"),
                         _need(grid, "radius", "config.grid"),
@@ -174,7 +181,7 @@ def _gf(space, values, path):
 class _Out:
     def __init__(self, cfg, outdir, subcommand):
         spec = cfg.get("output", {})
-        _check_keys(spec, _OUT_KEYS, "config.output")
+        _check_keys(spec, "config.output")
         self.dir = Path(outdir)
         self.dir.mkdir(parents=True, exist_ok=True)
         self.cert_path = self.dir / spec.get("certificate",
@@ -677,7 +684,7 @@ def run_config(config_path, *, seed=None, out_dir=None, n_samples=None) -> int:
         print(f"error: config line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 1
     try:
-        _check_keys(cfg, _TOP_KEYS, "config")
+        _check_keys(cfg, "config")
         if cfg.get("schema") != SCHEMA:
             raise ConfigError(f"config.schema: expected '{SCHEMA}', got "
                               f"{cfg.get('schema')!r}")
@@ -685,10 +692,11 @@ def run_config(config_path, *, seed=None, out_dir=None, n_samples=None) -> int:
         if sub not in HANDLERS:
             raise ConfigError(f"config.subcommand: unknown subcommand '{sub}'"
                               f" (known: {sorted(HANDLERS)})")
-        space = _build_grid(cfg)
+        if "functional" in cfg:
+            _check_keys(cfg["functional"], "config.functional")
         params = cfg.get("parameters", {})
-        if not isinstance(params, dict):
-            raise ConfigError("config.parameters: expected an object")
+        _check_keys(params, "config.parameters")
+        space = _build_grid(cfg)
         eff_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
         outdir = out_dir or os.environ.get("SYMVAR_OUT", ".")
         out = _Out(cfg, outdir, sub)

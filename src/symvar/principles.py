@@ -281,6 +281,30 @@ def default_slack(fv: float) -> float:
     return 1e-6 * (1.0 + abs(fv))
 
 
+def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
+    """(fun, grad, project, box) for a descent on the domain; off the whole
+    space fun is +inf outside the set, so a feasibility restoration that
+    fails to land in the set cannot pass for a low value."""
+    fun = _f_arr(f, space)
+    box = (domain.lo, domain.hi) if domain.kind == "box" else None
+    if domain.kind == "space":
+        return fun, _grad_arr(f, space), None, box
+
+    def guarded(vals):
+        if not domain.contains(vals):
+            return math.inf
+        return fun(vals)
+
+    return guarded, _grad_arr(f, space), domain.project, box
+
+
+def _check_start(f_start, inf_est, gap):
+    """The start-energy hypothesis f(u0) ≤ inf_est + gap, else BadStart."""
+    if f_start > inf_est + gap + 1e-12 * (1.0 + abs(inf_est)):
+        raise BadStart(f"f(u0) = {f_start:.6g} exceeds inf_est + {gap:.6g} "
+                       f"= {inf_est + gap:.6g}")
+
+
 def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
                  extra_starts=(), n_random=6):
     """Documented multi-start minimization probe.
@@ -288,20 +312,7 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
     Returns (inf_est, log, argmin_values).  The estimate is an upper bound
     on inf f over the domain; engines record it and certify against it."""
     rng = np.random.default_rng(seed)
-    fun_raw = _f_arr(f, space)
-    grad = _grad_arr(f, space)
-    box = (domain.lo, domain.hi) if domain.kind == "box" else None
-    project = domain.project if domain.kind != "space" else None
-
-    if project is None:
-        fun = fun_raw
-    else:
-        # guard against feasibility restorations that fail to land in the
-        # set: such probes must not contribute a bogus infimum
-        def fun(vals):
-            if not domain.contains(vals):
-                return math.inf
-            return fun_raw(vals)
+    fun, grad, project, box = _on_domain(f, space, domain)
 
     starts = [domain.project(np.zeros(space.n_cells))]
     tags = ["origin"]
@@ -367,6 +378,46 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
                            argmax_w=gf, seed=int(seed))
 
 
+def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
+    """w ↦ deficit (> 0 violates) of the certificate's inequality, at issue
+    and at re-verification; ``fv`` is f(v).  SymBP: f(w) ≥ f(v) +
+    σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck: f(w) + g(w) ≥ f(v) + g(v); otherwise
+    f(w) ≥ f(v) − σc‖w−v‖, c the Zhong weight at v (1 for other kinds)."""
+    space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
+    if cert.variant == "SymBP":
+        eta, p = cert.eta.values, cert.p_exp
+        dve = metric.dist(v_vals, eta) ** p
+        return lambda w: (fv + sigma * (dve - metric.dist(w, eta) ** p)
+                          - f(GridFunction(space, w)))
+    if cert.variant == "DGZCheck":
+        fgv = fv + g(cert.v)
+
+        def deficit(w):
+            wgf = GridFunction(space, w)
+            return fgv - f(wgf) - g(wgf)
+        return deficit
+    s = sigma * cert.extras.get("weight_at_v", 1)
+    return lambda w: fv - s * metric.dist(w, v_vals) - f(GridFunction(space, w))
+
+
+def _sampler_radii(cert: Certificate):
+    """Ball radii (4r, r, r/4) around v; r = r(ρ) for Zhong, else ρ."""
+    r = cert.extras.get("r_of_rho", cert.rho)
+    return (4 * r, r, r / 4)
+
+
+def _issue_sample(f, cert: Certificate, metric, fv, stream, n_samples, *,
+                  domain=None, extra_points=(), g=None) -> ViolationReport:
+    """Issue-time sampling of the certificate's inequality, seeded from the
+    engine's verification stream."""
+    return sample_inequality(
+        _deficit(f, cert, metric, fv, g), cert.v.space, cert.v.values,
+        n_samples=n_samples,
+        seed=int(np.random.default_rng(stream).integers(2 ** 31)),
+        radii=_sampler_radii(cert), metric_norm=metric.norm, domain=domain,
+        extra_points=extra_points)
+
+
 def check_symmetry(f: Functional, space: GridSpace, seed, n_samples=24,
                    tol_sym=DEFAULT_TOL_SYM):
     """Sample f(u^H) ≤ f(u) + tol over u ∈ S, H in the registered family."""
@@ -406,25 +457,41 @@ def _t_rho(u: GridFunction, rho: float):
     return approx_symmetrize(u, rho)
 
 
+def _open_symmetric(f: Functional, space: GridSpace, u0: GridFunction, seed,
+                    n_streams, tol_sym):
+    """Symmetric-engine opening, part 1: u0 ∈ S, the seed streams and the
+    symmetry check on the first; returns the other n_streams − 1 streams."""
+    if np.any(u0.values < 0):
+        raise AssumptionViolated("u0 must lie in the cone S (values >= 0)")
+    c_sym, *streams = np.random.SeedSequence(seed).spawn(n_streams)
+    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
+    return streams
+
+
+def _symmetric_start(f: Functional, space: GridSpace, dom: SetOracle,
+                     u_start: GridFunction, r, c_inf, gap):
+    """Symmetric-engine opening, part 2: T_r u_start, f(T_r u) ≤ f(u), the
+    inf probe from both points and, unless ``gap`` is None, the start check.
+    Returns (u_tilde, word, f(u_start), inf_est, probe log, argmin)."""
+    u_tilde, seq = _t_rho(u_start, r)
+    f_start = f(u_start)
+    if f(u_tilde) > f_start + 1e-9 * (1.0 + abs(f_start)):
+        raise SymmetryViolation("f increased along the T_rho polarization word")
+    inf_est, log, argmin = estimate_inf(f, space, dom, c_inf,
+                                        extra_starts=[u_start.values,
+                                                      u_tilde.values])
+    if gap is not None:
+        _check_start(f_start, inf_est, gap)
+    return u_tilde, seq, f_start, inf_est, log, argmin
+
+
 def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
                    u0_vals, sigma, metric, rng, *, weight_fn=None,
                    anchor_vals=None, trust=1.0, max_outer=60, tol_step=None):
     """Greedy Ekeland chain: v_{k+1} minimizes f(w) + σ_w(w)‖w−v_k‖ and is
     accepted only when the penalized value drops by tol_step; telescoping
     gives σ·Σ weights·steps ≤ f(u0) − f(v).  Returns (v, log)."""
-    fun_raw = _f_arr(f, space)
-    grad_f = _grad_arr(f, space)
-    box = (domain.lo, domain.hi) if domain.kind == "box" else None
-    project = domain.project if domain.kind != "space" else None
-
-    if project is None:
-        fun = fun_raw
-    else:
-        def fun(vals):
-            if not domain.contains(vals):
-                return math.inf
-            return fun_raw(vals)
-
+    fun, grad_f, project, box = _on_domain(f, space, domain)
     v = domain.project(np.asarray(u0_vals, float))
     fv = fun(v)
     if math.isinf(fv):
@@ -527,9 +594,7 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
     inf_est, log, argmin = estimate_inf(f, space, domain_oracle, s_inf,
                                         extra_starts=[u0.values])
     fu0 = f(u0)
-    if fu0 > inf_est + sigma * rho + 1e-12 * (1.0 + abs(inf_est)):
-        raise BadStart(
-            f"f(u0) = {fu0:.6g} exceeds inf_est + sigma*rho = {inf_est + sigma * rho:.6g}")
+    _check_start(fu0, inf_est, sigma * rho)
 
     v_vals, chain_log = _ekeland_chain(f, space, domain_oracle, u0.values,
                                        sigma, metric, s_chain,
@@ -548,15 +613,9 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
     cert.add_measured("f(v)-f(u0)", fv - fu0, 0.0)
     loc_slack = max(0.0, (inf_est - fv) / sigma)
     cert.add_measured("‖v-u0‖", metric.dist(v_vals, u0.values), rho + loc_slack)
-
-    def deficit(w):
-        return fv - sigma * metric.dist(w, v_vals) - f(GridFunction(space, w))
-
-    cert.violation = sample_inequality(
-        deficit, space, v_vals, n_samples=n_samples,
-        seed=int(s_ver.integers(2 ** 31)), radii=(4 * rho, rho, rho / 4),
-        metric_norm=metric.norm, domain=domain_oracle,
-        extra_points=[argmin, u0.values])
+    cert.violation = _issue_sample(f, cert, metric, fv, s_ver, n_samples,
+                                   domain=domain_oracle,
+                                   extra_points=[argmin, u0.values])
     return cert.seal()
 
 
@@ -586,12 +645,14 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     """
     if variant not in ("I", "II", "III", "IV", "V"):
         raise ValueError(f"unknown variant {variant!r}")
-    if np.any(u0.values < 0):
-        raise AssumptionViolated("u0 must lie in the cone S (values >= 0)")
     metric = metric or XMetric(space)
-    ss = np.random.SeedSequence(seed)
-    c_sym, c_inf, c_chain, c_ver, c_extra = ss.spawn(5)
-    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
+    c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5,
+                                                     tol_sym)
+    if variant == "III":
+        return _symmetric_ekeland_gamma(
+            f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
+            h0=h0, seed=seed, n_samples=n_samples, slack=slack,
+            metric=metric, max_outer=max_outer, tol_sym=tol_sym)
 
     u_start = u0
     dom = domain
@@ -603,33 +664,13 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
                                      "symmetrization-stable S'")
     elif variant == "II":
         u_start = _dominating_point(f, u0)
-        dom = dom or whole_space(space)
-    elif variant == "III":
-        return _symmetric_ekeland_gamma(
-            f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
-            h0=h0, seed=seed, n_samples=n_samples, slack=slack,
-            metric=metric, max_outer=max_outer, tol_sym=tol_sym)
-    elif variant == "IV":
-        dom = dom or whole_space(space)
-    elif variant == "V":
-        dom = dom or whole_space(space)
+    dom = dom or whole_space(space)
 
-    rho_T = rho + (rho2 if (variant == "IV" and rho2 is not None) else
-                   (rho if variant == "IV" else 0.0))
-    u_tilde, seq = _t_rho(u_start, rho_T if variant == "IV" else rho)
-    f_start, f_tilde = f(u_start), f(u_tilde)
-    if f_tilde > f_start + 1e-9 * (1.0 + abs(f_start)):
-        raise SymmetryViolation("f increased along the T_rho polarization word")
-
-    rng_inf = np.random.default_rng(c_inf)
-    inf_est, log, argmin = estimate_inf(f, space, dom, rng_inf,
-                                        extra_starts=[u_start.values,
-                                                      u_tilde.values])
-    if variant != "V":
-        if f_start > inf_est + sigma * rho + 1e-12 * (1.0 + abs(inf_est)):
-            raise BadStart(
-                f"f(u0) = {f_start:.6g} exceeds inf_est + sigma*rho = "
-                f"{inf_est + sigma * rho:.6g}")
+    # variant IV polarizes to ρ1 + ρ2 and carries that radius in its bounds
+    r_bound = (rho + (rho if rho2 is None else rho2)) if variant == "IV" else rho
+    u_tilde, seq, f_start, inf_est, log, argmin = _symmetric_start(
+        f, space, dom, u_start, r_bound, c_inf,
+        None if variant == "V" else sigma * rho)
 
     rng_chain = np.random.default_rng(c_chain)
     v_vals, chain_log = _ekeland_chain(
@@ -647,7 +688,6 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     cert.extras.update(extras)
     cert.extras["chain"] = chain_log
 
-    r_bound = rho_T if variant == "IV" else rho
     sym_val, sym_bound = _symmetry_pair(space, v, metric, r_bound, variant)
     cert.add_measured("‖v-v*‖_V", sym_val, sym_bound)
     if variant == "V":
@@ -673,15 +713,8 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     else:
         loc_bound = r_bound + drift + max(0.0, (inf_est - fv) / sigma)
     cert.add_measured("‖v-u0‖", metric.dist(v_vals, u_start.values), loc_bound)
-
-    def deficit(w):
-        return fv - sigma * metric.dist(w, v_vals) - f(GridFunction(space, w))
-
-    rng_ver = np.random.default_rng(c_ver)
-    cert.violation = sample_inequality(
-        deficit, space, v_vals, n_samples=n_samples,
-        seed=int(rng_ver.integers(2 ** 31)),
-        radii=(4 * rho, rho, rho / 4), metric_norm=metric.norm, domain=dom,
+    cert.violation = _issue_sample(
+        f, cert, metric, fv, c_ver, n_samples, domain=dom,
         extra_points=[argmin, u_start.values, u_tilde.values])
 
     if variant == "IV":
@@ -753,8 +786,7 @@ def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
     inf_est, log, argmin = estimate_inf(f_h, space, dom,
                                         np.random.default_rng(c_inf),
                                         extra_starts=[u_h.values])
-    if f_h(u_h) > inf_est + sig_til * rho + 1e-12 * (1.0 + abs(inf_est)):
-        raise BadStart("inf_Y f must undercut inf f + sigma*rho")
+    _check_start(f_h(u_h), inf_est, sig_til * rho)
 
     sub = symmetric_ekeland(f_h, space, u_h, sig_eff, rho_eff, variant="II",
                             seed=int(np.random.default_rng(c_rest).integers(2 ** 31)),
@@ -802,29 +834,17 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
     The proof's countable convex combination is replaced by one moving
     center: η starts at T_ρu0, v is the penalized global minimizer, and η
     bisects toward v until ‖v−η‖ ≤ ρ/2."""
-    if np.any(u0.values < 0):
-        raise AssumptionViolated("u0 must lie in the cone S")
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    ss = np.random.SeedSequence(seed)
-    c_sym, c_inf, c_ver = ss.spawn(3)
-    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
-
-    u_tilde, seq = _t_rho(u0, rho)
-    fu0 = f(u0)
-    inf_est, log, argmin = estimate_inf(
-        f, space, dom, np.random.default_rng(c_inf),
-        extra_starts=[u0.values, u_tilde.values])
+    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3, tol_sym)
     gap = sigma * rho ** p_exp
-    if fu0 > inf_est + gap + 1e-12 * (1.0 + abs(inf_est)):
-        raise BadStart(f"f(u0) = {fu0:.6g} exceeds inf_est + sigma*rho^p = "
-                       f"{inf_est + gap:.6g}")
+    u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
+        f, space, dom, u0, rho, c_inf, gap)
 
+    # the penalized minimizer runs on f itself, without the domain guard
     fun = _f_arr(f, space)
-    grad_f = _grad_arr(f, space)
+    _, grad_f, project, box = _on_domain(f, space, dom)
     gram = gram_matrix(space) if space.p == 2.0 else None
-    box = (dom.lo, dom.hi) if dom.kind == "box" else None
-    project = dom.project if dom.kind != "space" else None
 
     eta = np.array(u_tilde.values)
     v_vals = None
@@ -867,18 +887,9 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
     cert.add_measured("‖v-u‖", metric.dist(v_vals, u0.values), rho + drift)
     cert.add_measured("‖η-u‖", metric.dist(eta, u0.values), rho + drift)
     cert.add_measured("f(v)-inf_est", fv - inf_est, gap)
-
-    dve = metric.dist(v_vals, eta) ** p_exp
-
-    def deficit(w):
-        return (fv + sigma * (dve - metric.dist(w, eta) ** p_exp)
-                - f(GridFunction(space, w)))
-
-    cert.violation = sample_inequality(
-        deficit, space, v_vals, n_samples=n_samples,
-        seed=int(np.random.default_rng(c_ver).integers(2 ** 31)),
-        radii=(4 * rho, rho, rho / 4), metric_norm=metric.norm, domain=dom,
-        extra_points=[argmin, u0.values, eta])
+    cert.violation = _issue_sample(f, cert, metric, fv, c_ver, n_samples,
+                                   domain=dom,
+                                   extra_points=[argmin, u0.values, eta])
     return cert.seal()
 
 
@@ -932,22 +943,12 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
                     tol_sym=DEFAULT_TOL_SYM) -> Certificate:
     """Weighted symmetric Ekeland point: the inequality carries the factor
     1/(1+h(‖v−T_{r(ρ)}u0‖)) and all location bounds use r(ρ)."""
-    if np.any(u0.values < 0):
-        raise AssumptionViolated("u0 must lie in the cone S")
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    ss = np.random.SeedSequence(seed)
-    c_sym, c_inf, c_chain, c_ver = ss.spawn(4)
-    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
-
+    c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4, tol_sym)
     r = zhong_radius(h, rho)
-    u_tilde, seq = _t_rho(u0, r)
-    fu0 = f(u0)
-    inf_est, log, argmin = estimate_inf(
-        f, space, dom, np.random.default_rng(c_inf),
-        extra_starts=[u0.values, u_tilde.values])
-    if fu0 > inf_est + sigma * rho + 1e-12 * (1.0 + abs(inf_est)):
-        raise BadStart("f(u0) exceeds inf_est + sigma*rho")
+    u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
+        f, space, dom, u0, r, c_inf, sigma * rho)
 
     anchor = np.array(u_tilde.values)
 
@@ -977,15 +978,8 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
     drift = metric.dist(u_tilde.values, u0.values)
     cert.add_measured("‖v-u0‖", metric.dist(v_vals, u0.values),
                       r + drift + max(0.0, (inf_est - fv) / sigma))
-
-    def deficit(w):
-        return (fv - sigma * w_final * metric.dist(w, v_vals)
-                - f(GridFunction(space, w)))
-
-    cert.violation = sample_inequality(
-        deficit, space, v_vals, n_samples=n_samples,
-        seed=int(np.random.default_rng(c_ver).integers(2 ** 31)),
-        radii=(4 * r, r, r / 4), metric_norm=metric.norm, domain=dom,
+    cert.violation = _issue_sample(
+        f, cert, metric, fv, c_ver, n_samples, domain=dom,
         extra_points=[argmin, u0.values, u_tilde.values])
     return cert.seal()
 
@@ -1054,9 +1048,9 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
                 sup_gp = max(sup_gp, abs(g(GridFunction(space, w + t * d / nd))
                                          - g(wgf)) / t)
 
-    fgv = f(v) + g(v)
+    fv = f(v)
     if slack is None:
-        slack = default_slack(fgv)
+        slack = default_slack(fv + g(v))
     cert = Certificate(variant="DGZCheck", v=v, sigma=eps, rho=eps, seed=seed,
                        slack=slack)
     cert.extras["metric"] = metric.name
@@ -1068,15 +1062,7 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
         u_tilde, _ = _t_rho(u0, eps)
         cert.add_measured("‖v-u‖", metric.dist(v.values, u0.values),
                           eps + metric.dist(u_tilde.values, u0.values))
-
-    def deficit(w):
-        wgf = GridFunction(space, w)
-        return fgv - f(wgf) - g(wgf)
-
-    cert.violation = sample_inequality(
-        deficit, space, v.values, n_samples=n_samples,
-        seed=int(np.random.default_rng(c_ver).integers(2 ** 31)),
-        radii=(4 * eps, eps, eps / 4), metric_norm=metric.norm)
+    cert.violation = _issue_sample(f, cert, metric, fv, c_ver, n_samples, g=g)
     return cert.seal()
 
 
@@ -1169,8 +1155,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     inf_est, log, argmin = estimate_inf(
         f, space, dom, np.random.default_rng(c_inf),
         extra_starts=[u_start.values, u_tilde.values])
-    if f(u_start) > inf_est + eps * eps + 1e-12 * (1.0 + abs(inf_est)):
-        raise BadStart("f(u0) exceeds inf_C_est + eps^2")
+    _check_start(f(u_start), inf_est, eps * eps)
 
     v_vals, chain_log = _ekeland_chain(
         f, space, dom, u_tilde.values, eps, metric,
@@ -1214,15 +1199,9 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     cert.add_measured("‖df-Σλ·dG‖_X'", resid, eps)
     cert.add_measured("f(v)-inf_est", fv - inf_est, eps * eps)
     cert.add_measured("‖v-v*‖_V", _measure_symmetry(v), _bound_a(space, eps, "C"))
-
-    def deficit(w):
-        return fv - eps * metric.dist(w, v_vals) - f(GridFunction(space, w))
-
-    cert.violation = sample_inequality(
-        deficit, space, v_vals, n_samples=n_samples,
-        seed=int(np.random.default_rng(c_ver).integers(2 ** 31)),
-        radii=(4 * eps, eps, eps / 4), metric_norm=metric.norm, domain=dom,
-        extra_points=[argmin, u_start.values])
+    cert.violation = _issue_sample(f, cert, metric, fv, c_ver, n_samples,
+                                   domain=dom,
+                                   extra_points=[argmin, u_start.values])
     return cert.seal()
 
 
@@ -1514,11 +1493,14 @@ def verify_certificate(f: Functional, cert: Certificate, n_samples, *,
                        sampler_spec=None, domain=None, g=None,
                        seed=104729) -> ViolationReport:
     """Re-sample a certificate's variational inequality with an independent
-    seed and a documented sampler (ball radii around v plus global probes).
+    seed and a documented sampler (the issuing engine's ball radii around v
+    plus global probes).
 
     ``domain`` restores set-restricted quantifiers (variant I, constrained);
-    ``g`` supplies the perturbation for DGZ certificates.  Pure and
-    idempotent; a larger n_samples extends the smaller run's sample stream.
+    ``g`` supplies the perturbation for DGZ certificates.  Only X- and
+    V-metric certificates can be re-sampled (AssumptionViolated otherwise).
+    Pure and idempotent; a larger n_samples extends the smaller run's sample
+    stream.
     """
     space = cert.v.space
     if cert.variant == "PathMinimax":
@@ -1527,44 +1509,18 @@ def verify_certificate(f: Functional, cert: Certificate, n_samples, *,
             "reconstructed from the argmax node (the node is a near-saddle, "
             "not an Ekeland point); they are verified at emission")
     metric_name = cert.extras.get("metric", "X")
-    if metric_name == "V":
-        metric = VMetric(space)
-    else:
-        metric = XMetric(space)
-    v_vals = cert.v.values
-    fv = f(cert.v)
-    sigma, rho = cert.sigma, cert.rho
-
-    if cert.variant == "SymBP":
-        eta = cert.eta.values
-        dve = metric.dist(v_vals, eta) ** cert.p_exp
-
-        def deficit(w):
-            return (fv + sigma * (dve - metric.dist(w, eta) ** cert.p_exp)
-                    - f(GridFunction(space, w)))
-    elif cert.variant == "SymZhong":
-        w_final = cert.extras["weight_at_v"]
-
-        def deficit(w):
-            return (fv - sigma * w_final * metric.dist(w, v_vals)
-                    - f(GridFunction(space, w)))
-    elif cert.variant == "DGZCheck":
-        if g is None:
-            raise AssumptionViolated("DGZ verification needs the g oracle")
-        gv = g(cert.v)
-
-        def deficit(w):
-            wgf = GridFunction(space, w)
-            return fv + gv - f(wgf) - g(wgf)
-    else:
-
-        def deficit(w):
-            return (fv - sigma * metric.dist(w, v_vals)
-                    - f(GridFunction(space, w)))
+    if metric_name not in ("X", "V"):
+        raise AssumptionViolated(
+            f"certificate metric {metric_name!r} cannot be rebuilt: "
+            "re-verification knows only the X and V metrics")
+    metric = XMetric(space) if metric_name == "X" else VMetric(space)
+    if cert.variant == "DGZCheck" and g is None:
+        raise AssumptionViolated("DGZ verification needs the g oracle")
 
     spec = sampler_spec or {}
-    radii = tuple(spec.get("radii", (4 * rho, rho, rho / 4)))
-    width = spec.get("global_width")
-    return sample_inequality(deficit, space, v_vals, n_samples=n_samples,
-                             seed=seed, radii=radii, metric_norm=metric.norm,
-                             domain=domain, width=width)
+    return sample_inequality(
+        _deficit(f, cert, metric, f(cert.v), g), space, cert.v.values,
+        n_samples=n_samples, seed=seed,
+        radii=tuple(spec.get("radii", _sampler_radii(cert))),
+        metric_norm=metric.norm, domain=domain,
+        width=spec.get("global_width"))

@@ -492,6 +492,25 @@ def test_symmetric_petal_point_l1_geometry(g1d2):
     assert cert.measured["ε‖ξ-x‖+‖ξ-y‖-‖x-y‖"][0] <= 1e-12
 
 
+def test_verify_rejects_unknown_metric_of_petal_certificate(g1d2):
+    # the l1 petal certificate records metric "petal-norm", which
+    # re-verification cannot rebuild; re-sampling it in the X norm would
+    # report on a different inequality
+    from symvar import verify_certificate
+
+    def l1(vals):
+        return float(np.sum(np.abs(vals)))
+
+    x = g1d2.function([1.0, 1.0])
+    y = g1d2.function([0.0, 0.0])
+    cert = symmetric_petal_point(x, y, _diag_ray_C(), 0.3, norm=l1, seed=1,
+                                 n_samples=500, minimality_samples=10000)
+    assert cert.extras["metric"] == "petal-norm"
+    f = Functional(eval=lambda u: l1(u.values - y.values), name="dist-to-y")
+    with pytest.raises(AssumptionViolated, match="petal-norm"):
+        verify_certificate(f, cert, 100, seed=0)
+
+
 def test_symmetric_petal_point_singleton(g1d2):
     x = g1d2.function([1.0, 1.0])
     y = g1d2.function([0.0, 0.0])

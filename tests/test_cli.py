@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -219,3 +220,45 @@ def test_shipped_schema_matches_registry():
     assert set(schema["properties"]["subcommand"]["enum"]) == set(cli.HANDLERS)
     grid_keys = set(schema["properties"]["grid"]["properties"])
     assert grid_keys == {"dimension", "n", "radius", "p", "qW", "qV"}
+
+
+def test_unknown_parameter_and_functional_keys_rejected(tmp_path, capsys):
+    cfg = _write(tmp_path, "rhoo.json", {
+        "schema": "symvar-config/1",
+        "subcommand": "approx_symmetrize",
+        "grid": _grid1d(4),
+        "parameters": {"values": [0, 0, 1, 0], "rhoo": 0.5},
+        "seed": 0,
+    })
+    assert run_config(cfg, out_dir=str(tmp_path)) == 1
+    assert "config.parameters: unknown key(s) ['rhoo']" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "approx_symmetrize.csv").exists()
+
+    cfg = _write(tmp_path, "centre.json", {
+        "schema": "symvar-config/1",
+        "subcommand": "strong_slope",
+        "grid": _grid1d(4),
+        "functional": {"name": "quadratic", "centre": [0, 0, 0, 0]},
+        "parameters": {"values": [0, 0, 1, 0]},
+        "seed": 0,
+    })
+    assert run_config(cfg, out_dir=str(tmp_path)) == 1
+    assert "config.functional: unknown key(s) ['centre']" in \
+        capsys.readouterr().err
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (config,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "readme.json"
+    cfg.write_text(config)
+    assert run_config(cfg, out_dir=str(tmp_path / "cli")) == 0
+    assert json.loads((tmp_path / "cli" / "cert.json").read_text())[
+        "status"] == "PASS"
+
+    (quick_start,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(quick_start, namespace)
+    assert namespace["cert"].status == "PASS"

@@ -464,6 +464,31 @@ def test_verify_certificate_trivial_and_corrupted(g1d4):
     assert rep_bad.argmax_w is not None
 
 
+def test_verify_zhong_certificate_samples_on_r_of_rho(g1d4, monkeypatch):
+    # the issuing engine samples on (4r, r, r/4) with r = r(ρ) = e^ρ − 1 for
+    # the linear weight; re-verification must use the same radii, not ρ
+    import symvar.principles as principles
+
+    a = sym_center(g1d4, 24)
+    f = quad_X(a)
+    rng = np.random.default_rng(25)
+    u0 = theta(a + g1d4.function(0.03 * rng.standard_normal(4)))
+    cert = symmetric_zhong(f, g1d4, u0, 0.1, 0.2, lambda s: s, seed=1,
+                           n_samples=200)
+    seen = []
+    real = principles.sample_inequality
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["radii"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(principles, "sample_inequality", spy)
+    verify_certificate(f, cert, 100, seed=3)
+    r = cert.extras["r_of_rho"]
+    assert r == pytest.approx(np.expm1(0.2), abs=1e-8)
+    assert seen == [(4 * r, r, r / 4)]
+
+
 def test_verify_certificate_sample_monotone(g1d4):
     a = sym_center(g1d4, 33)
     f = quad_X(a)
