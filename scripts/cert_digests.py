@@ -10,19 +10,34 @@ both commits and diffs the two outputs::
 Schedule engines (SQPS, semilinear) emit a list of certificates; their
 digest covers the list serialized as the CLI writes it.  The drop-point
 engine is left out: one drop certificate takes minutes.
+
+It then runs the config table of ``tests/cli_cases.py`` (one small config
+per ``symvar run`` subcommand) through ``run_config`` and prints
+``<subcommand> <exit> <file> <sha256>`` for every file each run writes
+(``-`` for both when a run writes none), so the diff also covers every CLI
+output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
 from symvar import GridFunction, make_grid, nonneg_cone, schwarz, whole_space
 from symvar import applications as ap
 from symvar import principles as pr
+from symvar.cli import run_config
 from symvar.funcspace import Functional, gram_matrix, norm_X, riesz_from_euclidean
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from cli_cases import SAMPLES, valid_cases  # noqa: E402
 
 N_SAMPLES = 300
 U0_WELL = [0.55, 0.65, 0.75, 0.85, 0.85, 0.75, 0.65, 0.55]
@@ -171,10 +186,30 @@ def certificate_bytes(out) -> bytes:
     return out.to_json_bytes()
 
 
+def cli_digests(root: Path):
+    """Run the CLI config table under ``root``; yield one line per file."""
+    for label, cfg, _, _ in valid_cases(root / "out"):
+        path = root / f"{label.replace('/', '_')}.json"
+        path.write_text(json.dumps(cfg))
+        out = root / "out" / label
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_config(path, out_dir=out, n_samples=SAMPLES)
+        files = sorted(out.iterdir()) if out.exists() else []
+        for f in files:
+            yield f"{label} {code} {f.name} " \
+                f"{hashlib.sha256(f.read_bytes()).hexdigest()}"
+        if not files:
+            yield f"{label} {code} - -"
+
+
 def main():
     for kind, issue in cases():
         print(kind, hashlib.sha256(certificate_bytes(issue())).hexdigest(),
               flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for line in cli_digests(Path(tmp)):
+            print(line, flush=True)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ experiments for PDE energies, fixed points and drop/petal geometry.
 from .errors import (AssumptionViolated, BadStart, ConfigError,
                      ConstraintDegeneracy, ConvergenceFailure,
                      DivergenceAssumptionViolated, IntegrandError,
-                     InvalidEpsilon, InvalidExponent, InvalidGrid,
+                     InvalidArgument, InvalidEpsilon, InvalidExponent, InvalidGrid,
                      NoMountainPass, NotBoundedBelow, NotSymmetricInput,
                      OutsideDomain, SeparationViolated, SpaceMismatch,
                      SymmetryViolation, SymvarError)

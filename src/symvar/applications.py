@@ -16,8 +16,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (AssumptionViolated, IntegrandError, InvalidEpsilon,
-                     NotBoundedBelow, NotSymmetricInput, SeparationViolated)
+from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
+                     InvalidEpsilon, NotBoundedBelow, NotSymmetricInput,
+                     SeparationViolated)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         laplacian_matrix, norm_V, norm_X, riesz_from_euclidean,
                         theta)
@@ -109,7 +110,7 @@ def forced_dirichlet_integrand(c: float) -> QuasilinearIntegrand:
     and L(−s, t) ≤ L(s, t) for s ≤ 0 (c > 0), which is what the symmetric
     principle needs."""
     if c <= 0:
-        raise ValueError("forcing constant must be positive")
+        raise InvalidArgument("forcing constant must be positive")
     return QuasilinearIntegrand(
         L=lambda s, t: 0.5 * t * t - c * s,
         L_s=lambda s, t: -c,
@@ -247,7 +248,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0,
         rep = riesz_from_euclidean(space, r)
         return float(math.sqrt(max(0.0, r @ rep)))
     if method != "ascent":
-        raise ValueError(f"unknown dual-norm method {method!r}")
+        raise InvalidArgument(f"unknown dual-norm method {method!r}")
 
     from .funcspace import _norm_X_raw
 
@@ -345,7 +346,7 @@ def lower_derivative(g: Callable[[float], float], s: float, delta: float,
     decreasing-δ schedule; the finest level's minimum is returned and the
     schedule is logged."""
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise InvalidArgument("delta must be positive")
     J = 11
     log = []
     for lev in levels:

@@ -8,17 +8,22 @@ JSON and CSV tables into the output directory (``--out``, else
 certificate PASSes, 2 when one FAILED, 1 on config or runtime errors.
 Identical config + seed reproduces the output files byte for byte.
 
-Unknown config keys are rejected with a field-path diagnostic.
+One registry owns the config format: ``HANDLERS`` maps each subcommand to
+its handler, the functional kinds it takes and one JSON-Schema fragment per
+parameter, and ``FUNCTIONALS`` holds each functional's fragments.  ``_check``
+validates a config against the fragments and fills in their defaults;
+``config_schema()`` publishes them as the shipped ``config_schema.json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,43 +38,118 @@ from .funcspace import Functional, GridFunction, gram_matrix
 SCHEMA = "symvar-config/1"
 CONFIG_SCHEMA_PATH = Path(__file__).with_name("config_schema.json")
 
-WEIGHTS = {
-    "zero": lambda s: 0.0,
-    "linear": lambda s: s,
-    "quadratic": lambda s: s * s,
-}
+# ---------------------------------------------------------------------------
+# schema fragments and the check routine
 
 
-@functools.lru_cache(maxsize=None)
-def _schema_keys():
-    """Known keys of the config and of each of its sections, by field path,
-    as the shipped schema names them."""
-    props = json.loads(CONFIG_SCHEMA_PATH.read_text())["properties"]
-    keys = {f"config.{k}": frozenset(v["properties"])
-            for k, v in props.items() if "properties" in v}
-    keys["config"] = frozenset(props)
-    return keys
+def _num(default, **bounds):
+    return {"type": "number", **bounds, "default": default}
 
 
-def _check_keys(obj, path):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = sorted(set(obj) - _schema_keys()[path])
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}")
+def _pos(default):
+    return _num(default, exclusiveMinimum=0)
 
 
-def _need(obj, key, path):
-    if key not in obj:
-        raise ConfigError(f"{path}: missing required key '{key}'")
-    return obj[key]
+def _count(default):
+    return {"type": "integer", "minimum": 1, "default": default}
+
+
+def _enum(names, default):
+    return {"enum": list(names), "default": default}
+
+
+def _optional(frag, meaning):
+    """A parameter that may be absent; the handler reads None then."""
+    return {**frag, "default": None, "description": meaning}
+
+
+def _object(props):
+    """A closed object; the properties without a default are required."""
+    return {"type": "object", "additionalProperties": False,
+            "required": [k for k, f in props.items() if "default" not in f],
+            "properties": props}
+
+
+NUMBERS = {"type": "array", "items": {"type": "number"}}
+POSITIVES = {"type": "array", "minItems": 1,
+             "items": {"type": "number", "exclusiveMinimum": 0}}
+# "format": "cells" marks a vector with one value per grid cell; its length
+# is checked once the grid is built, and handlers receive a GridFunction
+CELLS = {**NUMBERS, "format": "cells",
+         "description": "one value per grid cell"}
+ZEROS = _optional(CELLS, "one value per grid cell; all zeros when absent")
+
+_TYPES = {"number": (int, float), "integer": (int, float), "string": str,
+          "array": list, "object": dict}
+_BOUNDS = {"minimum": lambda v, b: v >= b,
+           "exclusiveMinimum": lambda v, b: v > b,
+           "multipleOf": lambda v, b: v % b == 0}
+
+
+def _check(value, frag, path):
+    """Check one config value against its schema fragment and return it
+    converted: numbers to float, integers to int, arrays item by item and
+    objects with every property present (absent ones take their default).
+    Raises ConfigError naming the field path."""
+    kind = frag.get("type")
+    if kind and (isinstance(value, bool)
+                 or not isinstance(value, _TYPES[kind])):
+        raise ConfigError(f"{path}: expected {kind}, got {value!r}")
+    if kind in ("number", "integer"):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: not a finite number ({value!r})")
+        if kind == "integer" and value != int(value):
+            raise ConfigError(f"{path}: expected integer, got {value!r}")
+        value = int(value) if kind == "integer" else float(value)
+        for key, ok in _BOUNDS.items():
+            if key in frag and not ok(value, frag[key]):
+                raise ConfigError(f"{path}: {value!r} fails {key} {frag[key]}")
+    elif kind == "array":
+        if not frag.get("minItems", 0) <= len(value) <= frag.get("maxItems",
+                                                                  len(value)):
+            raise ConfigError(f"{path}: wrong number of items ({len(value)})")
+        value = [_check(v, frag["items"], f"{path}[{i}]")
+                 for i, v in enumerate(value)]
+    elif "properties" in frag:
+        props = frag["properties"]
+        unknown = sorted(set(value) - set(props))
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) {unknown}")
+        for key in frag["required"]:
+            if key not in value:
+                raise ConfigError(f"{path}: missing required key '{key}'")
+        value = {k: _check(value[k], f, f"{path}.{k}") if k in value
+                 else None if f["default"] is None
+                 else _check(f["default"], f, f"{path}.{k}")
+                 for k, f in props.items()}
+    if "enum" in frag and value not in frag["enum"]:
+        raise ConfigError(f"{path}: unknown value {value!r} "
+                          f"(known: {frag['enum']})")
+    if "const" in frag and value != frag["const"]:
+        raise ConfigError(f"{path}: expected {frag['const']!r}, got {value!r}")
+    return value
+
+
+def _to_grid(space, obj, props, path):
+    """Replace the cell vectors of a checked object by GridFunctions."""
+    for key, frag in props.items():
+        if frag.get("format") == "cells" and obj[key] is not None:
+            if len(obj[key]) != space.n_cells:
+                raise ConfigError(f"{path}.{key}: expected {space.n_cells} "
+                                  f"values (one per grid cell), got "
+                                  f"{len(obj[key])}")
+            obj[key] = GridFunction(space, obj[key])
+
+
+def _zeros_or(space, u):
+    return np.zeros(space.n_cells) if u is None else u.values
 
 
 # ---------------------------------------------------------------------------
-# registries
+# registries: functionals, set oracles, weights, scalar functions
 
 def _fn_quadratic(space, params):
-    center = np.asarray(params.get("center", np.zeros(space.n_cells)), float)
+    center = _zeros_or(space, params["center"])
     a = GridFunction(space, center)
     gram = gram_matrix(space)
 
@@ -92,7 +172,7 @@ def _fn_double_well(space, params):
     is exactly polarization-invariant (the X-norm analogue is not: its
     inner branch decreases in the radius that polarization shrinks)."""
     m = space.cell_measure
-    r2 = float(params.get("radius", 1.0)) ** 2
+    r2 = params["radius"] ** 2
 
     def ev(u):
         return (m * float(u.values @ u.values) - r2) ** 2
@@ -107,8 +187,7 @@ def _fn_double_well(space, params):
 
 
 def _fn_norm_dist(space, params):
-    center = np.asarray(params.get("center", np.zeros(space.n_cells)), float)
-    a = GridFunction(space, center)
+    a = GridFunction(space, _zeros_or(space, params["center"]))
 
     def ev(u):
         return fs.norm_V(u - a)
@@ -117,25 +196,89 @@ def _fn_norm_dist(space, params):
                       lower_bound=0.0, name="norm_dist")
 
 
+class Fn(NamedTuple):
+    kind: str              # "functional", "integrand" or "nonlinearity"
+    build: Callable        # (space, filled params) -> the object
+    params: dict
+
+
 FUNCTIONALS = {
-    "quadratic": _fn_quadratic,
-    "double_well": _fn_double_well,
-    "norm_dist": _fn_norm_dist,
-}
-
-INTEGRANDS = {
-    "dirichlet": lambda params: ap.dirichlet_integrand(),
-    "forced_dirichlet": lambda params: ap.forced_dirichlet_integrand(
-        float(params.get("c", 1.0))),
-}
-
-NONLINEARITIES = {
-    "linear_damping": lambda params: ap.SemilinearNonlinearity(
-        g=lambda s: -s, G=lambda s: -0.5 * s * s, a1=1.0, a2=2.0, b=1.0,
-        p=3.0, name="linear_damping"),
-    "cubic": lambda params: ap.SemilinearNonlinearity(
+    "quadratic": Fn("functional", _fn_quadratic, {"center": ZEROS}),
+    "double_well": Fn("functional", _fn_double_well, {"radius": _num(1.0)}),
+    "norm_dist": Fn("functional", _fn_norm_dist, {"center": ZEROS}),
+    "dirichlet": Fn("integrand", lambda space, p: ap.dirichlet_integrand(),
+                    {}),
+    "forced_dirichlet": Fn("integrand", lambda space, p:
+                           ap.forced_dirichlet_integrand(p["c"]),
+                           {"c": _pos(1.0)}),
+    "linear_damping": Fn("nonlinearity", lambda space, p:
+                         ap.SemilinearNonlinearity(
+                             g=lambda s: -s, G=lambda s: -0.5 * s * s,
+                             a1=1.0, a2=2.0, b=1.0, p=3.0,
+                             name="linear_damping"), {}),
+    "cubic": Fn("nonlinearity", lambda space, p: ap.SemilinearNonlinearity(
         g=lambda s: s ** 3, G=lambda s: 0.25 * s ** 4, a1=0.0, a2=0.0, b=3.0,
-        p=4.0, name="cubic"),
+        p=4.0, name="cubic"), {}),
+}
+
+
+def _fn_object(name):
+    return _object({"name": {"const": name}, **FUNCTIONALS[name].params})
+
+
+def _halfplane_sum(params):
+    level = params["level"]
+
+    def contains(v):
+        return bool(np.all(v >= -1e-12) and np.sum(v) <= level + 1e-12)
+
+    def project(v):
+        w = np.maximum(v, 0.0)
+        ex = (np.sum(w) - level) / len(w)
+        if ex > 0:
+            w = np.maximum(w - ex, 0.0)
+        return w
+
+    return pr.SetOracle(contains=contains, project=project, kind="custom",
+                        description=f"{{u >= 0, sum <= {level}}}")
+
+
+def _diag_ray(params):
+    lo = params["lo"]
+
+    def contains(v):
+        return bool(np.max(np.abs(v - np.mean(v))) <= 1e-9
+                    and np.mean(v) >= lo - 1e-12)
+
+    def project(v):
+        return np.full(len(v), max(lo, float(np.mean(v))))
+
+    return pr.SetOracle(contains=contains, project=project, kind="custom",
+                        description=f"{{(a,...,a): a >= {lo}}}")
+
+
+def _singleton(params):
+    if params["point"] is None:
+        raise ConfigError("config.parameters.point: required by set "
+                          "'singleton'")
+    point = params["point"].values
+
+    def contains(v):
+        return bool(np.max(np.abs(v - point)) <= 1e-9)
+
+    return pr.SetOracle(contains=contains, project=lambda v: np.array(point),
+                        kind="custom", description="singleton")
+
+
+SETS = {"halfplane_sum": _halfplane_sum, "diag_ray": _diag_ray,
+        "singleton": _singleton}
+SET_PARAMS = {"level": _num(1.0), "lo": _num(1.0),
+              "point": _optional(CELLS, "the point of the singleton set")}
+
+WEIGHTS = {
+    "zero": lambda s: 0.0,
+    "linear": lambda s: s,
+    "quadratic": lambda s: s * s,
 }
 
 SCALAR_FUNCS = {
@@ -144,59 +287,45 @@ SCALAR_FUNCS = {
     "abs": abs,
 }
 
+PETAL_NORMS = {"l1": lambda vals: float(np.sum(np.abs(vals)))}
 
-def _build_grid(cfg):
-    grid = _need(cfg, "grid", "config")
-    _check_keys(grid, "config.grid")
-    return fs.make_grid(_need(grid, "dimension", "config.grid"),
-                        _need(grid, "n", "config.grid"),
-                        _need(grid, "radius", "config.grid"),
-                        _need(grid, "p", "config.grid"),
-                        _need(grid, "qW", "config.grid"),
-                        q_V=grid.get("qV"))
+GRID = {
+    "dimension": {"type": "integer", "enum": [1, 2]},
+    "n": {"type": "integer", "minimum": 2, "multipleOf": 2,
+          "description": "cells per axis"},
+    "radius": {"type": "number", "exclusiveMinimum": 0},
+    "p": {"type": "number", "exclusiveMinimum": 1},
+    "qW": {"type": "number"},
+    "qV": _optional({"type": "number"}, "make_grid's default when absent"),
+}
 
-
-def _build_functional(cfg, space):
-    fdef = cfg.get("functional")
-    if fdef is None:
-        raise ConfigError("config.functional: required by this subcommand")
-    name = _need(fdef, "name", "config.functional")
-    params = {k: v for k, v in fdef.items() if k != "name"}
-    if name in FUNCTIONALS:
-        return FUNCTIONALS[name](space, params)
-    if name in INTEGRANDS:
-        return ap.quasilinear_functional(INTEGRANDS[name](params), space)
-    raise ConfigError(f"config.functional.name: unknown functional '{name}'")
-
-
-def _gf(space, values, path):
-    if values is None:
-        raise ConfigError(f"{path}: missing values")
-    return GridFunction(space, np.asarray(values, float))
+OUTPUT_SUFFIX = {"certificate": "_certificate.json", "csv": ".csv",
+                 "function": "_function.json"}
+OUTPUT = {k: _optional({"type": "string"}, f"file name; <subcommand>{s} "
+                       f"when absent") for k, s in OUTPUT_SUFFIX.items()}
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
 class _Out:
-    def __init__(self, cfg, outdir, subcommand):
-        spec = cfg.get("output", {})
-        _check_keys(spec, "config.output")
+    def __init__(self, spec, outdir, subcommand):
         self.dir = Path(outdir)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.cert_path = self.dir / spec.get("certificate",
-                                             f"{subcommand}_certificate.json")
-        self.csv_path = self.dir / spec.get("csv", f"{subcommand}.csv")
-        self.fn_path = self.dir / spec.get("function",
-                                           f"{subcommand}_function.json")
+        self.cert_path, self.csv_path, self.fn_path = (
+            self.dir / (spec[k] or f"{subcommand}{s}")
+            for k, s in OUTPUT_SUFFIX.items())
 
     def write_certificates(self, certs):
+        """Write one certificate or a list; return the exit code, 0 when
+        every certificate PASSes and 2 otherwise."""
         if isinstance(certs, list):
             payload = json.dumps([c.to_json_dict() for c in certs],
                                  indent=1).encode()
         else:
-            payload = certs.to_json_bytes()
+            payload, certs = certs.to_json_bytes(), [certs]
         self.cert_path.write_bytes(payload)
+        return 0 if all(c.status == "PASS" for c in certs) else 2
 
     def write_csv(self, header, rows):
         lines = [",".join(header)]
@@ -214,16 +343,37 @@ class _Out:
         self.fn_path.write_text(json.dumps(obj, indent=1))
 
 
-def _status_exit(certs):
-    if isinstance(certs, list):
-        return 2 if any(c.status != "PASS" for c in certs) else 0
-    return 0 if certs.status == "PASS" else 2
-
-
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns an exit code
+# subcommand handlers; each reads the checked parameters p and returns an
+# exit code.  f is the built functional (None when the subcommand takes none)
+# and samples the --samples override (None when not given).
 
-def _run_make_grid(cfg, space, params, seed, n_samples, out):
+class Subcommand(NamedTuple):
+    run: Callable
+    takes: tuple           # functional kinds accepted; () takes none
+    names: list            # the functional names of those kinds
+    default: str | None    # functional name used when the config has none
+    params: dict
+
+
+HANDLERS: dict[str, Subcommand] = {}
+FUNC = ("functional", "integrand")
+ENGINE = {"u0": CELLS, "sigma": _pos(0.1), "rho": _pos(0.1)}
+SCHEDULE = {**POSITIVES, "default": [0.1, 0.05, 0.01]}
+BOX = _optional({**NUMBERS, "minItems": 2, "maxItems": 2},
+                "[lo, hi] of a box domain; the whole space when absent")
+
+
+def _subcommand(name, takes=(), default=None, **params):
+    def register(run):
+        names = [n for n, fn in FUNCTIONALS.items() if fn.kind in takes]
+        HANDLERS[name] = Subcommand(run, takes, names, default, params)
+        return run
+    return register
+
+
+@_subcommand("make_grid")
+def _run_make_grid(space, f, p, seed, samples, out):
     out.write_function(space.zeros(), extra={"K": space.K,
                                              "n_polarizers": len(space.polarizers)})
     out.write_csv(["dimension", "n", "radius", "p", "qV", "qW", "measure", "K"],
@@ -232,109 +382,66 @@ def _run_make_grid(cfg, space, params, seed, n_samples, out):
     return 0
 
 
-def _run_norms(cfg, space, params, seed, n_samples, out):
-    u = _gf(space, params.get("values"), "parameters.values")
+@_subcommand("norms", values=CELLS)
+def _run_norms(space, f, p, seed, samples, out):
+    u = p["values"]
     out.write_csv(["norm_X", "norm_V", "norm_W"],
                   [[fs.norm_X(u), fs.norm_V(u), fs.norm_W(u)]])
     return 0
 
 
-def _run_theta(cfg, space, params, seed, n_samples, out):
-    u = _gf(space, params.get("values"), "parameters.values")
-    out.write_function(fs.theta(u))
+@_subcommand("theta", values=CELLS)
+def _run_theta(space, f, p, seed, samples, out):
+    out.write_function(fs.theta(p["values"]))
     return 0
 
 
-def _set_oracle(name, space, params):
-    import numpy as _np
-
-    if name == "halfplane_sum":
-        level = float(params.get("level", 1.0))
-
-        def contains(v):
-            return bool(_np.all(v >= -1e-12) and _np.sum(v) <= level + 1e-12)
-
-        def project(v):
-            w = _np.maximum(v, 0.0)
-            ex = (_np.sum(w) - level) / len(w)
-            if ex > 0:
-                w = _np.maximum(w - ex, 0.0)
-            return w
-
-        return pr.SetOracle(contains=contains, project=project, kind="custom",
-                            description=f"{{u >= 0, sum <= {level}}}")
-    if name == "diag_ray":
-        lo = float(params.get("lo", 1.0))
-
-        def contains(v):
-            return bool(_np.max(_np.abs(v - _np.mean(v))) <= 1e-9
-                        and _np.mean(v) >= lo - 1e-12)
-
-        def project(v):
-            a = max(lo, float(_np.mean(v)))
-            return _np.full(len(v), a)
-
-        return pr.SetOracle(contains=contains, project=project, kind="custom",
-                            description=f"{{(a,...,a): a >= {lo}}}")
-    if name == "singleton":
-        point = _np.asarray(params.get("point"), float)
-
-        def contains(v):
-            return bool(_np.max(_np.abs(v - point)) <= 1e-9)
-
-        return pr.SetOracle(contains=contains,
-                            project=lambda v: _np.array(point),
-                            kind="custom", description="singleton")
-    raise ConfigError(f"parameters.set: unknown set oracle '{name}'")
-
-
-def _run_drop_point(cfg, space, params, seed, n_samples, out):
-    B = ap.Ball(_gf(space, params.get("ball_center"),
-                    "parameters.ball_center"),
-                float(params.get("ball_radius", 1.0)), symmetric=True)
-    C = _set_oracle(params.get("set", "halfplane_sum"), space, params)
-    x = _gf(space, params.get("x"), "parameters.x")
+@_subcommand("drop_point", ball_center=CELLS, ball_radius=_pos(1.0), x=CELLS,
+             set=_enum(SETS, "halfplane_sum"), eps=_pos(0.05),
+             minimality_samples=_count(10000), **SET_PARAMS)
+def _run_drop_point(space, f, p, seed, samples, out):
+    B = ap.Ball(p["ball_center"], p["ball_radius"], symmetric=True)
     cert = ap.symmetric_drop_point(
-        x, B, C, float(params.get("eps", 0.05)), seed=seed,
-        n_samples=n_samples or 1000,
-        minimality_samples=int(params.get("minimality_samples", 10000)))
-    out.write_certificates(cert)
+        p["x"], B, SETS[p["set"]](p), p["eps"], seed=seed,
+        n_samples=samples or 1000,
+        minimality_samples=p["minimality_samples"])
     out.write_csv(["status", "second_points", "d_est"],
                   [[cert.status,
                     cert.extras["drop_minimality"]["second_points"],
                     cert.extras["drop_minimality"]["d_est"]]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_petal_point(cfg, space, params, seed, n_samples, out):
-    C = _set_oracle(params.get("set", "diag_ray"), space, params)
-    x = _gf(space, params.get("x"), "parameters.x")
-    y = _gf(space, params.get("y"), "parameters.y")
-    norm = None
-    if params.get("norm") == "l1":
-        norm = lambda vals: float(np.sum(np.abs(vals)))
+@_subcommand("petal_point", x=CELLS, y=CELLS, set=_enum(SETS, "diag_ray"),
+             norm=_optional({"enum": list(PETAL_NORMS)},
+                            "the V norm when absent"),
+             eps=_pos(0.3), minimality_samples=_count(10000), **SET_PARAMS)
+def _run_petal_point(space, f, p, seed, samples, out):
     cert = ap.symmetric_petal_point(
-        x, y, C, float(params.get("eps", 0.3)), norm=norm, seed=seed,
-        n_samples=n_samples or 1000,
-        minimality_samples=int(params.get("minimality_samples", 10000)))
-    out.write_certificates(cert)
+        p["x"], p["y"], SETS[p["set"]](p), p["eps"],
+        norm=PETAL_NORMS.get(p["norm"]), seed=seed,
+        n_samples=samples or 1000,
+        minimality_samples=p["minimality_samples"])
     out.write_csv(["status", "second_points", "petal_member"],
                   [[cert.status,
                     cert.extras["petal_minimality"]["second_points"],
                     cert.extras["petal_member"]]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_polarize(cfg, space, params, seed, n_samples, out):
-    u = _gf(space, params.get("values"), "parameters.values")
-    axis = tuple(params.get("axis",
-                            [1.0] + [0.0] * (space.dimension - 1)))
-    offset = float(params.get("offset", 0.0))
-    match = [p for p in space.polarizers
-             if np.allclose(p.axis, axis) and abs(p.offset - offset) < 1e-12]
+@_subcommand("polarize", values=CELLS,
+             axis=_optional({**NUMBERS, "minItems": 1, "maxItems": 2},
+                            "the first coordinate axis when absent"),
+             offset=_num(0.0, minimum=0))
+def _run_polarize(space, f, p, seed, samples, out):
+    u = p["values"]
+    axis = tuple(p["axis"] or [1.0] + [0.0] * (space.dimension - 1))
+    offset = p["offset"]
+    match = [H for H in space.polarizers
+             if np.allclose(H.axis, axis) and abs(H.offset - offset) < 1e-12]
     if not match:
-        raise ConfigError(f"parameters: no registered polarizer with axis "
-                          f"{axis}, offset {offset}")
+        raise ConfigError(f"config.parameters.axis: no registered polarizer "
+                          f"with axis {axis}, offset {offset}")
     res = re_.polarize(u, match[0])
     out.write_function(res)
     out.write_csv(["norm_V_before", "norm_V_after"],
@@ -342,8 +449,9 @@ def _run_polarize(cfg, space, params, seed, n_samples, out):
     return 0
 
 
-def _run_schwarz(cfg, space, params, seed, n_samples, out):
-    u = _gf(space, params.get("values"), "parameters.values")
+@_subcommand("schwarz", values=CELLS)
+def _run_schwarz(space, f, p, seed, samples, out):
+    u = p["values"]
     res = re_.schwarz(u)
     out.write_function(res)
     out.write_csv(["norm_X_before", "norm_X_after"],
@@ -351,325 +459,319 @@ def _run_schwarz(cfg, space, params, seed, n_samples, out):
     return 0
 
 
-def _run_approx_symmetrize(cfg, space, params, seed, n_samples, out):
-    u = _gf(space, params.get("values"), "parameters.values")
-    rho = float(params.get("rho", 1e-3))
-    res, seq = re_.approx_symmetrize(u, rho)
+@_subcommand("approx_symmetrize", values=CELLS, rho=_pos(1e-3))
+def _run_approx_symmetrize(space, f, p, seed, samples, out):
+    u = p["values"]
+    res, seq = re_.approx_symmetrize(u, p["rho"])
     out.write_function(res, extra={
         "polarizer_sequence": re_.polarizer_sequence_json(seq)})
     resid = fs.norm_V(res - re_.schwarz(u))
     out.write_csv(["rho", "residual", "sequence_length"],
-                  [[rho, resid, len(seq)]])
+                  [[p["rho"], resid, len(seq)]])
     return 0
 
 
-def _run_zhong_radius(cfg, space, params, seed, n_samples, out):
-    wname = params.get("weight", "zero")
-    if wname not in WEIGHTS:
-        raise ConfigError(f"parameters.weight: unknown weight '{wname}'")
-    rho = float(params.get("rho", 1.0))
-    r = pr.zhong_radius(WEIGHTS[wname], rho)
-    out.write_csv(["weight", "rho", "r"], [[wname, rho, float(f"{r:.10f}")]])
+@_subcommand("zhong_radius", weight=_enum(WEIGHTS, "zero"), rho=_pos(1.0))
+def _run_zhong_radius(space, f, p, seed, samples, out):
+    r = pr.zhong_radius(WEIGHTS[p["weight"]], p["rho"])
+    out.write_csv(["weight", "rho", "r"],
+                  [[p["weight"], p["rho"], float(f"{r:.10f}")]])
     print(f"r(rho) = {r:.10f}")
     return 0
 
 
-def _run_strong_slope(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    u = _gf(space, params.get("values"), "parameters.values")
-    radii = tuple(params.get("radii", (1e-3, 1e-4, 1e-5)))
-    est = sl.strong_slope(f, u, radii=radii,
-                          n_samples=n_samples or int(params.get("n_samples", 64)),
-                          seed=seed)
+@_subcommand("strong_slope", takes=FUNC, values=CELLS,
+             radii={**POSITIVES, "default": [1e-3, 1e-4, 1e-5]},
+             n_samples=_count(64))
+def _run_strong_slope(space, f, p, seed, samples, out):
+    est = sl.strong_slope(f, p["values"], radii=tuple(p["radii"]),
+                          n_samples=samples or p["n_samples"], seed=seed)
     out.write_csv(["lower", "upper", "tol"], [[est.lower, est.upper, est.tol]])
     return 0
 
 
-def _run_q_form(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    u = _gf(space, params.get("u"), "parameters.u")
-    w = _gf(space, params.get("w"), "parameters.w")
-    est = sl.q_form(f, u, w, delta=float(params.get("delta", 1e-4)),
-                    n_samples=n_samples or int(params.get("n_samples", 32)),
-                    seed=seed)
+@_subcommand("q_form", takes=FUNC, u=CELLS, w=CELLS, delta=_pos(1e-4),
+             n_samples=_count(32))
+def _run_q_form(space, f, p, seed, samples, out):
+    est = sl.q_form(f, p["u"], p["w"], delta=p["delta"],
+                    n_samples=samples or p["n_samples"], seed=seed)
     out.write_csv(["delta", "value"],
                   [[d, v] for d, v in est.schedule])
     return 0
 
 
-def _engine_common(cfg, space, params, seed, n_samples):
-    f = _build_functional(cfg, space)
-    u0 = _gf(space, params.get("u0"), "parameters.u0")
-    sigma = float(params.get("sigma", 0.1))
-    rho = float(params.get("rho", 0.1))
-    return f, u0, sigma, rho
-
-
-def _run_ekeland(cfg, space, params, seed, n_samples, out):
-    f, u0, sigma, rho = _engine_common(cfg, space, params, seed, n_samples)
-    cert = pr.ekeland_point(f, pr.whole_space(space), u0, sigma, rho,
-                            seed=seed, n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("ekeland_point", takes=FUNC, **ENGINE)
+def _run_ekeland(space, f, p, seed, samples, out):
+    cert = pr.ekeland_point(f, pr.whole_space(space), p["u0"], p["sigma"],
+                            p["rho"], seed=seed, n_samples=samples or 2000)
     out.write_csv(["status", "max_violation"],
                   [[cert.status, cert.violation.max_violation]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_symmetric_ekeland(cfg, space, params, seed, n_samples, out):
-    f, u0, sigma, rho = _engine_common(cfg, space, params, seed, n_samples)
-    variant = params.get("variant", "II")
-    cert = pr.symmetric_ekeland(f, space, u0, sigma, rho, variant=variant,
-                                seed=seed, n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("symmetric_ekeland", takes=FUNC, **ENGINE,
+             variant=_enum(["I", "II", "III", "IV", "V"], "II"))
+def _run_symmetric_ekeland(space, f, p, seed, samples, out):
+    cert = pr.symmetric_ekeland(f, space, p["u0"], p["sigma"], p["rho"],
+                                variant=p["variant"], seed=seed,
+                                n_samples=samples or 2000)
     out.write_csv(["variant", "status", "max_violation"],
-                  [[variant, cert.status, cert.violation.max_violation]])
-    return _status_exit(cert)
+                  [[p["variant"], cert.status, cert.violation.max_violation]])
+    return out.write_certificates(cert)
 
 
-def _run_borwein_preiss(cfg, space, params, seed, n_samples, out):
-    f, u0, sigma, rho = _engine_common(cfg, space, params, seed, n_samples)
-    cert = pr.symmetric_borwein_preiss(f, space, u0, sigma, rho,
-                                       p_exp=float(params.get("p_exp", 2)),
-                                       seed=seed, n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("symmetric_borwein_preiss", takes=FUNC, **ENGINE,
+             p_exp=_num(2, minimum=1))
+def _run_borwein_preiss(space, f, p, seed, samples, out):
+    cert = pr.symmetric_borwein_preiss(f, space, p["u0"], p["sigma"],
+                                       p["rho"], p_exp=p["p_exp"], seed=seed,
+                                       n_samples=samples or 2000)
     out.write_csv(["status", "max_violation"],
                   [[cert.status, cert.violation.max_violation]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_symmetric_zhong(cfg, space, params, seed, n_samples, out):
-    f, u0, sigma, rho = _engine_common(cfg, space, params, seed, n_samples)
-    wname = params.get("weight", "zero")
-    if wname not in WEIGHTS:
-        raise ConfigError(f"parameters.weight: unknown weight '{wname}'")
-    cert = pr.symmetric_zhong(f, space, u0, sigma, rho, WEIGHTS[wname],
-                              seed=seed, n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("symmetric_zhong", takes=FUNC, **ENGINE,
+             weight=_enum(WEIGHTS, "zero"))
+def _run_symmetric_zhong(space, f, p, seed, samples, out):
+    cert = pr.symmetric_zhong(f, space, p["u0"], p["sigma"], p["rho"],
+                              WEIGHTS[p["weight"]], seed=seed,
+                              n_samples=samples or 2000)
     out.write_csv(["weight", "r", "status", "max_violation"],
-                  [[wname, cert.extras["r_of_rho"], cert.status,
+                  [[p["weight"], cert.extras["r_of_rho"], cert.status,
                     cert.violation.max_violation]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_dgz_check(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    v = _gf(space, params.get("v"), "parameters.v")
-    eps = float(params.get("eps", 0.1))
-    delta = float(params.get("delta", 1.0))
-    g = pr.bump_perturbation(space, v, eps, delta)
-    cert = pr.dgz_check(f, g, v, eps, seed=seed, n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("dgz_check", takes=FUNC, v=CELLS, eps=_pos(0.1),
+             delta=_pos(1.0))
+def _run_dgz_check(space, f, p, seed, samples, out):
+    g = pr.bump_perturbation(space, p["v"], p["eps"], p["delta"])
+    cert = pr.dgz_check(f, g, p["v"], p["eps"], seed=seed,
+                        n_samples=samples or 2000)
     out.write_csv(["status", "sup_g", "sup_gprime", "max_violation"],
                   [[cert.status, cert.measured["sup|g|"][0],
                     cert.measured["sup‖g'‖"][0],
                     cert.violation.max_violation]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_constrained(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    u0 = _gf(space, params.get("u0"), "parameters.u0")
-    eps = float(params.get("eps", 0.05))
-    kind = params.get("constraint", "l2_sphere")
-    if kind == "l2_sphere":
-        m = space.cell_measure
-        level = float(params.get("level", 1.0))
-
-        def gev(u):
-            return m * float(u.values @ u.values) - level
-
-        def gdv(u):
-            return GridFunction(space, fs.riesz_from_euclidean(
-                space, 2.0 * m * u.values))
-
-        G = [Functional(eval=gev, derivative=gdv, name="l2_sphere")]
-        n_eq = 1
-    else:
-        raise ConfigError(f"parameters.constraint: unknown '{kind}'")
-    cert = pr.constrained_symmetric_ekeland(f, G, n_eq, u0, eps, seed=seed,
-                                            n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("constrained_symmetric_ekeland", takes=FUNC, u0=CELLS,
+             eps=_pos(0.05), constraint=_enum(["l2_sphere"], "l2_sphere"),
+             level=_num(1.0))
+def _run_constrained(space, f, p, seed, samples, out):
+    m, level = space.cell_measure, p["level"]
+    G = [Functional(eval=lambda u: m * float(u.values @ u.values) - level,
+                    derivative=lambda u: GridFunction(space, (
+                        fs.riesz_from_euclidean(space, 2.0 * m * u.values))),
+                    name="l2_sphere")]
+    cert = pr.constrained_symmetric_ekeland(f, G, 1, p["u0"], p["eps"],
+                                            seed=seed,
+                                            n_samples=samples or 2000)
     out.write_csv(["status", "multipliers", "residual"],
                   [[cert.status,
                     ";".join(repr(x) for x in cert.extras["multipliers"]),
                     cert.measured["‖df-Σλ·dG‖_X'"][0]]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_path_minimax(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    psi = _gf(space, params.get("psi"), "parameters.psi")
-    cert = pr.path_minimax(f, psi, int(params.get("m_nodes", 12)),
-                           float(params.get("eps", 0.05)), seed=seed,
-                           n_samples=n_samples or 600)
-    out.write_certificates(cert)
+@_subcommand("path_minimax", takes=FUNC, psi=CELLS, m_nodes=_count(12),
+             eps=_pos(0.05))
+def _run_path_minimax(space, f, p, seed, samples, out):
+    cert = pr.path_minimax(f, p["psi"], p["m_nodes"], p["eps"], seed=seed,
+                           n_samples=samples or 600)
     out.write_csv(["status", "argmax_node", "f(u_eps)"],
                   [[cert.status, cert.extras["argmax_node"],
                     f.eval(cert.v)]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_sqps(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    schedule = [float(e) for e in params.get("eps_schedule", [0.1, 0.05, 0.01])]
-    box = params.get("box")
-    dom = pr.box_set(space, box[0], box[1]) if box else None
+@_subcommand("sqps_sequence", takes=FUNC, eps_schedule=SCHEDULE, box=BOX)
+def _run_sqps(space, f, p, seed, samples, out):
+    schedule = p["eps_schedule"]
+    dom = pr.box_set(space, *p["box"]) if p["box"] else None
     res = pr.sqps_sequence(f, space, schedule, domain=dom, seed=seed,
-                           n_samples=n_samples or 2000)
-    certs = [c for c, _ in res]
-    out.write_certificates(certs)
-    rows = []
-    for (c, q), eps_h in zip(res, schedule):
-        rows.append([eps_h, c.status, c.measured["‖v-v*‖_V"][0],
-                     c.measured["slope_upper"][0], q.min_margin])
+                           n_samples=samples or 2000)
+    rows = [[eps_h, c.status, c.measured["‖v-v*‖_V"][0],
+             c.measured["slope_upper"][0], q.min_margin]
+            for (c, q), eps_h in zip(res, schedule)]
     out.write_csv(["eps_h", "status", "symmetry_residual", "slope_upper",
                    "q_min_margin"], rows)
-    return _status_exit(certs)
+    return out.write_certificates([c for c, _ in res])
 
 
-def _run_quasilinear(cfg, space, params, seed, n_samples, out):
-    fdef = cfg.get("functional", {"name": "forced_dirichlet"})
-    name = _need(fdef, "name", "config.functional")
-    if name not in INTEGRANDS:
-        raise ConfigError(f"config.functional.name: unknown integrand '{name}'")
-    I = INTEGRANDS[name]({k: v for k, v in fdef.items() if k != "name"})
-    eps = float(params.get("eps", 0.01))
-    cert = ap.quasilinear_experiment(I, space, eps, seed=seed,
-                                     n_samples=n_samples or 2000)
-    out.write_certificates(cert)
+@_subcommand("quasilinear_experiment", takes=("integrand",),
+             default="forced_dirichlet", eps=_pos(0.01))
+def _run_quasilinear(space, f, p, seed, samples, out):
+    cert = ap.quasilinear_experiment(f, space, p["eps"], seed=seed,
+                                     n_samples=samples or 2000)
     out.write_csv(["status", "dual_norm", "symmetry_residual"],
                   [[cert.status, cert.measured["‖w_ε‖_dual"][0],
                     cert.measured["‖u_ε-u_ε*‖_V"][0]]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_semilinear(cfg, space, params, seed, n_samples, out):
-    fdef = cfg.get("functional", {"name": "linear_damping"})
-    name = _need(fdef, "name", "config.functional")
-    if name not in NONLINEARITIES:
-        raise ConfigError(f"config.functional.name: unknown nonlinearity "
-                          f"'{name}'")
-    N = NONLINEARITIES[name]({k: v for k, v in fdef.items() if k != "name"})
-    schedule = [float(e) for e in params.get("eps_schedule", [0.1, 0.05, 0.01])]
-    box = params.get("box")
-    dom = pr.box_set(space, box[0], box[1]) if box else None
-    certs = ap.semilinear_experiment(N, space, schedule, box=dom, seed=seed,
-                                     n_samples=n_samples or 2000)
-    out.write_certificates(certs)
+@_subcommand("semilinear_experiment", takes=("nonlinearity",),
+             default="linear_damping", eps_schedule=SCHEDULE, box=BOX)
+def _run_semilinear(space, f, p, seed, samples, out):
+    schedule = p["eps_schedule"]
+    dom = pr.box_set(space, *p["box"]) if p["box"] else None
+    certs = ap.semilinear_experiment(f, space, schedule, box=dom, seed=seed,
+                                     n_samples=samples or 2000)
     rows = [[e, c.status, c.extras["psi_Hminus1"],
              c.measured["‖v-v*‖_V"][0], c.extras["second_order_min"]]
             for e, c in zip(schedule, certs)]
     out.write_csv(["eps_h", "status", "psi_Hminus1", "symmetry_residual",
                    "second_order_min"], rows)
-    return _status_exit(certs)
+    return out.write_certificates(certs)
 
 
-def _run_lower_derivative(cfg, space, params, seed, n_samples, out):
-    gname = params.get("g", "identity")
-    if gname not in SCALAR_FUNCS:
-        raise ConfigError(f"parameters.g: unknown scalar function '{gname}'")
-    val, log = ap.lower_derivative(SCALAR_FUNCS[gname],
-                                   float(params.get("s", 0.0)),
-                                   float(params.get("delta", 1e-3)),
-                                   int(params.get("n", 256)),
-                                   return_log=True)
+@_subcommand("lower_derivative", g=_enum(SCALAR_FUNCS, "identity"),
+             s=_num(0.0), delta=_pos(1e-3), n=_count(256))
+def _run_lower_derivative(space, f, p, seed, samples, out):
+    val, log = ap.lower_derivative(SCALAR_FUNCS[p["g"]], p["s"], p["delta"],
+                                   p["n"], return_log=True)
     out.write_csv(["delta", "min_quotient"], [[d, v] for d, v in log])
     return 0
 
 
-def _run_caristi(cfg, space, params, seed, n_samples, out):
-    lam = float(params.get("contraction", 0.5))
-    rate = float(params.get("rate", 2.0))
+@_subcommand("caristi_fixed_point", contraction=_num(0.5), rate=_num(2.0),
+             eps=_pos(0.1))
+def _run_caristi(space, f, p, seed, samples, out):
+    lam, rate = p["contraction"], p["rate"]
 
     def F(u):
         return GridFunction(space, lam * u.values)
 
-    f = Functional(eval=lambda u: rate * fs.norm_X(u),
-                   symmetry_class="polarization-nonincreasing",
-                   lower_bound=0.0, name="caristi-potential")
+    potential = Functional(eval=lambda u: rate * fs.norm_X(u),
+                           symmetry_class="polarization-nonincreasing",
+                           lower_bound=0.0, name="caristi-potential")
     xi, resid, cert = ap.caristi_fixed_point(
-        F, f, float(params.get("eps", 0.1)), space, seed=seed,
-        n_samples=n_samples or 2000, return_certificate=True)
-    out.write_certificates(cert)
+        F, potential, p["eps"], space, seed=seed,
+        n_samples=samples or 2000, return_certificate=True)
     out.write_function(xi)
     out.write_csv(["residual", "bound"],
                   [[resid, cert.extras["caristi"]["bound"]]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_clarke(cfg, space, params, seed, n_samples, out):
-    sig = float(params.get("sigma_contraction", 0.5))
-    target = np.asarray(params.get("target", np.zeros(space.n_cells)), float)
+@_subcommand("clarke_fixed_point", sigma_contraction=_num(0.5), target=ZEROS,
+             eps=_pos(0.1))
+def _run_clarke(space, f, p, seed, samples, out):
+    sig = p["sigma_contraction"]
+    target = _zeros_or(space, p["target"])
 
     def F(u):
         return GridFunction(space, target + sig * (u.values - target))
 
     xi, resid, cert = ap.clarke_fixed_point(
-        F, sig, float(params.get("eps", 0.1)), space, seed=seed,
-        n_samples=n_samples or 2000, return_certificate=True)
-    out.write_certificates(cert)
+        F, sig, p["eps"], space, seed=seed,
+        n_samples=samples or 2000, return_certificate=True)
     out.write_function(xi)
     out.write_csv(["residual", "bound"],
                   [[resid, cert.extras["clarke"]["bound"]]])
-    return _status_exit(cert)
+    return out.write_certificates(cert)
 
 
-def _run_petal_inclusions(cfg, space, params, seed, n_samples, out):
-    x0 = _gf(space, params.get("x0"), "parameters.x0")
-    x1 = _gf(space, params.get("x1"), "parameters.x1")
-    P = ap.Petal(float(params.get("eps", 0.5)), x0, x1)
-    rep = ap.petal_inclusions(P, n_samples=n_samples or 1000, seed=seed)
+@_subcommand("petal_inclusions", x0=CELLS, x1=CELLS, eps=_pos(0.5))
+def _run_petal_inclusions(space, f, p, seed, samples, out):
+    P = ap.Petal(p["eps"], p["x0"], p["x1"])
+    rep = ap.petal_inclusions(P, n_samples=samples or 1000, seed=seed)
     out.write_csv(list(rep.keys()), [list(rep.values())])
     return 0 if rep["ball_violations"] == 0 and rep["drop_violations"] == 0 else 2
 
 
-def _run_verify(cfg, space, params, seed, n_samples, out):
-    f = _build_functional(cfg, space)
-    cert_path = params.get("certificate_path")
-    if cert_path is None:
-        raise ConfigError("parameters.certificate_path: required")
-    raw = json.loads(Path(cert_path).read_text())
-    v = fs.function_from_json(raw["v"])
+@_subcommand("verify_certificate", takes=FUNC,
+             certificate_path={"type": "string"})
+def _run_verify(space, f, p, seed, samples, out):
+    path = "config.parameters.certificate_path"
+    try:
+        raw = json.loads(Path(p["certificate_path"]).read_text())
+        v = fs.function_from_json(raw["v"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"{path}: cannot read the certificate: {exc!r}")
+    if v.space.signature != space.signature:
+        raise ConfigError(
+            f"{path}: the certificate's grid (dimension, n, radius, p, qV, "
+            f"qW) = {v.space.signature} differs from config.grid "
+            f"{space.signature}")
     cert = pr.Certificate(
         variant=raw["variant"], v=v, sigma=raw["sigma"], rho=raw["rho"],
         p_exp=raw.get("p_exp", 1.0),
         eta=None if raw.get("eta") is None else fs.function_from_json(raw["eta"]),
         seed=raw.get("seed", 0), slack=raw.get("slack", 0.0),
         extras=raw.get("extras", {}))
-    rep = pr.verify_certificate(f, cert, n_samples or 2000, seed=seed + 104729)
+    rep = pr.verify_certificate(f, cert, samples or 2000, seed=seed + 104729)
     out.write_csv(["max_violation", "slack", "n_samples"],
                   [[rep.max_violation, cert.slack, rep.n_samples]])
     return 0 if rep.max_violation <= cert.slack else 2
 
 
-HANDLERS = {
-    "make_grid": _run_make_grid,
-    "norms": _run_norms,
-    "theta": _run_theta,
-    "drop_point": _run_drop_point,
-    "petal_point": _run_petal_point,
-    "polarize": _run_polarize,
-    "schwarz": _run_schwarz,
-    "approx_symmetrize": _run_approx_symmetrize,
-    "zhong_radius": _run_zhong_radius,
-    "strong_slope": _run_strong_slope,
-    "q_form": _run_q_form,
-    "ekeland_point": _run_ekeland,
-    "symmetric_ekeland": _run_symmetric_ekeland,
-    "symmetric_borwein_preiss": _run_borwein_preiss,
-    "symmetric_zhong": _run_symmetric_zhong,
-    "dgz_check": _run_dgz_check,
-    "constrained_symmetric_ekeland": _run_constrained,
-    "path_minimax": _run_path_minimax,
-    "sqps_sequence": _run_sqps,
-    "quasilinear_experiment": _run_quasilinear,
-    "semilinear_experiment": _run_semilinear,
-    "lower_derivative": _run_lower_derivative,
-    "caristi_fixed_point": _run_caristi,
-    "clarke_fixed_point": _run_clarke,
-    "petal_inclusions": _run_petal_inclusions,
-    "verify_certificate": _run_verify,
-}
+CONFIG = _object({
+    "schema": {"const": SCHEMA},
+    "subcommand": {"enum": list(HANDLERS)},
+    "grid": _object(GRID),
+    "functional": {"type": "object", "default": None},
+    "parameters": {"type": "object", "default": {}},
+    "seed": {"type": "integer", "minimum": 0, "default": 0},
+    "output": {**_object(OUTPUT), "default": {}},
+})
+
+
+def config_schema() -> dict:
+    """The draft-07 JSON Schema of the config format, derived from the
+    registries; ``config_schema.json`` is this dict, serialized."""
+    rules = []
+    for name, sub in HANDLERS.items():
+        params = _object(sub.params)
+        then = {"required": ["parameters"] if params["required"] else [],
+                "properties": {"parameters": params}}
+        if not sub.takes:
+            then["not"] = {"required": ["functional"]}
+        else:
+            then["properties"]["functional"] = {
+                "properties": {"name": {"enum": sub.names}}}
+            if not sub.default:
+                then["required"].append("functional")
+        rules.append({"if": {"properties": {"subcommand": {"const": name}}},
+                      "then": then})
+    functional = {
+        "type": "object", "required": ["name"],
+        "properties": {"name": {"enum": list(FUNCTIONALS)}},
+        "allOf": [{"if": {"properties": {"name": {"const": n}}},
+                   "then": _fn_object(n)} for n in FUNCTIONALS]}
+    return {"$schema": "http://json-schema.org/draft-07/schema#",
+            "$id": SCHEMA, "title": "symvar experiment config", **CONFIG,
+            "properties": {**CONFIG["properties"], "functional": functional},
+            "allOf": rules}
+
+
+def _check_functional(fdef, sub, path="config.functional"):
+    """(name, checked constants) of the config's functional, or None."""
+    if fdef is None and sub.default:
+        fdef = {"name": sub.default}
+    if fdef is None:
+        if sub.takes:
+            raise ConfigError(f"{path}: required by this subcommand")
+        return None
+    if not sub.takes:
+        raise ConfigError(f"{path}: this subcommand takes no functional")
+    if "name" not in fdef:
+        raise ConfigError(f"{path}: missing required key 'name'")
+    name = _check(fdef["name"], {"enum": sub.names}, f"{path}.name")
+    return name, _check(fdef, _fn_object(name), path)
+
+
+def _build_functional(space, fdef, sub):
+    if fdef is None:
+        return None
+    name, params = fdef
+    fn = FUNCTIONALS[name]
+    _to_grid(space, params, fn.params, "config.functional")
+    built = fn.build(space, params)
+    if fn.kind == "integrand" and "functional" in sub.takes:
+        return ap.quasilinear_functional(built, space)
+    return built
 
 
 def run_config(config_path, *, seed=None, out_dir=None, n_samples=None) -> int:
@@ -684,23 +786,22 @@ def run_config(config_path, *, seed=None, out_dir=None, n_samples=None) -> int:
         print(f"error: config line {exc.lineno}: {exc.msg}", file=sys.stderr)
         return 1
     try:
-        _check_keys(cfg, "config")
-        if cfg.get("schema") != SCHEMA:
-            raise ConfigError(f"config.schema: expected '{SCHEMA}', got "
-                              f"{cfg.get('schema')!r}")
-        sub = _need(cfg, "subcommand", "config")
-        if sub not in HANDLERS:
-            raise ConfigError(f"config.subcommand: unknown subcommand '{sub}'"
-                              f" (known: {sorted(HANDLERS)})")
-        if "functional" in cfg:
-            _check_keys(cfg["functional"], "config.functional")
-        params = cfg.get("parameters", {})
-        _check_keys(params, "config.parameters")
-        space = _build_grid(cfg)
-        eff_seed = int(cfg.get("seed", 0)) if seed is None else int(seed)
-        outdir = out_dir or os.environ.get("SYMVAR_OUT", ".")
-        out = _Out(cfg, outdir, sub)
-        return HANDLERS[sub](cfg, space, params, eff_seed, n_samples, out)
+        # every key is checked before the grid is built
+        cfg = _check(cfg, CONFIG, "config")
+        name = cfg["subcommand"]
+        sub = HANDLERS[name]
+        fdef = _check_functional(cfg["functional"], sub)
+        params = _check(cfg["parameters"], _object(sub.params),
+                        "config.parameters")
+        g = cfg["grid"]
+        space = fs.make_grid(g["dimension"], g["n"], g["radius"], g["p"],
+                             g["qW"], q_V=g["qV"])
+        _to_grid(space, params, sub.params, "config.parameters")
+        f = _build_functional(space, fdef, sub)
+        out = _Out(cfg["output"], out_dir or os.environ.get("SYMVAR_OUT", "."),
+                   name)
+        return sub.run(space, f, params, cfg["seed"] if seed is None
+                       else int(seed), n_samples, out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

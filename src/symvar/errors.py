@@ -84,3 +84,7 @@ class NotSymmetricInput(SymvarError):
 
 class ConfigError(SymvarError):
     """Config file failed schema validation; message carries a field path."""
+
+
+class InvalidArgument(SymvarError, ValueError):
+    """An argument outside its documented range (also a ValueError)."""

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import dpotrs
 
-from .errors import InvalidExponent, InvalidGrid, SpaceMismatch
+from .errors import (InvalidArgument, InvalidExponent, InvalidGrid,
+                     SpaceMismatch)
 
 __all__ = [
     "GridSpace",
@@ -94,7 +95,7 @@ class GridFunction:
             raise SpaceMismatch(
                 f"expected {space.n_cells} values, got shape {vals.shape}")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("GridFunction values must be finite")
+            raise InvalidArgument("GridFunction values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "values", vals)
@@ -155,7 +156,7 @@ class Functional:
     def __call__(self, u: GridFunction) -> float:
         val = float(self.eval(u))
         if math.isnan(val) or val == -math.inf:
-            raise ValueError(f"functional {self.name or '<anon>'} returned {val}")
+            raise InvalidArgument(f"functional {self.name or '<anon>'} returned {val}")
         return val
 
 

@@ -28,8 +28,8 @@ from scipy.optimize import lsq_linear
 from . import _descent
 from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      ConvergenceFailure, DivergenceAssumptionViolated,
-                     NoMountainPass, NotSymmetricInput, OutsideDomain,
-                     SymmetryViolation)
+                     InvalidArgument, NoMountainPass, NotSymmetricInput,
+                     OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, norm_X, theta, function_to_json,
                         _matrices, _norm_V_raw, _norm_X_raw)
@@ -644,7 +644,7 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
         ``location_recovery`` extras recover the ρ-location bound.
     """
     if variant not in ("I", "II", "III", "IV", "V"):
-        raise ValueError(f"unknown variant {variant!r}")
+        raise InvalidArgument(f"unknown variant {variant!r}")
     metric = metric or XMetric(space)
     c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5,
                                                      tol_sym)
@@ -652,7 +652,8 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
         return _symmetric_ekeland_gamma(
             f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
             h0=h0, seed=seed, n_samples=n_samples, slack=slack,
-            metric=metric, max_outer=max_outer, tol_sym=tol_sym)
+            metric=metric, max_outer=max_outer, tol_sym=tol_sym,
+            c_inf=c_inf, c_rest=c_chain)
 
     u_start = u0
     dom = domain
@@ -752,16 +753,16 @@ def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho,
 
 def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
                              h0, seed, n_samples, slack, metric, max_outer,
-                             tol_sym):
+                             tol_sym, c_inf, c_rest):
     """Γ-limit variant.  With gamma_sequence=(f_list, recovery) the engine
     follows the approximating construction; with f_h ≡ f (default) it runs
-    the specialization on a point list Y in the fully symmetric class."""
+    the specialization on a point list Y in the fully symmetric class.
+    c_inf seeds the inf probe and c_rest the inner variant-II run; both are
+    streams of the caller's spawn, apart from its symmetry-check stream."""
     m = 5
     sig_hat, sig_til = 0.2 * sigma, 0.4 * sigma
     sig_eff = m * sig_til / (m - 1)            # = sigma/2 < sigma
     rho_eff = (m - 1) * rho / m
-    ss = np.random.SeedSequence(seed)
-    c_inf, c_rest = ss.spawn(2)
 
     if gamma_sequence is None:
         f_list = None
@@ -903,7 +904,7 @@ def zhong_radius(h: Callable[[float], float], rho: float, *, r_cap=1e8,
     h must be nondecreasing, continuous and nonnegative with divergent
     ∫ ds/(1+h) (declared by the caller; spot-checked on a probe grid)."""
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise InvalidArgument("rho must be positive")
     probes = np.linspace(0.0, 10.0, 21)
     vals = [h(s) for s in probes]
     if any(v < -1e-12 for v in vals) or any(b < a - 1e-9 for a, b in
@@ -1409,7 +1410,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
                                  "case p = 2")
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps_schedule must decrease strictly")
+        raise InvalidArgument("eps_schedule must decrease strictly")
     dom = domain or whole_space(space)
     ss = np.random.SeedSequence(seed)
     c_sym, c_norm, *c_h = ss.spawn(2 + 2 * len(eps_schedule))

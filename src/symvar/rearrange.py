@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, SpaceMismatch
+from .errors import ConvergenceFailure, InvalidArgument, SpaceMismatch
 from .funcspace import GridFunction, GridSpace, _norm_V_raw
 
 __all__ = [
@@ -235,7 +235,7 @@ def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
         residual further (possible on 2D grids), with the residual attached.
     """
     if rho <= 0:
-        raise ValueError("rho must be positive")
+        raise InvalidArgument("rho must be positive")
     space = u.space
     family = space.polarizers
     if max_iters is None:

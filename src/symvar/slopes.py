@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import qmc
 
-from .errors import OutsideDomain
+from .errors import InvalidArgument, OutsideDomain
 from .funcspace import Functional, GridFunction, norm_X
 
 __all__ = ["SlopeEstimate", "QEstimate", "strong_slope", "q_form",
@@ -87,7 +87,7 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
     """
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be positive and strictly decreasing")
+        raise InvalidArgument("radii must be positive and strictly decreasing")
     fu = f(u)
     if math.isinf(fu):
         raise OutsideDomain("f(u) is not finite")
@@ -125,7 +125,7 @@ def q_form(f: Functional, u: GridFunction, w: GridFunction, delta=1e-4,
     the domain.
     """
     if delta <= 0:
-        raise ValueError("delta must be positive")
+        raise InvalidArgument("delta must be positive")
     schedule_deltas = (100.0 * delta, 10.0 * delta, delta)
     dirs = unit_directions(u.space, n_samples, seed)
     zero = u.space.zeros()

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from symvar import make_grid
 from symvar.cli import run_config
 
 
@@ -262,3 +263,83 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     namespace = {}
     exec(quick_start, namespace)
     assert namespace["cert"].status == "PASS"
+
+
+# ---------------------------------------------------------------------------
+# the config tables of cli_cases.py
+
+def _run_table_entry(tmp_path, label, cfg, **kw):
+    path = _write(tmp_path, f"{label.replace('/', '_')}.json", cfg)
+    return run_config(path, out_dir=str(tmp_path / "out" / label), **kw)
+
+
+def test_config_table_runs_every_subcommand(tmp_path):
+    import symvar.cli as cli
+    from cli_cases import SAMPLES, valid_cases
+
+    cases = valid_cases(tmp_path / "out")
+    assert {cfg["subcommand"] for _, cfg, _, _ in cases} == set(cli.HANDLERS)
+    words = {"PASS", "FAILED", "True", "False", *cli.WEIGHTS,
+             *cli.HANDLERS["symmetric_ekeland"].params["variant"]["enum"]}
+    for label, cfg, expected, reason in cases:
+        code = _run_table_entry(tmp_path, label, cfg, n_samples=SAMPLES)
+        assert code == expected, (label, reason)
+        for csv in (tmp_path / "out" / label).glob("*.csv"):
+            for line in csv.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    if cell not in words:
+                        float(cell)     # raises on a cell that is neither
+
+
+def test_rejected_configs_name_their_field(tmp_path, capsys):
+    from cli_cases import REJECTED
+
+    for label, cfg, field in REJECTED:
+        assert _run_table_entry(tmp_path, label, cfg) == 1, label
+        err = capsys.readouterr().err
+        assert field in err, (label, err)
+
+
+def test_shipped_schema_is_generated_from_registry():
+    import symvar.cli as cli
+    assert cli.CONFIG_SCHEMA_PATH.read_text() == \
+        json.dumps(cli.config_schema(), indent=1) + "\n"
+
+
+def test_verify_rejects_certificate_of_another_grid(tmp_path, capsys):
+    cfg = _engine_cfg(tmp_path, seed=5)
+    rundir = tmp_path / "run"
+    assert run_config(cfg, out_dir=str(rundir)) == 0
+    for label, grid in (("n8", _grid1d(8)),
+                        ("r2", {**_grid1d(), "radius": 2.0})):
+        verify = _write(tmp_path, f"verify_{label}.json", {
+            "schema": "symvar-config/1",
+            "subcommand": "verify_certificate",
+            "grid": grid,
+            "functional": {"name": "double_well"},
+            "parameters": {"certificate_path": str(rundir / "cert.json")},
+        })
+        assert run_config(verify, out_dir=str(tmp_path)) == 1, label
+        err = capsys.readouterr().err
+        assert "config.parameters.certificate_path" in err
+        for g in (_grid1d(), grid):
+            space = make_grid(g["dimension"], g["n"], g["radius"], g["p"],
+                              g["qW"])
+            assert str(space.signature) in err
+    assert not (tmp_path / "verify_certificate.csv").exists()
+
+
+def test_library_argument_errors_exit_1(tmp_path, capsys):
+    for sub, functional, params in (
+            ("sqps_sequence", {"name": "quadratic"},
+             {"eps_schedule": [0.05, 0.1]}),
+            ("semilinear_experiment", None, {"eps_schedule": [0.05, 0.1]}),
+            ("strong_slope", {"name": "quadratic"},
+             {"values": [0, 0, 1, 0], "radii": [1e-3, 1e-3]})):
+        cfg = {"schema": "symvar-config/1", "subcommand": sub,
+               "grid": _grid1d(), "parameters": params}
+        if functional:
+            cfg["functional"] = functional
+        assert run_config(_write(tmp_path, f"{sub}.json", cfg),
+                          out_dir=str(tmp_path), n_samples=50) == 1, sub
+        assert "InvalidArgument" in capsys.readouterr().err

@@ -202,6 +202,30 @@ def test_symmetric_ekeland_variant_III_point_list(g1d4):
     assert cert.measured["|f(v)-inf_est|"][0] < 0.2 * 0.2 + 1e-9
 
 
+def test_variant_III_inf_probe_stream_is_not_the_symmetry_stream(
+        g1d4, monkeypatch):
+    import symvar.principles as pr
+
+    # the stream state each call starts from, first call of each only
+    states = {}
+
+    def recording(name, fn):
+        def wrapped(f, space, *args, **kwargs):
+            seed = args[1] if name == "estimate_inf" else args[0]
+            states.setdefault(name, np.random.default_rng(
+                seed).bit_generator.state["state"])
+            return fn(f, space, *args, **kwargs)
+        return wrapped
+
+    for name in ("check_symmetry", "estimate_inf"):
+        monkeypatch.setattr(pr, name, recording(name, getattr(pr, name)))
+    a = sym_center(g1d4, 15)
+    Y = [a, schwarz(g1d4.function([1.0, 1.0, 1.0, 1.0]))]
+    symmetric_ekeland(quad_X(a), g1d4, a, 0.2, 0.2, variant="III", Y=Y,
+                      seed=7, n_samples=200)
+    assert states["check_symmetry"] != states["estimate_inf"]
+
+
 def test_symmetry_violation_rejected(g1d4):
     # deliberately asymmetric functional declared as nonincreasing
     def ev(u):
