@@ -165,6 +165,14 @@ def cases():
                                   name="linear_damping"),
         g8, [0.1, 0.05], seed=11, n_samples=N_SAMPLES, q_probes=8,
         second_order_samples=8)
+    yield "semilinear/cubic/box", lambda: ap.semilinear_experiment(
+        ap.SemilinearNonlinearity(g=lambda s: s ** 3, G=lambda s: 0.25 * s ** 4,
+                                  a1=0.0, a2=0.0, b=3.0, p=4.0, name="cubic"),
+        g8, [0.1, 0.05], box=pr.box_set(g8, 0.0, 0.5), seed=11,
+        n_samples=N_SAMPLES, q_probes=8, second_order_samples=8)
+    yield "quasilinear/2D", lambda: ap.quasilinear_experiment(
+        ap.forced_dirichlet_integrand(1.0), make_grid(2, 4, 1.0, 2, 4), 0.01,
+        seed=10, n_samples=N_SAMPLES)
     yield "Caristi", lambda: ap.caristi_fixed_point(
         lambda u: GridFunction(g4, 0.5 * u.values),
         Functional(eval=lambda u: 2.0 * norm_X(u),

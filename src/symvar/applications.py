@@ -46,6 +46,10 @@ __all__ = [
 class QuasilinearIntegrand:
     """C¹ integrand L(s, t), t = |ξ| ≥ 0, with partial-derivative oracles.
 
+    ``L``, ``L_s``, ``L_xi`` and the growth envelopes are elementwise on
+    numpy arrays and are called on whole grids and sample arrays; a constant
+    result such as ``lambda s, t: -c`` is broadcast to the arguments' shape.
+
     ``growth`` optionally carries (a, b, alpha, beta, gamma) for the
     envelope checks |L| ≤ α(|s|)t^p + b t^p + a, |L_s| ≤ β(|s|)t^p,
     |L_t| ≤ γ(|s|)t^{p-1} + b t^{p-1} + a.  ``nonneg`` declares pointwise
@@ -53,9 +57,9 @@ class QuasilinearIntegrand:
     forcing) set it False and declare ``lower_bound``.
     """
 
-    L: Callable[[float, float], float]
-    L_s: Callable[[float, float], float]
-    L_xi: Callable[[float, float], float]     # ∂L/∂t
+    L: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    L_s: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    L_xi: Callable[[np.ndarray, np.ndarray], np.ndarray]     # ∂L/∂t
     growth: Optional[dict] = None
     nonneg: bool = True
     lower_bound: Optional[float] = None
@@ -65,31 +69,48 @@ class QuasilinearIntegrand:
     def validate(self, s_range=(-3.0, 3.0), t_range=(0.0, 5.0), n=400,
                  seed=0, tol=1e-9):
         rng = np.random.default_rng(seed)
-        ss = rng.uniform(*s_range, n)
-        ts = rng.uniform(*t_range, n)
-        for s, t in zip(ss, ts):
-            val = self.L(s, t)
-            if not math.isfinite(val):
-                raise IntegrandError(f"L({s}, {t}) is not finite")
-            if self.nonneg and val < -tol:
-                raise AssumptionViolated(f"L({s:.3g}, {t:.3g}) = {val:.3e} < 0")
-            if self.odd_dominated and s <= 0:
-                if self.L(-s, t) < val - tol * (1 + abs(val)):
-                    raise AssumptionViolated(
-                        f"L(-s,t) ≤ L(s,t) fails at s={s:.3g}, t={t:.3g}")
-            if self.growth is not None:
-                g = self.growth
-                p = g.get("p", 2.0)
-                env = g["alpha"](abs(s)) * t ** p + g["b"] * t ** p + g["a"]
-                if abs(val) > env + tol * (1 + env):
-                    raise AssumptionViolated("growth bound on L fails")
-                if abs(self.L_s(s, t)) > g["beta"](abs(s)) * t ** p + tol:
-                    raise AssumptionViolated("growth bound on L_s fails")
-                env1 = (g["gamma"](abs(s)) * t ** (p - 1)
-                        + g["b"] * t ** (p - 1) + g["a"])
-                if abs(self.L_xi(s, t)) > env1 + tol * (1 + env1):
-                    raise AssumptionViolated("growth bound on L_xi fails")
+        s, t = rng.uniform(*s_range, n), rng.uniform(*t_range, n)
+        val = _each(self.L, s, t)
+        checks = [(~np.isfinite(val), lambda i: IntegrandError(
+            f"L({s[i]}, {t[i]}) is not finite"))]
+        if self.nonneg:
+            checks.append((val < -tol, lambda i: AssumptionViolated(
+                f"L({s[i]:.3g}, {t[i]:.3g}) = {val[i]:.3e} < 0")))
+        if self.odd_dominated:
+            checks.append((
+                (s <= 0) & (_each(self.L, -s, t) < val - tol * (1 + abs(val))),
+                lambda i: AssumptionViolated(
+                    f"L(-s,t) ≤ L(s,t) fails at s={s[i]:.3g}, t={t[i]:.3g}")))
+        if self.growth is not None:
+            g, p = self.growth, self.growth.get("p", 2.0)
+            env = _each(g["alpha"], abs(s)) * t ** p + g["b"] * t ** p + g["a"]
+            env1 = (_each(g["gamma"], abs(s)) * t ** (p - 1)
+                    + g["b"] * t ** (p - 1) + g["a"])
+            checks += [
+                (abs(val) > env + tol * (1 + env),
+                 lambda i: AssumptionViolated("growth bound on L fails")),
+                (abs(_each(self.L_s, s, t))
+                 > _each(g["beta"], abs(s)) * t ** p + tol,
+                 lambda i: AssumptionViolated("growth bound on L_s fails")),
+                (abs(_each(self.L_xi, s, t)) > env1 + tol * (1 + env1),
+                 lambda i: AssumptionViolated("growth bound on L_xi fails"))]
+        _raise_first(checks)
         return True
+
+
+def _each(fn, *args):
+    """``fn(*args)``, a constant result broadcast to the arguments' shape."""
+    out = np.asarray(fn(*args), float)
+    return out if out.ndim else np.full(np.broadcast(*args).shape, out)
+
+
+def _raise_first(checks):
+    """Raise ``error(i)`` for the first failing sample i of (mask, error)."""
+    hits = [(np.flatnonzero(bad)[0], k) for k, (bad, _) in enumerate(checks)
+            if bad.any()]
+    if hits:
+        i, k = min(hits)
+        raise checks[k][1](i)
 
 
 def dirichlet_integrand() -> QuasilinearIntegrand:
@@ -121,34 +142,28 @@ def forced_dirichlet_integrand(c: float) -> QuasilinearIntegrand:
 def _gradient_fields(space: GridSpace, values):
     """Forward-difference gradient components at cells plus the ghost-node
     magnitudes (zero-extended low-boundary edges), per axis."""
-    h = space.spacing
-    if space.dimension == 1:
-        g = (np.concatenate((values[1:], [0.0])) - values) / h
-        ghost = np.array([values[0] / h])
-        return (g,), ghost
-    n = space.n
-    v = values.reshape(n, n)
-    gx = (np.vstack((v[1:], np.zeros((1, n)))) - v) / h
-    gy = (np.hstack((v[:, 1:], np.zeros((n, 1)))) - v) / h
-    ghost = np.concatenate((v[0, :] / h, v[:, 0] / h))
-    return (gx.ravel(), gy.ravel()), ghost
+    h, comps, ghost = space.spacing, [], []
+    v = values.reshape((space.n,) * space.dimension)
+    for axis in range(space.dimension):
+        w = v.swapaxes(0, axis)
+        d = (np.concatenate((w[1:], np.zeros_like(w[:1]))) - w) / h
+        comps.append(d.swapaxes(0, axis).ravel())
+        ghost.append(np.ravel(w[0]) / h)
+    return comps, np.concatenate(ghost)
 
 
 def quasilinear_energy(I: QuasilinearIntegrand, u: GridFunction) -> float:
     """Midpoint quadrature of L over cells (values + forward-difference
     gradient magnitudes) plus the ghost-node terms L(0, |u_boundary|/h)."""
-    space = u.space
-    comps, ghost = _gradient_fields(space, u.values)
+    comps, ghost = _gradient_fields(u.space, u.values)
     t = np.sqrt(sum(c * c for c in comps))
-    total = 0.0
-    for s, tv in zip(u.values, t):
-        val = I.L(float(s), float(tv))
-        if not math.isfinite(val):
-            raise IntegrandError(f"L({s}, {tv}) not finite")
-        total += val
-    for gb in ghost:
-        total += I.L(0.0, abs(float(gb)))
-    return total * space.cell_measure
+    val = _each(I.L, u.values, t)
+    bad = np.flatnonzero(~np.isfinite(val))
+    if bad.size:
+        raise IntegrandError(f"L({u.values[bad[0]]}, {t[bad[0]]}) not finite")
+    # a running sum from 0.0, cells then ghosts (np.sum would add pairwise)
+    terms = np.concatenate(([0.0], val, _each(I.L, 0.0, abs(ghost))))
+    return float(np.cumsum(terms)[-1] * u.space.cell_measure)
 
 
 def quasilinear_residual_vector(I: QuasilinearIntegrand, u: GridFunction):
@@ -158,49 +173,26 @@ def quasilinear_residual_vector(I: QuasilinearIntegrand, u: GridFunction):
     comps, ghost = _gradient_fields(space, u.values)
     t = np.sqrt(sum(c * c for c in comps))
     # W = L_t(s, t)/t, the radial weight; L_t(s, 0) must vanish
-    W = np.zeros_like(t)
-    for i, (s, tv) in enumerate(zip(u.values, t)):
-        lt = I.L_xi(float(s), float(tv))
-        if tv > 0:
-            W[i] = lt / tv
-        elif abs(lt) > 1e-13:
-            raise IntegrandError("L_xi(s, 0) must vanish for the radial "
-                                 "quadrature (gradient kink at 0)")
-    r = np.array([I.L_s(float(s), float(tv))
-                  for s, tv in zip(u.values, t)]) * m
-
-    def scatter_axis(flux, axis):
+    lt, moving = _each(I.L_xi, u.values, t), t > 0
+    if np.any(~moving & (abs(lt) > 1e-13)):
+        raise IntegrandError("L_xi(s, 0) must vanish for the radial "
+                             "quadrature (gradient kink at 0)")
+    W = np.divide(lt, t, out=np.zeros_like(t), where=moving)
+    r = _each(I.L_s, u.values, t) * m
+    shape = (space.n,) * space.dimension
+    for axis, c in enumerate(comps):
         # flux on the cell-owned forward edge; divergence pattern
-        if space.dimension == 1:
-            out = np.zeros_like(flux)
-            out -= flux / h
-            out[1:] += flux[:-1] / h
-            return out
-        n = space.n
-        F = flux.reshape(n, n)
-        out = -F / h
-        if axis == 0:
-            out[1:, :] += F[:-1, :] / h
-        else:
-            out[:, 1:] += F[:, :-1] / h
-        return out.ravel()
-
+        F = ((W * c).reshape(shape) / h).swapaxes(0, axis)
+        out = -F
+        out[1:] += F[:-1]
+        r += m * out.swapaxes(0, axis).ravel()
+    flux = _each(I.L_xi, 0.0, abs(ghost)) * np.sign(ghost)
     if space.dimension == 1:
-        r += m * scatter_axis(W * comps[0], 0)
-        gb = ghost[0]
-        ltg = I.L_xi(0.0, abs(float(gb)))
-        r[0] += m * ltg * np.sign(gb) / h
+        r[0] += m * flux[0] / h
     else:
-        n = space.n
-        r += m * scatter_axis(W * comps[0], 0)
-        r += m * scatter_axis(W * comps[1], 1)
-        radd = np.zeros((n, n))
-        for k in range(n):              # x ghosts: cells (0, k)
-            gb = ghost[k]
-            radd[0, k] += I.L_xi(0.0, abs(float(gb))) * np.sign(gb) / h
-        for k in range(n):              # y ghosts: cells (k, 0)
-            gb = ghost[n + k]
-            radd[k, 0] += I.L_xi(0.0, abs(float(gb))) * np.sign(gb) / h
+        radd = np.zeros(shape)
+        radd[0, :] += flux[:space.n] / h    # x ghosts: cells (0, k)
+        radd[:, 0] += flux[space.n:] / h    # y ghosts: cells (k, 0)
         r += m * radd.ravel()
     return r
 
@@ -219,17 +211,14 @@ def quasilinear_functional(I: QuasilinearIntegrand,
                            space: GridSpace) -> Functional:
     """Wrap the discretized energy as a Functional with the X-Riesz
     derivative (p = 2 grids)."""
-
-    def ev(u):
-        return quasilinear_energy(I, u)
-
     deriv = None
     if space.p == 2.0:
         def deriv(u):
             r = quasilinear_residual_vector(I, u)
             return GridFunction(space, riesz_from_euclidean(space, r))
 
-    return Functional(eval=ev, derivative=deriv,
+    return Functional(eval=lambda u: quasilinear_energy(I, u),
+                      derivative=deriv,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
 
@@ -336,46 +325,32 @@ def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
 # ---------------------------------------------------------------------------
 # lower derivative estimator
 
-def lower_derivative(g: Callable[[float], float], s: float, delta: float,
+def lower_derivative(g: Callable[[np.ndarray], np.ndarray], s, delta: float,
                      n: int = 256, *, levels=(1.0, 0.1, 0.01),
                      return_log=False):
     """Estimate the lower derivative: liminf over rational (t, τ) → 0 of
     (g(s+t) − g(s+τ))/(t − τ).
 
-    Samples dyadic-rational pairs t = ±δ/2^i, τ = ±δ/2^j (t ≠ τ) on a
-    decreasing-δ schedule; the finest level's minimum is returned and the
-    schedule is logged."""
+    Samples the first n dyadic-rational pairs t = ±δ/2^i, τ = ±δ/2^j
+    (t ≠ τ, i, j < 11) on a decreasing-δ schedule; the finest level's
+    minimum is returned and the schedule is logged.  ``g`` is elementwise on
+    numpy arrays (a constant result is broadcast); an array ``s`` gives one
+    estimate per point, a scalar ``s`` a float."""
     if delta <= 0:
         raise InvalidArgument("delta must be positive")
-    J = 11
+    pairs = [(si / 2 ** i, sj / 2 ** j) for i in range(11) for j in range(11)
+             for si in (1.0, -1.0) for sj in (1.0, -1.0)
+             if (i, si) != (j, sj)][:max(n, 0)]
+    unit_t, unit_tau = np.reshape(pairs, (-1, 2)).T
+    s = np.asarray(s, float)[..., None]
     log = []
     for lev in levels:
         d = delta * lev
-        best = math.inf
-        count = 0
-        for i in range(J):
-            for j in range(J):
-                for si in (1.0, -1.0):
-                    for sj in (1.0, -1.0):
-                        t = si * d / 2 ** i
-                        tau = sj * d / 2 ** j
-                        if t == tau:
-                            continue
-                        count += 1
-                        if count > n:
-                            break
-                        q = (g(s + t) - g(s + tau)) / (t - tau)
-                        if q < best:
-                            best = q
-                    if count > n:
-                        break
-                if count > n:
-                    break
-            if count > n:
-                break
-        log.append((d, best))
-    value = log[-1][1]
-    return (value, log) if return_log else value
+        t, tau = d * unit_t, d * unit_tau       # exact: ±2^-i scales
+        q = (_each(g, s + t) - _each(g, s + tau)) / (t - tau)
+        best = np.fmin.reduce(q, axis=-1, initial=math.inf)    # NaN skipped
+        log.append((d, best if best.ndim else float(best)))
+    return (log[-1][1], log) if return_log else log[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +360,12 @@ def lower_derivative(g: Callable[[float], float], s: float, delta: float,
 class SemilinearNonlinearity:
     """Continuous odd nonlinearity g with antiderivative G and growth data
     |g(s)| ≤ a1 + b|s|^{p−1}, 2 < p ≤ 6, plus the one-sided monotonicity
-    (g(s)−g(t))(s−t) ≥ −(a2 + b|s|^{p−2} + b|t|^{p−2})(s−t)²."""
+    (g(s)−g(t))(s−t) ≥ −(a2 + b|s|^{p−2} + b|t|^{p−2})(s−t)².  ``g`` and
+    ``G`` are elementwise on numpy arrays and are called on whole grids and
+    sample arrays; a constant result (``lambda s: 0.0``) is broadcast."""
 
-    g: Callable[[float], float]
-    G: Callable[[float], float]
+    g: Callable[[np.ndarray], np.ndarray]
+    G: Callable[[np.ndarray], np.ndarray]
     a1: float
     a2: float
     b: float
@@ -398,39 +375,39 @@ class SemilinearNonlinearity:
     def validate(self, s_range=(-3.0, 3.0), n=400, seed=0, tol=1e-9):
         if not (2.0 < self.p <= 6.0):
             raise AssumptionViolated(f"growth exponent p = {self.p} outside (2, 6]")
-        rng = np.random.default_rng(seed)
-        ss = rng.uniform(*s_range, n)
-        for s in ss:
-            if abs(self.g(-s) + self.g(s)) > tol * (1 + abs(self.g(s))):
-                raise AssumptionViolated(f"g is not odd at s = {s:.3g}")
-            if abs(self.g(s)) > self.a1 + self.b * abs(s) ** (self.p - 1) + tol:
-                raise AssumptionViolated(f"growth bound fails at s = {s:.3g}")
-        for s, t in zip(ss[: n // 2], ss[n // 2:]):
-            lhs = (self.g(s) - self.g(t)) * (s - t)
-            rhs = -(self.a2 + self.b * abs(s) ** (self.p - 2)
-                    + self.b * abs(t) ** (self.p - 2)) * (s - t) ** 2
-            if lhs < rhs - tol * (1 + abs(rhs)):
-                raise AssumptionViolated("one-sided monotonicity fails")
+        ss = np.random.default_rng(seed).uniform(*s_range, n)
+        gs = _each(self.g, ss)
+        _raise_first([
+            (abs(_each(self.g, -ss) + gs) > tol * (1 + abs(gs)),
+             lambda i: AssumptionViolated(f"g is not odd at s = {ss[i]:.3g}")),
+            (abs(gs) > self.a1 + self.b * abs(ss) ** (self.p - 1) + tol,
+             lambda i: AssumptionViolated(
+                 f"growth bound fails at s = {ss[i]:.3g}"))])
+        k = n // 2                      # pairs (ss[i], ss[k + i]), i < k
+        s, t, gst = ss[:k], ss[k:2 * k], gs[:k] - gs[k:2 * k]
+        rhs = -(self.a2 + self.b * abs(s) ** (self.p - 2)
+                + self.b * abs(t) ** (self.p - 2)) * (s - t) ** 2
+        if np.any(gst * (s - t) < rhs - tol * (1 + abs(rhs))):
+            raise AssumptionViolated("one-sided monotonicity fails")
         return True
 
 
 def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
                           box: SetOracle = None) -> Functional:
     """f(u) = ½∫|Du|² − ∫G(u) on the grid (+∞ outside the box, if given)."""
-    A = laplacian_matrix(space)
-    m = space.cell_measure
+    A, m = laplacian_matrix(space), space.cell_measure
 
     def ev(u):
         if box is not None and not box.contains(u.values):
             return math.inf
         quad = 0.5 * float(u.values @ A @ u.values)
-        pot = m * float(sum(N.G(float(s)) for s in u.values))
+        # builtin sum, not np.sum: pairwise addition moves the last bit
+        pot = m * float(sum(_each(N.G, u.values).tolist()))
         return quad - pot
 
     def deriv(u):
-        gvals = np.array([N.g(float(s)) for s in u.values])
-        r = A @ u.values - m * gvals
-        return GridFunction(space, riesz_from_euclidean(space, r))
+        return GridFunction(space, riesz_from_euclidean(
+            space, euler_lagrange_residual(N, u)))
 
     return Functional(eval=ev, derivative=deriv,
                       symmetry_class="polarization-nonincreasing",
@@ -440,8 +417,7 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
 def euler_lagrange_residual(N: SemilinearNonlinearity, u: GridFunction):
     """ψ = −Δu − g(u) as a Euclidean functional: ⟨ψ, φ⟩ = ψ_vec·φ."""
     A = laplacian_matrix(u.space)
-    gvals = np.array([N.g(float(s)) for s in u.values])
-    return A @ u.values - u.space.cell_measure * gvals
+    return A @ u.values - u.space.cell_measure * _each(N.g, u.values)
 
 
 def h_minus1_norm(space: GridSpace, psi_euclid) -> float:
@@ -493,8 +469,7 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
         u_h = cert.v
         psi = euler_lagrange_residual(N, u_h)
         cert.extras["psi_Hminus1"] = h_minus1_norm(space, psi)
-        dg = np.array([lower_derivative(N.g, float(s), delta_lower)
-                       for s in u_h.values])
+        dg = lower_derivative(N.g, u_h.values, delta_lower)
         worst = math.inf
         for _ in range(second_order_samples):
             w = rng.standard_normal(space.n_cells)

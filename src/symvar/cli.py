@@ -510,7 +510,7 @@ def _run_ekeland(space, f, p, seed, samples, out):
 
 
 @_subcommand("symmetric_ekeland", takes=FUNC, **ENGINE,
-             variant=_enum(["I", "II", "III", "IV", "V"], "II"))
+             variant=_enum(["I", "II", "IV", "V"], "II"))
 def _run_symmetric_ekeland(space, f, p, seed, samples, out):
     cert = pr.symmetric_ekeland(f, space, p["u0"], p["sigma"], p["rho"],
                                 variant=p["variant"], seed=seed,

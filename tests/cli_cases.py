@@ -123,6 +123,7 @@ def _norms(values=U4, **top):
 REJECTED = [
     ("sigma not a number", _ekeland(sigma="abc"), "config.parameters.sigma"),
     ("unknown variant", _ekeland(variant="VI"), "config.parameters.variant"),
+    ("variant III", _ekeland(variant="III"), "config.parameters.variant"),
     ("values a string", _norms("abcd"), "config.parameters.values"),
     ("m_nodes a string", config("path_minimax", 2,
                                 {"psi": [1.0, 1.0], "m_nodes": "x"}, WELL),

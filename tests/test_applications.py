@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from symvar import (AssumptionViolated, Ball, Drop, Functional, GridFunction,
-                    InvalidEpsilon, NotBoundedBelow, Petal,
-                    SemilinearNonlinearity, SeparationViolated, SetOracle,
+                    IntegrandError, InvalidEpsilon, NotBoundedBelow, Petal,
+                    QuasilinearIntegrand, SemilinearNonlinearity, SeparationViolated, SetOracle,
                     caristi_fixed_point, clarke_fixed_point,
                     dirichlet_integrand, drop_membership, dual_norm,
                     forced_dirichlet_integrand, lower_derivative, make_grid,
@@ -88,6 +88,68 @@ def test_quasilinear_growth_validation():
         bad.validate()
 
 
+def _quartic_integrand():
+    """L(s, t) = t²/2 + t⁴/4 − s: a nonlinear radial weight L_t/t = 1 + t²."""
+    return QuasilinearIntegrand(L=lambda s, t: 0.5 * t * t + 0.25 * t ** 4 - s,
+                                L_s=lambda s, t: -1.0,
+                                L_xi=lambda s, t: t + t ** 3, nonneg=False,
+                                name="quartic")
+
+
+def test_quasilinear_residual_vector_matches_energy_differences(g1d8, g2d4):
+    # r is the gradient of the energy, cell and ghost terms included: compare
+    # against central differences, and the linear case against A·u − c·m·1
+    rng = np.random.default_rng(8)
+    step = 1e-6
+    for g in (g1d8, g2d4):
+        for I in (_quartic_integrand(), forced_dirichlet_integrand(1.5)):
+            u = g.function(0.3 * rng.standard_normal(g.n_cells))
+            r = quasilinear_residual_vector(I, u)
+            fd = [(quasilinear_energy(I, g.function(u.values + step * e))
+                   - quasilinear_energy(I, g.function(u.values - step * e)))
+                  / (2 * step) for e in np.eye(g.n_cells)]
+            scale = 1.0 + np.max(np.abs(r))
+            np.testing.assert_allclose(r, fd, rtol=0, atol=1e-6 * scale)
+        u = g.function(rng.standard_normal(g.n_cells))
+        r = quasilinear_residual_vector(forced_dirichlet_integrand(1.5), u)
+        linear = laplacian_matrix(g) @ u.values - 1.5 * g.cell_measure
+        np.testing.assert_allclose(r, linear, rtol=0,
+                                   atol=1e-12 * (1.0 + np.max(np.abs(r))))
+
+
+def test_quasilinear_energy_equals_per_cell_sum(g1d8, g2d4):
+    # reference: scalar calls summed left to right, cells then ghost nodes
+    from symvar.applications import _gradient_fields
+    rng = np.random.default_rng(9)
+    for g in (g1d8, g2d4):
+        for I in (dirichlet_integrand(), forced_dirichlet_integrand(0.7)):
+            u = g.function(rng.standard_normal(g.n_cells))
+            comps, ghost = _gradient_fields(g, u.values)
+            t = np.sqrt(sum(c * c for c in comps))
+            total = 0.0
+            for s, tv in zip(u.values, t):
+                total += I.L(float(s), float(tv))
+            for gb in ghost:
+                total += I.L(0.0, abs(float(gb)))
+            assert quasilinear_energy(I, u) == total * g.cell_measure
+
+
+def test_nonfinite_integrand_names_first_bad_cell(g1d4):
+    I = QuasilinearIntegrand(
+        L=lambda s, t: np.where(s > 1.0, np.inf, 0.5 * t * t),
+        L_s=lambda s, t: 0.0, L_xi=lambda s, t: t, nonneg=False,
+        odd_dominated=False)
+    with pytest.raises(IntegrandError, match=r"^L\(2\.0, "):
+        quasilinear_energy(I, g1d4.function([0.5, 2.0, 3.0, 0.0]))
+    # validation names the first failing sample of its draw
+    rng = np.random.default_rng(0)
+    s, t = rng.uniform(-3.0, 3.0, 400), rng.uniform(0.0, 5.0, 400)
+    i = int(np.flatnonzero(s > 1.0)[0])
+    with pytest.raises(IntegrandError) as err:
+        I.validate()
+    assert str(err.value) == f"L({s[i]}, {t[i]}) is not finite"
+
+
 def test_dual_norm_two_routes_agree(g1d8):
     rng = np.random.default_rng(3)
     for _ in range(4):
@@ -136,6 +198,21 @@ def test_lower_derivative_logged_schedule():
     assert log[-1][1] == val
     deltas = [d for d, _ in log]
     assert deltas == sorted(deltas, reverse=True)
+
+
+def test_lower_derivative_array_equals_scalar_calls():
+    # one call on an array gives, bit for bit, the per-point scalar results
+    s = np.array([-1.3, -0.2, 0.0, 1e-5, 0.7, 2.5])
+    for g in (lambda x: x, lambda x: x ** 3, abs, lambda x: 0.5):
+        val, log = lower_derivative(g, s, 1e-3, return_log=True)
+        assert val.shape == s.shape
+        for k, sk in enumerate(s):
+            vk, logk = lower_derivative(g, float(sk), 1e-3, return_log=True)
+            assert isinstance(vk, float)
+            assert np.float64(vk).tobytes() == val[k].tobytes()
+            for (d, best), (dk, bk) in zip(log, logk):
+                assert d == dk
+                assert np.float64(bk).tobytes() == best[k].tobytes()
 
 
 # ---------------------------------------------------------------------------
