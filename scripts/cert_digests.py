@@ -8,8 +8,7 @@ both commits and diffs the two outputs::
     PYTHONPATH=src python scripts/cert_digests.py > after.txt
 
 Schedule engines (SQPS, semilinear) emit a list of certificates; their
-digest covers the list serialized as the CLI writes it.  The drop-point
-engine is left out: one drop certificate takes minutes.
+digest covers the list serialized as the CLI writes it.
 
 It then runs the config table of ``tests/cli_cases.py`` (one small config
 per ``symvar run`` subcommand) through ``run_config`` and prints
@@ -94,6 +93,14 @@ def radial_double_well(space):
                       lower_bound=0.0, name="radial_double_well")
 
 
+def cubic():
+    """g = s³, G = s⁴/4, written with products: numpy's array power may
+    differ from scalar ``pow`` in the last bit, by CPU."""
+    return ap.SemilinearNonlinearity(
+        g=lambda s: s * s * s, G=lambda s: 0.25 * (s * s) * (s * s),
+        a1=0.0, a2=0.0, b=3.0, p=4.0, name="cubic")
+
+
 def l2_sphere(space, level=1.0):
     m = space.cell_measure
     return Functional(
@@ -111,6 +118,19 @@ def diag_ray():
     return pr.SetOracle(
         contains=lambda v: bool(abs(v[0] - v[1]) <= 1e-9 and v[0] >= 1.0 - 1e-12),
         project=project, kind="custom", description="{(a,a): a >= 1}")
+
+
+def halfplane():
+    def project(v):
+        w = np.maximum(v, 0.0)
+        ex = w[0] + w[1] - 1.0
+        if ex > 0:
+            w = w - ex / 2
+        return np.maximum(w, 0.0)
+
+    return pr.SetOracle(
+        contains=lambda v: bool(np.all(v >= -1e-12) and v[0] + v[1] <= 1.0 + 1e-12),
+        project=project, kind="custom", description="{u >= 0, u0+u1 <= 1}")
 
 
 def cases():
@@ -166,9 +186,11 @@ def cases():
         g8, [0.1, 0.05], seed=11, n_samples=N_SAMPLES, q_probes=8,
         second_order_samples=8)
     yield "semilinear/cubic/box", lambda: ap.semilinear_experiment(
-        ap.SemilinearNonlinearity(g=lambda s: s ** 3, G=lambda s: 0.25 * s ** 4,
-                                  a1=0.0, a2=0.0, b=3.0, p=4.0, name="cubic"),
-        g8, [0.1, 0.05], box=pr.box_set(g8, 0.0, 0.5), seed=11,
+        cubic(), g8, [0.1, 0.05], box=pr.box_set(g8, 0.0, 0.5), seed=11,
+        n_samples=N_SAMPLES, q_probes=8, second_order_samples=8)
+    # its minimizer is nonzero, so the cubic's arithmetic reaches the bytes
+    yield "semilinear/cubic/box-high", lambda: ap.semilinear_experiment(
+        cubic(), g8, [0.1, 0.05], box=pr.box_set(g8, 0.5, 1.0), seed=11,
         n_samples=N_SAMPLES, q_probes=8, second_order_samples=8)
     yield "quasilinear/2D", lambda: ap.quasilinear_experiment(
         ap.forced_dirichlet_integrand(1.0), make_grid(2, 4, 1.0, 2, 4), 0.01,
@@ -186,6 +208,11 @@ def cases():
         g2.function([1.0, 1.0]), g2.zeros(), diag_ray(), 0.3,
         norm=lambda vals: float(np.sum(np.abs(vals))), seed=14,
         n_samples=N_SAMPLES, minimality_samples=1000)
+    a_min = 0.5 + 3.0 / np.sqrt(2.0)
+    yield "drop/halfplane", lambda: ap.symmetric_drop_point(
+        g2.zeros(), ap.Ball(g2.function([a_min + 1 / np.sqrt(2)] * 2), 1.0,
+                            symmetric=True),
+        halfplane(), 0.05, seed=2, n_samples=600, minimality_samples=10000)
 
 
 def certificate_bytes(out) -> bytes:

@@ -699,45 +699,108 @@ class Petal:
             self.norm = _default_norm(self.x0.space)
 
 
-def _min_convex_1d(fn, lo, hi, iters=200):
-    """Golden-section minimum of a convex function on [lo, hi]."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = fn(c)
+def _near_zero_interval(a0, a1, tol):
+    """The closed interval of s with ‖a0 + s·a1‖_∞ ≤ tol, or None if empty.
+
+    Each coordinate with a1ᵢ ≠ 0 allows the s between its two crossings of
+    ±tol; a coordinate with a1ᵢ = 0 allows every s or none."""
+    still = a1 == 0.0
+    if np.any(np.abs(a0[still]) > tol):
+        return None
+    moving = ~still
+    ends = (np.array([-tol, tol])[:, None] - a0[moving]) / a1[moving]
+    lo = float(np.max(np.min(ends, axis=0), initial=-math.inf))
+    hi = float(np.min(np.max(ends, axis=0), initial=math.inf))
+    return (lo, hi) if lo <= hi else None
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _convex_reaches(h, a, fa, b, level) -> bool:
+    """Whether the convex h comes down to `level` on [a, b], given fa = h(a).
+
+    Golden-section steps shrink a bracket [a, b] around the minimizer with
+    one interior point m.  True at the first point with h ≤ level.  False
+    once the chord lower bound exceeds level: h lies above the chord
+    through m and b on [a, m] and above the chord through a and m on
+    [m, b].  If the bracket stops shrinking in floating point first, every
+    evaluated point stayed above level, and the answer is False."""
+    if fa <= level:
+        return True
+    m = b - _GOLDEN * (b - a)
+    if not a < m < b:
+        return False
+    fb = h(b)
+    if fb <= level:
+        return True
+    fm = h(m)
+    while fm > level:
+        if min(fm - (fb - fm) / (b - m) * (m - a),
+               fm + (fm - fa) / (m - a) * (b - m)) > level:
+            return False
+        # the new point goes into the longer of [a, m] and [m, b]
+        s = m + (1.0 - _GOLDEN) * (b - m if b - m > m - a else a - m)
+        if not a < s < b or s == m:
+            return False
+        fs = h(s)
+        if fs <= level:
+            return True
+        # convexity keeps the minimizer on the side of the lower value
+        (p, fp), (q, fq) = sorted(((m, fm), (s, fs)))
+        if fp < fq:
+            b, fb, m, fm = q, fq, p, fp
         else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+            a, fa, m, fm = p, fp, q, fq
+    return True
 
 
 def drop_membership(y: GridFunction, D: Drop, tol=1e-10) -> bool:
-    """y ∈ Drop(x, B) iff y = x + t(b−x) for some t ∈ [0,1], b ∈ B.
+    """y ∈ Drop(x, B) iff y = x + t(b−x) for some t ∈ [0,1], b ∈ B; the
+    answer is exact up to `tol`.
 
-    Equivalently x + s(y−x) meets B for some s ≥ 1 (s = 1/t); the distance
-    along that ray is convex in s, minimized by golden section."""
+    With d = y − x, c the center and r the radius, y is a member iff
+    N(d) ≤ tol or the ray x + s·d (s = 1/t ≥ 1) meets B.  For a plain ball
+    the ray meets B iff min over s ≥ 1 of h(s) = N(x − c + s·d) is at most
+    r + tol; h is a norm of an affine map of s, hence convex.
+
+    For a symmetric ball, S is the linear projector onto the fixed subspace
+    and A = I − S.  The ray counts as on the fixed subspace where
+    ‖Ax + s·Ad‖_∞ ≤ tol: one closed interval of s, found coordinatewise in
+    closed form.  That interval is cut to s ≥ 1 (empty: not a member), and
+    on it the same convex test runs on h(s) = N(Sx − c + s·Sd).  So the
+    tolerance is `tol` in the sup norm of the part off the fixed subspace
+    and `tol` on the radius in the ball's norm."""
+    B = D.ball
     x = D.vertex.values
     d = y.values - x
-    if D.ball.norm(d) <= tol:
+    speed = B.norm(d)
+    if speed <= tol:
         return True
+    lo, hi = 1.0, math.inf
+    if B.symmetric:
+        sx, sd = B._sym_project(x), B._sym_project(d)
+        span = _near_zero_interval(x - sx, d - sd, tol)
+        if span is None or span[1] < lo:
+            return False
+        lo, hi = max(lo, span[0]), span[1]
+        x, d = sx, sd
+    z = x - B.center.values
+    level = B.radius + tol
 
-    def g(s):
-        return D.ball.dist(x + s * d)
+    def h(s):
+        return B.norm(z + s * d)
 
-    # expand the bracket while the (convex) ray distance still decreases
-    hi = 2.0
-    while g(2.0 * hi) < g(hi) and hi < 1e9:
-        hi *= 2.0
-    s, val = _min_convex_1d(g, 1.0, 2.0 * hi)
-    return min(val, g(1.0)) <= tol
+    fa = h(lo)
+    if fa <= level:
+        return True
+    if B.symmetric:
+        speed = B.norm(d)
+    # h(s) ≥ (s − lo)·N(d) − h(lo), so no s past this cap reaches level
+    if speed == 0.0:
+        return False
+    return _convex_reaches(h, lo, fa, min(hi, lo + (level + fa) / speed),
+                           level)
 
 
 def petal_membership(y: GridFunction, P: Petal) -> bool:

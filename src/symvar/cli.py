@@ -216,9 +216,11 @@ FUNCTIONALS = {
                              g=lambda s: -s, G=lambda s: -0.5 * s * s,
                              a1=1.0, a2=2.0, b=1.0, p=3.0,
                              name="linear_damping"), {}),
+    # powers as products: numpy's array power can differ from scalar pow in
+    # the last bit, by CPU, and certificate bytes would follow it
     "cubic": Fn("nonlinearity", lambda space, p: ap.SemilinearNonlinearity(
-        g=lambda s: s ** 3, G=lambda s: 0.25 * s ** 4, a1=0.0, a2=0.0, b=3.0,
-        p=4.0, name="cubic"), {}),
+        g=lambda s: s * s * s, G=lambda s: 0.25 * (s * s) * (s * s), a1=0.0,
+        a2=0.0, b=3.0, p=4.0, name="cubic"), {}),
 }
 
 
@@ -283,7 +285,7 @@ WEIGHTS = {
 
 SCALAR_FUNCS = {
     "identity": lambda s: s,
-    "cube": lambda s: s ** 3,
+    "cube": lambda s: s * s * s,
     "abs": abs,
 }
 

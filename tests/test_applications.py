@@ -539,6 +539,153 @@ def test_symmetric_drop_point_separation_guard(g1d2):
                              0.9, seed=0)
 
 
+def _fixed_basis(space):
+    """Orthonormal basis of the functions fixed by every reflection of the
+    grid, from the group's own permutations."""
+    idx = np.arange(space.n_cells)
+    if space.dimension == 1:
+        perms = [idx, idx[::-1]]
+    else:
+        v = idx.reshape(space.n, space.n)
+        perms = [a.ravel() for w in (v, v[::-1], v[:, ::-1], v[::-1, ::-1])
+                 for a in (w, w.T)]
+    proj = np.mean([np.eye(space.n_cells)[p] for p in perms], axis=0)
+    vecs, vals, _ = np.linalg.svd(proj)
+    return vecs[:, vals > 0.5]
+
+
+def _unit_directions(k, count, rng):
+    u = rng.standard_normal((count, k))
+    return u / np.linalg.norm(u, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("grid", ["g1d4", "g2d4"])
+def test_symmetric_membership_agrees_with_parameter_scan(grid, request):
+    # the vertex is off the fixed subspace, so the ray x + s(y−x) crosses it
+    # once, at s* = 1/t; the drop holds y iff s* ≥ 1 and that crossing
+    # point lies in the ball
+    space = request.getfixturevalue(grid)
+    rng = np.random.default_rng(21)
+    E = _fixed_basis(space)
+    # radially decreasing, so fixed by every polarizer and every reflection
+    k = np.arange(space.n) - (space.n - 1) / 2.0
+    r2 = k * k if space.dimension == 1 else np.add.outer(k * k, k * k)
+    center = space.function(3.0 - 0.3 * r2.ravel())
+    r = 0.7
+    B = Ball(center, r, symmetric=True)
+    x = rng.standard_normal(space.n_cells)
+    assert np.max(np.abs(x - E @ (E.T @ x))) > 0.1
+    D = Drop(space.function(x), B)
+
+    def ball_point(u, rho):
+        w = E @ u
+        return center.values + rho * r * w / B.norm(w)
+
+    # brute-force (t, b) scan of the drop: b over a polar grid of the ball
+    dirs = _unit_directions(E.shape[1], 400, rng)
+    bs = np.array([ball_point(u, rho) for u in dirs
+                   for rho in np.linspace(0.0, 1.0, 11)])
+    ts = np.linspace(0.0, 1.0, 41)
+    cloud = (x + ts[:, None, None] * (bs - x)[None]).reshape(-1, space.n_cells)
+
+    def scan_dist(y):
+        return float(np.sqrt(np.min(np.sum((cloud - y) ** 2, axis=1))))
+
+    # the scan's resolution: how far points built inside the drop sit from it
+    inside = [x + t * (ball_point(u, rho) - x) for u, rho, t in zip(
+        _unit_directions(E.shape[1], 200, rng), rng.uniform(0, 1, 200),
+        rng.uniform(0, 1, 200))]
+    cover = 1.5 * max(scan_dist(y) for y in inside)
+
+    for u in _unit_directions(E.shape[1], 90, rng):
+        rho = rng.choice([rng.uniform(0.0, 0.95), 1.0 - 1e-6, 1.0 + 1e-6,
+                          rng.uniform(1.05, 2.0)])
+        t = rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.1, 3.0)])
+        y = x + t * (ball_point(u, rho) - x)
+        pred = drop_membership(space.function(y), D)
+        assert pred == bool(t <= 1.0 and rho <= 1.0), (rho, t)
+        if scan_dist(y) > cover:
+            assert not pred, (rho, t)
+
+
+def test_plain_membership_matches_closed_form_ray_distance(g1d4):
+    # Euclidean ball: the ray x + s·d comes closest to c at a known s*, at
+    # distance m, so grazing rays (m = r(1 ± 1e-6)) have an exact answer
+    rng = np.random.default_rng(4)
+    center = g1d4.function([1.0, 2.0, 0.5, -1.0])
+    r = 0.8
+    B = Ball(center, r, norm=np.linalg.norm)
+    for _ in range(200):
+        e, w = np.linalg.qr(rng.standard_normal((4, 2)))[0].T
+        m = r * rng.choice([1.0 - 1e-6, 1.0 + 1e-6, rng.uniform(0.0, 0.9),
+                            rng.uniform(1.1, 3.0)])
+        dist, s_star = rng.uniform(1.0, 20.0), rng.choice(
+            [rng.uniform(1.0, 50.0), rng.uniform(0.2, 1.0)])
+        x = center.values + m * w - dist * e
+        y = x + (dist / s_star) * e
+        if s_star >= 1.0:
+            inside = m <= r
+        else:
+            inside = np.linalg.norm(y - center.values) <= r
+        D = Drop(g1d4.function(x), B)
+        assert drop_membership(g1d4.function(y), D) == inside, (m, s_star)
+
+
+def test_drop_membership_edge_cases(g1d4):
+    center = g1d4.function([1.0, 2.0, 2.0, 1.0])
+    B = Ball(center, 0.5, symmetric=True)
+    x = np.array([0.3, -0.2, 0.4, 0.1])      # off the fixed subspace
+    D = Drop(g1d4.function(x), B)
+    assert drop_membership(g1d4.function(x), D)                   # y = x
+    # a ray parallel to the fixed subspace: its symmetric part runs through
+    # the center, but the ray never meets the subspace
+    sx = 0.5 * (x + x[::-1])
+    for s in (0.5, 1.0, 2.0):
+        assert not drop_membership(
+            g1d4.function(x + s * (center.values - sx)), D)
+
+def _criterion9_drop(g):
+    """The hand-geometry drop: from the origin to a symmetric ball that is
+    a diagonal segment."""
+    a_min = 0.5 + 3.0 / np.sqrt(2.0)
+    B = Ball(g.function([a_min + 1 / np.sqrt(2)] * 2), 1.0, symmetric=True)
+    return Drop(g.function([0.0, 0.0]), B)
+
+
+def test_drop_membership_far_tip(g1d2):
+    # the far end of the drop, where N(Sz − c) = r
+    D = _criterion9_drop(g1d2)
+    tip = D.ball.project(np.array([1e3, 1e3]))
+    assert drop_membership(g1d2.function(tip), D)
+    assert not drop_membership(g1d2.function(tip * (1.0 + 1e-6)), D)
+
+
+def test_drop_membership_norm_count():
+    # the criterion-9 drop: at most 32 ball-norm evaluations per query
+    g = make_grid(1, 2, 1.0, 2, 4)
+    D = _criterion9_drop(g)
+    B = D.ball
+    calls = []
+    norm = B.norm
+
+    def counted(vals):
+        calls.append(1)
+        return norm(vals)
+
+    B.norm = counted
+    s_max = float(B.project(np.array([1e3, 1e3]))[0])
+    rng = np.random.default_rng(5)
+    queries = ([[s, s] for s in rng.uniform(0.0, 1.0, 20) * s_max]
+               + [[s, s] for s in rng.uniform(1.0, 2.0, 20) * s_max]
+               + [[-s, -s] for s in rng.uniform(0.0, 1.0, 20) * s_max]
+               + [[s + 0.1, s - 0.1] for s in rng.uniform(0.0, 1.0, 20)]
+               + list(rng.uniform(-2.0, 6.0, (40, 2))))
+    for y in queries:
+        calls.clear()
+        drop_membership(g.function(y), D)
+        assert len(calls) <= 32, (y, len(calls))
+
+
 def _diag_ray_C():
     def contains(v):
         return bool(abs(v[0] - v[1]) <= 1e-9 and v[0] >= 1.0 - 1e-12)

@@ -343,3 +343,17 @@ def test_library_argument_errors_exit_1(tmp_path, capsys):
         assert run_config(_write(tmp_path, f"{sub}.json", cfg),
                           out_dir=str(tmp_path), n_samples=50) == 1, sub
         assert "InvalidArgument" in capsys.readouterr().err
+
+
+def test_registered_power_nonlinearities_are_bitwise_elementwise():
+    # numpy's array power may differ from scalar pow in the last bit, by
+    # CPU; the registered cubic and cube give on an array exactly what they
+    # give per Python float
+    from symvar.cli import FUNCTIONALS, SCALAR_FUNCS
+
+    s = 3.0 * np.random.default_rng(0).standard_normal(20000)
+    cubic = FUNCTIONALS["cubic"].build(make_grid(1, 4, 1.0, 2, 4), {})
+    for fn in (cubic.g, cubic.G, SCALAR_FUNCS["cube"]):
+        arr = fn(s)
+        per = np.array([fn(float(v)) for v in s])
+        assert np.array_equal(arr, per)
