@@ -627,7 +627,13 @@ class Ball:
     def __post_init__(self):
         if self.norm is None:
             self.norm = _default_norm(self.center.space)
-        if self.symmetric and not is_family_fixed(self.center):
+        # the center must also be fixed by _sym_project, the reflection
+        # average that project and contains use: a function fixed by every
+        # registered polarizer need not be reflection-symmetric
+        c = self.center.values
+        if self.symmetric and not (
+                is_family_fixed(self.center)
+                and np.max(np.abs(c - self._sym_project(c))) <= 1e-12):
             raise NotSymmetricInput("a symmetric ball needs a fully "
                                     "symmetric center")
 

@@ -144,6 +144,9 @@ class Functional:
     ``polarization-nonincreasing``, ``polarization-invariant``,
     ``unverified``.  ``dominating_point`` (optional) maps u to some
     ξ ∈ S with f(ξ) ≤ f(u); the default used by the engines is Θ(u).
+    ``eval_batch`` (optional) maps a block (k, N) of cell-value rows to the
+    (k,) values of f, each equal to ``eval`` on its row; the samplers use it
+    in place of one ``eval`` per row.
     """
 
     eval: Callable[[GridFunction], float]
@@ -152,6 +155,7 @@ class Functional:
     lower_bound: Optional[float] = None
     dominating_point: Optional[Callable[[GridFunction], GridFunction]] = None
     name: str = ""
+    eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, u: GridFunction) -> float:
         val = float(self.eval(u))
@@ -159,30 +163,75 @@ class Functional:
             raise InvalidArgument(f"functional {self.name or '<anon>'} returned {val}")
         return val
 
+    def _eval_rows(self, space: GridSpace, W) -> np.ndarray:
+        """f at each row of the block W: ``eval_batch`` when given, else
+        ``__call__`` row by row; NaN and −inf are rejected either way."""
+        if self.eval_batch is None:
+            return np.array([self(GridFunction(space, w)) for w in W], float)
+        vals = np.asarray(self.eval_batch(W), dtype=float)
+        if vals.shape != (len(W),):
+            raise InvalidArgument(f"functional {self.name or '<anon>'}: "
+                                  f"eval_batch returned shape {vals.shape} "
+                                  f"for {len(W)} rows")
+        bad = np.isnan(vals) | (vals == -math.inf)
+        if bad.any():
+            raise InvalidArgument(f"functional {self.name or '<anon>'} "
+                                  f"returned {vals[bad][0]}")
+        return vals
+
 
 # ---------------------------------------------------------------------------
 # raw-array norm kernels (shared with the K estimator and the engines)
+#
+# Each kernel takes one vector (N,) and returns a scalar, or a block (k, N)
+# of rows and returns the (k,) row norms, each bit-equal to the norm of its
+# row alone: sums run along the last axis (numpy's pairwise summation per
+# row) and the final root is libm pow per row, as numpy's scalar power is.
+
+def _pow_rows(x, e):
+    """x ** e by libm pow: numpy's scalar power for a scalar, ``math.pow``
+    row by row for an array (numpy's array power can differ in the last
+    bit)."""
+    if type(x) is np.ndarray:
+        return np.array([math.pow(b, e) for b in x.tolist()])
+    return x ** e
+
+
+_sum_rows = functools.partial(np.add.reduce, axis=-1)
+
+
+def _edge_diffs(v, spacing):
+    """|forward differences| / spacing along the last axis of v extended by
+    a zero at both ends (one more entry than v on that axis)."""
+    d = np.empty(v.shape[:-1] + (v.shape[-1] + 1,))
+    d[..., 0] = v[..., 0]
+    np.subtract(v[..., 1:], v[..., :-1], out=d[..., 1:-1])
+    d[..., -1] = -v[..., -1]
+    return np.abs(d / spacing)
+
 
 def _norm_X_raw(values, dimension, n, spacing, measure, p):
     if dimension == 1:
-        pad = np.concatenate(([0.0], values, [0.0]))
-        grad = np.abs(np.diff(pad) / spacing)
-        body = np.sum(grad ** p) * measure + np.sum(np.abs(values) ** p) * measure
-        return body ** (1.0 / p)
-    v = values.reshape(n, n)
-    gx = np.abs(np.diff(np.pad(v, ((1, 1), (0, 0))), axis=0) / spacing)
-    gy = np.abs(np.diff(np.pad(v, ((0, 0), (1, 1))), axis=1) / spacing)
-    body = (np.sum(gx ** p) + np.sum(gy ** p)) * measure \
-        + np.sum(np.abs(v) ** p) * measure
-    return body ** (1.0 / p)
+        grad = _sum_rows(_edge_diffs(values, spacing) ** p)
+    else:
+        v = values.reshape(values.shape[:-1] + (n, n))
+        gx = np.swapaxes(_edge_diffs(np.swapaxes(v, -1, -2), spacing), -1, -2)
+        gy = _edge_diffs(v, spacing)
+        # each sum runs over one whole field in C order, as for one grid
+        flat = values.shape[:-1] + (-1,)
+        grad = (_sum_rows((gx ** p).reshape(flat))
+                + _sum_rows((gy ** p).reshape(flat)))
+    body = grad * measure + _sum_rows(np.abs(values) ** p) * measure
+    return _pow_rows(body, 1.0 / p)
 
 
 def _lr_norm_raw(values, measure, r):
-    return (np.sum(np.abs(values) ** r) * measure) ** (1.0 / r)
+    return _pow_rows(_sum_rows(np.abs(values) ** r) * measure, 1.0 / r)
 
 
 def _norm_V_raw(values, measure, p, q_V):
-    return max(_lr_norm_raw(values, measure, p), _lr_norm_raw(values, measure, q_V))
+    a, b = _lr_norm_raw(values, measure, p), _lr_norm_raw(values, measure, q_V)
+    return max(a, b) if values.ndim == 1 else np.maximum(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, norm_X, theta, function_to_json,
-                        _matrices, _norm_V_raw, _norm_X_raw)
+                        _matrices, _norm_V_raw, _norm_X_raw, _pow_rows)
 from .rearrange import (approx_symmetrize, is_family_fixed, polarize,
                         polarizer_sequence_json, schwarz)
 from .slopes import strong_slope
@@ -60,7 +60,10 @@ class SetOracle:
 
     ``project`` must land inside the set (a feasibility oracle, not
     necessarily the metric projection).  Stability flags declare closure
-    under polarization / symmetrization for the symmetric principles."""
+    under polarization / symmetrization for the symmetric principles.  The
+    built-in kinds ``space``, ``cone`` and ``box`` also act on a block
+    (k, N) of rows (``contains`` then answers per row); the samplers call
+    any other oracle once per row."""
 
     contains: Callable[[np.ndarray], bool]
     project: Callable[[np.ndarray], np.ndarray]
@@ -79,7 +82,7 @@ def whole_space(space: GridSpace) -> SetOracle:
 
 def nonneg_cone(space: GridSpace) -> SetOracle:
     """The cone S of nonnegative functions; projection is pointwise clip."""
-    return SetOracle(contains=lambda v: bool(np.all(v >= 0.0)),
+    return SetOracle(contains=lambda v: np.all(v >= 0.0, axis=-1),
                      project=lambda v: np.maximum(v, 0.0),
                      kind="cone", description="S")
 
@@ -87,14 +90,16 @@ def nonneg_cone(space: GridSpace) -> SetOracle:
 def box_set(space: GridSpace, lo, hi) -> SetOracle:
     lo = np.broadcast_to(np.asarray(lo, float), (space.n_cells,)).copy()
     hi = np.broadcast_to(np.asarray(hi, float), (space.n_cells,)).copy()
-    return SetOracle(contains=lambda v: bool(np.all(v >= lo - 1e-12) and np.all(v <= hi + 1e-12)),
+    return SetOracle(contains=lambda v: np.all((v >= lo - 1e-12)
+                                               & (v <= hi + 1e-12), axis=-1),
                      project=lambda v: np.clip(v, lo, hi),
                      kind="box", lo=lo, hi=hi,
                      description=f"box[{lo.min():g},{hi.max():g}]")
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# metrics: ``norm`` and ``dist`` take one vector, or a block (k, N) of rows
+# and then return the (k,) row values
 
 class XMetric:
     name = "X"
@@ -142,6 +147,8 @@ class CallableMetric:
         self.name = name
 
     def norm(self, values) -> float:
+        if np.ndim(values) == 2:
+            return np.array([float(self._fn(w)) for w in values])
         return float(self._fn(values))
 
     def dist(self, a, b) -> float:
@@ -338,66 +345,89 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
     return best_f, log, best_x
 
 
+# rows drawn and scored at a time by sample_inequality (bounds its memory)
+_SAMPLE_BLOCK = 512
+
+
+def _project_rows(domain: SetOracle, W):
+    """The rows of the block W projected into ``domain``, keeping those the
+    domain contains, in order; a custom oracle is called once per row."""
+    if domain is None or domain.kind == "space":
+        return W
+    if domain.kind in ("cone", "box"):
+        P = domain.project(W)
+        return P[domain.contains(P)]
+    rows = [np.asarray(domain.project(w), float) for w in W]
+    return np.array([w for w in rows if domain.contains(w)]).reshape(
+        -1, W.shape[1])
+
+
 def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
                       radii, metric_norm, domain: SetOracle = None,
                       width=None, extra_points=()):
     """Max deficit of an inequality over ball-radii + global probes.
 
-    Draws come sequentially from one seeded stream, so a run with more
-    samples extends a run with fewer (the max can only grow)."""
+    Sample i is a point on the sphere of radius ``radii[i % (len(radii)+1)]``
+    around v, or a global probe when that index is len(radii).  ``deficit``
+    and ``metric_norm`` score a block (k, N) of points row by row.  Draws
+    come sequentially from one seeded stream, a block at a time (a block
+    draw equals the same draws made one by one), so a run with more samples
+    extends a run with fewer (the max can only grow); the first strict
+    maximum above 0 wins, the extra points first."""
     rng = np.random.default_rng(seed)
     n_dim = space.n_cells
     if width is None:
         width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
+    n_ball = len(radii)
+    radius_of = np.asarray(radii, float)
     maxv, arg = 0.0, None
 
-    def consider(w):
+    def consider(W):
         nonlocal maxv, arg
-        if domain is not None:
-            w = domain.project(w)
-            if not domain.contains(w):
-                return
-        d = deficit(w)
-        if d > maxv:
-            maxv, arg = d, np.array(w)
+        W = _project_rows(domain, W)
+        if len(W) == 0:
+            return
+        d = deficit(W)
+        j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
+        if d[j] > maxv:
+            maxv, arg = d[j], W[j].copy()
 
-    for w in extra_points:
-        consider(np.asarray(w, float))
-    for i in range(n_samples):
-        z = rng.standard_normal(n_dim)
-        k = i % (len(radii) + 1)
-        if k < len(radii):
-            nz = metric_norm(z)
-            if nz == 0.0:
-                continue
-            consider(v_vals + radii[k] * z / nz)
-        else:
-            consider(v_vals + width * (2.0 * (z % 1.0) - 1.0))
+    if len(extra_points):
+        consider(np.array([np.asarray(w, float) for w in extra_points]))
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        Z = rng.standard_normal((min(_SAMPLE_BLOCK, n_samples - start), n_dim))
+        slot = (start + np.arange(len(Z))) % (n_ball + 1)
+        ball, probe = slot < n_ball, slot == n_ball
+        W = np.empty_like(Z)
+        W[probe] = v_vals + width * (2.0 * (Z[probe] % 1.0) - 1.0)
+        nz = metric_norm(Z[ball])
+        zero = nz == 0.0
+        W[ball] = v_vals + (radius_of[slot[ball], None] * Z[ball]
+                            / np.where(zero, 1.0, nz)[:, None])
+        consider(np.delete(W, np.flatnonzero(ball)[zero], axis=0))
     gf = None if arg is None else GridFunction(space, arg)
     return ViolationReport(n_samples=n_samples, max_violation=maxv,
                            argmax_w=gf, seed=int(seed))
 
 
 def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
-    """w ↦ deficit (> 0 violates) of the certificate's inequality, at issue
-    and at re-verification; ``fv`` is f(v).  SymBP: f(w) ≥ f(v) +
-    σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck: f(w) + g(w) ≥ f(v) + g(v); otherwise
-    f(w) ≥ f(v) − σc‖w−v‖, c the Zhong weight at v (1 for other kinds)."""
+    """W ↦ deficits (> 0 violates) of the certificate's inequality at the
+    rows w of the block W, at issue and at re-verification; ``fv`` is f(v).
+    SymBP: f(w) ≥ f(v) + σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck: f(w) + g(w) ≥
+    f(v) + g(v); otherwise f(w) ≥ f(v) − σc‖w−v‖, c the Zhong weight at v
+    (1 for other kinds).  Each row's deficit is bit-equal to the deficit of
+    that point alone."""
     space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
     if cert.variant == "SymBP":
         eta, p = cert.eta.values, cert.p_exp
         dve = metric.dist(v_vals, eta) ** p
-        return lambda w: (fv + sigma * (dve - metric.dist(w, eta) ** p)
-                          - f(GridFunction(space, w)))
+        return lambda W: (fv + sigma * (dve - _pow_rows(metric.dist(W, eta), p))
+                          - f._eval_rows(space, W))
     if cert.variant == "DGZCheck":
         fgv = fv + g(cert.v)
-
-        def deficit(w):
-            wgf = GridFunction(space, w)
-            return fgv - f(wgf) - g(wgf)
-        return deficit
+        return lambda W: fgv - f._eval_rows(space, W) - g._eval_rows(space, W)
     s = sigma * cert.extras.get("weight_at_v", 1)
-    return lambda w: fv - s * metric.dist(w, v_vals) - f(GridFunction(space, w))
+    return lambda W: fv - s * metric.dist(W, v_vals) - f._eval_rows(space, W)
 
 
 def _sampler_radii(cert: Certificate):
@@ -731,9 +761,9 @@ def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho,
 
     Theorem conclusion (c) says minimizing sequences of w ↦ f(w)+σ‖w−v‖
     converge to v; the moduli should shrink with δ."""
-    table = []
     deltas = [sigma * rho, sigma * rho / 4, sigma * rho / 16, sigma * rho / 64]
     samples = []
+    # normal and uniform draws interleave, so they stay one at a time
     for _ in range(n_per_delta):
         z = rng.standard_normal(space.n_cells)
         nz = metric.norm(z)
@@ -741,14 +771,11 @@ def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho,
             continue
         r = rng.uniform(0, 4 * rho)
         samples.append(v_vals + r * z / nz)
-    for d in deltas:
-        worst = 0.0
-        for w in samples:
-            val = f(GridFunction(space, w)) + sigma * metric.dist(w, v_vals)
-            if val <= fv + d:
-                worst = max(worst, metric.dist(w, v_vals))
-        table.append([float(d), float(worst)])
-    return table
+    W = np.reshape(samples, (-1, space.n_cells))
+    dist = metric.dist(W, v_vals)
+    val = f._eval_rows(space, W) + sigma * dist
+    return [[float(d), float(max(dist[val <= fv + d], default=0.0))]
+            for d in deltas]
 
 
 def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,

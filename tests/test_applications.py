@@ -644,6 +644,32 @@ def test_drop_membership_edge_cases(g1d4):
         assert not drop_membership(
             g1d4.function(x + s * (center.values - sx)), D)
 
+def test_symmetric_ball_center_must_be_reflection_symmetric(g1d4):
+    # schwarz of a random function on an even grid is fixed by every
+    # registered polarizer but not by the reflection average that the
+    # ball's project and contains use; with it, project left the ball
+    from symvar import NotSymmetricInput, is_family_fixed
+
+    center = schwarz(g1d4.function(
+        np.random.default_rng(0).uniform(0, 4, 4)))
+    assert np.allclose(center.values, [0.164, 2.548, 1.079, 0.066],
+                       atol=1e-3)
+    assert is_family_fixed(center)
+    with pytest.raises(NotSymmetricInput):
+        Ball(center, 1.0, symmetric=True)
+    # the defect the check keeps out: set the flag after construction
+    unchecked = Ball(center, 1.0)
+    unchecked.symmetric = True
+    assert not unchecked.contains(
+        unchecked.project(np.array([10.0, 0.0, 0.0, 10.0])))
+    # a reflection-symmetric, family-fixed center keeps project inside
+    B = Ball(g1d4.function([1.0, 2.0, 2.0, 1.0]), 1.0, symmetric=True)
+    rng = np.random.default_rng(1)
+    for y in [np.array([10.0, 0.0, 0.0, 10.0])] + list(
+            3.0 * rng.standard_normal((50, 4))):
+        assert B.contains(B.project(y))
+
+
 def _criterion9_drop(g):
     """The hand-geometry drop: from the origin to a symmetric ball that is
     a diagonal segment."""

@@ -357,3 +357,34 @@ def test_registered_power_nonlinearities_are_bitwise_elementwise():
         arr = fn(s)
         per = np.array([fn(float(v)) for v in s])
         assert np.array_equal(arr, per)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 128), (2, 4)])
+def test_eval_batch_equals_call_bitwise(dimension, n):
+    # every registered functional that defines eval_batch gives on a block
+    # exactly what __call__ gives on each row
+    from symvar.cli import FUNCTIONALS, _check, _fn_object, _to_grid
+    from symvar.funcspace import GridFunction
+
+    space = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(n)
+    W = rng.standard_normal((300, space.n_cells)) \
+        * rng.uniform(1e-2, 1e2, (300, 1))
+    batched = []
+    for name, fn in FUNCTIONALS.items():
+        if fn.kind != "functional":
+            continue
+        for given in ({}, {"center": list(rng.standard_normal(space.n_cells)),
+                           "radius": 0.7}):
+            params = _check({"name": name, **{k: v for k, v in given.items()
+                                              if k in fn.params}},
+                            _fn_object(name), "functional")
+            _to_grid(space, params, fn.params, "functional")
+            f = fn.build(space, params)
+            if f.eval_batch is None:
+                continue
+            batched.append(name)
+            rows = f.eval_batch(W)
+            assert np.array_equal(
+                rows, [f(GridFunction(space, w)) for w in W]), name
+    assert {"quadratic", "double_well"} <= set(batched)

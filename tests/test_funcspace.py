@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symvar import (GridFunction, InvalidExponent, InvalidGrid, SpaceMismatch,
+from symvar import (Functional, GridFunction, InvalidArgument,
+                    InvalidExponent, InvalidGrid, SpaceMismatch,
                     function_from_json, function_to_json, make_grid, norm_Lr,
                     norm_V, norm_W, norm_X, theta)
-from symvar.funcspace import _matrices, gram_matrix, riesz_from_euclidean
+from symvar.funcspace import (_lr_norm_raw, _matrices, _norm_V_raw,
+                              _norm_X_raw, gram_matrix, riesz_from_euclidean)
 
 
 def test_make_grid_1d_four_cells():
@@ -175,3 +177,74 @@ def test_riesz_reuses_cached_factor(g1d8):
     after = _matrices.cache_info()
     assert after.hits - before.hits == 3
     assert after.misses == before.misses
+
+
+def _norm_X_padded(values, dimension, n, spacing, measure, p):
+    """The norm_X kernel as first written, with np.pad and np.concatenate:
+    the reference the row kernels must match bit for bit."""
+    if dimension == 1:
+        pad = np.concatenate(([0.0], values, [0.0]))
+        grad = np.abs(np.diff(pad) / spacing)
+        body = np.sum(grad ** p) * measure + np.sum(np.abs(values) ** p) * measure
+        return body ** (1.0 / p)
+    v = values.reshape(n, n)
+    gx = np.abs(np.diff(np.pad(v, ((1, 1), (0, 0))), axis=0) / spacing)
+    gy = np.abs(np.diff(np.pad(v, ((0, 0), (1, 1))), axis=1) / spacing)
+    body = (np.sum(gx ** p) + np.sum(gy ** p)) * measure \
+        + np.sum(np.abs(v) ** p) * measure
+    return body ** (1.0 / p)
+
+
+def _lr_norm_plain(values, measure, r):
+    return (np.sum(np.abs(values) ** r) * measure) ** (1.0 / r)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 128), (2, 4),
+                                         (2, 16)])
+def test_row_kernels_equal_scalar_kernels(dimension, n, p):
+    rng = np.random.default_rng(n + int(p))
+    N = n ** dimension
+    h = 2.0 / n
+    m = h ** dimension
+    q = 2.0 * p + 1.0
+    block = rng.standard_normal((200, N)) * rng.uniform(1e-3, 1e3, (200, 1))
+    block[[0, 77]] = 0.0
+    rows_X = _norm_X_raw(block, dimension, n, h, m, p)
+    rows_V = _norm_V_raw(block, m, p, q)
+    rows_L = _lr_norm_raw(block, m, q)
+    assert rows_X.shape == rows_V.shape == rows_L.shape == (200,)
+    assert rows_X[0] == rows_V[77] == rows_L[0] == 0.0
+    for j, w in enumerate(block):
+        one = _norm_X_raw(w, dimension, n, h, m, p)
+        assert one == rows_X[j] == _norm_X_padded(w, dimension, n, h, m, p)
+        assert type(one) is np.float64
+        assert (_norm_V_raw(w, m, p, q) == rows_V[j]
+                == max(_lr_norm_plain(w, m, p), _lr_norm_plain(w, m, q)))
+        assert _lr_norm_raw(w, m, q) == rows_L[j] == _lr_norm_plain(w, m, q)
+
+
+def test_eval_rows_fallback_and_checks(g1d4):
+    calls = []
+
+    def ev(u):
+        calls.append(1)
+        return float(u.values @ u.values) ** 0.5
+
+    f = Functional(eval=ev, name="root")
+    W = np.random.default_rng(2).standard_normal((5, 4))
+    assert np.array_equal(f._eval_rows(g1d4, W),
+                          [f(GridFunction(g1d4, w)) for w in W])
+    assert len(calls) == 10
+    assert f._eval_rows(g1d4, W[:0]).shape == (0,)
+    inf_ok = Functional(eval=ev, eval_batch=lambda W: np.full(len(W), np.inf))
+    assert np.all(inf_ok._eval_rows(g1d4, W) == np.inf)
+    for bad in (np.nan, -np.inf):
+        for g in (Functional(eval=lambda u, b=bad: b, name="bad"),
+                  Functional(eval=ev, name="bad",
+                             eval_batch=lambda W, b=bad: np.full(len(W), b))):
+            with pytest.raises(InvalidArgument, match="functional bad"):
+                g._eval_rows(g1d4, W)
+    wrong = Functional(eval=ev, eval_batch=lambda W: np.zeros(len(W) + 1))
+    with pytest.raises(InvalidArgument, match="shape"):
+        wrong._eval_rows(g1d4, W)

@@ -743,3 +743,217 @@ def test_sqps_error_carries_schedule_index(g1d4):
         sqps_sequence(f, g1d4, [0.1, 0.05], minimizing_sequence=minseq,
                       seed=0, n_samples=50, q_probes=4)
     assert "h=0" in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# block sampling against the per-sample loop
+
+def _reference_sample(deficit, space, v_vals, *, n_samples, seed, radii,
+                      metric_norm, domain=None, width=None, extra_points=()):
+    """sample_inequality as first written: one draw, one norm and one
+    deficit per sample, on single points."""
+    rng = np.random.default_rng(seed)
+    if width is None:
+        width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
+    maxv, arg = 0.0, None
+
+    def consider(w):
+        nonlocal maxv, arg
+        if domain is not None:
+            w = domain.project(w)
+            if not domain.contains(w):
+                return
+        d = deficit(w)
+        if d > maxv:
+            maxv, arg = d, np.array(w)
+
+    for w in extra_points:
+        consider(np.asarray(w, float))
+    for i in range(n_samples):
+        z = rng.standard_normal(space.n_cells)
+        k = i % (len(radii) + 1)
+        if k < len(radii):
+            nz = metric_norm(z)
+            if nz == 0.0:
+                continue
+            consider(v_vals + radii[k] * z / nz)
+        else:
+            consider(v_vals + width * (2.0 * (z % 1.0) - 1.0))
+    return maxv, arg
+
+
+def _sampling_metrics(space):
+    from symvar.principles import CallableMetric, VMetric
+
+    return {"X": XMetric(space), "V": VMetric(space),
+            "l1": CallableMetric(lambda z: float(np.sum(np.abs(z))), "l1"),
+            # zero on about half the draws: those ball samples are skipped
+            "semi": CallableMetric(lambda z: max(float(z[0]), 0.0), "semi")}
+
+
+def _sampling_domains(space):
+    from symvar import SetOracle
+
+    return {"none": None, "space": whole_space(space),
+            "cone": nonneg_cone(space),
+            "box": box_set(space, 0.0, 1.3),
+            "custom": SetOracle(contains=lambda v: v[0] <= v[-1] + 0.3,
+                                project=lambda v: np.maximum(v, -0.5))}
+
+
+def _scalar_deficit(f, cert, metric, fv, g=None):
+    """Per-point deficit of each certificate form, on single points."""
+    space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
+    if cert.variant == "SymBP":
+        eta, p = cert.eta.values, cert.p_exp
+        dve = metric.dist(v_vals, eta) ** p
+        return lambda w: (fv + sigma * (dve - metric.dist(w, eta) ** p)
+                          - f(GridFunction(space, w)))
+    if cert.variant == "DGZCheck":
+        fgv = fv + g(cert.v)
+        return lambda w: (fgv - f(GridFunction(space, w))
+                          - g(GridFunction(space, w)))
+    return lambda w: fv - sigma * metric.dist(w, v_vals) \
+        - f(GridFunction(space, w))
+
+
+@pytest.mark.parametrize("metric_name", ["X", "V", "l1", "semi"])
+@pytest.mark.parametrize("domain_name", ["none", "space", "cone", "box",
+                                         "custom"])
+def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
+                                                  domain_name):
+    from symvar.cli import FUNCTIONALS
+    from symvar.principles import _deficit, sample_inequality
+
+    a = sym_center(g1d4, 40)
+    v = a + g1d4.function([0.05, -0.02, 0.04, 0.1])
+    eta = v + g1d4.function([0.01, 0.02, 0.0, -0.01])
+    metric = _sampling_metrics(g1d4)[metric_name]
+    domain = _sampling_domains(g1d4)[domain_name]
+    batched = FUNCTIONALS["quadratic"].build(g1d4, {"center": a})
+    assert batched.eval_batch is not None
+    bump = bump_perturbation(g1d4, v, 0.05, 0.3)
+    positive = 0
+    for f, variant, g in ((batched, "SymEkelandII", None),
+                          (quad_X(a), "SymEkelandII", None),
+                          (batched, "SymBP", None),
+                          (quad_X(a), "DGZCheck", bump)):
+        cert = Certificate(variant=variant, v=v, sigma=0.1, rho=0.1,
+                           p_exp=2.0, eta=eta)
+        fv = f(v)
+        kw = dict(n_samples=1100, seed=5, radii=(0.4, 0.1, 0.025),
+                  domain=domain,
+                  extra_points=[a.values, v.values + 0.01, np.zeros(4)])
+        block_deficit = _deficit(f, cert, metric, fv, g)
+        point_deficit = _scalar_deficit(f, cert, metric, fv, g)
+        scored, ref_scored = [], []
+        rep = sample_inequality(
+            lambda W: scored.append(W.copy()) or block_deficit(W), g1d4,
+            v.values, metric_norm=metric.norm, **kw)
+        maxv, arg = _reference_sample(
+            lambda w: ref_scored.append(w) or point_deficit(w), g1d4,
+            v.values, metric_norm=metric.norm, **kw)
+        # the same points scored in the same order, and the same winner
+        assert np.array_equal(np.concatenate(scored), ref_scored)
+        assert rep.max_violation == maxv
+        if arg is None:
+            assert rep.argmax_w is None
+        else:
+            assert np.array_equal(rep.argmax_w.values, arg)
+            positive += 1
+    assert positive >= 2
+
+
+def test_sample_inequality_prefix_property(g1d4):
+    # one stream drawn a block at a time: every run is a prefix of a longer
+    # run, so the maximum only rises with n_samples
+    from symvar.principles import _deficit, sample_inequality
+
+    a = sym_center(g1d4, 41)
+    v = a + g1d4.function([0.05, -0.02, 0.04, 0.1])
+    f = quad_X(a)
+    cert = Certificate(variant="EkelandCore", v=v, sigma=0.1, rho=0.1)
+    metric = XMetric(g1d4)
+    # two radii: three sample kinds, which do not divide the block size
+    for radii in ((0.4, 0.1, 0.025), (0.3, 0.05)):
+        seen = []
+        for n in (1, 100, 511, 512, 513, 1500):
+            kw = dict(n_samples=n, seed=9, radii=radii,
+                      metric_norm=metric.norm)
+            rep = sample_inequality(_deficit(f, cert, metric, f(v)), g1d4,
+                                    v.values, **kw)
+            assert rep.n_samples == n
+            assert (rep.max_violation, None if rep.argmax_w is None else
+                    list(rep.argmax_w.values)) == _ref_pair(
+                _reference_sample(_scalar_deficit(f, cert, metric, f(v)),
+                                  g1d4, v.values, **kw))
+            seen.append(rep.max_violation)
+        assert seen == sorted(seen) and seen[-1] > 0.0
+
+
+def test_sample_inequality_ties_and_nan(g1d4):
+    # a flat deficit ties everywhere: the first point scored wins, the
+    # first extra point when there is one
+    from symvar.principles import sample_inequality
+
+    v = np.array([0.3, 0.5, 0.5, 0.3])
+    kw = dict(n_samples=1100, seed=4, radii=(0.4, 0.1, 0.025),
+              metric_norm=XMetric(g1d4).norm)
+    for extra in ([], [np.ones(4), np.zeros(4)]):
+        rep = sample_inequality(lambda W: np.full(len(W), 0.5), g1d4, v,
+                                extra_points=extra, **kw)
+        maxv, arg = _reference_sample(lambda w: 0.5, g1d4, v,
+                                      extra_points=extra, **kw)
+        assert rep.max_violation == maxv == 0.5
+        assert np.array_equal(rep.argmax_w.values, arg)
+    assert np.array_equal(rep.argmax_w.values, np.ones(4))
+    # a NaN deficit never wins, and does not hide the other rows
+    rep = sample_inequality(
+        lambda W: np.where(W[:, 0] > 0.3, np.nan, W[:, 1]), g1d4, v, **kw)
+    maxv, arg = _reference_sample(
+        lambda w: np.nan if w[0] > 0.3 else w[1], g1d4, v, **kw)
+    assert rep.max_violation == maxv > 0.0
+    assert np.array_equal(rep.argmax_w.values, arg)
+
+
+def _ref_pair(maxv_arg):
+    maxv, arg = maxv_arg
+    return maxv, None if arg is None else list(arg)
+
+
+def test_stability_modulus_scores_each_sample_once(g1d4):
+    # the per-δ table of variant IV equals the loop that re-evaluated every
+    # sample once per δ, with f evaluated once per sample
+    from symvar.cli import FUNCTIONALS
+    from symvar.principles import _stability_modulus
+
+    a = sym_center(g1d4, 42)
+    v = a + g1d4.function([0.01, 0.0, 0.02, 0.0])
+    metric = XMetric(g1d4)
+    sigma, rho = 0.1, 0.2
+    for f in (quad_X(a), FUNCTIONALS["quadratic"].build(g1d4, {"center": a})):
+        fv = f(v)
+        rng = np.random.default_rng(3)
+        samples = []
+        for _ in range(400):
+            z = rng.standard_normal(4)
+            nz = metric.norm(z)
+            r = rng.uniform(0, 4 * rho)
+            samples.append(v.values + r * z / nz)
+        expected = []
+        for d in (sigma * rho, sigma * rho / 4, sigma * rho / 16,
+                  sigma * rho / 64):
+            worst = 0.0
+            for w in samples:
+                val = f(GridFunction(g1d4, w)) + sigma * metric.dist(w, v.values)
+                if val <= fv + d:
+                    worst = max(worst, metric.dist(w, v.values))
+            expected.append([float(d), float(worst)])
+        calls = Counter()
+        counted = Functional(eval=lambda u: calls.update("f") or f(u),
+                             eval_batch=f.eval_batch)
+        table = _stability_modulus(counted, g1d4, v.values, fv, sigma, metric,
+                                   np.random.default_rng(3), rho=rho)
+        assert table == expected
+        assert any(w > 0.0 for _, w in table)
+        assert calls["f"] == (0 if f.eval_batch else 400)
