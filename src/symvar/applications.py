@@ -627,28 +627,34 @@ class Ball:
     def __post_init__(self):
         if self.norm is None:
             self.norm = _default_norm(self.center.space)
-        # the center must also be fixed by _sym_project, the reflection
-        # average that project and contains use: a function fixed by every
-        # registered polarizer need not be reflection-symmetric
+        # the center must also be fixed by the reflections that project and
+        # contains average over: a function fixed by every registered
+        # polarizer need not be reflection-symmetric
         c = self.center.values
         if self.symmetric and not (
                 is_family_fixed(self.center)
-                and np.max(np.abs(c - self._sym_project(c))) <= 1e-12):
+                and all(np.array_equal(c, g) for g in self._images(c))):
             raise NotSymmetricInput("a symmetric ball needs a fully "
                                     "symmetric center")
+
+    def _images(self, vals):
+        """vals under each element of the reflection group generated by the
+        β = 0 polarizers, the identity first."""
+        space = self.center.space
+        if space.dimension == 1:
+            return [vals, vals[::-1]]
+        v = vals.reshape(space.n, space.n)
+        imgs = []
+        for a in (v, v[::-1, :], v[:, ::-1], v[::-1, ::-1]):
+            imgs.extend((a.ravel(), a.T.ravel()))
+        return imgs
 
     def _sym_project(self, vals):
         """Average over the reflection group generated by the β = 0
         polarizers: the L² projector onto the fixed subspace."""
-        space = self.center.space
-        if space.dimension == 1:
+        if self.center.space.dimension == 1:
             return 0.5 * (vals + vals[::-1])
-        n = space.n
-        v = vals.reshape(n, n)
-        imgs = []
-        for a in (v, v[::-1, :], v[:, ::-1], v[::-1, ::-1]):
-            imgs.extend((a, a.T))
-        return (sum(imgs) / 8.0).ravel()
+        return sum(self._images(vals)) / 8.0
 
     def contains(self, vals, tol=1e-12) -> bool:
         if self.symmetric:

@@ -158,9 +158,10 @@ def _fn_quadratic(space, params):
         return float(d @ gram @ d)
 
     def ev_rows(W):
-        # per row the same gemv and ddot as ev
+        # per row the same gemv and ddot as ev: a stacked (1, N) @ (N, N)
+        # is a gemv and a stacked (1, N) @ (N, 1) a ddot
         D = W - a.values
-        return np.vecdot(np.matmul(D[:, None, :], gram)[:, 0, :], D)
+        return np.matmul(np.matmul(D[:, None, :], gram), D[:, :, None])[:, 0, 0]
 
     def dv(u):
         return GridFunction(space, 2.0 * (u.values - a.values))
@@ -184,8 +185,8 @@ def _fn_double_well(space, params):
 
     def ev_rows(W):
         # the same ddot per row; the square stays libm pow, as in ev
-        return np.array([(m * s - r2) ** 2
-                         for s in np.vecdot(W, W).tolist()])
+        sq = np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
+        return np.array([(m * s - r2) ** 2 for s in sq.tolist()])
 
     def dv(u):
         g = 4.0 * (m * float(u.values @ u.values) - r2) * m * u.values

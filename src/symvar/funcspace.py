@@ -231,7 +231,7 @@ def _lr_norm_raw(values, measure, r):
 
 def _norm_V_raw(values, measure, p, q_V):
     a, b = _lr_norm_raw(values, measure, p), _lr_norm_raw(values, measure, q_V)
-    return max(a, b) if values.ndim == 1 else np.maximum(a, b)
+    return np.maximum(a, b)
 
 
 # ---------------------------------------------------------------------------

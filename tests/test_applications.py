@@ -670,6 +670,25 @@ def test_symmetric_ball_center_must_be_reflection_symmetric(g1d4):
         assert B.contains(B.project(y))
 
 
+def test_symmetric_ball_accepts_large_symmetric_2d_center(g2d4):
+    # an exactly symmetric 2D center near 1.2e4: the reflection average
+    # rounds about 1 ulp (≈ 1.8e-12) away from it, so the symmetry check
+    # must compare the reflected images exactly, not the average
+    from symvar import NotSymmetricInput
+
+    x = np.arange(4) + 0.5 - 2.0
+    c = 12345.678 + np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 4.0)
+    center = g2d4.function(c.ravel())
+    B = Ball(center, 1.0, symmetric=True)
+    assert np.max(np.abs(c.ravel() - B._sym_project(c.ravel()))) > 1e-12
+    assert B.contains(center.values)
+    # one cell off its reflections is still rejected
+    bumped = c.copy()
+    bumped[0, 1] = np.nextafter(bumped[0, 1], np.inf)
+    with pytest.raises(NotSymmetricInput):
+        Ball(g2d4.function(bumped.ravel()), 1.0, symmetric=True)
+
+
 def _criterion9_drop(g):
     """The hand-geometry drop: from the origin to a symmetric ball that is
     a diagonal segment."""
