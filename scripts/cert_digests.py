@@ -8,7 +8,8 @@ both commits and diffs the two outputs::
     PYTHONPATH=src python scripts/cert_digests.py > after.txt
 
 Schedule engines (SQPS, semilinear) emit a list of certificates; their
-digest covers the list serialized as the CLI writes it.
+digest covers the list serialized as the CLI writes it.  The ``verify/``
+lines digest the ``ViolationReport`` of a re-verification, as JSON.
 
 It then runs the config table of ``tests/cli_cases.py`` (one small config
 per ``symvar run`` subcommand) through ``run_config`` and prints
@@ -99,6 +100,14 @@ def cubic():
     return ap.SemilinearNonlinearity(
         g=lambda s: s * s * s, G=lambda s: 0.25 * (s * s) * (s * s),
         a1=0.0, a2=0.0, b=3.0, p=4.0, name="cubic")
+
+
+def scaled(f, c):
+    """c·f, the same symmetry class and lower bound."""
+    return Functional(eval=lambda u: c * f(u),
+                      derivative=lambda u: c * f.derivative(u),
+                      symmetry_class=f.symmetry_class,
+                      lower_bound=f.lower_bound, name=f"{c:g}*{f.name}")
 
 
 def l2_sphere(space, level=1.0):
@@ -213,9 +222,26 @@ def cases():
         g2.zeros(), ap.Ball(g2.function([a_min + 1 / np.sqrt(2)] * 2), 1.0,
                             symmetric=True),
         halfplane(), 0.05, seed=2, n_samples=600, minimality_samples=10000)
+    # theorem inputs no library caller sets: a Γ-sequence, a Zhong domain,
+    # and the domain and g that re-verification takes
+    yield "SymEkelandIII/gamma", sym_ekeland(
+        "III", gamma_sequence=([scaled(well, 1.0 + 2.0 ** -h)
+                                for h in range(4)], lambda u, h: u), h0=2)
+    yield "SymZhong/cone", lambda: pr.symmetric_zhong(
+        well, g8, u0, 0.1, 0.1, lambda s: s, domain=nonneg_cone(g8), seed=5,
+        n_samples=N_SAMPLES)
+    yield "verify/SymEkelandI/cone", lambda: pr.verify_certificate(
+        well, sym_ekeland("I", domain=nonneg_cone(g8))(), N_SAMPLES,
+        domain=nonneg_cone(g8), seed=15)
+    bump = pr.bump_perturbation(g8, schwarz(u0), 0.1, 1.0)
+    yield "verify/DGZCheck", lambda: pr.verify_certificate(
+        well, pr.dgz_check(well, bump, schwarz(u0), 0.1, seed=6,
+                           n_samples=N_SAMPLES), N_SAMPLES, g=bump, seed=16)
 
 
 def certificate_bytes(out) -> bytes:
+    if isinstance(out, pr.ViolationReport):
+        return json.dumps(out.to_json_dict(), indent=1).encode()
     if isinstance(out, list):
         return json.dumps([c.to_json_dict() for c in out], indent=1).encode()
     return out.to_json_bytes()

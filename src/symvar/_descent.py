@@ -13,14 +13,20 @@ import math
 import numpy as np
 
 
+# Newton refinement: at most this many steps, Hessian columns by central
+# differences of the gradient with step _FD_STEP·(1 + ‖x‖_∞)
+_NEWTON_ITERS = 6
+_FD_STEP = 1e-5
+
+
 def _finite(x):
     return math.isfinite(x)
 
 
-def armijo_bb_minimize(fun, grad, x0, *, project=None, max_iter=400,
-                       gtol=1e-12, c1=1e-4):
+def armijo_bb_minimize(fun, grad, x0, *, project=None):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
-    backtracking.  Returns (x, f(x)).  ``project`` must be idempotent."""
+    backtracking, at most 400 steps.  Returns (x, f(x)).  ``project`` must
+    be idempotent."""
     x = np.array(x0, float)
     if project is not None:
         x = project(x)
@@ -29,14 +35,14 @@ def armijo_bb_minimize(fun, grad, x0, *, project=None, max_iter=400,
         return x, fx
     g = grad(x)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    for _ in range(max_iter):
+    for _ in range(400):
         gnorm = float(np.linalg.norm(g))
         if project is not None:
             # projected stationarity: x - P(x - g) small
             crit = float(np.linalg.norm(x - project(x - g)))
         else:
             crit = gnorm
-        if crit < gtol:
+        if crit < 1e-12:
             break
         t = step
         accepted = False
@@ -45,7 +51,7 @@ def armijo_bb_minimize(fun, grad, x0, *, project=None, max_iter=400,
             if project is not None:
                 xn = project(xn)
             fn = fun(xn)
-            if _finite(fn) and fn <= fx - c1 * (g @ (x - xn)) and fn < fx:
+            if _finite(fn) and fn <= fx - 1e-4 * (g @ (x - xn)) and fn < fx:
                 accepted = True
                 break
             t *= 0.5
@@ -60,18 +66,18 @@ def armijo_bb_minimize(fun, grad, x0, *, project=None, max_iter=400,
     return x, fx
 
 
-def newton_polish(fun, grad, x, fx, *, iters=6, fd=1e-5):
+def newton_polish(fun, grad, x, fx):
     """Unconstrained Newton refinement with a finite-difference Hessian.
 
     Exact (to rounding) in one step for quadratics; steps are only accepted
     when they do not increase f, so nonconvex objectives stay safe."""
     n = len(x)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         g = grad(x)
         gn = float(np.linalg.norm(g))
         if gn < 1e-14 * (1.0 + abs(fx)):
             break
-        h = fd * (1.0 + float(np.max(np.abs(x))))
+        h = _FD_STEP * (1.0 + float(np.max(np.abs(x))))
         H = np.empty((n, n))
         for j in range(n):
             e = np.zeros(n)
@@ -95,13 +101,13 @@ def newton_polish(fun, grad, x, fx, *, iters=6, fd=1e-5):
     return x, fx
 
 
-def active_set_newton(fun, grad, x, fx, lo, hi, *, iters=6, fd=1e-5, tol=1e-12):
+def active_set_newton(fun, grad, x, fx, lo, hi):
     """Newton refinement on the free coordinates of a box-constrained point."""
     n = len(x)
-    for _ in range(iters):
+    for _ in range(_NEWTON_ITERS):
         g = grad(x)
-        at_lo = (x <= lo + tol) & (g > 0)
-        at_hi = (x >= hi - tol) & (g < 0)
+        at_lo = (x <= lo + 1e-12) & (g > 0)
+        at_hi = (x >= hi - 1e-12) & (g < 0)
         free = ~(at_lo | at_hi)
         if not np.any(free):
             break
@@ -109,7 +115,7 @@ def active_set_newton(fun, grad, x, fx, lo, hi, *, iters=6, fd=1e-5, tol=1e-12):
         if float(np.linalg.norm(gf)) < 1e-14 * (1.0 + abs(fx)):
             break
         idx = np.flatnonzero(free)
-        h = fd * (1.0 + float(np.max(np.abs(x))))
+        h = _FD_STEP * (1.0 + float(np.max(np.abs(x))))
         H = np.empty((len(idx), len(idx)))
         for c, j in enumerate(idx):
             e = np.zeros(n)
@@ -135,8 +141,7 @@ def active_set_newton(fun, grad, x, fx, lo, hi, *, iters=6, fd=1e-5, tol=1e-12):
     return x, fx
 
 
-def compass_minimize(fun, x0, *, scale, project=None, min_step=1e-12,
-                     max_sweeps=400, f_atol=0.0):
+def compass_minimize(fun, x0, *, scale, project=None, f_atol=0.0):
     """Coordinate pattern search; derivative-free, deterministic.
 
     Full ±e_i sweep per iteration, move to the best improving point, halve
@@ -151,7 +156,7 @@ def compass_minimize(fun, x0, *, scale, project=None, min_step=1e-12,
         return x, fx
     step = float(scale)
     n = len(x)
-    for _ in range(max_sweeps):
+    for _ in range(400):
         best_f, best_x = fx, None
         for j in range(n):
             for s in (step, -step):
@@ -164,7 +169,7 @@ def compass_minimize(fun, x0, *, scale, project=None, min_step=1e-12,
                     best_f, best_x = fn, xn
         if best_x is None:
             step *= 0.5
-            if step < min_step:
+            if step < 1e-12:
                 break
         else:
             if fx - best_f < f_atol and step < float(scale) / 8.0:
@@ -175,8 +180,7 @@ def compass_minimize(fun, x0, *, scale, project=None, min_step=1e-12,
 
 
 def minimize_multistart(fun, grad, starts, *, project=None, box=None,
-                        compass_scale=0.25, gtol=1e-12, max_iter=400,
-                        f_atol=0.0):
+                        compass_scale=0.25, f_atol=0.0):
     """Best local minimum over the given starts.
 
     Smooth path (grad given): BB descent, then Newton polish (active-set
@@ -186,8 +190,7 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
     for x0 in starts:
         x0 = np.asarray(x0, float)
         if grad is not None:
-            x, fx = armijo_bb_minimize(fun, grad, x0, project=project,
-                                       gtol=gtol, max_iter=max_iter)
+            x, fx = armijo_bb_minimize(fun, grad, x0, project=project)
             if box is not None:
                 x, fx = active_set_newton(fun, grad, x, fx, box[0], box[1])
             elif project is None:

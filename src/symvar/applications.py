@@ -21,11 +21,11 @@ from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      SeparationViolated)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         laplacian_matrix, norm_V, norm_X, riesz_from_euclidean,
-                        theta)
-from .principles import (Certificate, SetOracle, VMetric, XMetric,
-                         estimate_inf, sqps_sequence, symmetric_ekeland,
-                         whole_space)
-from .rearrange import is_family_fixed, schwarz
+                        theta, _norm_X_raw)
+from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
+                         XMetric, estimate_inf, sqps_sequence,
+                         symmetric_ekeland, whole_space)
+from .rearrange import is_family_fixed, polarize, schwarz
 
 __all__ = [
     "QuasilinearIntegrand", "dirichlet_integrand", "forced_dirichlet_integrand",
@@ -223,13 +223,12 @@ def quasilinear_functional(I: QuasilinearIntegrand,
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
 
 
-def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0,
-              n_starts=4, max_iter=4000):
+def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
     """Discrete dual norm sup {r·v : ‖v‖_X ≤ 1}.
 
     ``solve`` (p = 2): Riesz solve against the X-Gram matrix.
-    ``ascent``: projected gradient ascent on q(v) = r·v/‖v‖_X, multi-start;
-    independent of the solve route."""
+    ``ascent``: projected gradient ascent on q(v) = r·v/‖v‖_X from r and
+    three random starts; independent of the solve route."""
     r = np.asarray(r_euclid, float)
     if method == "solve":
         if space.p != 2.0:
@@ -238,8 +237,6 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0,
         return float(math.sqrt(max(0.0, r @ rep)))
     if method != "ascent":
         raise InvalidArgument(f"unknown dual-norm method {method!r}")
-
-    from .funcspace import _norm_X_raw
 
     def nx(v):
         return _norm_X_raw(v, space.dimension, space.n, space.spacing,
@@ -264,7 +261,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0,
 
     rng = np.random.default_rng(seed)
     best = 0.0
-    starts = [r] + [rng.standard_normal(len(r)) for _ in range(n_starts - 1)]
+    starts = [r] + [rng.standard_normal(len(r)) for _ in range(3)]
     for v in starts:
         v = np.array(v, float)
         if nx(v) == 0:
@@ -272,7 +269,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0,
         v /= nx(v)
         step = 1.0
         qv = q(v)
-        for _ in range(max_iter):
+        for _ in range(4000):
             g = grad_q(v)
             gn = float(np.linalg.norm(g))
             if gn < 1e-14 * (1.0 + abs(qv)):
@@ -292,7 +289,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0,
 
 
 def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
-                           seed=0, n_samples=2000, slack=None,
+                           seed=0, n_samples=2000,
                            u0: GridFunction = None) -> Certificate:
     """Almost-symmetric almost-critical point of the quasi-linear energy.
 
@@ -305,7 +302,7 @@ def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
                                     np.random.default_rng(seed + 1))
         u0 = theta(GridFunction(space, argmin))
     cert = symmetric_ekeland(f, space, u0, eps, eps, variant="II",
-                             seed=seed, n_samples=n_samples, slack=slack)
+                             seed=seed, n_samples=n_samples)
     u_eps = cert.v
     r = quasilinear_residual_vector(I, u_eps)
     if space.p == 2.0:
@@ -326,16 +323,15 @@ def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
 # lower derivative estimator
 
 def lower_derivative(g: Callable[[np.ndarray], np.ndarray], s, delta: float,
-                     n: int = 256, *, levels=(1.0, 0.1, 0.01),
-                     return_log=False):
+                     n: int = 256, *, return_log=False):
     """Estimate the lower derivative: liminf over rational (t, τ) → 0 of
     (g(s+t) − g(s+τ))/(t − τ).
 
     Samples the first n dyadic-rational pairs t = ±δ/2^i, τ = ±δ/2^j
-    (t ≠ τ, i, j < 11) on a decreasing-δ schedule; the finest level's
-    minimum is returned and the schedule is logged.  ``g`` is elementwise on
-    numpy arrays (a constant result is broadcast); an array ``s`` gives one
-    estimate per point, a scalar ``s`` a float."""
+    (t ≠ τ, i, j < 11) on the fixed schedule δ, δ/10, δ/100; the finest
+    level's minimum is returned and the schedule is logged.  ``g`` is
+    elementwise on numpy arrays (a constant result is broadcast); an array
+    ``s`` gives one estimate per point, a scalar ``s`` a float."""
     if delta <= 0:
         raise InvalidArgument("delta must be positive")
     pairs = [(si / 2 ** i, sj / 2 ** j) for i in range(11) for j in range(11)
@@ -344,7 +340,7 @@ def lower_derivative(g: Callable[[np.ndarray], np.ndarray], s, delta: float,
     unit_t, unit_tau = np.reshape(pairs, (-1, 2)).T
     s = np.asarray(s, float)[..., None]
     log = []
-    for lev in levels:
+    for lev in (1.0, 0.1, 0.01):
         d = delta * lev
         t, tau = d * unit_t, d * unit_tau       # exact: ±2^-i scales
         q = (_each(g, s + t) - _each(g, s + tau)) / (t - tau)
@@ -431,7 +427,7 @@ def h_minus1_norm(space: GridSpace, psi_euclid) -> float:
 def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
                           eps_schedule, *, box=None, seed=0, n_samples=2000,
                           minimizing_sequence=None, q_probes=48,
-                          second_order_samples=64, delta_lower=1e-4):
+                          second_order_samples=64):
     """Full experiment: minimizing sequence with vanishing H⁻¹ residual,
     vanishing symmetry defect, and the sampled second-order form
     ∫|Dw|² − ∫D̲g(u_h)w² bounded below.
@@ -469,7 +465,7 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
         u_h = cert.v
         psi = euler_lagrange_residual(N, u_h)
         cert.extras["psi_Hminus1"] = h_minus1_norm(space, psi)
-        dg = lower_derivative(N.g, u_h.values, delta_lower)
+        dg = lower_derivative(N.g, u_h.values, 1e-4)
         worst = math.inf
         for _ in range(second_order_samples):
             w = rng.standard_normal(space.n_cells)
@@ -490,7 +486,7 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
 # fixed points
 
 def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
-                        n_samples=2000, n_spot=16, return_certificate=False):
+                        n_samples=2000, return_certificate=False):
     """Almost-fixed point of a map satisfying the descent condition
     ‖F(u)−u‖ ≤ f(u) − f(F(u)).
 
@@ -506,7 +502,7 @@ def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
         Fu = F(u)
         return metric.dist(Fu.values, u.values) - (f(u) - f(Fu))
 
-    for _ in range(n_spot):
+    for _ in range(16):
         u = GridFunction(space, rng.standard_normal(space.n_cells))
         if caristi_gap(u) > 1e-9 * (1.0 + abs(f(u))):
             raise AssumptionViolated("Caristi condition fails on a probe",
@@ -536,10 +532,12 @@ def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
     return xi, residual
 
 
+# segment parameters t of u + t(F(u) − u) tried for directional contraction
+_CLARKE_T = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
+
 def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
-                       seed=0, n_samples=2000, n_spot=12,
-                       t_grid=(1.0, 0.5, 0.25, 0.125, 0.0625),
-                       return_certificate=False):
+                       seed=0, n_samples=2000, return_certificate=False):
     """Almost-fixed point of a directionally contractive map, minimizing
     f(u) = ‖u − F(u)‖_V through the symmetric principle in the V metric.
 
@@ -551,8 +549,7 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
     rng = np.random.default_rng(seed)
     metric = VMetric(space)
     fam = space.polarizers
-    from .rearrange import polarize
-    for _ in range(n_spot):
+    for _ in range(12):
         u = GridFunction(space, np.abs(rng.standard_normal(space.n_cells)))
         H = fam[rng.integers(len(fam))]
         lhs = F(polarize(u, H))
@@ -566,7 +563,7 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
         base = metric.dist(Fu.values, u.values)
         ok = any(metric.dist(F(GridFunction(space, t * Fu.values + (1 - t) * u.values)).values,
                              Fu.values) <= sig * t * base + 1e-9 * (1 + base)
-                 for t in t_grid)
+                 for t in _CLARKE_T)
         if not ok:
             raise AssumptionViolated("directional contraction fails on a "
                                      "probe", witness=u)
@@ -584,7 +581,7 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
     residual = f(xi)
     # witness t for the directional contraction at xi
     best = None
-    for t in t_grid:
+    for t in _CLARKE_T:
         wt = GridFunction(space, t * Fxi.values + (1 - t) * xi.values)
         if metric.dist(F(wt).values, Fxi.values) <= sig * t * residual + 1e-9 * (1 + residual):
             deficit = max(0.0, f(xi) - eps * metric.dist(wt.values, xi.values)
@@ -657,11 +654,10 @@ class Ball:
         return sum(self._images(vals)) / 8.0
 
     def contains(self, vals, tol=1e-12) -> bool:
-        if self.symmetric:
-            space = self.center.space
-            if not is_family_fixed(theta(GridFunction(space, np.abs(vals)))):
-                if float(np.max(np.abs(vals - self._sym_project(vals)))) > tol:
-                    return False
+        # a symmetric ball lies in the fixed subspace of the reflections
+        if self.symmetric and any(float(np.max(np.abs(vals - g))) > tol
+                                  for g in self._images(vals)):
+            return False
         return self.norm(vals - self.center.values) <= self.radius + tol
 
     def project(self, vals):
@@ -821,10 +817,14 @@ def petal_membership(y: GridFunction, P: Petal) -> bool:
     return lhs <= P.norm(P.x0.values - P.x1.values) + 1e-12
 
 
-def petal_inclusions(P: Petal, *, n_samples=1000, seed=0, tol=1e-9) -> dict:
+_PETAL_TOL = 1e-9
+
+
+def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
     """Verify both displayed inclusions by boundary sampling: the ball
     B_{(1−ε)/(1+ε)‖x0−x1‖}(x1) lies inside the petal, and so does the drop
-    of that ball from x0."""
+    of that ball from x0.  A sample violates when it misses the petal by
+    more than 1e-9 (``_PETAL_TOL``)."""
     space = P.x0.space
     rng = np.random.default_rng(seed)
     d01 = P.norm(P.x0.values - P.x1.values)
@@ -836,26 +836,26 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0, tol=1e-9) -> dict:
         b = ball.boundary_sample(rng)
         lhs = P.eps * P.norm(b - P.x0.values) + P.norm(b - P.x1.values)
         worst = max(worst, lhs - d01)
-        if lhs > d01 + tol:
+        if lhs > d01 + _PETAL_TOL:
             viol_ball += 1
         t = rng.uniform(0.0, 1.0)
         y = P.x0.values + t * (b - P.x0.values)
         lhs = P.eps * P.norm(y - P.x0.values) + P.norm(y - P.x1.values)
         worst = max(worst, lhs - d01)
-        if lhs > d01 + tol:
+        if lhs > d01 + _PETAL_TOL:
             viol_drop += 1
     return {"n_samples": n_samples, "radius": r,
             "ball_violations": viol_ball, "drop_violations": viol_drop,
-            "worst_margin": worst, "tol": tol}
+            "worst_margin": worst, "tol": _PETAL_TOL}
 
 
-def _drop_project(D: Drop, vals, n_t=33):
-    """Feasibility projection onto the drop: scan the segment parameter,
-    pulling the implied ball point back into B (a documented approximation;
-    membership itself stays exact)."""
+def _drop_project(D: Drop, vals):
+    """Feasibility projection onto the drop: scan the segment parameter at
+    32 points t ∈ (0, 1], pulling the implied ball point back into B (a
+    documented approximation; membership itself stays exact)."""
     x = D.vertex.values
     best, best_d = np.array(x), D.ball.norm(vals - x)
-    for t in np.linspace(0.0, 1.0, n_t)[1:]:
+    for t in np.linspace(0.0, 1.0, 33)[1:]:
         b = D.ball.project(x + (vals - x) / t)
         y = x + t * (b - x)
         dy = D.ball.norm(vals - y)
@@ -865,8 +865,8 @@ def _drop_project(D: Drop, vals, n_t=33):
 
 
 def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
-                         seed=0, n_samples=2000, minimality_samples=10000,
-                         slack=None) -> Certificate:
+                         seed=0, n_samples=2000,
+                         minimality_samples=10000) -> Certificate:
     """Drop point: ξ_ε ∈ Drop(x, B) ∩ C with Drop(ξ_ε, B) ∩ C = {ξ_ε}
     (sampled) and ‖ξ_ε − ξ_ε*‖_V < ε.
 
@@ -930,7 +930,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
         u0 = theta(x)
     cert = symmetric_ekeland(f, space, u0, eps, eps, variant="I",
                              domain=Sprime, seed=seed, n_samples=n_samples,
-                             slack=slack, metric=metric)
+                             metric=metric)
     xi = cert.v
     # sampled minimality of Drop(xi, B) ∩ C
     found = 0
@@ -955,7 +955,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
 
 def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
                           eps, *, norm=None, seed=0, n_samples=2000,
-                          minimality_samples=10000, slack=None) -> Certificate:
+                          minimality_samples=10000) -> Certificate:
     """Petal point: ξ_ε ∈ Petal_ε(x, y) ∩ C with the sampled uniqueness
     Petal_ε(ξ_ε, y) ∩ C = {ξ_ε}.
 
@@ -986,14 +986,13 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
             f"petal slope condition fails: ‖x−y‖ = {dxy:.6g} > "
             f"d(y,C) + eps² = {d_est + eps * eps:.6g}")
 
-    from .principles import CallableMetric
     metric = CallableMetric(norm, name="petal-norm")
     f = Functional(eval=lambda u: norm(u.values - y.values),
                    symmetry_class="polarization-nonincreasing",
                    lower_bound=0.0, name="dist-to-y")
     cert = symmetric_ekeland(f, space, theta(x), eps, eps, variant="V",
                              domain=C, seed=seed, n_samples=n_samples,
-                             slack=slack, metric=metric)
+                             metric=metric)
     xi = cert.v
     P = Petal(eps, x, y, norm=norm)
     margin = (eps * norm(xi.values - x.values)

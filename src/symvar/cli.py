@@ -759,8 +759,9 @@ def config_schema() -> dict:
             "allOf": rules}
 
 
-def _check_functional(fdef, sub, path="config.functional"):
+def _check_functional(fdef, sub):
     """(name, checked constants) of the config's functional, or None."""
+    path = "config.functional"
     if fdef is None and sub.default:
         fdef = {"name": sub.default}
     if fdef is None:

@@ -4,8 +4,8 @@ Every engine returns a :class:`Certificate`: the output point, each
 theorem conclusion as a (measured value, theoretical bound) pair, and a
 sampled-verification report of the variational inequality.  A certificate
 PASSes only if every measured value sits under its bound (within
-``tol_cert``) and the sampled inequality deficit stays under the declared
-slack.
+``tol_cert``) and the sampled inequality deficit stays under the fixed
+slack 1e-6·(1 + |f(v)|) of ``default_slack`` (f + g for DGZ).
 
 The true infimum is never available; every "f(v) < inf f + ..." bound is
 certified against ``inf_est`` from a documented multi-start probe whose
@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import lsq_linear
 
 from . import _descent
@@ -48,7 +49,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL_CERT = 1e-7
-DEFAULT_TOL_SYM = 1e-9
+# the sampled symmetry checks allow f(u^H) ≤ f(u) + _TOL_SYM·(1 + |f(u)|)
+_TOL_SYM = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -313,8 +315,9 @@ def _check_start(f_start, inf_est, gap):
 
 
 def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
-                 extra_starts=(), n_random=6):
-    """Documented multi-start minimization probe.
+                 extra_starts=()):
+    """Documented multi-start minimization probe: the origin, the given
+    starts and six random starts.
 
     Returns (inf_est, log, argmin_values).  The estimate is an upper bound
     on inf f over the domain; engines record it and certify against it."""
@@ -327,7 +330,7 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
         starts.append(domain.project(np.asarray(s0, float)))
         tags.append(f"given{j}")
     scale = max(1.0, max(float(np.max(np.abs(s))) for s in starts))
-    for j in range(n_random):
+    for j in range(6):
         starts.append(domain.project(rng.standard_normal(space.n_cells) * scale))
         tags.append(f"random{j}")
 
@@ -364,20 +367,20 @@ def _project_rows(domain: SetOracle, W):
 
 def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
                       radii, metric_norm, domain: SetOracle = None,
-                      width=None, extra_points=()):
+                      extra_points=()):
     """Max deficit of an inequality over ball-radii + global probes.
 
     Sample i is a point on the sphere of radius ``radii[i % (len(radii)+1)]``
-    around v, or a global probe when that index is len(radii).  ``deficit``
-    and ``metric_norm`` score a block (k, N) of points row by row.  Draws
+    around v, or a global probe in the box of half-width max(1, 2‖v‖_∞)
+    around v when that index is len(radii).  ``deficit`` and
+    ``metric_norm`` score a block (k, N) of points row by row.  Draws
     come sequentially from one seeded stream, a block at a time (a block
     draw equals the same draws made one by one), so a run with more samples
     extends a run with fewer (the max can only grow); the first strict
     maximum above 0 wins, the extra points first."""
     rng = np.random.default_rng(seed)
     n_dim = space.n_cells
-    if width is None:
-        width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
+    width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
     n_ball = len(radii)
     radius_of = np.asarray(radii, float)
     maxv, arg = 0.0, None
@@ -448,33 +451,33 @@ def _issue_sample(f, cert: Certificate, metric, fv, stream, n_samples, *,
         extra_points=extra_points)
 
 
-def check_symmetry(f: Functional, space: GridSpace, seed, n_samples=24,
-                   tol_sym=DEFAULT_TOL_SYM):
-    """Sample f(u^H) ≤ f(u) + tol over u ∈ S, H in the registered family."""
+def check_symmetry(f: Functional, space: GridSpace, seed):
+    """Sample f(u^H) ≤ f(u) + tol at 24 draws u ∈ S, H in the registered
+    family."""
     rng = np.random.default_rng(seed)
     fam = space.polarizers
     if not fam:
         return
-    for _ in range(n_samples):
+    for _ in range(24):
         u = GridFunction(space, np.abs(rng.standard_normal(space.n_cells)))
         fu = f(u)
         if math.isinf(fu):
             continue
         H = fam[rng.integers(len(fam))]
         fh = f(polarize(u, H))
-        if fh > fu + tol_sym * (1.0 + abs(fu)):
+        if fh > fu + _TOL_SYM * (1.0 + abs(fu)):
             raise SymmetryViolation(
                 f"f({H}) increased by {fh - fu:.3e} on a sampled u in S")
 
 
-def _dominating_point(f: Functional, u: GridFunction, tol=1e-9) -> GridFunction:
+def _dominating_point(f: Functional, u: GridFunction) -> GridFunction:
     """ξ ∈ S with f(ξ) ≤ f(u); default candidate is Θ(u)."""
     if f.dominating_point is not None:
         xi = f.dominating_point(u)
     else:
         xi = theta(u)
     fu, fxi = f(u), f(xi)
-    if np.any(xi.values < 0) or fxi > fu + tol * (1.0 + abs(fu)):
+    if np.any(xi.values < 0) or fxi > fu + 1e-9 * (1.0 + abs(fu)):
         raise AssumptionViolated(
             "no dominating point in S: f(xi) > f(u)", witness=u)
     return xi
@@ -488,13 +491,13 @@ def _t_rho(u: GridFunction, rho: float):
 
 
 def _open_symmetric(f: Functional, space: GridSpace, u0: GridFunction, seed,
-                    n_streams, tol_sym):
+                    n_streams):
     """Symmetric-engine opening, part 1: u0 ∈ S, the seed streams and the
     symmetry check on the first; returns the other n_streams − 1 streams."""
     if np.any(u0.values < 0):
         raise AssumptionViolated("u0 must lie in the cone S (values >= 0)")
     c_sym, *streams = np.random.SeedSequence(seed).spawn(n_streams)
-    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
+    check_symmetry(f, space, c_sym)
     return streams
 
 
@@ -517,10 +520,11 @@ def _symmetric_start(f: Functional, space: GridSpace, dom: SetOracle,
 
 def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
                    u0_vals, sigma, metric, rng, *, weight_fn=None,
-                   anchor_vals=None, trust=1.0, max_outer=60, tol_step=None):
-    """Greedy Ekeland chain: v_{k+1} minimizes f(w) + σ_w(w)‖w−v_k‖ and is
-    accepted only when the penalized value drops by tol_step; telescoping
-    gives σ·Σ weights·steps ≤ f(u0) − f(v).  Returns (v, log)."""
+                   anchor_vals=None, trust=1.0):
+    """Greedy Ekeland chain of at most 60 steps: v_{k+1} minimizes
+    f(w) + σ_w(w)‖w−v_k‖ and is accepted only when the penalized value drops
+    by 1e-12·(1 + |f(v_k)|); telescoping gives σ·Σ weights·steps ≤
+    f(u0) − f(v).  Returns (v, log)."""
     fun, grad_f, project, box = _on_domain(f, space, domain)
     v = domain.project(np.asarray(u0_vals, float))
     fv = fun(v)
@@ -528,8 +532,8 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
         raise OutsideDomain("f(u0) is not finite on the domain")
     log = [[float(fv), 0.0]]
 
-    for _ in range(max_outer):
-        ts = tol_step if tol_step is not None else 1e-12 * (1.0 + abs(fv))
+    for _ in range(60):
+        ts = 1e-12 * (1.0 + abs(fv))
         vk = v
 
         def wfac(w):
@@ -609,15 +613,14 @@ def _symmetry_pair(space, v: GridFunction, metric, r: float, variant: str):
 # core principle: Ekeland point on a domain
 
 def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
-                  sigma, rho, *, seed=0, n_samples=2000, slack=None,
-                  metric=None, max_outer=60) -> Certificate:
-    """Ekeland point from u0: f(v) ≤ f(u0), ‖v−u0‖ ≤ ρ + slack, and the
-    sampled inequality f(w) ≥ f(v) − σ‖w−v‖ over the domain.
+                  sigma, rho, *, seed=0, n_samples=2000) -> Certificate:
+    """Ekeland point from u0 in the X metric: f(v) ≤ f(u0), ‖v−u0‖ ≤ ρ +
+    slack, and the sampled inequality f(w) ≥ f(v) − σ‖w−v‖ over the domain.
 
     Requires f(u0) ≤ inf_est + σρ (BadStart otherwise), inf_est coming from
     the multi-start probe recorded in the certificate."""
     space = u0.space
-    metric = metric or XMetric(space)
+    metric = XMetric(space)
     ss = np.random.SeedSequence(seed)
     s_inf, s_chain, s_ver = [np.random.default_rng(c) for c in ss.spawn(3)]
 
@@ -628,15 +631,12 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
 
     v_vals, chain_log = _ekeland_chain(f, space, domain_oracle, u0.values,
                                        sigma, metric, s_chain,
-                                       anchor_vals=argmin, trust=rho,
-                                       max_outer=max_outer)
+                                       anchor_vals=argmin, trust=rho)
     v = GridFunction(space, v_vals)
     fv = f(v)
-    if slack is None:
-        slack = default_slack(fv)
 
     cert = Certificate(variant="EkelandCore", v=v, sigma=sigma, rho=rho,
-                       seed=seed, slack=slack, inf_est=inf_est,
+                       seed=seed, slack=default_slack(fv), inf_est=inf_est,
                        inf_probe_log=log)
     cert.extras["metric"] = metric.name
     cert.extras["chain"] = chain_log
@@ -655,8 +655,7 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
 def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
                       sigma, rho, variant="II", *, domain=None, rho2=None,
                       Y=None, gamma_sequence=None, h0=1, seed=0,
-                      n_samples=2000, slack=None, metric=None,
-                      max_outer=60, tol_sym=DEFAULT_TOL_SYM) -> Certificate:
+                      n_samples=2000, metric=None) -> Certificate:
     """Symmetric Ekeland point: almost-minimal, almost-critical and almost
     symmetric, certificate per variant.
 
@@ -676,13 +675,11 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     if variant not in ("I", "II", "III", "IV", "V"):
         raise InvalidArgument(f"unknown variant {variant!r}")
     metric = metric or XMetric(space)
-    c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5,
-                                                     tol_sym)
+    c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5)
     if variant == "III":
         return _symmetric_ekeland_gamma(
             f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
-            h0=h0, seed=seed, n_samples=n_samples, slack=slack,
-            metric=metric, max_outer=max_outer, tol_sym=tol_sym,
+            h0=h0, seed=seed, n_samples=n_samples, metric=metric,
             c_inf=c_inf, c_rest=c_chain)
 
     u_start = u0
@@ -706,15 +703,13 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     rng_chain = np.random.default_rng(c_chain)
     v_vals, chain_log = _ekeland_chain(
         f, space, dom, u_tilde.values, sigma, metric, rng_chain,
-        anchor_vals=argmin, trust=rho, max_outer=max_outer)
+        anchor_vals=argmin, trust=rho)
     v = GridFunction(space, v_vals)
     fv = f(v)
-    if slack is None:
-        slack = default_slack(fv)
 
     cert = Certificate(variant=f"SymEkeland{variant}", v=v, sigma=sigma,
-                       rho=rho, seed=seed, slack=slack, inf_est=inf_est,
-                       inf_probe_log=log,
+                       rho=rho, seed=seed, slack=default_slack(fv),
+                       inf_est=inf_est, inf_probe_log=log,
                        t_rho_sequence=polarizer_sequence_json(seq))
     cert.extras.update(extras)
     cert.extras["chain"] = chain_log
@@ -755,16 +750,15 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     return cert.seal()
 
 
-def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho,
-                       n_per_delta=400):
-    """max ‖w−v‖ over sampled w with f(w)+σ‖w−v‖ ≤ f(v)+δ, per δ.
+def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho):
+    """max ‖w−v‖ over 400 sampled w with f(w)+σ‖w−v‖ ≤ f(v)+δ, per δ.
 
     Theorem conclusion (c) says minimizing sequences of w ↦ f(w)+σ‖w−v‖
     converge to v; the moduli should shrink with δ."""
     deltas = [sigma * rho, sigma * rho / 4, sigma * rho / 16, sigma * rho / 64]
     samples = []
     # normal and uniform draws interleave, so they stay one at a time
-    for _ in range(n_per_delta):
+    for _ in range(400):
         z = rng.standard_normal(space.n_cells)
         nz = metric.norm(z)
         if nz == 0:
@@ -779,8 +773,7 @@ def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho,
 
 
 def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
-                             h0, seed, n_samples, slack, metric, max_outer,
-                             tol_sym, c_inf, c_rest):
+                             h0, seed, n_samples, metric, c_inf, c_rest):
     """Γ-limit variant.  With gamma_sequence=(f_list, recovery) the engine
     follows the approximating construction; with f_h ≡ f (default) it runs
     the specialization on a point list Y in the fully symmetric class.
@@ -818,8 +811,7 @@ def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
 
     sub = symmetric_ekeland(f_h, space, u_h, sig_eff, rho_eff, variant="II",
                             seed=int(np.random.default_rng(c_rest).integers(2 ** 31)),
-                            n_samples=n_samples, slack=slack, metric=metric,
-                            max_outer=max_outer, tol_sym=tol_sym)
+                            n_samples=n_samples, metric=metric)
     v = sub.v
     fv = f_h(v)
     cert = Certificate(variant="SymEkelandIII", v=v, sigma=sigma, rho=rho,
@@ -853,18 +845,17 @@ def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
 
 def symmetric_borwein_preiss(f: Functional, space: GridSpace,
                              u0: GridFunction, sigma, rho, p_exp=2, *,
-                             domain=None, seed=0, n_samples=2000, slack=None,
-                             max_bp_iters=200,
-                             tol_sym=DEFAULT_TOL_SYM) -> Certificate:
+                             domain=None, seed=0,
+                             n_samples=2000) -> Certificate:
     """Smooth symmetric principle: produces (v, η) with the p-th power
     penalty inequality (e) f(w) ≥ f(v) + σ(‖v−η‖^p − ‖w−η‖^p).
 
     The proof's countable convex combination is replaced by one moving
     center: η starts at T_ρu0, v is the penalized global minimizer, and η
-    bisects toward v until ‖v−η‖ ≤ ρ/2."""
+    bisects toward v until ‖v−η‖ ≤ ρ/2, in at most 200 rounds."""
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3, tol_sym)
+    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3)
     gap = sigma * rho ** p_exp
     u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
         f, space, dom, u0, rho, c_inf, gap)
@@ -876,7 +867,7 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
 
     eta = np.array(u_tilde.values)
     v_vals = None
-    for _ in range(max_bp_iters):
+    for _ in range(200):
         def phi(w):
             return fun(w) + sigma * metric.dist(w, eta) ** p_exp
 
@@ -901,12 +892,11 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
         raise ConvergenceFailure(
             "inner minimizer stalled above inf_est + sigma*rho^p",
             residual=fv - inf_est - gap, best=v)
-    if slack is None:
-        slack = default_slack(fv)
 
     eta_gf = GridFunction(space, eta)
     cert = Certificate(variant="SymBP", v=v, sigma=sigma, rho=rho,
-                       p_exp=float(p_exp), eta=eta_gf, seed=seed, slack=slack,
+                       p_exp=float(p_exp), eta=eta_gf, seed=seed,
+                       slack=default_slack(fv),
                        inf_est=inf_est, inf_probe_log=log,
                        t_rho_sequence=polarizer_sequence_json(seq))
     cert.extras["metric"] = metric.name
@@ -924,12 +914,19 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
 # ---------------------------------------------------------------------------
 # Zhong weights
 
-def zhong_radius(h: Callable[[float], float], rho: float, *, r_cap=1e8,
-                 quad_tol=1e-12, bisect_tol=1e-10) -> float:
+# zhong_radius gives up once its doubling search passes this radius
+_ZHONG_R_CAP = 1e8
+
+
+def zhong_radius(h: Callable[[float], float], rho: float) -> float:
     """Minimal r with ∫_0^r ds/(1+h(s)) = ρ, by bisection over quadrature.
 
-    h must be nondecreasing, continuous and nonnegative with divergent
-    ∫ ds/(1+h) (declared by the caller; spot-checked on a probe grid)."""
+    The integral is computed to absolute and relative tolerance 1e-12; the
+    upper end doubles from max(ρ, 1) and DivergenceAssumptionViolated is
+    raised past r = 1e8; bisection stops at an interval width of 1e-10 and
+    returns its midpoint.  h must be nondecreasing, continuous and
+    nonnegative with divergent ∫ ds/(1+h) (declared by the caller;
+    spot-checked on a probe grid)."""
     if rho <= 0:
         raise InvalidArgument("rho must be positive")
     probes = np.linspace(0.0, 10.0, 21)
@@ -939,24 +936,22 @@ def zhong_radius(h: Callable[[float], float], rho: float, *, r_cap=1e8,
         raise AssumptionViolated("h must be nonnegative and nondecreasing")
 
     def integral(r):
-        import warnings
-        from scipy.integrate import IntegrationWarning
         with warnings.catch_warnings():
             # the doubling cap probes integrals that may be slowly
             # convergent on purpose (divergence detection)
             warnings.simplefilter("ignore", IntegrationWarning)
             val, _ = quad(lambda s: 1.0 / (1.0 + h(s)), 0.0, r,
-                          epsabs=quad_tol, epsrel=quad_tol, limit=200)
+                          epsabs=1e-12, epsrel=1e-12, limit=200)
         return val
 
     hi = max(rho, 1.0)
     while integral(hi) < rho:
         hi *= 2.0
-        if hi > r_cap:
+        if hi > _ZHONG_R_CAP:
             raise DivergenceAssumptionViolated(
-                f"∫ ds/(1+h) did not reach rho={rho} below r={r_cap:g}")
+                f"∫ ds/(1+h) did not reach rho={rho} below r={_ZHONG_R_CAP:g}")
     lo = 0.0
-    while hi - lo > bisect_tol:
+    while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if integral(mid) >= rho:
             hi = mid
@@ -967,13 +962,12 @@ def zhong_radius(h: Callable[[float], float], rho: float, *, r_cap=1e8,
 
 def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
                     sigma, rho, h: Callable[[float], float], *, domain=None,
-                    seed=0, n_samples=2000, slack=None, max_outer=60,
-                    tol_sym=DEFAULT_TOL_SYM) -> Certificate:
+                    seed=0, n_samples=2000) -> Certificate:
     """Weighted symmetric Ekeland point: the inequality carries the factor
     1/(1+h(‖v−T_{r(ρ)}u0‖)) and all location bounds use r(ρ)."""
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4, tol_sym)
+    c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4)
     r = zhong_radius(h, rho)
     u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
         f, space, dom, u0, r, c_inf, sigma * rho)
@@ -986,15 +980,13 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
     v_vals, chain_log = _ekeland_chain(
         f, space, dom, anchor, sigma, metric,
         np.random.default_rng(c_chain), weight_fn=weight,
-        anchor_vals=argmin, trust=r, max_outer=max_outer)
+        anchor_vals=argmin, trust=r)
     v = GridFunction(space, v_vals)
     fv = f(v)
-    if slack is None:
-        slack = default_slack(fv)
 
     w_final = weight(v_vals)
     cert = Certificate(variant="SymZhong", v=v, sigma=sigma, rho=rho,
-                       seed=seed, slack=slack, inf_est=inf_est,
+                       seed=seed, slack=default_slack(fv), inf_est=inf_est,
                        inf_probe_log=log,
                        t_rho_sequence=polarizer_sequence_json(seq))
     cert.extras["metric"] = metric.name
@@ -1044,8 +1036,7 @@ def bump_perturbation(space: GridSpace, v: GridFunction, eps: float,
 
 
 def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
-              u0: GridFunction = None, seed=0, n_samples=2000,
-              slack=None) -> Certificate:
+              u0: GridFunction = None, seed=0, n_samples=2000) -> Certificate:
     """Report-only verification of a smooth-perturbation certificate:
     sup|g| ≤ ε, sup‖g'‖ ≤ ε on probes, and global minimality of f+g at v.
     Never raises; failures surface as a FAILED certificate with witness."""
@@ -1077,10 +1068,8 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
                                          - g(wgf)) / t)
 
     fv = f(v)
-    if slack is None:
-        slack = default_slack(fv + g(v))
     cert = Certificate(variant="DGZCheck", v=v, sigma=eps, rho=eps, seed=seed,
-                       slack=slack)
+                       slack=default_slack(fv + g(v)))
     cert.extras["metric"] = metric.name
     cert.extras["inequality"] = "f(w)+g(w) >= f(v)+g(v)"
     cert.add_measured("‖v-v*‖_V", _measure_symmetry(v), _bound_a(space, eps, "D"))
@@ -1097,7 +1086,12 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
 # ---------------------------------------------------------------------------
 # constrained principle
 
-def _constraint_set(space, G, n_eq, tol_con):
+# feasibility tolerance of the constraint set; a constraint within
+# 10·_TOL_CON of zero at v counts as saturated
+_TOL_CON = 1e-9
+
+
+def _constraint_set(space, G, n_eq):
     gram = gram_matrix(space)
 
     def residuals(vals):
@@ -1107,8 +1101,8 @@ def _constraint_set(space, G, n_eq, tol_con):
 
     def contains(vals):
         r = residuals(vals)
-        eq_ok = np.all(np.abs(r[:n_eq]) <= tol_con)
-        in_ok = np.all(r[n_eq:] >= -tol_con)
+        eq_ok = np.all(np.abs(r[:n_eq]) <= _TOL_CON)
+        in_ok = np.all(r[n_eq:] >= -_TOL_CON)
         return bool(eq_ok and in_ok)
 
     def project(vals):
@@ -1117,8 +1111,8 @@ def _constraint_set(space, G, n_eq, tol_con):
             u = GridFunction(space, x)
             r = np.array([Gj(u) for Gj in G])
             viol_eq = list(range(n_eq))
-            viol_in = [j for j in range(n_eq, len(G)) if r[j] < -tol_con]
-            act = [j for j in viol_eq if abs(r[j]) > tol_con] + viol_in
+            viol_in = [j for j in range(n_eq, len(G)) if r[j] < -_TOL_CON]
+            act = [j for j in viol_eq if abs(r[j]) > _TOL_CON] + viol_in
             if not act:
                 return x
             J = np.stack([gram @ G[j].derivative(u).values for j in act])
@@ -1135,9 +1129,8 @@ def _constraint_set(space, G, n_eq, tol_con):
 
 
 def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
-                                  eps, *, seed=0, n_samples=2000, slack=None,
-                                  tol_con=1e-9,
-                                  tol_sym=DEFAULT_TOL_SYM) -> Certificate:
+                                  eps, *, seed=0,
+                                  n_samples=2000) -> Certificate:
     """Ekeland on the constraint set {G_j = 0 (j ≤ n_eq), G_j ≥ 0 (j > n_eq)},
     with Lagrange multipliers from sign-constrained least squares on the
     saturated constraints.
@@ -1147,12 +1140,12 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     space = u0.space
     if len(G) == 0:
         return symmetric_ekeland(f, space, u0, eps, eps, variant="II",
-                                 seed=seed, n_samples=n_samples, slack=slack)
+                                 seed=seed, n_samples=n_samples)
     if f.derivative is None or any(Gj.derivative is None for Gj in G):
         raise AssumptionViolated("constrained principle needs derivative "
                                  "oracles for f and every G_j")
     metric = XMetric(space)
-    dom = _constraint_set(space, G, n_eq, tol_con)
+    dom = _constraint_set(space, G, n_eq)
     ss = np.random.SeedSequence(seed)
     c_sym, c_inf, c_chain, c_ver = ss.spawn(4)
 
@@ -1168,7 +1161,8 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
         if not dom.contains(uh.values):
             raise AssumptionViolated("constraint set is not polarization "
                                      "stable", witness=GridFunction(space, u))
-        if f(uh) > f(GridFunction(space, u)) + tol_sym * (1 + abs(f(GridFunction(space, u)))):
+        if f(uh) > f(GridFunction(space, u)) + _TOL_SYM * (
+                1 + abs(f(GridFunction(space, u)))):
             raise SymmetryViolation("f increased under polarization on C")
 
     u_start_vals = dom.project(np.abs(u0.values))
@@ -1190,12 +1184,10 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
         np.random.default_rng(c_chain), anchor_vals=argmin, trust=eps)
     v = GridFunction(space, v_vals)
     fv = f(v)
-    if slack is None:
-        slack = default_slack(fv)
 
     # multipliers on the saturated constraints
     rvals = np.array([Gj(v) for Gj in G])
-    saturated = [j for j in range(len(G)) if abs(rvals[j]) <= 10 * tol_con]
+    saturated = [j for j in range(len(G)) if abs(rvals[j]) <= 10 * _TOL_CON]
     lam = np.zeros(len(G))
     rep_f = f.derivative(v).values
     if saturated:
@@ -1217,7 +1209,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     resid = float(np.sqrt(resid_vec @ gram_matrix(space) @ resid_vec))
 
     cert = Certificate(variant="Constrained", v=v, sigma=eps, rho=eps,
-                       seed=seed, slack=slack, inf_est=inf_est,
+                       seed=seed, slack=default_slack(fv), inf_est=inf_est,
                        inf_probe_log=log,
                        t_rho_sequence=polarizer_sequence_json(seq))
     cert.extras["metric"] = metric.name
@@ -1237,8 +1229,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
 # path-space symmetric minimax
 
 def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
-                 seed=0, n_samples=600, slack=None,
-                 tol_sym=DEFAULT_TOL_SYM) -> Certificate:
+                 seed=0, n_samples=600) -> Certificate:
     """Symmetric mountain-pass point from discrete paths 0 → ψ.
 
     Paths are node lists (γ_0, ..., γ_m) with γ_0 = 0, γ_m = ψ; the path
@@ -1254,7 +1245,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
                                 "polarizer")
     ss = np.random.SeedSequence(seed)
     c_sym, c_opt, c_chain, c_ver = ss.spawn(4)
-    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
+    check_symmetry(f, space, c_sym)
 
     zero = space.zeros()
     barrier = max(f(zero), f(psi))
@@ -1378,11 +1369,9 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     t_idx = int(np.argmax(f_vals))
     u_eps = GridFunction(space, nodes_final[t_idx])
     fu = f_vals[t_idx]
-    if slack is None:
-        slack = default_slack(fu)
 
     cert = Certificate(variant="PathMinimax", v=u_eps, sigma=eps, rho=eps,
-                       seed=seed, slack=slack, inf_est=c_est,
+                       seed=seed, slack=default_slack(fu), inf_est=c_est,
                        t_rho_sequence=polarizer_sequence_json(seq_all))
     cert.extras["metric"] = "X-path-sup"
     cert.extras["argmax_node"] = t_idx
@@ -1422,8 +1411,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
 
 def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
                   domain=None, minimizing_sequence=None, seed=0,
-                  n_samples=2000, q_probes=48, slack=None, tol_q=1e-6,
-                  tol_sym=DEFAULT_TOL_SYM):
+                  n_samples=2000, q_probes=48):
     """Palais-Smale sequence with vanishing symmetry defect and
     asymptotically nonnegative second-order quotients.
 
@@ -1431,7 +1419,9 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     p = 2 and σ = ρ = ε_h from a dominating point of the bounded minimizing
     sequence; each step reports the slope bound, the symmetry residual, and
     the sampled minimum of quotient + 2ε_h‖ζ‖² (which the penalized-
-    minimizer construction keeps ≥ 0 up to solver slack)."""
+    minimizer construction keeps ≥ 0 up to solver slack; the QBoundReport
+    accepts a minimum down to −1e-6).  Each certificate carries the default
+    slack 1e-6·(1 + |f(v)|)."""
     if space.p != 2.0:
         raise AssumptionViolated("the SQPS pipeline requires the Hilbert "
                                  "case p = 2")
@@ -1441,7 +1431,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     dom = domain or whole_space(space)
     ss = np.random.SeedSequence(seed)
     c_sym, c_norm, *c_h = ss.spawn(2 + 2 * len(eps_schedule))
-    check_symmetry(f, space, c_sym, tol_sym=tol_sym)
+    check_symmetry(f, space, c_sym)
 
     # assumption (norm does not grow under polarization), sampled
     rng = np.random.default_rng(c_norm)
@@ -1469,7 +1459,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
             cert = symmetric_borwein_preiss(
                 f, space, xi_h, eps_h, eps_h, p_exp=2, domain=dom,
                 seed=int(np.random.default_rng(c_h[2 * h]).integers(2 ** 31)),
-                n_samples=n_samples, slack=slack, tol_sym=tol_sym)
+                n_samples=n_samples)
         except (BadStart, ConvergenceFailure) as exc:
             exc.args = (f"schedule step h={h} (eps={eps_h}): {exc}",)
             raise
@@ -1508,7 +1498,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
                 if margin < min_margin:
                     min_margin, worst_t = margin, t
         qrep = QBoundReport(eps_h=eps_h, min_margin=min_margin,
-                            n_probes=n_done, worst_t=worst_t, tol_q=tol_q)
+                            n_probes=n_done, worst_t=worst_t)
         cert.extras["q_bound"] = qrep.to_json_dict()
         out.append((cert, qrep))
     return out
@@ -1518,11 +1508,11 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
 # certificate re-verification
 
 def verify_certificate(f: Functional, cert: Certificate, n_samples, *,
-                       sampler_spec=None, domain=None, g=None,
-                       seed=104729) -> ViolationReport:
+                       domain=None, g=None, seed=104729) -> ViolationReport:
     """Re-sample a certificate's variational inequality with an independent
-    seed and a documented sampler (the issuing engine's ball radii around v
-    plus global probes).
+    seed and the issuing engine's sampler: spheres of radius 4r, r and r/4
+    around v (r = r(ρ) for Zhong, else ρ) plus global probes in the box of
+    half-width max(1, 2‖v‖_∞) around v.
 
     ``domain`` restores set-restricted quantifiers (variant I, constrained);
     ``g`` supplies the perturbation for DGZ certificates.  Only X- and
@@ -1545,10 +1535,7 @@ def verify_certificate(f: Functional, cert: Certificate, n_samples, *,
     if cert.variant == "DGZCheck" and g is None:
         raise AssumptionViolated("DGZ verification needs the g oracle")
 
-    spec = sampler_spec or {}
     return sample_inequality(
         _deficit(f, cert, metric, f(cert.v), g), space, cert.v.values,
-        n_samples=n_samples, seed=seed,
-        radii=tuple(spec.get("radii", _sampler_radii(cert))),
-        metric_norm=metric.norm, domain=domain,
-        width=spec.get("global_width"))
+        n_samples=n_samples, seed=seed, radii=_sampler_radii(cert),
+        metric_norm=metric.norm, domain=domain)

@@ -190,17 +190,11 @@ def schwarz(u: GridFunction) -> GridFunction:
     return GridFunction(u.space, _schwarz_raw(u.values, schwarz_order(u.space)))
 
 
-def is_family_fixed(u: GridFunction, tol: float = 0.0) -> bool:
-    """True when every registered polarizer leaves u unchanged."""
+def is_family_fixed(u: GridFunction) -> bool:
+    """True when every registered polarizer leaves |u| exactly unchanged."""
     vals = np.abs(u.values)
-    for pol in u.space.polarizers:
-        cand = _polarize_raw(vals, pol)
-        if tol == 0.0:
-            if not np.array_equal(cand, vals):
-                return False
-        elif np.max(np.abs(cand - vals)) > tol:
-            return False
-    return True
+    return all(np.array_equal(_polarize_raw(vals, pol), vals)
+               for pol in u.space.polarizers)
 
 
 class _FamilyKernel:

@@ -689,6 +689,20 @@ def test_symmetric_ball_accepts_large_symmetric_2d_center(g2d4):
         Ball(g2d4.function(bumped.ravel()), 1.0, symmetric=True)
 
 
+def test_symmetric_ball_contains_only_reflection_fixed_points(g1d2, g1d4):
+    # a point fixed by every polarizer after Θ need not be fixed by the
+    # reflections that project averages over; contains must reject it
+    cases = [(Ball(g1d2.zeros(), 1.0, symmetric=True), [0.1, -0.1]),
+             (Ball(g1d4.function([1.0, 2.0, 2.0, 1.0]), 5.0, symmetric=True),
+              [3.02, 3.57, 3.37, 0.72])]
+    for B, y in cases:
+        y = np.array(y)
+        assert B.norm(y - B.center.values) <= B.radius
+        assert not B.contains(y)
+        assert B.contains(B.project(y))
+        assert not np.allclose(B.project(y), y)
+
+
 def _criterion9_drop(g):
     """The hand-geometry drop: from the origin to a symmetric ball that is
     a diagonal segment."""
@@ -802,3 +816,41 @@ def test_symmetric_petal_point_requires_symmetric_inputs(g1d2):
         symmetric_petal_point(x, y, _diag_ray_C(), 0.2, seed=0)
     from symvar import NotSymmetricInput
     assert isinstance(exc.value, (NotSymmetricInput, AssumptionViolated))
+
+
+# ---------------------------------------------------------------------------
+# starts that only tests set: the u0 of the quasi-linear experiment and the
+# minimizing sequence of the semi-linear one
+
+def test_quasilinear_experiment_takes_its_start(g1d8):
+    # u0 replaces the probe's start: passing the point the probe would
+    # find gives the same certificate bytes
+    from symvar import whole_space
+    from symvar.principles import estimate_inf
+
+    I = forced_dirichlet_integrand(1.0)
+    _, _, argmin = estimate_inf(quasilinear_functional(I, g1d8), g1d8,
+                                whole_space(g1d8), np.random.default_rng(4))
+    u0 = theta(GridFunction(g1d8, argmin))
+    probed = quasilinear_experiment(I, g1d8, 0.01, seed=3, n_samples=300)
+    given = quasilinear_experiment(I, g1d8, 0.01, seed=3, n_samples=300,
+                                   u0=u0)
+    assert given.status == "PASS"
+    assert given.to_json_bytes() == probed.to_json_bytes()
+
+
+def test_semilinear_experiment_takes_a_minimizing_sequence(g1d8):
+    asked = []
+
+    def minimizing_sequence(h):
+        asked.append(h)
+        return g1d8.zeros()
+
+    certs = semilinear_experiment(_lin_damping(), g1d8, [0.1, 0.05], seed=1,
+                                  n_samples=300, q_probes=8,
+                                  second_order_samples=8,
+                                  minimizing_sequence=minimizing_sequence)
+    assert asked == [0, 1]
+    for c in certs:
+        assert c.status == "PASS"
+        assert np.max(np.abs(c.v.values)) <= 1e-6

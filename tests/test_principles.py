@@ -957,3 +957,102 @@ def test_stability_modulus_scores_each_sample_once(g1d4):
         assert table == expected
         assert any(w > 0.0 for _, w in table)
         assert calls["f"] == (0 if f.eval_batch else 400)
+
+
+# ---------------------------------------------------------------------------
+# theorem inputs that only tests set: the domain and g of verify_certificate,
+# the Γ-sequence of variant III and the domain of the Zhong engine
+
+def _tilted_norm(space, c=10.0):
+    """f(u) = ‖u‖²_X + c·Σu: polarization keeps ‖u‖_X from growing and Σu
+    fixed; for c > 0 the minimizer is negative, so over the cone S the
+    minimum is f(0) = 0."""
+    gram = gram_matrix(space)
+    tilt = riesz_from_euclidean(space, c * np.ones(space.n_cells))
+    return Functional(
+        eval=lambda u: float(u.values @ gram @ u.values)
+        + c * float(np.sum(u.values)),
+        derivative=lambda u: GridFunction(space, 2.0 * u.values + tilt),
+        symmetry_class="polarization-nonincreasing", name="tilted")
+
+
+def test_verify_certificate_restores_the_cone_domain(g1d4):
+    f = _tilted_norm(g1d4)
+    cone = nonneg_cone(g1d4)
+    cert = symmetric_ekeland(f, g1d4, g1d4.zeros(), 0.1, 0.1, variant="I",
+                             domain=cone, seed=1, n_samples=500)
+    assert cert.status == "PASS"
+    assert np.array_equal(cert.v.values, np.zeros(4))
+    rep = verify_certificate(f, cert, 1000, domain=cone, seed=5)
+    assert rep.max_violation <= cert.slack
+    # without the domain the quantifier runs over the whole space, where
+    # f falls below f(v) − σ‖w − v‖ off the cone
+    assert verify_certificate(f, cert, 1000, seed=5).max_violation > 1.0
+
+
+def test_verify_certificate_takes_the_dgz_perturbation(g1d4):
+    a = sym_center(g1d4, 15)
+    f = quad_X(a)
+    bump = bump_perturbation(g1d4, a, 0.25, delta=1.0)
+    cert = dgz_check(f, bump, a, 0.25, seed=1, n_samples=500)
+    assert cert.status == "PASS"
+    rep = verify_certificate(f, cert, 1000, g=bump, seed=3)
+    assert rep.max_violation <= cert.slack
+    assert rep == verify_certificate(f, cert, 1000, g=bump, seed=3)
+    with pytest.raises(AssumptionViolated):
+        verify_certificate(f, cert, 100, seed=3)
+
+
+def test_dgz_check_records_the_start_distance(g1d4):
+    a = sym_center(g1d4, 29)
+    f = quad_X(a)
+    bump = bump_perturbation(g1d4, a, 0.25, delta=1.0)
+    u0 = theta(a + g1d4.function([0.02, 0.0, -0.01, 0.0]))
+    cert = dgz_check(f, bump, a, 0.25, u0=u0, seed=1, n_samples=500)
+    assert cert.status == "PASS"
+    value, bound = cert.measured["‖v-u‖"]
+    assert value == pytest.approx(norm_X(a - u0), rel=1e-12)
+    assert bound >= 0.25
+    assert "‖v-u‖" not in dgz_check(f, bump, a, 0.25, seed=1,
+                                    n_samples=100).measured
+
+
+def test_symmetric_ekeland_variant_III_gamma_sequence(g1d4):
+    # f_h = (1 + 2^-h)·‖u − a‖²_X Γ-converges to f; the engine runs on f_h
+    # at h = h0 from the recovery point of u0
+    a = sym_center(g1d4, 15)
+    f = quad_X(a)
+
+    def f_h(h):
+        return Functional(eval=lambda u: (1 + 2.0 ** -h) * f(u),
+                          derivative=lambda u: (1 + 2.0 ** -h) * f.derivative(u),
+                          symmetry_class="polarization-nonincreasing",
+                          lower_bound=0.0, name=f"f_{h}")
+
+    recovered = []
+
+    def recovery(u, h):
+        recovered.append(h)
+        return u
+
+    cert = symmetric_ekeland(f, g1d4, a, 0.2, 0.2, variant="III",
+                             gamma_sequence=([f_h(h) for h in range(4)],
+                                             recovery), h0=2, seed=7,
+                             n_samples=500)
+    assert cert.status == "PASS"
+    assert recovered == [2]
+    assert cert.extras["constants"]["h"] == 2
+    assert cert.measured["|f(v)-inf_est|"][0] <= 0.2 * 0.2
+
+
+def test_symmetric_zhong_on_the_cone(g1d4):
+    f = _tilted_norm(g1d4)
+    cert = symmetric_zhong(f, g1d4, g1d4.zeros(), 0.1, 0.1, lambda s: s,
+                           domain=nonneg_cone(g1d4), seed=1, n_samples=500)
+    assert cert.status == "PASS"
+    assert np.all(cert.v.values >= 0.0)
+    assert cert.violation.max_violation == 0.0
+    # on the whole space the start is far above inf f
+    with pytest.raises(BadStart):
+        symmetric_zhong(f, g1d4, g1d4.zeros(), 0.1, 0.1, lambda s: s,
+                        seed=1, n_samples=500)
