@@ -653,7 +653,10 @@ class Ball:
             return 0.5 * (vals + vals[::-1])
         return sum(self._images(vals)) / 8.0
 
-    def contains(self, vals, tol=1e-12) -> bool:
+    def contains(self, vals) -> bool:
+        # relative to the point: the reflection average in project rounds
+        # about 1 ulp of max|vals| away from the fixed subspace
+        tol = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
         # a symmetric ball lies in the fixed subspace of the reflections
         if self.symmetric and any(float(np.max(np.abs(vals - g))) > tol
                                   for g in self._images(vals)):

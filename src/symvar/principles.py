@@ -20,7 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -190,7 +190,7 @@ class QBoundReport:
     min_margin: float
     n_probes: int
     worst_t: float
-    tol_q: float = 1e-6
+    tol_q: ClassVar[float] = 1e-6      # a constant, not a field
 
     def ok(self) -> bool:
         return self.min_margin >= -self.tol_q

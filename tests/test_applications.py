@@ -703,6 +703,25 @@ def test_symmetric_ball_contains_only_reflection_fixed_points(g1d2, g1d4):
         assert not np.allclose(B.project(y), y)
 
 
+def test_symmetric_ball_contains_its_projections_at_large_2d_center(g2d4):
+    # the 8-image reflection average rounds about 1 ulp of the point's
+    # size off the fixed subspace; contains measures symmetry relative to
+    # the point, so a large ball keeps its own projections
+    x = np.arange(4) + 0.5 - 2.0
+    c = 12345.678 + np.exp(-(x[:, None] ** 2 + x[None, :] ** 2) / 4.0)
+    B = Ball(g2d4.function(c.ravel()), 1.0, symmetric=True)
+    rng = np.random.default_rng(0)
+    for scale in (0.1, 1.0, 10.0):
+        for _ in range(40):
+            y = c.ravel() + scale * rng.standard_normal(16)
+            assert B.contains(B.project(y))
+            assert not B.contains(y)
+    # a point one part in 1e9 off its reflections is still rejected
+    off = c.copy()
+    off[0, 1] += 1e-9 * off[0, 1]
+    assert not B.contains(off.ravel())
+
+
 def _criterion9_drop(g):
     """The hand-geometry drop: from the origin to a symmetric ball that is
     a diagonal segment."""
@@ -823,20 +842,24 @@ def test_symmetric_petal_point_requires_symmetric_inputs(g1d2):
 # minimizing sequence of the semi-linear one
 
 def test_quasilinear_experiment_takes_its_start(g1d8):
-    # u0 replaces the probe's start: passing the point the probe would
-    # find gives the same certificate bytes
+    # u0 replaces the probe's start: a symmetric shift of the probe's
+    # point, still within σρ of the infimum, starts the Ekeland chain
     from symvar import whole_space
     from symvar.principles import estimate_inf
 
     I = forced_dirichlet_integrand(1.0)
-    _, _, argmin = estimate_inf(quasilinear_functional(I, g1d8), g1d8,
-                                whole_space(g1d8), np.random.default_rng(4))
-    u0 = theta(GridFunction(g1d8, argmin))
+    f = quasilinear_functional(I, g1d8)
+    _, _, argmin = estimate_inf(f, g1d8, whole_space(g1d8),
+                                np.random.default_rng(4))
+    shift = 1e-3 * np.array([1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0])
+    u0 = theta(GridFunction(g1d8, argmin + shift))
     probed = quasilinear_experiment(I, g1d8, 0.01, seed=3, n_samples=300)
     given = quasilinear_experiment(I, g1d8, 0.01, seed=3, n_samples=300,
                                    u0=u0)
     assert given.status == "PASS"
-    assert given.to_json_bytes() == probed.to_json_bytes()
+    assert given.extras["chain"][0][0] == f(u0)
+    assert probed.extras["chain"][0][0] != f(u0)
+    assert given.to_json_bytes() != probed.to_json_bytes()
 
 
 def test_semilinear_experiment_takes_a_minimizing_sequence(g1d8):
