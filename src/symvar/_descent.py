@@ -1,7 +1,9 @@
 """Deterministic local minimizers shared by the principle engines.
 
 Everything here works on flat numpy arrays and plain callables; the engines
-adapt GridFunction-valued functionals.  All routines are pure and seedless:
+adapt GridFunction-valued functionals.  A ``grad`` takes one vector (N,) or
+a block (k, N) of rows and returns the Euclidean gradient of each row,
+bit-equal to its single-vector call; the Newton Hessians use the block.  All routines are pure and seedless:
 randomized multi-start decisions are made by the callers, which thread one
 seeded generator through the whole run.
 """
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 
-# Newton refinement: at most this many steps, Hessian columns by central
+# Newton refinement: at most this many steps, Hessian by central
 # differences of the gradient with step _FD_STEP·(1 + ‖x‖_∞)
 _NEWTON_ITERS = 6
 _FD_STEP = 1e-5
@@ -21,6 +23,20 @@ _FD_STEP = 1e-5
 
 def _finite(x):
     return math.isfinite(x)
+
+
+def _fd_hessian(grad, x, idx):
+    """Symmetrized central-difference Hessian of the coordinates ``idx``
+    from one block gradient call on the rows x + h·e_j, then x − h·e_j
+    (j in idx), h = _FD_STEP·(1 + ‖x‖_∞).  ``grad`` returns each row
+    bit-equal to its single-vector call, so this equals the Hessian built
+    one column pair of calls at a time."""
+    h = _FD_STEP * (1.0 + float(np.max(np.abs(x))))
+    E = h * np.eye(len(x))[idx]
+    G = grad(np.concatenate((x + E, x - E)))
+    k = len(idx)
+    S = ((G[:k] - G[k:]) / (2.0 * h))[:, idx]
+    return 0.5 * (S + S.T)
 
 
 def armijo_bb_minimize(fun, grad, x0, *, project=None):
@@ -77,13 +93,7 @@ def newton_polish(fun, grad, x, fx):
         gn = float(np.linalg.norm(g))
         if gn < 1e-14 * (1.0 + abs(fx)):
             break
-        h = _FD_STEP * (1.0 + float(np.max(np.abs(x))))
-        H = np.empty((n, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            H[:, j] = (grad(x + e) - grad(x - e)) / (2.0 * h)
-        H = 0.5 * (H + H.T)
+        H = _fd_hessian(grad, x, np.arange(n))
         try:
             d = np.linalg.solve(H, -g)
         except np.linalg.LinAlgError:
@@ -103,7 +113,6 @@ def newton_polish(fun, grad, x, fx):
 
 def active_set_newton(fun, grad, x, fx, lo, hi):
     """Newton refinement on the free coordinates of a box-constrained point."""
-    n = len(x)
     for _ in range(_NEWTON_ITERS):
         g = grad(x)
         at_lo = (x <= lo + 1e-12) & (g > 0)
@@ -115,13 +124,7 @@ def active_set_newton(fun, grad, x, fx, lo, hi):
         if float(np.linalg.norm(gf)) < 1e-14 * (1.0 + abs(fx)):
             break
         idx = np.flatnonzero(free)
-        h = _FD_STEP * (1.0 + float(np.max(np.abs(x))))
-        H = np.empty((len(idx), len(idx)))
-        for c, j in enumerate(idx):
-            e = np.zeros(n)
-            e[j] = h
-            H[:, c] = ((grad(x + e) - grad(x - e)) / (2.0 * h))[idx]
-        H = 0.5 * (H + H.T)
+        H = _fd_hessian(grad, x, idx)
         try:
             d = np.linalg.solve(H, -gf)
         except np.linalg.LinAlgError:

@@ -117,13 +117,15 @@ class XMetric:
         return self.norm(a - b)
 
     def penalty_grad(self, w, center):
-        """Euclidean gradient of w ↦ ‖w−center‖_X for p = 2 grids."""
+        """Euclidean gradient of w ↦ ‖w−center‖_X for p = 2 grids, for one
+        vector or each row of a block (zero where the distance is below
+        1e-14); a stacked mat-vec keeps each row bit-equal to its call."""
         if self.space.p != 2.0:
             return None
-        d = self.norm(w - center)
-        if d < 1e-14:
-            return np.zeros_like(w)
-        return gram_matrix(self.space) @ (w - center) / d
+        D = w - center
+        d = np.asarray(self.norm(D))[..., None]
+        G = np.matmul(gram_matrix(self.space), D[..., None])[..., 0]
+        return np.divide(G, d, out=np.zeros_like(G), where=d >= 1e-14)
 
 
 class VMetric:
@@ -275,13 +277,16 @@ def _f_arr(f: Functional, space: GridSpace):
 
 
 def _grad_arr(f: Functional, space: GridSpace):
+    """Euclidean gradient on one vector or a block of rows (p = 2 grids):
+    Gx times the derivative's Riesz representative, row by row."""
     if f.derivative is None or space.p != 2.0:
         return None
     g = gram_matrix(space)
 
-    def grad(vals):
-        rep = f.derivative(GridFunction(space, vals))
-        return g @ rep.values
+    def grad(W):
+        rows = [g @ f.derivative(GridFunction(space, w)).values
+                for w in np.atleast_2d(W)]
+        return np.array(rows) if np.ndim(W) == 2 else rows[0]
 
     return grad
 
@@ -874,7 +879,8 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
         grad_phi = None
         if grad_f is not None and p_exp == 2 and gram is not None:
             def grad_phi(w):
-                return grad_f(w) + 2.0 * sigma * (gram @ (w - eta))
+                pen = np.matmul(gram, (w - eta)[..., None])[..., 0]
+                return grad_f(w) + 2.0 * sigma * pen
 
         starts = [eta, argmin, 0.5 * (eta + argmin), np.zeros_like(eta)]
         v_vals, _ = _descent.minimize_multistart(
