@@ -141,14 +141,16 @@ def forced_dirichlet_integrand(c: float) -> QuasilinearIntegrand:
 
 def _gradient_fields(space: GridSpace, values):
     """Forward-difference gradient components at cells plus the ghost-node
-    magnitudes (zero-extended low-boundary edges), per axis."""
+    magnitudes (zero-extended low-boundary edges), per axis.  A block
+    (k, N) of rows gives each field with the row axis last: (N, k)."""
     h, comps, ghost = space.spacing, [], []
-    v = values.reshape((space.n,) * space.dimension)
+    rows = values.shape[:-1]
+    v = values.T.reshape((space.n,) * space.dimension + rows)
     for axis in range(space.dimension):
         w = v.swapaxes(0, axis)
         d = (np.concatenate((w[1:], np.zeros_like(w[:1]))) - w) / h
-        comps.append(d.swapaxes(0, axis).ravel())
-        ghost.append(np.ravel(w[0]) / h)
+        comps.append(d.swapaxes(0, axis).reshape((-1,) + rows))
+        ghost.append(w[0].reshape((-1,) + rows) / h)
     return comps, np.concatenate(ghost)
 
 
@@ -168,24 +170,31 @@ def quasilinear_energy(I: QuasilinearIntegrand, u: GridFunction) -> float:
 
 def quasilinear_residual_vector(I: QuasilinearIntegrand, u: GridFunction):
     """Euclidean representation r of the first variation: dE(u)[v] = r·v."""
-    space = u.space
+    return _quasilinear_residual_rows(I, u.space, u.values)
+
+
+def _quasilinear_residual_rows(I: QuasilinearIntegrand, space: GridSpace,
+                               values):
+    """The residual vector of one vector (N,) or of each row of a block
+    (k, N); elementwise throughout, so each row is bit-equal to its call."""
     h, m = space.spacing, space.cell_measure
-    comps, ghost = _gradient_fields(space, u.values)
+    s = values.T
+    comps, ghost = _gradient_fields(space, values)
     t = np.sqrt(sum(c * c for c in comps))
     # W = L_t(s, t)/t, the radial weight; L_t(s, 0) must vanish
-    lt, moving = _each(I.L_xi, u.values, t), t > 0
+    lt, moving = _each(I.L_xi, s, t), t > 0
     if np.any(~moving & (abs(lt) > 1e-13)):
         raise IntegrandError("L_xi(s, 0) must vanish for the radial "
                              "quadrature (gradient kink at 0)")
     W = np.divide(lt, t, out=np.zeros_like(t), where=moving)
-    r = _each(I.L_s, u.values, t) * m
-    shape = (space.n,) * space.dimension
+    r = _each(I.L_s, s, t) * m
+    shape = (space.n,) * space.dimension + values.shape[:-1]
     for axis, c in enumerate(comps):
         # flux on the cell-owned forward edge; divergence pattern
         F = ((W * c).reshape(shape) / h).swapaxes(0, axis)
         out = -F
         out[1:] += F[:-1]
-        r += m * out.swapaxes(0, axis).ravel()
+        r += m * out.swapaxes(0, axis).reshape(r.shape)
     flux = _each(I.L_xi, 0.0, abs(ghost)) * np.sign(ghost)
     if space.dimension == 1:
         r[0] += m * flux[0] / h
@@ -193,8 +202,8 @@ def quasilinear_residual_vector(I: QuasilinearIntegrand, u: GridFunction):
         radd = np.zeros(shape)
         radd[0, :] += flux[:space.n] / h    # x ghosts: cells (0, k)
         radd[:, 0] += flux[space.n:] / h    # y ghosts: cells (k, 0)
-        r += m * radd.ravel()
-    return r
+        r += m * radd.reshape(r.shape)
+    return r.T
 
 
 def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
@@ -209,16 +218,20 @@ def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
 
 def quasilinear_functional(I: QuasilinearIntegrand,
                            space: GridSpace) -> Functional:
-    """Wrap the discretized energy as a Functional with the X-Riesz
-    derivative (p = 2 grids)."""
+    """Wrap the discretized energy as a Functional with its Euclidean
+    gradient (the residual vector, on rows) and, on p = 2 grids, the X-Riesz
+    derivative."""
+    def grad(W):
+        return _quasilinear_residual_rows(I, space, W)
+
     deriv = None
     if space.p == 2.0:
         def deriv(u):
-            r = quasilinear_residual_vector(I, u)
-            return GridFunction(space, riesz_from_euclidean(space, r))
+            return GridFunction(space, riesz_from_euclidean(space,
+                                                            grad(u.values)))
 
     return Functional(eval=lambda u: quasilinear_energy(I, u),
-                      derivative=deriv,
+                      derivative=deriv, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
 
@@ -401,19 +414,27 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
         pot = m * float(sum(_each(N.G, u.values).tolist()))
         return quad - pot
 
-    def deriv(u):
-        return GridFunction(space, riesz_from_euclidean(
-            space, euler_lagrange_residual(N, u)))
+    def grad(W):
+        return _euler_lagrange_rows(N, space, W)
 
-    return Functional(eval=ev, derivative=deriv,
+    def deriv(u):
+        return GridFunction(space, riesz_from_euclidean(space, grad(u.values)))
+
+    return Functional(eval=ev, derivative=deriv, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       name=N.name or "semilinear")
 
 
 def euler_lagrange_residual(N: SemilinearNonlinearity, u: GridFunction):
     """ψ = −Δu − g(u) as a Euclidean functional: ⟨ψ, φ⟩ = ψ_vec·φ."""
-    A = laplacian_matrix(u.space)
-    return A @ u.values - u.space.cell_measure * _each(N.g, u.values)
+    return _euler_lagrange_rows(N, u.space, u.values)
+
+
+def _euler_lagrange_rows(N: SemilinearNonlinearity, space: GridSpace, values):
+    """ψ of one vector (N,) or of each row of a block (k, N); a stacked
+    mat-vec keeps each row bit-equal to its call."""
+    Au = np.matmul(laplacian_matrix(space), values[..., None])[..., 0]
+    return Au - space.cell_measure * _each(N.g, values)
 
 
 def h_minus1_norm(space: GridSpace, psi_euclid) -> float:

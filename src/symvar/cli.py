@@ -166,11 +166,16 @@ def _fn_quadratic(space, params):
     def dv(u):
         return GridFunction(space, 2.0 * (u.values - a.values))
 
+    def grad(W):
+        # Gx·(2(v − a)), a gemv per row as for one vector
+        return np.matmul(gram, (2.0 * (W - a.values))[..., None])[..., 0]
+
     sym = ("polarization-nonincreasing"
            if re_.is_family_fixed(fs.theta(a)) and np.all(center >= 0)
            else "unverified")
     return Functional(eval=ev, derivative=dv, symmetry_class=sym,
-                      lower_bound=0.0, name="quadratic", eval_batch=ev_rows)
+                      lower_bound=0.0, name="quadratic", eval_batch=ev_rows,
+                      gradient=grad)
 
 
 def _fn_double_well(space, params):
@@ -188,13 +193,19 @@ def _fn_double_well(space, params):
         sq = np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
         return np.array([(m * s - r2) ** 2 for s in sq.tolist()])
 
+    def grad(W):
+        # 4(m‖v‖² − r²)·m·v with the same ddot per row as ev
+        sq = np.matmul(W[..., None, :], W[..., :, None])[..., 0, 0]
+        return (4.0 * (m * sq - r2) * m)[..., None] * W
+
     def dv(u):
-        g = 4.0 * (m * float(u.values @ u.values) - r2) * m * u.values
-        return GridFunction(space, fs.riesz_from_euclidean(space, g))
+        return GridFunction(space, fs.riesz_from_euclidean(space,
+                                                           grad(u.values)))
 
     return Functional(eval=ev, derivative=dv,
                       symmetry_class="polarization-invariant",
-                      lower_bound=0.0, name="double_well", eval_batch=ev_rows)
+                      lower_bound=0.0, name="double_well", eval_batch=ev_rows,
+                      gradient=grad)
 
 
 def _fn_norm_dist(space, params):

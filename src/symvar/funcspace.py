@@ -94,7 +94,7 @@ class GridFunction:
         if vals.shape != (space.n_cells,):
             raise SpaceMismatch(
                 f"expected {space.n_cells} values, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise InvalidArgument("GridFunction values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "space", space)
@@ -146,7 +146,11 @@ class Functional:
     ξ ∈ S with f(ξ) ≤ f(u); the default used by the engines is Θ(u).
     ``eval_batch`` (optional) maps a block (k, N) of cell-value rows to the
     (k,) values of f, each equal to ``eval`` on its row; the samplers use it
-    in place of one ``eval`` per row.
+    in place of one ``eval`` per row.  ``gradient`` (optional) returns the
+    Euclidean gradient ∇f of the cell values: one vector (N,) gives (N,),
+    a block (k, N) gives the (k, N) gradients, each row bit-equal to the
+    call on that row alone.  The descent uses it in place of Gx times
+    ``derivative``, and builds each Newton Hessian from one block call.
     """
 
     eval: Callable[[GridFunction], float]
@@ -156,6 +160,7 @@ class Functional:
     dominating_point: Optional[Callable[[GridFunction], GridFunction]] = None
     name: str = ""
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, u: GridFunction) -> float:
         val = float(self.eval(u))

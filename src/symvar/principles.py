@@ -278,8 +278,13 @@ def _f_arr(f: Functional, space: GridSpace):
 
 def _grad_arr(f: Functional, space: GridSpace):
     """Euclidean gradient on one vector or a block of rows (p = 2 grids):
-    Gx times the derivative's Riesz representative, row by row."""
-    if f.derivative is None or space.p != 2.0:
+    ``f.gradient`` when declared, else Gx times the derivative's Riesz
+    representative, row by row."""
+    if space.p != 2.0:
+        return None
+    if f.gradient is not None:
+        return f.gradient
+    if f.derivative is None:
         return None
     g = gram_matrix(space)
 
