@@ -39,6 +39,14 @@ __all__ = [
 ]
 
 
+# ``validate`` of integrands and nonlinearities: _VALIDATE_N uniform samples
+# of s in _VALIDATE_S (and t in _VALIDATE_T), checked to _VALIDATE_TOL
+_VALIDATE_S = (-3.0, 3.0)
+_VALIDATE_T = (0.0, 5.0)
+_VALIDATE_N = 400
+_VALIDATE_TOL = 1e-9
+
+
 # ---------------------------------------------------------------------------
 # quasi-linear integrands f(u) = ∫ L(u, |Du|)
 
@@ -66,10 +74,11 @@ class QuasilinearIntegrand:
     odd_dominated: bool = True                # L(-s, t) ≤ L(s, t) for s ≤ 0
     name: str = ""
 
-    def validate(self, s_range=(-3.0, 3.0), t_range=(0.0, 5.0), n=400,
-                 seed=0, tol=1e-9):
+    def validate(self, seed=0):
+        tol = _VALIDATE_TOL
         rng = np.random.default_rng(seed)
-        s, t = rng.uniform(*s_range, n), rng.uniform(*t_range, n)
+        s = rng.uniform(*_VALIDATE_S, _VALIDATE_N)
+        t = rng.uniform(*_VALIDATE_T, _VALIDATE_N)
         val = _each(self.L, s, t)
         checks = [(~np.isfinite(val), lambda i: IntegrandError(
             f"L({s[i]}, {t[i]}) is not finite"))]
@@ -381,10 +390,11 @@ class SemilinearNonlinearity:
     p: float
     name: str = ""
 
-    def validate(self, s_range=(-3.0, 3.0), n=400, seed=0, tol=1e-9):
+    def validate(self, seed=0):
+        tol, n = _VALIDATE_TOL, _VALIDATE_N
         if not (2.0 < self.p <= 6.0):
             raise AssumptionViolated(f"growth exponent p = {self.p} outside (2, 6]")
-        ss = np.random.default_rng(seed).uniform(*s_range, n)
+        ss = np.random.default_rng(seed).uniform(*_VALIDATE_S, n)
         gs = _each(self.g, ss)
         _raise_first([
             (abs(_each(self.g, -ss) + gs) > tol * (1 + abs(gs)),

@@ -529,8 +529,8 @@ def _symmetric_start(f: Functional, space: GridSpace, dom: SetOracle,
 
 
 def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
-                   u0_vals, sigma, metric, rng, *, weight_fn=None,
-                   anchor_vals=None, trust=1.0):
+                   u0_vals, sigma, metric, rng, *, anchor_vals, trust,
+                   weight_fn=None):
     """Greedy Ekeland chain of at most 60 steps: v_{k+1} minimizes
     f(w) + σ_w(w)‖w−v_k‖ and is accepted only when the penalized value drops
     by 1e-12·(1 + |f(v_k)|); telescoping gives σ·Σ weights·steps ≤
@@ -561,11 +561,8 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
                     pg = metric.penalty_grad(w, vk)
                     return g + sigma * pg
 
-        starts = [vk]
-        if anchor_vals is not None:
-            starts += [np.asarray(anchor_vals, float),
-                       0.5 * (vk + np.asarray(anchor_vals, float))]
-        starts.append(np.zeros_like(vk))
+        anchor = np.asarray(anchor_vals, float)
+        starts = [vk, anchor, 0.5 * (vk + anchor), np.zeros_like(vk)]
         for _ in range(2):
             d = rng.standard_normal(len(vk))
             nd = metric.norm(d)
@@ -1239,6 +1236,10 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
 # ---------------------------------------------------------------------------
 # path-space symmetric minimax
 
+# node-gradient sweeps of path_minimax's f̂ descent
+_MINIMAX_SWEEPS = 200
+
+
 def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
                  seed=0, n_samples=600) -> Certificate:
     """Symmetric mountain-pass point from discrete paths 0 → ψ.
@@ -1299,11 +1300,11 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
                 cands.append(cand)
         return cands
 
-    def descend_fhat(flat, sweeps=200):
+    def descend_fhat(flat):
         cur = np.array(flat)
         val = fhat(cur)
         step = 0.25 * max(1.0, metric.norm(psi.values))
-        for _ in range(sweeps):
+        for _ in range(_MINIMAX_SWEEPS):
             best, best_val = None, val
             for cand in node_gradient_moves(cur, step):
                 cv = fhat(cand)

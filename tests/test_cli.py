@@ -388,3 +388,79 @@ def test_eval_batch_equals_call_bitwise(dimension, n):
             assert np.array_equal(
                 rows, [f(GridFunction(space, w)) for w in W]), name
     assert {"quadratic", "double_well"} <= set(batched)
+
+
+def _shipped_functionals(space, rng):
+    """(label, Functional) for every registered functional, integrand and
+    nonlinearity, built as the CLI builds them, with default and with drawn
+    parameters; each nonlinearity also on the box [−0.5, 0.5]."""
+    from symvar import applications as ap
+    from symvar.cli import FUNCTIONALS, _check, _fn_object, _to_grid
+    from symvar.principles import box_set
+
+    out = []
+    for name, fn in FUNCTIONALS.items():
+        for given in ({}, {"center": list(rng.standard_normal(space.n_cells)),
+                           "radius": 0.7, "c": 0.3}):
+            params = _check({"name": name, **{k: v for k, v in given.items()
+                                              if k in fn.params}},
+                            _fn_object(name), "functional")
+            _to_grid(space, params, fn.params, "functional")
+            built = fn.build(space, params)
+            if fn.kind == "integrand":
+                out.append((name, ap.quasilinear_functional(built, space)))
+            elif fn.kind == "nonlinearity":
+                out.append((name, ap.semilinear_functional(built, space)))
+                out.append((f"{name}/box", ap.semilinear_functional(
+                    built, space, box_set(space, -0.5, 0.5))))
+            else:
+                out.append((name, built))
+    return out
+
+
+GRADIENT_GRIDS = [(1, 8), (1, 128), (2, 4), (2, 8)]
+
+
+@pytest.mark.parametrize("dimension,n", GRADIENT_GRIDS)
+def test_gradient_rows_equal_single_calls(dimension, n):
+    # every shipped gradient gives on a block exactly what it gives on each
+    # row alone, for rows that differ in one cell (as the Hessian's do) and
+    # for scattered rows, the zero row included
+    space = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(space.n_cells)
+    E = 1e-5 * np.eye(space.n_cells)
+    W = np.concatenate((
+        x + E, x - E, np.zeros((1, space.n_cells)),
+        rng.standard_normal((30, space.n_cells))
+        * rng.uniform(1e-2, 1e1, (30, 1))))
+    declared = []
+    for name, f in _shipped_functionals(space, rng):
+        if f.gradient is None:
+            continue
+        declared.append(name)
+        G = f.gradient(W)
+        assert G.shape == W.shape, name
+        for w, g in zip(W, G):
+            assert np.array_equal(g, f.gradient(w)), name
+    assert set(declared) == {"quadratic", "double_well", "dirichlet",
+                             "forced_dirichlet", "linear_damping",
+                             "linear_damping/box", "cubic", "cubic/box"}
+
+
+@pytest.mark.parametrize("dimension,n", GRADIENT_GRIDS)
+def test_gradient_is_gram_times_derivative(dimension, n):
+    # ∇f = Gx·(X-Riesz representative of df), to rounding of the solve
+    from symvar.funcspace import GridFunction, gram_matrix
+
+    space = make_grid(dimension, n, 1.0, 2, 4)
+    gram = gram_matrix(space)
+    rng = np.random.default_rng(n + 1)
+    W = rng.standard_normal((4, space.n_cells)) * [[0.1], [1.0], [3.0], [10.0]]
+    for name, f in _shipped_functionals(space, rng):
+        if f.gradient is None:
+            continue
+        for w in W:
+            g = f.gradient(w)
+            gd = gram @ f.derivative(GridFunction(space, w)).values
+            assert np.linalg.norm(g - gd) <= 1e-12 * np.linalg.norm(g), name

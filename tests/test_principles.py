@@ -69,7 +69,8 @@ def test_ekeland_chain_energy_rise_is_typed(g1d4):
     f = Functional(eval=ev, name="drifting")
     with pytest.raises(AssumptionViolated) as exc:
         _ekeland_chain(f, g1d4, whole_space(g1d4), np.ones(4), 0.1,
-                       XMetric(g1d4), np.random.default_rng(0))
+                       XMetric(g1d4), np.random.default_rng(0),
+                       anchor_vals=np.zeros(4), trust=1.0)
     log = exc.value.witness
     assert log[0] == [4.0, 0.0]
     assert log[-1][0] > log[-2][0]
@@ -1056,3 +1057,101 @@ def test_symmetric_zhong_on_the_cone(g1d4):
     with pytest.raises(BadStart):
         symmetric_zhong(f, g1d4, g1d4.zeros(), 0.1, 0.1, lambda s: s,
                         seed=1, n_samples=500)
+
+
+# ---------------------------------------------------------------------------
+# block gradients in the descent
+
+def _column_hessian(grad, x, idx):
+    # the column loop the block Hessian replaced: two gradient calls per
+    # coordinate in idx
+    from symvar import _descent
+
+    h = _descent._FD_STEP * (1.0 + float(np.max(np.abs(x))))
+    H = np.empty((len(idx), len(idx)))
+    for c, j in enumerate(idx):
+        e = np.zeros(len(x))
+        e[j] = h
+        H[:, c] = ((grad(x + e) - grad(x - e)) / (2.0 * h))[idx]
+    return 0.5 * (H + H.T)
+
+
+def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
+    from symvar import _descent
+    from symvar import applications as ap
+    from symvar.principles import _f_arr, _grad_arr
+
+    rng = np.random.default_rng(12)
+    for g in (g1d8, g2d4):
+        cubic = ap.SemilinearNonlinearity(
+            g=lambda s: s * s * s, G=lambda s: 0.25 * (s * s) * (s * s),
+            a1=0.0, a2=0.0, b=3.0, p=4.0)
+        fs_ = [ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.5), g),
+               ap.semilinear_functional(cubic, g), double_well(g)]
+        for f in fs_:
+            fun, grad = _f_arr(f, g), _grad_arr(f, g)
+            x = 0.4 * rng.standard_normal(g.n_cells)
+            every = np.arange(g.n_cells)
+            some = np.flatnonzero(rng.random(g.n_cells) < 0.5)
+            for idx in (every, some):
+                assert np.array_equal(_descent._fd_hessian(grad, x, idx),
+                                      _column_hessian(grad, x, idx)), f.name
+            lo, hi = -0.3 * np.ones(g.n_cells), 0.3 * np.ones(g.n_cells)
+            xb = np.clip(x, lo, hi)
+            block = (_descent.newton_polish(fun, grad, x, fun(x)),
+                     _descent.active_set_newton(fun, grad, xb, fun(xb), lo, hi))
+            built = []
+
+            def column(grad_, x_, idx_):
+                built.append(len(idx_))
+                return _column_hessian(grad_, x_, idx_)
+
+            with monkeypatch.context() as m:
+                m.setattr(_descent, "_fd_hessian", column)
+                loop = (_descent.newton_polish(fun, grad, x, fun(x)),
+                        _descent.active_set_newton(fun, grad, xb, fun(xb),
+                                                   lo, hi))
+            assert built, f.name
+            for (xa, fa), (xc, fc) in zip(block, loop):
+                assert np.array_equal(xa, xc) and fa == fc, f.name
+
+
+def test_descent_makes_no_riesz_solve(g1d8, monkeypatch):
+    # a functional that declares its Euclidean gradient is descended without
+    # one Riesz solve; the spy does see the solve of ``derivative``
+    from symvar import applications as ap
+    from symvar import funcspace
+    from symvar.principles import estimate_inf
+
+    calls = []
+    real = funcspace.riesz_from_euclidean
+
+    def spy(space, g):
+        calls.append(np.shape(g))
+        return real(space, g)
+
+    monkeypatch.setattr(funcspace, "riesz_from_euclidean", spy)
+    monkeypatch.setattr(ap, "riesz_from_euclidean", spy)
+    f = ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.5), g1d8)
+    estimate_inf(f, g1d8, whole_space(g1d8), np.random.default_rng(0))
+    assert calls == []
+    f.derivative(g1d8.zeros())
+    assert calls == [(8,)]
+
+
+def test_penalty_grad_rows_equal_single_calls(g1d8, g2d4):
+    rng = np.random.default_rng(13)
+    for g in (g1d8, g2d4):
+        metric, gram = XMetric(g), gram_matrix(g)
+        c = rng.standard_normal(g.n_cells)
+        W = c + rng.standard_normal((20, g.n_cells)) \
+            * rng.uniform(1e-3, 1e2, (20, 1))
+        W[3] = c                          # at the center: zero gradient
+        P = metric.penalty_grad(W, c)
+        assert P.shape == W.shape
+        for w, pg in zip(W, P):
+            assert np.array_equal(pg, metric.penalty_grad(w, c))
+        assert not P[3].any()
+        w = W[0]
+        assert np.array_equal(metric.penalty_grad(w, c),
+                              gram @ (w - c) / metric.norm(w - c))
