@@ -3,9 +3,10 @@
 Everything here works on flat numpy arrays and plain callables; the engines
 adapt GridFunction-valued functionals.  A ``grad`` takes one vector (N,) or
 a block (k, N) of rows and returns the Euclidean gradient of each row,
-bit-equal to its single-vector call; the Newton Hessians use the block.  All routines are pure and seedless:
-randomized multi-start decisions are made by the callers, which thread one
-seeded generator through the whole run.
+bit-equal to its single-vector call; the Newton Hessians use the block.
+All routines are pure and seedless: randomized multi-start decisions are
+made by the callers, which thread one seeded generator through the whole
+run.
 """
 
 from __future__ import annotations

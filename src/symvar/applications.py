@@ -236,8 +236,8 @@ def quasilinear_functional(I: QuasilinearIntegrand,
     deriv = None
     if space.p == 2.0:
         def deriv(u):
-            return GridFunction(space, riesz_from_euclidean(space,
-                                                            grad(u.values)))
+            r = grad(u.values)
+            return GridFunction(space, riesz_from_euclidean(space, r))
 
     return Functional(eval=lambda u: quasilinear_energy(I, u),
                       derivative=deriv, gradient=grad,

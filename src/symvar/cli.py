@@ -199,8 +199,8 @@ def _fn_double_well(space, params):
         return (4.0 * (m * sq - r2) * m)[..., None] * W
 
     def dv(u):
-        return GridFunction(space, fs.riesz_from_euclidean(space,
-                                                           grad(u.values)))
+        g = grad(u.values)
+        return GridFunction(space, fs.riesz_from_euclidean(space, g))
 
     return Functional(eval=ev, derivative=dv,
                       symmetry_class="polarization-invariant",
