@@ -541,6 +541,7 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
     if math.isinf(fv):
         raise OutsideDomain("f(u0) is not finite on the domain")
     log = [[float(fv), 0.0]]
+    anchor = np.asarray(anchor_vals, float)
 
     for _ in range(60):
         ts = 1e-12 * (1.0 + abs(fv))
@@ -561,7 +562,6 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
                     pg = metric.penalty_grad(w, vk)
                     return g + sigma * pg
 
-        anchor = np.asarray(anchor_vals, float)
         starts = [vk, anchor, 0.5 * (vk + anchor), np.zeros_like(vk)]
         for _ in range(2):
             d = rng.standard_normal(len(vk))
