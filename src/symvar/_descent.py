@@ -4,9 +4,13 @@ Everything here works on flat numpy arrays and plain callables; the engines
 adapt GridFunction-valued functionals.  A ``grad`` takes one vector (N,) or
 a block (k, N) of rows and returns the Euclidean gradient of each row,
 bit-equal to its single-vector call; the Newton Hessians use the block.
-All routines are pure and seedless: randomized multi-start decisions are
-made by the callers, which thread one seeded generator through the whole
-run.
+The multi-start descent runs its starts in lock-step as the rows of one
+block: ``fun``, ``grad`` and ``project`` also take a block, each row
+bit-equal to its single-vector call, and the Armijo test, the BB step
+and the stop rules run row by row on the single-vector expressions, so
+row i follows the descent from start i alone bit for bit.  All routines
+are pure and seedless: randomized multi-start decisions are made by the
+callers, which thread one seeded generator through the whole run.
 """
 
 from __future__ import annotations
@@ -40,47 +44,92 @@ def _fd_hessian(grad, x, idx):
     return 0.5 * (S + S.T)
 
 
-def armijo_bb_minimize(fun, grad, x0, *, project=None):
+def _call(fn, X, starts, errors):
+    """fn on each row of the block X, whose rows belong to ``starts``: one
+    block call, or one call per row when the block call raises.  A row
+    that raises gets None, and its error is kept in ``errors`` under its
+    start."""
+    if not len(X):
+        return []
+    try:
+        return list(fn(X))
+    except Exception:
+        out = []
+        for x, i in zip(X, starts):
+            try:
+                out.append(fn(x))
+            except Exception as exc:
+                errors[i] = exc
+                out.append(None)
+        return out
+
+
+def armijo_bb_rows(fun, grad, X0, *, project=None):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
-    backtracking, at most 400 steps.  Returns (x, f(x)).  ``project`` must
-    be idempotent."""
-    x = np.array(x0, float)
+    backtracking from each row of X0, at most 400 steps per row, all rows
+    in lock-step: the trials of the rows still in their line search are
+    scored by one ``fun`` call, and the rows that accept get their
+    gradients from one ``grad`` call.  Everything else is done row by row
+    as for one start, so each row stops where its own descent would stop.
+    Returns (x, f, errors): the end point and value of each row, and the
+    error of each row whose call raised (that row stops there).
+    ``project`` must be idempotent."""
+    X = np.array(X0, float)
     if project is not None:
-        x = project(x)
-    fx = fun(x)
-    if not _finite(fx):
-        return x, fx
-    g = grad(x)
-    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
-    for _ in range(400):
-        gnorm = float(np.linalg.norm(g))
+        X = project(X)
+    errors = {}
+    x, fx = list(X), _call(fun, X, range(len(X)), errors)
+    live = [i for i, f in enumerate(fx) if f is not None and _finite(f)]
+    g = dict(zip(live, _call(grad, X[live], live, errors)))
+    live = [i for i in live if g[i] is not None]
+    step = {i: 1.0 / max(1.0, float(np.linalg.norm(g[i]))) for i in live}
+    t, n_steps = {}, dict.fromkeys(live, 0)
+
+    def search(rows):
+        # the rows not (projected) stationary, x - P(x - g) small, start a
+        # line search from their BB step
+        out = []
+        for i in rows:
+            d = g[i] if project is None else x[i] - project(x[i] - g[i])
+            if not float(np.linalg.norm(d)) < 1e-12 and step[i] > 1e-18:
+                t[i] = step[i]
+                out.append(i)
+        return out
+
+    live = search(live)
+    while live:
+        XN = np.array([x[i] - t[i] * g[i] for i in live])
         if project is not None:
-            # projected stationarity: x - P(x - g) small
-            crit = float(np.linalg.norm(x - project(x - g)))
-        else:
-            crit = gnorm
-        if crit < 1e-12:
-            break
-        t = step
-        accepted = False
-        while t > 1e-18:
-            xn = x - t * g
-            if project is not None:
-                xn = project(xn)
-            fn = fun(xn)
-            if _finite(fn) and fn <= fx - 1e-4 * (g @ (x - xn)) and fn < fx:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        gn = grad(xn)
-        s = xn - x
-        y = gn - g
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-18 else min(step * 2.0, 1e6)
-        x, fx, g = xn, fn, gn
-    return x, fx
+            XN = project(XN)
+        fn = _call(fun, XN, live, errors)
+        acc, back = [], []
+        for j, i in enumerate(live):
+            if fn[j] is None:
+                continue
+            if (_finite(fn[j])
+                    and fn[j] <= fx[i] - 1e-4 * (g[i] @ (x[i] - XN[j]))
+                    and fn[j] < fx[i]):
+                acc.append(j)
+            else:
+                t[i] *= 0.5
+                if t[i] > 1e-18:
+                    back.append(i)
+        rows = [live[j] for j in acc]
+        moved = []
+        for j, i, gn in zip(acc, rows, _call(grad, XN[acc], rows, errors)):
+            if gn is None:
+                continue
+            s = XN[j] - x[i]
+            y = gn - g[i]
+            sy = float(s @ y)
+            step[i] = (float(s @ s) / sy if sy > 1e-18
+                       else min(step[i] * 2.0, 1e6))
+            x[i], fx[i], g[i] = XN[j], fn[j], gn
+            n_steps[i] += 1
+            if n_steps[i] < 400:
+                moved.append(i)
+        live = sorted(back + search(moved))
+    return x, fx, errors
 
 
 def newton_polish(fun, grad, x, fx):
@@ -187,14 +236,21 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
                         compass_scale=0.25, f_atol=0.0):
     """Best local minimum over the given starts.
 
-    Smooth path (grad given): BB descent, then Newton polish (active-set
-    Newton for box domains, plain Newton when unconstrained).  Derivative
-    free path: compass search.  Returns (x, f(x))."""
-    best_x, best_f = None, math.inf
-    for x0 in starts:
-        x0 = np.asarray(x0, float)
+    Smooth path (grad given): BB descent of all starts in lock-step, then
+    Newton polish per start (active-set Newton for box domains, plain
+    Newton when unconstrained).  Derivative free path: compass search.
+    Returns (x, f(x), values), ``values`` the final f of each start.  When
+    a start raises, the error of the first such start in start order is
+    raised, as a run of one start after the other would."""
+    X0 = np.array(starts, float)
+    if grad is not None:
+        X, F, errors = armijo_bb_rows(fun, grad, X0, project=project)
+    best_x, best_f, values = None, math.inf, []
+    for i, x0 in enumerate(X0):
         if grad is not None:
-            x, fx = armijo_bb_minimize(fun, grad, x0, project=project)
+            if i in errors:
+                raise errors[i]
+            x, fx = X[i], float(F[i])
             if box is not None:
                 x, fx = active_set_newton(fun, grad, x, fx, box[0], box[1])
             elif project is None:
@@ -202,9 +258,10 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
         else:
             x, fx = compass_minimize(fun, x0, scale=compass_scale,
                                      project=project, f_atol=f_atol)
+        values.append(fx)
         if _finite(fx) and fx < best_f:
             best_x, best_f = x, fx
     if best_x is None:
-        x0 = np.asarray(starts[0], float)
-        return (project(x0) if project is not None else x0), fun(x0)
-    return best_x, best_f
+        x = X0[0] if project is None else project(X0[0])
+        return x, fun(x), values
+    return best_x, best_f, values

@@ -166,15 +166,30 @@ def _gradient_fields(space: GridSpace, values):
 def quasilinear_energy(I: QuasilinearIntegrand, u: GridFunction) -> float:
     """Midpoint quadrature of L over cells (values + forward-difference
     gradient magnitudes) plus the ghost-node terms L(0, |u_boundary|/h)."""
-    comps, ghost = _gradient_fields(u.space, u.values)
+    return float(_quasilinear_energy_rows(I, u.space, u.values))
+
+
+def _quasilinear_energy_rows(I: QuasilinearIntegrand, space: GridSpace,
+                             values):
+    """The energy of one vector (N,) or of each row of a block (k, N).  The
+    fields carry the row axis last and the running sum runs down the cell
+    axis, so each row is bit-equal to its call; a non-finite L raises
+    IntegrandError for the first such row, at its first such cell."""
+    s = values.T
+    comps, ghost = _gradient_fields(space, values)
     t = np.sqrt(sum(c * c for c in comps))
-    val = _each(I.L, u.values, t)
-    bad = np.flatnonzero(~np.isfinite(val))
-    if bad.size:
-        raise IntegrandError(f"L({u.values[bad[0]]}, {t[bad[0]]}) not finite")
+    val = _each(I.L, s, t)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        cols = bad.reshape(len(bad), -1)
+        r = np.flatnonzero(cols.any(axis=0))[0]
+        c = np.flatnonzero(cols[:, r])[0]
+        raise IntegrandError(f"L({s.reshape(cols.shape)[c, r]}, "
+                             f"{t.reshape(cols.shape)[c, r]}) not finite")
     # a running sum from 0.0, cells then ghosts (np.sum would add pairwise)
-    terms = np.concatenate(([0.0], val, _each(I.L, 0.0, abs(ghost))))
-    return float(np.cumsum(terms)[-1] * u.space.cell_measure)
+    terms = np.concatenate((np.zeros((1,) + val.shape[1:]), val,
+                            _each(I.L, 0.0, abs(ghost))))
+    return np.cumsum(terms, axis=0)[-1] * space.cell_measure
 
 
 def quasilinear_residual_vector(I: QuasilinearIntegrand, u: GridFunction):
@@ -240,6 +255,7 @@ def quasilinear_functional(I: QuasilinearIntegrand,
             return GridFunction(space, riesz_from_euclidean(space, r))
 
     return Functional(eval=lambda u: quasilinear_energy(I, u),
+                      eval_batch=lambda W: _quasilinear_energy_rows(I, space, W),
                       derivative=deriv, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
@@ -417,12 +433,25 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
     A, m = laplacian_matrix(space), space.cell_measure
 
     def ev(u):
-        if box is not None and not box.contains(u.values):
-            return math.inf
-        quad = 0.5 * float(u.values @ A @ u.values)
-        # builtin sum, not np.sum: pairwise addition moves the last bit
-        pot = m * float(sum(_each(N.G, u.values).tolist()))
-        return quad - pot
+        return float(ev_rows(u.values[None])[0])
+
+    def ev_rows(W):
+        if box is None:
+            return energy_rows(W)
+        inside = box.contains_rows(W)
+        vals = np.full(len(W), math.inf)
+        vals[inside] = energy_rows(W[inside])
+        return vals
+
+    def energy_rows(W):
+        # per row the gemv and ddot of one vector's u @ A @ u (a stacked
+        # (1, N) @ (N, N) is a gemv and a stacked (1, N) @ (N, 1) a ddot),
+        # and for ∫G(u) a running sum from 0 along the row (a pairwise sum
+        # would move the last bit), so each row is bit-equal to its call
+        quad = 0.5 * np.matmul(np.matmul(W[:, None, :], A),
+                               W[:, :, None])[:, 0, 0]
+        terms = np.concatenate((np.zeros((len(W), 1)), _each(N.G, W)), axis=1)
+        return quad - m * np.cumsum(terms, axis=1)[:, -1]
 
     def grad(W):
         return _euler_lagrange_rows(N, space, W)
@@ -430,7 +459,8 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
     def deriv(u):
         return GridFunction(space, riesz_from_euclidean(space, grad(u.values)))
 
-    return Functional(eval=ev, derivative=deriv, gradient=grad,
+    return Functional(eval=ev, eval_batch=ev_rows, derivative=deriv,
+                      gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       name=N.name or "semilinear")
 

@@ -145,12 +145,13 @@ class Functional:
     ``unverified``.  ``dominating_point`` (optional) maps u to some
     ξ ∈ S with f(ξ) ≤ f(u); the default used by the engines is Θ(u).
     ``eval_batch`` (optional) maps a block (k, N) of cell-value rows to the
-    (k,) values of f, each equal to ``eval`` on its row; the samplers use it
-    in place of one ``eval`` per row.  ``gradient`` (optional) returns the
-    Euclidean gradient ∇f of the cell values: one vector (N,) gives (N,),
-    a block (k, N) gives the (k, N) gradients, each row bit-equal to the
-    call on that row alone.  The descent uses it in place of Gx times
-    ``derivative``, and builds each Newton Hessian from one block call.
+    (k,) values of f, each equal to ``eval`` on its row; the samplers and
+    the multi-start descent use it in place of one ``eval`` per row.
+    ``gradient`` (optional) returns the Euclidean gradient ∇f of the cell
+    values: one vector (N,) gives (N,), a block (k, N) gives the (k, N)
+    gradients, each row bit-equal to the call on that row alone.  The
+    descent uses it in place of Gx times ``derivative``, and builds each
+    Newton Hessian from one block call.
     """
 
     eval: Callable[[GridFunction], float]
@@ -170,9 +171,12 @@ class Functional:
 
     def _eval_rows(self, space: GridSpace, W) -> np.ndarray:
         """f at each row of the block W: ``eval_batch`` when given, else
-        ``__call__`` row by row; NaN and −inf are rejected either way."""
+        ``__call__`` row by row; non-finite rows (as for a GridFunction)
+        and the values NaN and −inf are rejected either way."""
         if self.eval_batch is None:
             return np.array([self(GridFunction(space, w)) for w in W], float)
+        if not np.isfinite(W).all():
+            raise InvalidArgument("GridFunction values must be finite")
         vals = np.asarray(self.eval_batch(W), dtype=float)
         if vals.shape != (len(W),):
             raise InvalidArgument(f"functional {self.name or '<anon>'}: "

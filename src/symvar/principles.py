@@ -64,8 +64,9 @@ class SetOracle:
     necessarily the metric projection).  Stability flags declare closure
     under polarization / symmetrization for the symmetric principles.  The
     built-in kinds ``space``, ``cone`` and ``box`` also act on a block
-    (k, N) of rows (``contains`` then answers per row); the samplers call
-    any other oracle once per row."""
+    (k, N) of rows (``contains`` then answers per row); ``contains_rows``
+    and ``project_rows``, which the samplers and the descent call on
+    blocks, call any other oracle once per row."""
 
     contains: Callable[[np.ndarray], bool]
     project: Callable[[np.ndarray], np.ndarray]
@@ -75,6 +76,20 @@ class SetOracle:
     polarization_stable: bool = True
     symmetrization_stable: bool = True
     description: str = ""
+
+    def contains_rows(self, W):
+        """``contains`` of each row of the block W, as a (k,) mask."""
+        if self.kind == "space":
+            return np.ones(len(W), bool)
+        if self.kind in ("cone", "box"):
+            return self.contains(W)
+        return np.array([bool(self.contains(w)) for w in W], bool)
+
+    def project_rows(self, W):
+        """``project`` of each row of the block W."""
+        if self.kind in ("space", "cone", "box"):
+            return self.project(W)
+        return np.array([self.project(w) for w in W], float).reshape(W.shape)
 
 
 def whole_space(space: GridSpace) -> SetOracle:
@@ -273,7 +288,14 @@ class Certificate:
 # shared machinery
 
 def _f_arr(f: Functional, space: GridSpace):
-    return lambda vals: f(GridFunction(space, vals))
+    """f on one vector of cell values, or on each row of a block (k, N)
+    through ``Functional._eval_rows``, each row bit-equal to its call."""
+    def fun(W):
+        if np.ndim(W) == 1:
+            return f(GridFunction(space, W))
+        return f._eval_rows(space, W)
+
+    return fun
 
 
 def _grad_arr(f: Functional, space: GridSpace):
@@ -309,12 +331,19 @@ def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
     if domain.kind == "space":
         return fun, _grad_arr(f, space), None, box
 
-    def guarded(vals):
-        if not domain.contains(vals):
-            return math.inf
-        return fun(vals)
+    def guarded(W):
+        if np.ndim(W) == 1:
+            return fun(W) if domain.contains(W) else math.inf
+        inside = domain.contains_rows(W)
+        vals = np.full(len(W), math.inf)
+        if inside.any():
+            vals[inside] = fun(W[inside])
+        return vals
 
-    return guarded, _grad_arr(f, space), domain.project, box
+    def project(W):
+        return domain.project(W) if np.ndim(W) == 1 else domain.project_rows(W)
+
+    return guarded, _grad_arr(f, space), project, box
 
 
 def _check_start(f_start, inf_est, gap):
@@ -327,7 +356,8 @@ def _check_start(f_start, inf_est, gap):
 def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
                  extra_starts=()):
     """Documented multi-start minimization probe: the origin, the given
-    starts and six random starts.
+    starts and six random starts, descended together by one
+    ``minimize_multistart`` call.
 
     Returns (inf_est, log, argmin_values).  The estimate is an upper bound
     on inf f over the domain; engines record it and certify against it."""
@@ -344,14 +374,9 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
         starts.append(domain.project(rng.standard_normal(space.n_cells) * scale))
         tags.append(f"random{j}")
 
-    log = []
-    best_x, best_f = None, math.inf
-    for tag, x0 in zip(tags, starts):
-        x, fx = _descent.minimize_multistart(fun, grad, [x0], project=project,
-                                             box=box)
-        log.append([tag, float(fx)])
-        if fx < best_f:
-            best_x, best_f = x, fx
+    best_x, best_f, values = _descent.minimize_multistart(
+        fun, grad, starts, project=project, box=box)
+    log = [[tag, float(fx)] for tag, fx in zip(tags, values)]
     if f.lower_bound is not None and best_f < f.lower_bound - 1e-9:
         raise AssumptionViolated(
             f"probe found f = {best_f} below the declared lower bound {f.lower_bound}")
@@ -365,14 +390,10 @@ _SAMPLE_BLOCK = 512
 def _project_rows(domain: SetOracle, W):
     """The rows of the block W projected into ``domain``, keeping those the
     domain contains, in order; a custom oracle is called once per row."""
-    if domain is None or domain.kind == "space":
+    if domain is None:
         return W
-    if domain.kind in ("cone", "box"):
-        P = domain.project(W)
-        return P[domain.contains(P)]
-    rows = [np.asarray(domain.project(w), float) for w in W]
-    return np.array([w for w in rows if domain.contains(w)]).reshape(
-        -1, W.shape[1])
+    P = domain.project_rows(W)
+    return P[domain.contains_rows(P)]
 
 
 def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
@@ -569,10 +590,10 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
             if nd > 0:
                 starts.append(vk + trust * d / nd)
         if grad_phi is not None:
-            w_best, phi_best = _descent.minimize_multistart(
-                phi, grad_phi, [s for s in starts], project=project, box=box)
+            w_best, phi_best, _ = _descent.minimize_multistart(
+                phi, grad_phi, starts, project=project, box=box)
         else:
-            w_best, phi_best = _descent.minimize_multistart(
+            w_best, phi_best, _ = _descent.minimize_multistart(
                 phi, None, starts, project=project, box=box,
                 compass_scale=max(0.25 * trust, 1e-3), f_atol=0.25 * ts)
         # the current point is always an admissible candidate
@@ -876,7 +897,8 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
     v_vals = None
     for _ in range(200):
         def phi(w):
-            return fun(w) + sigma * metric.dist(w, eta) ** p_exp
+            # libm pow on each row, as the scalar power of one vector
+            return fun(w) + sigma * _pow_rows(metric.dist(w, eta), p_exp)
 
         grad_phi = None
         if grad_f is not None and p_exp == 2 and gram is not None:
@@ -885,7 +907,7 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
                 return grad_f(w) + 2.0 * sigma * pen
 
         starts = [eta, argmin, 0.5 * (eta + argmin), np.zeros_like(eta)]
-        v_vals, _ = _descent.minimize_multistart(
+        v_vals, _, _ = _descent.minimize_multistart(
             phi, grad_phi, starts, project=project, box=box)
         if metric.dist(v_vals, eta) <= rho / 2.0:
             break

@@ -150,6 +150,55 @@ def test_nonfinite_integrand_names_first_bad_cell(g1d4):
     assert str(err.value) == f"L({s[i]}, {t[i]}) is not finite"
 
 
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 128), (2, 4)])
+def test_pde_row_energies_equal_single_calls(dimension, n):
+    # eval_batch of the quasilinear and semilinear functionals gives on a
+    # block exactly what __call__ gives on each row; +inf off the box
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(n)
+    W = rng.standard_normal((200, g.n_cells)) \
+        * rng.uniform(1e-2, 1e2, (200, 1))
+    W[:50] *= 0.5 / np.max(np.abs(W[:50]), axis=1, keepdims=True)
+    W[50:, 0] = 0.75                         # rows 50.. leave the box
+    cubic = SemilinearNonlinearity(
+        g=lambda s: s * s * s, G=lambda s: 0.25 * (s * s) * (s * s),
+        a1=0.0, a2=0.0, b=3.0, p=4.0)
+    damping = SemilinearNonlinearity(
+        g=lambda s: -s, G=lambda s: -0.5 * s * s, a1=1.0, a2=2.0, b=1.0, p=3.0)
+    box = box_set(g, -0.5, 0.5)
+    for f in (quasilinear_functional(dirichlet_integrand(), g),
+              quasilinear_functional(forced_dirichlet_integrand(0.7), g),
+              semilinear_functional(cubic, g), semilinear_functional(damping, g),
+              semilinear_functional(cubic, g, box)):
+        rows = f.eval_batch(W)
+        assert rows.shape == (200,)
+        assert rows.tobytes() == np.array(
+            [f(GridFunction(g, w)) for w in W]).tobytes(), f.name
+    boxed = semilinear_functional(cubic, g, box).eval_batch(W)
+    assert np.isfinite(boxed[:50]).all() and np.all(boxed[50:] == np.inf)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def test_row_energy_raises_for_the_first_nonfinite_row(dimension, n):
+    # a non-finite L raises IntegrandError on a block too, naming the first
+    # bad row's first bad cell as the call on that row does
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    I = QuasilinearIntegrand(
+        L=lambda s, t: np.where(s > 1.0, np.inf, 0.5 * t * t),
+        L_s=lambda s, t: 0.0, L_xi=lambda s, t: t, nonneg=False,
+        odd_dominated=False)
+    f = quasilinear_functional(I, g)
+    W = np.full((4, g.n_cells), 0.5)
+    W[1, 5], W[1, 6] = 2.0, 3.0
+    W[2, 1] = 4.0                              # earlier cell, later row
+    with pytest.raises(IntegrandError) as single:
+        f(GridFunction(g, W[1]))
+    with pytest.raises(IntegrandError) as block:
+        f.eval_batch(W)
+    assert str(block.value) == str(single.value)
+    assert str(block.value).startswith("L(2.0, ")
+
+
 def test_dual_norm_two_routes_agree(g1d8):
     rng = np.random.default_rng(3)
     for _ in range(4):
