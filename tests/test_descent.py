@@ -114,8 +114,6 @@ def _functionals(space, rng):
          whole_space(space), center),
         ("double_well", _cli(space, "double_well", radius=0.7),
          whole_space(space), zero),
-        ("dirichlet", ap.quasilinear_functional(ap.dirichlet_integrand(), space),
-         nonneg_cone(space), zero),
         ("forced", ap.quasilinear_functional(
             ap.forced_dirichlet_integrand(1.0), space), whole_space(space), zero),
         ("forced/cone", ap.quasilinear_functional(
@@ -160,7 +158,6 @@ def _starts(space, rng, stationary):
     return np.array([stationary,
                      2.0 * rng.standard_normal(k),
                      np.full(k, 0.3),
-                     0.5 * rng.standard_normal(k),
                      rng.uniform(0.6, 1.5, k)])
 
 
