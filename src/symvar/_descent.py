@@ -132,37 +132,13 @@ def armijo_bb_rows(fun, grad, X0, *, project=None):
     return x, fx, errors
 
 
-def newton_polish(fun, grad, x, fx):
-    """Unconstrained Newton refinement with a finite-difference Hessian.
+def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf):
+    """Newton refinement with a finite-difference Hessian on the free
+    coordinates of a point of the box [lo, hi] (unbounded by default): a
+    coordinate is held when it sits on a bound its gradient pushes against.
 
     Exact (to rounding) in one step for quadratics; steps are only accepted
     when they do not increase f, so nonconvex objectives stay safe."""
-    n = len(x)
-    for _ in range(_NEWTON_ITERS):
-        g = grad(x)
-        gn = float(np.linalg.norm(g))
-        if gn < 1e-14 * (1.0 + abs(fx)):
-            break
-        H = _fd_hessian(grad, x, np.arange(n))
-        try:
-            d = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
-            d = np.linalg.lstsq(H + 1e-10 * np.eye(n), -g, rcond=None)[0]
-        improved = False
-        for t in (1.0, 0.5, 0.25):
-            xn = x + t * d
-            fn = fun(xn)
-            if _finite(fn) and fn <= fx:
-                x, fx = xn, fn
-                improved = True
-                break
-        if not improved:
-            break
-    return x, fx
-
-
-def active_set_newton(fun, grad, x, fx, lo, hi):
-    """Newton refinement on the free coordinates of a box-constrained point."""
     for _ in range(_NEWTON_ITERS):
         g = grad(x)
         at_lo = (x <= lo + 1e-12) & (g > 0)
@@ -179,7 +155,6 @@ def active_set_newton(fun, grad, x, fx, lo, hi):
             d = np.linalg.solve(H, -gf)
         except np.linalg.LinAlgError:
             break
-        improved = False
         for t in (1.0, 0.5, 0.25):
             xn = x.copy()
             xn[idx] += t * d
@@ -187,9 +162,8 @@ def active_set_newton(fun, grad, x, fx, lo, hi):
             fn = fun(xn)
             if _finite(fn) and fn <= fx:
                 x, fx = xn, fn
-                improved = True
                 break
-        if not improved:
+        else:
             break
     return x, fx
 
@@ -237,8 +211,9 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
     """Best local minimum over the given starts.
 
     Smooth path (grad given): BB descent of all starts in lock-step, then
-    Newton polish per start (active-set Newton for box domains, plain
-    Newton when unconstrained).  Derivative free path: compass search.
+    a Newton polish per start on box domains and when unconstrained (other
+    projections keep the descent's end).  Derivative free path: compass
+    search.
     Returns (x, f(x), values), ``values`` the final f of each start.  When
     a start raises, the error of the first such start in start order is
     raised, as a run of one start after the other would."""
@@ -251,10 +226,8 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
             if i in errors:
                 raise errors[i]
             x, fx = X[i], float(F[i])
-            if box is not None:
-                x, fx = active_set_newton(fun, grad, x, fx, box[0], box[1])
-            elif project is None:
-                x, fx = newton_polish(fun, grad, x, fx)
+            if box is not None or project is None:
+                x, fx = newton_polish(fun, grad, x, fx, *(box or ()))
         else:
             x, fx = compass_minimize(fun, x0, scale=compass_scale,
                                      project=project, f_atol=f_atol)

@@ -936,15 +936,12 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
 
     Preconditions: B inside the fully symmetric class, d(B, C) > 0 with
     the smallness threshold ε·diam(B) < (1−ε)·d(B,C), and a polarization/
-    symmetrization-stable C (declared on the oracle, spot-checked)."""
+    symmetrization-stable C (a hypothesis on the caller's C, not checked)."""
     space = x.space
     if not B.symmetric or not is_family_fixed(B.center):
         raise NotSymmetricInput("B must lie in the fully symmetric class")
     if not C.contains(x.values):
         raise AssumptionViolated("the vertex x must belong to C")
-    if not (C.polarization_stable and C.symmetrization_stable):
-        raise AssumptionViolated("C must declare polarization/symmetrization "
-                                 "stability")
     rng = np.random.default_rng(seed)
 
     # separation estimate from projection probes

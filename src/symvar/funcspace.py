@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from scipy.linalg.lapack import dpotrs
@@ -62,7 +62,7 @@ class GridSpace:
     spacing: float
     cell_measure: float
     K: float
-    C_theta: float = 1.0
+    C_theta: ClassVar[float] = 1.0      # a constant, not a field
     polarizers: tuple = field(default=())
 
     @property
@@ -142,11 +142,10 @@ class Functional:
     ``derivative`` (optional) returns the X-Riesz representative of df(u)
     for the p = 2 inner product.  ``symmetry_class`` is one of
     ``polarization-nonincreasing``, ``polarization-invariant``,
-    ``unverified``.  ``dominating_point`` (optional) maps u to some
-    ξ ∈ S with f(ξ) ≤ f(u); the default used by the engines is Θ(u).
-    ``eval_batch`` (optional) maps a block (k, N) of cell-value rows to the
-    (k,) values of f, each equal to ``eval`` on its row; the samplers and
-    the multi-start descent use it in place of one ``eval`` per row.
+    ``unverified``.  ``eval_batch`` (optional) maps a block (k, N) of
+    cell-value rows to the (k,) values of f, each equal to ``eval`` on its
+    row; the samplers and the multi-start descent use it in place of one
+    ``eval`` per row.
     ``gradient`` (optional) returns the Euclidean gradient ∇f of the cell
     values: one vector (N,) gives (N,), a block (k, N) gives the (k, N)
     gradients, each row bit-equal to the call on that row alone.  The
@@ -158,7 +157,6 @@ class Functional:
     derivative: Optional[Callable[[GridFunction], GridFunction]] = None
     symmetry_class: str = "unverified"
     lower_bound: Optional[float] = None
-    dominating_point: Optional[Callable[[GridFunction], GridFunction]] = None
     name: str = ""
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None

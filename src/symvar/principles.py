@@ -48,7 +48,6 @@ __all__ = [
     "XMetric", "VMetric", "CallableMetric",
 ]
 
-DEFAULT_TOL_CERT = 1e-7
 # the sampled symmetry checks allow f(u^H) ≤ f(u) + _TOL_SYM·(1 + |f(u)|)
 _TOL_SYM = 1e-9
 
@@ -61,9 +60,7 @@ class SetOracle:
     """Membership + feasibility projection for a closed set of grid values.
 
     ``project`` must land inside the set (a feasibility oracle, not
-    necessarily the metric projection).  Stability flags declare closure
-    under polarization / symmetrization for the symmetric principles.  The
-    built-in kinds ``space``, ``cone`` and ``box`` also act on a block
+    necessarily the metric projection).  The built-in kinds ``space``, ``cone`` and ``box`` also act on a block
     (k, N) of rows (``contains`` then answers per row); ``contains_rows``
     and ``project_rows``, which the samplers and the descent call on
     blocks, call any other oracle once per row."""
@@ -73,8 +70,6 @@ class SetOracle:
     kind: str = "custom"
     lo: Optional[np.ndarray] = None
     hi: Optional[np.ndarray] = None
-    polarization_stable: bool = True
-    symmetrization_stable: bool = True
     description: str = ""
 
     def contains_rows(self, W):
@@ -135,8 +130,6 @@ class XMetric:
         """Euclidean gradient of w ↦ ‖w−center‖_X for p = 2 grids, for one
         vector or each row of a block (zero where the distance is below
         1e-14); a stacked mat-vec keeps each row bit-equal to its call."""
-        if self.space.p != 2.0:
-            return None
         D = w - center
         d = np.asarray(self.norm(D))[..., None]
         G = np.matmul(gram_matrix(self.space), D[..., None])[..., 0]
@@ -156,9 +149,6 @@ class VMetric:
     def dist(self, a, b) -> float:
         return self.norm(a - b)
 
-    def penalty_grad(self, w, center):
-        return None
-
 
 class CallableMetric:
     def __init__(self, fn, name="custom"):
@@ -172,9 +162,6 @@ class CallableMetric:
 
     def dist(self, a, b) -> float:
         return self.norm(a - b)
-
-    def penalty_grad(self, w, center):
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +229,7 @@ class Certificate:
     inf_est: Optional[float] = None
     inf_probe_log: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-    tol_cert: float = DEFAULT_TOL_CERT
+    tol_cert: ClassVar[float] = 1e-7   # a constant, not a field
 
     def add_measured(self, name, value, bound):
         self.measured[name] = (float(value), float(bound))
@@ -482,33 +469,40 @@ def _issue_sample(f, cert: Certificate, metric, fv, stream, n_samples, *,
         extra_points=extra_points)
 
 
-def check_symmetry(f: Functional, space: GridSpace, seed):
+def check_symmetry(f: Functional, space: GridSpace, seed, domain=None):
     """Sample f(u^H) ≤ f(u) + tol at 24 draws u ∈ S, H in the registered
-    family."""
+    family.  With a ``domain`` C each draw is projected into C (a draw the
+    projection leaves outside C is skipped) and u^H must stay in C."""
     rng = np.random.default_rng(seed)
     fam = space.polarizers
     if not fam:
         return
     for _ in range(24):
-        u = GridFunction(space, np.abs(rng.standard_normal(space.n_cells)))
+        vals = np.abs(rng.standard_normal(space.n_cells))
+        if domain is not None:
+            vals = domain.project(vals)
+            if not domain.contains(vals):
+                continue
+        u = GridFunction(space, vals)
         fu = f(u)
         if math.isinf(fu):
             continue
         H = fam[rng.integers(len(fam))]
-        fh = f(polarize(u, H))
+        uh = polarize(u, H)
+        if domain is not None and not domain.contains(uh.values):
+            raise AssumptionViolated("the domain is not polarization stable",
+                                     witness=u)
+        fh = f(uh)
         if fh > fu + _TOL_SYM * (1.0 + abs(fu)):
             raise SymmetryViolation(
                 f"f({H}) increased by {fh - fu:.3e} on a sampled u in S")
 
 
-def _dominating_point(f: Functional, u: GridFunction) -> GridFunction:
-    """ξ ∈ S with f(ξ) ≤ f(u); default candidate is Θ(u)."""
-    if f.dominating_point is not None:
-        xi = f.dominating_point(u)
-    else:
-        xi = theta(u)
+def _dominating_theta(f: Functional, u: GridFunction) -> GridFunction:
+    """ξ = Θ(u) ∈ S, checked to satisfy f(ξ) ≤ f(u)."""
+    xi = theta(u)
     fu, fxi = f(u), f(xi)
-    if np.any(xi.values < 0) or fxi > fu + 1e-9 * (1.0 + abs(fu)):
+    if fxi > fu + 1e-9 * (1.0 + abs(fu)):
         raise AssumptionViolated(
             "no dominating point in S: f(xi) > f(u)", witness=u)
     return xi
@@ -575,13 +569,10 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
             return fun(w) + sigma * wfac(w) * metric.dist(w, vk)
 
         grad_phi = None
-        if grad_f is not None and weight_fn is None:
-            pgrad = metric.penalty_grad(vk, vk)  # probe capability
-            if pgrad is not None:
-                def grad_phi(w):
-                    g = grad_f(w)
-                    pg = metric.penalty_grad(w, vk)
-                    return g + sigma * pg
+        if (grad_f is not None and weight_fn is None
+                and isinstance(metric, XMetric)):
+            def grad_phi(w):
+                return grad_f(w) + sigma * metric.penalty_grad(w, vk)
 
         starts = [vk, anchor, 0.5 * (vk + anchor), np.zeros_like(vk)]
         for _ in range(2):
@@ -715,11 +706,8 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     extras = {"metric": metric.name, "variant_detail": {}}
     if variant == "I":
         dom = dom or nonneg_cone(space)
-        if not (dom.polarization_stable and dom.symmetrization_stable):
-            raise AssumptionViolated("variant I needs a polarization/"
-                                     "symmetrization-stable S'")
     elif variant == "II":
-        u_start = _dominating_point(f, u0)
+        u_start = _dominating_theta(f, u0)
     dom = dom or whole_space(space)
 
     # variant IV polarizes to ρ1 + ρ2 and carries that radius in its bounds
@@ -1176,38 +1164,12 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
                                  "oracles for f and every G_j")
     metric = XMetric(space)
     dom = _constraint_set(space, G, n_eq)
-    ss = np.random.SeedSequence(seed)
-    c_sym, c_inf, c_chain, c_ver = ss.spawn(4)
-
+    c_sym, c_inf, c_chain, c_ver = np.random.SeedSequence(seed).spawn(4)
     # symmetry of the constrained problem: u^H stays feasible, f does not grow
-    rng = np.random.default_rng(c_sym)
-    fam = space.polarizers
-    for _ in range(16):
-        u = dom.project(np.abs(rng.standard_normal(space.n_cells)))
-        if not dom.contains(u):
-            continue
-        H = fam[rng.integers(len(fam))]
-        uh = polarize(GridFunction(space, u), H)
-        if not dom.contains(uh.values):
-            raise AssumptionViolated("constraint set is not polarization "
-                                     "stable", witness=GridFunction(space, u))
-        if f(uh) > f(GridFunction(space, u)) + _TOL_SYM * (
-                1 + abs(f(GridFunction(space, u)))):
-            raise SymmetryViolation("f increased under polarization on C")
-
-    u_start_vals = dom.project(np.abs(u0.values))
-    u_start = GridFunction(space, u_start_vals)
-    u_tilde_cand, seq = _t_rho(u_start, eps)
-    # polarization keeps C by assumption; fall back if restoration drifted
-    if dom.contains(u_tilde_cand.values):
-        u_tilde = u_tilde_cand
-    else:
-        u_tilde, seq = u_start, []
-
-    inf_est, log, argmin = estimate_inf(
-        f, space, dom, np.random.default_rng(c_inf),
-        extra_starts=[u_start.values, u_tilde.values])
-    _check_start(f(u_start), inf_est, eps * eps)
+    check_symmetry(f, space, c_sym, dom)
+    u_start = GridFunction(space, dom.project(np.abs(u0.values)))
+    u_tilde, seq, _, inf_est, log, argmin = _symmetric_start(
+        f, space, dom, u_start, eps, c_inf, eps * eps)
 
     v_vals, chain_log = _ekeland_chain(
         f, space, dom, u_tilde.values, eps, metric,
@@ -1277,9 +1239,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     if np.any(psi.values < 0) or not is_family_fixed(psi):
         raise NotSymmetricInput("psi must be fixed by every registered "
                                 "polarizer")
-    ss = np.random.SeedSequence(seed)
-    c_sym, c_opt, c_chain, c_ver = ss.spawn(4)
-    check_symmetry(f, space, c_sym)
+    _, c_chain, c_ver = _open_symmetric(f, space, psi, seed, 4)
 
     zero = space.zeros()
     barrier = max(f(zero), f(psi))
@@ -1487,7 +1447,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     metric = XMetric(space)
     for h, eps_h in enumerate(eps_schedule):
         try:
-            xi_h = _dominating_point(f, minimizing_sequence(h))
+            xi_h = _dominating_theta(f, minimizing_sequence(h))
             if not dom.contains(xi_h.values):
                 xi_h = GridFunction(space, dom.project(xi_h.values))
             cert = symmetric_borwein_preiss(

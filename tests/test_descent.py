@@ -80,7 +80,7 @@ def polish_and_pick(fun, grad, ends, project, box):
     best_x, best_f, values = None, math.inf, []
     for x, fx, *_ in ends:
         if box is not None:
-            x, fx = _descent.active_set_newton(fun, grad, x, fx, box[0], box[1])
+            x, fx = _descent.newton_polish(fun, grad, x, fx, box[0], box[1])
         elif project is None:
             x, fx = _descent.newton_polish(fun, grad, x, fx)
         values.append(fx)

@@ -401,6 +401,18 @@ def test_dgz_failure_has_witness(g1d4):
     assert f(w) < f(v_bad)                      # genuine counterexample
 
 
+def test_dgz_without_g_derivative_bounds_the_slope_by_differences(g1d4):
+    # a g with no derivative oracle: sup‖g'‖ comes from forward differences
+    # along sampled unit directions, under the bump's analytic bound ε
+    a = sym_center(g1d4, 29)
+    eps = 0.25
+    bump = bump_perturbation(g1d4, a, eps, delta=1.0)
+    g = Functional(eval=bump.eval, name="bump-no-derivative")
+    cert = dgz_check(quad_X(a), g, a, eps, seed=1, n_samples=2000)
+    assert cert.status == "PASS"
+    assert 0.0 < cert.measured["sup‖g'‖"][0] <= eps + 1e-6
+
+
 # ---------------------------------------------------------------------------
 # constrained principle
 
@@ -467,6 +479,40 @@ def test_constrained_inactive_inequality_zero_multiplier(g1d2):
                                          n_samples=1500)
     assert cert.extras["multipliers"][1] == 0.0
     assert 1 not in cert.extras["saturated"]
+
+
+def _weighted_l2(space, weights):
+    """f(u) = m·Σ w_i u_i² with its Riesz derivative."""
+    m, w = space.cell_measure, np.asarray(weights, float)
+
+    def dv(u):
+        return GridFunction(space, riesz_from_euclidean(
+            space, 2.0 * m * w * u.values))
+
+    return Functional(eval=lambda u: m * float(w @ (u.values * u.values)),
+                      derivative=dv, name="weighted_l2")
+
+
+def test_constrained_rejects_a_set_polarization_leaves(g1d4):
+    # C = {u_0 = 1/m} pins the edge cell; polarization moves its value
+    m = g1d4.cell_measure
+    pin = Functional(eval=lambda u: m * float(u.values[0]) - 1.0,
+                     derivative=lambda u: GridFunction(g1d4, riesz_from_euclidean(
+                         g1d4, m * np.eye(4)[0])), name="pin")
+    with pytest.raises(AssumptionViolated):
+        constrained_symmetric_ekeland(quad_X(g1d4.zeros()), [pin], 1,
+                                      g1d4.function([2.0, 1.0, 1.0, 1.0]),
+                                      0.05, seed=0, n_samples=200)
+
+
+def test_constrained_rejects_f_rising_under_polarization(g1d4):
+    # the L² sphere is polarization stable, but weights heavier in the
+    # middle make f grow when polarization moves mass inward
+    f = _weighted_l2(g1d4, [1.0, 2.0, 2.0, 1.0])
+    with pytest.raises(SymmetryViolation):
+        constrained_symmetric_ekeland(f, [_l2_sphere(g1d4)], 1,
+                                      g1d4.function([1.0, 1.0, 1.0, 1.0]),
+                                      0.05, seed=0, n_samples=200)
 
 
 # ---------------------------------------------------------------------------
@@ -1099,7 +1145,7 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
             lo, hi = -0.3 * np.ones(g.n_cells), 0.3 * np.ones(g.n_cells)
             xb = np.clip(x, lo, hi)
             block = (_descent.newton_polish(fun, grad, x, fun(x)),
-                     _descent.active_set_newton(fun, grad, xb, fun(xb), lo, hi))
+                     _descent.newton_polish(fun, grad, xb, fun(xb), lo, hi))
             built = []
 
             def column(grad_, x_, idx_):
@@ -1109,8 +1155,8 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(_descent, "_fd_hessian", column)
                 loop = (_descent.newton_polish(fun, grad, x, fun(x)),
-                        _descent.active_set_newton(fun, grad, xb, fun(xb),
-                                                   lo, hi))
+                        _descent.newton_polish(fun, grad, xb, fun(xb),
+                                               lo, hi))
             assert built, f.name
             for (xa, fa), (xc, fc) in zip(block, loop):
                 assert np.array_equal(xa, xc) and fa == fc, f.name
