@@ -254,14 +254,21 @@ def _halfplane_sum(params):
     level = params["level"]
 
     def contains(v):
-        return bool(np.all(v >= -1e-12) and np.sum(v) <= level + 1e-12)
+        return bool(np.all(v >= -1e-12)
+                    and np.sum(v) <= level + 1e-12 * (1.0 + level))
 
     def project(v):
+        # Euclidean projection: clip at 0, or when that sum exceeds level,
+        # shift by the threshold that brings the positive part's sum to
+        # level (sort and cumulative sums); the last factor takes off the
+        # rounding of a large shift
         w = np.maximum(v, 0.0)
-        ex = (np.sum(w) - level) / len(w)
-        if ex > 0:
-            w = np.maximum(w - ex, 0.0)
-        return w
+        if np.sum(w) <= level:
+            return w
+        s = np.sort(v)[::-1]
+        t = (np.cumsum(s) - level) / np.arange(1, len(s) + 1)
+        w = np.maximum(v - t[s > t][-1], 0.0)
+        return w * min(1.0, level / np.sum(w))
 
     return pr.SetOracle(contains=contains, project=project, kind="custom",
                         description=f"{{u >= 0, sum <= {level}}}")
@@ -296,7 +303,7 @@ def _singleton(params):
 
 SETS = {"halfplane_sum": _halfplane_sum, "diag_ray": _diag_ray,
         "singleton": _singleton}
-SET_PARAMS = {"level": _num(1.0), "lo": _num(1.0),
+SET_PARAMS = {"level": _pos(1.0), "lo": _num(1.0),
               "point": _optional(CELLS, "the point of the singleton set")}
 
 WEIGHTS = {

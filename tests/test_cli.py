@@ -359,6 +359,29 @@ def test_registered_power_nonlinearities_are_bitwise_elementwise():
         assert np.array_equal(arr, per)
 
 
+def test_set_projections_land_in_their_sets():
+    # SetOracle's rule: project lands inside the set, for every CLI set
+    # and the built-in cone and box, on random vectors of many sizes
+    from symvar.cli import SETS
+    from symvar.principles import box_set, nonneg_cone
+
+    space = make_grid(1, 8, 1.0, 2, 4)
+    rng = np.random.default_rng(21)
+    point = space.function(np.abs(rng.standard_normal(8)))
+    oracles = {f"{name}/{level}": SETS[name](
+        {"level": level, "lo": level, "point": point})
+        for name in SETS for level in (1e-3, 1.0, 7.5)}
+    oracles.update(cone=nonneg_cone(space),
+                   box=box_set(space, -0.5, rng.uniform(0.0, 2.0, 8)))
+    for label, oracle in oracles.items():
+        for scale in (0.1, 1.0, 10.0, 1e4):
+            for v in scale * rng.standard_normal((300, 8)):
+                assert oracle.contains(oracle.project(v)), (label, v)
+    halfplane = SETS["halfplane_sum"]({"level": 1.0})
+    assert np.array_equal(halfplane.project(np.array([2.0, -1.0, 3.0])),
+                          [0.0, 0.0, 1.0])
+
+
 @pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 128), (2, 4)])
 def test_eval_batch_equals_call_bitwise(dimension, n):
     # every registered functional that defines eval_batch gives on a block
