@@ -2,7 +2,8 @@
 ``scripts/cert_digests.py``.
 
 ``valid_cases`` holds one small config per subcommand (plus an l1 petal
-variant), each with the exit code it must give; ``REJECTED`` holds configs
+variant and ``strong_slope`` on the ``norm_dist`` functional and on an
+integrand), each with the exit code it must give; ``REJECTED`` holds configs
 that must exit 1 with a diagnostic naming the given field.
 """
 
@@ -67,6 +68,13 @@ def valid_cases(out_root):
                                 {"weight": "linear", "rho": 1.0})),
         ("strong_slope", config("strong_slope", 4, {"values": U4},
                                 {**QUAD, "center": [0, 0, 0, 0]})),
+        ("strong_slope/norm_dist", config(
+            "strong_slope", 4, {"values": U4},
+            {"name": "norm_dist", "center": [0.1, 0.4, 0.4, 0.1]})),
+        # an integrand where a functional is due: the CLI wraps it
+        ("strong_slope/forced_dirichlet", config(
+            "strong_slope", 4, {"values": U4},
+            {"name": "forced_dirichlet", "c": 1.5})),
         ("q_form", config("q_form", 4, {"u": U4, "w": [1, 0, 0, 1]}, QUAD)),
         ("ekeland_point", config("ekeland_point", 8, ENGINE, WELL, seed=1)),
         ("symmetric_ekeland", config("symmetric_ekeland", 8,
