@@ -1425,6 +1425,9 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     dom = domain or whole_space(space)
     ss = np.random.SeedSequence(seed)
     c_sym, c_norm, *c_h = ss.spawn(2 + 2 * len(eps_schedule))
+    # spawned after the streams above, which keep their places: the inf
+    # probe and each step's q-probes draw from streams of their own
+    c_inf, *c_q = ss.spawn(1 + len(eps_schedule))
     check_symmetry(f, space, c_sym)
 
     # assumption (norm does not grow under polarization), sampled
@@ -1438,7 +1441,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
 
     if minimizing_sequence is None:
         inf0, _, argmin0 = estimate_inf(
-            f, space, dom, np.random.default_rng(c_h[0]), extra_starts=[])
+            f, space, dom, c_inf, extra_starts=[])
 
         def minimizing_sequence(h):
             return GridFunction(space, argmin0)
@@ -1472,7 +1475,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
                                 "C": slope_bound / eps_h}
 
         # second-order report: quotient + 2 eps ‖ζ‖² over (ζ, t) probes
-        rng_q = np.random.default_rng(c_h[2 * h + 1])
+        rng_q = np.random.default_rng(c_q[h])
         fv = f(v_h)
         min_margin, worst_t, n_done = math.inf, eps_h, 0
         for _ in range(q_probes):
