@@ -142,10 +142,9 @@ class Functional:
     ``derivative`` (optional) returns the X-Riesz representative of df(u)
     for the p = 2 inner product.  ``symmetry_class`` is one of
     ``polarization-nonincreasing``, ``polarization-invariant``,
-    ``unverified``.  ``eval_batch`` (optional) maps a block (k, N) of
-    cell-value rows to the (k,) values of f, each equal to ``eval`` on its
-    row; the samplers and the multi-start descent use it in place of one
-    ``eval`` per row.
+    ``unverified``.  ``eval_batch`` (optional) maps a block (k, N) of rows
+    to the (k,) values of f, each equal to ``eval`` on its row; the
+    samplers and the multi-start descent use it in place of one ``eval``.
     ``gradient`` (optional) returns the Euclidean gradient ∇f of the cell
     values: one vector (N,) gives (N,), a block (k, N) gives the (k, N)
     gradients, each row bit-equal to the call on that row alone.  The

@@ -60,10 +60,11 @@ class SetOracle:
     """Membership + feasibility projection for a closed set of grid values.
 
     ``project`` must land inside the set (a feasibility oracle, not
-    necessarily the metric projection).  The built-in kinds ``space``, ``cone`` and ``box`` also act on a block
-    (k, N) of rows (``contains`` then answers per row); ``contains_rows``
-    and ``project_rows``, which the samplers and the descent call on
-    blocks, call any other oracle once per row."""
+    necessarily the metric projection).  The built-in kinds ``space``,
+    ``cone`` and ``box`` also act on a block (k, N) of rows (``contains``
+    then answers per row); ``contains_rows`` and ``project_rows``, which
+    the samplers and the descent call on blocks, call any other oracle once
+    per row."""
 
     contains: Callable[[np.ndarray], bool]
     project: Callable[[np.ndarray], np.ndarray]
