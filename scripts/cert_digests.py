@@ -33,7 +33,7 @@ import numpy as np
 from symvar import GridFunction, make_grid, nonneg_cone, schwarz, whole_space
 from symvar import applications as ap
 from symvar import principles as pr
-from symvar.cli import run_config
+from symvar.cli import SETS, run_config
 from symvar.funcspace import Functional, gram_matrix, norm_X, riesz_from_euclidean
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -129,19 +129,6 @@ def diag_ray():
         project=project, kind="custom", description="{(a,a): a >= 1}")
 
 
-def halfplane():
-    def project(v):
-        w = np.maximum(v, 0.0)
-        ex = w[0] + w[1] - 1.0
-        if ex > 0:
-            w = w - ex / 2
-        return np.maximum(w, 0.0)
-
-    return pr.SetOracle(
-        contains=lambda v: bool(np.all(v >= -1e-12) and v[0] + v[1] <= 1.0 + 1e-12),
-        project=project, kind="custom", description="{u >= 0, u0+u1 <= 1}")
-
-
 def cases():
     g2 = make_grid(1, 2, 1.0, 2, 4)
     g4 = make_grid(1, 4, 1.0, 2, 4)
@@ -221,7 +208,8 @@ def cases():
     yield "drop/halfplane", lambda: ap.symmetric_drop_point(
         g2.zeros(), ap.Ball(g2.function([a_min + 1 / np.sqrt(2)] * 2), 1.0,
                             symmetric=True),
-        halfplane(), 0.05, seed=2, n_samples=600, minimality_samples=10000)
+        SETS["halfplane_sum"]({"level": 1.0}), 0.05, seed=2, n_samples=600,
+        minimality_samples=10000)
     # theorem inputs no library caller sets: a Γ-sequence, a Zhong domain,
     # and the domain and g that re-verification takes
     yield "SymEkelandIII/gamma", sym_ekeland(

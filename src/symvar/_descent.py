@@ -8,9 +8,13 @@ The multi-start descent runs its starts in lock-step as the rows of one
 block: ``fun``, ``grad`` and ``project`` also take a block, each row
 bit-equal to its single-vector call, and the Armijo test, the BB step
 and the stop rules run row by row on the single-vector expressions, so
-row i follows the descent from start i alone bit for bit.  All routines
-are pure and seedless: randomized multi-start decisions are made by the
-callers, which thread one seeded generator through the whole run.
+row i follows the descent from start i alone bit for bit.  Unconstrained
+and on a box (the nonnegative cone included) each start's descent stops
+after _BB_STEPS_POLISHED = 20 BB steps and a Newton polish finishes it;
+under a custom projection there is no polish and the descent runs up to
+_BB_STEPS = 400 steps.  All routines are pure and seedless: randomized
+multi-start decisions are made by the callers, which thread one seeded
+generator through the whole run.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ import numpy as np
 # differences of the gradient with step _FD_STEP·(1 + ‖x‖_∞)
 _NEWTON_ITERS = 6
 _FD_STEP = 1e-5
+
+# BB steps per start in minimize_multistart: a short run when a Newton
+# polish follows (Newton is affine-invariant, so it finishes what the
+# ill-conditioned Euclidean descent leaves), the long one when none does
+_BB_STEPS_POLISHED = 20
+_BB_STEPS = 400
 
 
 def _finite(x):
@@ -64,13 +74,14 @@ def _call(fn, X, starts, errors):
         return out
 
 
-def armijo_bb_rows(fun, grad, X0, *, project=None):
+def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
-    backtracking from each row of X0, at most 400 steps per row, all rows
-    in lock-step: the trials of the rows still in their line search are
-    scored by one ``fun`` call, and the rows that accept get their
-    gradients from one ``grad`` call.  Everything else is done row by row
-    as for one start, so each row stops where its own descent would stop.
+    backtracking from each row of X0, at most ``max_steps`` steps per row,
+    all rows in lock-step: the trials of the rows still in their line
+    search are scored by one ``fun`` call, and the rows that accept get
+    their gradients from one ``grad`` call.  Everything else is done row by
+    row as for one start, so each row stops where its own descent would
+    stop.
     Returns (x, f, errors): the end point and value of each row, and the
     error of each row whose call raised (that row stops there).
     ``project`` must be idempotent."""
@@ -126,7 +137,7 @@ def armijo_bb_rows(fun, grad, X0, *, project=None):
                        else min(step[i] * 2.0, 1e6))
             x[i], fx[i], g[i] = XN[j], fn[j], gn
             n_steps[i] += 1
-            if n_steps[i] < 400:
+            if n_steps[i] < max_steps:
                 moved.append(i)
         live = sorted(back + search(moved))
     return x, fx, errors
@@ -210,23 +221,28 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
                         compass_scale=0.25, f_atol=0.0):
     """Best local minimum over the given starts.
 
-    Smooth path (grad given): BB descent of all starts in lock-step, then
-    a Newton polish per start on box domains and when unconstrained (other
-    projections keep the descent's end).  Derivative free path: compass
+    Smooth path (grad given): BB descent of all starts in lock-step.  When
+    unconstrained (no ``project``) or on a box (``box`` = (lo, hi), the
+    cone being the box [0, ∞)), at most _BB_STEPS_POLISHED steps, then a
+    Newton polish per start; under any other projection at most _BB_STEPS
+    steps, and the descent's end is kept.  Derivative free path: compass
     search.
     Returns (x, f(x), values), ``values`` the final f of each start.  When
     a start raises, the error of the first such start in start order is
     raised, as a run of one start after the other would."""
     X0 = np.array(starts, float)
+    polish = box is not None or project is None
     if grad is not None:
-        X, F, errors = armijo_bb_rows(fun, grad, X0, project=project)
+        X, F, errors = armijo_bb_rows(
+            fun, grad, X0, _BB_STEPS_POLISHED if polish else _BB_STEPS,
+            project=project)
     best_x, best_f, values = None, math.inf, []
     for i, x0 in enumerate(X0):
         if grad is not None:
             if i in errors:
                 raise errors[i]
             x, fx = X[i], float(F[i])
-            if box is not None or project is None:
+            if polish:
                 x, fx = newton_polish(fun, grad, x, fx, *(box or ()))
         else:
             x, fx = compass_minimize(fun, x0, scale=compass_scale,

@@ -135,6 +135,28 @@ class GridFunction:
         return f"GridFunction({np.array2string(self.values, precision=4)})"
 
 
+def _row_functions(space: GridSpace, W):
+    """A GridFunction over each row of the block W, for a functional that
+    takes one GridFunction at a time.  The block is checked (shape and
+    finiteness, as GridFunction checks one row) and copied read-only once;
+    each row's function is a bare wrapper over its read-only view, with no
+    copy or check of its own."""
+    W = np.array(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != space.n_cells:
+        raise SpaceMismatch(
+            f"expected rows of {space.n_cells} values, got shape {W.shape}")
+    if not np.isfinite(W).all():
+        raise InvalidArgument("GridFunction values must be finite")
+    W.setflags(write=False)
+    out = []
+    for w in W:
+        u = object.__new__(GridFunction)
+        object.__setattr__(u, "space", space)
+        object.__setattr__(u, "values", w)
+        out.append(u)
+    return out
+
+
 @dataclass
 class Functional:
     """Evaluation oracle for f: X -> R ∪ {+inf} with declared symmetry class.
@@ -171,7 +193,8 @@ class Functional:
         ``__call__`` row by row; non-finite rows (as for a GridFunction)
         and the values NaN and −inf are rejected either way."""
         if self.eval_batch is None:
-            return np.array([self(GridFunction(space, w)) for w in W], float)
+            return np.array([self(u) for u in _row_functions(space, W)],
+                            float)
         if not np.isfinite(W).all():
             raise InvalidArgument("GridFunction values must be finite")
         vals = np.asarray(self.eval_batch(W), dtype=float)

@@ -33,7 +33,8 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, norm_X, theta, function_to_json,
-                        _matrices, _norm_V_raw, _norm_X_raw, _pow_rows)
+                        _matrices, _norm_V_raw, _norm_X_raw, _pow_rows,
+                        _row_functions)
 from .rearrange import (approx_symmetrize, is_family_fixed, polarize,
                         polarizer_sequence_json, schwarz)
 from .slopes import strong_slope
@@ -94,10 +95,13 @@ def whole_space(space: GridSpace) -> SetOracle:
 
 
 def nonneg_cone(space: GridSpace) -> SetOracle:
-    """The cone S of nonnegative functions; projection is pointwise clip."""
+    """The cone S of nonnegative functions; projection is pointwise clip.
+    It is the box [0, ∞), and carries those bounds for the descent's
+    Newton polish."""
     return SetOracle(contains=lambda v: np.all(v >= 0.0, axis=-1),
-                     project=lambda v: np.maximum(v, 0.0),
-                     kind="cone", description="S")
+                     project=lambda v: np.maximum(v, 0.0), kind="cone",
+                     lo=np.zeros(space.n_cells),
+                     hi=np.full(space.n_cells, math.inf), description="S")
 
 
 def box_set(space: GridSpace, lo, hi) -> SetOracle:
@@ -299,8 +303,8 @@ def _grad_arr(f: Functional, space: GridSpace):
     g = gram_matrix(space)
 
     def grad(W):
-        rows = [g @ f.derivative(GridFunction(space, w)).values
-                for w in np.atleast_2d(W)]
+        rows = [g @ f.derivative(u).values
+                for u in _row_functions(space, np.atleast_2d(W))]
         return np.array(rows) if np.ndim(W) == 2 else rows[0]
 
     return grad
@@ -315,7 +319,7 @@ def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
     space fun is +inf outside the set, so a feasibility restoration that
     fails to land in the set cannot pass for a low value."""
     fun = _f_arr(f, space)
-    box = (domain.lo, domain.hi) if domain.kind == "box" else None
+    box = (domain.lo, domain.hi) if domain.kind in ("box", "cone") else None
     if domain.kind == "space":
         return fun, _grad_arr(f, space), None, box
 

@@ -3,27 +3,38 @@
 ``solo_armijo_bb`` and ``solo_multistart`` are the descent loop that
 ``_descent.armijo_bb_rows`` replaced, kept here as the reference: every
 start of the lock-step descent must end on the same bytes and the same
-value as its own run, and errors must surface in start order.
+value as its own run under its path's step cap (20 BB steps where a
+Newton polish follows, 400 under a custom projection), and errors must
+surface in start order.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from symvar import IntegrandError, InvalidArgument, _descent, make_grid
 from symvar import applications as ap
-from symvar.cli import FUNCTIONALS, _check, _fn_object, _to_grid
-from symvar.funcspace import Functional, _pow_rows, gram_matrix
+from symvar.cli import FUNCTIONALS, SETS, _check, _fn_object, _to_grid
+from symvar.funcspace import (Functional, _pow_rows, gram_matrix,
+                              laplacian_matrix)
 from symvar.principles import (XMetric, _f_arr, _on_domain, box_set,
-                               nonneg_cone, whole_space)
+                               estimate_inf, nonneg_cone, whole_space)
 
 
 # ---------------------------------------------------------------------------
 # the reference: one start at a time
 
-def solo_armijo_bb(fun, grad, x0, project=None):
-    """The single-start BB/Armijo loop; returns (x, f(x), steps, why)."""
+def path_cap(project, box):
+    """The BB step cap of a path: 20 where a Newton polish follows (no
+    projection, or a box), 400 under any other projection."""
+    return 20 if box is not None or project is None else 400
+
+
+def solo_armijo_bb(fun, grad, x0, max_steps, project=None):
+    """The single-start BB/Armijo loop, at most ``max_steps`` steps;
+    returns (x, f(x), steps, why)."""
     x = np.array(x0, float)
     if project is not None:
         x = project(x)
@@ -33,7 +44,7 @@ def solo_armijo_bb(fun, grad, x0, project=None):
     g = grad(x)
     step = 1.0 / max(1.0, float(np.linalg.norm(g)))
     why = "cap"
-    for k in range(400):
+    for k in range(max_steps):
         if project is not None:
             crit = float(np.linalg.norm(x - project(x - g)))
         else:
@@ -63,14 +74,16 @@ def solo_armijo_bb(fun, grad, x0, project=None):
         step = float(s @ s) / sy if sy > 1e-18 else min(step * 2.0, 1e6)
         x, fx, g = xn, fn, gn
     else:
-        k = 400
+        k = max_steps
     return x, fx, k, why
 
 
 def solo_multistart(fun, grad, starts, project=None, box=None):
-    """The multi-start loop: descent, then Newton polish, start by start.
-    Returns (x, f(x), values)."""
-    return polish_and_pick(fun, grad, (solo_armijo_bb(fun, grad, x0, project)
+    """The multi-start loop: descent under the path's cap, then Newton
+    polish, start by start.  Returns (x, f(x), values)."""
+    cap = path_cap(project, box)
+    return polish_and_pick(fun, grad, (solo_armijo_bb(fun, grad, x0, cap,
+                                                      project)
                                        for x0 in starts), project, box)
 
 
@@ -124,6 +137,10 @@ def _functionals(space, rng):
         # the box functional off its box: +inf there, no projection
         ("cubic/box-space", ap.semilinear_functional(cubic, space, box),
          whole_space(space), zero),
+        # a custom projection: no polish, the long descent
+        ("forced/halfplane", ap.quasilinear_functional(
+            ap.forced_dirichlet_integrand(1.0), space),
+         SETS["halfplane_sum"]({"level": 0.25}), zero),
     ]
 
 
@@ -162,11 +179,13 @@ def _starts(space, rng, stationary):
 
 
 def _check_rows(label, fun, grad, starts, project, box, seen):
-    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, project=project)
+    cap = path_cap(project, box)
+    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, cap,
+                                           project=project)
     assert errors == {}, label
-    ends = [solo_armijo_bb(fun, grad, x0, project) for x0 in starts]
+    ends = [solo_armijo_bb(fun, grad, x0, cap, project) for x0 in starts]
     for i, (x, fx, steps, why) in enumerate(ends):
-        seen.add(why)
+        seen.add((cap, why))
         assert same(X[i], x) and same(F[i], fx), (label, i, steps, why)
     lock = _descent.minimize_multistart(fun, grad, starts, project=project,
                                         box=box)
@@ -191,12 +210,53 @@ def test_lockstep_descent_equals_solo_runs(n):
                 phi_starts = _starts(space, rng, vk)
                 _check_rows(f"{label}/{name}", phi, gphi, phi_starts, proj,
                             bx, seen)
-    # starts stop at different steps: stationary at once, non-finite at
-    # once, at the 400-step cap, and (on the smaller grids) where the line
-    # search fails
-    assert {"stationary", "nonfinite"} <= seen
-    assert ("cap" in seen) == (n > 2)
-    assert ("linesearch" in seen) == (n < 128)
+    # starts stop at different steps, seen as (cap, why): on the polished
+    # paths stationary at once and non-finite at once, at the 20-step cap
+    # past n = 2 and where the line search fails at n = 2; under the custom
+    # projection at the 400-step cap at n = 128 and where the line search
+    # fails past n = 2
+    assert {(20, "stationary"), (20, "nonfinite")} <= seen
+    assert ((20, "cap") in seen) == (n > 2)
+    assert ((20, "linesearch") in seen) == (n == 2)
+    assert ((400, "cap") in seen) == (n == 128)
+    assert ((400, "linesearch") in seen) == (n > 2)
+
+
+def test_estimate_inf_reaches_the_torsion_function():
+    # forced Dirichlet on 1D n = 128, where 20 BB steps end far from the
+    # minimizer: the Newton polish lands on the discrete torsion function
+    # A⁻¹(c·m·1), the oracle of criterion 7
+    space, c = make_grid(1, 128, 1.0, 2, 4), 1.0
+    f = ap.quasilinear_functional(ap.forced_dirichlet_integrand(c), space)
+    _, _, argmin = estimate_inf(f, space, whole_space(space), seed=11)
+    ustar = np.linalg.solve(laplacian_matrix(space),
+                            c * space.cell_measure * np.ones(128))
+    assert np.max(np.abs(argmin - ustar)) <= 1e-9
+
+
+def test_cone_polish_ends_at_the_active_set_minimizer(g1d8):
+    # ‖v − a‖²_X on the cone with a center that has negative cells: the
+    # polish on the box [0, ∞) ends at the KKT point, v ≥ 0 with a zero
+    # gradient on the free cells (to 1e-9 of its scale at the origin) and a
+    # nonnegative one on the active cells
+    a = np.array([0.9, -0.4, 0.6, -1.2, -0.3, 0.8, 0.2, -0.7])
+    f = _cli(g1d8, "quadratic", center=list(a))
+    fun, grad, project, box = _on_domain(f, g1d8, nonneg_cone(g1d8))
+    assert box is not None
+    rng = np.random.default_rng(4)
+    starts = np.vstack([np.zeros(8), rng.standard_normal((3, 8))])
+    v, fv, _ = _descent.minimize_multistart(fun, grad, starts,
+                                            project=project, box=box)
+    g = grad(v)
+    active = v == 0.0
+    assert np.all(v >= 0.0) and active.any() and not active.all()
+    assert np.max(np.abs(g[~active])) <= 1e-9 * np.max(np.abs(grad(0.0 * a)))
+    assert np.all(g[active] >= 0.0)
+    # the independent oracle: nonnegative least squares on Gx = LLᵀ
+    L = np.linalg.cholesky(gram_matrix(g1d8))
+    vstar, _ = nnls(L.T, L.T @ a)
+    assert np.max(np.abs(v - vstar)) <= 1e-9
+    assert fv == fun(v)
 
 
 def test_bp_power_of_a_block_equals_scalar_power(g1d8):
@@ -255,10 +315,11 @@ def test_descent_raises_the_error_of_the_first_start(g1d4, tags, expected,
         _descent.minimize_multistart(fun, grad, starts)
     assert str(lock.value) == str(solo.value)
     # the other rows go on to their own end points
-    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts)
+    cap = path_cap(None, None)
+    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, cap)
     assert sorted(errors) == [i for i, t in enumerate(tags) if t]
     for i in (i for i, t in enumerate(tags) if not t):
-        x, fx, _, _ = solo_armijo_bb(fun, grad, starts[i])
+        x, fx, _, _ = solo_armijo_bb(fun, grad, starts[i], cap)
         assert same(X[i], x) and same(F[i], fx)
 
 

@@ -248,3 +248,44 @@ def test_eval_rows_fallback_and_checks(g1d4):
     wrong = Functional(eval=ev, eval_batch=lambda W: np.zeros(len(W) + 1))
     with pytest.raises(InvalidArgument, match="shape"):
         wrong._eval_rows(g1d4, W)
+
+
+def test_user_functional_rows_are_checked_read_only_copies(g1d4):
+    # a functional with neither eval_batch nor gradient is called on one
+    # GridFunction per row: the block is checked and copied read-only once,
+    # and each value is bit-equal to the call on its own GridFunction
+    from symvar.principles import _grad_arr
+    seen = []
+
+    def ev(u):
+        seen.append(u.values)
+        return float(u.values @ u.values) ** 0.5
+
+    def dv(u):
+        seen.append(u.values)
+        return GridFunction(u.space, np.sin(u.values) * u.values)
+
+    f = Functional(eval=ev, derivative=dv, name="root")
+    grad, gram = _grad_arr(f, g1d4), gram_matrix(g1d4)
+    W = np.random.default_rng(5).standard_normal((6, 4))
+    vals, G = f._eval_rows(g1d4, W), grad(W)
+    assert len(seen) == 12
+    assert not any(v.flags.writeable for v in seen)
+    assert not any(np.shares_memory(v, W) for v in seen)
+    for j, w in enumerate(W):
+        u = GridFunction(g1d4, w)
+        assert vals[j].tobytes() == np.float64(f(u)).tobytes()
+        assert (G[j].tobytes() == grad(w).tobytes()
+                == (gram @ dv(u).values).tobytes())
+    # a non-finite row raises GridFunction's error, a wrong shape its
+    # SpaceMismatch
+    for bad in (np.nan, np.inf, -np.inf):
+        Wb = W.copy()
+        Wb[3, 1] = bad
+        for call in (lambda: f._eval_rows(g1d4, Wb), lambda: grad(Wb),
+                     lambda: grad(Wb[3])):
+            with pytest.raises(InvalidArgument,
+                               match="GridFunction values must be finite"):
+                call()
+    with pytest.raises(SpaceMismatch):
+        f._eval_rows(g1d4, W[:, :3])
