@@ -223,9 +223,9 @@ def test_lockstep_descent_equals_solo_runs(n):
 
 
 def test_estimate_inf_reaches_the_torsion_function():
-    # forced Dirichlet on 1D n = 128, where 20 BB steps end far from the
-    # minimizer: the Newton polish lands on the discrete torsion function
-    # A⁻¹(c·m·1), the oracle of criterion 7
+    # forced Dirichlet on 1D n = 128, whose Euclidean gradient is badly
+    # conditioned: after at most 20 BB steps the Newton polish lands on the
+    # discrete torsion function A⁻¹(c·m·1), the oracle of criterion 7
     space, c = make_grid(1, 128, 1.0, 2, 4), 1.0
     f = ap.quasilinear_functional(ap.forced_dirichlet_integrand(c), space)
     _, _, argmin = estimate_inf(f, space, whole_space(space), seed=11)
