@@ -606,31 +606,20 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
     return v, log
 
 
-def _measure_symmetry(v: GridFunction) -> float:
-    return norm_V(v - schwarz(v))
-
-
-def _bound_a(space: GridSpace, r: float, variant: str) -> float:
-    K, C = space.K, space.C_theta
-    if variant == "I":
-        return (2.0 * K + 1.0) * r
-    return (K * (C + 1.0) + 1.0) * r
-
-
-def _symmetry_pair(space, v: GridFunction, metric, r: float, variant: str):
-    """(measured symmetry defect, theoretical bound) for conclusion (a).
+def _symmetry_pair(v: GridFunction, metric, r: float):
+    """(measured symmetry defect, bound (K(C_Θ+1)+1)·r) for conclusion (a).
 
     For runs whose Ekeland metric is the X-norm the defect is measured in
-    the V-norm with the stored embedding constant K.  When the engine
+    the V-norm with the grid's embedding constant K.  When the engine
     metric *is* the symmetry-measurement norm (V-metric or a caller norm
     playing the role X = V), the embedding constant is 1 and the defect is
     measured in that same norm."""
+    space = v.space
     if isinstance(metric, XMetric):
-        return _measure_symmetry(v), _bound_a(space, r, variant)
-    val = metric.dist(v.values, schwarz(v).values)
-    C = space.C_theta
-    kfac = 3.0 if variant == "I" else (C + 1.0) + 1.0
-    return val, kfac * r
+        val, K = norm_V(v - schwarz(v)), space.K
+    else:
+        val, K = metric.dist(v.values, schwarz(v).values), 1.0
+    return val, (K * (space.C_theta + 1.0) + 1.0) * r
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +724,7 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     cert.extras.update(extras)
     cert.extras["chain"] = chain_log
 
-    sym_val, sym_bound = _symmetry_pair(space, v, metric, r_bound, variant)
+    sym_val, sym_bound = _symmetry_pair(v, metric, r_bound)
     cert.add_measured("‖v-v*‖_V", sym_val, sym_bound)
     if variant == "V":
         # Theorem conclusion (b), an exact recorded comparison
@@ -843,8 +832,7 @@ def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
                                 "sigma_tilde": sig_til,
                                 "sigma_effective": sig_eff,
                                 "rho_effective": rho_eff, "h": h_used}
-    cert.add_measured("‖v-v*‖_V", _measure_symmetry(v),
-                      _bound_a(space, rho, "II"))
+    cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, rho))
     cert.add_measured("|f(v)-inf_est|", abs(fv - inf_est), sigma * rho)
     if Y:
         xm = XMetric(space)
@@ -924,7 +912,7 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
                        t_rho_sequence=polarizer_sequence_json(seq))
     cert.extras["metric"] = metric.name
     drift = metric.dist(u_tilde.values, u0.values)
-    cert.add_measured("‖v-v*‖_V", _measure_symmetry(v), _bound_a(space, rho, "BP"))
+    cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, rho))
     cert.add_measured("‖v-u‖", metric.dist(v_vals, u0.values), rho + drift)
     cert.add_measured("‖η-u‖", metric.dist(eta, u0.values), rho + drift)
     cert.add_measured("f(v)-inf_est", fv - inf_est, gap)
@@ -1016,7 +1004,7 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
     cert.extras["chain"] = chain_log
     cert.extras["r_of_rho"] = r
     cert.extras["weight_at_v"] = w_final
-    cert.add_measured("‖v-v*‖_V", _measure_symmetry(v), _bound_a(space, r, "Z"))
+    cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, r))
     cert.add_measured("f(v)-f(u0)", fv - fu0, 0.0)
     drift = metric.dist(u_tilde.values, u0.values)
     cert.add_measured("‖v-u0‖", metric.dist(v_vals, u0.values),
@@ -1095,7 +1083,7 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
                        slack=default_slack(fv + g(v)))
     cert.extras["metric"] = metric.name
     cert.extras["inequality"] = "f(w)+g(w) >= f(v)+g(v)"
-    cert.add_measured("‖v-v*‖_V", _measure_symmetry(v), _bound_a(space, eps, "D"))
+    cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, eps))
     cert.add_measured("sup|g|", sup_g, eps)
     cert.add_measured("sup‖g'‖", sup_gp, eps)
     if u0 is not None:
@@ -1215,7 +1203,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     cert.extras["saturated"] = saturated
     cert.add_measured("‖df-Σλ·dG‖_X'", resid, eps)
     cert.add_measured("f(v)-inf_est", fv - inf_est, eps * eps)
-    cert.add_measured("‖v-v*‖_V", _measure_symmetry(v), _bound_a(space, eps, "C"))
+    cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, eps))
     cert.violation = _issue_sample(f, cert, metric, fv, c_ver, n_samples,
                                    domain=dom,
                                    extra_points=[argmin, u_start.values])
@@ -1377,7 +1365,9 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     cert.extras["m_nodes"] = m
     cert.extras["barrier"] = barrier
     cert.extras["path"] = [[float(x) for x in nd] for nd in nodes_final]
-    cert.add_measured("‖u_ε-u_ε*‖_V", _measure_symmetry(u_eps), eps)
+    # the path engine claims its T_ε radius ε itself, not the (a) bound
+    cert.add_measured("‖u_ε-u_ε*‖_V", _symmetry_pair(u_eps, metric, eps)[0],
+                      eps)
     cert.add_measured("‖df(u_ε)‖", norm_X(f.derivative(u_eps)),
                       eps + 1e-6)
     cert.add_measured("f(u_ε)-c_est", fu - c_est, eps)
