@@ -66,10 +66,6 @@ class Polarizer:
         return f"Polarizer(axis=({ax}), beta={self.offset:g})"
 
 
-def _lattice_lookup(lattice):
-    return {tuple(int(c) for c in row): i for i, row in enumerate(lattice)}
-
-
 def _make_polarizer(space: GridSpace, axis, beta_lattice):
     """Build the pairing for reflection about {a·x = β}, or None when the
     reflection is not a lattice map, could zero an outside value, or cannot
@@ -80,7 +76,7 @@ def _make_polarizer(space: GridSpace, axis, beta_lattice):
     projection onto an integer direction a is an integer).  All geometry is
     exact integer arithmetic; pairings carry no float noise.
     """
-    lattice = space.lattice
+    lattice, n = space.lattice, space.n
     a_int = np.asarray(axis, dtype=int)            # un-normalized direction
     proj = lattice @ a_int                          # integer projections
     norm2 = int(a_int @ a_int)
@@ -90,22 +86,16 @@ def _make_polarizer(space: GridSpace, axis, beta_lattice):
     if np.any(numer % norm2 != 0):
         return None                                # not a lattice reflection
     mirrors = lattice - numer // norm2
-    lookup = _lattice_lookup(lattice)
-    n_cells = space.n_cells
-    partner = np.full(n_cells, -1, dtype=int)
+    # odd coordinate c in [1-n, n-1] is axis index (c+n-1)/2; cells x-major
+    found = np.all(np.abs(mirrors) <= n - 1, axis=1)
+    index = ((mirrors + (n - 1)) // 2) @ (n ** np.arange(space.dimension)[::-1])
+    partner = np.where(found, index, -1)
     inside = shift <= 0
-    nontrivial = False
-    for i in range(n_cells):
-        j = lookup.get(tuple(int(c) for c in mirrors[i]))
-        if j is None:
-            if not inside[i]:
-                return None   # outside cell would lose its value
-            partner[i] = -1   # unpaired inside: max(u_i, 0) = u_i on S
-        else:
-            partner[i] = j
-            if inside[i] != inside[j]:
-                nontrivial = True
-    if not nontrivial:
+    if not np.all(found | inside):
+        return None       # an outside cell would lose its value
+    # an unpaired inside cell keeps max(u_i, 0) = u_i on S; some pair must
+    # straddle the hyperplane for the reflection to act at all
+    if not np.any(found & (inside != inside[partner])):
         return None
     partner.setflags(write=False)
     ins = inside.copy()

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from symvar import (ConvergenceFailure, approx_symmetrize, is_family_fixed,
                     make_grid, norm_V, norm_X, polarize, schwarz, theta)
-from symvar.rearrange import schwarz_order
+from symvar import rearrange
+from symvar.rearrange import Polarizer, build_polarizer_family, schwarz_order
 
 from conftest import random_S
 
@@ -240,6 +241,54 @@ def test_cell_set_invariant_under_family(g1d8, g2d4):
                     assert dists[H.partner[i]] < 1e-9
                 else:
                     assert dists.min() > g.spacing / 4   # genuinely outside
+
+
+def _dict_scan_polarizer(space, axis, beta_lattice):
+    """The pairing as first written: each mirror cell found by a dict
+    lookup of its lattice coordinates, one cell at a time."""
+    lattice = space.lattice
+    a_int = np.asarray(axis, dtype=int)
+    shift = lattice @ a_int - beta_lattice
+    norm2 = int(a_int @ a_int)
+    numer = np.outer(2 * shift, a_int)
+    if np.any(numer % norm2 != 0):
+        return None
+    mirrors = lattice - numer // norm2
+    lookup = {tuple(int(c) for c in row): i for i, row in enumerate(lattice)}
+    partner = np.full(space.n_cells, -1, dtype=int)
+    inside = shift <= 0
+    nontrivial = False
+    for i in range(space.n_cells):
+        j = lookup.get(tuple(int(c) for c in mirrors[i]))
+        if j is None:
+            if not inside[i]:
+                return None
+        else:
+            partner[i] = j
+            nontrivial |= bool(inside[i] != inside[j])
+    if not nontrivial:
+        return None
+    scale = float(np.sqrt(norm2))
+    return Polarizer(axis=tuple(float(c) / scale for c in a_int),
+                     offset=beta_lattice * (space.spacing / 2.0) / scale,
+                     inside=inside, partner=partner,
+                     space_signature=space.signature)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 34), (2, 2),
+                                         (2, 4), (2, 10)])
+def test_polarizer_family_equals_dict_scan_reference(monkeypatch, dimension,
+                                                     n):
+    space = make_grid(dimension, n, 1.0, 2, 4)
+    family = build_polarizer_family(space)
+    monkeypatch.setattr(rearrange, "_make_polarizer", _dict_scan_polarizer)
+    reference = build_polarizer_family(space)
+    assert len(family) == len(reference) > 0
+    for H, R in zip(family, reference):
+        assert (H.axis, H.offset) == (R.axis, R.offset)
+        assert np.array_equal(H.partner, R.partner)
+        assert np.array_equal(H.inside, R.inside)
+        assert H.space_signature == space.signature
 
 
 def test_polarize_space_mismatch(g1d4, g1d8):
