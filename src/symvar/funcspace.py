@@ -73,6 +73,26 @@ class GridSpace:
     def signature(self) -> tuple:
         return (self.dimension, self.n, self.radius, self.p, self.q_V, self.q_W)
 
+    @functools.cached_property
+    def _matrices(self):
+        """(A, Gx, upper Cholesky factor U of Gx = UᵀU) for p = 2: built on
+        first use and kept on the grid, so they are freed with it."""
+        n, h, m = self.n, self.spacing, self.cell_measure
+        d1 = np.zeros((n + 1, n))
+        idx = np.arange(n)
+        d1[idx, idx] = 1.0
+        d1[idx + 1, idx] -= 1.0
+        lap = d1.T @ d1  # tridiag(-1, 2, -1)
+        if self.dimension == 2:
+            eye = np.eye(n)
+            lap = np.kron(lap, eye) + np.kron(eye, lap)
+        a_grad = (m / h ** 2) * lap
+        gram = a_grad + m * np.eye(self.n_cells)
+        # Fortran-ordered U, so LAPACK takes it uncopied
+        chol_upper = np.linalg.cholesky(gram).T
+        chol_upper.setflags(write=False)
+        return a_grad, gram, chol_upper
+
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.n_cells))
 
@@ -303,41 +323,20 @@ def inner_X(u: GridFunction, v: GridFunction) -> float:
 # ---------------------------------------------------------------------------
 # p = 2 linear algebra
 
-@functools.lru_cache(maxsize=64)
-def _matrices(space: GridSpace):
-    n, dim, h, m = space.n, space.dimension, space.spacing, space.cell_measure
-    d1 = np.zeros((n + 1, n))
-    idx = np.arange(n)
-    d1[idx, idx] = 1.0
-    d1[idx + 1, idx] -= 1.0
-    lap1 = d1.T @ d1  # tridiag(-1, 2, -1)
-    if dim == 1:
-        lap = lap1
-    else:
-        eye = np.eye(n)
-        lap = np.kron(lap1, eye) + np.kron(eye, lap1)
-    a_grad = (m / h ** 2) * lap
-    gram = a_grad + m * np.eye(space.n_cells)
-    # upper factor U (gram = UᵀU), Fortran-ordered so LAPACK takes it uncopied
-    chol_upper = np.linalg.cholesky(gram).T
-    chol_upper.setflags(write=False)
-    return a_grad, gram, chol_upper
-
-
 def laplacian_matrix(space: GridSpace) -> np.ndarray:
     """Gradient-part matrix A with u^T A u = Σ_edges |fd|^2 · measure."""
-    return _matrices(space)[0]
+    return space._matrices[0]
 
 
 def gram_matrix(space: GridSpace) -> np.ndarray:
     """X-inner-product matrix for p = 2: A + measure·I."""
-    return _matrices(space)[1]
+    return space._matrices[1]
 
 
 def riesz_from_euclidean(space: GridSpace, g: np.ndarray) -> np.ndarray:
     """Solve Gx·rep = g: X-Riesz representative of the Euclidean gradient g,
     by two triangular solves on the grid's cached Cholesky factor of Gx."""
-    rep, info = dpotrs(_matrices(space)[2], np.asarray(g, float), lower=0)
+    rep, info = dpotrs(space._matrices[2], np.asarray(g, float), lower=0)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrs returned info={info}")
     return rep

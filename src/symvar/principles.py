@@ -33,8 +33,7 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, norm_X, theta, function_to_json,
-                        _matrices, _norm_V_raw, _norm_X_raw, _pow_rows,
-                        _row_functions)
+                        _norm_V_raw, _norm_X_raw, _pow_rows, _row_functions)
 from .rearrange import (approx_symmetrize, is_family_fixed, polarize,
                         polarizer_sequence_json, schwarz)
 from .slopes import strong_slope
@@ -1177,7 +1176,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     rep_f = f.derivative(v).values
     if saturated:
         reps = np.stack([G[j].derivative(v).values for j in saturated]).T
-        U = _matrices(space)[2]  # cached Cholesky factor, gram = UᵀU
+        U = space._matrices[2]  # the grid's Cholesky factor, gram = UᵀU
         A = U @ reps
         y = U @ rep_f
         sv = np.linalg.svd(A, compute_uv=False)

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from symvar import (Functional, GridFunction, InvalidArgument,
                     InvalidExponent, InvalidGrid, SpaceMismatch,
                     function_from_json, function_to_json, make_grid, norm_Lr,
                     norm_V, norm_W, norm_X, theta)
-from symvar.funcspace import (_lr_norm_raw, _matrices, _norm_V_raw,
-                              _norm_X_raw, gram_matrix, riesz_from_euclidean)
+from symvar.funcspace import (_lr_norm_raw, _norm_V_raw, _norm_X_raw,
+                              gram_matrix, riesz_from_euclidean)
 
 
 def test_make_grid_1d_four_cells():
@@ -165,18 +167,24 @@ def test_riesz_matches_dense_solve(dimension, n):
 
 
 def test_riesz_reuses_cached_factor(g1d8):
-    upper = _matrices(g1d8)[2]
+    upper = g1d8._matrices[2]
     assert np.array_equal(upper, np.triu(upper))
     assert np.allclose(upper.T @ upper, gram_matrix(g1d8), rtol=1e-13)
     assert not upper.flags.writeable
     grad = np.arange(8.0)
     first = riesz_from_euclidean(g1d8, grad)
-    before = _matrices.cache_info()
     for _ in range(3):
+        assert g1d8._matrices[2] is upper
         assert np.array_equal(riesz_from_euclidean(g1d8, grad), first)
-    after = _matrices.cache_info()
-    assert after.hits - before.hits == 3
-    assert after.misses == before.misses
+
+
+def test_grid_matrices_are_freed_with_the_grid():
+    g = make_grid(2, 4, 1.0, 2, 4)
+    gram_matrix(g)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
 
 
 def _norm_X_padded(values, dimension, n, spacing, measure, p):
