@@ -5,7 +5,10 @@ differences with zero extension outside the domain), V = L^p ∩ L^{q_V} is
 the norm in which symmetry defects are measured, and W = L^{q_W} is the
 compactness-target space.  Grids are uniform tensor grids on [-R, R]^d,
 d in {1, 2}, with an even cell count per axis so that every reflection
-used by the polarizer machinery maps cell centers to cell centers.
+used by the polarizer machinery maps cell centers to cell centers.  Each
+grid carries a proven embedding constant K ≥ ‖u‖_V/‖u‖_X in closed form
+(exact eigen-data for p = 2, line-sum and Hölder bounds otherwise), and
+its p = 2 matrices once they are first used.
 """
 
 from __future__ import annotations
@@ -38,10 +41,6 @@ __all__ = [
     "function_to_json",
     "function_from_json",
 ]
-
-_K_SAFETY = 1.05
-_K_SEED = 20240917
-
 
 @dataclass(frozen=True, eq=False)
 class GridSpace:
@@ -230,7 +229,7 @@ class Functional:
 
 
 # ---------------------------------------------------------------------------
-# raw-array norm kernels (shared with the K estimator and the engines)
+# raw-array norm kernels (shared with the engines)
 #
 # Each kernel takes one vector (N,) and returns a scalar, or a block (k, N)
 # of rows and returns the (k,) row norms, each bit-equal to the norm of its
@@ -355,58 +354,45 @@ def _default_q_V(dimension, p, q_W):
     return q
 
 
-def _probe_set(cells, lattice, n_cells, seed):
-    rng = np.random.default_rng(seed)
-    probes = [np.ones(n_cells)]
-    eye = np.eye(n_cells)
-    probes.extend(eye[i] for i in range(n_cells))
-    r2 = np.sum(lattice.astype(float) ** 2, axis=1)
-    probes.append(np.exp(-r2 / max(1.0, r2.max())))
-    probes.append((r2.max() - r2) / max(1.0, r2.max()))
-    probes.extend(rng.standard_normal(n_cells) for _ in range(16))
-    probes.extend(np.abs(rng.standard_normal(n_cells)) for _ in range(16))
-    return probes
+def _embedding_constant(dimension, n, h, p, q_V):
+    """A proven upper bound K on ‖u‖_V/‖u‖_X over the grid.
 
+    ‖u‖_V = max(‖u‖_p, ‖u‖_q), and ‖u‖_q^q ≤ ‖u‖_∞^{q−p}·‖u‖_p^p, so
+    K = max(K_p, C_∞^{1−p/q}·K_p^{p/q}) with ‖u‖_p ≤ K_p‖u‖_X and
+    ‖u‖_∞ ≤ C_∞‖u‖_X.
 
-def _estimate_K(cells, lattice, dimension, n, spacing, measure, p, q_V):
-    """sup ‖u‖_V / ‖u‖_X over a deterministic probe set plus ascent polish,
-    times a 1.05 safety margin (reported with certificates that use it)."""
+    p = 2: both are exact.  The Dirichlet difference Laplacian has the
+    sine eigenvectors φ_k(i) = √(2/(n+1))·sin(kiπ/(n+1)) and eigenvalues
+    4·sin²(kπ/(2(n+1))) per axis, so K_2 = (1 + 4d·sin²(π/(2(n+1)))/h²)^{−1/2}
+    and C_∞ = maxᵢ √((Gx⁻¹)ᵢᵢ), the diagonal summed over that basis.
 
-    def ratio(v):
-        nx = _norm_X_raw(v, dimension, n, spacing, measure, p)
-        if nx == 0.0:
-            return 0.0
-        return _norm_V_raw(v, measure, p, q_V) / nx
-
-    best_val = 0.0
-    best_v = None
-    for v in _probe_set(cells, lattice, len(cells), _K_SEED):
-        r = ratio(v)
-        if r > best_val:
-            best_val, best_v = r, v
-    # coordinate-ascent polish around the best probe
-    v = np.array(best_v, float)
-    step = 0.5 * float(np.max(np.abs(v)) or 1.0)
-    for _ in range(60):
-        improved = False
-        for i in range(len(v)):
-            for s in (step, -step):
-                w = v.copy()
-                w[i] += s
-                r = ratio(w)
-                if r > best_val * (1 + 1e-12):
-                    best_val, v = r, w
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    return best_val * _K_SAFETY
+    p ≠ 2: along a grid line each value is at most half the sum of the
+    line's n + 1 |differences| (zero extension at both ends).  Hölder over
+    the line, averaged over the d axes, gives K_p ≤ (c/(1+c))^{1/p} with
+    c = n(n+1)^{p−1}(h/2)^p/d, and C_∞ ≤ ½(n+1)^{1−1/p}·h·(d·h^d)^{−1/p}.
+    """
+    d = dimension
+    if p == 2.0:
+        k = np.arange(1, n + 1)
+        lam = (2.0 * np.sin(k * (np.pi / (2 * (n + 1)))) / h) ** 2
+        K_p = (1.0 + d * lam[0]) ** -0.5
+        S = (2.0 / (n + 1)) * np.sin(np.outer(k, k) * (np.pi / (n + 1))) ** 2
+        if d == 1:
+            diag = S @ (1.0 / (1.0 + lam))
+        else:
+            diag = S @ (1.0 / (1.0 + lam[:, None] + lam[None, :])) @ S.T
+        C_inf = math.sqrt(diag.max() / h ** d)
+    else:
+        c = n * (n + 1) ** (p - 1) * (h / 2) ** p / d
+        K_p = (c / (1.0 + c)) ** (1.0 / p)
+        C_inf = 0.5 * (n + 1) ** (1 - 1 / p) * h * (d * h ** d) ** (-1 / p)
+    return float(max(K_p, C_inf ** (1 - p / q_V) * K_p ** (p / q_V)))
 
 
 def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
               q_V=None) -> GridSpace:
-    """Build a symmetric uniform grid with its registered polarizer family.
+    """Build a symmetric uniform grid with its registered polarizer family
+    and its embedding constant K (see :func:`_embedding_constant`).
 
     Parameters
     ----------
@@ -448,10 +434,10 @@ def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
     lattice.setflags(write=False)
     measure = h ** dimension
 
-    K = _estimate_K(cells, lattice, dimension, n, h, measure, p, q_V)
     space = GridSpace(dimension=dimension, n=n, radius=R, p=p, q_V=q_V,
                       q_W=q_W, cells=cells, lattice=lattice, spacing=h,
-                      cell_measure=measure, K=K)
+                      cell_measure=measure,
+                      K=_embedding_constant(dimension, n, h, p, q_V))
     from . import rearrange  # deferred: rearrange depends on GridSpace
     family = rearrange.build_polarizer_family(space)
     object.__setattr__(space, "polarizers", family)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from symvar import (Functional, GridFunction, InvalidArgument,
                     InvalidExponent, InvalidGrid, SpaceMismatch,
@@ -109,6 +110,55 @@ def test_embedding_constant_bounds_sampled_ratios():
             nx = norm_X(u)
             if nx > 0:
                 assert norm_V(u) <= g.K * nx * (1 + 1e-9)
+
+
+def _edge_matrix(space):
+    """Forward differences over the full edge set (zero extension), one
+    row per edge, as norm_X takes them."""
+    n = space.n
+    d1 = np.eye(n + 1, n) - np.eye(n + 1, n, k=-1)
+    if space.dimension == 1:
+        return d1
+    return np.vstack([np.kron(d1, np.eye(n)), np.kron(np.eye(n), d1)])
+
+
+def _best_ratio(space, r, starts):
+    """L-BFGS maximum of ‖u‖_{L^r}/‖u‖_X from each start, the best ratio
+    evaluated with the library's norm kernels."""
+    D = _edge_matrix(space) / space.spacing
+    m, p = space.cell_measure, space.p
+
+    def neg_ratio(u):
+        du = D @ u
+        a = (m * np.sum(np.abs(u) ** r)) ** (1 / r)
+        b = (m * (np.sum(np.abs(du) ** p) + np.sum(np.abs(u) ** p))) ** (1 / p)
+        ga = a ** (1 - r) * m * np.abs(u) ** (r - 1) * np.sign(u)
+        gb = b ** (1 - p) * m * (D.T @ (np.abs(du) ** (p - 1) * np.sign(du))
+                                 + np.abs(u) ** (p - 1) * np.sign(u))
+        return -a / b, -(ga * b - a * gb) / b ** 2
+
+    best = 0.0
+    for u0 in starts:
+        u = optimize.minimize(neg_ratio, u0, jac=True, method="L-BFGS-B",
+                              options={"maxiter": 2000, "ftol": 1e-15,
+                                       "gtol": 1e-12}).x
+        best = max(best, _lr_norm_raw(u, m, r) / norm_X(space.function(u)))
+    return best
+
+
+@pytest.mark.parametrize("dimension,n,radius,p,q_W", [
+    (1, 2, 1.0, 2, 4), (1, 4, 1.0, 2, 4), (1, 8, 1.0, 2, 4),
+    (1, 16, 1.0, 2, 4), (1, 8, 0.5, 2, 4), (2, 2, 1.0, 2, 4),
+    (2, 4, 1.0, 2, 4), (2, 8, 1.0, 2, 4), (1, 4, 1.0, 3, 4),
+    (1, 8, 1.0, 3, 4), (2, 4, 1.0, 1.5, 2)])
+def test_embedding_constant_is_an_upper_bound(dimension, n, radius, p, q_W):
+    g = make_grid(dimension, n, radius, p, q_W)
+    spike = np.eye(g.n_cells)[np.argmin(np.sum(g.cells ** 2, axis=1))]
+    rng = np.random.default_rng(3)
+    starts = [spike] + [np.abs(rng.standard_normal(g.n_cells))
+                        for _ in range(3)]
+    for r in (g.q_V, g.p):
+        assert _best_ratio(g, r, starts) <= g.K * (1 + 1e-12)
 
 
 def test_theta_examples(g1d2):
