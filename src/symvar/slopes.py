@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import InvalidArgument, OutsideDomain
 from .funcspace import Functional, GridFunction, norm_X
@@ -61,11 +60,14 @@ class QEstimate:
 
 def unit_directions(space, n, seed, norm=norm_X):
     """n quasi-random directions of unit ``norm``, deterministic given seed."""
+    # imported here, its only use: scipy.stats is most of the import time
+    # of symvar, and runs that never sample slopes do not need it
+    from scipy.stats import norm as _gauss, qmc
+
     dim = space.n_cells
     eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
     raw = eng.random_base2(max(1, math.ceil(math.log2(max(2, n)))))[:n]
     # map to gaussian directions; clip away the cube corners
-    from scipy.stats import norm as _gauss
     z = _gauss.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
     out = []
     for row in z:

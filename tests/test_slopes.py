@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import symvar
 from symvar import GridFunction, OutsideDomain, make_grid, norm_X, q_form, strong_slope
 from symvar.funcspace import Functional, gram_matrix
 
@@ -157,3 +162,12 @@ def test_functional_rejects_minus_infinity(g1d4):
     f = Functional(eval=lambda u: -math.inf, name="bottomless")
     with pytest.raises(ValueError):
         f(g1d4.zeros())
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is imported where slopes sample directions, not by symvar
+    env = dict(os.environ, PYTHONPATH=str(Path(symvar.__file__).parents[1]))
+    code = "import sys, symvar; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
