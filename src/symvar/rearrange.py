@@ -98,12 +98,11 @@ def _make_polarizer(space: GridSpace, axis, beta_lattice):
     if not np.any(found & (inside != inside[partner])):
         return None
     partner.setflags(write=False)
-    ins = inside.copy()
-    ins.setflags(write=False)
+    inside.setflags(write=False)
     scale = float(np.sqrt(norm2))
     unit_axis = tuple(float(c) / scale for c in a_int)
     beta_real = beta_lattice * (space.spacing / 2.0) / scale
-    return Polarizer(axis=unit_axis, offset=beta_real, inside=ins,
+    return Polarizer(axis=unit_axis, offset=beta_real, inside=inside,
                      partner=partner, space_signature=space.signature)
 
 
