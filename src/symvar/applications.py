@@ -20,7 +20,7 @@ from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      InvalidEpsilon, NotBoundedBelow, NotSymmetricInput,
                      SeparationViolated)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
-                        laplacian_matrix, norm_V, norm_X, riesz_from_euclidean,
+                        laplacian_matrix, norm_V, riesz_from_euclidean,
                         theta, _norm_X_raw)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
                          XMetric, estimate_inf, sqps_sequence,
@@ -87,7 +87,7 @@ class QuasilinearIntegrand:
                 f"L({s[i]:.3g}, {t[i]:.3g}) = {val[i]:.3e} < 0")))
         if self.odd_dominated:
             checks.append((
-                (s <= 0) & (_each(self.L, -s, t) < val - tol * (1 + abs(val))),
+                (s <= 0) & (_each(self.L, -s, t) > val + tol * (1 + abs(val))),
                 lambda i: AssumptionViolated(
                     f"L(-s,t) ≤ L(s,t) fails at s={s[i]:.3g}, t={t[i]:.3g}")))
         if self.growth is not None:
@@ -289,12 +289,10 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
         if space.p == 2.0:
             gnorm = gram_matrix(space) @ v / nv
         else:
-            gnorm = np.empty_like(v)
+            # central differences along each coordinate, as one block
             hstep = 1e-7 * (1.0 + float(np.max(np.abs(v))))
-            for j in range(len(v)):
-                e = np.zeros_like(v)
-                e[j] = hstep
-                gnorm[j] = (nx(v + e) - nx(v - e)) / (2 * hstep)
+            E = hstep * np.eye(len(v))
+            gnorm = (nx(v + E) - nx(v - E)) / (2 * hstep)
         return r / nv - (r @ v) / nv ** 2 * gnorm
 
     rng = np.random.default_rng(seed)
@@ -334,6 +332,7 @@ def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
     Runs the symmetric principle (dominating-point form) with σ = ρ = ε and
     augments the certificate with the Euler-Lagrange residual's dual norm,
     computed twice (Riesz solve and independent ascent)."""
+    I.validate(seed=seed)
     f = quasilinear_functional(I, space)
     if u0 is None:
         _, _, argmin = estimate_inf(f, space, whole_space(space),
@@ -506,11 +505,9 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
     rng0 = np.random.default_rng(seed + 5)
     rays = [np.ones(space.n_cells), np.abs(rng0.standard_normal(space.n_cells))]
     floor = -1e6 * (1.0 + abs(f(space.zeros())))
-    for w in rays:
-        for t in (1.0, 4.0, 16.0, 64.0, 256.0):
-            val = f(GridFunction(space, t * w))
-            if math.isfinite(val):
-                probe_inf = min(probe_inf, val)
+    vals = f._eval_rows(space, np.array([t * w for w in rays for t in (
+        1.0, 4.0, 16.0, 64.0, 256.0)]))
+    probe_inf = min([probe_inf, *vals[np.isfinite(vals)].tolist()])
     if not math.isfinite(probe_inf) or probe_inf < floor:
         raise NotBoundedBelow("energy probe diverged along rays; supply a "
                               "box oracle")
@@ -521,22 +518,22 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
     rng = np.random.default_rng(seed + 17)
     A = laplacian_matrix(space)
     m = space.cell_measure
+    metric = XMetric(space)
     certs = []
     for (cert, qrep), eps_h in zip(out, eps_schedule):
         u_h = cert.v
         psi = euler_lagrange_residual(N, u_h)
         cert.extras["psi_Hminus1"] = h_minus1_norm(space, psi)
         dg = lower_derivative(N.g, u_h.values, 1e-4)
-        worst = math.inf
-        for _ in range(second_order_samples):
-            w = rng.standard_normal(space.n_cells)
-            nw = norm_X(GridFunction(space, w))
-            if nw == 0:
-                continue
-            w /= nw
-            val = float(w @ A @ w) - m * float(dg @ (w * w))
-            worst = min(worst, val)
-        cert.extras["second_order_min"] = worst
+        # w·Aw − m·D̲g(u_h)·w² at X-unit w: per row the gemv and ddot of
+        # one vector's w @ A @ w and its ddot dg @ w², first minimum
+        W = rng.standard_normal((second_order_samples, space.n_cells))
+        nw = metric.norm(W)
+        W = W[nw != 0] / nw[nw != 0, None]
+        vals = (np.matmul(np.matmul(W[:, None], A), W[:, :, None])
+                - m * np.matmul(dg[None, None], (W * W)[:, :, None]))[:, 0, 0]
+        vals = np.append(np.where(np.isnan(vals), math.inf, vals), math.inf)
+        cert.extras["second_order_min"] = float(vals[np.argmin(vals)])
         cert.extras["second_order_bound"] = -2.0 * eps_h - 1e-6
         cert.extras["box"] = None if box is None else box.description
         certs.append(cert)
@@ -667,9 +664,13 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
 # ---------------------------------------------------------------------------
 # drops and petals
 
-def _default_norm(space):
-    metric = VMetric(space)
-    return lambda vals: metric.norm(vals)
+def _row_norms(norm, W):
+    """``norm`` of each row of the block W: the built-in V norm (the
+    default of balls and petals) takes the whole block, a caller's norm is
+    called once per row."""
+    if isinstance(getattr(norm, "__self__", None), VMetric):
+        return norm(W)
+    return CallableMetric(norm).norm(W)
 
 
 @dataclass
@@ -684,7 +685,7 @@ class Ball:
 
     def __post_init__(self):
         if self.norm is None:
-            self.norm = _default_norm(self.center.space)
+            self.norm = VMetric(self.center.space).norm
         # the center must also be fixed by the reflections that project and
         # contains average over: a function fixed by every registered
         # polarizer need not be reflection-symmetric
@@ -768,7 +769,7 @@ class Petal:
 
     def __post_init__(self):
         if self.norm is None:
-            self.norm = _default_norm(self.x0.space)
+            self.norm = VMetric(self.x0.space).norm
 
 
 def _near_zero_interval(a0, a1, tol):
@@ -827,7 +828,11 @@ def _convex_reaches(h, a, fa, b, level) -> bool:
     return True
 
 
-def drop_membership(y: GridFunction, D: Drop, tol=1e-10) -> bool:
+# drop_membership's tolerance, also where the drop engine asks it
+_DROP_TOL = 1e-10
+
+
+def drop_membership(y: GridFunction, D: Drop, tol=_DROP_TOL) -> bool:
     """y ∈ Drop(x, B) iff y = x + t(b−x) for some t ∈ [0,1], b ∈ B; the
     answer is exact up to `tol`.
 
@@ -843,9 +848,14 @@ def drop_membership(y: GridFunction, D: Drop, tol=1e-10) -> bool:
     on it the same convex test runs on h(s) = N(Sx − c + s·Sd).  So the
     tolerance is `tol` in the sup norm of the part off the fixed subspace
     and `tol` on the radius in the ball's norm."""
+    return _in_drop(y.values, D, tol)
+
+
+def _in_drop(y, D: Drop, tol) -> bool:
+    """``drop_membership`` of the cell values y."""
     B = D.ball
     x = D.vertex.values
-    d = y.values - x
+    d = y - x
     speed = B.norm(d)
     if speed <= tol:
         return True
@@ -876,8 +886,13 @@ def drop_membership(y: GridFunction, D: Drop, tol=1e-10) -> bool:
 
 
 def petal_membership(y: GridFunction, P: Petal) -> bool:
-    lhs = (P.eps * P.norm(y.values - P.x0.values)
-           + P.norm(y.values - P.x1.values))
+    return bool(_in_petal(P, y.values[None])[0])
+
+
+def _in_petal(P: Petal, W):
+    """``petal_membership`` of each row of the block W."""
+    lhs = (P.eps * _row_norms(P.norm, W - P.x0.values)
+           + _row_norms(P.norm, W - P.x1.values))
     return lhs <= P.norm(P.x0.values - P.x1.values) + 1e-12
 
 
@@ -889,35 +904,39 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
     B_{(1−ε)/(1+ε)‖x0−x1‖}(x1) lies inside the petal, and so does the drop
     of that ball from x0.  A sample violates when it misses the petal by
     more than 1e-9 (``_PETAL_TOL``)."""
-    space = P.x0.space
     rng = np.random.default_rng(seed)
     d01 = P.norm(P.x0.values - P.x1.values)
     r = (1.0 - P.eps) / (1.0 + P.eps) * d01
     ball = Ball(P.x1, r, norm=P.norm)
-    viol_ball = viol_drop = 0
-    worst = -math.inf
-    for i in range(n_samples):
+    # the normal and uniform draws interleave, so they stay one at a time;
+    # each ball point b and its drop point y are scored in one block
+    Y = []
+    for _ in range(n_samples):
         b = ball.boundary_sample(rng)
-        lhs = P.eps * P.norm(b - P.x0.values) + P.norm(b - P.x1.values)
-        worst = max(worst, lhs - d01)
-        if lhs > d01 + _PETAL_TOL:
-            viol_ball += 1
-        t = rng.uniform(0.0, 1.0)
-        y = P.x0.values + t * (b - P.x0.values)
-        lhs = P.eps * P.norm(y - P.x0.values) + P.norm(y - P.x1.values)
-        worst = max(worst, lhs - d01)
-        if lhs > d01 + _PETAL_TOL:
-            viol_drop += 1
+        Y += [b, P.x0.values + rng.uniform(0.0, 1.0) * (b - P.x0.values)]
+    Y = np.reshape(Y, (-1, P.x0.space.n_cells))
+    lhs = (P.eps * _row_norms(P.norm, Y - P.x0.values)
+           + _row_norms(P.norm, Y - P.x1.values))
+    viol = lhs > d01 + _PETAL_TOL
     return {"n_samples": n_samples, "radius": r,
-            "ball_violations": viol_ball, "drop_violations": viol_drop,
-            "worst_margin": worst, "tol": _PETAL_TOL}
+            "ball_violations": int(viol[0::2].sum()),
+            "drop_violations": int(viol[1::2].sum()),
+            "worst_margin": max([-math.inf, *(lhs - d01).tolist()]),
+            "tol": _PETAL_TOL}
 
 
 def _drop_project(D: Drop, vals):
-    """Feasibility projection onto the drop: scan the segment parameter at
-    32 points t ∈ (0, 1], pulling the implied ball point back into B (a
-    documented approximation; membership itself stays exact)."""
+    """Feasibility projection onto the drop.  When the ball is symmetric and
+    the vertex reflection-symmetric, the drop lies in the fixed subspace,
+    and a point whose symmetrization is a member goes there, exactly.  Other
+    points scan the segment parameter at 32 points t ∈ (0, 1], pulling the
+    implied ball point back into B (a documented approximation; membership
+    itself stays exact)."""
     x = D.vertex.values
+    if D.ball.symmetric and np.array_equal(D.ball._sym_project(x), x):
+        w = D.ball._sym_project(vals)
+        if _in_drop(w, D, _DROP_TOL):
+            return w
     best, best_d = np.array(x), D.ball.norm(vals - x)
     for t in np.linspace(0.0, 1.0, 33)[1:]:
         b = D.ball.project(x + (vals - x) / t)
@@ -938,20 +957,17 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     the smallness threshold ε·diam(B) < (1−ε)·d(B,C), and a polarization/
     symmetrization-stable C (a hypothesis on the caller's C, not checked)."""
     space = x.space
-    if not B.symmetric or not is_family_fixed(B.center):
+    if not B.symmetric:
         raise NotSymmetricInput("B must lie in the fully symmetric class")
     if not C.contains(x.values):
         raise AssumptionViolated("the vertex x must belong to C")
     rng = np.random.default_rng(seed)
 
     # separation estimate from projection probes
-    d_est = math.inf
-    for _ in range(64):
-        w = C.project(rng.standard_normal(space.n_cells)
-                      * (1.0 + B.norm(B.center.values)))
-        if C.contains(w):
-            d_est = min(d_est, B.dist(w))
-    d_est = min(d_est, B.dist(C.project(x.values)))
+    W = C.project_rows(rng.standard_normal((64, space.n_cells))
+                       * (1.0 + B.norm(B.center.values)))
+    d_est = min([math.inf, *(B.dist(w) for w in W[C.contains_rows(W)]),
+                 B.dist(C.project(x.values))])
     if not math.isfinite(d_est) or d_est <= 0.0:
         raise SeparationViolated(f"estimated d(B, C) = {d_est:.3e} ≤ 0")
     if eps * B.diameter() >= (1.0 - eps) * d_est:
@@ -962,7 +978,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     D0 = Drop(x, B)
 
     def contains(vals):
-        return C.contains(vals) and drop_membership(GridFunction(space, vals), D0)
+        return C.contains(vals) and _in_drop(vals, D0, _DROP_TOL)
 
     def project(vals):
         w = np.array(vals, float)
@@ -993,24 +1009,18 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
                              domain=Sprime, seed=seed, n_samples=n_samples,
                              metric=metric)
     xi = cert.v
-    # sampled minimality of Drop(xi, B) ∩ C
-    found = 0
-    witness = None
+    # sampled minimality of Drop(xi, B) ∩ C: the draws interleave, so they
+    # stay one at a time; the sample points are scored as one block
     rng2 = np.random.default_rng(seed + 13)
+    Y = []
     for _ in range(minimality_samples):
         b = B.boundary_sample(rng2) if rng2.uniform() < 0.5 else B.project(
             B.center.values + B.radius * rng2.uniform(-1, 1)
             * rng2.standard_normal(space.n_cells))
-        t = rng2.uniform(0.0, 1.0)
-        y = xi.values + t * (b - xi.values)
-        if C.contains(y) and metric.norm(y - xi.values) > 1e-9:
-            found += 1
-            witness = y
-    cert.extras["drop_minimality"] = {
-        "samples": minimality_samples, "second_points": found,
-        "witness": None if witness is None else [float(v) for v in witness],
-        "d_est": d_est}
-    cert.add_measured("drop_second_points", float(found), 0.0)
+        Y.append(xi.values + rng2.uniform(0.0, 1.0) * (b - xi.values))
+    Y = np.reshape(Y, (-1, space.n_cells))
+    _record_second_points(cert, "drop", Y[C.contains_rows(Y) & (
+        metric.norm(Y - xi.values) > 1e-9)], minimality_samples, d_est)
     return cert.seal()
 
 
@@ -1025,7 +1035,7 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
     projection-probe estimate of d(y, C)."""
     space = x.space
     if norm is None:
-        norm = _default_norm(space)
+        norm = VMetric(space).norm
     if not (is_family_fixed(theta(x)) and is_family_fixed(theta(y))
             and np.all(x.values >= 0) and np.all(y.values >= 0)):
         raise NotSymmetricInput("x and y must be fixed by every polarizer")
@@ -1035,13 +1045,11 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
         raise AssumptionViolated("y must lie outside C")
 
     rng = np.random.default_rng(seed)
-    d_est = norm(x.values - y.values)
-    for _ in range(64):
-        w = C.project(y.values + rng.standard_normal(space.n_cells)
-                      * (1.0 + norm(y.values)))
-        if C.contains(w):
-            d_est = min(d_est, norm(w - y.values))
+    W = C.project_rows(y.values + rng.standard_normal((64, space.n_cells))
+                       * (1.0 + norm(y.values)))
     dxy = norm(x.values - y.values)
+    d_est = min([dxy, *_row_norms(norm, W[C.contains_rows(W)]
+                                  - y.values).tolist()])
     if dxy > d_est + eps * eps + 1e-12:
         raise AssumptionViolated(
             f"petal slope condition fails: ‖x−y‖ = {dxy:.6g} > "
@@ -1061,22 +1069,23 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
     cert.add_measured("ε‖ξ-x‖+‖ξ-y‖-‖x-y‖", margin, 0.0)
     cert.extras["petal_member"] = bool(petal_membership(xi, P))
 
-    found = 0
-    witness = None
-    rng2 = np.random.default_rng(seed + 13)
-    Pxi = Petal(eps, xi, y, norm=norm)
-    for i in range(minimality_samples):
-        r = (4 * eps, eps, eps / 4, 1.0)[i % 4]
-        w = C.project(xi.values + r * rng2.standard_normal(space.n_cells))
-        if not C.contains(w):
-            continue
-        if norm(w - xi.values) > 1e-9 and petal_membership(
-                GridFunction(space, w), Pxi):
-            found += 1
-            witness = w
-    cert.extras["petal_minimality"] = {
-        "samples": minimality_samples, "second_points": found,
-        "witness": None if witness is None else [float(v) for v in witness],
-        "d_est": d_est}
-    cert.add_measured("petal_second_points", float(found), 0.0)
+    # sample i lies at radius (4ε, ε, ε/4, 1)[i % 4] around ξ_ε
+    r = np.resize([4 * eps, eps, eps / 4, 1.0], (minimality_samples, 1))
+    W = C.project_rows(xi.values + r * np.random.default_rng(
+        seed + 13).standard_normal((minimality_samples, space.n_cells)))
+    W = W[C.contains_rows(W)]
+    _record_second_points(cert, "petal", W[
+        (_row_norms(norm, W - xi.values) > 1e-9)
+        & _in_petal(Petal(eps, xi, y, norm=norm), W)],
+        minimality_samples, d_est)
     return cert.seal()
+
+
+def _record_second_points(cert: Certificate, kind, hits, samples, d_est):
+    """Record the sampled second points of a drop or petal (the last one
+    as the witness) in the certificate's minimality extras and bound."""
+    cert.extras[f"{kind}_minimality"] = {
+        "samples": samples, "second_points": len(hits),
+        "witness": [float(v) for v in hits[-1]] if len(hits) else None,
+        "d_est": d_est}
+    cert.add_measured(f"{kind}_second_points", float(len(hits)), 0.0)

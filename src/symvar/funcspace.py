@@ -210,7 +210,10 @@ class Functional:
     def _eval_rows(self, space: GridSpace, W) -> np.ndarray:
         """f at each row of the block W: ``eval_batch`` when given, else
         ``__call__`` row by row; non-finite rows (as for a GridFunction)
-        and the values NaN and −inf are rejected either way."""
+        and the values NaN and −inf are rejected either way.  An empty
+        block gives an empty result without calling f."""
+        if not len(W):
+            return np.empty(0)
         if self.eval_batch is None:
             return np.array([self(u) for u in _row_functions(space, W)],
                             float)

@@ -34,8 +34,8 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, norm_X, theta, function_to_json,
                         _norm_V_raw, _norm_X_raw, _pow_rows, _row_functions)
-from .rearrange import (approx_symmetrize, is_family_fixed, polarize,
-                        polarizer_sequence_json, schwarz)
+from .rearrange import (approx_symmetrize, is_family_fixed,
+                        polarizer_sequence_json, schwarz, _polarize_raw)
 from .slopes import strong_slope
 
 __all__ = [
@@ -327,8 +327,7 @@ def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
             return fun(W) if domain.contains(W) else math.inf
         inside = domain.contains_rows(W)
         vals = np.full(len(W), math.inf)
-        if inside.any():
-            vals[inside] = fun(W[inside])
+        vals[inside] = fun(W[inside])
         return vals
 
     def project(W):
@@ -476,30 +475,36 @@ def _issue_sample(f, cert: Certificate, metric, fv, stream, n_samples, *,
 def check_symmetry(f: Functional, space: GridSpace, seed, domain=None):
     """Sample f(u^H) ≤ f(u) + tol at 24 draws u ∈ S, H in the registered
     family.  With a ``domain`` C each draw is projected into C (a draw the
-    projection leaves outside C is skipped) and u^H must stay in C."""
-    rng = np.random.default_rng(seed)
-    fam = space.polarizers
-    if not fam:
+    projection leaves outside C is skipped) and u^H must stay in C.  Each
+    draw takes its H whether or not it is skipped; f scores the draws and
+    their images as blocks."""
+    if not space.polarizers:
         return
-    for _ in range(24):
-        vals = np.abs(rng.standard_normal(space.n_cells))
-        if domain is not None:
-            vals = domain.project(vals)
-            if not domain.contains(vals):
-                continue
-        u = GridFunction(space, vals)
-        fu = f(u)
+    dom = domain or whole_space(space)
+    fun = _on_domain(f, space, dom)[0]
+    U, Hs = _polarized_draws(space, seed, 24)
+    U = dom.project_rows(U)
+    UH = np.array([_polarize_raw(np.abs(u), H) for u, H in zip(U, Hs)])
+    for u, H, fu, fh, stable in zip(U, Hs, fun(U), fun(UH),
+                                    dom.contains_rows(UH)):
         if math.isinf(fu):
             continue
-        H = fam[rng.integers(len(fam))]
-        uh = polarize(u, H)
-        if domain is not None and not domain.contains(uh.values):
+        if not stable:
             raise AssumptionViolated("the domain is not polarization stable",
-                                     witness=u)
-        fh = f(uh)
+                                     witness=GridFunction(space, u))
         if fh > fu + _TOL_SYM * (1.0 + abs(fu)):
             raise SymmetryViolation(
                 f"f({H}) increased by {fh - fu:.3e} on a sampled u in S")
+
+
+def _polarized_draws(space: GridSpace, seed, k):
+    """k draws u = |z|, z standard normal, each followed by its polarizer H
+    drawn from the registered family: (the (k, N) block of u, the H's)."""
+    rng = np.random.default_rng(seed)
+    fam = space.polarizers
+    draws = [(np.abs(rng.standard_normal(space.n_cells)),
+              fam[rng.integers(len(fam))]) for _ in range(k)]
+    return np.array([u for u, _ in draws]), [H for _, H in draws]
 
 
 def _dominating_theta(f: Functional, u: GridFunction) -> GridFunction:
@@ -579,11 +584,9 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
                 return grad_f(w) + sigma * metric.penalty_grad(w, vk)
 
         starts = [vk, anchor, 0.5 * (vk + anchor), np.zeros_like(vk)]
-        for _ in range(2):
-            d = rng.standard_normal(len(vk))
-            nd = metric.norm(d)
-            if nd > 0:
-                starts.append(vk + trust * d / nd)
+        D = rng.standard_normal((2, len(vk)))
+        starts += [vk + trust * d / nd
+                   for d, nd in zip(D, metric.norm(D)) if nd > 0]
         if grad_phi is not None:
             w_best, phi_best, _ = _descent.minimize_multistart(
                 phi, grad_phi, starts, project=project, box=box)
@@ -765,20 +768,24 @@ def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho):
     Theorem conclusion (c) says minimizing sequences of w ↦ f(w)+σ‖w−v‖
     converge to v; the moduli should shrink with δ."""
     deltas = [sigma * rho, sigma * rho / 4, sigma * rho / 16, sigma * rho / 64]
-    samples = []
-    # normal and uniform draws interleave, so they stay one at a time
-    for _ in range(400):
-        z = rng.standard_normal(space.n_cells)
-        nz = metric.norm(z)
-        if nz == 0:
-            continue
-        r = rng.uniform(0, 4 * rho)
-        samples.append(v_vals + r * z / nz)
-    W = np.reshape(samples, (-1, space.n_cells))
+    W = v_vals + _radial_draws(rng, metric, space.n_cells, 400, 0, 4 * rho)
     dist = metric.dist(W, v_vals)
     val = f._eval_rows(space, W) + sigma * dist
     return [[float(d), float(max(dist[val <= fv + d], default=0.0))]
             for d in deltas]
+
+
+def _radial_draws(rng, metric, n_cells, k, lo, hi):
+    """The rows c·z/‖z‖ of k draws: z standard normal, then, unless
+    ‖z‖ = 0 drops the draw, c uniform in [lo, hi].  The normal and uniform
+    draws interleave, so they stay one at a time."""
+    rows = []
+    for _ in range(k):
+        z = rng.standard_normal(n_cells)
+        nz = metric.norm(z)
+        if nz != 0:
+            rows.append(rng.uniform(lo, hi) * z / nz)
+    return np.reshape(rows, (-1, n_cells))
 
 
 def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
@@ -1055,27 +1062,31 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
     ss = np.random.SeedSequence(seed)
     c_probe, c_ver = ss.spawn(2)
     rng = np.random.default_rng(c_probe)
-
-    sup_g, sup_gp = 0.0, 0.0
+    # the probe draws interleave, so they stay one at a time; g scores the
+    # probes (and their finite-difference partners) as blocks
     width = max(1.0, 2.0 * float(np.max(np.abs(v.values))))
+    W, fd = [], []
     for i in range(max(200, n_samples // 10)):
         z = rng.standard_normal(space.n_cells)
         if i % 2 == 0:
             nz = metric.norm(z)
-            w = v.values + (rng.uniform(0, 4) * z / nz if nz > 0 else z)
+            W.append(v.values + (rng.uniform(0, 4) * z / nz if nz > 0 else z))
         else:
-            w = v.values + width * (2.0 * (z % 1.0) - 1.0)
-        wgf = GridFunction(space, w)
-        sup_g = max(sup_g, abs(g(wgf)))
-        if g.derivative is not None:
-            sup_gp = max(sup_gp, norm_X(g.derivative(wgf)))
-        else:
+            W.append(v.values + width * (2.0 * (z % 1.0) - 1.0))
+        if g.derivative is None:
+            # the partner of the finite difference (w itself if d = 0)
             d = rng.standard_normal(space.n_cells)
             nd = metric.norm(d)
-            if nd > 0:
-                t = 1e-6
-                sup_gp = max(sup_gp, abs(g(GridFunction(space, w + t * d / nd))
-                                         - g(wgf)) / t)
+            fd.append(W[-1] + (1e-6 * d / nd if nd > 0 else 0.0))
+    W = np.array(W)
+    gw = g._eval_rows(space, W)
+    sup_g = max([0.0, *np.abs(gw).tolist()])
+    if g.derivative is not None:
+        sup_gp = max([0.0, *(norm_X(g.derivative(u))
+                             for u in _row_functions(space, W))])
+    else:
+        gd = g._eval_rows(space, np.array(fd))
+        sup_gp = max([0.0, *(np.abs(gd - gw) / 1e-6).tolist()])
 
     fv = f(v)
     cert = Certificate(variant="DGZCheck", v=v, sigma=eps, rho=eps, seed=seed,
@@ -1234,127 +1245,112 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     _, c_chain, c_ver = _open_symmetric(f, space, psi, seed, 4)
 
     zero = space.zeros()
-    barrier = max(f(zero), f(psi))
+    f_ends = (f(zero), f(psi))
+    barrier = max(f_ends)
     m = int(m_nodes)
-    n_cells = space.n_cells
     metric = XMetric(space)
-
-    def unpack(flat):
-        inner = flat.reshape(max(m - 1, 0), n_cells)
-        return [zero.values] + [inner[i] for i in range(m - 1)] + [psi.values]
-
-    def fhat_nodes(nodes):
-        return max(f(GridFunction(space, nd)) for nd in nodes)
-
-    def fhat(flat):
-        return fhat_nodes(unpack(flat))
-
     if m < 2:
         raise NoMountainPass("a two-node path cannot exceed its endpoints: "
                              "f̂ = max(f(0), f(ψ))")
 
-    # initial straight path, then descend f̂ to estimate the minimax level
-    ts = np.linspace(0.0, 1.0, m + 1)
-    flat0 = np.concatenate([t * psi.values for t in ts[1:-1]])
+    # a path is the (m−1, N) block of its inner nodes γ_1, ..., γ_{m−1}
+    def nodes(path):
+        return np.vstack([zero.values, path, psi.values])
 
-    def node_gradient_moves(flat, step):
-        nodes = unpack(flat)
-        fv = [f(GridFunction(space, nd)) for nd in nodes]
-        top = max(fv)
-        cands = []
-        for near in (0.0, 0.1 * (abs(top) + 1.0) * 1e-6, 0.05 * (top - min(fv) + 1e-12)):
-            cand = np.array(flat)
-            for i in range(1, m):
-                if fv[i] >= top - near:
-                    g = f.derivative(GridFunction(space, nodes[i])).values
-                    ng = metric.norm(g)
-                    if ng > 0:
-                        cand[(i - 1) * n_cells:i * n_cells] -= step * g / ng
-            if not np.array_equal(cand, flat):
+    def node_vals(paths):
+        """[f(0), f(γ_1), ..., f(ψ)] for each path of a list or block."""
+        inner = f._eval_rows(space, np.reshape(paths, (-1, space.n_cells)))
+        return [[f_ends[0], *row, f_ends[1]]
+                for row in inner.reshape(-1, m - 1).tolist()]
+
+    def path_dists(paths, b):
+        """The sup over the nodes of ‖γ_t − b_t‖_X for each path γ."""
+        d = metric.norm((paths - b).reshape(-1, space.n_cells))
+        return d.reshape(len(paths), m - 1).max(axis=1)
+
+    def node_gradient_moves(path, fv, step):
+        """The path with its near-top nodes (fv: the f values of its nodes)
+        moved by ``step`` against their X-unit derivative, at three
+        nearness levels; each node's derivative is computed once."""
+        top, cands = max(fv), []
+        nears = (0.0, 0.1 * (abs(top) + 1.0) * 1e-6,
+                 0.05 * (top - min(fv) + 1e-12))
+        idx = [i for i in range(1, m) if fv[i] >= top - max(nears)]
+        G = np.reshape([f.derivative(GridFunction(space, path[i - 1])).values
+                        for i in idx], (-1, space.n_cells))
+        NG = metric.norm(G)
+        for near in nears:
+            cand = np.array(path)
+            for i, g, ng in zip(idx, G, NG):
+                if fv[i] >= top - near and ng > 0:
+                    cand[i - 1] -= step * g / ng
+            if not np.array_equal(cand, path):
                 cands.append(cand)
         return cands
 
-    def descend_fhat(flat):
-        cur = np.array(flat)
-        val = fhat(cur)
-        step = 0.25 * max(1.0, metric.norm(psi.values))
-        for _ in range(_MINIMAX_SWEEPS):
-            best, best_val = None, val
-            for cand in node_gradient_moves(cur, step):
-                cv = fhat(cand)
-                if cv < best_val - 1e-14:
-                    best, best_val = cand, cv
-            if best is None:
-                step *= 0.5
-                if step < 1e-9:
-                    break
-            else:
-                cur, val = best, best_val
-        return cur, val
-
-    flat_opt, c_est = descend_fhat(flat0)
-    tol_geom = 1e-9 * (1.0 + abs(barrier))
-    if c_est <= barrier + tol_geom:
+    # initial straight path, then descend f̂ to estimate the minimax level
+    path = np.outer(np.linspace(0.0, 1.0, m + 1)[1:-1], psi.values)
+    fv = node_vals([path])[0]
+    step = 0.25 * max(1.0, metric.norm(psi.values))
+    for _ in range(_MINIMAX_SWEEPS):
+        best, best_val = None, max(fv)
+        cands = node_gradient_moves(path, fv, step)
+        for cand, cfv in zip(cands, node_vals(cands)):
+            if max(cfv) < best_val - 1e-14:
+                best, best_val = (cand, cfv), max(cfv)
+        if best is None:
+            step *= 0.5
+            if step < 1e-9:
+                break
+        else:
+            path, fv = best
+    c_est = max(fv)
+    if c_est <= barrier + 1e-9 * (1.0 + abs(barrier)):
         raise NoMountainPass(
             f"estimated minimax level {c_est:.6g} does not exceed "
             f"max(f(0), f(psi)) = {barrier:.6g}")
 
     # nodewise T_eps (identity on already-symmetric nodes)
-    nodes = unpack(flat_opt)
-    tilde_nodes, seq_all = [zero.values], []
-    for nd in nodes[1:-1]:
-        tnd, sq = _t_rho(GridFunction(space, nd), eps)
-        tilde_nodes.append(tnd.values)
-        seq_all.extend(sq)
-    tilde_nodes.append(psi.values)
-    flat_tilde = np.concatenate(tilde_nodes[1:-1]) if m > 1 else np.empty(0)
-    if fhat(flat_tilde) > fhat(flat_opt) + 1e-9 * (1.0 + abs(c_est)):
+    tilde = [_t_rho(GridFunction(space, nd), eps) for nd in path]
+    cur = np.array([tnd.values for tnd, _ in tilde])
+    seq_all = [H for _, seq in tilde for H in seq]
+    fv = node_vals([cur])[0]
+    if max(fv) > c_est + 1e-9 * (1.0 + abs(c_est)):
         raise SymmetryViolation("nodewise polarization increased f̂")
 
-    # path-space Ekeland chain with sigma = eps on the sup metric
-    def path_dist(a, b):
-        da = a.reshape(m - 1, n_cells)
-        db = b.reshape(m - 1, n_cells)
-        return max(metric.norm(da[i] - db[i]) for i in range(m - 1))
-
+    # path-space Ekeland chain with sigma = eps on the sup metric: each move
+    # scores φ(γ) = f̂(γ) + ε·d(γ, v_k) at the path and its candidates at once
     rng_chain = np.random.default_rng(c_chain)
-    cur = np.array(flat_tilde)
-    f_cur = fhat(cur)
     for _ in range(40):
-        vk = np.array(cur)
-        fvk = f_cur
-
-        def phi(flat):
-            return fhat(flat) + eps * path_dist(flat, vk)
-
+        vk, fvk = cur, max(fv)
         improved = False
         step = max(eps, 0.05 * metric.norm(psi.values))
         for _ in range(60):
-            cands = node_gradient_moves(cur, step)
-            for _ in range(2):
-                z = rng_chain.standard_normal(cur.shape)
-                cands.append(cur + step * z / max(1e-12, path_dist(z + vk, vk)))
-            best, best_val = None, phi(cur)
-            for cand in cands:
-                cv = phi(cand)
-                if cv < best_val - 1e-13 * (1.0 + abs(best_val)):
-                    best, best_val = cand, cv
-            if best is None:
+            moves = node_gradient_moves(cur, fv, step)
+            Z = rng_chain.standard_normal((2,) + cur.shape)
+            Z = (step * Z
+                 / np.maximum(1e-12, path_dists(Z + vk, vk))[:, None, None])
+            paths = np.array([cur, *moves, *(cur + Z)])
+            fvs = node_vals(paths)
+            phis = [max(v) + eps * d
+                    for v, d in zip(fvs, path_dists(paths, vk).tolist())]
+            best = 0
+            for j in range(1, len(paths)):
+                if phis[j] < phis[best] - 1e-13 * (1.0 + abs(phis[best])):
+                    best = j
+            if best == 0:
                 step *= 0.5
                 if step < 1e-10:
                     break
             else:
-                cur = best
-                improved = True
-        f_cur = fhat(cur)
-        if not improved or fvk - f_cur < 1e-12 * (1.0 + abs(fvk)):
+                cur, fv, improved = paths[best], fvs[best], True
+        if not improved or fvk - max(fv) < 1e-12 * (1.0 + abs(fvk)):
             break
 
-    nodes_final = unpack(cur)
-    f_vals = [f(GridFunction(space, nd)) for nd in nodes_final]
-    t_idx = int(np.argmax(f_vals))
+    nodes_final = nodes(cur)
+    t_idx = int(np.argmax(fv))
     u_eps = GridFunction(space, nodes_final[t_idx])
-    fu = f_vals[t_idx]
+    fu = fv[t_idx]
 
     cert = Certificate(variant="PathMinimax", v=u_eps, sigma=eps, rho=eps,
                        seed=seed, slack=default_slack(fu), inf_est=c_est,
@@ -1372,24 +1368,26 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     cert.add_measured("f(u_ε)-c_est", fu - c_est, eps)
     cert.add_measured("c_est-f(u_ε)", c_est - fu, 0.0)  # c ≤ f̂(γ_ε) = f(u_ε)
 
+    # sample i lies on the sphere of radius (4ε, ε, ε/4)[i % 3] around γ_ε;
+    # the first strict maximum wins
     rng_ver = np.random.default_rng(c_ver)
     maxv, arg = 0.0, None
-    fhat_eps = fhat(cur)
-    for i in range(n_samples):
-        z = rng_ver.standard_normal(cur.shape)
-        r = (4 * eps, eps, eps / 4)[i % 3]
-        nz = path_dist(cur + z, cur)
-        if nz == 0:
-            continue
-        cand = cur + r * z / nz
-        d = fhat_eps - eps * path_dist(cand, cur) - fhat(cand)
-        if d > maxv:
-            maxv, arg = d, cand
+    for start in range(0, n_samples, _SAMPLE_BLOCK):
+        Z = rng_ver.standard_normal(
+            (min(_SAMPLE_BLOCK, n_samples - start),) + cur.shape)
+        r = np.array([4 * eps, eps, eps / 4])[(start + np.arange(len(Z))) % 3]
+        nz = path_dists(cur + Z, cur)
+        keep = nz != 0
+        paths = cur + r[keep, None, None] * Z[keep] / nz[keep, None, None]
+        d = np.append(max(fv) - eps * path_dists(paths, cur)
+                      - [max(v) for v in node_vals(paths)], 0.0)
+        j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
+        if d[j] > maxv:
+            maxv, arg = d[j], paths[j]
     cert.violation = ViolationReport(
         n_samples=n_samples, max_violation=maxv,
         argmax_w=None if arg is None else GridFunction(
-            space, unpack(arg)[int(np.argmax([f(GridFunction(space, nd))
-                                              for nd in unpack(arg)]))]),
+            space, nodes(arg)[int(np.argmax(node_vals([arg])[0]))]),
         seed=int(rng_ver.integers(2 ** 31)))
     return cert.seal()
 
@@ -1425,13 +1423,12 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     check_symmetry(f, space, c_sym)
 
     # assumption (norm does not grow under polarization), sampled
-    rng = np.random.default_rng(c_norm)
-    fam = space.polarizers
-    for _ in range(16):
-        u = GridFunction(space, np.abs(rng.standard_normal(space.n_cells)))
-        H = fam[rng.integers(len(fam))]
-        if norm_X(polarize(u, H)) > norm_X(u) + 1e-9 * (1.0 + norm_X(u)):
-            raise AssumptionViolated("‖u^H‖ ≤ ‖u‖ failed on a sample")
+    metric = XMetric(space)
+    U, U_H = _polarized_draws(space, c_norm, 16)
+    nu = metric.norm(U)
+    nh = metric.norm(np.array([_polarize_raw(u, H) for u, H in zip(U, U_H)]))
+    if np.any(nh > nu + 1e-9 * (1.0 + nu)):
+        raise AssumptionViolated("‖u^H‖ ≤ ‖u‖ failed on a sample")
 
     if minimizing_sequence is None:
         inf0, _, argmin0 = estimate_inf(
@@ -1441,7 +1438,6 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
             return GridFunction(space, argmin0)
 
     out = []
-    metric = XMetric(space)
     for h, eps_h in enumerate(eps_schedule):
         try:
             xi_h = _dominating_theta(f, minimizing_sequence(h))
@@ -1467,29 +1463,25 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
         cert.extras["slope"] = {"lower": slope.lower, "upper": slope.upper,
                                 "bound": slope_bound,
                                 "C": slope_bound / eps_h}
-
-        # second-order report: quotient + 2 eps ‖ζ‖² over (ζ, t) probes
-        rng_q = np.random.default_rng(c_q[h])
-        fv = f(v_h)
-        min_margin, worst_t, n_done = math.inf, eps_h, 0
-        for _ in range(q_probes):
-            z = rng_q.standard_normal(space.n_cells)
-            nz = norm_X(GridFunction(space, z))
-            if nz == 0:
-                continue
-            zeta = GridFunction(space, rng_q.uniform(0.25, 2.0) * z / nz)
-            nz2 = norm_X(zeta) ** 2
-            for t in (eps_h, eps_h / 2, eps_h / 4):
-                fp = f(v_h + t * zeta)
-                fm = f(v_h - t * zeta)
-                n_done += 1
-                if math.isinf(fp) or math.isinf(fm):
-                    continue
-                margin = (fp + fm - 2.0 * fv) / t ** 2 + 2.0 * eps_h * nz2
-                if margin < min_margin:
-                    min_margin, worst_t = margin, t
-        qrep = QBoundReport(eps_h=eps_h, min_margin=min_margin,
-                            n_probes=n_done, worst_t=worst_t)
+        # second-order report: min of quotient + 2ε‖ζ‖² (‖ζ‖² by libm pow)
+        # over probes ζ at t = ε, ε/2, ε/4, the first strict minimum; probes
+        # where f is infinite are skipped; f scores the points as one block
+        zetas = _radial_draws(np.random.default_rng(c_q[h]), metric,
+                              space.n_cells, q_probes, 0.25, 2.0)
+        ts = (eps_h, eps_h / 2, eps_h / 4)
+        step = zetas[:, None] * np.array(ts)[:, None]
+        fp, fm = (f._eval_rows(space, w.reshape(-1, space.n_cells))
+                  .reshape(-1, 3) for w in (v_h.values + step,
+                                            v_h.values - step))
+        margin = ((fp + fm - 2.0 * f(v_h)) / [t ** 2 for t in ts]
+                  + 2.0 * eps_h * _pow_rows(metric.norm(zetas), 2)[:, None])
+        margin[np.isinf(fp) | np.isinf(fm) | np.isnan(margin)] = math.inf
+        margin = np.append(margin, math.inf)    # the last: none scored
+        j = int(np.argmin(margin))
+        qrep = QBoundReport(eps_h=eps_h, min_margin=margin[j],
+                            n_probes=len(margin) - 1,
+                            worst_t=ts[j % 3] if margin[j] < math.inf
+                            else eps_h)
         cert.extras["q_bound"] = qrep.to_json_dict()
         out.append((cert, qrep))
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, OutsideDomain
-from .funcspace import Functional, GridFunction, norm_X
+from .funcspace import Functional, GridFunction, norm_X, _norm_X_raw
 
 __all__ = ["SlopeEstimate", "QEstimate", "strong_slope", "q_form",
            "unit_directions"]
@@ -58,24 +58,21 @@ class QEstimate:
     schedule: tuple = field(default=())   # ((delta, value), ...) logged
 
 
-def unit_directions(space, n, seed, norm=norm_X):
-    """n quasi-random directions of unit ``norm``, deterministic given seed."""
+def unit_directions(space, n, seed):
+    """The rows of n quasi-random directions of unit X-norm, deterministic
+    given seed: an (n', N) block, n' ≤ n (a zero direction is dropped)."""
     # imported here, its only use: scipy.stats is most of the import time
     # of symvar, and runs that never sample slopes do not need it
     from scipy.stats import norm as _gauss, qmc
 
-    dim = space.n_cells
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
+    eng = qmc.Sobol(d=space.n_cells, scramble=True, seed=seed)
     raw = eng.random_base2(max(1, math.ceil(math.log2(max(2, n)))))[:n]
     # map to gaussian directions; clip away the cube corners
     z = _gauss.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
-    out = []
-    for row in z:
-        v = GridFunction(space, row)
-        nv = norm(v)
-        if nv > 0:
-            out.append((1.0 / nv) * v)
-    return out
+    nz = _norm_X_raw(z, space.dimension, space.n, space.spacing,
+                     space.cell_measure, space.p)
+    keep = nz > 0
+    return z[keep] * (1.0 / nz[keep])[:, None]
 
 
 def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
@@ -85,7 +82,7 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
     Zero at (sampled) local minima.  When the derivative oracle exists its
     ±directions are added to the probe set (the estimate stays a one-sided
     underestimate of the strong slope) and ‖derivative(u)‖_X is the lower
-    bracket end.
+    bracket end.  Each radius scores its probes as one block.
     """
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -100,17 +97,15 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
         g = f.derivative(u)
         lower = norm_X(g)
         if lower > 0:
-            gdir = (1.0 / lower) * g
-            dirs = dirs + [gdir, -gdir]
+            gdir = g.values * (1.0 / lower)
+            dirs = np.vstack([dirs, gdir, -gdir])
 
     upper = 0.0
     for r in radii:
-        for d in dirs:
-            fx = f(u + r * d)
-            if math.isinf(fx):
-                continue
-            upper = max(upper, (fu - fx) / r)
-    upper = max(0.0, upper)
+        fx = f._eval_rows(u.space, u.values + dirs * r)
+        q = np.append((fu - fx[~np.isinf(fx)]) / r, 0.0)
+        # the first maximum, as a running max over the probes keeps it
+        upper = max(upper, float(q[np.argmax(q)]))
     tol = 1e-5 * (1.0 + lower)
     return SlopeEstimate(lower=lower, upper=upper, radii=radii,
                          samples_per_radius=len(dirs), tol=tol)
@@ -124,36 +119,36 @@ def q_form(f: Functional, u: GridFunction, w: GridFunction, delta=1e-4,
     schedule level; the schedule (100δ, 10δ, δ) is logged and the finest
     level's sampled maximum is the reported value.  Probes where f is
     infinite are skipped; if every probe is infinite the point is outside
-    the domain.
+    the domain.  Each level scores its probes as one block.
     """
     if delta <= 0:
         raise InvalidArgument("delta must be positive")
-    schedule_deltas = (100.0 * delta, 10.0 * delta, delta)
-    dirs = unit_directions(u.space, n_samples, seed)
-    zero = u.space.zeros()
+    space = u.space
+    dirs = unit_directions(space, n_samples, seed)
+    # the (z, ζ) direction pairs: (0, 0), then each direction with the next
+    zero = np.zeros((1, space.n_cells))
+    dz = np.vstack([zero, dirs])[:, None]
+    dzeta = np.vstack([zero, np.roll(dirs, -1, axis=0)])[:, None]
 
     probe_count = 0
     t_min = math.inf
     log = []
-    for dl in schedule_deltas:
-        best = -math.inf
-        pairs = [(zero, zero)] + [(dirs[i], dirs[(i + 1) % len(dirs)])
-                                  for i in range(len(dirs))]
-        for dz, dzeta in pairs:
-            for rz, rzeta, t in ((0.0, 0.0, dl), (0.0, 0.0, dl / 2),
-                                 (dl, dl, dl), (dl, 0.0, dl),
-                                 (0.0, dl, dl), (dl / 2, dl / 2, dl / 2)):
-                z = u + rz * dz
-                zeta = w + rzeta * dzeta
-                fz = f(z)
-                fp = f(z + t * zeta)
-                fm = f(z - t * zeta)
-                probe_count += 1
-                if math.isinf(fz) or math.isinf(fp) or math.isinf(fm):
-                    continue
-                t_min = min(t_min, t)
-                best = max(best, (fp + fm - 2.0 * fz) / t ** 2)
-        log.append((dl, best))
+    for dl in (100.0 * delta, 10.0 * delta, delta):
+        combos = ((0.0, 0.0, dl), (0.0, 0.0, dl / 2), (dl, dl, dl),
+                  (dl, 0.0, dl), (0.0, dl, dl), (dl / 2, dl / 2, dl / 2))
+        rz, rzeta, t = (np.array(c)[:, None] for c in zip(*combos))
+        z = u.values + dz * rz
+        zeta = w.values + dzeta * rzeta
+        fz, fp, fm = (f._eval_rows(space, x.reshape(-1, space.n_cells))
+                      for x in (z, z + zeta * t, z - zeta * t))
+        probe_count += len(fz)
+        ok = ~(np.isinf(fz) | np.isinf(fp) | np.isinf(fm))
+        # t ** 2 as the scalar power of each t
+        ts = np.tile(t[:, 0], len(dz))[ok]
+        t2 = np.tile([c[2] ** 2 for c in combos], len(dz))[ok]
+        q = np.append((fp[ok] + fm[ok] - 2.0 * fz[ok]) / t2, -math.inf)
+        t_min = float(ts.min(initial=t_min))
+        log.append((dl, float(q[np.argmax(q)])))
     if not math.isfinite(log[-1][1]):
         raise OutsideDomain("all second-difference probes hit +inf")
     return QEstimate(value=log[-1][1], probe_count=probe_count,

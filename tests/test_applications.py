@@ -88,6 +88,31 @@ def test_quasilinear_growth_validation():
         bad.validate()
 
 
+def _anti_dominated_integrand():
+    """L(s, t) = t²/2 + s: L(−s, t) > L(s, t) for s < 0, so Θ can raise the
+    energy."""
+    return QuasilinearIntegrand(L=lambda s, t: 0.5 * t * t + s,
+                                L_s=lambda s, t: 1.0, L_xi=lambda s, t: t,
+                                nonneg=False, name="anti_dominated")
+
+
+def test_quasilinear_validate_checks_odd_domination(g1d8):
+    assert forced_dirichlet_integrand(1.0).validate()
+    anti = _anti_dominated_integrand()
+    # Θ raises the energy: f(Θu) = 2 > f(u) = 0 at u ≡ −0.5
+    u = g1d8.function(np.full(8, -0.5))
+    assert quasilinear_energy(anti, u) == pytest.approx(0.0, abs=1e-12)
+    assert quasilinear_energy(anti, theta(u)) == pytest.approx(2.0)
+    with pytest.raises(AssumptionViolated, match=r"L\(-s,t\) ≤ L\(s,t\)"):
+        anti.validate()
+
+
+def test_quasilinear_experiment_validates_its_integrand(g1d8):
+    with pytest.raises(AssumptionViolated, match=r"L\(-s,t\) ≤ L\(s,t\)"):
+        quasilinear_experiment(_anti_dominated_integrand(), g1d8, 0.01,
+                               seed=0, n_samples=50)
+
+
 def _quartic_integrand():
     """L(s, t) = t²/2 + t⁴/4 − s: a nonlinear radial weight L_t/t = 1 + t²."""
     return QuasilinearIntegrand(L=lambda s, t: 0.5 * t * t + 0.25 * t ** 4 - s,
@@ -562,6 +587,21 @@ def test_symmetric_drop_point_hand_geometry(g1d2):
     assert np.max(np.abs(cert.v.values - 0.5)) < 1e-6
     assert cert.extras["drop_minimality"]["second_points"] == 0
     assert cert.extras["drop_minimality"]["d_est"] >= 2.9
+
+
+def test_symmetric_drop_point_reaches_the_end_of_a_thin_drop(g1d2):
+    # a symmetric ball on 1D n = 2 makes the drop a segment of the
+    # diagonal; the feasibility projection is exact on that subspace, so
+    # the engine reaches the segment's end in C instead of stalling short
+    from symvar.cli import SETS
+
+    B = Ball(g1d2.function([3.0, 3.0]), 0.5, symmetric=True)
+    cert = symmetric_drop_point(g1d2.function([0.2, 0.2]), B,
+                                SETS["halfplane_sum"]({"level": 1.0}), 0.05,
+                                seed=0, n_samples=300, minimality_samples=1000)
+    assert cert.status == "PASS"
+    assert np.max(np.abs(cert.v.values - 0.5)) < 1e-9
+    assert cert.extras["drop_minimality"]["second_points"] == 0
 
 
 def test_symmetric_drop_point_singleton(g1d2):
