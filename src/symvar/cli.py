@@ -468,8 +468,8 @@ def _run_polarize(space, f, p, seed, samples, out):
     u = p["values"]
     axis = tuple(p["axis"] or [1.0] + [0.0] * (space.dimension - 1))
     offset = p["offset"]
-    match = [H for H in space.polarizers
-             if np.allclose(H.axis, axis) and abs(H.offset - offset) < 1e-12]
+    match = [H for H in space.polarizers if len(H.axis) == len(axis)
+             and np.allclose(H.axis, axis) and abs(H.offset - offset) < 1e-12]
     if not match:
         raise ConfigError(f"config.parameters.axis: no registered polarizer "
                           f"with axis {axis}, offset {offset}")
@@ -717,21 +717,15 @@ def _run_petal_inclusions(space, f, p, seed, samples, out):
 def _run_verify(space, f, p, seed, samples, out):
     path = "config.parameters.certificate_path"
     try:
-        raw = json.loads(Path(p["certificate_path"]).read_text())
-        v = fs.function_from_json(raw["v"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+        cert = pr.Certificate.from_json_dict(
+            json.loads(Path(p["certificate_path"]).read_text()))
+    except (OSError, ValueError, KeyError, TypeError, SymvarError) as exc:
         raise ConfigError(f"{path}: cannot read the certificate: {exc!r}")
-    if v.space.signature != space.signature:
+    if cert.v.space.signature != space.signature:
         raise ConfigError(
             f"{path}: the certificate's grid (dimension, n, radius, p, qV, "
-            f"qW) = {v.space.signature} differs from config.grid "
+            f"qW) = {cert.v.space.signature} differs from config.grid "
             f"{space.signature}")
-    cert = pr.Certificate(
-        variant=raw["variant"], v=v, sigma=raw["sigma"], rho=raw["rho"],
-        p_exp=raw.get("p_exp", 1.0),
-        eta=None if raw.get("eta") is None else fs.function_from_json(raw["eta"]),
-        seed=raw.get("seed", 0), slack=raw.get("slack", 0.0),
-        extras=raw.get("extras", {}))
     rep = pr.verify_certificate(f, cert, samples or 2000, seed=seed + 104729)
     out.write_csv(["max_violation", "slack", "n_samples"],
                   [[rep.max_violation, cert.slack, rep.n_samples]])

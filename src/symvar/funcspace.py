@@ -8,14 +8,14 @@ d in {1, 2}, with an even cell count per axis so that every reflection
 used by the polarizer machinery maps cell centers to cell centers.  Each
 grid carries a proven embedding constant K ≥ ‖u‖_V/‖u‖_X in closed form
 (exact eigen-data for p = 2, line-sum and Hölder bounds otherwise), and
-its p = 2 matrices once they are first used.
+builds its p = 2 matrices and its polarizer family on first use.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
@@ -62,7 +62,6 @@ class GridSpace:
     cell_measure: float
     K: float
     C_theta: ClassVar[float] = 1.0      # a constant, not a field
-    polarizers: tuple = field(default=())
 
     @property
     def n_cells(self) -> int:
@@ -91,6 +90,22 @@ class GridSpace:
         chol_upper = np.linalg.cholesky(gram).T
         chol_upper.setflags(write=False)
         return a_grad, gram, chol_upper
+
+    @functools.cached_property
+    def polarizers(self) -> tuple:
+        """The registered polarizer family, built on first use."""
+        from .rearrange import build_polarizer_family  # it imports GridSpace
+        return build_polarizer_family(self)
+
+    @functools.cached_property
+    def _polarizer_table(self):
+        """The family as one read-only (inside, partner) pair of (F, N)
+        arrays, row k the pairing of ``polarizers[k]``."""
+        inside = np.stack([H.inside for H in self.polarizers])
+        partner = np.stack([H.partner for H in self.polarizers])
+        inside.setflags(write=False)
+        partner.setflags(write=False)
+        return inside, partner
 
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.n_cells))
@@ -394,8 +409,9 @@ def _embedding_constant(dimension, n, h, p, q_V):
 
 def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
               q_V=None) -> GridSpace:
-    """Build a symmetric uniform grid with its registered polarizer family
-    and its embedding constant K (see :func:`_embedding_constant`).
+    """Build a symmetric uniform grid with its embedding constant K (see
+    :func:`_embedding_constant`).  Its registered polarizer family is
+    built on first use of ``polarizers`` and held as one stacked table.
 
     Parameters
     ----------
@@ -437,14 +453,10 @@ def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
     lattice.setflags(write=False)
     measure = h ** dimension
 
-    space = GridSpace(dimension=dimension, n=n, radius=R, p=p, q_V=q_V,
-                      q_W=q_W, cells=cells, lattice=lattice, spacing=h,
-                      cell_measure=measure,
-                      K=_embedding_constant(dimension, n, h, p, q_V))
-    from . import rearrange  # deferred: rearrange depends on GridSpace
-    family = rearrange.build_polarizer_family(space)
-    object.__setattr__(space, "polarizers", family)
-    return space
+    return GridSpace(dimension=dimension, n=n, radius=R, p=p, q_V=q_V,
+                     q_W=q_W, cells=cells, lattice=lattice, spacing=h,
+                     cell_measure=measure,
+                     K=_embedding_constant(dimension, n, h, p, q_V))
 
 
 # ---------------------------------------------------------------------------

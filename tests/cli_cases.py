@@ -165,4 +165,13 @@ REJECTED = [
      "required key 'values'"),
     ("values of the wrong length", _norms([0.2, 0.0, 0.9]),
      "config.parameters.values"),
+    # np.allclose would broadcast an axis of the wrong length
+    ("2D polarize with a 1-entry axis", {
+        **config("polarize", 4, {"values": [0.0] * 15 + [1.0],
+                                 "axis": [0.7071067811865476],
+                                 "offset": 0.0}),
+        "grid": {**grid(4), "dimension": 2}}, "config.parameters.axis"),
+    ("1D polarize with a 2-entry axis", config("polarize", 4, {
+        "values": [0, 0, 1, 0], "axis": [1, 1], "offset": 0.0}),
+     "config.parameters.axis"),
 ]

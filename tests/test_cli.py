@@ -329,6 +329,26 @@ def test_verify_rejects_certificate_of_another_grid(tmp_path, capsys):
     assert not (tmp_path / "verify_certificate.csv").exists()
 
 
+def test_verify_rejects_a_malformed_certificate(tmp_path, capsys):
+    from cli_cases import SAMPLES, WELL, config, valid_cases
+
+    cases = {label: cfg for label, cfg, _, _ in valid_cases(tmp_path / "out")}
+    label = "symmetric_borwein_preiss"
+    assert _run_table_entry(tmp_path, label, cases[label],
+                            n_samples=SAMPLES) == 0
+    cert = json.loads((tmp_path / "out" / label /
+                       f"{label}_certificate.json").read_text())
+    eta4 = {**cert["eta"], "n": 4, "values": cert["eta"]["values"][:4]}
+    for field, value in (("eta", eta4), ("sigma", "0.1"), ("extras", None)):
+        path = _write(tmp_path, f"cert_{field}.json", {**cert, field: value})
+        verify = config("verify_certificate", 8,
+                        {"certificate_path": str(path)}, WELL)
+        assert _run_table_entry(tmp_path, f"verify_{field}", verify) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "config.parameters.certificate_path" in err and field in err
+
+
 def test_library_argument_errors_exit_1(tmp_path, capsys):
     for sub, functional, params in (
             ("sqps_sequence", {"name": "quadratic"},

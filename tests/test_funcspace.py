@@ -12,8 +12,13 @@ from symvar import (Functional, GridFunction, InvalidArgument,
                     InvalidExponent, InvalidGrid, SpaceMismatch,
                     function_from_json, function_to_json, make_grid, norm_Lr,
                     norm_V, norm_W, norm_X, theta)
+from symvar import rearrange
 from symvar.funcspace import (_lr_norm_raw, _norm_V_raw, _norm_X_raw,
                               gram_matrix, riesz_from_euclidean)
+from symvar.principles import Certificate, symmetric_ekeland, verify_certificate
+from symvar.rearrange import is_family_fixed
+
+from conftest import quad_X, sym_center
 
 
 def test_make_grid_1d_four_cells():
@@ -231,10 +236,40 @@ def test_riesz_reuses_cached_factor(g1d8):
 def test_grid_matrices_are_freed_with_the_grid():
     g = make_grid(2, 4, 1.0, 2, 4)
     gram_matrix(g)
-    ref = weakref.ref(g)
+    is_family_fixed(g.zeros())      # builds the polarizer family and table
+    refs = [weakref.ref(x) for x in (g, *g.polarizers, *g._polarizer_table)]
     del g
     gc.collect()
-    assert ref() is None
+    assert all(ref() is None for ref in refs)
+
+
+def test_polarizer_family_is_built_on_first_use(monkeypatch):
+    a = sym_center(make_grid(1, 8, 1.0, 2, 4))
+    f = quad_X(a)
+    raw = symmetric_ekeland(f, a.space, a, 0.1, 0.1, seed=3).to_json_dict()
+    calls = []
+    build = rearrange.build_polarizer_family
+    monkeypatch.setattr(rearrange, "build_polarizer_family",
+                        lambda space: calls.append(space) or build(space))
+    g = make_grid(1, 8, 1.0, 2, 4)
+    u = g.function(a.values)
+    norm_X(u), norm_V(u), norm_W(u)
+    assert calls == []
+    function_from_json(function_to_json(u))
+    cert = Certificate.from_json_dict(raw)
+    verify_certificate(f, cert, 200)
+    assert calls == []
+    family = g.polarizers
+    inside, partner = g._polarizer_table
+    assert g.polarizers is family and calls == [g]
+    assert [H.space_signature for H in family] == [g.signature] * len(family)
+    for k, H in enumerate(family):
+        assert np.array_equal(inside[k], H.inside)
+        assert np.array_equal(partner[k], H.partner)
+    for table in (inside, partner):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
 
 
 def _norm_X_padded(values, dimension, n, spacing, measure, p):

@@ -180,6 +180,34 @@ def test_fixed_point_equivalence_2x2_exhaustive():
         assert out == schwarz(u)
 
 
+def _fixed_by_each_polarizer(u):
+    """is_family_fixed as a loop over the family, one polarization per
+    member: the reference the stacked table must match."""
+    return all(polarize(u, H) == theta(u) for H in u.space.polarizers)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 128), (2, 2),
+                                         (2, 4), (2, 16)])
+def test_is_family_fixed_equals_per_polarizer_loop(dimension, n):
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(15)
+    inputs = []
+    for _ in range(4):
+        z = np.abs(rng.standard_normal(g.n_cells))
+        s = schwarz(g.function(np.round(z, 1))).values    # has ties
+        inputs += [z, schwarz(g.function(z)).values, s]
+        for i in range(g.n_cells):      # a fixed function, one cell one ulp off
+            t = s.copy()
+            t[i] = np.nextafter(t[i], np.inf if i % 2 else -np.inf)
+            inputs.append(t)
+    seen = set()
+    for vals in inputs:
+        u = g.function(vals)
+        assert is_family_fixed(u) == _fixed_by_each_polarizer(u)
+        seen.add(is_family_fixed(u))
+    assert seen == {True, False}
+
+
 def test_2d_partial_order_obstruction_documented(g2d4):
     """On 4x4 grids the lattice reflections cannot compare the cells
     (-0.75, 0.25) and (-0.25, -0.75): a function with their canonical
