@@ -12,9 +12,13 @@ row i follows the descent from start i alone bit for bit.  Unconstrained
 and on a box (the nonnegative cone included) each start's descent stops
 after _BB_STEPS_POLISHED = 20 BB steps and a Newton polish finishes it;
 under a custom projection there is no polish and the descent runs up to
-_BB_STEPS = 400 steps.  All routines are pure and seedless: randomized
-multi-start decisions are made by the callers, which thread one seeded
-generator through the whole run.
+_BB_STEPS = 400 steps.  The polish takes the objective's declared Hessian
+``hess`` (one vector (N,) to the (N, N) Euclidean Hessian, sliced to the
+free coordinates) when there is one, and otherwise builds a
+finite-difference Hessian from one block ``grad`` call; either way it
+keeps a Hessian while the free set holds (chord Newton).  All routines
+are pure and seedless: randomized multi-start decisions are made by the
+callers, which thread one seeded generator through the whole run.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ import math
 import numpy as np
 
 
-# Newton refinement: at most this many steps, Hessian by central
-# differences of the gradient with step _FD_STEP·(1 + ‖x‖_∞)
+# Newton refinement: at most this many steps, with the declared Hessian
+# or, as the fallback, central differences of the gradient with step
+# _FD_STEP·(1 + ‖x‖_∞); the declarers difference their oracles (g, L_s,
+# L_xi) with the same _FD_STEP
 _NEWTON_ITERS = 6
 _FD_STEP = 1e-5
 
@@ -143,13 +149,43 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
     return x, fx, errors
 
 
-def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf):
-    """Newton refinement with a finite-difference Hessian on the free
-    coordinates of a point of the box [lo, hi] (unbounded by default): a
-    coordinate is held when it sits on a bound its gradient pushes against.
+def _newton_step(fun, x, fx, idx, H, gf, lo, hi):
+    """The first of the points x + t·d (t = 1, 1/2, 1/4, clipped to the
+    box), d = −H⁻¹gf on the coordinates ``idx``, where f does not
+    increase, as (x, f(x)); None when none does or H is singular."""
+    try:
+        d = np.linalg.solve(H, -gf)
+    except np.linalg.LinAlgError:
+        return None
+    for t in (1.0, 0.5, 0.25):
+        xn = x.copy()
+        xn[idx] += t * d
+        xn = np.clip(xn, lo, hi)
+        fn = fun(xn)
+        if _finite(fn) and fn <= fx:
+            return xn, fn
+    return None
+
+
+def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
+                  hess=None):
+    """Chord Newton refinement on the free coordinates of a point of the
+    box [lo, hi] (unbounded by default): a coordinate is held when it sits
+    on a bound its gradient pushes against.  The Hessian is ``hess(x)``
+    sliced to the free set when declared, else _fd_hessian; it is built
+    when there is none yet or the free set has changed, and reused
+    otherwise.  When every step size is rejected with a reused Hessian it
+    is rebuilt once at the current point; when a fresh one is rejected the
+    polish stops.
 
     Exact (to rounding) in one step for quadratics; steps are only accepted
     when they do not increase f, so nonconvex objectives stay safe."""
+    def build(x, idx):
+        if hess is None:
+            return _fd_hessian(grad, x, idx)
+        return hess(x)[idx][:, idx]
+
+    H = held = None
     for _ in range(_NEWTON_ITERS):
         g = grad(x)
         at_lo = (x <= lo + 1e-12) & (g > 0)
@@ -161,21 +197,16 @@ def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf):
         if float(np.linalg.norm(gf)) < 1e-14 * (1.0 + abs(fx)):
             break
         idx = np.flatnonzero(free)
-        H = _fd_hessian(grad, x, idx)
-        try:
-            d = np.linalg.solve(H, -gf)
-        except np.linalg.LinAlgError:
+        reused = held is not None and np.array_equal(idx, held)
+        if not reused:
+            H, held = build(x, idx), idx
+        step = _newton_step(fun, x, fx, idx, H, gf, lo, hi)
+        if step is None and reused:
+            H = build(x, idx)
+            step = _newton_step(fun, x, fx, idx, H, gf, lo, hi)
+        if step is None:
             break
-        for t in (1.0, 0.5, 0.25):
-            xn = x.copy()
-            xn[idx] += t * d
-            xn = np.clip(xn, lo, hi)
-            fn = fun(xn)
-            if _finite(fn) and fn <= fx:
-                x, fx = xn, fn
-                break
-        else:
-            break
+        x, fx = step
     return x, fx
 
 
@@ -218,15 +249,15 @@ def compass_minimize(fun, x0, *, scale, project=None, f_atol=0.0):
 
 
 def minimize_multistart(fun, grad, starts, *, project=None, box=None,
-                        compass_scale=0.25, f_atol=0.0):
+                        hess=None, compass_scale=0.25, f_atol=0.0):
     """Best local minimum over the given starts.
 
     Smooth path (grad given): BB descent of all starts in lock-step.  When
     unconstrained (no ``project``) or on a box (``box`` = (lo, hi), the
     cone being the box [0, ∞)), at most _BB_STEPS_POLISHED steps, then a
-    Newton polish per start; under any other projection at most _BB_STEPS
-    steps, and the descent's end is kept.  Derivative free path: compass
-    search.
+    Newton polish per start (with ``hess``, the declared Hessian, when
+    given); under any other projection at most _BB_STEPS steps, and the
+    descent's end is kept.  Derivative free path: compass search.
     Returns (x, f(x), values), ``values`` the final f of each start.  When
     a start raises, the error of the first such start in start order is
     raised, as a run of one start after the other would."""
@@ -243,7 +274,8 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
                 raise errors[i]
             x, fx = X[i], float(F[i])
             if polish:
-                x, fx = newton_polish(fun, grad, x, fx, *(box or ()))
+                x, fx = newton_polish(fun, grad, x, fx, *(box or ()),
+                                      hess=hess)
         else:
             x, fx = compass_minimize(fun, x0, scale=compass_scale,
                                      project=project, f_atol=f_atol)

@@ -10,12 +10,14 @@ energy equals the gradient part of the X-norm exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from ._descent import _FD_STEP
 from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      InvalidEpsilon, NotBoundedBelow, NotSymmetricInput,
                      SeparationViolated)
@@ -150,17 +152,48 @@ def forced_dirichlet_integrand(c: float) -> QuasilinearIntegrand:
 
 def _gradient_fields(space: GridSpace, values):
     """Forward-difference gradient components at cells plus the ghost-node
-    magnitudes (zero-extended low-boundary edges), per axis.  A block
-    (k, N) of rows gives each field with the row axis last: (N, k)."""
-    h, comps, ghost = space.spacing, [], []
+    magnitudes (zero-extended low-boundary edges), per axis: an array
+    (d, N) of the d components and the (d·n^(d−1),) ghosts.  A block
+    (k, N) of rows gives them with the row axis last: (d, N, k) and
+    (d·n^(d−1), k).  All axes are differenced in one pass over a
+    grid-shaped view of the values, in their own layout."""
+    h, d = space.spacing, space.dimension
     rows = values.shape[:-1]
-    v = values.T.reshape((space.n,) * space.dimension + rows)
+    v = values.reshape(rows + (space.n,) * d)
+    # each cell's forward neighbour along each axis, zero past the edge
+    nxt, low = np.empty((d,) + v.shape), []
+    for axis in range(d):
+        tail = (slice(None),) * (d - 1 - axis)
+        nxt[(axis, ..., slice(None, -1)) + tail] = v[(..., slice(1, None))
+                                                     + tail]
+        nxt[(axis, ..., slice(-1, None)) + tail] = 0.0
+        low.append(v[(..., 0) + tail].reshape(rows + (-1,)))
+    nxt -= v
+    nxt /= h
+    return (nxt.reshape((d,) + rows + (-1,)).swapaxes(1, -1),
+            (np.concatenate(low, axis=-1) / h).T)
+
+
+def _hessian_keys(space: GridSpace):
+    """Where :func:`_quasilinear_hessian` adds its terms, as flat indices
+    into an (N+1, N+1) matrix whose index N stands for the zero past the
+    high edges: for each cell c, the (d+1)² pairs of its stencil
+    (c, nb_1(c), …, nb_d(c)), nb_k(c) the cell that _gradient_fields
+    differences c against along axis k; then the diagonal entry of the cell
+    of each ghost node, in the ghosts' order."""
+    N = space.n_cells
+    cell = np.arange(N).reshape((space.n,) * space.dimension)
+    cols, owners = [np.arange(N)], []
     for axis in range(space.dimension):
-        w = v.swapaxes(0, axis)
-        d = (np.concatenate((w[1:], np.zeros_like(w[:1]))) - w) / h
-        comps.append(d.swapaxes(0, axis).reshape((-1,) + rows))
-        ghost.append(w[0].reshape((-1,) + rows) / h)
-    return comps, np.concatenate(ghost)
+        lo = (slice(None),) * axis
+        nb = np.full_like(cell, N)
+        nb[lo + (slice(None, -1),)] = cell[lo + (slice(1, None),)]
+        cols.append(nb.reshape(-1))
+        owners.append(cell[lo + (0,)].reshape(-1))
+    cols = np.stack(cols, axis=1)
+    return np.concatenate(((cols[:, :, None] * (N + 1)
+                            + cols[:, None, :]).ravel(),
+                           np.concatenate(owners) * (N + 2)))
 
 
 def quasilinear_energy(I: QuasilinearIntegrand, u: GridFunction) -> float:
@@ -201,26 +234,29 @@ def _quasilinear_residual_rows(I: QuasilinearIntegrand, space: GridSpace,
                                values):
     """The residual vector of one vector (N,) or of each row of a block
     (k, N); elementwise throughout, so each row is bit-equal to its call."""
-    h, m = space.spacing, space.cell_measure
+    h, m, d = space.spacing, space.cell_measure, space.dimension
     s = values.T
     comps, ghost = _gradient_fields(space, values)
     t = np.sqrt(sum(c * c for c in comps))
     # W = L_t(s, t)/t, the radial weight; L_t(s, 0) must vanish
     lt, moving = _each(I.L_xi, s, t), t > 0
-    if np.any(~moving & (abs(lt) > 1e-13)):
+    if (~moving & (abs(lt) > 1e-13)).any():
         raise IntegrandError("L_xi(s, 0) must vanish for the radial "
                              "quadrature (gradient kink at 0)")
     W = np.divide(lt, t, out=np.zeros_like(t), where=moving)
     r = _each(I.L_s, s, t) * m
-    shape = (space.n,) * space.dimension + values.shape[:-1]
-    for axis, c in enumerate(comps):
-        # flux on the cell-owned forward edge; divergence pattern
-        F = ((W * c).reshape(shape) / h).swapaxes(0, axis)
-        out = -F
-        out[1:] += F[:-1]
-        r += m * out.swapaxes(0, axis).reshape(r.shape)
+    # flux on each cell-owned forward edge, all axes at once; the
+    # divergence is −F at the cell plus F of its backward neighbour
+    shape = (space.n,) * d + values.shape[:-1]
+    F = (W * comps / h).reshape((d,) + shape)
+    out = -F
+    for axis in range(d):
+        lo = (axis,) + (slice(None),) * axis
+        out[lo + (slice(1, None),)] += F[lo + (slice(None, -1),)]
+    for div in out.reshape(comps.shape):
+        r += m * div
     flux = _each(I.L_xi, 0.0, abs(ghost)) * np.sign(ghost)
-    if space.dimension == 1:
+    if d == 1:
         r[0] += m * flux[0] / h
     else:
         radd = np.zeros(shape)
@@ -228,6 +264,53 @@ def _quasilinear_residual_rows(I: QuasilinearIntegrand, space: GridSpace,
         radd[:, 0] += flux[space.n:] / h    # y ghosts: cells (k, 0)
         r += m * radd.reshape(r.shape)
     return r.T
+
+
+def _quasilinear_hessian(I: QuasilinearIntegrand, space: GridSpace, values,
+                         keys):
+    """The Euclidean Hessian of the energy at one vector (N,), added up at
+    the ``keys`` of :func:`_hessian_keys`.  Per cell, the Hessian Φ of
+    φ(s, ξ) = L(s, |ξ|) in (s, ξ_1, …, ξ_d),
+
+        Φ_ss = L_ss,  Φ_sξ = L_st·ξ/t,
+        Φ_ξξ = (L_t/t)·I + (L_tt − L_t/t)·ξξᵀ/t²   (L_tt·I at t = 0),
+
+    is mapped onto the cell and its forward neighbours, and each ghost node
+    adds L_tt(0, |γ|)/h² on its cell.  The second derivatives are central
+    differences of the L_s and L_xi oracles with step _FD_STEP·(1 + the
+    largest |argument|); L_xi extends oddly in t, so the oracles are only
+    called at t ≥ 0."""
+    h, m, d = space.spacing, space.cell_measure, space.dimension
+    N = len(values)
+    comps, ghost = _gradient_fields(space, values)
+    t = np.sqrt(sum(c * c for c in comps))
+    hs = _FD_STEP * (1.0 + float(np.max(np.abs(values))))
+    ht = _FD_STEP * (1.0 + float(max(np.max(t), np.max(np.abs(ghost)))))
+
+    def L_tt(s, t):
+        def odd(tau):
+            return np.sign(tau) * _each(I.L_xi, s, abs(tau))
+        return (odd(t + ht) - odd(t - ht)) / (2.0 * ht)
+
+    s = values
+    Ltt = L_tt(s, t)
+    moving = t > 0
+    W = np.divide(_each(I.L_xi, s, t), t, out=Ltt.copy(), where=moving)
+    U = np.divide(comps, t, out=np.zeros_like(comps), where=moving).T
+    Lss = (_each(I.L_s, s + hs, t) - _each(I.L_s, s - hs, t)) / (2.0 * hs)
+    Lst = (_each(I.L_xi, s + hs, t) - _each(I.L_xi, s - hs, t)) / (2.0 * hs)
+    Phi = np.empty((N, d + 1, d + 1))
+    Phi[:, 0, 0] = Lss
+    Phi[:, 0, 1:] = Phi[:, 1:, 0] = Lst[:, None] * U
+    Phi[:, 1:, 1:] = (W[:, None, None] * np.eye(d) + (Ltt - W)[:, None, None]
+                      * U[:, :, None] * U[:, None, :])
+    # (s, ξ_k) = (u_c, (u_nb_k − u_c)/h): Φ pulled back to the stencil
+    T = np.eye(d + 1) / h
+    T[0, 0], T[1:, 0] = 1.0, -1.0 / h
+    local = T.T @ Phi @ T
+    vals = m * np.concatenate((local.ravel(), L_tt(0.0, abs(ghost)) / (h * h)))
+    H = np.bincount(keys, vals, minlength=(N + 1) ** 2)
+    return H.reshape(N + 1, N + 1)[:N, :N]
 
 
 def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
@@ -243,10 +326,18 @@ def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
 def quasilinear_functional(I: QuasilinearIntegrand,
                            space: GridSpace) -> Functional:
     """Wrap the discretized energy as a Functional with its Euclidean
-    gradient (the residual vector, on rows) and, on p = 2 grids, the X-Riesz
-    derivative."""
+    gradient (the residual vector, on rows), its Euclidean Hessian and, on
+    p = 2 grids, the X-Riesz derivative."""
+    @functools.cache
+    def keys():
+        # built on the first Hessian, not with the functional
+        return _hessian_keys(space)
+
     def grad(W):
         return _quasilinear_residual_rows(I, space, W)
+
+    def hess(u):
+        return _quasilinear_hessian(I, space, u, keys())
 
     deriv = None
     if space.p == 2.0:
@@ -256,7 +347,7 @@ def quasilinear_functional(I: QuasilinearIntegrand,
 
     return Functional(eval=lambda u: quasilinear_energy(I, u),
                       eval_batch=lambda W: _quasilinear_energy_rows(I, space, W),
-                      derivative=deriv, gradient=grad,
+                      derivative=deriv, gradient=grad, hessian=hess,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
 
@@ -455,11 +546,18 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
     def grad(W):
         return _euler_lagrange_rows(N, space, W)
 
+    def hess(u):
+        # A − m·diag(g′(u)), g′ by the central difference that _fd_hessian
+        # takes of grad, with its step
+        h = _FD_STEP * (1.0 + float(np.max(np.abs(u))))
+        dg = (_each(N.g, u + h) - _each(N.g, u - h)) / (2.0 * h)
+        return A - np.diag(m * dg)
+
     def deriv(u):
         return GridFunction(space, riesz_from_euclidean(space, grad(u.values)))
 
     return Functional(eval=ev, eval_batch=ev_rows, derivative=deriv,
-                      gradient=grad,
+                      gradient=grad, hessian=hess,
                       symmetry_class="polarization-nonincreasing",
                       name=N.name or "semilinear")
 

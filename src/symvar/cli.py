@@ -170,12 +170,15 @@ def _fn_quadratic(space, params):
         # Gx·(2(v − a)), a gemv per row as for one vector
         return np.matmul(gram, (2.0 * (W - a.values))[..., None])[..., 0]
 
+    def hess(v):
+        return 2.0 * gram
+
     sym = ("polarization-nonincreasing"
            if re_.is_family_fixed(fs.theta(a)) and np.all(center >= 0)
            else "unverified")
     return Functional(eval=ev, derivative=dv, symmetry_class=sym,
                       lower_bound=0.0, name="quadratic", eval_batch=ev_rows,
-                      gradient=grad)
+                      gradient=grad, hessian=hess)
 
 
 def _fn_double_well(space, params):
@@ -198,6 +201,11 @@ def _fn_double_well(space, params):
         sq = np.matmul(W[..., None, :], W[..., :, None])[..., 0, 0]
         return (4.0 * (m * sq - r2) * m)[..., None] * W
 
+    def hess(v):
+        # 4m(m‖v‖² − r²)·I + 8m²·vvᵀ
+        return (4.0 * m * (m * float(v @ v) - r2) * np.eye(len(v))
+                + 8.0 * m * m * np.outer(v, v))
+
     def dv(u):
         g = grad(u.values)
         return GridFunction(space, fs.riesz_from_euclidean(space, g))
@@ -205,7 +213,7 @@ def _fn_double_well(space, params):
     return Functional(eval=ev, derivative=dv,
                       symmetry_class="polarization-invariant",
                       lower_bound=0.0, name="double_well", eval_batch=ev_rows,
-                      gradient=grad)
+                      gradient=grad, hessian=hess)
 
 
 def _fn_norm_dist(space, params):

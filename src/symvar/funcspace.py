@@ -204,8 +204,10 @@ class Functional:
     ``gradient`` (optional) returns the Euclidean gradient ∇f of the cell
     values: one vector (N,) gives (N,), a block (k, N) gives the (k, N)
     gradients, each row bit-equal to the call on that row alone.  The
-    descent uses it in place of Gx times ``derivative``, and builds each
-    Newton Hessian from one block call.
+    descent uses it in place of Gx times ``derivative``.  ``hessian``
+    (optional) maps one vector (N,) to the (N, N) Euclidean Hessian of f;
+    the Newton polish slices it to its free coordinates, and without it
+    builds a finite-difference Hessian from one block ``gradient`` call.
     """
 
     eval: Callable[[GridFunction], float]
@@ -215,6 +217,7 @@ class Functional:
     name: str = ""
     eval_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
     gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    hessian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __call__(self, u: GridFunction) -> float:
         val = float(self.eval(u))

@@ -140,6 +140,18 @@ class XMetric:
         G = np.matmul(gram_matrix(self.space), D[..., None])[..., 0]
         return np.divide(G, d, out=np.zeros_like(G), where=d >= 1e-14)
 
+    def penalty_hessian(self, w, center):
+        """Euclidean Hessian of w ↦ ‖w−center‖_X for p = 2 grids at one
+        vector: Gx/d − (Gx·D)(Gx·D)ᵀ/d³ with D = w − center, d = ‖D‖_X
+        (zero where d is below 1e-14, as penalty_grad is)."""
+        gram = gram_matrix(self.space)
+        D = w - center
+        d = float(self.norm(D))
+        if d < 1e-14:
+            return np.zeros_like(gram)
+        G = gram @ D
+        return gram / d - np.outer(G, G) / d ** 3
+
 
 class VMetric:
     name = "V"
@@ -290,6 +302,12 @@ class Certificate:
             if not isinstance(raw[name], kind):
                 raise InvalidArgument(f"{name} must be {what}, "
                                       f"got {raw[name]!r}")
+        # the Zhong radius and weight, read by _sampler_radii and _deficit
+        for name in ("r_of_rho", "weight_at_v"):
+            x = raw["extras"].get(name, 1.0)
+            if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
+                raise InvalidArgument(f"extras.{name} must be a finite "
+                                      f"positive number, got {x!r}")
         v = function_from_json(raw["v"])
         eta = None if raw["eta"] is None else function_from_json(raw["eta"])
         if (eta is None and raw["variant"] == "SymBP"
@@ -391,7 +409,7 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
         tags.append(f"random{j}")
 
     best_x, best_f, values = _descent.minimize_multistart(
-        fun, grad, starts, project=project, box=box)
+        fun, grad, starts, project=project, box=box, hess=f.hessian)
     log = [[tag, float(fx)] for tag, fx in zip(tags, values)]
     if f.lower_bound is not None and best_f < f.lower_bound - 1e-9:
         raise AssumptionViolated(
@@ -604,11 +622,15 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
         def phi(w):
             return fun(w) + sigma * wfac(w) * metric.dist(w, vk)
 
-        grad_phi = None
+        grad_phi = hess_phi = None
         if (grad_f is not None and weight_fn is None
                 and isinstance(metric, XMetric)):
             def grad_phi(w):
                 return grad_f(w) + sigma * metric.penalty_grad(w, vk)
+
+            if f.hessian is not None:
+                def hess_phi(w):
+                    return f.hessian(w) + sigma * metric.penalty_hessian(w, vk)
 
         starts = [vk, anchor, 0.5 * (vk + anchor), np.zeros_like(vk)]
         D = rng.standard_normal((2, len(vk)))
@@ -616,7 +638,8 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
                    for d, nd in zip(D, metric.norm(D)) if nd > 0]
         if grad_phi is not None:
             w_best, phi_best, _ = _descent.minimize_multistart(
-                phi, grad_phi, starts, project=project, box=box)
+                phi, grad_phi, starts, project=project, box=box,
+                hess=hess_phi)
         else:
             w_best, phi_best, _ = _descent.minimize_multistart(
                 phi, None, starts, project=project, box=box,
@@ -914,15 +937,19 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
             # libm pow on each row, as the scalar power of one vector
             return fun(w) + sigma * _pow_rows(metric.dist(w, eta), p_exp)
 
-        grad_phi = None
+        grad_phi = hess_phi = None
         if grad_f is not None and p_exp == 2 and gram is not None:
             def grad_phi(w):
                 pen = np.matmul(gram, (w - eta)[..., None])[..., 0]
                 return grad_f(w) + 2.0 * sigma * pen
 
+            if f.hessian is not None:
+                def hess_phi(w):
+                    return f.hessian(w) + 2.0 * sigma * gram
+
         starts = [eta, argmin, 0.5 * (eta + argmin), np.zeros_like(eta)]
         v_vals, _, _ = _descent.minimize_multistart(
-            phi, grad_phi, starts, project=project, box=box)
+            phi, grad_phi, starts, project=project, box=box, hess=hess_phi)
         if metric.dist(v_vals, eta) <= rho / 2.0:
             break
         eta = 0.5 * (eta + v_vals)

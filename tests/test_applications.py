@@ -142,6 +142,62 @@ def test_quasilinear_residual_vector_matches_energy_differences(g1d8, g2d4):
                                    atol=1e-12 * (1.0 + np.max(np.abs(r))))
 
 
+def _reference_residual_rows(I, space, values):
+    """The residual as it was computed with per-axis swapaxes/reshape
+    copies of the fields and the divergence: the bit-level reference."""
+    h, m = space.spacing, space.cell_measure
+    rows = values.shape[:-1]
+    v = values.T.reshape((space.n,) * space.dimension + rows)
+    comps, ghost = [], []
+    for axis in range(space.dimension):
+        w = v.swapaxes(0, axis)
+        d = (np.concatenate((w[1:], np.zeros_like(w[:1]))) - w) / h
+        comps.append(d.swapaxes(0, axis).reshape((-1,) + rows))
+        ghost.append(w[0].reshape((-1,) + rows) / h)
+    ghost = np.concatenate(ghost)
+    s = values.T
+    t = np.sqrt(sum(c * c for c in comps))
+    lt, moving = np.asarray(I.L_xi(s, t), float), t > 0
+    W = np.divide(lt, t, out=np.zeros_like(t), where=moving)
+    r = np.broadcast_to(np.asarray(I.L_s(s, t), float), t.shape) * m
+    shape = (space.n,) * space.dimension + rows
+    for axis, c in enumerate(comps):
+        F = ((W * c).reshape(shape) / h).swapaxes(0, axis)
+        out = -F
+        out[1:] += F[:-1]
+        r += m * out.swapaxes(0, axis).reshape(r.shape)
+    flux = I.L_xi(0.0, abs(ghost)) * np.sign(ghost)
+    if space.dimension == 1:
+        r[0] += m * flux[0] / h
+    else:
+        radd = np.zeros(shape)
+        radd[0, :] += flux[:space.n] / h
+        radd[:, 0] += flux[space.n:] / h
+        r += m * radd.reshape(r.shape)
+    return r.T
+
+
+@pytest.mark.parametrize("dimension,n",
+                         [(1, 2), (1, 8), (1, 128), (2, 4), (2, 16)])
+def test_residual_rows_equal_the_per_axis_reference(dimension, n):
+    # one pass over all axes gives the bytes of the per-axis computation,
+    # on one vector and on each row of a block (zero rows included)
+    from symvar.applications import _quasilinear_residual_rows
+
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(n + dimension)
+    W = rng.standard_normal((9, g.n_cells)) * rng.uniform(1e-2, 1e2, (9, 1))
+    W[3] = 0.0
+    for I in (dirichlet_integrand(), forced_dirichlet_integrand(1.5),
+              _quartic_integrand()):
+        block = _quasilinear_residual_rows(I, g, W)
+        assert block.tobytes() == _reference_residual_rows(I, g, W).tobytes()
+        for w, row in zip(W, block):
+            one = _quasilinear_residual_rows(I, g, w)
+            assert one.tobytes() == _reference_residual_rows(I, g, w).tobytes()
+            assert one.tobytes() == row.tobytes()
+
+
 def test_quasilinear_energy_equals_per_cell_sum(g1d8, g2d4):
     # reference: scalar calls summed left to right, cells then ghost nodes
     from symvar.applications import _gradient_fields

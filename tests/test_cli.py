@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symvar import make_grid
+from symvar import InvalidArgument, make_grid
 from symvar.cli import run_config
 
 
@@ -347,6 +347,32 @@ def test_verify_rejects_a_malformed_certificate(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "config.parameters.certificate_path" in err and field in err
+
+
+def test_verify_rejects_malformed_zhong_extras(tmp_path, capsys):
+    # the radius and weight that re-verification reads from extras must be
+    # finite positive numbers: a string or a boolean is one error line
+    from cli_cases import SAMPLES, WELL, config, valid_cases
+    from symvar.principles import Certificate
+
+    cases = {label: cfg for label, cfg, _, _ in valid_cases(tmp_path / "out")}
+    label = "symmetric_borwein_preiss"
+    assert _run_table_entry(tmp_path, label, cases[label],
+                            n_samples=SAMPLES) == 0
+    cert = json.loads((tmp_path / "out" / label /
+                       f"{label}_certificate.json").read_text())
+    for key in ("r_of_rho", "weight_at_v"):
+        for bad in ("0.1", True):
+            raw = {**cert, "extras": {**cert["extras"], key: bad}}
+            with pytest.raises(InvalidArgument, match=f"extras.{key}"):
+                Certificate.from_json_dict(raw)
+            path = _write(tmp_path, f"cert_{key}.json", raw)
+            verify = config("verify_certificate", 8,
+                            {"certificate_path": str(path)}, WELL)
+            assert _run_table_entry(tmp_path, f"verify_{key}", verify) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "config.parameters.certificate_path" in err and key in err
 
 
 def test_library_argument_errors_exit_1(tmp_path, capsys):
