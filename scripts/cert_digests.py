@@ -9,7 +9,9 @@ both commits and diffs the two outputs::
 
 Schedule engines (SQPS, semilinear) emit a list of certificates; their
 digest covers the list serialized as the CLI writes it.  The ``verify/``
-lines digest the ``ViolationReport`` of a re-verification, as JSON.
+lines digest the ``ViolationReport`` of a re-verification, as JSON.  The
+``approx_symmetrize/`` lines digest a 2D run's values and polarizer word,
+or the residual, best point and word of its ``ConvergenceFailure``.
 
 It then runs the config table of ``tests/cli_cases.py`` (one small config
 per ``symvar run`` subcommand) through ``run_config`` and prints
@@ -30,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from symvar import GridFunction, make_grid, nonneg_cone, schwarz, whole_space
+from symvar import (ConvergenceFailure, GridFunction, approx_symmetrize,
+                    make_grid, nonneg_cone, polarizer_sequence_json, schwarz,
+                    whole_space)
 from symvar import applications as ap
 from symvar import principles as pr
 from symvar.cli import SETS, run_config
@@ -129,6 +133,24 @@ def diag_ray():
         project=project, kind="custom", description="{(a,a): a >= 1}")
 
 
+def symmetrize_bytes(u, rho=1e-3) -> bytes:
+    """approx_symmetrize's values and word, or the residual, best point and
+    word of its ConvergenceFailure, as JSON."""
+    try:
+        out, word = approx_symmetrize(u, rho)
+        rec = {"values": out.values.tolist()}
+    except ConvergenceFailure as exc:
+        word = exc.sequence
+        rec = {"residual": float(exc.residual),
+               "best": exc.best.values.tolist()}
+    rec["word"] = polarizer_sequence_json(word)
+    return json.dumps(rec, indent=1).encode()
+
+
+# tied values the plateau walk carries to the Schwarz image of a 4x4 grid
+TIED_4X4 = [2, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 1, 2, 2]
+
+
 def cases():
     g2 = make_grid(1, 2, 1.0, 2, 4)
     g4 = make_grid(1, 4, 1.0, 2, 4)
@@ -225,9 +247,17 @@ def cases():
     yield "verify/DGZCheck", lambda: pr.verify_certificate(
         well, pr.dgz_check(well, bump, schwarz(u0), 0.1, seed=6,
                            n_samples=N_SAMPLES), N_SAMPLES, g=bump, seed=16)
+    g2d4, g2d8 = make_grid(2, 4, 1.0, 2, 4), make_grid(2, 8, 1.0, 2, 4)
+    yield "approx_symmetrize/2D4/tied", lambda: symmetrize_bytes(
+        g2d4.function(np.array(TIED_4X4, float)))
+    # a |normal| draw the walk leaves stuck on a family-fixed point
+    yield "approx_symmetrize/2D8/stuck", lambda: symmetrize_bytes(
+        g2d8.function(np.abs(np.random.default_rng(0).standard_normal(64))))
 
 
 def certificate_bytes(out) -> bytes:
+    if isinstance(out, bytes):
+        return out
     if isinstance(out, pr.ViolationReport):
         return json.dumps(out.to_json_dict(), indent=1).encode()
     if isinstance(out, list):

@@ -25,8 +25,8 @@ from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         laplacian_matrix, norm_V, riesz_from_euclidean,
                         theta, _norm_X_raw)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
-                         XMetric, estimate_inf, sqps_sequence,
-                         symmetric_ekeland, whole_space)
+                         XMetric, _polarized_draws, estimate_inf,
+                         sqps_sequence, symmetric_ekeland, whole_space)
 from .rearrange import is_family_fixed, polarize, schwarz
 
 __all__ = [
@@ -702,20 +702,17 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
     sig = float(sigma_contraction)
     if not 0.0 < eps < 1.0 - sig:
         raise InvalidEpsilon(f"eps must lie in (0, 1-sigma) = (0, {1 - sig})")
-    rng = np.random.default_rng(seed)
     metric = VMetric(space)
-    fam = space.polarizers
-    for _ in range(12):
-        u = GridFunction(space, np.abs(rng.standard_normal(space.n_cells)))
-        H = fam[rng.integers(len(fam))]
-        lhs = F(polarize(u, H))
-        rhs = polarize(F(u), H)
-        if np.any(F(u).values < -1e-12):
+    U, Hs = _polarized_draws(space, seed, 12)
+    for row, H in zip(U, Hs):
+        u = GridFunction(space, row)
+        Fu = F(u)
+        if np.any(Fu.values < -1e-12):
             raise AssumptionViolated("F(S) ⊄ S on a probe", witness=u)
-        if np.max(np.abs(lhs.values - rhs.values)) > 1e-9:
+        if np.max(np.abs(F(polarize(u, H)).values
+                         - polarize(Fu, H).values)) > 1e-9:
             raise AssumptionViolated("equivariance F(u^H) = F(u)^H fails",
                                      witness=u)
-        Fu = F(u)
         base = metric.dist(Fu.values, u.values)
         ok = any(metric.dist(F(GridFunction(space, t * Fu.values + (1 - t) * u.values)).values,
                              Fu.values) <= sig * t * base + 1e-9 * (1 + base)

@@ -292,11 +292,17 @@ class Certificate:
         """The certificate a :meth:`to_json_dict` record describes, with the
         fields re-verification reads; each is checked, and a malformed one
         raises InvalidArgument naming it (a missing one, KeyError)."""
-        for name in ("sigma", "rho", "p_exp", "slack"):
-            x = raw[name]
-            if type(x) not in (int, float) or not math.isfinite(x):
-                raise InvalidArgument(f"{name} must be a finite number, "
+        def number(name, x, positive):
+            if (type(x) not in (int, float) or not math.isfinite(x)
+                    or positive and x <= 0):
+                raise InvalidArgument(f"{name} must be a finite "
+                                      f"{'positive ' * positive}number, "
                                       f"got {x!r}")
+
+        # σ weighs the inequality, and ρ sizes the balls _sampler_radii
+        # samples unless a Zhong radius is given
+        for name in ("sigma", "rho", "p_exp", "slack"):
+            number(name, raw[name], name in ("sigma", "rho"))
         for name, kind, what in (("variant", str, "a string"),
                                  ("extras", dict, "an object")):
             if not isinstance(raw[name], kind):
@@ -304,10 +310,7 @@ class Certificate:
                                       f"got {raw[name]!r}")
         # the Zhong radius and weight, read by _sampler_radii and _deficit
         for name in ("r_of_rho", "weight_at_v"):
-            x = raw["extras"].get(name, 1.0)
-            if type(x) not in (int, float) or not (math.isfinite(x) and x > 0):
-                raise InvalidArgument(f"extras.{name} must be a finite "
-                                      f"positive number, got {x!r}")
+            number(f"extras.{name}", raw["extras"].get(name, 1.0), True)
         v = function_from_json(raw["v"])
         eta = None if raw["eta"] is None else function_from_json(raw["eta"])
         if (eta is None and raw["variant"] == "SymBP"
@@ -616,11 +619,9 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
         ts = 1e-12 * (1.0 + abs(fv))
         vk = v
 
-        def wfac(w):
-            return weight_fn(w) if weight_fn is not None else 1.0
-
         def phi(w):
-            return fun(w) + sigma * wfac(w) * metric.dist(w, vk)
+            sw = sigma if weight_fn is None else sigma * weight_fn(w)
+            return fun(w) + sw * metric.dist(w, vk)
 
         grad_phi = hess_phi = None
         if (grad_f is not None and weight_fn is None
@@ -636,14 +637,10 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
         D = rng.standard_normal((2, len(vk)))
         starts += [vk + trust * d / nd
                    for d, nd in zip(D, metric.norm(D)) if nd > 0]
-        if grad_phi is not None:
-            w_best, phi_best, _ = _descent.minimize_multistart(
-                phi, grad_phi, starts, project=project, box=box,
-                hess=hess_phi)
-        else:
-            w_best, phi_best, _ = _descent.minimize_multistart(
-                phi, None, starts, project=project, box=box,
-                compass_scale=max(0.25 * trust, 1e-3), f_atol=0.25 * ts)
+        # the compass keywords serve only the derivative free path
+        w_best, phi_best, _ = _descent.minimize_multistart(
+            phi, grad_phi, starts, project=project, box=box, hess=hess_phi,
+            compass_scale=max(0.25 * trust, 1e-3), f_atol=0.25 * ts)
         # the current point is always an admissible candidate
         if phi_best <= fv - ts and metric.dist(w_best, vk) > 0.0:
             v = w_best

@@ -19,9 +19,9 @@ mirror inside the grid; polarization is then an exact value permutation
 
 On 1D grids the family contains a full odd-even transposition network for
 the Schwarz cell order, so iterated polarization reaches the rearrangement
-exactly.  On 2D grids of 4x4 and larger the lattice reflections only induce
-a partial order inside equal-radius orbits and the sort-assign target may
-be unreachable; ``approx_symmetrize`` then raises
+exactly.  On 2D grids of 4x4 and larger the fixed points of the axis and
+diagonal reflections include functions that are not radially sorted, so the
+sort-assign target may be unreachable; ``approx_symmetrize`` then raises
 :class:`~symvar.errors.ConvergenceFailure` carrying the stable residual.
 """
 
@@ -174,28 +174,33 @@ def is_family_fixed(u: GridFunction) -> bool:
     return bool(np.all(_polarize_raw(vals, *u.space._polarizer_table) == vals))
 
 
-def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
+def _iteration_cap(space: GridSpace) -> int:
+    """Greedy steps ``approx_symmetrize`` takes before it gives up: 10·N·F."""
+    return 10 * space.n_cells * max(1, len(space.polarizers))
+
+
+def approx_symmetrize(u: GridFunction, rho: float):
     """Drive u toward schwarz(u) by greedily chosen polarizations.
 
     Returns ``(u_tilde, sequence)`` with ``u_tilde = u^{H_1...H_m}``,
     ``‖u_tilde − schwarz(u)‖_V < rho`` and the polarizer list used.  The
     greedy step picks the family member with the largest V-distance decrease
-    toward the (fixed) target; zero-progress moves are allowed on plateaus
-    with a visited-state guard, and a two-step lookahead runs before
-    declaring the configuration stuck.
+    toward the (fixed) target.  On a plateau it takes a state-changing move
+    not visited since the last strict decrease; when none is left the walk
+    is stuck.  No two-letter word helps there: the walk stood at every
+    state-changing neighbour s, none of s's one-letter words went below
+    dist(s) − 1e-15, and dist(s) ≥ residual − 1e-15.
 
     Raises
     ------
     ConvergenceFailure
-        iteration cap reached, or no polarization word can reduce the
-        residual further (possible on 2D grids), with the residual attached.
+        iteration cap reached, or the walk is stuck (possible on 2D grids),
+        with the residual, the best point and the word attached.
     """
     if rho <= 0:
         raise InvalidArgument("rho must be positive")
     space = u.space
     family = space.polarizers
-    if max_iters is None:
-        max_iters = 10 * space.n_cells * max(1, len(family))
     measure, p, q_V = space.cell_measure, space.p, space.q_V
 
     order = schwarz_order(space)
@@ -216,7 +221,8 @@ def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
     seq = []
     residual = _norm_V_raw(cur - target, measure, p, q_V)
     plateau_seen = set()
-    for _ in range(max_iters):
+    cap = _iteration_cap(space)
+    for _ in range(cap):
         if residual < rho:
             return GridFunction(space, cur), [family[k] for k in seq]
         cands = _polarize_raw(cur, *table)
@@ -224,38 +230,23 @@ def approx_symmetrize(u: GridFunction, rho: float, max_iters=None):
         k = int(np.argmin(dists))
         if dists[k] < residual - 1e-15:
             plateau_seen.clear()
-            cur, residual = cands[k], dists[k]
-            seq.append(k)
-            continue
-        # plateau: take any state-changing move not seen before
-        for k in np.flatnonzero(np.any(cands != cur[None, :], axis=1)):
-            key = cands[k].tobytes()
-            if key not in plateau_seen:
-                plateau_seen.add(key)
-                cur, residual = cands[k], dists[k]
-                seq.append(int(k))
-                break
         else:
-            # two-step lookahead before giving up
-            for k1 in range(len(family)):
-                c2s = _polarize_raw(cands[k1], *table)
-                d2 = dist_rows(c2s)
-                k2 = int(np.argmin(d2))
-                if d2[k2] < residual - 1e-15:
-                    plateau_seen.clear()
-                    cur, residual = c2s[k2], d2[k2]
-                    seq.extend([k1, k2])
-                    break
-            else:
-                raise ConvergenceFailure(
-                    f"iterated polarization is stuck at residual "
-                    f"{residual:.3e} >= rho={rho:.3e}",
-                    residual=residual, best=GridFunction(space, cur),
-                    sequence=[family[k] for k in seq])
-    raise ConvergenceFailure(
-        f"iteration cap {max_iters} reached with residual {residual:.3e}",
-        residual=residual, best=GridFunction(space, cur),
-        sequence=[family[k] for k in seq])
+            # plateau: take any state-changing move not seen before
+            moved = np.flatnonzero(np.any(cands != cur[None, :], axis=1))
+            k = next((int(j) for j in moved
+                      if cands[j].tobytes() not in plateau_seen), None)
+            if k is None:
+                why = (f"iterated polarization is stuck at residual "
+                       f"{residual:.3e} >= rho={rho:.3e}")
+                break
+            plateau_seen.add(cands[k].tobytes())
+        cur, residual = cands[k], dists[k]
+        seq.append(k)
+    else:
+        why = f"iteration cap {cap} reached with residual {residual:.3e}"
+    raise ConvergenceFailure(why, residual=residual,
+                             best=GridFunction(space, cur),
+                             sequence=[family[k] for k in seq])
 
 
 def polarizer_sequence_json(sequence) -> list:

@@ -375,6 +375,29 @@ def test_verify_rejects_malformed_zhong_extras(tmp_path, capsys):
             assert "config.parameters.certificate_path" in err and key in err
 
 
+def test_verify_rejects_a_certificate_with_rho_zero(tmp_path, capsys):
+    # a certificate whose v was moved fails re-verification with its real ρ;
+    # with ρ = 0 the sampled balls shrink onto v, so the record is refused
+    from cli_cases import QUAD, config
+
+    issue = config("symmetric_ekeland", 8, {
+        "u0": [0.0] * 8, "sigma": 0.1, "rho": 0.1, "variant": "II"},
+        QUAD, seed=1)
+    issue["output"] = {"certificate": "cert.json"}
+    assert _run_table_entry(tmp_path, "issue", issue, n_samples=300) == 0
+    cert = json.loads((tmp_path / "out" / "issue" / "cert.json").read_text())
+    cert["v"]["values"] = [x + 0.2 for x in cert["v"]["values"]]
+    for rho, code in ((0.1, 2), (0, 1)):
+        path = _write(tmp_path, f"moved_{rho}.json", {**cert, "rho": rho})
+        verify = config("verify_certificate", 8,
+                        {"certificate_path": str(path)}, QUAD)
+        assert _run_table_entry(tmp_path, f"verify_{rho}", verify,
+                                n_samples=300) == code
+        err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "config.parameters.certificate_path" in err and "rho" in err
+
+
 def test_library_argument_errors_exit_1(tmp_path, capsys):
     for sub, functional, params in (
             ("sqps_sequence", {"name": "quadratic"},

@@ -6,7 +6,7 @@ import pytest
 
 from symvar import (AssumptionViolated, BadStart, Certificate,
                     ConstraintDegeneracy, DivergenceAssumptionViolated,
-                    Functional, GridFunction, NoMountainPass,
+                    Functional, GridFunction, InvalidArgument, NoMountainPass,
                     NotSymmetricInput, SymmetryViolation, bump_perturbation,
                     constrained_symmetric_ekeland, dgz_check, ekeland_point,
                     make_grid, nonneg_cone, norm_V, norm_X, path_minimax,
@@ -558,6 +558,22 @@ def test_verify_zhong_certificate_samples_on_r_of_rho(g1d4, monkeypatch):
     r = cert.extras["r_of_rho"]
     assert r == pytest.approx(np.expm1(0.2), abs=1e-8)
     assert seen == [(4 * r, r, r / 4)]
+
+
+def test_certificate_record_needs_positive_sigma_and_rho(g1d8):
+    # with ρ = 0 every ball sample sits on v itself, so a certificate whose
+    # v was moved off its Ekeland point would re-verify with no violation
+    f = quad_X(g1d8.zeros())
+    cert = symmetric_ekeland(f, g1d8, g1d8.zeros(), 0.1, 0.1, variant="II",
+                             seed=1, n_samples=300)
+    raw = cert.to_json_dict()
+    raw["v"] = {**raw["v"], "values": [x + 0.2 for x in raw["v"]["values"]]}
+    moved = Certificate.from_json_dict(raw)
+    assert verify_certificate(f, moved, 300, seed=2).max_violation > 0.05
+    for name in ("rho", "sigma"):
+        for bad in (0, 0.0, -0.1):
+            with pytest.raises(InvalidArgument, match=f"{name} must be"):
+                Certificate.from_json_dict({**raw, name: bad})
 
 
 def test_verify_certificate_sample_monotone(g1d4):

@@ -326,15 +326,107 @@ def test_polarize_space_mismatch(g1d4, g1d8):
         polarize(u8, g1d4.polarizers[0])
 
 
-def test_approx_symmetrize_respects_iteration_cap(g1d8):
+def test_approx_symmetrize_respects_iteration_cap(g1d8, monkeypatch):
     rng = np.random.default_rng(77)
     u = random_S(g1d8, rng)
     if schwarz(u) == u:
         u = g1d8.function(u.values[::-1] + 0.1)
-    with pytest.raises(ConvergenceFailure) as exc:
-        approx_symmetrize(u, 1e-12, max_iters=1)
+    monkeypatch.setattr(rearrange, "_iteration_cap", lambda space: 1)
+    with pytest.raises(ConvergenceFailure, match="iteration cap 1") as exc:
+        approx_symmetrize(u, 1e-12)
     assert exc.value.residual is not None
     assert exc.value.best is not None
+    assert len(exc.value.sequence) == 1
+
+
+def _walk_with_lookahead(u, rho):
+    """The greedy walk with a two-step lookahead before it declares itself
+    stuck: every two-letter word is scored, and one that lowers the
+    residual is taken.  Returns (values, word indices) or raises
+    ConvergenceFailure as approx_symmetrize does."""
+    space = u.space
+    family, table = space.polarizers, space._polarizer_table
+    measure, p, q = space.cell_measure, space.p, space.q_V
+    cur = np.abs(u.values)
+    target = rearrange._schwarz_raw(cur, schwarz_order(space))
+
+    def dist_rows(mat):
+        diff = np.abs(mat - target[None, :])
+        return np.maximum((np.sum(diff ** p, axis=1) * measure) ** (1.0 / p),
+                          (np.sum(diff ** q, axis=1) * measure) ** (1.0 / q))
+
+    seq, seen = [], set()
+    residual = rearrange._norm_V_raw(cur - target, measure, p, q)
+    for _ in range(rearrange._iteration_cap(space)):
+        if residual < rho:
+            return cur, seq
+        cands = rearrange._polarize_raw(cur, *table)
+        dists = dist_rows(cands)
+        k = int(np.argmin(dists))
+        if dists[k] < residual - 1e-15:
+            seen.clear()
+            cur, residual = cands[k], dists[k]
+            seq.append(k)
+            continue
+        moved = [k for k in np.flatnonzero(np.any(cands != cur, axis=1))
+                 if cands[k].tobytes() not in seen]
+        if moved:
+            k = int(moved[0])
+            seen.add(cands[k].tobytes())
+            cur, residual = cands[k], dists[k]
+            seq.append(k)
+            continue
+        for k1 in range(len(family)):
+            c2s = rearrange._polarize_raw(cands[k1], *table)
+            d2 = dist_rows(c2s)
+            k2 = int(np.argmin(d2))
+            if d2[k2] < residual - 1e-15:
+                seen.clear()
+                cur, residual = c2s[k2], d2[k2]
+                seq.extend([k1, k2])
+                break
+        else:
+            raise ConvergenceFailure("stuck", residual=residual,
+                                     best=space.function(cur),
+                                     sequence=[family[k] for k in seq])
+    raise ConvergenceFailure("cap", residual=residual,
+                             best=space.function(cur),
+                             sequence=[family[k] for k in seq])
+
+
+@pytest.mark.parametrize("n,outcomes", [(4, {"stuck", "converged"}),
+                                        (8, {"stuck"})], ids=["4x4", "8x8"])
+def test_approx_symmetrize_matches_the_walk_with_lookahead(n, outcomes):
+    # the lookahead never finds a step: where the walk is stuck, every
+    # state-changing neighbour was visited and lowered nothing, so dropping
+    # it changes no output and no failure.  Each stuck reference run has
+    # scored its two-letter words.
+    g = make_grid(2, n, 1.0, 2, 4)
+    rng = np.random.default_rng(17)
+    inputs = []
+    for _ in range(8):
+        z = np.abs(rng.standard_normal(g.n_cells))
+        inputs += [z, np.round(z, 1),
+                   rng.integers(0, 3, g.n_cells).astype(float),
+                   rng.permutation(schwarz(g.function(z)).values)]
+    seen = set()
+    for vals in inputs:
+        u = g.function(vals)
+        try:
+            ref_vals, ref_word = _walk_with_lookahead(u, 1e-3)
+        except ConvergenceFailure as ref:
+            with pytest.raises(ConvergenceFailure) as exc:
+                approx_symmetrize(u, 1e-3)
+            assert exc.value.residual == ref.residual
+            assert exc.value.best == ref.best
+            assert exc.value.sequence == ref.sequence
+            seen.add("stuck")
+        else:
+            out, word = approx_symmetrize(u, 1e-3)
+            assert np.array_equal(out.values, ref_vals)
+            assert word == [g.polarizers[k] for k in ref_word]
+            seen.add("converged")
+    assert seen == outcomes
 
 
 _vals8 = st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False,
