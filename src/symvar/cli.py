@@ -189,12 +189,14 @@ def _fn_double_well(space, params):
     r2 = params["radius"] ** 2
 
     def ev(u):
-        return (m * float(u.values @ u.values) - r2) ** 2
+        d = m * float(u.values @ u.values) - r2
+        return d * d
 
     def ev_rows(W):
-        # the same ddot per row; the square stays libm pow, as in ev
+        # the same ddot per row and the same one-multiply square as ev
         sq = np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
-        return np.array([(m * s - r2) ** 2 for s in sq.tolist()])
+        d = m * sq - r2
+        return d * d
 
     def grad(W):
         # 4(m‖v‖² − r²)·m·v with the same ddot per row as ev

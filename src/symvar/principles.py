@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
@@ -181,6 +182,15 @@ class CallableMetric:
         return self.norm(a - b)
 
 
+def _check_number(name, x, positive):
+    """InvalidArgument unless x is a finite real number (> 0 if
+    ``positive``); bools are refused."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not math.isfinite(x) or positive and x <= 0):
+        raise InvalidArgument(f"{name} must be a finite "
+                              f"{'positive ' * positive}number, got {x!r}")
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -292,17 +302,10 @@ class Certificate:
         """The certificate a :meth:`to_json_dict` record describes, with the
         fields re-verification reads; each is checked, and a malformed one
         raises InvalidArgument naming it (a missing one, KeyError)."""
-        def number(name, x, positive):
-            if (type(x) not in (int, float) or not math.isfinite(x)
-                    or positive and x <= 0):
-                raise InvalidArgument(f"{name} must be a finite "
-                                      f"{'positive ' * positive}number, "
-                                      f"got {x!r}")
-
         # σ weighs the inequality, and ρ sizes the balls _sampler_radii
         # samples unless a Zhong radius is given
         for name in ("sigma", "rho", "p_exp", "slack"):
-            number(name, raw[name], name in ("sigma", "rho"))
+            _check_number(name, raw[name], name in ("sigma", "rho"))
         for name, kind, what in (("variant", str, "a string"),
                                  ("extras", dict, "an object")):
             if not isinstance(raw[name], kind):
@@ -310,7 +313,7 @@ class Certificate:
                                       f"got {raw[name]!r}")
         # the Zhong radius and weight, read by _sampler_radii and _deficit
         for name in ("r_of_rho", "weight_at_v"):
-            number(f"extras.{name}", raw["extras"].get(name, 1.0), True)
+            _check_number(f"extras.{name}", raw["extras"].get(name, 1.0), True)
         v = function_from_json(raw["v"])
         eta = None if raw["eta"] is None else function_from_json(raw["eta"])
         if (eta is None and raw["variant"] == "SymBP"
@@ -491,7 +494,7 @@ def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
     space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
     if cert.variant == "SymBP":
         eta, p = cert.eta.values, cert.p_exp
-        dve = metric.dist(v_vals, eta) ** p
+        dve = _pow_rows(metric.dist(v_vals, eta), p)
         return lambda W: (fv + sigma * (dve - _pow_rows(metric.dist(W, eta), p))
                           - f._eval_rows(space, W))
     if cert.variant == "DGZCheck":
@@ -573,9 +576,13 @@ def _t_rho(u: GridFunction, rho: float):
 
 
 def _open_symmetric(f: Functional, space: GridSpace, u0: GridFunction, seed,
-                    n_streams):
-    """Symmetric-engine opening, part 1: u0 ∈ S, the seed streams and the
-    symmetry check on the first; returns the other n_streams − 1 streams."""
+                    n_streams, **positives):
+    """Symmetric-engine opening, part 1: the named ``positives`` (σ and ρ,
+    or ε) finite and > 0, as a certificate record needs them, u0 ∈ S, the
+    seed streams and the symmetry check on the first; returns the other
+    n_streams − 1 streams."""
+    for name, x in positives.items():
+        _check_number(name, x, True)
     if np.any(u0.values < 0):
         raise AssumptionViolated("u0 must lie in the cone S (values >= 0)")
     c_sym, *streams = np.random.SeedSequence(seed).spawn(n_streams)
@@ -737,7 +744,8 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
     if variant not in ("I", "II", "III", "IV", "V"):
         raise InvalidArgument(f"unknown variant {variant!r}")
     metric = metric or XMetric(space)
-    c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5)
+    c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5,
+                                                    sigma=sigma, rho=rho)
     if variant == "III":
         return _symmetric_ekeland_gamma(
             f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
@@ -917,7 +925,8 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
     bisects toward v until ‖v−η‖ ≤ ρ/2, in at most 200 rounds."""
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3)
+    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3,
+                                   sigma=sigma, rho=rho)
     gap = sigma * rho ** p_exp
     u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
         f, space, dom, u0, rho, c_inf, gap)
@@ -931,7 +940,7 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
     v_vals = None
     for _ in range(200):
         def phi(w):
-            # libm pow on each row, as the scalar power of one vector
+            # one power for a block and for one vector, as in _deficit
             return fun(w) + sigma * _pow_rows(metric.dist(w, eta), p_exp)
 
         grad_phi = hess_phi = None
@@ -1035,7 +1044,8 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
     1/(1+h(‖v−T_{r(ρ)}u0‖)) and all location bounds use r(ρ)."""
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4)
+    c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4,
+                                            sigma=sigma, rho=rho)
     r = zhong_radius(h, rho)
     u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
         f, space, dom, u0, r, c_inf, sigma * rho)
@@ -1209,6 +1219,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
 
     With no constraints this reduces to the symmetric Ekeland principle II.
     """
+    _check_number("eps", eps, True)
     space = u0.space
     if len(G) == 0:
         return symmetric_ekeland(f, space, u0, eps, eps, variant="II",
@@ -1293,7 +1304,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     if np.any(psi.values < 0) or not is_family_fixed(psi):
         raise NotSymmetricInput("psi must be fixed by every registered "
                                 "polarizer")
-    _, c_chain, c_ver = _open_symmetric(f, space, psi, seed, 4)
+    _, c_chain, c_ver = _open_symmetric(f, space, psi, seed, 4, eps=eps)
 
     zero = space.zeros()
     f_ends = (f(zero), f(psi))
@@ -1515,7 +1526,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
         cert.extras["slope"] = {"lower": slope.lower, "upper": slope.upper,
                                 "bound": slope_bound,
                                 "C": slope_bound / eps_h}
-        # second-order report: min of quotient + 2ε‖ζ‖² (‖ζ‖² by libm pow)
+        # second-order report: min of quotient + 2ε‖ζ‖² (‖ζ‖² one multiply)
         # over probes ζ at t = ε, ε/2, ε/4, the first strict minimum; probes
         # where f is infinite are skipped; f scores the points as one block
         zetas = _radial_draws(np.random.default_rng(c_q[h]), metric,

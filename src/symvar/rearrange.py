@@ -208,10 +208,11 @@ def approx_symmetrize(u: GridFunction, rho: float):
     target = _schwarz_raw(cur, order)
     table = space._polarizer_table
 
-    # numpy's array power, not the libm-per-row roots of _norm_V_raw: the
-    # greedy choice needs no bit-equality with a one-row norm, and the
+    # numpy's array power, not the libm-per-row q_V root of _norm_V_raw:
+    # the greedy choice needs no bit-equality with a one-row norm, and the
     # per-row math.pow loop made approx_symmetrize 13% slower (median
-    # op_p50_s of 10 paired symmetrize benchmark runs, same outputs)
+    # op_p50_s of 10 paired symmetrize benchmark runs, same outputs); the
+    # p = 2 root is IEEE sqrt here as there (numpy takes ** 0.5 as sqrt)
     def dist_rows(mat):
         diff = np.abs(mat - target[None, :])
         lp = (np.sum(diff ** p, axis=1) * measure) ** (1.0 / p)

@@ -12,9 +12,9 @@ from symvar import (Functional, GridFunction, InvalidArgument,
                     InvalidExponent, InvalidGrid, SpaceMismatch,
                     function_from_json, function_to_json, make_grid, norm_Lr,
                     norm_V, norm_W, norm_X, theta)
-from symvar import rearrange
+from symvar import funcspace, rearrange
 from symvar.funcspace import (_lr_norm_raw, _norm_V_raw, _norm_X_raw,
-                              gram_matrix, riesz_from_euclidean)
+                              _pow_rows, gram_matrix, riesz_from_euclidean)
 from symvar.principles import Certificate, symmetric_ekeland, verify_certificate
 from symvar.rearrange import is_family_fixed
 
@@ -272,6 +272,11 @@ def test_polarizer_family_is_built_on_first_use(monkeypatch):
             table[0, 0] = 0
 
 
+def _root(body, p):
+    """The p-th root as the kernels take it: IEEE sqrt at p = 2."""
+    return np.sqrt(body) if p == 2 else body ** (1.0 / p)
+
+
 def _norm_X_padded(values, dimension, n, spacing, measure, p):
     """The norm_X kernel as first written, with np.pad and np.concatenate:
     the reference the row kernels must match bit for bit."""
@@ -279,17 +284,17 @@ def _norm_X_padded(values, dimension, n, spacing, measure, p):
         pad = np.concatenate(([0.0], values, [0.0]))
         grad = np.abs(np.diff(pad) / spacing)
         body = np.sum(grad ** p) * measure + np.sum(np.abs(values) ** p) * measure
-        return body ** (1.0 / p)
+        return _root(body, p)
     v = values.reshape(n, n)
     gx = np.abs(np.diff(np.pad(v, ((1, 1), (0, 0))), axis=0) / spacing)
     gy = np.abs(np.diff(np.pad(v, ((0, 0), (1, 1))), axis=1) / spacing)
     body = (np.sum(gx ** p) + np.sum(gy ** p)) * measure \
         + np.sum(np.abs(v) ** p) * measure
-    return body ** (1.0 / p)
+    return _root(body, p)
 
 
 def _lr_norm_plain(values, measure, r):
-    return (np.sum(np.abs(values) ** r) * measure) ** (1.0 / r)
+    return _root(np.sum(np.abs(values) ** r) * measure, r)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -315,6 +320,39 @@ def test_row_kernels_equal_scalar_kernels(dimension, n, p):
         assert (_norm_V_raw(w, m, p, q) == rows_V[j]
                 == max(_lr_norm_plain(w, m, p), _lr_norm_plain(w, m, q)))
         assert _lr_norm_raw(w, m, q) == rows_L[j] == _lr_norm_plain(w, m, q)
+
+
+def test_pow_rows_root_is_ieee_sqrt():
+    # libm pow rounds this root up in the last bit; sqrt is correctly rounded
+    x = 995.2998033878611
+    assert math.pow(x, 0.5) != math.sqrt(x)
+    one = _pow_rows(np.float64(x), 0.5)
+    assert type(one) is np.float64 and one == math.sqrt(x)
+    assert _pow_rows(np.array([x]), 0.5).tolist() == [math.sqrt(x)]
+    assert _pow_rows(x, 2) == _pow_rows(np.array([x]), 2)[0] == x * x
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def test_p2_row_norms_take_no_libm_pow(monkeypatch, dimension, n):
+    # at p = 2 every square and root is a multiply or sqrt; only the V
+    # norm's q_V-part root (q_V > 2) is still libm pow
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    real_pow = math.pow
+
+    def pow_(x, e):
+        if e in (0.5, 2.0):
+            raise AssertionError(f"math.pow(x, {e}) on a p = 2 path")
+        return real_pow(x, e)
+
+    monkeypatch.setattr(funcspace.math, "pow", pow_)
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((50, g.n_cells)) * rng.uniform(1e-3, 1e3, (50, 1))
+    m = g.cell_measure
+    rows_X = _norm_X_raw(block, dimension, n, g.spacing, m, g.p)
+    rows_V = _norm_V_raw(block, m, g.p, g.q_V)
+    for j, w in enumerate(block):
+        assert _norm_X_raw(w, dimension, n, g.spacing, m, g.p) == rows_X[j]
+        assert _norm_V_raw(w, m, g.p, g.q_V) == rows_V[j]
 
 
 def test_eval_rows_fallback_and_checks(g1d4):

@@ -576,6 +576,20 @@ def test_certificate_record_needs_positive_sigma_and_rho(g1d8):
                 Certificate.from_json_dict({**raw, name: bad})
 
 
+def test_engine_refuses_zero_rho(g1d8):
+    # ρ = 0 used to issue a PASS certificate whose record the parser refuses
+    with pytest.raises(InvalidArgument, match="rho must be a finite positive"):
+        symmetric_ekeland(quad_X(g1d8.zeros()), g1d8, g1d8.zeros(),
+                          sigma=0.1, rho=0.0, variant="II", seed=1)
+
+
+def test_engine_refuses_zero_sigma(g1d8):
+    # σ = 0 used to end in a raw ZeroDivisionError
+    with pytest.raises(InvalidArgument, match="sigma must be a finite positive"):
+        symmetric_ekeland(quad_X(g1d8.zeros()), g1d8, g1d8.zeros(),
+                          sigma=0, rho=0.1, variant="II", seed=1)
+
+
 def test_verify_certificate_sample_monotone(g1d4):
     a = sym_center(g1d4, 33)
     f = quad_X(a)
