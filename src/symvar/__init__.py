@@ -18,8 +18,8 @@ from .errors import (AssumptionViolated, BadStart, ConfigError,
                      SymmetryViolation, SymvarError)
 from .funcspace import (Functional, GridFunction, GridSpace,
                         function_from_json, function_to_json, gram_matrix,
-                        inner_X, laplacian_matrix, make_grid, norm_Lr,
-                        norm_V, norm_W, norm_X, riesz_from_euclidean, theta)
+                        laplacian_matrix, make_grid, norm_Lr, norm_V, norm_W,
+                        norm_X, riesz_from_euclidean, theta)
 from .rearrange import (Polarizer, approx_symmetrize, build_polarizer_family,
                         is_family_fixed, polarize, polarizer_sequence_json,
                         schwarz, schwarz_order)

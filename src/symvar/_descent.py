@@ -42,10 +42,6 @@ _BB_STEPS_POLISHED = 20
 _BB_STEPS = 400
 
 
-def _finite(x):
-    return math.isfinite(x)
-
-
 def _fd_hessian(grad, x, idx):
     """Symmetrized central-difference Hessian of the coordinates ``idx``
     from one block gradient call on the rows x + h·e_j, then x − h·e_j
@@ -96,7 +92,7 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
         X = project(X)
     errors = {}
     x, fx = list(X), _call(fun, X, range(len(X)), errors)
-    live = [i for i, f in enumerate(fx) if f is not None and _finite(f)]
+    live = [i for i, f in enumerate(fx) if f is not None and math.isfinite(f)]
     g = dict(zip(live, _call(grad, X[live], live, errors)))
     live = [i for i in live if g[i] is not None]
     step = {i: 1.0 / max(1.0, float(np.linalg.norm(g[i]))) for i in live}
@@ -123,7 +119,7 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
         for j, i in enumerate(live):
             if fn[j] is None:
                 continue
-            if (_finite(fn[j])
+            if (math.isfinite(fn[j])
                     and fn[j] <= fx[i] - 1e-4 * (g[i] @ (x[i] - XN[j]))
                     and fn[j] < fx[i]):
                 acc.append(j)
@@ -162,7 +158,7 @@ def _newton_step(fun, x, fx, idx, H, gf, lo, hi):
         xn[idx] += t * d
         xn = np.clip(xn, lo, hi)
         fn = fun(xn)
-        if _finite(fn) and fn <= fx:
+        if math.isfinite(fn) and fn <= fx:
             return xn, fn
     return None
 
@@ -221,7 +217,7 @@ def compass_minimize(fun, x0, *, scale, project=None, f_atol=0.0):
     if project is not None:
         x = project(x)
     fx = fun(x)
-    if not _finite(fx):
+    if not math.isfinite(fx):
         return x, fx
     step = float(scale)
     n = len(x)
@@ -234,7 +230,7 @@ def compass_minimize(fun, x0, *, scale, project=None, f_atol=0.0):
                 if project is not None:
                     xn = project(xn)
                 fn = fun(xn)
-                if _finite(fn) and fn < best_f:
+                if math.isfinite(fn) and fn < best_f:
                     best_f, best_x = fn, xn
         if best_x is None:
             step *= 0.5
@@ -280,7 +276,7 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
             x, fx = compass_minimize(fun, x0, scale=compass_scale,
                                      project=project, f_atol=f_atol)
         values.append(fx)
-        if _finite(fx) and fx < best_f:
+        if math.isfinite(fx) and fx < best_f:
             best_x, best_f = x, fx
     if best_x is None:
         x = X0[0] if project is None else project(X0[0])

@@ -23,7 +23,7 @@ from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      SeparationViolated)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         laplacian_matrix, norm_V, riesz_from_euclidean,
-                        theta, _norm_X_raw)
+                        theta, _riesz_derivative)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
                          XMetric, _polarized_draws, estimate_inf,
                          sqps_sequence, symmetric_ekeland, whole_space)
@@ -326,8 +326,8 @@ def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
 def quasilinear_functional(I: QuasilinearIntegrand,
                            space: GridSpace) -> Functional:
     """Wrap the discretized energy as a Functional with its Euclidean
-    gradient (the residual vector, on rows), its Euclidean Hessian and, on
-    p = 2 grids, the X-Riesz derivative."""
+    gradient (the residual vector, on rows), its Euclidean Hessian and the
+    Riesz solve of the gradient as its derivative."""
     @functools.cache
     def keys():
         # built on the first Hessian, not with the functional
@@ -339,15 +339,10 @@ def quasilinear_functional(I: QuasilinearIntegrand,
     def hess(u):
         return _quasilinear_hessian(I, space, u, keys())
 
-    deriv = None
-    if space.p == 2.0:
-        def deriv(u):
-            r = grad(u.values)
-            return GridFunction(space, riesz_from_euclidean(space, r))
-
     return Functional(eval=lambda u: quasilinear_energy(I, u),
                       eval_batch=lambda W: _quasilinear_energy_rows(I, space, W),
-                      derivative=deriv, gradient=grad, hessian=hess,
+                      derivative=_riesz_derivative(space, grad),
+                      gradient=grad, hessian=hess,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
 
@@ -367,9 +362,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
     if method != "ascent":
         raise InvalidArgument(f"unknown dual-norm method {method!r}")
 
-    def nx(v):
-        return _norm_X_raw(v, space.dimension, space.n, space.spacing,
-                           space.cell_measure, space.p)
+    nx = XMetric(space).norm
 
     def q(v):
         nv = nx(v)
@@ -553,10 +546,8 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
         dg = (_each(N.g, u + h) - _each(N.g, u - h)) / (2.0 * h)
         return A - np.diag(m * dg)
 
-    def deriv(u):
-        return GridFunction(space, riesz_from_euclidean(space, grad(u.values)))
-
-    return Functional(eval=ev, eval_batch=ev_rows, derivative=deriv,
+    return Functional(eval=ev, eval_batch=ev_rows,
+                      derivative=_riesz_derivative(space, grad),
                       gradient=grad, hessian=hess,
                       symmetry_class="polarization-nonincreasing",
                       name=N.name or "semilinear")
@@ -927,9 +918,9 @@ def _convex_reaches(h, a, fa, b, level) -> bool:
 _DROP_TOL = 1e-10
 
 
-def drop_membership(y: GridFunction, D: Drop, tol=_DROP_TOL) -> bool:
+def drop_membership(y: GridFunction, D: Drop) -> bool:
     """y ∈ Drop(x, B) iff y = x + t(b−x) for some t ∈ [0,1], b ∈ B; the
-    answer is exact up to `tol`.
+    answer is exact up to tol = 1e-10.
 
     With d = y − x, c the center and r the radius, y is a member iff
     N(d) ≤ tol or the ray x + s·d (s = 1/t ≥ 1) meets B.  For a plain ball
@@ -941,13 +932,14 @@ def drop_membership(y: GridFunction, D: Drop, tol=_DROP_TOL) -> bool:
     ‖Ax + s·Ad‖_∞ ≤ tol: one closed interval of s, found coordinatewise in
     closed form.  That interval is cut to s ≥ 1 (empty: not a member), and
     on it the same convex test runs on h(s) = N(Sx − c + s·Sd).  So the
-    tolerance is `tol` in the sup norm of the part off the fixed subspace
-    and `tol` on the radius in the ball's norm."""
-    return _in_drop(y.values, D, tol)
+    tolerance is tol in the sup norm of the part off the fixed subspace
+    and tol on the radius in the ball's norm."""
+    return _in_drop(y.values, D)
 
 
-def _in_drop(y, D: Drop, tol) -> bool:
+def _in_drop(y, D: Drop) -> bool:
     """``drop_membership`` of the cell values y."""
+    tol = _DROP_TOL
     B = D.ball
     x = D.vertex.values
     d = y - x
@@ -1030,7 +1022,7 @@ def _drop_project(D: Drop, vals):
     x = D.vertex.values
     if D.ball.symmetric and np.array_equal(D.ball._sym_project(x), x):
         w = D.ball._sym_project(vals)
-        if _in_drop(w, D, _DROP_TOL):
+        if _in_drop(w, D):
             return w
     best, best_d = np.array(x), D.ball.norm(vals - x)
     for t in np.linspace(0.0, 1.0, 33)[1:]:
@@ -1073,7 +1065,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     D0 = Drop(x, B)
 
     def contains(vals):
-        return C.contains(vals) and _in_drop(vals, D0, _DROP_TOL)
+        return C.contains(vals) and _in_drop(vals, D0)
 
     def project(vals):
         w = np.array(vals, float)

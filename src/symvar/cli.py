@@ -149,8 +149,7 @@ def _zeros_or(space, u):
 # registries: functionals, set oracles, weights, scalar functions
 
 def _fn_quadratic(space, params):
-    center = _zeros_or(space, params["center"])
-    a = GridFunction(space, center)
+    a = GridFunction(space, _zeros_or(space, params["center"]))
     gram = gram_matrix(space)
 
     def ev(u):
@@ -173,12 +172,9 @@ def _fn_quadratic(space, params):
     def hess(v):
         return 2.0 * gram
 
-    sym = ("polarization-nonincreasing"
-           if re_.is_family_fixed(fs.theta(a)) and np.all(center >= 0)
-           else "unverified")
-    return Functional(eval=ev, derivative=dv, symmetry_class=sym,
-                      lower_bound=0.0, name="quadratic", eval_batch=ev_rows,
-                      gradient=grad, hessian=hess)
+    return Functional(eval=ev, derivative=dv, lower_bound=0.0,
+                      name="quadratic", eval_batch=ev_rows, gradient=grad,
+                      hessian=hess)
 
 
 def _fn_double_well(space, params):
@@ -208,11 +204,7 @@ def _fn_double_well(space, params):
         return (4.0 * m * (m * float(v @ v) - r2) * np.eye(len(v))
                 + 8.0 * m * m * np.outer(v, v))
 
-    def dv(u):
-        g = grad(u.values)
-        return GridFunction(space, fs.riesz_from_euclidean(space, g))
-
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, derivative=fs._riesz_derivative(space, grad),
                       symmetry_class="polarization-invariant",
                       lower_bound=0.0, name="double_well", eval_batch=ev_rows,
                       gradient=grad, hessian=hess)
@@ -603,8 +595,8 @@ def _run_dgz_check(space, f, p, seed, samples, out):
 def _run_constrained(space, f, p, seed, samples, out):
     m, level = space.cell_measure, p["level"]
     G = [Functional(eval=lambda u: m * float(u.values @ u.values) - level,
-                    derivative=lambda u: GridFunction(space, (
-                        fs.riesz_from_euclidean(space, 2.0 * m * u.values))),
+                    derivative=fs._riesz_derivative(space,
+                                                    lambda v: 2.0 * m * v),
                     name="l2_sphere")]
     cert = pr.constrained_symmetric_ekeland(f, G, 1, p["u0"], p["eps"],
                                             seed=seed,

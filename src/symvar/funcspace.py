@@ -34,7 +34,6 @@ __all__ = [
     "norm_W",
     "norm_Lr",
     "theta",
-    "inner_X",
     "gram_matrix",
     "laplacian_matrix",
     "riesz_from_euclidean",
@@ -196,9 +195,12 @@ class Functional:
     """Evaluation oracle for f: X -> R ∪ {+inf} with declared symmetry class.
 
     ``derivative`` (optional) returns the X-Riesz representative of df(u)
-    for the p = 2 inner product.  ``symmetry_class`` is one of
-    ``polarization-nonincreasing``, ``polarization-invariant``,
-    ``unverified``.  ``eval_batch`` (optional) maps a block (k, N) of rows
+    for the p = 2 inner product; it is consulted only on p = 2 grids, the
+    only ones where its X-norm is the dual norm of df(u).
+    ``symmetry_class`` is one of ``polarization-nonincreasing``,
+    ``polarization-invariant``, ``unverified``; it documents the caller's
+    claim and is not read: the engines sample-check symmetry with
+    ``check_symmetry``.  ``eval_batch`` (optional) maps a block (k, N) of rows
     to the (k,) values of f, each equal to ``eval`` on its row; the
     samplers and the multi-start descent use it in place of one ``eval``.
     ``gradient`` (optional) returns the Euclidean gradient ∇f of the cell
@@ -357,12 +359,6 @@ def theta(u: GridFunction) -> GridFunction:
     return GridFunction(u.space, np.abs(u.values))
 
 
-def inner_X(u: GridFunction, v: GridFunction) -> float:
-    """X inner product for p = 2 grids."""
-    g = gram_matrix(u.space)
-    return float(u.values @ g @ v.values)
-
-
 # ---------------------------------------------------------------------------
 # p = 2 linear algebra
 
@@ -383,6 +379,16 @@ def riesz_from_euclidean(space: GridSpace, g: np.ndarray) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"dpotrs returned info={info}")
     return rep
+
+
+def _riesz_derivative(space: GridSpace, gradient):
+    """The ``derivative`` oracle of a declared Euclidean gradient (one
+    vector (N,) to (N,)): u ↦ the Riesz solve of gradient(u.values), which
+    is the X-Riesz representative of df(u) on p = 2 grids."""
+    def derivative(u):
+        return GridFunction(space, riesz_from_euclidean(space,
+                                                        gradient(u.values)))
+    return derivative
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,12 @@ def box_set(space: GridSpace, lo, hi) -> SetOracle:
 # metrics: ``norm`` and ``dist`` take one vector, or a block (k, N) of rows
 # and then return the (k,) row values
 
-class XMetric:
+class _Metric:
+    def dist(self, a, b) -> float:
+        return self.norm(a - b)
+
+
+class XMetric(_Metric):
     name = "X"
 
     def __init__(self, space: GridSpace):
@@ -128,9 +133,6 @@ class XMetric:
     def norm(self, values) -> float:
         s = self.space
         return _norm_X_raw(values, s.dimension, s.n, s.spacing, s.cell_measure, s.p)
-
-    def dist(self, a, b) -> float:
-        return self.norm(a - b)
 
     def penalty_grad(self, w, center):
         """Euclidean gradient of w ↦ ‖w−center‖_X for p = 2 grids, for one
@@ -154,7 +156,7 @@ class XMetric:
         return gram / d - np.outer(G, G) / d ** 3
 
 
-class VMetric:
+class VMetric(_Metric):
     name = "V"
 
     def __init__(self, space: GridSpace):
@@ -164,11 +166,8 @@ class VMetric:
         s = self.space
         return _norm_V_raw(values, s.cell_measure, s.p, s.q_V)
 
-    def dist(self, a, b) -> float:
-        return self.norm(a - b)
 
-
-class CallableMetric:
+class CallableMetric(_Metric):
     def __init__(self, fn, name="custom"):
         self._fn = fn
         self.name = name
@@ -177,9 +176,6 @@ class CallableMetric:
         if np.ndim(values) == 2:
             return np.array([float(self._fn(w)) for w in values])
         return float(self._fn(values))
-
-    def dist(self, a, b) -> float:
-        return self.norm(a - b)
 
 
 def _check_number(name, x, positive):
@@ -1117,9 +1113,12 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
               u0: GridFunction = None, seed=0, n_samples=2000) -> Certificate:
     """Report-only verification of a smooth-perturbation certificate:
     sup|g| ≤ ε, sup‖g'‖ ≤ ε on probes, and global minimality of f+g at v.
+    ‖g'‖ is the X-norm of ``g.derivative`` on p = 2 grids, else a forward
+    difference along one random direction per probe.
     Never raises; failures surface as a FAILED certificate with witness."""
     space = v.space
     metric = XMetric(space)
+    deriv = g.derivative if space.p == 2.0 else None
     ss = np.random.SeedSequence(seed)
     c_probe, c_ver = ss.spawn(2)
     rng = np.random.default_rng(c_probe)
@@ -1134,7 +1133,7 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
             W.append(v.values + (rng.uniform(0, 4) * z / nz if nz > 0 else z))
         else:
             W.append(v.values + width * (2.0 * (z % 1.0) - 1.0))
-        if g.derivative is None:
+        if deriv is None:
             # the partner of the finite difference (w itself if d = 0)
             d = rng.standard_normal(space.n_cells)
             nd = metric.norm(d)
@@ -1142,8 +1141,8 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
     W = np.array(W)
     gw = g._eval_rows(space, W)
     sup_g = max([0.0, *np.abs(gw).tolist()])
-    if g.derivative is not None:
-        sup_gp = max([0.0, *(norm_X(g.derivative(u))
+    if deriv is not None:
+        sup_gp = max([0.0, *(norm_X(deriv(u))
                              for u in _row_functions(space, W))])
     else:
         gd = g._eval_rows(space, np.array(fd))
@@ -1218,15 +1217,18 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     saturated constraints.
 
     With no constraints this reduces to the symmetric Ekeland principle II.
+    With constraints it needs derivative oracles and p = 2: the multipliers
+    and the residual's dual norm are taken with the Cholesky factor of Gx.
     """
     _check_number("eps", eps, True)
     space = u0.space
     if len(G) == 0:
         return symmetric_ekeland(f, space, u0, eps, eps, variant="II",
                                  seed=seed, n_samples=n_samples)
-    if f.derivative is None or any(Gj.derivative is None for Gj in G):
-        raise AssumptionViolated("constrained principle needs derivative "
-                                 "oracles for f and every G_j")
+    if (space.p != 2.0 or f.derivative is None
+            or any(Gj.derivative is None for Gj in G)):
+        raise AssumptionViolated("constrained principle needs p = 2 and "
+                                 "derivative oracles for f and every G_j")
     metric = XMetric(space)
     dom = _constraint_set(space, G, n_eq)
     c_sym, c_inf, c_chain, c_ver = np.random.SeedSequence(seed).spawn(4)
@@ -1297,10 +1299,12 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     functional is f̂(γ) = max_t f(γ_t) with the sup-of-X-norms metric.  The
     engine checks the mountain-pass geometry, polarizes nodewise, runs the
     set-restricted Ekeland chain in path space and returns the argmax node
-    with the three measured bounds."""
+    with the three measured bounds.  It needs p = 2: ‖df(u_ε)‖ is the X-norm
+    of the derivative's Riesz representative."""
     space = psi.space
-    if f.derivative is None:
-        raise AssumptionViolated("path minimax needs a C1 derivative oracle")
+    if space.p != 2.0 or f.derivative is None:
+        raise AssumptionViolated("path minimax needs p = 2 and a C1 "
+                                 "derivative oracle")
     if np.any(psi.values < 0) or not is_family_fixed(psi):
         raise NotSymmetricInput("psi must be fixed by every registered "
                                 "polarizer")

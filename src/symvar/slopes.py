@@ -1,13 +1,15 @@
 """Numerical bracketing of the weak slope and the second-order quotient.
 
 The weak slope |df|(u) is never computed from its deformation definition
-(non-constructive); it is bracketed by the gradient norm from below (exact
-for C¹ functionals) and a sampled strong-slope maximum from above:
+(non-constructive); it is bracketed by the dual norm of the derivative
+from below and a sampled strong-slope maximum from above:
 
-    ‖df(u)‖  =  |df|(u)  ≤  |∇f|(u)   (C¹ case),
+    ‖df(u)‖_{X′}  =  |df|(u)  ≤  |∇f|(u)   (C¹ case),
 
-both sides being one-sided estimates.  The quadratic form Q_u(w) is the
-limsup of second differences (f(z+tζ)+f(z−tζ)−2f(z))/t² over (z, ζ, t)
+both sides being one-sided estimates.  The lower end is exact for C¹
+functionals on p = 2 grids, where the X-norm of the X-Riesz ``derivative``
+is that dual norm; on other grids it is 0.  The quadratic form Q_u(w) is
+the limsup of second differences (f(z+tζ)+f(z−tζ)−2f(z))/t² over (z, ζ, t)
 near (u, w, 0); the estimator reports the sampled maximum at the finest
 level of a logged, decreasing δ-schedule.
 
@@ -33,9 +35,10 @@ __all__ = ["SlopeEstimate", "QEstimate", "strong_slope", "q_form",
 class SlopeEstimate:
     """Bracket [lower, upper] for |df|(u).
 
-    ``lower`` is ‖derivative(u)‖_X when the oracle exists (0 otherwise);
-    ``upper`` the sampled strong-slope maximum.  ``tol`` absorbs the
-    O(radius · curvature) gap of the finite-radius quotients.
+    ``lower`` is ‖derivative(u)‖_X when the oracle exists and the grid has
+    p = 2 (0 otherwise); ``upper`` the sampled strong-slope maximum.
+    ``tol`` absorbs the O(radius · curvature) gap of the finite-radius
+    quotients.
     """
 
     lower: float
@@ -79,10 +82,11 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
                  n_samples=64, seed=0) -> SlopeEstimate:
     """Sample max(0, (f(u)−f(ξ))/‖u−ξ‖_X) at the given probe radii.
 
-    Zero at (sampled) local minima.  When the derivative oracle exists its
-    ±directions are added to the probe set (the estimate stays a one-sided
-    underestimate of the strong slope) and ‖derivative(u)‖_X is the lower
-    bracket end.  Each radius scores its probes as one block.
+    Zero at (sampled) local minima.  When the derivative oracle exists and
+    the grid has p = 2, its ±directions are added to the probe set (the
+    estimate stays a one-sided underestimate of the strong slope) and
+    ‖derivative(u)‖_X is the lower bracket end.  Each radius scores its
+    probes as one block.
     """
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -93,7 +97,7 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
 
     dirs = unit_directions(u.space, n_samples, seed)
     lower = 0.0
-    if f.derivative is not None:
+    if f.derivative is not None and u.space.p == 2.0:
         g = f.derivative(u)
         lower = norm_X(g)
         if lower > 0:

@@ -600,7 +600,7 @@ def test_membership_agrees_with_parameter_scan(g1d2):
     for _ in range(60):
         y = rng.uniform(-1, 4, 2)
         scan_inside = np.min(np.linalg.norm(pts - y, axis=1)) < 5e-3
-        pred = drop_membership(g1d2.function(y), D, tol=1e-10)
+        pred = drop_membership(g1d2.function(y), D)
         if pred != scan_inside:
             # disagreement only allowed within the scan resolution band
             assert np.min(np.linalg.norm(pts - y, axis=1)) < 2e-2

@@ -398,6 +398,25 @@ def test_verify_rejects_a_certificate_with_rho_zero(tmp_path, capsys):
     assert "config.parameters.certificate_path" in err and "rho" in err
 
 
+def test_strong_slope_lower_end_is_zero_off_p2(tmp_path):
+    # the double well's X-Riesz derivative has X-norm 0.0572 here, above the
+    # exact weak slope 0.0425: off p = 2 it is not the dual norm of df
+    cfg = _write(tmp_path, "slope.json", {
+        "schema": "symvar-config/1",
+        "subcommand": "strong_slope",
+        "grid": {"dimension": 1, "n": 8, "radius": 1.0, "p": 1.5, "qW": 4},
+        "functional": {"name": "double_well"},
+        "parameters": {"values": [0.346, 0.822, 0.33, -1.303, 0.905, 0.446,
+                                  -0.537, 0.581]},
+        "seed": 0,
+    })
+    assert run_config(cfg, out_dir=str(tmp_path)) == 0
+    header, row = (tmp_path / "strong_slope.csv").read_text().split()
+    assert header == "lower,upper,tol"
+    lower, upper, _ = (float(x) for x in row.split(","))
+    assert 0.0 == lower <= upper
+
+
 def test_library_argument_errors_exit_1(tmp_path, capsys):
     for sub, functional, params in (
             ("sqps_sequence", {"name": "quadratic"},

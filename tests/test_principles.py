@@ -292,6 +292,22 @@ def test_bp_pexp1_reduces_to_ekeland_form(g1d4):
         assert lhs >= -norm_X(w - v) - 1e-12
 
 
+def test_bp_center_bisects_toward_the_minimizer(g1d2):
+    # f = h(mean u) drops by 9e-4 across a 0.004-wide step at s = 0.52 and
+    # then slopes gently to s = 1: from u0 on the high side, the penalized
+    # minimizer lies past the step, more than ρ/2 from η = u0, so η moves
+    def h(s):
+        return (9e-4 / (1.0 + np.exp((s - 0.52) / 0.004))
+                + 2e-4 * (s - 1.0) ** 2)
+
+    f = Functional(eval=lambda u: float(h(np.mean(u.values))), name="step")
+    u0 = g1d2.function([0.5, 0.5])
+    cert = symmetric_borwein_preiss(f, g1d2, u0, 0.1, 0.1, seed=1)
+    assert cert.status == "PASS"
+    assert norm_X(cert.eta - u0) > 0.0
+    assert norm_X(cert.v - cert.eta) <= 0.1 / 2.0
+
+
 def test_bp_bad_start(g1d4):
     a = sym_center(g1d4, 22)
     f = quad_X(a)
@@ -413,6 +429,22 @@ def test_dgz_without_g_derivative_bounds_the_slope_by_differences(g1d4):
     assert 0.0 < cert.measured["sup‖g'‖"][0] <= eps + 1e-6
 
 
+def test_dgz_off_p2_never_calls_the_derivative():
+    # off p = 2 the X-norm of an X-Riesz representative is not ‖g'‖_X′:
+    # sup‖g'‖ comes from finite differences instead
+    g1 = make_grid(1, 4, 1.0, 1.5, 4)
+    a = sym_center(g1, 29)
+    eps = 0.25
+    bump = bump_perturbation(g1, a, eps, delta=1.0)
+
+    def no_derivative(u):
+        raise AssertionError("derivative called off p = 2")
+
+    g = Functional(eval=bump.eval, derivative=no_derivative, name="bump")
+    cert = dgz_check(quad_X(a), g, a, eps, seed=1, n_samples=500)
+    assert 0.0 < cert.measured["sup‖g'‖"][0]
+
+
 # ---------------------------------------------------------------------------
 # constrained principle
 
@@ -448,6 +480,14 @@ def test_constrained_rayleigh_quotient(g1d2):
     lam = cert.extras["multipliers"][0]
     assert lam == pytest.approx(lam_min, rel=0.05)
     assert np.max(np.abs(np.abs(cert.v.values) - ustar)) < 0.05
+
+
+def test_constrained_requires_p2():
+    g1 = make_grid(1, 2, 1.0, 1.5, 4)
+    with pytest.raises(AssumptionViolated, match="p = 2"):
+        constrained_symmetric_ekeland(quad_X(g1.zeros()), [_l2_sphere(g1)],
+                                      1, g1.function([1.0, 1.0]), 0.05,
+                                      seed=0, n_samples=200)
 
 
 def test_constrained_no_constraints_reduces_to_variant_II(g1d4):
@@ -668,6 +708,68 @@ def test_path_minimax_needs_symmetric_psi(g1d4):
     psi = g1d4.function([0.0, 0.0, 1.0, 0.0])       # not family-fixed
     with pytest.raises(NotSymmetricInput):
         path_minimax(f, psi, 8, 0.05, seed=0)
+
+
+def test_path_minimax_requires_p2():
+    g1 = make_grid(1, 2, 1.0, 1.5, 4)
+    with pytest.raises(AssumptionViolated, match="p = 2"):
+        path_minimax(_radial_double_well(g1), g1.function([0.5, 0.5]), 8,
+                     0.05, seed=0)
+
+
+def _shape_well(space, kappa):
+    """r²(r−1)²·(1 + κ(q − c)²) with r = ‖u‖_{L²}, q = ‖u‖_{L⁴}/r and c the
+    q of a flat u: wells at 0 and on the unit L² sphere, and a ridge at
+    r = 1/2 that is lowest on flat shapes; rearrangement-invariant."""
+    m = space.cell_measure
+    c = (m * space.n_cells) ** -0.25
+
+    def parts(v):
+        r = np.sqrt(m * float(v @ v))
+        return r, (m * float(np.sum(v ** 4))) ** 0.25
+
+    def ev(u):
+        r, r4 = parts(u.values)
+        if r == 0.0:
+            return 0.0
+        return r * r * (r - 1.0) ** 2 * (1.0 + kappa * (r4 / r - c) ** 2)
+
+    def grad(v):
+        r, r4 = parts(v)
+        if r == 0.0:
+            return np.zeros_like(v)
+        dr, dr4 = m * v / r, m * v ** 3 / r4 ** 3
+        q = r4 / r - c
+        dq = dr4 / r - r4 / (r * r) * dr
+        well = r * r * (r - 1.0) ** 2
+        dwell = (2.0 * r * (r - 1.0) ** 2 + 2.0 * r * r * (r - 1.0)) * dr
+        return dwell * (1.0 + kappa * q * q) + well * 2.0 * kappa * q * dq
+
+    return Functional(eval=ev, derivative=lambda u: GridFunction(
+        space, riesz_from_euclidean(space, grad(u.values))), name="shape_well")
+
+
+@pytest.mark.xfail(strict=True, raises=NoMountainPass, reason=(
+    "the f̂ descent moves nodes off the ridge until the inner nodes sit on "
+    "the two wells (r = 0 or 1, f about 1e-14): f̂ sees only the nodes, so "
+    "the level falls to the barrier"))
+@pytest.mark.parametrize("kappa", [5.0, 50.0, 500.0])
+def test_path_minimax_shape_ridge(g1d4, kappa):
+    shape = np.array([0.3, 1.0, 1.0, 0.3])
+    psi = g1d4.function(shape / np.sqrt(g1d4.cell_measure * (shape @ shape)))
+    cert = path_minimax(_shape_well(g1d4, kappa), psi, 8, 0.05, seed=0,
+                        n_samples=200)
+    assert cert.status == "PASS"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the path-space chain accepts moves that take the ridge node off the "
+    "ridge, so f̂ falls far below the level c_est = 1/16 of the descent "
+    "and the bound c_est - f(u_ε) <= 0 fails"))
+def test_path_minimax_chain_keeps_the_ridge(g1d2):
+    cert = path_minimax(_radial_double_well(g1d2), _unit_sym(g1d2), 12,
+                        0.002, seed=0, n_samples=300)
+    assert cert.status == "PASS"
 
 
 def test_nodewise_polarization_fixes_symmetric_paths(g1d4):

@@ -171,3 +171,26 @@ def test_import_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("name", ["quadratic", "double_well", "semilinear"])
+def test_strong_slope_bracket_holds_off_p2(name):
+    # off p = 2 the X-Riesz derivative's X-norm is not the dual norm of df
+    # (it overshot the exact weak slope by up to 34% on these points), so
+    # the lower end is 0 and the bracket holds
+    from symvar import semilinear_functional
+    from symvar.cli import FUNCTIONALS
+
+    space = make_grid(1, 8, 1.0, 1.5, 4)
+    if name == "semilinear":
+        f = semilinear_functional(
+            FUNCTIONALS["linear_damping"].build(space, {}), space)
+    else:
+        fn = FUNCTIONALS[name]
+        f = fn.build(space, {k: v.get("default")
+                             for k, v in fn.params.items()})
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        est = strong_slope(f, space.function(rng.standard_normal(8)))
+        assert est.lower == 0.0
+        assert est.bracket_ok()
