@@ -11,7 +11,9 @@ Schedule engines (SQPS, semilinear) emit a list of certificates; their
 digest covers the list serialized as the CLI writes it.  The ``verify/``
 lines digest the ``ViolationReport`` of a re-verification, as JSON.  The
 ``approx_symmetrize/`` lines digest a 2D run's values and polarizer word,
-or the residual, best point and word of its ``ConvergenceFailure``.
+or the residual, best point and word of its ``ConvergenceFailure``.  The
+``polarizer_family/`` lines digest a grid's family table and its
+polarizers' axes and offsets.
 
 It then runs the config table of ``tests/cli_cases.py`` (one small config
 per ``symvar run`` subcommand) through ``run_config`` and prints
@@ -147,6 +149,16 @@ def symmetrize_bytes(u, rho=1e-3) -> bytes:
     return json.dumps(rec, indent=1).encode()
 
 
+def family_bytes(space) -> bytes:
+    """The grid's (F, N) inside and partner tables, then its polarizers'
+    axes and offsets as JSON."""
+    inside, partner = space._polarizer_table
+    return inside.tobytes() + partner.tobytes() + json.dumps(
+        polarizer_sequence_json(space.polarizers)).encode()
+
+
+FAMILY_GRIDS = ((1, 8), (1, 256), (2, 4), (2, 16), (2, 32))
+
 # tied values the plateau walk carries to the Schwarz image of a 4x4 grid
 TIED_4X4 = [2, 1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 2, 1, 1, 2, 2]
 
@@ -253,6 +265,9 @@ def cases():
     # a |normal| draw the walk leaves stuck on a family-fixed point
     yield "approx_symmetrize/2D8/stuck", lambda: symmetrize_bytes(
         g2d8.function(np.abs(np.random.default_rng(0).standard_normal(64))))
+    for dim, n in FAMILY_GRIDS:
+        g = make_grid(dim, n, 1.0, 2, 4)
+        yield f"polarizer_family/{dim}D{n}", lambda g=g: family_bytes(g)
 
 
 def certificate_bytes(out) -> bytes:

@@ -96,15 +96,12 @@ class GridSpace:
         from .rearrange import build_polarizer_family  # it imports GridSpace
         return build_polarizer_family(self)
 
-    @functools.cached_property
+    @property
     def _polarizer_table(self):
-        """The family as one read-only (inside, partner) pair of (F, N)
-        arrays, row k the pairing of ``polarizers[k]``."""
-        inside = np.stack([H.inside for H in self.polarizers])
-        partner = np.stack([H.partner for H in self.polarizers])
-        inside.setflags(write=False)
-        partner.setflags(write=False)
-        return inside, partner
+        """The family's read-only (inside, partner) pair of (F, N) arrays,
+        row k the pairing of ``polarizers[k]``, whose arrays view it."""
+        H = self.polarizers[0]
+        return H.inside.base, H.partner.base
 
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.n_cells))
@@ -443,7 +440,8 @@ def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
               q_V=None) -> GridSpace:
     """Build a symmetric uniform grid with its embedding constant K (see
     :func:`_embedding_constant`).  Its registered polarizer family is
-    built on first use of ``polarizers`` and held as one stacked table.
+    built on first use of ``polarizers``, in one pass into one (F, N)
+    table whose rows the polarizers view.
 
     Parameters
     ----------

@@ -15,7 +15,9 @@ side.  The registered family per grid:
 
 Offsets are restricted so that every cell outside the half-space has its
 mirror inside the grid; polarization is then an exact value permutation
-(equimeasurability holds with no tolerance).
+(equimeasurability holds with no tolerance).  The family is built in one
+vectorised pass straight into the grid's read-only (F, N) inside/partner
+table, and each polarizer's arrays are row views of it.
 
 On 1D grids the family contains a full odd-even transposition network for
 the Schwarz cell order, so iterated polarization reaches the rearrangement
@@ -52,7 +54,8 @@ class Polarizer:
 
     ``partner[i]`` is the mirror cell index, ``i`` itself for cells on the
     reflecting hyperplane, and ``-1`` when the mirror falls outside the grid
-    (zero under the extension rule).  ``inside[i]`` marks a·x_i ≤ β.
+    (zero under the extension rule).  ``inside[i]`` marks a·x_i ≤ β.  Both
+    are read-only row views of the family's (F, N) table.
     """
 
     axis: tuple
@@ -66,48 +69,15 @@ class Polarizer:
         return f"Polarizer(axis=({ax}), beta={self.offset:g})"
 
 
-def _make_polarizer(space: GridSpace, axis, beta_lattice):
-    """Build the pairing for reflection about {a·x = β}, or None when the
-    reflection is not a lattice map, could zero an outside value, or cannot
-    act at all.
-
-    ``beta_lattice`` carries β in the integer units of the lattice
-    projection (cell centers have odd-integer lattice coordinates, so the
-    projection onto an integer direction a is an integer).  All geometry is
-    exact integer arithmetic; pairings carry no float noise.
-    """
-    lattice, n = space.lattice, space.n
-    a_int = np.asarray(axis, dtype=int)            # un-normalized direction
-    proj = lattice @ a_int                          # integer projections
-    norm2 = int(a_int @ a_int)
-    shift = proj - beta_lattice
-    # mirror in lattice coordinates: x - 2(a·x - beta)/|a|^2 * a
-    numer = np.outer(2 * shift, a_int)
-    if np.any(numer % norm2 != 0):
-        return None                                # not a lattice reflection
-    mirrors = lattice - numer // norm2
-    # odd coordinate c in [1-n, n-1] is axis index (c+n-1)/2; cells x-major
-    found = np.all(np.abs(mirrors) <= n - 1, axis=1)
-    index = ((mirrors + (n - 1)) // 2) @ (n ** np.arange(space.dimension)[::-1])
-    partner = np.where(found, index, -1)
-    inside = shift <= 0
-    if not np.all(found | inside):
-        return None       # an outside cell would lose its value
-    # an unpaired inside cell keeps max(u_i, 0) = u_i on S; some pair must
-    # straddle the hyperplane for the reflection to act at all
-    if not np.any(found & (inside != inside[partner])):
-        return None
-    partner.setflags(write=False)
-    inside.setflags(write=False)
-    scale = float(np.sqrt(norm2))
-    unit_axis = tuple(float(c) / scale for c in a_int)
-    beta_real = beta_lattice * (space.spacing / 2.0) / scale
-    return Polarizer(axis=unit_axis, offset=beta_real, inside=inside,
-                     partner=partner, space_signature=space.signature)
-
-
 def build_polarizer_family(space: GridSpace):
-    """All grid-compatible polarizers for ``space``, deterministic order."""
+    """All grid-compatible polarizers for ``space``, deterministic order.
+
+    Every candidate {a·x = β} is paired at once by exact integer arithmetic
+    on (candidate, cell) arrays: β is carried in the integer units of the
+    lattice projection (cell centers have odd-integer lattice coordinates)
+    and 2/|a|² is an integer for every registered a.  The kept rows form
+    the read-only (F, N) inside/partner table that the polarizers view.
+    """
     n = space.n
     if space.dimension == 1:
         # beta = j*h/2 <-> lattice offset j; orientation rule drops -e_x at 0
@@ -120,8 +90,34 @@ def build_polarizer_family(space: GridSpace):
         cands += [((1, 1), 0), ((1, -1), 0)]
         cands += [(ax, 2 * k) for ax in ((1, 1), (1, -1), (-1, -1), (-1, 1))
                   for k in range(1, 2 * n)]
-    fam = (_make_polarizer(space, ax, beta) for ax, beta in cands)
-    return tuple(H for H in fam if H is not None)
+    axes = np.array([ax for ax, _ in cands])
+    beta = np.array([b for _, b in cands])
+    norm2 = np.sum(axes * axes, axis=1)                 # 1 or 2
+    lattice = space.lattice
+    shift = axes @ lattice.T - beta[:, None]            # (C, N): a·x - β
+    # the mirror is x - step·a, step = 2·shift/|a|² an even integer; odd
+    # coordinate c is axis index (c+n-1)/2 and cells are x-major
+    step = (2 // norm2)[:, None] * shift
+    found = np.ones(shift.shape, dtype=bool)
+    for k in range(space.dimension):
+        found &= np.abs(lattice[:, k] - axes[:, k, None] * step) <= n - 1
+    weights = n ** np.arange(space.dimension)[::-1]
+    partner = np.where(found, np.arange(space.n_cells)
+                       - (axes @ weights)[:, None] * (step // 2), -1)
+    inside = shift <= 0
+    # keep a reflection when no outside cell loses its value and it acts:
+    # some pair straddles it (a mirror's shift is -shift, so iff shift ≠ 0)
+    keep = np.all(found | inside, axis=1) & np.any(found & (shift != 0), 1)
+    inside, partner = inside[keep], partner[keep]
+    inside.setflags(write=False)
+    partner.setflags(write=False)
+    scale = np.sqrt(norm2[keep])
+    units = (axes[keep] / scale[:, None]).tolist()
+    offsets = (beta[keep] * (space.spacing / 2.0) / scale).tolist()
+    sig = space.signature
+    return tuple(Polarizer(axis=tuple(a), offset=b, inside=i, partner=j,
+                           space_signature=sig)
+                 for a, b, i, j in zip(units, offsets, inside, partner))
 
 
 def _polarize_raw(values, inside, partner):
@@ -197,7 +193,7 @@ def approx_symmetrize(u: GridFunction, rho: float):
         iteration cap reached, or the walk is stuck (possible on 2D grids),
         with the residual, the best point and the word attached.
     """
-    if rho <= 0:
+    if not rho > 0:                    # NaN too
         raise InvalidArgument("rho must be positive")
     space = u.space
     family = space.polarizers

@@ -271,6 +271,21 @@ def test_cell_set_invariant_under_family(g1d8, g2d4):
                     assert dists.min() > g.spacing / 4   # genuinely outside
 
 
+def _documented_candidates(space):
+    """(axis, lattice offset) of every candidate reflection that the module
+    docstring lists, in family order: ±e_k with β = j·h/2 (−e_k not at
+    β = 0), then in 2D the diagonals with β = k·h/√2 (two at β = 0)."""
+    n = space.n
+    if space.dimension == 1:
+        return [((1,), j) for j in range(n)] + [((-1,), j)
+                                                for j in range(1, n)]
+    cands = [(ax, j) for ax in ((1, 0), (0, 1)) for j in range(n)]
+    cands += [(ax, j) for ax in ((-1, 0), (0, -1)) for j in range(1, n)]
+    cands += [((1, 1), 0), ((1, -1), 0)]
+    return cands + [(ax, 2 * k) for ax in ((1, 1), (1, -1), (-1, -1), (-1, 1))
+                    for k in range(1, 2 * n)]
+
+
 def _dict_scan_polarizer(space, axis, beta_lattice):
     """The pairing as first written: each mirror cell found by a dict
     lookup of its lattice coordinates, one cell at a time."""
@@ -303,20 +318,36 @@ def _dict_scan_polarizer(space, axis, beta_lattice):
                      space_signature=space.signature)
 
 
-@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 34), (2, 2),
-                                         (2, 4), (2, 10)])
-def test_polarizer_family_equals_dict_scan_reference(monkeypatch, dimension,
-                                                     n):
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 34), (1, 256),
+                                         (2, 2), (2, 4), (2, 10), (2, 16)])
+def test_polarizer_family_equals_dict_scan_reference(dimension, n):
     space = make_grid(dimension, n, 1.0, 2, 4)
     family = build_polarizer_family(space)
-    monkeypatch.setattr(rearrange, "_make_polarizer", _dict_scan_polarizer)
-    reference = build_polarizer_family(space)
+    reference = [H for H in (_dict_scan_polarizer(space, ax, beta) for
+                             ax, beta in _documented_candidates(space))
+                 if H is not None]
     assert len(family) == len(reference) > 0
     for H, R in zip(family, reference):
         assert (H.axis, H.offset) == (R.axis, R.offset)
         assert np.array_equal(H.partner, R.partner)
+        assert H.partner.dtype == R.partner.dtype
         assert np.array_equal(H.inside, R.inside)
         assert H.space_signature == space.signature
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 8), (2, 4)])
+def test_polarizers_are_read_only_rows_of_the_table(dimension, n):
+    space = make_grid(dimension, n, 1.0, 2, 4)
+    family = space.polarizers
+    inside, partner = space._polarizer_table
+    assert inside.shape == partner.shape == (len(family), space.n_cells)
+    assert (inside.dtype, partner.dtype) == (np.dtype(bool), np.dtype(int))
+    for k, H in enumerate(family):
+        for row, table in ((H.inside, inside), (H.partner, partner)):
+            assert np.shares_memory(row, table[k])
+            assert row.base is table and not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[0] = 0
 
 
 def test_polarize_space_mismatch(g1d4, g1d8):
@@ -324,6 +355,14 @@ def test_polarize_space_mismatch(g1d4, g1d8):
     u8 = g1d8.function(np.ones(8))
     with pytest.raises(SpaceMismatch):
         polarize(u8, g1d4.polarizers[0])
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+def test_approx_symmetrize_rejects_rho_not_positive(g1d8, rho):
+    from symvar import InvalidArgument
+    u = schwarz(g1d8.function(np.arange(8.0)))   # its own Schwarz image
+    with pytest.raises(InvalidArgument, match="rho must be positive"):
+        approx_symmetrize(u, rho)
 
 
 def test_approx_symmetrize_respects_iteration_cap(g1d8, monkeypatch):
