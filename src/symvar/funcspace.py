@@ -103,6 +103,20 @@ class GridSpace:
         H = self.polarizers[0]
         return H.inside.base, H.partner.base
 
+    @functools.cached_property
+    def _polarizer_pairs(self):
+        """The family as swap pairs, built on first use from the table: the
+        rows k (P,) and the cells (P, 2) of every pair of a cell j outside
+        ``polarizers[k]`` and its mirror i inside, sorted by row, then j,
+        both read-only.  Polarizing |u| by row k swaps the values of
+        exactly its pairs with |u|[j] > |u|[i]."""
+        inside, partner = self._polarizer_table
+        rows, outside = np.nonzero(~inside)
+        cells = np.stack((outside, partner[rows, outside]), axis=1)
+        rows.setflags(write=False)
+        cells.setflags(write=False)
+        return rows, cells
+
     def zeros(self) -> "GridFunction":
         return GridFunction(self, np.zeros(self.n_cells))
 

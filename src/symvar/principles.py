@@ -1000,7 +1000,7 @@ def zhong_radius(h: Callable[[float], float], rho: float) -> float:
     returns its midpoint.  h must be nondecreasing, continuous and
     nonnegative with divergent ∫ ds/(1+h) (declared by the caller;
     spot-checked on a probe grid)."""
-    if rho <= 0:
+    if not rho > 0:                    # NaN too
         raise InvalidArgument("rho must be positive")
     probes = np.linspace(0.0, 10.0, 21)
     vals = [h(s) for s in probes]

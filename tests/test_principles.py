@@ -335,6 +335,12 @@ def test_zhong_radius_divergence_violation():
         zhong_radius(lambda s: -s, 1.0)
 
 
+@pytest.mark.parametrize("rho", [0.0, -1.0, float("nan")])
+def test_zhong_radius_rejects_rho_not_positive(rho):
+    with pytest.raises(InvalidArgument, match="rho must be positive"):
+        zhong_radius(lambda s: s, rho)
+
+
 def test_symmetric_zhong_h_zero_degenerates(g1d4):
     a = sym_center(g1d4, 23)
     f = quad_X(a)

@@ -468,6 +468,121 @@ def test_approx_symmetrize_matches_the_walk_with_lookahead(n, outcomes):
     assert seen == outcomes
 
 
+def _dense_walk(u, rho, scores=None):
+    """approx_symmetrize as a plain dense greedy walk: each step polarizes
+    the current point by every row of the family table, scores all F
+    images and takes numpy's argmin.  Returns (values, word indices) or
+    raises ConvergenceFailure as approx_symmetrize does; ``scores``, when
+    given, collects each step's F scores."""
+    space = u.space
+    family, table = space.polarizers, space._polarizer_table
+    measure, p, q = space.cell_measure, space.p, space.q_V
+    cur = np.abs(u.values)
+    target = rearrange._schwarz_raw(cur, schwarz_order(space))
+
+    def dist_rows(mat):
+        diff = np.abs(mat - target[None, :])
+        return np.maximum((np.sum(diff ** p, axis=1) * measure) ** (1.0 / p),
+                          (np.sum(diff ** q, axis=1) * measure) ** (1.0 / q))
+
+    seq, seen = [], set()
+    residual = rearrange._norm_V_raw(cur - target, measure, p, q)
+    cap = rearrange._iteration_cap(space)
+    for _ in range(cap):
+        if residual < rho:
+            return cur, seq
+        cands = rearrange._polarize_raw(cur, *table)
+        dists = dist_rows(cands)
+        if scores is not None:
+            scores.append(dists)
+        k = int(np.argmin(dists))
+        if dists[k] < residual - 1e-15:
+            seen.clear()
+        else:
+            moved = [k for k in np.flatnonzero(np.any(cands != cur, axis=1))
+                     if cands[k].tobytes() not in seen]
+            if not moved:
+                raise ConvergenceFailure(
+                    f"iterated polarization is stuck at residual "
+                    f"{residual:.3e} >= rho={rho:.3e}", residual=residual,
+                    best=space.function(cur),
+                    sequence=[family[k] for k in seq])
+            k = int(moved[0])
+            seen.add(cands[k].tobytes())
+        cur, residual = cands[k], dists[k]
+        seq.append(k)
+    raise ConvergenceFailure(
+        f"iteration cap {cap} reached with residual {residual:.3e}",
+        residual=residual, best=space.function(cur),
+        sequence=[family[k] for k in seq])
+
+
+def _assert_matches_dense_walk(u, rho):
+    """approx_symmetrize gives the dense walk's values, word, residual and
+    message bit for bit; returns "converged" or "stuck"."""
+    family = u.space.polarizers
+    try:
+        ref_vals, ref_word = _dense_walk(u, rho)
+    except ConvergenceFailure as ref:
+        with pytest.raises(ConvergenceFailure) as exc:
+            approx_symmetrize(u, rho)
+        assert str(exc.value) == str(ref)
+        assert exc.value.residual == ref.residual
+        assert exc.value.best.values.tobytes() == ref.best.values.tobytes()
+        assert exc.value.sequence == ref.sequence
+        return "stuck"
+    out, word = approx_symmetrize(u, rho)
+    assert out.values.tobytes() == ref_vals.tobytes()
+    assert word == [family[k] for k in ref_word]
+    return "converged"
+
+
+@pytest.mark.parametrize("p", [2, 1.5])
+@pytest.mark.parametrize("dimension,n", [(1, 8), (1, 128), (1, 256), (2, 16),
+                                         (2, 24)])
+def test_approx_symmetrize_matches_the_dense_walk(dimension, n, p):
+    # random, rounded (tied), integer and permuted-Schwarz inputs
+    g = make_grid(dimension, n, 1.0, p, 4)
+    rng = np.random.default_rng(21 + n)
+    z = np.abs(rng.standard_normal(g.n_cells))
+    inputs = [z, np.round(z, 1), rng.integers(0, 3, g.n_cells).astype(float),
+              rng.permutation(schwarz(g.function(z)).values)]
+    outcomes = {_assert_matches_dense_walk(g.function(v), 1e-3)
+                for v in inputs}
+    assert outcomes == ({"converged"} if dimension == 1 else {"stuck"})
+
+
+def test_approx_symmetrize_keeps_rows_one_ulp_apart():
+    # at the walk's fifth step row 18 scores one ulp below row 1 and is the
+    # minimum: a window that kept only the rows its sum estimates rank
+    # lowest would drop row 18 and step by row 1
+    g = make_grid(1, 16, 1.0, 2, 4)
+    u = g.function(np.array([1, 5, 2, 1, 4, 1, 2, 3, 3, 0, 0, 5, 4, 5, 3, 4])
+                   * 0.3)
+    scores = []
+    _dense_walk(u, 1e-3, scores)
+    fifth = scores[4]
+    assert int(np.argmin(fifth)) == 18
+    assert fifth[18] == np.nextafter(fifth[1], -np.inf)
+    assert _assert_matches_dense_walk(u, 1e-3) == "converged"
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (2, 2), (2, 6)])
+def test_polarizer_pairs_are_the_outside_cells_and_their_mirrors(dimension, n):
+    space = make_grid(dimension, n, 1.0, 2, 4)
+    inside, partner = space._polarizer_table
+    rows, cells = space._polarizer_pairs
+    assert not rows.flags.writeable and not cells.flags.writeable
+    assert cells.shape == (len(rows), 2)
+    nz_rows, nz_outside = np.nonzero(~inside)
+    assert np.array_equal(rows, nz_rows)
+    assert np.array_equal(cells[:, 0], nz_outside)
+    mirror = cells[:, 1]
+    assert np.all(inside[rows, mirror])
+    assert np.array_equal(partner[rows, cells[:, 0]], mirror)
+    assert np.array_equal(partner[rows, mirror], cells[:, 0])
+
+
 _vals8 = st.lists(st.floats(-10, 10, allow_nan=False, allow_infinity=False,
                             width=64), min_size=8, max_size=8)
 
