@@ -13,7 +13,9 @@ lines digest the ``ViolationReport`` of a re-verification, as JSON.  The
 ``approx_symmetrize/`` lines digest a 2D run's values and polarizer word,
 or the residual, best point and word of its ``ConvergenceFailure``.  The
 ``polarizer_family/`` lines digest a grid's family table and its
-polarizers' axes and offsets.
+polarizers' axes and offsets.  The ``estimate_inf/`` line digests the
+estimate and the argmin values of one multi-start probe, whose Newton
+polish factors a band wider than 1.
 
 It then runs the config table of ``tests/cli_cases.py`` (one small config
 per ``symvar run`` subcommand) through ``run_config`` and prints
@@ -149,6 +151,12 @@ def symmetrize_bytes(u, rho=1e-3) -> bytes:
     return json.dumps(rec, indent=1).encode()
 
 
+def estimate_bytes(f, space, seed) -> bytes:
+    """estimate_inf's estimate, then its argmin values, as raw doubles."""
+    inf_est, _, argmin = pr.estimate_inf(f, space, whole_space(space), seed)
+    return np.float64(inf_est).tobytes() + np.asarray(argmin, float).tobytes()
+
+
 def family_bytes(space) -> bytes:
     """The grid's (F, N) inside and partner tables, then its polarizers'
     axes and offsets as JSON."""
@@ -225,6 +233,11 @@ def cases():
     yield "quasilinear/2D", lambda: ap.quasilinear_experiment(
         ap.forced_dirichlet_integrand(1.0), make_grid(2, 4, 1.0, 2, 4), 0.01,
         seed=10, n_samples=N_SAMPLES)
+    # the polish on 2D 8x8 factors the band of half-width 8
+    g2d8 = make_grid(2, 8, 1.0, 2, 4)
+    yield "estimate_inf/2D8", lambda: estimate_bytes(
+        ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.0), g2d8),
+        g2d8, 10)
     yield "Caristi", lambda: ap.caristi_fixed_point(
         lambda u: GridFunction(g4, 0.5 * u.values),
         Functional(eval=lambda u: 2.0 * norm_X(u),
@@ -259,7 +272,7 @@ def cases():
     yield "verify/DGZCheck", lambda: pr.verify_certificate(
         well, pr.dgz_check(well, bump, schwarz(u0), 0.1, seed=6,
                            n_samples=N_SAMPLES), N_SAMPLES, g=bump, seed=16)
-    g2d4, g2d8 = make_grid(2, 4, 1.0, 2, 4), make_grid(2, 8, 1.0, 2, 4)
+    g2d4 = make_grid(2, 4, 1.0, 2, 4)
     yield "approx_symmetrize/2D4/tied", lambda: symmetrize_bytes(
         g2d4.function(np.array(TIED_4X4, float)))
     # a |normal| draw the walk leaves stuck on a family-fixed point

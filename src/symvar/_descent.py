@@ -3,22 +3,29 @@
 Everything here works on flat numpy arrays and plain callables; the engines
 adapt GridFunction-valued functionals.  A ``grad`` takes one vector (N,) or
 a block (k, N) of rows and returns the Euclidean gradient of each row,
-bit-equal to its single-vector call; the Newton Hessians use the block.
-The multi-start descent runs its starts in lock-step as the rows of one
-block: ``fun``, ``grad`` and ``project`` also take a block, each row
-bit-equal to its single-vector call, and the Armijo test, the BB step
-and the stop rules run row by row on the single-vector expressions, so
-row i follows the descent from start i alone bit for bit.  Unconstrained
-and on a box (the nonnegative cone included) each start's descent stops
-after _BB_STEPS_POLISHED = 20 BB steps and a Newton polish finishes it;
-under a custom projection there is no polish and the descent runs up to
-_BB_STEPS = 400 steps.  The polish takes the objective's declared Hessian
-``hess`` (one vector (N,) to the (N, N) Euclidean Hessian, sliced to the
-free coordinates) when there is one, and otherwise builds a
-finite-difference Hessian from one block ``grad`` call; either way it
-keeps a Hessian while the free set holds (chord Newton).  All routines
-are pure and seedless: randomized multi-start decisions are made by the
-callers, which thread one seeded generator through the whole run.
+bit-equal to its single-vector call; the finite-difference Hessians use
+the block.  The multi-start descent runs its starts in lock-step as the
+rows of one block: ``fun``, ``grad`` and ``project`` also take a block,
+each row bit-equal to its single-vector call, and the Armijo test, the BB
+step and the stop rules run row by row on the single-vector expressions,
+so row i follows the descent from start i alone bit for bit.
+Unconstrained and on a box (the nonnegative cone included) each start's
+descent stops after _BB_STEPS_POLISHED = 20 BB steps and a Newton polish
+finishes it; under a custom projection there is no polish and the descent
+runs up to _BB_STEPS = 400 steps.
+
+The polish holds every Hessian in one form, :class:`_BandHessian`: a band
+in LAPACK storage plus an optional low-rank term U·diag(c)·Uᵀ.  The
+objective's declared Hessian ``hess`` (one vector (N,) to that form, or to
+a dense (N, N) array, which enters the form once with its measured
+bandwidth) is sliced to the free coordinates; without one the polish
+builds a finite-difference Hessian from one block ``grad`` call, banded
+with exact zeros for local functionals.  Each built Hessian is factored
+once by LAPACK's banded LU (``dgbtrf``), the low-rank term handled by the
+Sherman-Morrison-Woodbury identity, and the factor is kept while the free
+set holds (chord Newton).  All routines are pure and seedless: randomized
+multi-start decisions are made by the callers, which thread one seeded
+generator through the whole run.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import lapack
 
 
 # Newton refinement: at most this many steps, with the declared Hessian
@@ -34,6 +42,11 @@ import numpy as np
 # L_xi) with the same _FD_STEP
 _NEWTON_ITERS = 6
 _FD_STEP = 1e-5
+
+# f(x) is known to its last place at best: a predicted decrease below
+# _F_ROUNDING·|f(x)| (one unit in the last place of f(x) or less) cannot
+# show in a comparison of computed values of f
+_F_ROUNDING = 2.0 ** -52
 
 # BB steps per start in minimize_multistart: a short run when a Newton
 # polish follows (Newton is affine-invariant, so it finishes what the
@@ -54,6 +67,116 @@ def _fd_hessian(grad, x, idx):
     k = len(idx)
     S = ((G[:k] - G[k:]) / (2.0 * h))[:, idx]
     return 0.5 * (S + S.T)
+
+
+def _band_rows(w, n):
+    """For band storage of half-width w over n columns: the row index
+    a = j + r − w (clipped into range) that entry (r, j) stands for, and
+    where it lies inside the matrix."""
+    a = np.arange(n) + np.arange(-w, w + 1)[:, None]
+    inside = (a >= 0) & (a < n)
+    return np.clip(a, 0, max(n - 1, 0)), inside
+
+
+class _BandHessian:
+    """The square matrix H = B + U·diag(c)·Uᵀ.  B is a band of half-width
+    w in LAPACK general band storage, ``ab[w + i − j, j] = B[i, j]``, an
+    array (2w + 1, N) whose entries outside the matrix are zero; U (N, k)
+    and c (k,) are the low-rank term, k = 0 when there is none (the
+    declarers use k ≤ 2).  Sums and scalar multiples stay in the form.
+
+    :meth:`take` slices it to the coordinates ``idx`` (ascending): natural
+    order keeps the band, so the band is gathered at ``idx`` and U sliced
+    to U[idx].  :meth:`factor` factors B once by ``dgbtrf`` and returns
+    the solve, ``dgbtrs`` plus the Woodbury correction."""
+
+    __slots__ = ("ab", "U", "c")
+
+    def __init__(self, ab, U=None, c=None):
+        self.ab = ab
+        self.U = np.empty((ab.shape[1], 0)) if U is None else U
+        self.c = np.empty(0) if c is None else c
+
+    @property
+    def w(self):
+        return (len(self.ab) - 1) // 2
+
+    @classmethod
+    def from_dense(cls, M):
+        """A dense (N, N) array in the form: a band as wide as its
+        outermost nonzero diagonal, and no low-rank term."""
+        M = np.asarray(M, float)
+        i, j = np.nonzero(M)
+        w = int(np.max(np.abs(i - j))) if len(i) else 0
+        a, inside = _band_rows(w, len(M))
+        return cls(np.where(inside, M[a, np.arange(len(M))], 0.0))
+
+    def dense(self):
+        """The (N, N) array: the band, plus c_k·U_kU_kᵀ for each k."""
+        n = self.ab.shape[1]
+        a, inside = _band_rows(self.w, n)
+        M = np.zeros((n, n))
+        M[a[inside], np.broadcast_to(np.arange(n), a.shape)[inside]] = (
+            self.ab[inside])
+        for u, ck in zip(self.U.T, self.c):
+            M += ck * np.outer(u, u)
+        return M
+
+    def __add__(self, other):
+        v, o = self.w, other.w
+        w = max(v, o)
+        ab = np.zeros((2 * w + 1, self.ab.shape[1]))
+        ab[w - v:w + v + 1] = self.ab
+        ab[w - o:w + o + 1] += other.ab
+        return _BandHessian(ab, np.concatenate((self.U, other.U), axis=1),
+                            np.concatenate((self.c, other.c)))
+
+    def __rmul__(self, s):
+        return _BandHessian(s * self.ab, self.U, s * self.c)
+
+    def take(self, idx):
+        """H[idx][:, idx] in the form, for ascending ``idx``."""
+        n, w = len(idx), self.w
+        if n == self.ab.shape[1]:
+            return self
+        a, inside = _band_rows(w, n)
+        diff = idx[a] - idx
+        keep = inside & (np.abs(diff) <= w)
+        ab = np.where(keep, self.ab[np.clip(w + diff, 0, 2 * w), idx], 0.0)
+        return _BandHessian(ab, self.U[idx], self.c)
+
+    def factor(self):
+        """The LU factors of B by one ``dgbtrf``, and of the k×k capacitance
+        matrix S = I + diag(c)·UᵀB⁻¹U by one ``dgesv`` when k > 0.  Returns
+        solve(b) = H⁻¹b = y − B⁻¹U·S⁻¹·diag(c)·Uᵀy with y = B⁻¹b (Sherman-
+        Morrison-Woodbury), or None for every b when B or S is exactly
+        singular."""
+        w, n = self.w, self.ab.shape[1]
+        lu = np.zeros((3 * w + 1, n), order="F")
+        lu[w:] = self.ab
+        lu, piv, info = lapack.dgbtrf(lu, w, w, overwrite_ab=1)
+        P = None
+        if info == 0 and len(self.c):
+            Z = lapack.dgbtrs(lu, w, w, self.U, piv)[0]
+            S = np.eye(len(self.c)) + self.c[:, None] * (self.U.T @ Z)
+            *_, T, info = lapack.dgesv(S, np.diag(self.c))
+            P = Z @ T
+        if info != 0:
+            return lambda b: None
+        U = self.U
+
+        def solve(b):
+            y = lapack.dgbtrs(lu, w, w, b, piv)[0]
+            if P is not None:
+                y -= P @ (U.T @ y)
+            return y
+        return solve
+
+
+def _band_form(H):
+    """A declared Hessian in the form: itself, or a dense array converted
+    once with its measured bandwidth."""
+    return H if isinstance(H, _BandHessian) else _BandHessian.from_dense(H)
 
 
 def _call(fn, X, starts, errors):
@@ -145,14 +268,18 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
     return x, fx, errors
 
 
-def _newton_step(fun, x, fx, idx, H, gf, lo, hi):
+def _newton_step(fun, x, fx, idx, solve, gf, lo, hi):
     """The first of the points x + t·d (t = 1, 1/2, 1/4, clipped to the
-    box), d = −H⁻¹gf on the coordinates ``idx``, where f does not
-    increase, as (x, f(x)); None when none does or H is singular."""
-    try:
-        d = np.linalg.solve(H, -gf)
-    except np.linalg.LinAlgError:
+    box), d = −H⁻¹gf on the coordinates ``idx`` by the factored Hessian's
+    ``solve``, where f does not increase, as (x, f(x)); None when none
+    does or H is singular.  When the decrease the quadratic model predicts,
+    ½|gfᵀd|, is below the rounding of f, _F_ROUNDING·|f(x)|, no trial is
+    evaluated and (x, fx) itself comes back: the polish is done."""
+    d = solve(-gf)
+    if d is None:
         return None
+    if 0.5 * abs(float(gf @ d)) < _F_ROUNDING * abs(fx):
+        return x, fx
     for t in (1.0, 0.5, 0.25):
         xn = x.copy()
         xn[idx] += t * d
@@ -169,19 +296,24 @@ def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
     box [lo, hi] (unbounded by default): a coordinate is held when it sits
     on a bound its gradient pushes against.  The Hessian is ``hess(x)``
     sliced to the free set when declared, else _fd_hessian; it is built
-    when there is none yet or the free set has changed, and reused
-    otherwise.  When every step size is rejected with a reused Hessian it
-    is rebuilt once at the current point; when a fresh one is rejected the
-    polish stops.
+    and factored once when there is none yet or the free set has changed,
+    and its factor is reused otherwise.  When every step size is rejected
+    with a reused factor the Hessian is rebuilt once at the current point;
+    when a fresh one is rejected the polish stops.  It also stops, before
+    any rebuild or trial, once the predicted decrease ½|gfᵀd| of the
+    Newton step d is below the rounding of f, 2⁻⁵²·|f(x)|: no comparison of
+    computed values of f could confirm such a step.
 
     Exact (to rounding) in one step for quadratics; steps are only accepted
     when they do not increase f, so nonconvex objectives stay safe."""
     def build(x, idx):
         if hess is None:
-            return _fd_hessian(grad, x, idx)
-        return hess(x)[idx][:, idx]
+            H = _BandHessian.from_dense(_fd_hessian(grad, x, idx))
+        else:
+            H = _band_form(hess(x)).take(idx)
+        return H.factor()
 
-    H = held = None
+    solve = held = None
     for _ in range(_NEWTON_ITERS):
         g = grad(x)
         at_lo = (x <= lo + 1e-12) & (g > 0)
@@ -195,12 +327,12 @@ def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
         idx = np.flatnonzero(free)
         reused = held is not None and np.array_equal(idx, held)
         if not reused:
-            H, held = build(x, idx), idx
-        step = _newton_step(fun, x, fx, idx, H, gf, lo, hi)
+            solve, held = build(x, idx), idx
+        step = _newton_step(fun, x, fx, idx, solve, gf, lo, hi)
         if step is None and reused:
-            H = build(x, idx)
-            step = _newton_step(fun, x, fx, idx, H, gf, lo, hi)
-        if step is None:
+            solve = build(x, idx)
+            step = _newton_step(fun, x, fx, idx, solve, gf, lo, hi)
+        if step is None or step[0] is x:
             break
         x, fx = step
     return x, fx

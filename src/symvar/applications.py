@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._descent import _FD_STEP
+from ._descent import _FD_STEP, _BandHessian
 from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      InvalidEpsilon, NotBoundedBelow, NotSymmetricInput,
                      SeparationViolated)
@@ -176,12 +176,14 @@ def _gradient_fields(space: GridSpace, values):
 
 def _hessian_keys(space: GridSpace):
     """Where :func:`_quasilinear_hessian` adds its terms, as flat indices
-    into an (N+1, N+1) matrix whose index N stands for the zero past the
-    high edges: for each cell c, the (d+1)² pairs of its stencil
-    (c, nb_1(c), …, nb_d(c)), nb_k(c) the cell that _gradient_fields
-    differences c against along axis k; then the diagonal entry of the cell
-    of each ghost node, in the ghosts' order."""
+    into the grid's band storage (2w+1, N) of ``GridSpace._bands`` plus one
+    last slot that takes the terms of the zero past the high edges: for
+    each cell c, the (d+1)² pairs of its stencil (c, nb_1(c), …, nb_d(c)),
+    nb_k(c) the cell that _gradient_fields differences c against along
+    axis k (N past the edge); then the diagonal entry of the cell of each
+    ghost node, in the ghosts' order."""
     N = space.n_cells
+    w = (len(space._bands[0]) - 1) // 2
     cell = np.arange(N).reshape((space.n,) * space.dimension)
     cols, owners = [np.arange(N)], []
     for axis in range(space.dimension):
@@ -191,9 +193,9 @@ def _hessian_keys(space: GridSpace):
         cols.append(nb.reshape(-1))
         owners.append(cell[lo + (0,)].reshape(-1))
     cols = np.stack(cols, axis=1)
-    return np.concatenate(((cols[:, :, None] * (N + 1)
-                            + cols[:, None, :]).ravel(),
-                           np.concatenate(owners) * (N + 2)))
+    i, j = cols[:, :, None], cols[:, None, :]
+    pairs = np.where((i < N) & (j < N), (w + i - j) * N + j, (2 * w + 1) * N)
+    return np.concatenate((pairs.ravel(), w * N + np.concatenate(owners)))
 
 
 def quasilinear_energy(I: QuasilinearIntegrand, u: GridFunction) -> float:
@@ -268,8 +270,20 @@ def _quasilinear_residual_rows(I: QuasilinearIntegrand, space: GridSpace,
 
 def _quasilinear_hessian(I: QuasilinearIntegrand, space: GridSpace, values,
                          keys):
-    """The Euclidean Hessian of the energy at one vector (N,), added up at
-    the ``keys`` of :func:`_hessian_keys`.  Per cell, the Hessian Φ of
+    """The Euclidean Hessian of the energy at one vector (N,) as a band
+    (``_descent._BandHessian``): the terms of
+    :func:`_quasilinear_hessian_terms` added up at the ``keys`` of
+    :func:`_hessian_keys`, in their order."""
+    rows, N = len(space._bands[0]), len(values)
+    H = np.bincount(keys, _quasilinear_hessian_terms(I, space, values),
+                    minlength=rows * N + 1)
+    return _BandHessian(H[:-1].reshape(rows, N))
+
+
+def _quasilinear_hessian_terms(I: QuasilinearIntegrand, space: GridSpace,
+                               values):
+    """The terms of the Euclidean Hessian of the energy at one vector (N,),
+    one for each key of :func:`_hessian_keys`.  Per cell, the Hessian Φ of
     φ(s, ξ) = L(s, |ξ|) in (s, ξ_1, …, ξ_d),
 
         Φ_ss = L_ss,  Φ_sξ = L_st·ξ/t,
@@ -308,9 +322,8 @@ def _quasilinear_hessian(I: QuasilinearIntegrand, space: GridSpace, values,
     T = np.eye(d + 1) / h
     T[0, 0], T[1:, 0] = 1.0, -1.0 / h
     local = T.T @ Phi @ T
-    vals = m * np.concatenate((local.ravel(), L_tt(0.0, abs(ghost)) / (h * h)))
-    H = np.bincount(keys, vals, minlength=(N + 1) ** 2)
-    return H.reshape(N + 1, N + 1)[:N, :N]
+    return m * np.concatenate((local.ravel(),
+                               L_tt(0.0, abs(ghost)) / (h * h)))
 
 
 def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
@@ -544,7 +557,7 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
         # takes of grad, with its step
         h = _FD_STEP * (1.0 + float(np.max(np.abs(u))))
         dg = (_each(N.g, u + h) - _each(N.g, u - h)) / (2.0 * h)
-        return A - np.diag(m * dg)
+        return _BandHessian(space._bands[0]) + _BandHessian(-(m * dg)[None])
 
     return Functional(eval=ev, eval_batch=ev_rows,
                       derivative=_riesz_derivative(space, grad),

@@ -32,6 +32,7 @@ from . import funcspace as fs
 from . import principles as pr
 from . import rearrange as re_
 from . import slopes as sl
+from ._descent import _BandHessian
 from .errors import ConfigError, SymvarError
 from .funcspace import Functional, GridFunction, gram_matrix
 
@@ -169,8 +170,10 @@ def _fn_quadratic(space, params):
         # Gx·(2(v − a)), a gemv per row as for one vector
         return np.matmul(gram, (2.0 * (W - a.values))[..., None])[..., 0]
 
+    hessian = _BandHessian(2.0 * space._bands[1])
+
     def hess(v):
-        return 2.0 * gram
+        return hessian
 
     return Functional(eval=ev, derivative=dv, lower_bound=0.0,
                       name="quadratic", eval_batch=ev_rows, gradient=grad,
@@ -200,9 +203,10 @@ def _fn_double_well(space, params):
         return (4.0 * (m * sq - r2) * m)[..., None] * W
 
     def hess(v):
-        # 4m(m‖v‖² − r²)·I + 8m²·vvᵀ
-        return (4.0 * m * (m * float(v @ v) - r2) * np.eye(len(v))
-                + 8.0 * m * m * np.outer(v, v))
+        # 4m(m‖v‖² − r²)·I + 8m²·vvᵀ: a diagonal and a rank-1 term
+        return _BandHessian(np.full((1, len(v)), 4.0 * m * (m * float(v @ v)
+                                                            - r2)),
+                            v[:, None].copy(), np.array([8.0 * m * m]))
 
     return Functional(eval=ev, derivative=fs._riesz_derivative(space, grad),
                       symmetry_class="polarization-invariant",

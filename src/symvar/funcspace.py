@@ -91,6 +91,27 @@ class GridSpace:
         return a_grad, gram, chol_upper
 
     @functools.cached_property
+    def _bands(self):
+        """(A, Gx) of _matrices in LAPACK band storage, ab[w + i − j, j] =
+        M[i, j], w = 1 in 1D and n in 2D, built from the stencil with the
+        same arithmetic, so entry for entry equal to the dense matrices."""
+        n, N = self.n, self.n_cells
+        c = self.cell_measure / self.spacing ** 2
+        w = 1 if self.dimension == 1 else n
+        line = np.arange(N) % n   # position along the last axis
+        A = np.zeros((2 * w + 1, N))
+        A[w] = c * (2.0 * self.dimension)
+        A[w - 1, 1:] = np.where(line[1:] > 0, -c, 0.0)
+        A[w + 1, :-1] = np.where(line[:-1] < n - 1, -c, 0.0)
+        if self.dimension == 2:
+            A[0, n:] = A[2 * w, :-n] = -c
+        gram = A.copy()
+        gram[w] += self.cell_measure
+        A.setflags(write=False)
+        gram.setflags(write=False)
+        return A, gram
+
+    @functools.cached_property
     def polarizers(self) -> tuple:
         """The registered polarizer family, built on first use."""
         from .rearrange import build_polarizer_family  # it imports GridSpace
@@ -218,9 +239,15 @@ class Functional:
     values: one vector (N,) gives (N,), a block (k, N) gives the (k, N)
     gradients, each row bit-equal to the call on that row alone.  The
     descent uses it in place of Gx times ``derivative``.  ``hessian``
-    (optional) maps one vector (N,) to the (N, N) Euclidean Hessian of f;
-    the Newton polish slices it to its free coordinates, and without it
-    builds a finite-difference Hessian from one block ``gradient`` call.
+    (optional) maps one vector (N,) to the Euclidean Hessian of f in the
+    descent's band form (``_descent._BandHessian``: a band in LAPACK
+    storage plus an optional low-rank term), as every declarer in the
+    library builds it from its stencil; a dense (N, N) array is still
+    accepted and enters that form once, with its outermost nonzero diagonal
+    as the bandwidth.  The Newton polish slices it to its free coordinates
+    and factors it once per build (banded LU, Woodbury for the low-rank
+    term), and without it builds a finite-difference Hessian from one
+    block ``gradient`` call.
     """
 
     eval: Callable[[GridFunction], float]

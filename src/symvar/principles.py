@@ -145,15 +145,16 @@ class XMetric(_Metric):
 
     def penalty_hessian(self, w, center):
         """Euclidean Hessian of w ↦ ‖w−center‖_X for p = 2 grids at one
-        vector: Gx/d − (Gx·D)(Gx·D)ᵀ/d³ with D = w − center, d = ‖D‖_X
-        (zero where d is below 1e-14, as penalty_grad is)."""
-        gram = gram_matrix(self.space)
+        vector, in the descent's band form: the band Gx/d minus the rank-1
+        term ccᵀ/d³, c = Gx·D with D = w − center and d = ‖D‖_X (zero where
+        d is below 1e-14, as penalty_grad is)."""
         D = w - center
         d = float(self.norm(D))
         if d < 1e-14:
-            return np.zeros_like(gram)
-        G = gram @ D
-        return gram / d - np.outer(G, G) / d ** 3
+            return _descent._BandHessian(np.zeros((1, len(D))))
+        c = gram_matrix(self.space) @ D
+        return _descent._BandHessian(self.space._bands[1] / d, c[:, None],
+                                     np.array([-1.0 / d ** 3]))
 
 
 class VMetric(_Metric):
@@ -634,7 +635,8 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
 
             if f.hessian is not None:
                 def hess_phi(w):
-                    return f.hessian(w) + sigma * metric.penalty_hessian(w, vk)
+                    return (_descent._band_form(f.hessian(w))
+                            + sigma * metric.penalty_hessian(w, vk))
 
         starts = [vk, anchor, 0.5 * (vk + anchor), np.zeros_like(vk)]
         D = rng.standard_normal((2, len(vk)))
@@ -946,8 +948,11 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
                 return grad_f(w) + 2.0 * sigma * pen
 
             if f.hessian is not None:
+                pen_hess = (2.0 * sigma) * _descent._BandHessian(
+                    space._bands[1])
+
                 def hess_phi(w):
-                    return f.hessian(w) + 2.0 * sigma * gram
+                    return _descent._band_form(f.hessian(w)) + pen_hess
 
         starts = [eta, argmin, 0.5 * (eta + argmin), np.zeros_like(eta)]
         v_vals, _, _ = _descent.minimize_multistart(

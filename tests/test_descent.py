@@ -345,3 +345,106 @@ def test_fallback_value_is_f_at_the_returned_point():
     assert fx == fun(x) == math.inf
     assert values == [math.inf, math.inf]
     assert fun(starts[0]) == 1.0               # f at the unprojected start
+
+
+# ---------------------------------------------------------------------------
+# the Newton polish's band form, its factor and its stop rules
+
+def _random_band(rng, n, w, k):
+    """A random nonsingular band of half-width w (diagonally dominant)
+    plus a rank-k term, in the form and as a dense matrix."""
+    M = np.zeros((n, n))
+    for off in range(-w, w + 1):
+        M += np.diag(rng.standard_normal(n - abs(off)), off)
+    M += (2.0 * w + 2.0) * np.eye(n)
+    U, c = rng.standard_normal((n, k)), rng.uniform(-0.5, 0.5, k)
+    H = _descent._BandHessian.from_dense(M)
+    if k:
+        H = H + _descent._BandHessian(np.zeros((1, n)), U, c)
+    return H, M + (U * c) @ U.T
+
+
+@pytest.mark.parametrize("n,w", [(8, 0), (8, 1), (16, 1), (128, 1),
+                                 (64, 8)])
+def test_band_form_slices_and_solves_like_the_dense_matrix(n, w):
+    rng = np.random.default_rng(n + w)
+    H, M = _random_band(rng, n, w, 0)
+    # the measured bandwidth is the outermost nonzero diagonal
+    assert H.w == w and np.array_equal(H.dense(), M)
+    for k in (0, 1, 2):
+        H, M = _random_band(rng, n, w, k)
+        assert len(H.c) == k
+        # a free set without interior coordinates keeps the band
+        idx = np.delete(np.arange(n), [1, n // 2, n - 2])
+        T = H.take(idx)
+        assert T.w == w
+        assert np.allclose(T.dense(), M[np.ix_(idx, idx)], rtol=0,
+                           atol=1e-13)
+        for A, B in ((H, M), (T, M[np.ix_(idx, idx)])):
+            b = rng.standard_normal(len(B))
+            x = A.factor()(b)
+            ref = np.linalg.solve(B, b)
+            assert np.max(np.abs(x - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_singular_band_makes_the_newton_step_return_none():
+    # as LinAlgError did for the dense solve: a band with an exactly zero
+    # pivot, and a regular band whose rank-1 term makes H exactly singular
+    # (its capacitance 1 + c·uᵀB⁻¹u is 0)
+    B = _descent._BandHessian(np.array([[0.0, 1.0, 0.0, 1.0],
+                                        [1.0, 1.0, 2.0, 2.0],
+                                        [1.0, 0.0, 1.0, 0.0]]))
+    assert np.array_equal(B.dense()[:2, :2], np.ones((2, 2)))
+    e0 = np.eye(4)[:, :1]
+    R = _descent._BandHessian(np.ones((1, 4)), e0, np.array([-1.0]))
+    evals = []
+
+    def fun(x):
+        evals.append(x)
+        return float(x @ x)
+
+    x = np.arange(1.0, 5.0)
+    fx = fun(x)
+    evals.clear()
+    for H in (B, R):
+        solve = H.factor()
+        assert solve(np.ones(4)) is None
+        assert _descent._newton_step(fun, x, fx, np.arange(4), solve,
+                                     2.0 * x, -np.inf, np.inf) is None
+        # the polish keeps its point, without evaluating f
+        xp, fp = _descent.newton_polish(fun, lambda v: 2.0 * v, x, fx,
+                                        hess=lambda v, H=H: H)
+        assert xp is x and fp == fx
+    assert not evals
+
+
+def test_polish_stops_at_the_rounding_floor(g1d8):
+    # f = ½(x − a)ᵀA(x − a) + 1 on the Gram matrix: one Newton step from
+    # a point where the predicted decrease ½|gᵀd| is far above the
+    # rounding of f, none (and no f evaluation) where it is below
+    # 2⁻⁵²·|f|; there the polish returns its point as it is
+    A = gram_matrix(g1d8)
+    a = np.linspace(-1.0, 1.0, g1d8.n_cells)
+    evals = [0]
+
+    def fun(x):
+        evals[0] += 1
+        D = x - a
+        return 0.5 * float(D @ A @ D) + 1.0
+
+    def grad(x):
+        return A @ (x - a)
+
+    def hess(x):
+        return A
+
+    for shift, stops in ((1e-3, False), (1e-10, True)):
+        x = a + shift * np.cos(np.arange(g1d8.n_cells))
+        fx = fun(x)
+        evals[0] = 0
+        xp, fp = _descent.newton_polish(fun, grad, x, fx, hess=hess)
+        if stops:
+            assert xp is x and fp == fx and evals[0] == 0
+        else:
+            assert fp < fx and evals[0] >= 1
+            assert np.max(np.abs(xp - a)) < 1e-12
