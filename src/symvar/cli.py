@@ -807,6 +807,11 @@ def _build_functional(space, fdef, sub):
 
 
 def run_config(config_path, *, seed=None, out_dir=None, n_samples=None) -> int:
+    if n_samples is not None and n_samples < 1:
+        # a count below 1 would sample nothing and certify vacuously
+        print(f"error: --samples must be at least 1, got {n_samples}",
+              file=sys.stderr)
+        return 1
     try:
         raw = Path(config_path).read_text()
     except OSError as exc:
@@ -854,7 +859,7 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None,
                       help="output directory (default $SYMVAR_OUT or '.')")
     runp.add_argument("--samples", type=int, default=None,
-                      help="override verification sample counts")
+                      help="override verification sample counts (at least 1)")
     args = parser.parse_args(argv)
     if args.command == "run":
         return run_config(args.config, seed=args.seed, out_dir=args.out,

@@ -430,7 +430,18 @@ def _project_rows(domain: SetOracle, W):
     if domain is None:
         return W
     P = domain.project_rows(W)
-    return P[domain.contains_rows(P)]
+    keep = domain.contains_rows(P)
+    return P if keep.all() else P[keep]
+
+
+def _probe_frac(Z):
+    """Z − ⌊Z⌋ in Z's own storage: the samplers' map of a draw into [0, 1),
+    bit for bit ``Z % 1.0`` at a fraction of the cost of numpy's remainder.
+    For z ≥ 0 both are exact; for a negative non-integer z numpy's
+    remainder rounds fmod(z, 1) + 1 once, whose exact value is z − ⌊z⌋;
+    both give +0.0 on integers and on −0.0."""
+    Z -= np.floor(Z)
+    return Z
 
 
 def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
@@ -438,14 +449,25 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
                       extra_points=()):
     """Max deficit of an inequality over ball-radii + global probes.
 
-    Sample i is a point on the sphere of radius ``radii[i % (len(radii)+1)]``
-    around v, or a global probe in the box of half-width max(1, 2‖v‖_∞)
-    around v when that index is len(radii).  ``deficit`` and
-    ``metric_norm`` score a block (k, N) of points row by row.  Draws
-    come sequentially from one seeded stream, a block at a time (a block
-    draw equals the same draws made one by one), so a run with more samples
-    extends a run with fewer (the max can only grow); the first strict
-    maximum above 0 wins, the extra points first."""
+    Sample i turns a standard normal draw z into the point v + r·z/‖z‖ on
+    the sphere of radius r = ``radii[i % (len(radii)+1)]`` around v (none
+    when ‖z‖ = 0), or, when that index is len(radii), into the global probe
+    v + h·(2·frac(z) − 1) in the box of half-width h = max(1, 2‖v‖_∞)
+    around v, where frac(z) = z − ⌊z⌋ (``_probe_frac``, bit for bit
+    ``z % 1.0``).  ``deficit`` and ``metric_norm`` score a block (k, N) of
+    points row by row.  Draws come sequentially from one seeded stream, a
+    block at a time (a block draw equals the same draws made one by one),
+    so a run with more samples extends a run with fewer (the max can only
+    grow); the first strict maximum above 0 wins, the extra points first.
+    Each block becomes its points in place: the ball rows are gathered
+    once, normed, multiplied by r, divided by ‖z‖ and shifted by v, the
+    probe rows are mapped through a strided view of the block, so every
+    point has the bits of its one-sample formula.  ``n_samples`` must be
+    an integer ≥ 1 (else InvalidArgument)."""
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
+        raise InvalidArgument(
+            f"n_samples must be an integer >= 1, got {n_samples!r}")
     rng = np.random.default_rng(seed)
     n_dim = space.n_cells
     width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
@@ -466,16 +488,25 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     if len(extra_points):
         consider(np.array([np.asarray(w, float) for w in extra_points]))
     for start in range(0, n_samples, _SAMPLE_BLOCK):
-        Z = rng.standard_normal((min(_SAMPLE_BLOCK, n_samples - start), n_dim))
-        slot = (start + np.arange(len(Z))) % (n_ball + 1)
-        ball, probe = slot < n_ball, slot == n_ball
-        W = np.empty_like(Z)
-        W[probe] = v_vals + width * (2.0 * (Z[probe] % 1.0) - 1.0)
-        nz = metric_norm(Z[ball])
+        W = rng.standard_normal((min(_SAMPLE_BLOCK, n_samples - start), n_dim))
+        slot = (start + np.arange(len(W))) % (n_ball + 1)
+        ball = slot < n_ball
+        B = W[ball]
+        nz = metric_norm(B)
         zero = nz == 0.0
-        W[ball] = v_vals + (radius_of[slot[ball], None] * Z[ball]
-                            / np.where(zero, 1.0, nz)[:, None])
-        consider(np.delete(W, np.flatnonzero(ball)[zero], axis=0))
+        has_zero = bool(zero.any())
+        B *= radius_of[slot[ball], None]
+        B /= (np.where(zero, 1.0, nz) if has_zero else nz)[:, None]
+        B += v_vals
+        W[ball] = B
+        # the probe rows, every (n_ball + 1)-th, mapped in place in W
+        P = _probe_frac(W[(n_ball - start) % (n_ball + 1)::n_ball + 1])
+        P *= 2.0
+        P -= 1.0
+        P *= width
+        P += v_vals
+        consider(np.delete(W, np.flatnonzero(ball)[zero], axis=0)
+                 if has_zero else W)
     gf = None if arg is None else GridFunction(space, arg)
     return ViolationReport(n_samples=n_samples, max_violation=maxv,
                            argmax_w=gf, seed=int(seed))
@@ -1137,7 +1168,7 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
             nz = metric.norm(z)
             W.append(v.values + (rng.uniform(0, 4) * z / nz if nz > 0 else z))
         else:
-            W.append(v.values + width * (2.0 * (z % 1.0) - 1.0))
+            W.append(v.values + width * (2.0 * _probe_frac(z) - 1.0))
         if deriv is None:
             # the partner of the finite difference (w itself if d = 0)
             d = rng.standard_normal(space.n_cells)

@@ -136,6 +136,22 @@ def test_verify_subcommand_detects_corruption(tmp_path):
     assert run_config(verify_bad, out_dir=str(tmp_path)) == 2
 
 
+def test_samples_below_one_exit_1(tmp_path, capsys):
+    # a count below 1 draws nothing: the run would write a vacuous PASS
+    from symvar.cli import main
+
+    cfg = _engine_cfg(tmp_path)
+    for bad in ("0", "-5"):
+        out = tmp_path / f"out{bad}"
+        assert main(["run", str(cfg), "--out", str(out),
+                     "--samples", bad]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --samples must be at least 1, got {bad}\n")
+        assert not out.exists()
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out1"),
+                 "--samples", "1"]) == 0
+
+
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, "c.json", {
         "schema": "symvar-config/1",

@@ -1002,22 +1002,19 @@ def _scalar_deficit(f, cert, metric, fv, g=None):
         - f(GridFunction(space, w))
 
 
-@pytest.mark.parametrize("metric_name", ["X", "V", "l1", "semi"])
-@pytest.mark.parametrize("domain_name", ["none", "space", "cone", "box",
-                                         "custom"])
-def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
-                                                  domain_name):
+def _block_equals_loop(space, a, v, eta, metric_name, domain_name,
+                       n_samples):
+    """Score four certificate forms with sample_inequality and with the
+    per-sample loop; assert the same points in the same order and the same
+    winner; return how many forms found a positive deficit."""
     from symvar.cli import FUNCTIONALS
     from symvar.principles import _deficit, sample_inequality
 
-    a = sym_center(g1d4, 40)
-    v = a + g1d4.function([0.05, -0.02, 0.04, 0.1])
-    eta = v + g1d4.function([0.01, 0.02, 0.0, -0.01])
-    metric = _sampling_metrics(g1d4)[metric_name]
-    domain = _sampling_domains(g1d4)[domain_name]
-    batched = FUNCTIONALS["quadratic"].build(g1d4, {"center": a})
+    metric = _sampling_metrics(space)[metric_name]
+    domain = _sampling_domains(space)[domain_name]
+    batched = FUNCTIONALS["quadratic"].build(space, {"center": a})
     assert batched.eval_batch is not None
-    bump = bump_perturbation(g1d4, v, 0.05, 0.3)
+    bump = bump_perturbation(space, v, 0.05, 0.3)
     positive = 0
     for f, variant, g in ((batched, "SymEkelandII", None),
                           (quad_X(a), "SymEkelandII", None),
@@ -1026,17 +1023,17 @@ def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
         cert = Certificate(variant=variant, v=v, sigma=0.1, rho=0.1,
                            p_exp=2.0, eta=eta)
         fv = f(v)
-        kw = dict(n_samples=1100, seed=5, radii=(0.4, 0.1, 0.025),
-                  domain=domain,
-                  extra_points=[a.values, v.values + 0.01, np.zeros(4)])
+        kw = dict(n_samples=n_samples, seed=5, radii=(0.4, 0.1, 0.025),
+                  domain=domain, extra_points=[a.values, v.values + 0.01,
+                                               np.zeros(space.n_cells)])
         block_deficit = _deficit(f, cert, metric, fv, g)
         point_deficit = _scalar_deficit(f, cert, metric, fv, g)
         scored, ref_scored = [], []
         rep = sample_inequality(
-            lambda W: scored.append(W.copy()) or block_deficit(W), g1d4,
+            lambda W: scored.append(W.copy()) or block_deficit(W), space,
             v.values, metric_norm=metric.norm, **kw)
         maxv, arg = _reference_sample(
-            lambda w: ref_scored.append(w) or point_deficit(w), g1d4,
+            lambda w: ref_scored.append(w) or point_deficit(w), space,
             v.values, metric_norm=metric.norm, **kw)
         # the same points scored in the same order, and the same winner
         assert np.array_equal(np.concatenate(scored), ref_scored)
@@ -1046,7 +1043,75 @@ def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
         else:
             assert np.array_equal(rep.argmax_w.values, arg)
             positive += 1
-    assert positive >= 2
+    return positive
+
+
+@pytest.mark.parametrize("metric_name", ["X", "V", "l1", "semi"])
+@pytest.mark.parametrize("domain_name", ["none", "space", "cone", "box",
+                                         "custom"])
+def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
+                                                  domain_name):
+    a = sym_center(g1d4, 40)
+    v = a + g1d4.function([0.05, -0.02, 0.04, 0.1])
+    eta = v + g1d4.function([0.01, 0.02, 0.0, -0.01])
+    assert _block_equals_loop(g1d4, a, v, eta, metric_name, domain_name,
+                              n_samples=1100) >= 2
+
+
+@pytest.mark.parametrize("metric_name", ["X", "V"])
+@pytest.mark.parametrize("domain_name", ["none", "cone"])
+@pytest.mark.parametrize("dimension,n", [(1, 128), (2, 4)])
+def test_sample_inequality_equals_per_sample_loop_on_larger_grids(
+        dimension, n, metric_name, domain_name):
+    # 2000 samples make three full blocks of 512 and a partial fourth
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    rng = np.random.default_rng(40)
+    a = sym_center(g, 40)
+    v = a + g.function(0.05 * rng.standard_normal(g.n_cells))
+    eta = v + g.function(0.01 * rng.standard_normal(g.n_cells))
+    assert _block_equals_loop(g, a, v, eta, metric_name, domain_name,
+                              n_samples=2000) >= 2
+
+
+def test_sample_inequality_probe_map_is_remainder_bit_for_bit():
+    # z − ⌊z⌋ against the specification z % 1.0, compared as raw bits so
+    # that −0.0 and +0.0 differ; on a strided view it maps only its rows
+    from symvar.principles import _probe_frac
+
+    tiny = np.finfo(float).smallest_subnormal
+    z = np.concatenate([
+        [0.0, -0.0, 1.0, -1.0, 3.0, -7.0, 2.0 ** 52, -2.0 ** 52, -1e-17,
+         1e-17, 0.5, -0.5, 2.0 ** 52 - 0.5, -2.0 ** 52 + 0.5],
+        [tiny, -tiny, 1000 * tiny, -1000 * tiny, np.finfo(float).tiny / 2,
+         -np.finfo(float).tiny / 2],
+        np.random.default_rng(0).standard_normal(10 ** 5)])
+    assert np.array_equal(_probe_frac(z.copy()).view(np.uint64),
+                          (z % 1.0).view(np.uint64))
+    Z = z[:-4].reshape(-1, 4 * 7)
+    M = Z.copy()
+    _probe_frac(M[1::4])
+    assert np.array_equal(M[1::4].view(np.uint64),
+                          (Z[1::4] % 1.0).view(np.uint64))
+    assert np.array_equal(np.delete(M, np.s_[1::4], axis=0),
+                          np.delete(Z, np.s_[1::4], axis=0))
+
+
+def test_sample_inequality_refuses_a_count_below_one(g1d4):
+    # a count below 1 draws nothing, so its report would be a vacuous PASS
+    from symvar.principles import sample_inequality
+
+    a = sym_center(g1d4, 41)
+    f = quad_X(a)
+    kw = dict(seed=1, radii=(0.4, 0.1, 0.025), metric_norm=XMetric(g1d4).norm)
+    for bad in (0, -5, 2.5, True, "100", None):
+        with pytest.raises(InvalidArgument, match="n_samples must be"):
+            sample_inequality(lambda W: np.zeros(len(W)), g1d4, a.values,
+                              n_samples=bad, **kw)
+    cert = Certificate(variant="EkelandCore", v=a, sigma=0.1, rho=0.1)
+    for bad in (0, -5):
+        with pytest.raises(InvalidArgument, match="n_samples must be"):
+            verify_certificate(f, cert, bad)
+    assert verify_certificate(f, cert, np.int64(1)).n_samples == 1
 
 
 def test_sample_inequality_prefix_property(g1d4):
