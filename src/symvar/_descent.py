@@ -10,9 +10,11 @@ each row bit-equal to its single-vector call, and the Armijo test, the BB
 step and the stop rules run row by row on the single-vector expressions,
 so row i follows the descent from start i alone bit for bit.
 Unconstrained and on a box (the nonnegative cone included) each start's
-descent stops after _BB_STEPS_POLISHED = 20 BB steps and a Newton polish
+descent stops after _BB_STEPS_POLISHED = 5 BB steps and a Newton polish
 finishes it; under a custom projection there is no polish and the descent
-runs up to _BB_STEPS = 400 steps.
+runs up to _BB_STEPS = 400 steps.  On every path a start's descent also
+ends at f's rounding floor: once the decrease its next trial predicts is
+below _F_ROUNDING·|f(x)|, the same rule that ends the polish.
 
 The polish holds every Hessian in one form, :class:`_BandHessian`: a band
 in LAPACK storage plus an optional low-rank term U·diag(c)·Uᵀ.  The
@@ -51,7 +53,7 @@ _F_ROUNDING = 2.0 ** -52
 # BB steps per start in minimize_multistart: a short run when a Newton
 # polish follows (Newton is affine-invariant, so it finishes what the
 # ill-conditioned Euclidean descent leaves), the long one when none does
-_BB_STEPS_POLISHED = 20
+_BB_STEPS_POLISHED = 5
 _BB_STEPS = 400
 
 
@@ -206,7 +208,11 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
     search are scored by one ``fun`` call, and the rows that accept get
     their gradients from one ``grad`` call.  Everything else is done row by
     row as for one start, so each row stops where its own descent would
-    stop.
+    stop.  A row also stops at f's rounding floor, like the Newton polish:
+    once the decrease its next trial predicts, t·‖d‖² with d = g, or
+    d = x − P(x − g) under a projection (at most t·gᵀd there), is below
+    _F_ROUNDING·|f(x)|, no comparison of computed values of f could
+    confirm the trial.
     Returns (x, f, errors): the end point and value of each row, and the
     error of each row whose call raised (that row stops there).
     ``project`` must be idempotent."""
@@ -219,7 +225,11 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
     g = dict(zip(live, _call(grad, X[live], live, errors)))
     live = [i for i in live if g[i] is not None]
     step = {i: 1.0 / max(1.0, float(np.linalg.norm(g[i]))) for i in live}
-    t, n_steps = {}, dict.fromkeys(live, 0)
+    t, dd, n_steps = {}, {}, dict.fromkeys(live, 0)
+
+    def above_floor(i):
+        # the next trial of row i may still show a decrease in f
+        return t[i] > 1e-18 and t[i] * dd[i] >= _F_ROUNDING * abs(fx[i])
 
     def search(rows):
         # the rows not (projected) stationary, x - P(x - g) small, start a
@@ -227,8 +237,9 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
         out = []
         for i in rows:
             d = g[i] if project is None else x[i] - project(x[i] - g[i])
-            if not float(np.linalg.norm(d)) < 1e-12 and step[i] > 1e-18:
-                t[i] = step[i]
+            nd = float(np.linalg.norm(d))
+            t[i], dd[i] = step[i], nd * nd
+            if not nd < 1e-12 and above_floor(i):
                 out.append(i)
         return out
 
@@ -248,7 +259,7 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
                 acc.append(j)
             else:
                 t[i] *= 0.5
-                if t[i] > 1e-18:
+                if above_floor(i):
                     back.append(i)
         rows = [live[j] for j in acc]
         moved = []

@@ -25,8 +25,9 @@ from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         laplacian_matrix, norm_V, riesz_from_euclidean,
                         theta, _riesz_derivative)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
-                         XMetric, _polarized_draws, estimate_inf,
-                         sqps_sequence, symmetric_ekeland, whole_space)
+                         XMetric, _check_n_samples, _polarized_draws,
+                         estimate_inf, sqps_sequence, symmetric_ekeland,
+                         whole_space)
 from .rearrange import is_family_fixed, polarize, schwarz
 
 __all__ = [
@@ -429,6 +430,7 @@ def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
     Runs the symmetric principle (dominating-point form) with σ = ρ = ε and
     augments the certificate with the Euler-Lagrange residual's dual norm,
     computed twice (Riesz solve and independent ascent)."""
+    _check_n_samples(n_samples)
     I.validate(seed=seed)
     f = quasilinear_functional(I, space)
     if u0 is None:
@@ -597,6 +599,7 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
     Returns the per-ε certificates with the residual reports in extras.
     Needs f bounded below (probe-checked); pass a box oracle for
     superquadratic nonlinearities and the box is recorded."""
+    _check_n_samples(n_samples)
     N.validate(seed=seed)
     dom = box if box is not None else whole_space(space)
     f = semilinear_functional(N, space, box=box)
@@ -655,6 +658,7 @@ def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
     inequality deficit at w = F(ξ)."""
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"eps must lie in (0, 1), got {eps}")
+    _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
     metric = XMetric(space)
 
@@ -706,6 +710,7 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
     sig = float(sigma_contraction)
     if not 0.0 < eps < 1.0 - sig:
         raise InvalidEpsilon(f"eps must lie in (0, 1-sigma) = (0, {1 - sig})")
+    _check_n_samples(n_samples)
     metric = VMetric(space)
     U, Hs = _polarized_draws(space, seed, 12)
     for row, H in zip(U, Hs):
@@ -1056,6 +1061,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     Preconditions: B inside the fully symmetric class, d(B, C) > 0 with
     the smallness threshold ε·diam(B) < (1−ε)·d(B,C), and a polarization/
     symmetrization-stable C (a hypothesis on the caller's C, not checked)."""
+    _check_n_samples(n_samples)
     space = x.space
     if not B.symmetric:
         raise NotSymmetricInput("B must lie in the fully symmetric class")
@@ -1133,6 +1139,7 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
     Preconditions: x ∈ C, y ∉ C, both fixed by every registered polarizer
     (exact check), and the slope condition ‖x−y‖ ≤ d(y, C) + ε² against a
     projection-probe estimate of d(y, C)."""
+    _check_n_samples(n_samples)
     space = x.space
     if norm is None:
         norm = VMetric(space).norm

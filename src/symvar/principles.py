@@ -179,6 +179,16 @@ class CallableMetric(_Metric):
         return float(self._fn(values))
 
 
+def _check_n_samples(n_samples):
+    """InvalidArgument unless ``n_samples`` is an integer ≥ 1: a smaller
+    count draws nothing, so its report would be a vacuous PASS.  The
+    sampling engines call it in their prologue, before any descent."""
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
+        raise InvalidArgument(
+            f"n_samples must be an integer >= 1, got {n_samples!r}")
+
+
 def _check_number(name, x, positive):
     """InvalidArgument unless x is a finite real number (> 0 if
     ``positive``); bools are refused."""
@@ -464,10 +474,7 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     probe rows are mapped through a strided view of the block, so every
     point has the bits of its one-sample formula.  ``n_samples`` must be
     an integer ≥ 1 (else InvalidArgument)."""
-    if (isinstance(n_samples, bool)
-            or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
-        raise InvalidArgument(
-            f"n_samples must be an integer >= 1, got {n_samples!r}")
+    _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
     n_dim = space.n_cells
     width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
@@ -604,13 +611,14 @@ def _t_rho(u: GridFunction, rho: float):
 
 
 def _open_symmetric(f: Functional, space: GridSpace, u0: GridFunction, seed,
-                    n_streams, **positives):
+                    n_streams, n_samples, **positives):
     """Symmetric-engine opening, part 1: the named ``positives`` (σ and ρ,
-    or ε) finite and > 0, as a certificate record needs them, u0 ∈ S, the
-    seed streams and the symmetry check on the first; returns the other
-    n_streams − 1 streams."""
+    or ε) finite and > 0, as a certificate record needs them, the sample
+    count, u0 ∈ S, the seed streams and the symmetry check on the first;
+    returns the other n_streams − 1 streams."""
     for name, x in positives.items():
         _check_number(name, x, True)
+    _check_n_samples(n_samples)
     if np.any(u0.values < 0):
         raise AssumptionViolated("u0 must lie in the cone S (values >= 0)")
     c_sym, *streams = np.random.SeedSequence(seed).spawn(n_streams)
@@ -717,6 +725,7 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
 
     Requires f(u0) ≤ inf_est + σρ (BadStart otherwise), inf_est coming from
     the multi-start probe recorded in the certificate."""
+    _check_n_samples(n_samples)
     space = u0.space
     metric = XMetric(space)
     ss = np.random.SeedSequence(seed)
@@ -774,7 +783,8 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
         raise InvalidArgument(f"unknown variant {variant!r}")
     metric = metric or XMetric(space)
     c_inf, c_chain, c_ver, c_extra = _open_symmetric(f, space, u0, seed, 5,
-                                                    sigma=sigma, rho=rho)
+                                                    n_samples, sigma=sigma,
+                                                    rho=rho)
     if variant == "III":
         return _symmetric_ekeland_gamma(
             f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
@@ -954,7 +964,7 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
     bisects toward v until ‖v−η‖ ≤ ρ/2, in at most 200 rounds."""
     metric = XMetric(space)
     dom = domain or whole_space(space)
-    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3,
+    c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3, n_samples,
                                    sigma=sigma, rho=rho)
     gap = sigma * rho ** p_exp
     u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
@@ -1077,7 +1087,7 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
     metric = XMetric(space)
     dom = domain or whole_space(space)
     c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4,
-                                            sigma=sigma, rho=rho)
+                                            n_samples, sigma=sigma, rho=rho)
     r = zhong_radius(h, rho)
     u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
         f, space, dom, u0, r, c_inf, sigma * rho)
@@ -1151,7 +1161,9 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
     sup|g| ≤ ε, sup‖g'‖ ≤ ε on probes, and global minimality of f+g at v.
     ‖g'‖ is the X-norm of ``g.derivative`` on p = 2 grids, else a forward
     difference along one random direction per probe.
-    Never raises; failures surface as a FAILED certificate with witness."""
+    Never raises on a failed check; failures surface as a FAILED
+    certificate with witness."""
+    _check_n_samples(n_samples)
     space = v.space
     metric = XMetric(space)
     deriv = g.derivative if space.p == 2.0 else None
@@ -1257,6 +1269,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     and the residual's dual norm are taken with the Cholesky factor of Gx.
     """
     _check_number("eps", eps, True)
+    _check_n_samples(n_samples)
     space = u0.space
     if len(G) == 0:
         return symmetric_ekeland(f, space, u0, eps, eps, variant="II",
@@ -1344,7 +1357,8 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     if np.any(psi.values < 0) or not is_family_fixed(psi):
         raise NotSymmetricInput("psi must be fixed by every registered "
                                 "polarizer")
-    _, c_chain, c_ver = _open_symmetric(f, space, psi, seed, 4, eps=eps)
+    _, c_chain, c_ver = _open_symmetric(f, space, psi, seed, 4, n_samples,
+                                        eps=eps)
 
     zero = space.zeros()
     f_ends = (f(zero), f(psi))
@@ -1513,6 +1527,7 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     if space.p != 2.0:
         raise AssumptionViolated("the SQPS pipeline requires the Hilbert "
                                  "case p = 2")
+    _check_n_samples(n_samples)
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise InvalidArgument("eps_schedule must decrease strictly")

@@ -1114,6 +1114,66 @@ def test_sample_inequality_refuses_a_count_below_one(g1d4):
     assert verify_certificate(f, cert, np.int64(1)).n_samples == 1
 
 
+def test_engines_refuse_a_count_below_one_before_any_descent(g1d4,
+                                                            monkeypatch):
+    # the count is checked in each sampling engine's prologue, so a bad one
+    # costs no inf probe, no Ekeland chain and no other descent
+    from symvar import _descent
+    from symvar import applications as ap
+    from symvar import principles as pr
+
+    def descent(*args, **kwargs):
+        raise AssertionError("a descent ran before the count check")
+
+    for mod, name in ((pr, "estimate_inf"), (ap, "estimate_inf"),
+                      (_descent, "minimize_multistart")):
+        monkeypatch.setattr(mod, name, descent)
+    a = sym_center(g1d4, 41)
+    f, u0 = quad_X(a), a + g1d4.function([0.1, 0.0, 0.2, 0.0])
+    one = g1d4.function(np.ones(4))
+    sym = GridFunction(g1d4, np.full(4, 0.5))
+    B = ap.Ball(g1d4.function(np.full(4, 4.0)), 1.0, symmetric=True)
+    N = ap.SemilinearNonlinearity(g=lambda s: 0.0, G=lambda s: 0.0, a1=1.0,
+                                  a2=1.0, b=1.0, p=3.0, name="zero")
+    engines = [
+        lambda n: ekeland_point(f, whole_space(g1d4), u0, 0.1, 0.1,
+                                n_samples=n),
+        *(lambda n, v=v: symmetric_ekeland(f, g1d4, u0, 0.1, 0.1, v,
+                                           n_samples=n)
+          for v in ("I", "II", "III", "IV", "V")),
+        lambda n: symmetric_borwein_preiss(f, g1d4, u0, 0.1, 0.1,
+                                           n_samples=n),
+        lambda n: symmetric_zhong(f, g1d4, u0, 0.1, 0.1, lambda t: t,
+                                  n_samples=n),
+        lambda n: dgz_check(f, bump_perturbation(g1d4, a, 0.1, delta=1.0),
+                            a, 0.1, n_samples=n),
+        lambda n: constrained_symmetric_ekeland(f, [], 0, u0, 0.1,
+                                                n_samples=n),
+        lambda n: path_minimax(f, one, 12, 0.05, n_samples=n),
+        lambda n: sqps_sequence(f, g1d4, [0.1], n_samples=n),
+        lambda n: ap.quasilinear_experiment(
+            ap.forced_dirichlet_integrand(1.0), g1d4, 0.01, n_samples=n),
+        lambda n: ap.semilinear_experiment(N, g1d4, [0.1], n_samples=n),
+        lambda n: ap.caristi_fixed_point(
+            lambda u: GridFunction(g1d4, 0.5 * u.values), f, 0.25, g1d4,
+            n_samples=n),
+        lambda n: ap.clarke_fixed_point(
+            lambda u: GridFunction(g1d4, 0.4 * u.values), 0.4, 0.3, g1d4,
+            n_samples=n),
+        lambda n: ap.symmetric_drop_point(sym, B, nonneg_cone(g1d4), 0.05,
+                                          n_samples=n),
+        lambda n: ap.symmetric_petal_point(sym, one, box_set(g1d4, 0.0, 0.6),
+                                           0.05, n_samples=n),
+    ]
+    for engine in engines:
+        for bad in (0, -1, 2.5):
+            with pytest.raises(InvalidArgument, match="n_samples must be"):
+                engine(bad)
+    # the patched descent is what a good count reaches
+    with pytest.raises(AssertionError, match="descent ran"):
+        engines[1](100)
+
+
 def test_sample_inequality_prefix_property(g1d4):
     # one stream drawn a block at a time: every run is a prefix of a longer
     # run, so the maximum only rises with n_samples
