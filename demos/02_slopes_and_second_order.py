@@ -14,7 +14,8 @@ g = make_grid(1, 4, 1.0, 2, 4)
 gram = gram_matrix(g)
 
 f = Functional(eval=lambda u: 0.5 * float(u.values @ gram @ u.values),
-               derivative=lambda u: u, lower_bound=0.0, name="half-square")
+               gradient=lambda W: np.matmul(gram, W[..., None])[..., 0],
+               lower_bound=0.0, name="half-square")
 
 rng = np.random.default_rng(1)
 u = g.function(rng.standard_normal(4))

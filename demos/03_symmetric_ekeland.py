@@ -24,7 +24,8 @@ w = schwarz(g.function((np.abs(np.random.default_rng(3).standard_normal(8))
                         + 0.3) ** 2))
 a = GridFunction(g, np.linalg.solve(gram, w.values))
 f = Functional(eval=lambda u: float((u - a).values @ gram @ (u - a).values),
-               derivative=lambda u: 2.0 * (u - a),
+               gradient=lambda W: np.matmul(
+                   gram, (2.0 * (W - a.values))[..., None])[..., 0],
                symmetry_class="polarization-nonincreasing",
                lower_bound=0.0, name="quadratic")
 

@@ -9,27 +9,24 @@ symmetry defect, slope bound and quadratic-form defect vanish together.
 
 import numpy as np
 
-from symvar import (GridFunction, make_grid, sqps_sequence,
-                    symmetric_borwein_preiss)
+from symvar import make_grid, sqps_sequence, symmetric_borwein_preiss
 from symvar.funcspace import Functional
 
 g = make_grid(1, 8, 1.0, 2, 4)
 m = g.cell_measure
 
+
 # rearrangement-invariant double well: (m*sum(u^2) - 1)^2
-from symvar.funcspace import riesz_from_euclidean
-
-
 def ev(u):
     return (m * float(u.values @ u.values) - 1.0) ** 2
 
 
-def dv(u):
-    gvec = 4.0 * (m * float(u.values @ u.values) - 1.0) * m * u.values
-    return GridFunction(g, riesz_from_euclidean(g, gvec))
+def grad(W):
+    sq = np.matmul(W[..., None, :], W[..., :, None])[..., 0, 0]
+    return (4.0 * (m * sq - 1.0) * m)[..., None] * W
 
 
-f = Functional(eval=ev, derivative=dv,
+f = Functional(eval=ev, gradient=grad,
                symmetry_class="polarization-invariant", lower_bound=0.0,
                name="L2-double-well")
 

@@ -28,7 +28,8 @@ gram = gram_matrix(g)
 w = schwarz(g.function([2.0, 0.8, 1.3, 0.4]))
 a = GridFunction(g, np.linalg.solve(gram, w.values))
 f = Functional(eval=lambda u: float((u - a).values @ gram @ (u - a).values),
-               derivative=lambda u: 2.0 * (u - a),
+               gradient=lambda W: np.matmul(
+                   gram, (2.0 * (W - a.values))[..., None])[..., 0],
                symmetry_class="polarization-nonincreasing",
                lower_bound=0.0, name="quadratic")
 

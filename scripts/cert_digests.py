@@ -42,7 +42,8 @@ from symvar import (ConvergenceFailure, GridFunction, approx_symmetrize,
 from symvar import applications as ap
 from symvar import principles as pr
 from symvar.cli import SETS, run_config
-from symvar.funcspace import Functional, gram_matrix, norm_X, riesz_from_euclidean
+from symvar.funcspace import (Functional, gram_matrix, norm_X,
+                              riesz_from_euclidean)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from cli_cases import SAMPLES, valid_cases  # noqa: E402
@@ -51,33 +52,41 @@ N_SAMPLES = 300
 U0_WELL = [0.55, 0.65, 0.75, 0.85, 0.85, 0.75, 0.65, 0.55]
 
 
-def l2_double_well(space, radius=1.0):
-    """(m·Σu² − r²)²: rearrangement-invariant, so admissible everywhere."""
+def l2_double_well(space, radius=1.0, scale=1.0):
+    """scale·(m·Σu² − r²)²: rearrangement-invariant, so admissible
+    everywhere.  Its gradient is Gx·(scale·Gx⁻¹∇) row by row, not the
+    closed form scale·4(m·Σu² − r²)·m·u: the digests of its descents were
+    first taken with that rounding."""
     m, r2 = space.cell_measure, radius ** 2
+    gram = gram_matrix(space)
 
     def ev(u):
-        return (m * float(u.values @ u.values) - r2) ** 2
+        return scale * (m * float(u.values @ u.values) - r2) ** 2
 
-    def dv(u):
-        g = 4.0 * (m * float(u.values @ u.values) - r2) * m * u.values
-        return GridFunction(space, riesz_from_euclidean(space, g))
+    def row(w):
+        g = 4.0 * (m * float(w @ w) - r2) * m * w
+        return gram @ (scale * riesz_from_euclidean(space, g))
 
-    return Functional(eval=ev, derivative=dv,
+    def grad(W):
+        return np.array([row(w) for w in W]) if np.ndim(W) == 2 else row(W)
+
+    return Functional(eval=ev, gradient=grad,
                       symmetry_class="polarization-invariant",
                       lower_bound=0.0, name="l2_double_well")
 
 
 def quad_X(a):
-    """‖u−a‖²_X with its exact Riesz derivative 2(u−a)."""
+    """‖u−a‖²_X with its gradient Gx·2(u−a), a gemv per row."""
     gram = gram_matrix(a.space)
 
     def ev(u):
         d = u.values - a.values
         return float(d @ gram @ d)
 
-    return Functional(eval=ev,
-                      derivative=lambda u: GridFunction(a.space,
-                                                        2.0 * (u.values - a.values)),
+    def grad(W):
+        return np.matmul(gram, (2.0 * (W - a.values))[..., None])[..., 0]
+
+    return Functional(eval=ev, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=0.0, name="quadX")
 
@@ -90,14 +99,14 @@ def radial_double_well(space):
         r = np.sqrt(float(u.values @ gram @ u.values))
         return r * r * (r - 1.0) ** 2
 
-    def dv(u):
-        r = np.sqrt(float(u.values @ gram @ u.values))
-        if r == 0:
-            return space.zeros()
-        return GridFunction(space, (2.0 * (r - 1.0) ** 2 + 2.0 * r * (r - 1.0))
-                            * u.values)
+    def grad(W):
+        # (2(r−1)² + 2r(r−1))·Gx·u, a gemv per row
+        r = np.sqrt(np.matmul(np.matmul(W[..., None, :], gram),
+                              W[..., :, None])[..., 0])
+        return ((2.0 * (r - 1.0) * (r - 1.0) + 2.0 * r * (r - 1.0))
+                * np.matmul(gram, W[..., None])[..., 0])
 
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=0.0, name="radial_double_well")
 
@@ -110,20 +119,11 @@ def cubic():
         a1=0.0, a2=0.0, b=3.0, p=4.0, name="cubic")
 
 
-def scaled(f, c):
-    """c·f, the same symmetry class and lower bound."""
-    return Functional(eval=lambda u: c * f(u),
-                      derivative=lambda u: c * f.derivative(u),
-                      symmetry_class=f.symmetry_class,
-                      lower_bound=f.lower_bound, name=f"{c:g}*{f.name}")
-
-
 def l2_sphere(space, level=1.0):
     m = space.cell_measure
     return Functional(
         eval=lambda u: m * float(u.values @ u.values) - level,
-        derivative=lambda u: GridFunction(
-            space, riesz_from_euclidean(space, 2.0 * m * u.values)),
+        gradient=lambda W: 2.0 * m * W,
         name="l2_sphere")
 
 
@@ -260,7 +260,7 @@ def cases():
     # theorem inputs no library caller sets: a Γ-sequence, a Zhong domain,
     # and the domain and g that re-verification takes
     yield "SymEkelandIII/gamma", sym_ekeland(
-        "III", gamma_sequence=([scaled(well, 1.0 + 2.0 ** -h)
+        "III", gamma_sequence=([l2_double_well(g8, scale=1.0 + 2.0 ** -h)
                                 for h in range(4)], lambda u, h: u), h0=2)
     yield "SymZhong/cone", lambda: pr.symmetric_zhong(
         well, g8, u0, 0.1, 0.1, lambda s: s, domain=nonneg_cone(g8), seed=5,

@@ -23,7 +23,7 @@ from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      SeparationViolated)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         laplacian_matrix, norm_V, riesz_from_euclidean,
-                        theta, _riesz_derivative)
+                        theta)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
                          XMetric, _check_n_samples, _polarized_draws,
                          estimate_inf, sqps_sequence, symmetric_ekeland,
@@ -340,8 +340,7 @@ def quasilinear_residual(I: QuasilinearIntegrand, u: GridFunction,
 def quasilinear_functional(I: QuasilinearIntegrand,
                            space: GridSpace) -> Functional:
     """Wrap the discretized energy as a Functional with its Euclidean
-    gradient (the residual vector, on rows), its Euclidean Hessian and the
-    Riesz solve of the gradient as its derivative."""
+    gradient (the residual vector, on rows) and its Euclidean Hessian."""
     @functools.cache
     def keys():
         # built on the first Hessian, not with the functional
@@ -355,7 +354,6 @@ def quasilinear_functional(I: QuasilinearIntegrand,
 
     return Functional(eval=lambda u: quasilinear_energy(I, u),
                       eval_batch=lambda W: _quasilinear_energy_rows(I, space, W),
-                      derivative=_riesz_derivative(space, grad),
                       gradient=grad, hessian=hess,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=I.lower_bound, name=I.name or "quasilinear")
@@ -562,7 +560,6 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
         return _BandHessian(space._bands[0]) + _BandHessian(-(m * dg)[None])
 
     return Functional(eval=ev, eval_batch=ev_rows,
-                      derivative=_riesz_derivative(space, grad),
                       gradient=grad, hessian=hess,
                       symmetry_class="polarization-nonincreasing",
                       name=N.name or "semilinear")

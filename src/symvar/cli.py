@@ -163,9 +163,6 @@ def _fn_quadratic(space, params):
         D = W - a.values
         return np.matmul(np.matmul(D[:, None, :], gram), D[:, :, None])[:, 0, 0]
 
-    def dv(u):
-        return GridFunction(space, 2.0 * (u.values - a.values))
-
     def grad(W):
         # Gx·(2(v − a)), a gemv per row as for one vector
         return np.matmul(gram, (2.0 * (W - a.values))[..., None])[..., 0]
@@ -175,9 +172,8 @@ def _fn_quadratic(space, params):
     def hess(v):
         return hessian
 
-    return Functional(eval=ev, derivative=dv, lower_bound=0.0,
-                      name="quadratic", eval_batch=ev_rows, gradient=grad,
-                      hessian=hess)
+    return Functional(eval=ev, lower_bound=0.0, name="quadratic",
+                      eval_batch=ev_rows, gradient=grad, hessian=hess)
 
 
 def _fn_double_well(space, params):
@@ -208,8 +204,7 @@ def _fn_double_well(space, params):
                                                             - r2)),
                             v[:, None].copy(), np.array([8.0 * m * m]))
 
-    return Functional(eval=ev, derivative=fs._riesz_derivative(space, grad),
-                      symmetry_class="polarization-invariant",
+    return Functional(eval=ev, symmetry_class="polarization-invariant",
                       lower_bound=0.0, name="double_well", eval_batch=ev_rows,
                       gradient=grad, hessian=hess)
 
@@ -593,18 +588,20 @@ def _run_dgz_check(space, f, p, seed, samples, out):
     return out.write_certificates(cert)
 
 
+def _l2_sphere(space, level):
+    """The ``l2_sphere`` constraint m·Σu² − level, with its gradient."""
+    m = space.cell_measure
+    return Functional(eval=lambda u: m * float(u.values @ u.values) - level,
+                      gradient=lambda W: 2.0 * m * W, name="l2_sphere")
+
+
 @_subcommand("constrained_symmetric_ekeland", takes=FUNC, u0=CELLS,
              eps=_pos(0.05), constraint=_enum(["l2_sphere"], "l2_sphere"),
              level=_num(1.0))
 def _run_constrained(space, f, p, seed, samples, out):
-    m, level = space.cell_measure, p["level"]
-    G = [Functional(eval=lambda u: m * float(u.values @ u.values) - level,
-                    derivative=fs._riesz_derivative(space,
-                                                    lambda v: 2.0 * m * v),
-                    name="l2_sphere")]
-    cert = pr.constrained_symmetric_ekeland(f, G, 1, p["u0"], p["eps"],
-                                            seed=seed,
-                                            n_samples=samples or 2000)
+    cert = pr.constrained_symmetric_ekeland(
+        f, [_l2_sphere(space, p["level"])], 1, p["u0"], p["eps"], seed=seed,
+        n_samples=samples or 2000)
     out.write_csv(["status", "multipliers", "residual"],
                   [[cert.status,
                     ";".join(repr(x) for x in cert.extras["multipliers"]),

@@ -226,9 +226,6 @@ def _row_functions(space: GridSpace, W):
 class Functional:
     """Evaluation oracle for f: X -> R ∪ {+inf} with declared symmetry class.
 
-    ``derivative`` (optional) returns the X-Riesz representative of df(u)
-    for the p = 2 inner product; it is consulted only on p = 2 grids, the
-    only ones where its X-norm is the dual norm of df(u).
     ``symmetry_class`` is one of ``polarization-nonincreasing``,
     ``polarization-invariant``, ``unverified``; it documents the caller's
     claim and is not read: the engines sample-check symmetry with
@@ -237,8 +234,10 @@ class Functional:
     samplers and the multi-start descent use it in place of one ``eval``.
     ``gradient`` (optional) returns the Euclidean gradient ∇f of the cell
     values: one vector (N,) gives (N,), a block (k, N) gives the (k, N)
-    gradients, each row bit-equal to the call on that row alone.  The
-    descent uses it in place of Gx times ``derivative``.  ``hessian``
+    gradients, each row bit-equal to the call on that row alone.  It is
+    f's only first-order oracle: the descent reads it on p = 2 grids, and
+    the X-Riesz representative of df(u), whose X-norm is the dual norm of
+    df(u) there, is its Riesz solve (``_riesz_gradient``).  ``hessian``
     (optional) maps one vector (N,) to the Euclidean Hessian of f in the
     descent's band form (``_descent._BandHessian``: a band in LAPACK
     storage plus an optional low-rank term), as every declarer in the
@@ -251,7 +250,6 @@ class Functional:
     """
 
     eval: Callable[[GridFunction], float]
-    derivative: Optional[Callable[[GridFunction], GridFunction]] = None
     symmetry_class: str = "unverified"
     lower_bound: Optional[float] = None
     name: str = ""
@@ -419,14 +417,25 @@ def riesz_from_euclidean(space: GridSpace, g: np.ndarray) -> np.ndarray:
     return rep
 
 
-def _riesz_derivative(space: GridSpace, gradient):
-    """The ``derivative`` oracle of a declared Euclidean gradient (one
-    vector (N,) to (N,)): u ↦ the Riesz solve of gradient(u.values), which
-    is the X-Riesz representative of df(u) on p = 2 grids."""
-    def derivative(u):
-        return GridFunction(space, riesz_from_euclidean(space,
-                                                        gradient(u.values)))
-    return derivative
+def _declared_gradient(f: Functional, W) -> np.ndarray:
+    """``f.gradient`` at one vector (N,) or at each row of a block (k, N),
+    checked as a GridFunction checks its values: a result of another shape
+    raises SpaceMismatch, a non-finite entry InvalidArgument."""
+    G = np.asarray(f.gradient(W), dtype=float)
+    if G.shape != np.shape(W):
+        raise SpaceMismatch(f"gradient of {f.name or '<anon>'}: expected "
+                            f"shape {np.shape(W)}, got {G.shape}")
+    if not np.isfinite(G).all():
+        raise InvalidArgument(f"gradient of {f.name or '<anon>'} is not "
+                              f"finite")
+    return G
+
+
+def _riesz_gradient(f: Functional, space: GridSpace, W) -> np.ndarray:
+    """The X-Riesz representative of df (p = 2 grids) at one vector (N,)
+    or at each row of a block (k, N): one Riesz solve of the checked
+    declared gradient."""
+    return riesz_from_euclidean(space, _declared_gradient(f, W).T).T
 
 
 # ---------------------------------------------------------------------------

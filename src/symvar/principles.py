@@ -33,9 +33,10 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      InvalidArgument, NoMountainPass, NotSymmetricInput,
                      OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
-                        norm_V, norm_X, theta, function_from_json,
+                        norm_V, theta, function_from_json,
                         function_to_json,
-                        _norm_V_raw, _norm_X_raw, _pow_rows, _row_functions)
+                        _declared_gradient, _norm_V_raw, _norm_X_raw,
+                        _pow_rows, _riesz_gradient)
 from .rearrange import (approx_symmetrize, is_family_fixed,
                         polarizer_sequence_json, schwarz, _polarize_raw)
 from .slopes import strong_slope
@@ -346,38 +347,20 @@ def _f_arr(f: Functional, space: GridSpace):
     return fun
 
 
-def _grad_arr(f: Functional, space: GridSpace):
-    """Euclidean gradient on one vector or a block of rows (p = 2 grids):
-    ``f.gradient`` when declared, else Gx times the derivative's Riesz
-    representative, row by row."""
-    if space.p != 2.0:
-        return None
-    if f.gradient is not None:
-        return f.gradient
-    if f.derivative is None:
-        return None
-    g = gram_matrix(space)
-
-    def grad(W):
-        rows = [g @ f.derivative(u).values
-                for u in _row_functions(space, np.atleast_2d(W))]
-        return np.array(rows) if np.ndim(W) == 2 else rows[0]
-
-    return grad
-
-
 def default_slack(fv: float) -> float:
     return 1e-6 * (1.0 + abs(fv))
 
 
 def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
-    """(fun, grad, project, box) for a descent on the domain; off the whole
-    space fun is +inf outside the set, so a feasibility restoration that
-    fails to land in the set cannot pass for a low value."""
+    """(fun, grad, project, box) for a descent on the domain; grad is
+    ``f.gradient`` on p = 2 grids, else None.  Off the whole space fun is
+    +inf outside the set, so a feasibility restoration that fails to land
+    in the set cannot pass for a low value."""
     fun = _f_arr(f, space)
+    grad = f.gradient if space.p == 2.0 else None
     box = (domain.lo, domain.hi) if domain.kind in ("box", "cone") else None
     if domain.kind == "space":
-        return fun, _grad_arr(f, space), None, box
+        return fun, grad, None, box
 
     def guarded(W):
         if np.ndim(W) == 1:
@@ -390,7 +373,7 @@ def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
     def project(W):
         return domain.project(W) if np.ndim(W) == 1 else domain.project_rows(W)
 
-    return guarded, _grad_arr(f, space), project, box
+    return guarded, grad, project, box
 
 
 def _check_start(f_start, inf_est, gap):
@@ -1135,6 +1118,7 @@ def bump_perturbation(space: GridSpace, v: GridFunction, eps: float,
     M = 8.0 / (3.0 * math.sqrt(3.0))
     A = eps * min(1.0, delta / M)
     metric = XMetric(space)
+    gram = gram_matrix(space)
 
     def g_eval(w):
         s = metric.dist(w.values, v.values) / delta
@@ -1142,16 +1126,17 @@ def bump_perturbation(space: GridSpace, v: GridFunction, eps: float,
             return 0.0
         return -A * (1.0 - s * s) ** 2
 
-    def g_deriv(w):
-        d = metric.dist(w.values, v.values)
+    def g_grad(W):
+        # d/dw of −A·bump(s) = coeff·Gx(w − v), zero off the support and at
+        # v; a stacked mat-vec keeps each row bit-equal to its call
+        D = W - v.values
+        d = np.asarray(metric.norm(D))[..., None]
         s = d / delta
-        if s >= 1.0 or d < 1e-15:
-            return space.zeros()
-        # d/dw of -A·bump(s): X-Riesz representative
-        coeff = -A * (-4.0 * s * (1.0 - s * s)) / (delta * d)
-        return GridFunction(space, coeff * (w.values - v.values))
+        coeff = np.divide(A * (4.0 * s * (1.0 - s * s)), delta * d,
+                          out=np.zeros_like(d), where=(s < 1.0) & (d >= 1e-15))
+        return coeff * np.matmul(gram, D[..., None])[..., 0]
 
-    return Functional(eval=g_eval, derivative=g_deriv, name="dgz-bump",
+    return Functional(eval=g_eval, gradient=g_grad, name="dgz-bump",
                       symmetry_class="unverified")
 
 
@@ -1159,14 +1144,15 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
               u0: GridFunction = None, seed=0, n_samples=2000) -> Certificate:
     """Report-only verification of a smooth-perturbation certificate:
     sup|g| ≤ ε, sup‖g'‖ ≤ ε on probes, and global minimality of f+g at v.
-    ‖g'‖ is the X-norm of ``g.derivative`` on p = 2 grids, else a forward
-    difference along one random direction per probe.
+    ‖g'‖ is the X-norm of the Riesz solve of g's declared gradient on
+    p = 2 grids (one block gradient call and one solve for all probes),
+    else a forward difference along one random direction per probe.
     Never raises on a failed check; failures surface as a FAILED
     certificate with witness."""
     _check_n_samples(n_samples)
     space = v.space
     metric = XMetric(space)
-    deriv = g.derivative if space.p == 2.0 else None
+    riesz = g.gradient is not None and space.p == 2.0
     ss = np.random.SeedSequence(seed)
     c_probe, c_ver = ss.spawn(2)
     rng = np.random.default_rng(c_probe)
@@ -1181,7 +1167,7 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
             W.append(v.values + (rng.uniform(0, 4) * z / nz if nz > 0 else z))
         else:
             W.append(v.values + width * (2.0 * _probe_frac(z) - 1.0))
-        if deriv is None:
+        if not riesz:
             # the partner of the finite difference (w itself if d = 0)
             d = rng.standard_normal(space.n_cells)
             nd = metric.norm(d)
@@ -1189,9 +1175,9 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
     W = np.array(W)
     gw = g._eval_rows(space, W)
     sup_g = max([0.0, *np.abs(gw).tolist()])
-    if deriv is not None:
-        sup_gp = max([0.0, *(norm_X(deriv(u))
-                             for u in _row_functions(space, W))])
+    if riesz:
+        sup_gp = max([0.0,
+                      *metric.norm(_riesz_gradient(g, space, W)).tolist()])
     else:
         gd = g._eval_rows(space, np.array(fd))
         sup_gp = max([0.0, *(np.abs(gd - gw) / 1e-6).tolist()])
@@ -1221,8 +1207,6 @@ _TOL_CON = 1e-9
 
 
 def _constraint_set(space, G, n_eq):
-    gram = gram_matrix(space)
-
     def residuals(vals):
         u = GridFunction(space, vals)
         out = np.array([Gj(u) for Gj in G])
@@ -1244,7 +1228,7 @@ def _constraint_set(space, G, n_eq):
             act = [j for j in viol_eq if abs(r[j]) > _TOL_CON] + viol_in
             if not act:
                 return x
-            J = np.stack([gram @ G[j].derivative(u).values for j in act])
+            J = np.stack([_declared_gradient(G[j], x) for j in act])
             c = r[act]
             try:
                 dx = -J.T @ np.linalg.solve(J @ J.T + 1e-12 * np.eye(len(act)), c)
@@ -1265,8 +1249,9 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     saturated constraints.
 
     With no constraints this reduces to the symmetric Ekeland principle II.
-    With constraints it needs derivative oracles and p = 2: the multipliers
-    and the residual's dual norm are taken with the Cholesky factor of Gx.
+    With constraints it needs declared gradients of f and every G_j and
+    p = 2: the multipliers and the residual's dual norm are taken from
+    their Riesz solves with the Cholesky factor of Gx.
     """
     _check_number("eps", eps, True)
     _check_n_samples(n_samples)
@@ -1274,10 +1259,10 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     if len(G) == 0:
         return symmetric_ekeland(f, space, u0, eps, eps, variant="II",
                                  seed=seed, n_samples=n_samples)
-    if (space.p != 2.0 or f.derivative is None
-            or any(Gj.derivative is None for Gj in G)):
+    if (space.p != 2.0 or f.gradient is None
+            or any(Gj.gradient is None for Gj in G)):
         raise AssumptionViolated("constrained principle needs p = 2 and "
-                                 "derivative oracles for f and every G_j")
+                                 "declared gradients of f and every G_j")
     metric = XMetric(space)
     dom = _constraint_set(space, G, n_eq)
     c_sym, c_inf, c_chain, c_ver = np.random.SeedSequence(seed).spawn(4)
@@ -1297,9 +1282,10 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     rvals = np.array([Gj(v) for Gj in G])
     saturated = [j for j in range(len(G)) if abs(rvals[j]) <= 10 * _TOL_CON]
     lam = np.zeros(len(G))
-    rep_f = f.derivative(v).values
+    rep_f = _riesz_gradient(f, space, v.values)
     if saturated:
-        reps = np.stack([G[j].derivative(v).values for j in saturated]).T
+        reps = np.stack([_riesz_gradient(G[j], space, v.values)
+                         for j in saturated]).T
         U = space._matrices[2]  # the grid's Cholesky factor, gram = UᵀU
         A = U @ reps
         y = U @ rep_f
@@ -1348,12 +1334,13 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     functional is f̂(γ) = max_t f(γ_t) with the sup-of-X-norms metric.  The
     engine checks the mountain-pass geometry, polarizes nodewise, runs the
     set-restricted Ekeland chain in path space and returns the argmax node
-    with the three measured bounds.  It needs p = 2: ‖df(u_ε)‖ is the X-norm
-    of the derivative's Riesz representative."""
+    with the three measured bounds.  It needs p = 2 and f's declared
+    gradient: the node moves and ‖df(u_ε)‖ take the gradient's Riesz
+    solve."""
     space = psi.space
-    if space.p != 2.0 or f.derivative is None:
-        raise AssumptionViolated("path minimax needs p = 2 and a C1 "
-                                 "derivative oracle")
+    if space.p != 2.0 or f.gradient is None:
+        raise AssumptionViolated("path minimax needs p = 2 and a declared "
+                                 "gradient")
     if np.any(psi.values < 0) or not is_family_fixed(psi):
         raise NotSymmetricInput("psi must be fixed by every registered "
                                 "polarizer")
@@ -1386,14 +1373,16 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
 
     def node_gradient_moves(path, fv, step):
         """The path with its near-top nodes (fv: the f values of its nodes)
-        moved by ``step`` against their X-unit derivative, at three
-        nearness levels; each node's derivative is computed once."""
+        moved by ``step`` against the X-unit Riesz solve of their gradient,
+        at three nearness levels; one block gradient call and one solve
+        serve all of them."""
         top, cands = max(fv), []
         nears = (0.0, 0.1 * (abs(top) + 1.0) * 1e-6,
                  0.05 * (top - min(fv) + 1e-12))
         idx = [i for i in range(1, m) if fv[i] >= top - max(nears)]
-        G = np.reshape([f.derivative(GridFunction(space, path[i - 1])).values
-                        for i in idx], (-1, space.n_cells))
+        if not idx:
+            return cands
+        G = _riesz_gradient(f, space, path[np.subtract(idx, 1)])
         NG = metric.norm(G)
         for near in nears:
             cand = np.array(path)
@@ -1479,7 +1468,8 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     # the path engine claims its T_ε radius ε itself, not the (a) bound
     cert.add_measured("‖u_ε-u_ε*‖_V", _symmetry_pair(u_eps, metric, eps)[0],
                       eps)
-    cert.add_measured("‖df(u_ε)‖", norm_X(f.derivative(u_eps)),
+    cert.add_measured("‖df(u_ε)‖",
+                      metric.norm(_riesz_gradient(f, space, u_eps.values)),
                       eps + 1e-6)
     cert.add_measured("f(u_ε)-c_est", fu - c_est, eps)
     cert.add_measured("c_est-f(u_ε)", c_est - fu, 0.0)  # c ≤ f̂(γ_ε) = f(u_ε)

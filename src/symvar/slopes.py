@@ -1,17 +1,17 @@
 """Numerical bracketing of the weak slope and the second-order quotient.
 
 The weak slope |df|(u) is never computed from its deformation definition
-(non-constructive); it is bracketed by the dual norm of the derivative
-from below and a sampled strong-slope maximum from above:
+(non-constructive); it is bracketed by the dual norm of the declared
+gradient from below and a sampled strong-slope maximum from above:
 
     ‖df(u)‖_{X′}  =  |df|(u)  ≤  |∇f|(u)   (C¹ case),
 
 both sides being one-sided estimates.  The lower end is exact for C¹
-functionals on p = 2 grids, where the X-norm of the X-Riesz ``derivative``
-is that dual norm; on other grids it is 0.  The quadratic form Q_u(w) is
-the limsup of second differences (f(z+tζ)+f(z−tζ)−2f(z))/t² over (z, ζ, t)
-near (u, w, 0); the estimator reports the sampled maximum at the finest
-level of a logged, decreasing δ-schedule.
+functionals on p = 2 grids, where the X-norm of the gradient's Riesz solve
+is that dual norm; else it is 0.  The quadratic form Q_u(w) is the limsup of
+second differences (f(z+tζ)+f(z−tζ)−2f(z))/t² over (z, ζ, t) near (u, w, 0);
+the estimator reports the sampled maximum at the finest level of a logged,
+decreasing δ-schedule.
 
 Probe directions come from a seeded scrambled Sobol sequence, so estimates
 are reproducible and max-reductions are order-independent.
@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, OutsideDomain
-from .funcspace import Functional, GridFunction, norm_X, _norm_X_raw
+from .funcspace import (Functional, GridFunction, norm_X, _norm_X_raw,
+                        _riesz_gradient)
 
 __all__ = ["SlopeEstimate", "QEstimate", "strong_slope", "q_form",
            "unit_directions"]
@@ -35,8 +36,8 @@ __all__ = ["SlopeEstimate", "QEstimate", "strong_slope", "q_form",
 class SlopeEstimate:
     """Bracket [lower, upper] for |df|(u).
 
-    ``lower`` is ‖derivative(u)‖_X when the oracle exists and the grid has
-    p = 2 (0 otherwise); ``upper`` the sampled strong-slope maximum.
+    ``lower`` is the X-norm of the Riesz solve of f's gradient at u on
+    p = 2 grids (0 otherwise); ``upper`` the sampled strong-slope maximum.
     ``tol`` absorbs the O(radius · curvature) gap of the finite-radius
     quotients.
     """
@@ -82,11 +83,11 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
                  n_samples=64, seed=0) -> SlopeEstimate:
     """Sample max(0, (f(u)−f(ξ))/‖u−ξ‖_X) at the given probe radii.
 
-    Zero at (sampled) local minima.  When the derivative oracle exists and
-    the grid has p = 2, its ±directions are added to the probe set (the
-    estimate stays a one-sided underestimate of the strong slope) and
-    ‖derivative(u)‖_X is the lower bracket end.  Each radius scores its
-    probes as one block.
+    Zero at (sampled) local minima.  When f declares its gradient and the
+    grid has p = 2, the ±directions of its Riesz solve are added to the
+    probe set (the estimate stays a one-sided underestimate of the strong
+    slope) and the solve's X-norm is the lower bracket end.  Each radius
+    scores its probes as one block.
     """
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
@@ -97,11 +98,11 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
 
     dirs = unit_directions(u.space, n_samples, seed)
     lower = 0.0
-    if f.derivative is not None and u.space.p == 2.0:
-        g = f.derivative(u)
-        lower = norm_X(g)
+    if f.gradient is not None and u.space.p == 2.0:
+        g = _riesz_gradient(f, u.space, u.values)
+        lower = norm_X(GridFunction(u.space, g))
         if lower > 0:
-            gdir = g.values * (1.0 / lower)
+            gdir = g * (1.0 / lower)
             dirs = np.vstack([dirs, gdir, -gdir])
 
     upper = 0.0

@@ -26,7 +26,7 @@ def g2d4():
 
 
 def quad_X(a: GridFunction, name="quadX") -> Functional:
-    """f(u) = ‖u−a‖²_X with exact Riesz derivative 2(u−a).
+    """f(u) = ‖u−a‖²_X with its gradient Gx·2(u−a), a gemv per row.
 
     Polarization-nonincreasing only when Gx·a is canonically ordered (the
     cross term is then a Hardy-Littlewood pairing); use ``sym_center`` to
@@ -37,10 +37,10 @@ def quad_X(a: GridFunction, name="quadX") -> Functional:
         d = u.values - a.values
         return float(d @ gram @ d)
 
-    def dv(u):
-        return GridFunction(a.space, 2.0 * (u.values - a.values))
+    def grad(W):
+        return np.matmul(gram, (2.0 * (W - a.values))[..., None])[..., 0]
 
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=0.0, name=name)
 
@@ -81,11 +81,13 @@ def double_well(space, name="double_well") -> Functional:
     def ev(u):
         return (float(u.values @ gram @ u.values) - 1.0) ** 2
 
-    def dv(u):
-        return GridFunction(space, 4.0 * (float(u.values @ gram @ u.values)
-                                          - 1.0) * u.values)
+    def grad(W):
+        # Gx·(4(uᵀGx·u − 1)·u), a gemv per row
+        sq = np.matmul(np.matmul(W[..., None, :], gram), W[..., :, None])
+        c = 4.0 * (sq[..., 0] - 1.0)
+        return np.matmul(gram, (c * W)[..., None])[..., 0]
 
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, gradient=grad,
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=0.0, name=name)
 
@@ -93,19 +95,17 @@ def double_well(space, name="double_well") -> Functional:
 def double_well_L2(space, radius=1.0, name="double_well_L2") -> Functional:
     """(m·Σu² − r²)²: rearrangement-invariant double well, admissible for
     the symmetric principles (the X-norm analogue is not)."""
-    from symvar.funcspace import riesz_from_euclidean
-
     m = space.cell_measure
     r2 = radius ** 2
 
     def ev(u):
         return (m * float(u.values @ u.values) - r2) ** 2
 
-    def dv(u):
-        g = 4.0 * (m * float(u.values @ u.values) - r2) * m * u.values
-        return GridFunction(space, riesz_from_euclidean(space, g))
+    def grad(W):
+        sq = np.matmul(W[..., None, :], W[..., :, None])[..., 0, 0]
+        return (4.0 * (m * sq - r2) * m)[..., None] * W
 
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, gradient=grad,
                       symmetry_class="polarization-invariant",
                       lower_bound=0.0, name=name)
 
@@ -116,11 +116,18 @@ def linear_fn(c: GridFunction, name="linear") -> Functional:
     def ev(u):
         return float(c.values @ gram @ u.values)
 
-    def dv(u):
-        return c
+    def grad(W):
+        return np.broadcast_to(gram @ c.values, np.shape(W)).copy()
 
-    return Functional(eval=ev, derivative=dv, symmetry_class="unverified",
+    return Functional(eval=ev, gradient=grad, symmetry_class="unverified",
                       name=name)
+
+
+def on_rows(grad):
+    """A gradient of one vector (N,) as a ``Functional.gradient``: a block
+    (k, N) is taken row by row."""
+    return lambda W: (np.array([grad(w) for w in W]) if np.ndim(W) == 2
+                      else grad(W))
 
 
 def random_S(space, rng, scale=1.0) -> GridFunction:

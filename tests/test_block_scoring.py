@@ -5,7 +5,7 @@ sampler builds (the counter perfbench traces as
 import numpy as np
 import pytest
 
-from conftest import double_well_L2, quad_X, sym_center
+from conftest import double_well_L2, on_rows, quad_X, sym_center
 from symvar import applications as ap
 from symvar import make_grid
 from symvar import principles as pr
@@ -22,14 +22,11 @@ def _radial_double_well(space):
         r = np.sqrt(float(u.values @ gram @ u.values))
         return r * r * (r - 1.0) ** 2
 
-    def dv(u):
-        r = np.sqrt(float(u.values @ gram @ u.values))
-        if r == 0:
-            return space.zeros()
-        return GridFunction(space, (2.0 * (r - 1.0) ** 2 + 2.0 * r * (r - 1.0))
-                            * u.values)
+    def grad(v):
+        r = np.sqrt(float(v @ gram @ v))
+        return gram @ ((2.0 * (r - 1.0) ** 2 + 2.0 * r * (r - 1.0)) * v)
 
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, gradient=on_rows(grad),
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=0.0, name="radial_double_well")
 
@@ -73,8 +70,16 @@ def _dgz(n):
     g = make_grid(1, 4, 1.0, 2, 4)
     a = sym_center(g, 3)
     bump = pr.bump_perturbation(g, a, 0.1, 1.0)
-    # derivative-free: sup‖g'‖ comes from finite differences of g
+    # gradient-free: sup‖g'‖ comes from finite differences of g
     pr.dgz_check(quad_X(a), Functional(eval=bump.eval, name="bump"), a, 0.1,
+                 seed=6, n_samples=n)
+
+
+def _dgz_gradient(n):
+    g = make_grid(1, 4, 1.0, 2, 4)
+    a = sym_center(g, 3)
+    # sup‖g'‖ from one block gradient call and one Riesz solve
+    pr.dgz_check(quad_X(a), pr.bump_perturbation(g, a, 0.1, 1.0), a, 0.1,
                  seed=6, n_samples=n)
 
 
@@ -121,6 +126,7 @@ SAMPLERS = {
     "sqps_sequence": (_sqps, 8),
     "semilinear_experiment": (_semilinear, 16),
     "dgz_check": (_dgz, 4000),
+    "dgz_check/gradient": (_dgz_gradient, 4000),
     "symmetric_drop_point": (_drop, 200),
     "symmetric_petal_point": (_petal, 200),
     "petal_inclusions": (_petal_inclusions, 200),

@@ -576,18 +576,36 @@ def test_gradient_rows_equal_single_calls(dimension, n):
 
 
 @pytest.mark.parametrize("dimension,n", GRADIENT_GRIDS)
-def test_gradient_is_gram_times_derivative(dimension, n):
-    # ∇f = Gx·(X-Riesz representative of df), to rounding of the solve
-    from symvar.funcspace import GridFunction, gram_matrix
+def test_declared_gradients_match_central_differences(dimension, n):
+    # every shipped gradient is the gradient of its eval: central
+    # differences of eval along each cell, at points inside every box
+    # [−0.5, 0.5] and, for the DGZ bump, inside its support
+    from symvar.cli import _l2_sphere
+    from symvar.principles import XMetric, bump_perturbation
 
     space = make_grid(dimension, n, 1.0, 2, 4)
-    gram = gram_matrix(space)
-    rng = np.random.default_rng(n + 1)
-    W = rng.standard_normal((4, space.n_cells)) * [[0.1], [1.0], [3.0], [10.0]]
-    for name, f in _shipped_functionals(space, rng):
+    rng = np.random.default_rng(n + 2)
+    N = space.n_cells
+    v = 0.3 * rng.uniform(-1.0, 1.0, N)
+    z = rng.standard_normal((2, N))
+    near_v = v + [[0.3], [0.7]] * z / XMetric(space).norm(z)[:, None]
+    points = [s * rng.uniform(-1.0, 1.0, N) for s in (0.1, 0.4)]
+    declared = []
+    for name, f in [*_shipped_functionals(space, rng),
+                    ("dgz-bump",
+                     bump_perturbation(space, space.function(v), 0.1, 1.0)),
+                    ("l2_sphere", _l2_sphere(space, 1.0))]:
         if f.gradient is None:
             continue
-        for w in W:
-            g = f.gradient(w)
-            gd = gram @ f.derivative(GridFunction(space, w)).values
-            assert np.linalg.norm(g - gd) <= 1e-12 * np.linalg.norm(g), name
+        declared.append(name)
+        for x in near_v if name == "dgz-bump" else points:
+            E = 1e-5 * np.eye(N)
+            fd = (f._eval_rows(space, x + E)
+                  - f._eval_rows(space, x - E)) / 2e-5
+            g = f.gradient(x)
+            err = np.max(np.abs(g - fd))
+            assert err <= 1e-6 * (1.0 + np.max(np.abs(g))), name
+    assert set(declared) == {"quadratic", "double_well", "dirichlet",
+                             "forced_dirichlet", "linear_damping",
+                             "linear_damping/box", "cubic", "cubic/box",
+                             "dgz-bump", "l2_sphere"}

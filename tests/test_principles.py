@@ -14,10 +14,11 @@ from symvar import (AssumptionViolated, BadStart, Certificate,
                     symmetric_borwein_preiss, symmetric_ekeland,
                     symmetric_zhong, theta, verify_certificate, whole_space,
                     zhong_radius)
-from symvar.funcspace import gram_matrix, riesz_from_euclidean
+from symvar.funcspace import gram_matrix
 from symvar.principles import XMetric, _ekeland_chain, box_set
 
-from conftest import double_well, quad_V, quad_X, random_S, sym_center
+from conftest import (double_well, on_rows, quad_V, quad_X, random_S,
+                      sym_center)
 
 
 def _sym_dec(g, seed=0, scale=1.0):
@@ -389,7 +390,7 @@ def test_dgz_zero_perturbation_pass(g1d4):
     a = sym_center(g1d4, 28)
     f = quad_X(a)
     g0 = Functional(eval=lambda u: 0.0,
-                    derivative=lambda u: g1d4.zeros(), name="zero")
+                    gradient=np.zeros_like, name="zero")
     cert = dgz_check(f, g0, a, 0.1, seed=0, n_samples=1000)
     assert cert.status == "PASS"
     assert cert.violation.max_violation == 0.0
@@ -413,7 +414,7 @@ def test_dgz_failure_has_witness(g1d4):
     a = sym_center(g1d4, 30)
     f = quad_X(a)
     g0 = Functional(eval=lambda u: 0.0,
-                    derivative=lambda u: g1d4.zeros(), name="zero")
+                    gradient=np.zeros_like, name="zero")
     v_bad = a + g1d4.function([0.5, 0, 0, 0])
     cert = dgz_check(f, g0, v_bad, 0.1, seed=2, n_samples=2000)
     assert cert.status == "FAILED"
@@ -424,12 +425,12 @@ def test_dgz_failure_has_witness(g1d4):
 
 
 def test_dgz_without_g_derivative_bounds_the_slope_by_differences(g1d4):
-    # a g with no derivative oracle: sup‖g'‖ comes from forward differences
+    # a g with no declared gradient: sup‖g'‖ comes from forward differences
     # along sampled unit directions, under the bump's analytic bound ε
     a = sym_center(g1d4, 29)
     eps = 0.25
     bump = bump_perturbation(g1d4, a, eps, delta=1.0)
-    g = Functional(eval=bump.eval, name="bump-no-derivative")
+    g = Functional(eval=bump.eval, name="bump-no-gradient")
     cert = dgz_check(quad_X(a), g, a, eps, seed=1, n_samples=2000)
     assert cert.status == "PASS"
     assert 0.0 < cert.measured["sup‖g'‖"][0] <= eps + 1e-6
@@ -437,16 +438,17 @@ def test_dgz_without_g_derivative_bounds_the_slope_by_differences(g1d4):
 
 def test_dgz_off_p2_never_calls_the_derivative():
     # off p = 2 the X-norm of an X-Riesz representative is not ‖g'‖_X′:
-    # sup‖g'‖ comes from finite differences instead
+    # sup‖g'‖ comes from finite differences instead, and the declared
+    # gradient is never called
     g1 = make_grid(1, 4, 1.0, 1.5, 4)
     a = sym_center(g1, 29)
     eps = 0.25
     bump = bump_perturbation(g1, a, eps, delta=1.0)
 
-    def no_derivative(u):
-        raise AssertionError("derivative called off p = 2")
+    def no_gradient(W):
+        raise AssertionError("gradient called off p = 2")
 
-    g = Functional(eval=bump.eval, derivative=no_derivative, name="bump")
+    g = Functional(eval=bump.eval, gradient=no_gradient, name="bump")
     cert = dgz_check(quad_X(a), g, a, eps, seed=1, n_samples=500)
     assert 0.0 < cert.measured["sup‖g'‖"][0]
 
@@ -460,10 +462,8 @@ def _l2_sphere(space, level=1.0):
     def gev(u):
         return m * float(u.values @ u.values) - level
 
-    def gdv(u):
-        return GridFunction(space, riesz_from_euclidean(space, 2.0 * m * u.values))
-
-    return Functional(eval=gev, derivative=gdv, name="l2_sphere")
+    return Functional(eval=gev, gradient=lambda W: 2.0 * m * W,
+                      name="l2_sphere")
 
 
 def test_constrained_rayleigh_quotient(g1d2):
@@ -512,12 +512,9 @@ def test_constrained_inactive_inequality_zero_multiplier(g1d2):
     def g2ev(u):
         return 16.0 - m * float(u.values @ u.values)   # inactive at solution
 
-    def g2dv(u):
-        return GridFunction(g1d2, riesz_from_euclidean(
-            g1d2, -2.0 * m * u.values))
-
     G = [_l2_sphere(g1d2),
-         Functional(eval=g2ev, derivative=g2dv, name="inactive")]
+         Functional(eval=g2ev, gradient=lambda W: -2.0 * m * W,
+                    name="inactive")]
     gram = gram_matrix(g1d2)
     vals, vecs = np.linalg.eigh(np.linalg.solve(m * np.eye(2), gram))
     u0 = g1d2.function(np.abs(vecs[:, 0]) / np.sqrt(m * vecs[:, 0] @ vecs[:, 0]))
@@ -528,23 +525,18 @@ def test_constrained_inactive_inequality_zero_multiplier(g1d2):
 
 
 def _weighted_l2(space, weights):
-    """f(u) = m·Σ w_i u_i² with its Riesz derivative."""
+    """f(u) = m·Σ w_i u_i² with its gradient."""
     m, w = space.cell_measure, np.asarray(weights, float)
-
-    def dv(u):
-        return GridFunction(space, riesz_from_euclidean(
-            space, 2.0 * m * w * u.values))
-
     return Functional(eval=lambda u: m * float(w @ (u.values * u.values)),
-                      derivative=dv, name="weighted_l2")
+                      gradient=lambda W: 2.0 * m * w * W, name="weighted_l2")
 
 
 def test_constrained_rejects_a_set_polarization_leaves(g1d4):
     # C = {u_0 = 1/m} pins the edge cell; polarization moves its value
     m = g1d4.cell_measure
     pin = Functional(eval=lambda u: m * float(u.values[0]) - 1.0,
-                     derivative=lambda u: GridFunction(g1d4, riesz_from_euclidean(
-                         g1d4, m * np.eye(4)[0])), name="pin")
+                     gradient=lambda W: np.broadcast_to(
+                         m * np.eye(4)[0], np.shape(W)).copy(), name="pin")
     with pytest.raises(AssumptionViolated):
         constrained_symmetric_ekeland(quad_X(g1d4.zeros()), [pin], 1,
                                       g1d4.function([2.0, 1.0, 1.0, 1.0]),
@@ -672,15 +664,11 @@ def _radial_double_well(space):
         r = np.sqrt(r2)
         return r2 * (r - 1.0) ** 2
 
-    def dv(u):
-        r2 = float(u.values @ gram @ u.values)
-        r = np.sqrt(r2)
-        if r == 0:
-            return space.zeros()
-        coeff = 2.0 * (r - 1.0) ** 2 + 2.0 * r * (r - 1.0)
-        return GridFunction(space, coeff * u.values)
+    def grad(v):
+        r = np.sqrt(float(v @ gram @ v))
+        return gram @ ((2.0 * (r - 1.0) ** 2 + 2.0 * r * (r - 1.0)) * v)
 
-    return Functional(eval=ev, derivative=dv,
+    return Functional(eval=ev, gradient=on_rows(grad),
                       symmetry_class="polarization-nonincreasing",
                       lower_bound=0.0, name="radial_double_well")
 
@@ -751,8 +739,7 @@ def _shape_well(space, kappa):
         dwell = (2.0 * r * (r - 1.0) ** 2 + 2.0 * r * r * (r - 1.0)) * dr
         return dwell * (1.0 + kappa * q * q) + well * 2.0 * kappa * q * dq
 
-    return Functional(eval=ev, derivative=lambda u: GridFunction(
-        space, riesz_from_euclidean(space, grad(u.values))), name="shape_well")
+    return Functional(eval=ev, gradient=on_rows(grad), name="shape_well")
 
 
 @pytest.mark.xfail(strict=True, raises=NoMountainPass, reason=(
@@ -792,7 +779,7 @@ def test_nodewise_polarization_fixes_symmetric_paths(g1d4):
 def test_sqps_convex_quadratic(g1d4):
     gram = gram_matrix(g1d4)
     f = Functional(eval=lambda u: 0.5 * float(u.values @ gram @ u.values),
-                   derivative=lambda u: u,
+                   gradient=lambda W: np.matmul(gram, W[..., None])[..., 0],
                    symmetry_class="polarization-nonincreasing",
                    lower_bound=0.0, name="halfsq")
     out = sqps_sequence(f, g1d4, [0.1, 0.01], seed=0, n_samples=400,
@@ -806,7 +793,7 @@ def test_sqps_convex_quadratic(g1d4):
 def test_sqps_symmetry_residual_bound(g1d4):
     gram = gram_matrix(g1d4)
     f = Functional(eval=lambda u: 0.5 * float(u.values @ gram @ u.values),
-                   derivative=lambda u: u,
+                   gradient=lambda W: np.matmul(gram, W[..., None])[..., 0],
                    symmetry_class="polarization-nonincreasing",
                    lower_bound=0.0, name="halfsq")
     eps = [0.1, 0.05]
@@ -829,11 +816,10 @@ def test_sqps_box_constrained_quartic(g1d4):
         r2 = float(u.values @ gram @ u.values)
         return 0.5 * r2 - 0.25 * r2 * r2
 
-    def dv(u):
-        r2 = float(u.values @ gram @ u.values)
-        return GridFunction(g1d4, (1.0 - r2) * u.values)
+    def grad(v):
+        return gram @ ((1.0 - float(v @ gram @ v)) * v)
 
-    f = Functional(eval=ev, derivative=dv,
+    f = Functional(eval=ev, gradient=on_rows(grad),
                    symmetry_class="polarization-nonincreasing", name="quart")
     out = sqps_sequence(f, g1d4, [0.1, 0.05], domain=box, seed=2,
                         n_samples=300, q_probes=16)
@@ -1278,11 +1264,10 @@ def _tilted_norm(space, c=10.0):
     fixed; for c > 0 the minimizer is negative, so over the cone S the
     minimum is f(0) = 0."""
     gram = gram_matrix(space)
-    tilt = riesz_from_euclidean(space, c * np.ones(space.n_cells))
     return Functional(
         eval=lambda u: float(u.values @ gram @ u.values)
         + c * float(np.sum(u.values)),
-        derivative=lambda u: GridFunction(space, 2.0 * u.values + tilt),
+        gradient=lambda W: np.matmul(gram, (2.0 * W)[..., None])[..., 0] + c,
         symmetry_class="polarization-nonincreasing", name="tilted")
 
 
@@ -1335,7 +1320,7 @@ def test_symmetric_ekeland_variant_III_gamma_sequence(g1d4):
 
     def f_h(h):
         return Functional(eval=lambda u: (1 + 2.0 ** -h) * f(u),
-                          derivative=lambda u: (1 + 2.0 ** -h) * f.derivative(u),
+                          gradient=lambda W: (1 + 2.0 ** -h) * f.gradient(W),
                           symmetry_class="polarization-nonincreasing",
                           lower_bound=0.0, name=f"f_{h}")
 
@@ -1388,7 +1373,7 @@ def _column_hessian(grad, x, idx):
 def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
     from symvar import _descent
     from symvar import applications as ap
-    from symvar.principles import _f_arr, _grad_arr
+    from symvar.principles import _f_arr
 
     rng = np.random.default_rng(12)
     for g in (g1d8, g2d4):
@@ -1398,7 +1383,7 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
         fs_ = [ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.5), g),
                ap.semilinear_functional(cubic, g), double_well(g)]
         for f in fs_:
-            fun, grad = _f_arr(f, g), _grad_arr(f, g)
+            fun, grad = _f_arr(f, g), f.gradient
             x = 0.4 * rng.standard_normal(g.n_cells)
             every = np.arange(g.n_cells)
             some = np.flatnonzero(rng.random(g.n_cells) < 0.5)
@@ -1427,7 +1412,8 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
 
 def test_descent_makes_no_riesz_solve(g1d8, monkeypatch):
     # a functional that declares its Euclidean gradient is descended without
-    # one Riesz solve; the spy does see the solve of ``derivative``
+    # one Riesz solve; the spy does see the Riesz helper's one solve, for one
+    # vector and for a whole block of rows
     from symvar import applications as ap
     from symvar import funcspace
     from symvar.principles import estimate_inf
@@ -1444,8 +1430,48 @@ def test_descent_makes_no_riesz_solve(g1d8, monkeypatch):
     f = ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.5), g1d8)
     estimate_inf(f, g1d8, whole_space(g1d8), np.random.default_rng(0))
     assert calls == []
-    f.derivative(g1d8.zeros())
-    assert calls == [(8,)]
+    funcspace._riesz_gradient(f, g1d8, np.zeros(8))
+    funcspace._riesz_gradient(f, g1d8, np.ones((3, 8)))
+    assert calls == [(8,), (8, 3)]
+
+
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_every_riesz_reader_checks_the_declared_gradient(g1d2, g1d4, bad):
+    # a gradient that returns NaN raises InvalidArgument, and one of the
+    # wrong shape SpaceMismatch, as a GridFunction built from it would
+    from symvar.errors import SpaceMismatch
+
+    if bad == "nan":
+        error = InvalidArgument
+
+        def grad(W):
+            return np.full(np.shape(W), np.nan)
+    else:
+        error = SpaceMismatch
+
+        def grad(W):
+            return np.zeros(np.shape(W)[:-1] + (np.shape(W)[-1] + 1,))
+
+    def broken(f):
+        return Functional(eval=f.eval, gradient=grad, name="broken",
+                          symmetry_class=f.symmetry_class,
+                          lower_bound=f.lower_bound)
+
+    a = sym_center(g1d4, 29)
+    runs = [
+        lambda: strong_slope(broken(quad_X(a)), a + g1d4.function(
+            [0.1, 0.0, 0.0, 0.0]), n_samples=8),
+        lambda: dgz_check(quad_X(a), broken(bump_perturbation(g1d4, a, 0.25,
+                                                              1.0)),
+                          a, 0.25, seed=1, n_samples=200),
+        lambda: path_minimax(broken(_radial_double_well(g1d2)),
+                             _unit_sym(g1d2), 8, 0.05, seed=1, n_samples=100),
+        lambda: constrained_symmetric_ekeland(
+            quad_X(g1d2.zeros()), [broken(_l2_sphere(g1d2))], 1,
+            g1d2.function([1.0, 1.0]), 0.05, seed=0, n_samples=100)]
+    for run in runs:
+        with pytest.raises(error, match="gradient of broken"):
+            run()
 
 
 def test_penalty_grad_rows_equal_single_calls(g1d8, g2d4):
