@@ -352,12 +352,15 @@ def default_slack(fv: float) -> float:
 
 
 def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
-    """(fun, grad, project, box) for a descent on the domain; grad is
-    ``f.gradient`` on p = 2 grids, else None.  Off the whole space fun is
-    +inf outside the set, so a feasibility restoration that fails to land
-    in the set cannot pass for a low value."""
+    """(fun, grad, project, box) for a descent on the domain; grad is the
+    declared gradient, checked by ``funcspace._declared_gradient`` (another
+    shape raises SpaceMismatch, a non-finite entry InvalidArgument), on
+    p = 2 grids, else None.  Off the whole space fun is +inf outside the
+    set, so a feasibility restoration that fails to land in the set cannot
+    pass for a low value."""
     fun = _f_arr(f, space)
-    grad = f.gradient if space.p == 2.0 else None
+    grad = (None if space.p != 2.0 or f.gradient is None
+            else lambda W: _declared_gradient(f, W))
     box = (domain.lo, domain.hi) if domain.kind in ("box", "cone") else None
     if domain.kind == "space":
         return fun, grad, None, box
@@ -413,18 +416,26 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
     return best_f, log, best_x
 
 
-# rows drawn and scored at a time by sample_inequality (bounds its memory)
+# rows drawn and scored at a time (bounds the memory): path_minimax takes
+# 512 paths, sample_inequality 2**14 values but never fewer than 512 rows
 _SAMPLE_BLOCK = 512
+_SAMPLE_VALUES = 2 ** 14
 
 
-def _project_rows(domain: SetOracle, W):
-    """The rows of the block W projected into ``domain``, keeping those the
-    domain contains, in order; a custom oracle is called once per row."""
+def _project_rows(domain: SetOracle, W, D, v_vals, metric_norm):
+    """(W, D): the rows of the block W projected into ``domain`` and their
+    distances D to v, keeping the rows the domain contains, in order.  A
+    row the projection moved gets D = metric_norm(w − v); a custom oracle
+    is called once per row."""
     if domain is None:
-        return W
+        return W, D
     P = domain.project_rows(W)
+    if P is not W:
+        moved = (P != W).any(axis=1)
+        if moved.any():
+            D[moved] = metric_norm(P[moved] - v_vals)
     keep = domain.contains_rows(P)
-    return P if keep.all() else P[keep]
+    return (P, D) if keep.all() else (P[keep], D[keep])
 
 
 def _probe_frac(Z):
@@ -447,79 +458,104 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     when ‖z‖ = 0), or, when that index is len(radii), into the global probe
     v + h·(2·frac(z) − 1) in the box of half-width h = max(1, 2‖v‖_∞)
     around v, where frac(z) = z − ⌊z⌋ (``_probe_frac``, bit for bit
-    ``z % 1.0``).  ``deficit`` and ``metric_norm`` score a block (k, N) of
-    points row by row.  Draws come sequentially from one seeded stream, a
-    block at a time (a block draw equals the same draws made one by one),
-    so a run with more samples extends a run with fewer (the max can only
-    grow); the first strict maximum above 0 wins, the extra points first.
-    Each block becomes its points in place: the ball rows are gathered
-    once, normed, multiplied by r, divided by ‖z‖ and shifted by v, the
-    probe rows are mapped through a strided view of the block, so every
-    point has the bits of its one-sample formula.  ``n_samples`` must be
-    an integer ≥ 1 (else InvalidArgument)."""
+    ``z % 1.0``).  ``deficit(W, D)`` scores a block (k, N) of points row
+    by row, given each row's distance D to v; ``metric_norm`` norms a block
+    row by row.  The sampler owns the distances: a ball point is at its
+    radius r, a probe at metric_norm of its offset h·(2·frac(z) − 1), an
+    extra point and a point that ``domain``'s projection moved at
+    metric_norm(w − v).  The radius stands for ‖w − v‖ only because the
+    norm is positively homogeneous (the X, V and l1 norms are): it then
+    differs from the norm of the rounded w − v by about 1e-15·(1 + ‖v‖_∞),
+    far below any certificate's slack 1e-6·(1 + |f(v)|).
+
+    Draws come sequentially from one seeded stream, a block at a time (a
+    block draw equals the same draws made one by one), so a run with more
+    samples extends a run with fewer (the max can only grow); the first
+    strict maximum above 0 wins, the extra points first.  A block holds
+    2**14 values but at least 512 rows (``_SAMPLE_VALUES``,
+    ``_SAMPLE_BLOCK``); its size changes no point and no winner.  Each
+    block becomes its points in place: the ball rows are gathered once,
+    normed, multiplied by r, divided by ‖z‖ and shifted by v, the probe
+    rows are mapped through a strided view of the block, so every point
+    and every distance has the bits of its one-sample formula.
+    ``n_samples`` must be an integer ≥ 1 (else InvalidArgument)."""
     _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
     n_dim = space.n_cells
+    rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n_dim)
     width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
     n_ball = len(radii)
-    radius_of = np.asarray(radii, float)
+    # each slot's distance to v; a probe's is filled in per block
+    slot_dist = np.append(np.asarray(radii, float), np.nan)
     maxv, arg = 0.0, None
 
-    def consider(W):
+    def consider(W, D):
         nonlocal maxv, arg
-        W = _project_rows(domain, W)
+        W, D = _project_rows(domain, W, D, v_vals, metric_norm)
         if len(W) == 0:
             return
-        d = deficit(W)
+        d = deficit(W, D)
         j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
         if d[j] > maxv:
             maxv, arg = d[j], W[j].copy()
 
     if len(extra_points):
-        consider(np.array([np.asarray(w, float) for w in extra_points]))
-    for start in range(0, n_samples, _SAMPLE_BLOCK):
-        W = rng.standard_normal((min(_SAMPLE_BLOCK, n_samples - start), n_dim))
+        E = np.array([np.asarray(w, float) for w in extra_points])
+        consider(E, metric_norm(E - v_vals))
+    for start in range(0, n_samples, rows):
+        W = rng.standard_normal((min(rows, n_samples - start), n_dim))
         slot = (start + np.arange(len(W))) % (n_ball + 1)
+        D = slot_dist[slot]
         ball = slot < n_ball
         B = W[ball]
         nz = metric_norm(B)
         zero = nz == 0.0
         has_zero = bool(zero.any())
-        B *= radius_of[slot[ball], None]
+        B *= D[ball, None]
         B /= (np.where(zero, 1.0, nz) if has_zero else nz)[:, None]
         B += v_vals
         W[ball] = B
-        # the probe rows, every (n_ball + 1)-th, mapped in place in W
-        P = _probe_frac(W[(n_ball - start) % (n_ball + 1)::n_ball + 1])
+        # the probe rows, every (n_ball + 1)-th, mapped in place in W and
+        # normed before v is added
+        probe = np.s_[(n_ball - start) % (n_ball + 1)::n_ball + 1]
+        P = _probe_frac(W[probe])
         P *= 2.0
         P -= 1.0
         P *= width
+        D[probe] = metric_norm(P)
         P += v_vals
-        consider(np.delete(W, np.flatnonzero(ball)[zero], axis=0)
-                 if has_zero else W)
+        if has_zero:
+            gone = np.flatnonzero(ball)[zero]
+            consider(np.delete(W, gone, axis=0), np.delete(D, gone))
+        else:
+            consider(W, D)
     gf = None if arg is None else GridFunction(space, arg)
     return ViolationReport(n_samples=n_samples, max_violation=maxv,
                            argmax_w=gf, seed=int(seed))
 
 
 def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
-    """W ↦ deficits (> 0 violates) of the certificate's inequality at the
-    rows w of the block W, at issue and at re-verification; ``fv`` is f(v).
-    SymBP: f(w) ≥ f(v) + σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck: f(w) + g(w) ≥
-    f(v) + g(v); otherwise f(w) ≥ f(v) − σc‖w−v‖, c the Zhong weight at v
-    (1 for other kinds).  Each row's deficit is bit-equal to the deficit of
-    that point alone."""
+    """(W, D) ↦ deficits (> 0 violates) of the certificate's inequality at
+    the rows w of the block W, at issue and at re-verification; ``fv`` is
+    f(v) and D holds each row's distance ‖w−v‖ as ``sample_inequality``
+    hands it.  SymBP: f(w) ≥ f(v) + σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck:
+    f(w) + g(w) ≥ f(v) + g(v), both ignoring D; otherwise
+    f(w) ≥ f(v) − σc·D, c the Zhong weight at v (1 for other kinds).  Each
+    row's deficit is bit-equal to the deficit of that point alone, given
+    the same distance."""
     space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
     if cert.variant == "SymBP":
         eta, p = cert.eta.values, cert.p_exp
         dve = _pow_rows(metric.dist(v_vals, eta), p)
-        return lambda W: (fv + sigma * (dve - _pow_rows(metric.dist(W, eta), p))
-                          - f._eval_rows(space, W))
+        return lambda W, D: (
+            fv + sigma * (dve - _pow_rows(metric.dist(W, eta), p))
+            - f._eval_rows(space, W))
     if cert.variant == "DGZCheck":
         fgv = fv + g(cert.v)
-        return lambda W: fgv - f._eval_rows(space, W) - g._eval_rows(space, W)
+        return lambda W, D: (fgv - f._eval_rows(space, W)
+                             - g._eval_rows(space, W))
     s = sigma * cert.extras.get("weight_at_v", 1)
-    return lambda W: fv - s * metric.dist(W, v_vals) - f._eval_rows(space, W)
+    return lambda W, D: fv - s * D - f._eval_rows(space, W)
 
 
 def _sampler_radii(cert: Certificate):

@@ -922,24 +922,31 @@ def test_sqps_error_carries_schedule_index(g1d4):
 def _reference_sample(deficit, space, v_vals, *, n_samples, seed, radii,
                       metric_norm, domain=None, width=None, extra_points=()):
     """sample_inequality as first written: one draw, one norm and one
-    deficit per sample, on single points."""
+    deficit per sample, on single points.  ``deficit(w, dist)`` gets the
+    distance the sampler owns: r for a ball point, the norm of a probe's
+    offset, ‖w − v‖ for an extra point and for a point the projection
+    moved."""
     rng = np.random.default_rng(seed)
     if width is None:
         width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
     maxv, arg = 0.0, None
 
-    def consider(w):
+    def consider(w, dist):
         nonlocal maxv, arg
         if domain is not None:
-            w = domain.project(w)
+            moved = domain.project(w)
+            if not np.array_equal(moved, w):
+                dist = metric_norm(moved - v_vals)
+            w = moved
             if not domain.contains(w):
                 return
-        d = deficit(w)
+        d = deficit(w, dist)
         if d > maxv:
             maxv, arg = d, np.array(w)
 
     for w in extra_points:
-        consider(np.asarray(w, float))
+        w = np.asarray(w, float)
+        consider(w, metric_norm(w - v_vals))
     for i in range(n_samples):
         z = rng.standard_normal(space.n_cells)
         k = i % (len(radii) + 1)
@@ -947,9 +954,10 @@ def _reference_sample(deficit, space, v_vals, *, n_samples, seed, radii,
             nz = metric_norm(z)
             if nz == 0.0:
                 continue
-            consider(v_vals + radii[k] * z / nz)
+            consider(v_vals + radii[k] * z / nz, radii[k])
         else:
-            consider(v_vals + width * (2.0 * (z % 1.0) - 1.0))
+            offset = width * (2.0 * (z % 1.0) - 1.0)
+            consider(v_vals + offset, metric_norm(offset))
     return maxv, arg
 
 
@@ -973,26 +981,27 @@ def _sampling_domains(space):
 
 
 def _scalar_deficit(f, cert, metric, fv, g=None):
-    """Per-point deficit of each certificate form, on single points."""
-    space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
+    """Per-point deficit of each certificate form, on single points, given
+    the point's distance to v (unused by SymBP and DGZCheck)."""
+    space, sigma = cert.v.space, cert.sigma
     if cert.variant == "SymBP":
         eta, p = cert.eta.values, cert.p_exp
-        dve = metric.dist(v_vals, eta) ** p
-        return lambda w: (fv + sigma * (dve - metric.dist(w, eta) ** p)
-                          - f(GridFunction(space, w)))
+        dve = metric.dist(cert.v.values, eta) ** p
+        return lambda w, dist: (fv + sigma * (dve - metric.dist(w, eta) ** p)
+                                - f(GridFunction(space, w)))
     if cert.variant == "DGZCheck":
         fgv = fv + g(cert.v)
-        return lambda w: (fgv - f(GridFunction(space, w))
-                          - g(GridFunction(space, w)))
-    return lambda w: fv - sigma * metric.dist(w, v_vals) \
-        - f(GridFunction(space, w))
+        return lambda w, dist: (fgv - f(GridFunction(space, w))
+                                - g(GridFunction(space, w)))
+    return lambda w, dist: fv - sigma * dist - f(GridFunction(space, w))
 
 
 def _block_equals_loop(space, a, v, eta, metric_name, domain_name,
                        n_samples):
     """Score four certificate forms with sample_inequality and with the
-    per-sample loop; assert the same points in the same order and the same
-    winner; return how many forms found a positive deficit."""
+    per-sample loop; assert the same points at the same distances with the
+    same deficits in the same order, and the same winner; return how many
+    forms found a positive deficit."""
     from symvar.cli import FUNCTIONALS
     from symvar.principles import _deficit, sample_inequality
 
@@ -1015,14 +1024,26 @@ def _block_equals_loop(space, a, v, eta, metric_name, domain_name,
         block_deficit = _deficit(f, cert, metric, fv, g)
         point_deficit = _scalar_deficit(f, cert, metric, fv, g)
         scored, ref_scored = [], []
-        rep = sample_inequality(
-            lambda W: scored.append(W.copy()) or block_deficit(W), space,
-            v.values, metric_norm=metric.norm, **kw)
-        maxv, arg = _reference_sample(
-            lambda w: ref_scored.append(w) or point_deficit(w), space,
-            v.values, metric_norm=metric.norm, **kw)
-        # the same points scored in the same order, and the same winner
-        assert np.array_equal(np.concatenate(scored), ref_scored)
+
+        def block(W, D):
+            d = block_deficit(W, D)
+            scored.append((W.copy(), D.copy(), d))
+            return d
+
+        def point(w, dist):
+            d = point_deficit(w, dist)
+            ref_scored.append((w, dist, d))
+            return d
+
+        rep = sample_inequality(block, space, v.values,
+                                metric_norm=metric.norm, **kw)
+        maxv, arg = _reference_sample(point, space, v.values,
+                                      metric_norm=metric.norm, **kw)
+        # the same points at the same distances with the same deficits in
+        # the same order, and the same winner
+        for j, ref in enumerate(zip(*ref_scored)):
+            assert np.array_equal(np.concatenate([b[j] for b in scored]),
+                                  ref)
         assert rep.max_violation == maxv
         if arg is None:
             assert rep.argmax_w is None
@@ -1049,14 +1070,15 @@ def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
 @pytest.mark.parametrize("dimension,n", [(1, 128), (2, 4)])
 def test_sample_inequality_equals_per_sample_loop_on_larger_grids(
         dimension, n, metric_name, domain_name):
-    # 2000 samples make three full blocks of 512 and a partial fourth
+    # three full blocks of 512 rows and a partial fourth on 1D n = 128, two
+    # full blocks of 1024 rows and a partial third on 2D 4×4
     g = make_grid(dimension, n, 1.0, 2, 4)
     rng = np.random.default_rng(40)
     a = sym_center(g, 40)
     v = a + g.function(0.05 * rng.standard_normal(g.n_cells))
     eta = v + g.function(0.01 * rng.standard_normal(g.n_cells))
     assert _block_equals_loop(g, a, v, eta, metric_name, domain_name,
-                              n_samples=2000) >= 2
+                              n_samples=2000 if dimension == 1 else 2500) >= 2
 
 
 def test_sample_inequality_probe_map_is_remainder_bit_for_bit():
@@ -1082,6 +1104,71 @@ def test_sample_inequality_probe_map_is_remainder_bit_for_bit():
                           np.delete(Z, np.s_[1::4], axis=0))
 
 
+@pytest.mark.parametrize("dimension,n,p", [(1, 8, 2.0), (1, 16, 2.0),
+                                           (1, 16, 1.5), (1, 128, 2.0),
+                                           (2, 4, 2.0), (2, 16, 2.0)])
+def test_sample_inequality_probe_norms_on_strided_rows(dimension, n, p):
+    # the sampler norms its probe offsets through a strided view of the
+    # block: every X and V norm of a strided row view has the bits of the
+    # same norm of a contiguous copy
+    from symvar.funcspace import _norm_V_raw, _norm_X_raw
+
+    g = make_grid(dimension, n, 1.0, p, 4)
+    W = np.random.default_rng(n).standard_normal((513, g.n_cells)) * 3.0
+    for start, step in ((0, 1), (3, 4), (1, 3), (2, 7)):
+        view = W[start::step]
+        assert not view.flags.c_contiguous or step == 1
+        for norm in (lambda V: _norm_X_raw(V, g.dimension, g.n, g.spacing,
+                                           g.cell_measure, g.p),
+                     lambda V: _norm_V_raw(V, g.cell_measure, g.p, g.q_V)):
+            assert np.array_equal(norm(view).view(np.uint64),
+                                  norm(view.copy()).view(np.uint64))
+
+
+@pytest.mark.parametrize("metric_name", ["X", "V"])
+@pytest.mark.parametrize("dimension,n", [(1, 8), (1, 16), (1, 128), (2, 4),
+                                         (2, 16)])
+def test_sample_inequality_ball_distance_is_sound(dimension, n, metric_name):
+    # a ball point is scored at its radius r, which is within
+    # 1e-14·(1 + ‖v‖_∞) of its measured distance ‖w − v‖ because the norm
+    # is positively homogeneous; a point the cone's or the box's projection
+    # moved is scored at its measured distance, which its radius misses
+    from symvar.principles import VMetric, sample_inequality
+
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    metric = XMetric(g) if metric_name == "X" else VMetric(g)
+    v = np.minimum(np.abs(np.random.default_rng(n).standard_normal(
+        g.n_cells)), 1.2)
+    v[::3] = 0.0  # on the lower face of the cone and of the box
+    tol = 1e-14 * (1.0 + np.max(np.abs(v)))
+
+    def scored(radii, domain=None):
+        rows, dists = [], []
+        sample_inequality(
+            lambda W, D: (rows.append(W.copy()) or dists.append(D.copy())
+                          or np.zeros(len(W))), g, v, n_samples=1500,
+            seed=n, radii=radii, metric_norm=metric.norm, domain=domain)
+        W, D = np.concatenate(rows), np.concatenate(dists)
+        # no ‖z‖ is 0 and every projected row is in its set: row i is
+        # sample i
+        assert len(W) == 1500
+        ball = np.arange(1500) % 4 < 3
+        return W[ball], D[ball], np.tile(radii, 375)
+
+    for r in (1e-4, 0.1):
+        radii = (4 * r, r, r / 4)
+        W, D, radius = scored(radii)
+        assert np.array_equal(D, radius)
+        assert np.all(np.abs(D - metric.dist(W, v)) <= tol)
+        for domain in (nonneg_cone(g), box_set(g, 0.0, 1.3)):
+            W, D, radius = scored(radii, domain)
+            measured = metric.dist(W, v)
+            assert np.all(np.abs(D - measured) <= tol)
+            moved = np.abs(radius - measured) > 1e-3 * radius
+            assert moved.sum() >= 100
+            assert np.array_equal(D[moved], measured[moved])
+
+
 def test_sample_inequality_refuses_a_count_below_one(g1d4):
     # a count below 1 draws nothing, so its report would be a vacuous PASS
     from symvar.principles import sample_inequality
@@ -1091,7 +1178,7 @@ def test_sample_inequality_refuses_a_count_below_one(g1d4):
     kw = dict(seed=1, radii=(0.4, 0.1, 0.025), metric_norm=XMetric(g1d4).norm)
     for bad in (0, -5, 2.5, True, "100", None):
         with pytest.raises(InvalidArgument, match="n_samples must be"):
-            sample_inequality(lambda W: np.zeros(len(W)), g1d4, a.values,
+            sample_inequality(lambda W, D: np.zeros(len(W)), g1d4, a.values,
                               n_samples=bad, **kw)
     cert = Certificate(variant="EkelandCore", v=a, sigma=0.1, rho=0.1)
     for bad in (0, -5):
@@ -1170,10 +1257,12 @@ def test_sample_inequality_prefix_property(g1d4):
     f = quad_X(a)
     cert = Certificate(variant="EkelandCore", v=v, sigma=0.1, rho=0.1)
     metric = XMetric(g1d4)
-    # two radii: three sample kinds, which do not divide the block size
+    # two radii: three sample kinds, which do not divide the block size; the
+    # counts straddle the end of the first block of 2**14 / 4 = 4096 rows
+    # and reach a partial third
     for radii in ((0.4, 0.1, 0.025), (0.3, 0.05)):
         seen = []
-        for n in (1, 100, 511, 512, 513, 1500):
+        for n in (1, 100, 4095, 4096, 4097, 8200):
             kw = dict(n_samples=n, seed=9, radii=radii,
                       metric_norm=metric.norm)
             rep = sample_inequality(_deficit(f, cert, metric, f(v)), g1d4,
@@ -1196,18 +1285,18 @@ def test_sample_inequality_ties_and_nan(g1d4):
     kw = dict(n_samples=1100, seed=4, radii=(0.4, 0.1, 0.025),
               metric_norm=XMetric(g1d4).norm)
     for extra in ([], [np.ones(4), np.zeros(4)]):
-        rep = sample_inequality(lambda W: np.full(len(W), 0.5), g1d4, v,
+        rep = sample_inequality(lambda W, D: np.full(len(W), 0.5), g1d4, v,
                                 extra_points=extra, **kw)
-        maxv, arg = _reference_sample(lambda w: 0.5, g1d4, v,
+        maxv, arg = _reference_sample(lambda w, d: 0.5, g1d4, v,
                                       extra_points=extra, **kw)
         assert rep.max_violation == maxv == 0.5
         assert np.array_equal(rep.argmax_w.values, arg)
     assert np.array_equal(rep.argmax_w.values, np.ones(4))
     # a NaN deficit never wins, and does not hide the other rows
     rep = sample_inequality(
-        lambda W: np.where(W[:, 0] > 0.3, np.nan, W[:, 1]), g1d4, v, **kw)
+        lambda W, D: np.where(W[:, 0] > 0.3, np.nan, W[:, 1]), g1d4, v, **kw)
     maxv, arg = _reference_sample(
-        lambda w: np.nan if w[0] > 0.3 else w[1], g1d4, v, **kw)
+        lambda w, d: np.nan if w[0] > 0.3 else w[1], g1d4, v, **kw)
     assert rep.max_violation == maxv > 0.0
     assert np.array_equal(rep.argmax_w.values, arg)
 
@@ -1435,10 +1524,10 @@ def test_descent_makes_no_riesz_solve(g1d8, monkeypatch):
     assert calls == [(8,), (8, 3)]
 
 
-@pytest.mark.parametrize("bad", ["nan", "shape"])
-def test_every_riesz_reader_checks_the_declared_gradient(g1d2, g1d4, bad):
-    # a gradient that returns NaN raises InvalidArgument, and one of the
-    # wrong shape SpaceMismatch, as a GridFunction built from it would
+def _broken_gradient(bad):
+    """(error, broken): ``broken(f)`` is f with a gradient that returns NaN
+    (bad = "nan") or one column too many (bad = "shape"), and ``error`` the
+    error a GridFunction built from such values raises."""
     from symvar.errors import SpaceMismatch
 
     if bad == "nan":
@@ -1457,6 +1546,14 @@ def test_every_riesz_reader_checks_the_declared_gradient(g1d2, g1d4, bad):
                           symmetry_class=f.symmetry_class,
                           lower_bound=f.lower_bound)
 
+    return error, broken
+
+
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_every_riesz_reader_checks_the_declared_gradient(g1d2, g1d4, bad):
+    # a gradient that returns NaN raises InvalidArgument, and one of the
+    # wrong shape SpaceMismatch, as a GridFunction built from it would
+    error, broken = _broken_gradient(bad)
     a = sym_center(g1d4, 29)
     runs = [
         lambda: strong_slope(broken(quad_X(a)), a + g1d4.function(
@@ -1469,6 +1566,26 @@ def test_every_riesz_reader_checks_the_declared_gradient(g1d2, g1d4, bad):
         lambda: constrained_symmetric_ekeland(
             quad_X(g1d2.zeros()), [broken(_l2_sphere(g1d2))], 1,
             g1d2.function([1.0, 1.0]), 0.05, seed=0, n_samples=100)]
+    for run in runs:
+        with pytest.raises(error, match="gradient of broken"):
+            run()
+
+
+@pytest.mark.parametrize("bad", ["nan", "shape"])
+def test_the_descent_checks_the_declared_gradient(g1d4, bad):
+    # the multi-start descent reads the gradient as the Riesz readers do:
+    # a NaN one raises InvalidArgument and one of the wrong shape
+    # SpaceMismatch, not numpy's ValueError
+    from symvar.principles import estimate_inf
+
+    error, broken = _broken_gradient(bad)
+    a = sym_center(g1d4, 29)
+    f = broken(quad_X(a))
+    u0 = a + g1d4.function([0.1, 0.0, 0.2, 0.0])
+    runs = [lambda: estimate_inf(f, g1d4, whole_space(g1d4), 3),
+            lambda: estimate_inf(f, g1d4, nonneg_cone(g1d4), 3),
+            lambda: symmetric_ekeland(f, g1d4, u0, 0.1, 0.1, "II", seed=3,
+                                      n_samples=100)]
     for run in runs:
         with pytest.raises(error, match="gradient of broken"):
             run()
