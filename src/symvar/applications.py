@@ -21,7 +21,8 @@ from ._descent import _FD_STEP, _BandHessian
 from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      InvalidEpsilon, NotBoundedBelow, NotSymmetricInput,
                      SeparationViolated)
-from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
+from .funcspace import (Functional, GridFunction, GridSpace, _dirichlet_rows,
+                        _laplacian_rows, _sum_rows, gram_matrix,
                         laplacian_matrix, norm_V, riesz_from_euclidean,
                         theta)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
@@ -525,8 +526,14 @@ class SemilinearNonlinearity:
 
 def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
                           box: SetOracle = None) -> Functional:
-    """f(u) = ½∫|Du|² − ∫G(u) on the grid (+∞ outside the box, if given)."""
-    A, m = laplacian_matrix(space), space.cell_measure
+    """f(u) = ½∫|Du|² − ∫G(u) on the grid (+∞ outside the box, if given).
+
+    ½∫|Du|² is ½·uᵀAu on the edge stencil (``_dirichlet_rows``), ∫G(u) a
+    pairwise sum per row, and the declared gradient A·u − m·g(u) takes A·u
+    on the stencil too, so f and its gradient never build the dense
+    Laplacian; the Hessian is A's band minus m·diag(g′(u)).  A block's rows
+    are each bit-equal to their one-vector call."""
+    m = space.cell_measure
 
     def ev(u):
         return float(ev_rows(u.values[None])[0])
@@ -540,14 +547,7 @@ def semilinear_functional(N: SemilinearNonlinearity, space: GridSpace,
         return vals
 
     def energy_rows(W):
-        # per row the gemv and ddot of one vector's u @ A @ u (a stacked
-        # (1, N) @ (N, N) is a gemv and a stacked (1, N) @ (N, 1) a ddot),
-        # and for ∫G(u) a running sum from 0 along the row (a pairwise sum
-        # would move the last bit), so each row is bit-equal to its call
-        quad = 0.5 * np.matmul(np.matmul(W[:, None, :], A),
-                               W[:, :, None])[:, 0, 0]
-        terms = np.concatenate((np.zeros((len(W), 1)), _each(N.G, W)), axis=1)
-        return quad - m * np.cumsum(terms, axis=1)[:, -1]
+        return 0.5 * _dirichlet_rows(space, W) - m * _sum_rows(_each(N.G, W))
 
     def grad(W):
         return _euler_lagrange_rows(N, space, W)
@@ -571,10 +571,11 @@ def euler_lagrange_residual(N: SemilinearNonlinearity, u: GridFunction):
 
 
 def _euler_lagrange_rows(N: SemilinearNonlinearity, space: GridSpace, values):
-    """ψ of one vector (N,) or of each row of a block (k, N); a stacked
-    mat-vec keeps each row bit-equal to its call."""
-    Au = np.matmul(laplacian_matrix(space), values[..., None])[..., 0]
-    return Au - space.cell_measure * _each(N.g, values)
+    """ψ = A·u − m·g(u) of one vector (N,) or of each row of a block
+    (k, N), A·u on the edge stencil (``_laplacian_rows``), without the
+    dense Laplacian; each row is bit-equal to its one-vector call."""
+    return (_laplacian_rows(space, values)
+            - space.cell_measure * _each(N.g, values))
 
 
 def h_minus1_norm(space: GridSpace, psi_euclid) -> float:
@@ -618,7 +619,6 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
                         minimizing_sequence=minimizing_sequence, seed=seed,
                         n_samples=n_samples, q_probes=q_probes)
     rng = np.random.default_rng(seed + 17)
-    A = laplacian_matrix(space)
     m = space.cell_measure
     metric = XMetric(space)
     certs = []
@@ -627,13 +627,12 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
         psi = euler_lagrange_residual(N, u_h)
         cert.extras["psi_Hminus1"] = h_minus1_norm(space, psi)
         dg = lower_derivative(N.g, u_h.values, 1e-4)
-        # w·Aw − m·D̲g(u_h)·w² at X-unit w: per row the gemv and ddot of
-        # one vector's w @ A @ w and its ddot dg @ w², first minimum
+        # w·Aw − m·Σ D̲g(u_h)·w² at X-unit w, w·Aw on the edge stencil and
+        # both sums pairwise per row; first minimum
         W = rng.standard_normal((second_order_samples, space.n_cells))
         nw = metric.norm(W)
         W = W[nw != 0] / nw[nw != 0, None]
-        vals = (np.matmul(np.matmul(W[:, None], A), W[:, :, None])
-                - m * np.matmul(dg[None, None], (W * W)[:, :, None]))[:, 0, 0]
+        vals = _dirichlet_rows(space, W) - m * _sum_rows(dg * (W * W))
         vals = np.append(np.where(np.isnan(vals), math.inf, vals), math.inf)
         cert.extras["second_order_min"] = float(vals[np.argmin(vals)])
         cert.extras["second_order_bound"] = -2.0 * eps_h - 1e-6

@@ -332,7 +332,14 @@ def _edge_diffs(v, spacing, step):
     return d
 
 
-def _norm_X_raw(values, dimension, n, spacing, measure, p):
+def _edge_power_sum(values, dimension, n, spacing, p):
+    """Σ over the edge set of |fd|^p, fd the forward difference / spacing
+    (zero extension beyond the boundary), of one vector or of each row of
+    a block: the gradient part of the X norm's p-th power over the cell
+    measure, and at p = 2 the Dirichlet form uᵀAu over it
+    (``_dirichlet_rows``).  The p = 2 squares are one multiply in place:
+    the same bytes as numpy's power, which takes the exponent 2 as
+    np.square, without its abs pass and temporaries."""
     if dimension == 1:
         fields = (_edge_diffs(values, spacing, 1),)
     else:
@@ -342,16 +349,23 @@ def _norm_X_raw(values, dimension, n, spacing, measure, p):
         fields = (_edge_diffs(values, spacing, n),
                   gy.reshape(lead + (n * (n + 1),)))
     if p == 2:
-        # the same bytes as the general branch (numpy's power takes the
-        # exponent 2 as np.square) without its abs pass and temporaries:
-        # 4% off certify verify_p50_s (9 of 10 paired benchmark runs, 2-core
-        # x86-64)
         sums = [_sum_rows(np.multiply(d, d, out=d)) for d in fields]
-        cells = _sum_rows(values * values)
     else:
         sums = [_sum_rows(np.abs(d) ** p) for d in fields]
+    return sums[0] if dimension == 1 else sums[0] + sums[1]
+
+
+def _norm_X_raw(values, dimension, n, spacing, measure, p):
+    """(measure·(Σ_edges |fd|^p + Σ_cells |u|^p))^{1/p}: the edge sum is
+    ``_edge_power_sum``, the one the Dirichlet form takes at p = 2."""
+    grad = _edge_power_sum(values, dimension, n, spacing, p)
+    if p == 2:
+        # the general branch's bytes without its abs pass and temporaries:
+        # 4% off certify verify_p50_s (9 of 10 paired benchmark runs, 2-core
+        # x86-64)
+        cells = _sum_rows(values * values)
+    else:
         cells = _sum_rows(np.abs(values) ** p)
-    grad = sums[0] if dimension == 1 else sums[0] + sums[1]
     return _pow_rows(grad * measure + cells * measure, 1.0 / p)
 
 
@@ -401,6 +415,33 @@ def theta(u: GridFunction) -> GridFunction:
 def laplacian_matrix(space: GridSpace) -> np.ndarray:
     """Gradient-part matrix A with u^T A u = Σ_edges |fd|^2 · measure."""
     return space._matrices[0]
+
+
+def _dirichlet_rows(space: GridSpace, values):
+    """uᵀAu, A = ``laplacian_matrix(space)``, of one vector (N,) or of each
+    row of a block (k, N), from the edge stencil: m·Σ_edges (fd)², the
+    X norm's edge sum at p = 2, in O(N) per row and without A.  Each row is
+    bit-equal to its one-vector call."""
+    return space.cell_measure * _edge_power_sum(
+        values, space.dimension, space.n, space.spacing, 2)
+
+
+def _laplacian_rows(space: GridSpace, values):
+    """A·u, A = ``laplacian_matrix(space)``, of one vector (N,) or of each
+    row of a block (k, N), from the edge stencil: (m/h)·(d_left − d_right)
+    per axis, d the forward differences / h of ``_edge_diffs`` on the
+    cell's two edges along that axis, in O(N) per row and without A.  Each
+    row is bit-equal to its one-vector call."""
+    n, h = space.n, space.spacing
+    c = space.cell_measure / h
+    if space.dimension == 1:
+        d = _edge_diffs(values, h, 1)
+        return c * (d[..., :-1] - d[..., 1:])
+    lead = values.shape[:-1]
+    dx = _edge_diffs(values, h, n)
+    dy = _edge_diffs(values.reshape(lead + (n, n)), h, 1)
+    across = (dy[..., :-1] - dy[..., 1:]).reshape(lead + (n * n,))
+    return c * ((dx[..., :-n] - dx[..., n:]) + across)
 
 
 def gram_matrix(space: GridSpace) -> np.ndarray:

@@ -477,7 +477,10 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     block becomes its points in place: the ball rows are gathered once,
     normed, multiplied by r, divided by ‖z‖ and shifted by v, the probe
     rows are mapped through a strided view of the block, so every point
-    and every distance has the bits of its one-sample formula.
+    and every distance has the bits of its one-sample formula.  A deficit
+    marked ``_ignores_dist`` (``_deficit`` marks the SymBP and DGZ ones)
+    gets NaN in place of every distance the sampler would have to norm: a
+    probe's, an extra point's, a moved row's.
     ``n_samples`` must be an integer ≥ 1 (else InvalidArgument)."""
     _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
@@ -488,10 +491,15 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     # each slot's distance to v; a probe's is filled in per block
     slot_dist = np.append(np.asarray(radii, float), np.nan)
     maxv, arg = 0.0, None
+    if getattr(deficit, "_ignores_dist", False):
+        def offset_norm(B):
+            return np.full(len(B), np.nan)
+    else:
+        offset_norm = metric_norm
 
     def consider(W, D):
         nonlocal maxv, arg
-        W, D = _project_rows(domain, W, D, v_vals, metric_norm)
+        W, D = _project_rows(domain, W, D, v_vals, offset_norm)
         if len(W) == 0:
             return
         d = deficit(W, D)
@@ -501,7 +509,7 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
 
     if len(extra_points):
         E = np.array([np.asarray(w, float) for w in extra_points])
-        consider(E, metric_norm(E - v_vals))
+        consider(E, offset_norm(E - v_vals))
     for start in range(0, n_samples, rows):
         W = rng.standard_normal((min(rows, n_samples - start), n_dim))
         slot = (start + np.arange(len(W))) % (n_ball + 1)
@@ -522,7 +530,7 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
         P *= 2.0
         P -= 1.0
         P *= width
-        D[probe] = metric_norm(P)
+        D[probe] = offset_norm(P)
         P += v_vals
         if has_zero:
             gone = np.flatnonzero(ball)[zero]
@@ -539,7 +547,8 @@ def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
     the rows w of the block W, at issue and at re-verification; ``fv`` is
     f(v) and D holds each row's distance ‖w−v‖ as ``sample_inequality``
     hands it.  SymBP: f(w) ≥ f(v) + σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck:
-    f(w) + g(w) ≥ f(v) + g(v), both ignoring D; otherwise
+    f(w) + g(w) ≥ f(v) + g(v), both ignoring D and marked
+    ``_ignores_dist``, so the sampler norms no offset for them; otherwise
     f(w) ≥ f(v) − σc·D, c the Zhong weight at v (1 for other kinds).  Each
     row's deficit is bit-equal to the deficit of that point alone, given
     the same distance."""
@@ -547,15 +556,18 @@ def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
     if cert.variant == "SymBP":
         eta, p = cert.eta.values, cert.p_exp
         dve = _pow_rows(metric.dist(v_vals, eta), p)
-        return lambda W, D: (
+        score = lambda W, D: (
             fv + sigma * (dve - _pow_rows(metric.dist(W, eta), p))
             - f._eval_rows(space, W))
-    if cert.variant == "DGZCheck":
+    elif cert.variant == "DGZCheck":
         fgv = fv + g(cert.v)
-        return lambda W, D: (fgv - f._eval_rows(space, W)
-                             - g._eval_rows(space, W))
-    s = sigma * cert.extras.get("weight_at_v", 1)
-    return lambda W, D: fv - s * D - f._eval_rows(space, W)
+        score = lambda W, D: (fgv - f._eval_rows(space, W)
+                              - g._eval_rows(space, W))
+    else:
+        s = sigma * cert.extras.get("weight_at_v", 1)
+        return lambda W, D: fv - s * D - f._eval_rows(space, W)
+    score._ignores_dist = True
+    return score
 
 
 def _sampler_radii(cert: Certificate):

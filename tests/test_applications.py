@@ -431,6 +431,20 @@ def test_semilinear_equivariance_invariants(g1d8):
             norm_X(u), rel=1e-13)
 
 
+def test_semilinear_oracles_never_build_the_dense_laplacian():
+    # f, its declared gradient and ψ take the Dirichlet part on the edge
+    # stencil: the dense 4096 × 4096 Laplacian (128 MB) is never formed
+    space = make_grid(2, 64, 1.0, 2, 4)
+    N = _cubic()
+    f = semilinear_functional(N, space)
+    W = 0.1 * np.random.default_rng(8).standard_normal((3, space.n_cells))
+    u = space.function(W[0])
+    assert np.isfinite(f(u)) and np.isfinite(f._eval_rows(space, W)).all()
+    assert f.gradient(W).shape == W.shape
+    assert np.array_equal(f.gradient(W[0]), euler_lagrange_residual(N, u))
+    assert "_matrices" not in space.__dict__
+
+
 def test_gradient_norm_exhaustive_small_grids():
     # β=0 full-swap mirrors preserve norm_X exactly; every polarization is
     # nonexpansive (exhaustion over grids with ≤ 6 cells)

@@ -13,8 +13,10 @@ from symvar import (Functional, GridFunction, InvalidArgument,
                     function_from_json, function_to_json, make_grid, norm_Lr,
                     norm_V, norm_W, norm_X, theta)
 from symvar import funcspace, rearrange
-from symvar.funcspace import (_lr_norm_raw, _norm_V_raw, _norm_X_raw,
-                              _pow_rows, gram_matrix, riesz_from_euclidean)
+from symvar.funcspace import (GridSpace, _dirichlet_rows, _laplacian_rows,
+                              _lr_norm_raw, _norm_V_raw, _norm_X_raw,
+                              _pow_rows, gram_matrix, laplacian_matrix,
+                              riesz_from_euclidean)
 from symvar.principles import Certificate, symmetric_ekeland, verify_certificate
 from symvar.rearrange import is_family_fixed
 
@@ -320,6 +322,46 @@ def test_row_kernels_equal_scalar_kernels(dimension, n, p):
         assert (_norm_V_raw(w, m, p, q) == rows_V[j]
                 == max(_lr_norm_plain(w, m, p), _lr_norm_plain(w, m, q)))
         assert _lr_norm_raw(w, m, q) == rows_L[j] == _lr_norm_plain(w, m, q)
+
+
+def _stencil_grid(dimension, n):
+    """A p = 2 grid of n cells per axis on [−1, 1]^d.  make_grid takes only
+    even n; the one-cell 1D grid is built field by field, as the stencil and
+    laplacian_matrix read only its dimension, n, spacing and cell measure."""
+    if n % 2 == 0:
+        return make_grid(dimension, n, 1.0, 2, 4)
+    h = 2.0 / n
+    return GridSpace(dimension=1, n=n, radius=1.0, p=2.0, q_V=8.0, q_W=4.0,
+                     cells=np.zeros((n, 1)), lattice=np.zeros((n, 1), int),
+                     spacing=h, cell_measure=h, K=1.0)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 1), (1, 2), (1, 8), (1, 128),
+                                         (2, 2), (2, 4), (2, 16)])
+def test_dirichlet_stencil_equals_dense_laplacian(dimension, n):
+    # uᵀAu and A·u on the edge stencil agree with the dense products to
+    # 1e-14 relative; every row of a block is bit-equal to its one-vector
+    # call, and an empty block gives empty results
+    g = _stencil_grid(dimension, n)
+    N = g.n_cells
+    A = laplacian_matrix(g)
+    rng = np.random.default_rng(10 * n + dimension)
+    block = rng.standard_normal((60, N)) * rng.uniform(1e-3, 1e3, (60, 1))
+    block[7] = 0.0
+    quad, Au = _dirichlet_rows(g, block), _laplacian_rows(g, block)
+    assert quad.shape == (60,) and Au.shape == (60, N)
+    assert quad[7] == 0.0 and not Au[7].any()
+    for j, w in enumerate(block):
+        dense = A @ w
+        assert abs(quad[j] - w @ dense) <= 1e-14 * (w @ dense)
+        assert (np.max(np.abs(Au[j] - dense))
+                <= 1e-14 * np.max(np.abs(dense)))
+        one = _dirichlet_rows(g, w)
+        assert type(one) is np.float64 and one == quad[j]
+        assert np.array_equal(_laplacian_rows(g, w), Au[j])
+    empty = np.empty((0, N))
+    assert _dirichlet_rows(g, empty).shape == (0,)
+    assert _laplacian_rows(g, empty).shape == (0, N)
 
 
 def test_pow_rows_root_is_ieee_sqrt():

@@ -1301,6 +1301,58 @@ def test_sample_inequality_ties_and_nan(g1d4):
     assert np.array_equal(rep.argmax_w.values, arg)
 
 
+def test_sample_inequality_norms_no_distance_a_deficit_ignores(g1d8):
+    # _deficit marks the SymBP and DGZ deficits, which ignore D; for a
+    # marked deficit the sampler norms only the ball rows (to place them)
+    # and hands NaN for the probes, the extra points and the moved rows,
+    # with every point and the winner as for the unmarked deficit
+    from types import SimpleNamespace
+
+    from symvar.principles import _deficit, sample_inequality
+
+    u = _sym_dec(g1d8, 2)
+    f, metric = quad_X(u), XMetric(g1d8)
+    marks = {}
+    for variant in ("SymBP", "DGZCheck", "SymEkelandI"):
+        cert = SimpleNamespace(variant=variant, v=u, eta=u, sigma=0.1,
+                               p_exp=2.0, extras={})
+        marks[variant] = getattr(_deficit(f, cert, metric, f(u), f),
+                                 "_ignores_dist", False)
+    assert marks == {"SymBP": True, "DGZCheck": True, "SymEkelandI": False}
+
+    def run(mark):
+        rows, dists, normed = [], [], []
+
+        def deficit(W, D):
+            rows.append(W.copy())
+            dists.append(D.copy())
+            return np.sin(7.0 * W[:, 0] + W[:, 3])
+
+        if mark:
+            deficit._ignores_dist = True
+
+        def norm(B):
+            normed.append(len(B))
+            return metric.norm(B)
+
+        rep = sample_inequality(
+            deficit, g1d8, u.values, n_samples=1500, seed=5,
+            radii=(0.4, 0.1, 0.025), metric_norm=norm,
+            domain=box_set(g1d8, -3.0, 3.0),
+            extra_points=[np.ones(8), np.full(8, 9.0)])
+        return rep, np.concatenate(rows), np.concatenate(dists), sum(normed)
+
+    rep, W, D, normed = run(False)
+    rep_m, W_m, D_m, normed_m = run(True)
+    assert rep.max_violation == rep_m.max_violation > 0.0
+    assert np.array_equal(rep.argmax_w.values, rep_m.argmax_w.values)
+    assert np.array_equal(W, W_m)
+    kept = ~np.isnan(D_m)
+    assert np.array_equal(D[kept], D_m[kept]) and not np.isnan(D).any()
+    assert 0 < kept.sum() < len(D_m)
+    assert normed_m == 1125 < normed     # the ball rows, 3 of each 4
+
+
 def _ref_pair(maxv_arg):
     maxv, arg = maxv_arg
     return maxv, None if arg is None else list(arg)
