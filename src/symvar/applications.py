@@ -891,7 +891,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _convex_reaches(h, a, fa, b, level) -> bool:
-    """Whether the convex h comes down to `level` on [a, b], given fa = h(a).
+    """Whether the convex h comes down to `level` on [a, b], given
+    fa = h(a) > level.
 
     Golden-section steps shrink a bracket [a, b] around the minimizer with
     one interior point m.  True at the first point with h ≤ level.  False
@@ -899,8 +900,6 @@ def _convex_reaches(h, a, fa, b, level) -> bool:
     through m and b on [a, m] and above the chord through a and m on
     [m, b].  If the bracket stops shrinking in floating point first, every
     evaluated point stayed above level, and the answer is False."""
-    if fa <= level:
-        return True
     m = b - _GOLDEN * (b - a)
     if not a < m < b:
         return False
@@ -1104,9 +1103,8 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     _, _, argmin = estimate_inf(f, space, Sprime,
                                 np.random.default_rng(seed + 7),
                                 extra_starts=[x.values])
+    # project lands in S': it returns a member or the vertex x, which is one
     u0 = GridFunction(space, Sprime.project(np.abs(argmin)))
-    if not Sprime.contains(u0.values):
-        u0 = theta(x)
     cert = symmetric_ekeland(f, space, u0, eps, eps, variant="I",
                              domain=Sprime, seed=seed, n_samples=n_samples,
                              metric=metric)

@@ -858,10 +858,8 @@ def main(argv=None) -> int:
     runp.add_argument("--samples", type=int, default=None,
                       help="override verification sample counts (at least 1)")
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_config(args.config, seed=args.seed, out_dir=args.out,
-                          n_samples=args.samples)
-    return 1
+    return run_config(args.config, seed=args.seed, out_dir=args.out,
+                      n_samples=args.samples)
 
 
 if __name__ == "__main__":

@@ -185,16 +185,10 @@ class GridFunction:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.space, -self.values)
-
     def __eq__(self, other):
         return (isinstance(other, GridFunction)
                 and self.space.signature == other.space.signature
                 and np.array_equal(self.values, other.values))
-
-    def __hash__(self):
-        return hash((self.space.signature, self.values.tobytes()))
 
     def __repr__(self):
         return f"GridFunction({np.array2string(self.values, precision=4)})"

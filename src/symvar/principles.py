@@ -756,6 +756,8 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
 
     Requires f(u0) ≤ inf_est + σρ (BadStart otherwise), inf_est coming from
     the multi-start probe recorded in the certificate."""
+    _check_number("sigma", sigma, True)
+    _check_number("rho", rho, True)
     _check_n_samples(n_samples)
     space = u0.space
     metric = XMetric(space)
@@ -1197,6 +1199,7 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
     else a forward difference along one random direction per probe.
     Never raises on a failed check; failures surface as a FAILED
     certificate with witness."""
+    _check_number("eps", eps, True)
     _check_n_samples(n_samples)
     space = v.space
     metric = XMetric(space)
@@ -1257,8 +1260,7 @@ _TOL_CON = 1e-9
 def _constraint_set(space, G, n_eq):
     def residuals(vals):
         u = GridFunction(space, vals)
-        out = np.array([Gj(u) for Gj in G])
-        return out
+        return np.array([Gj(u) for Gj in G])
 
     def contains(vals):
         r = residuals(vals)
@@ -1269,8 +1271,7 @@ def _constraint_set(space, G, n_eq):
     def project(vals):
         x = np.array(vals, float)
         for _ in range(60):
-            u = GridFunction(space, x)
-            r = np.array([Gj(u) for Gj in G])
+            r = residuals(x)
             viol_eq = list(range(n_eq))
             viol_in = [j for j in range(n_eq, len(G)) if r[j] < -_TOL_CON]
             act = [j for j in viol_eq if abs(r[j]) > _TOL_CON] + viol_in

@@ -174,4 +174,16 @@ REJECTED = [
     ("1D polarize with a 2-entry axis", config("polarize", 4, {
         "values": [0, 0, 1, 0], "axis": [1, 1], "offset": 0.0}),
      "config.parameters.axis"),
+    ("m_nodes not an integer", config("path_minimax", 2, {
+        "psi": [1.0, 1.0], "m_nodes": 2.5}, WELL), "config.parameters.m_nodes"),
+    ("empty eps_schedule", config("sqps_sequence", 4, {"eps_schedule": []},
+                                  QUAD), "config.parameters.eps_schedule"),
+    ("singleton set without its point", config("drop_point", 2, {
+        "ball_center": DROP_CENTER, "x": [0.4, 0.4], "set": "singleton"}),
+     "config.parameters.point"),
+    ("functional missing", config("dgz_check", 8, {"v": U0_WELL}),
+     "config.functional: required"),
+    ("functional without a name", config("dgz_check", 8, {"v": U0_WELL},
+                                         {"center": U0_WELL}),
+     "config.functional: missing required key 'name'"),
 ]

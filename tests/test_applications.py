@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from symvar import (AssumptionViolated, Ball, Drop, Functional, GridFunction,
-                    IntegrandError, InvalidEpsilon, NotBoundedBelow, Petal,
+                    IntegrandError, InvalidArgument, InvalidEpsilon,
+                    NotBoundedBelow, Petal,
                     QuasilinearIntegrand, SemilinearNonlinearity, SeparationViolated, SetOracle,
                     caristi_fixed_point, clarke_fixed_point,
                     dirichlet_integrand, drop_membership, dual_norm,
@@ -1036,3 +1037,214 @@ def test_semilinear_experiment_takes_a_minimizing_sequence(g1d8):
     for c in certs:
         assert c.status == "PASS"
         assert np.max(np.abs(c.v.values)) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# argument checks, guards and rare branches
+
+def test_dual_norm_ascent_of_zero_is_zero(g1d8):
+    # the start r = 0 is skipped, and every random start has q ≡ 0 with a
+    # zero gradient, so each ends at once
+    assert dual_norm(g1d8, np.zeros(8), method="ascent", seed=1) == 0.0
+
+
+def test_dual_norm_ascent_off_p2_lies_in_its_bracket():
+    # p = 1.5 takes the central-difference gradient of the X norm; the
+    # value lies between r·v/‖v‖_X at sampled v and the bound
+    # m^{-1/p}‖r‖_{l^p'} from ‖v‖_X ≥ ‖v‖_{L^p} and Hölder
+    g = make_grid(1, 8, 1.0, 1.5, 4)
+    p, m = g.p, g.cell_measure
+    r = np.random.default_rng(4).standard_normal(8)
+    value = dual_norm(g, r, method="ascent", seed=2)
+    upper = m ** (-1.0 / p) * np.sum(np.abs(r) ** (p / (p - 1))) ** (
+        (p - 1) / p)
+    V = np.vstack([r, np.random.default_rng(5).standard_normal((20, 8))])
+    lower = max(float(r @ v) / norm_X(g.function(v)) for v in V)
+    assert lower <= value <= upper
+    assert value >= lower * (1.0 + 1e-3)        # the ascent moved
+
+
+def test_dual_norm_checks_its_method(g1d8):
+    with pytest.raises(InvalidArgument, match="unknown dual-norm method"):
+        dual_norm(g1d8, np.ones(8), method="newton")
+    with pytest.raises(AssumptionViolated, match="needs p = 2"):
+        dual_norm(make_grid(1, 8, 1.0, 3.0, 4), np.ones(8), method="solve")
+
+
+def test_argument_checks_of_the_pde_helpers():
+    with pytest.raises(InvalidArgument, match="forcing constant"):
+        forced_dirichlet_integrand(0.0)
+    with pytest.raises(InvalidArgument, match="delta must be positive"):
+        lower_derivative(np.sin, 0.0, 0.0)
+    N = SemilinearNonlinearity(g=lambda s: s ** 3, G=lambda s: s ** 4 / 4,
+                               a1=1.0, a2=1.0, b=1.0, p=7.0, name="p7")
+    with pytest.raises(AssumptionViolated, match="outside \\(2, 6\\]"):
+        N.validate()
+
+
+def test_residual_refuses_a_kinked_integrand(g1d4):
+    # L = t²/2 + t: L_t(s, 0) = 1, so the radial weight L_t/t blows up
+    kinked = QuasilinearIntegrand(L=lambda s, t: 0.5 * t * t + t,
+                                  L_s=lambda s, t: 0.0,
+                                  L_xi=lambda s, t: t + 1.0, name="kinked")
+    with pytest.raises(IntegrandError, match="must vanish"):
+        quasilinear_residual_vector(kinked, g1d4.zeros())
+
+
+def test_semilinear_validate_checks_one_sided_monotonicity():
+    # g(s) = −10s: odd, inside its growth bound, but it falls faster than
+    # a2 + b|s| + b|t| = 0.1 + 0.1(|s| + |t|) ≤ 0.7 allows on [−3, 3]
+    N = SemilinearNonlinearity(g=lambda s: -10.0 * s, G=lambda s: -5.0 * s * s,
+                               a1=40.0, a2=0.1, b=0.1, p=3.0, name="steep")
+    with pytest.raises(AssumptionViolated, match="one-sided monotonicity"):
+        N.validate()
+
+
+def test_caristi_condition_failing_only_at_the_output(g1d4):
+    # F moves a point by d only inside ‖u‖_X < 0.1, which no probe reaches;
+    # the output ξ ≈ 0 of f = ‖u‖_X is there, and the descent bound fails
+    d = 0.05 * np.ones(4)
+
+    def F(u):
+        return GridFunction(g1d4, u.values + d * (norm_X(u) < 0.1))
+
+    f = Functional(eval=norm_X, symmetry_class="polarization-nonincreasing",
+                   lower_bound=0.0, name="pot")
+    with pytest.raises(AssumptionViolated, match="fails at the output") as exc:
+        caristi_fixed_point(F, f, 0.2, g1d4, seed=0, n_samples=300)
+    assert norm_X(exc.value.witness) < 0.1
+
+
+def test_clarke_returns_the_pair_without_the_certificate(g1d4):
+    def F(u):
+        return GridFunction(g1d4, 0.4 * u.values)
+
+    xi, resid = clarke_fixed_point(F, 0.4, 0.3, g1d4, seed=0, n_samples=300)
+    xi2, resid2, _ = clarke_fixed_point(F, 0.4, 0.3, g1d4, seed=0,
+                                        n_samples=300, return_certificate=True)
+    assert xi == xi2 and resid == resid2
+
+
+def test_clarke_refuses_a_map_leaving_the_cone(g1d4):
+    with pytest.raises(AssumptionViolated, match="F\\(S\\) ⊄ S"):
+        clarke_fixed_point(lambda u: GridFunction(g1d4, -u.values), 0.4, 0.3,
+                           g1d4, seed=0)
+
+
+def test_clarke_refuses_an_expanding_map(g1d4):
+    # u ↦ 2u is equivariant but moves the segment twice as far
+    with pytest.raises(AssumptionViolated, match="contraction fails on a"):
+        clarke_fixed_point(lambda u: GridFunction(g1d4, 2.0 * u.values), 0.4,
+                           0.3, g1d4, seed=0)
+
+
+def test_clarke_contraction_failing_only_at_the_output(g1d4):
+    # F contracts by 0.4 away from 0 but shifts by a constant c inside
+    # ‖u‖_V < 0.05, which no probe's segment enters, where f = ‖c‖_V is
+    # least: the output lies there, and along its segment F moves exactly
+    # as far as the point
+    c = 0.001 * np.ones(4)
+
+    def F(u):
+        if norm_V(u) < 0.05:
+            return GridFunction(g1d4, u.values + c)
+        return GridFunction(g1d4, 0.4 * u.values)
+
+    with pytest.raises(AssumptionViolated, match="fails at the output") as exc:
+        clarke_fixed_point(F, 0.4, 0.3, g1d4, seed=0, n_samples=300)
+    assert norm_V(exc.value.witness) < 0.05
+
+
+def test_ball_boundary_sample_of_a_zero_draw_is_the_center(g1d2):
+    class Zeros:
+        def standard_normal(self, n):
+            return np.zeros(n)
+
+    center = g1d2.function([3.0, 3.0])
+    for symmetric in (False, True):
+        B = Ball(center, 1.0, symmetric=symmetric)
+        assert np.array_equal(B.boundary_sample(Zeros()), center.values)
+
+
+def test_convex_reaches_answers_false_once_the_bracket_stops_shrinking():
+    from symvar.applications import _convex_reaches
+
+    # a collapsed bracket: nothing but a is left, and h(a) > level
+    assert not _convex_reaches(lambda s: 1.0 + s, 2.0, 3.0, 2.0, 0.0)
+    # h stays 1e-300 above the level: no chord bound exceeds it, and the
+    # bracket shrinks to floating-point resolution in about 80 evaluations
+    calls = []
+
+    def h(s):
+        calls.append(s)
+        return abs(s - 1.0 / 3.0) + 1e-300
+
+    assert not _convex_reaches(h, 0.0, h(0.0), 1.0, 0.0)
+    assert len(calls) < 100
+
+
+def test_drop_membership_of_a_ray_with_no_symmetric_motion(g1d2):
+    # the vertex lies off the fixed subspace and d = y − x is antisymmetric:
+    # the ray meets the subspace only at s = 2, where b = (1/2, 1/2) is far
+    # from the ball, and the symmetric part of the ray does not move
+    B = Ball(g1d2.function([3.0, 3.0]), 1.0, symmetric=True)
+    D = Drop(g1d2.function([1.0, 0.0]), B)
+    assert not drop_membership(g1d2.function([0.75, 0.25]), D)
+
+
+def test_drop_projection_scan_moves_toward_the_point(g1d2):
+    from symvar.applications import _drop_project
+
+    B = Ball(g1d2.function([3.0, 3.0]), 1.0)
+    D = Drop(g1d2.function([0.0, 0.0]), B)
+    y = np.array([3.0, 1.0])
+    assert not drop_membership(g1d2.function(y), D)
+    w = _drop_project(D, y)
+    assert drop_membership(g1d2.function(w), D)
+    assert B.norm(y - w) < B.norm(y)
+
+
+def test_symmetric_drop_point_falls_back_to_the_vertex(g1d2):
+    # C = {x, p}: C's projection always lands on p, which is off the drop,
+    # and the drop's projection leaves C, so the drop engine's feasibility
+    # projection gives the vertex x back, and the point found is x
+    B = Ball(g1d2.function([3.0, 3.0]), 0.5, symmetric=True)
+    x, p = np.array([0.2, 0.2]), np.array([0.0, 2.0])
+
+    def contains(v):
+        return bool(np.array_equal(v, x) or np.array_equal(v, p))
+
+    C = SetOracle(contains=contains, project=lambda v: np.array(p),
+                  kind="custom", description="{x, p}")
+    cert = symmetric_drop_point(g1d2.function(x), B, C, 0.05, seed=0,
+                                n_samples=200, minimality_samples=500)
+    assert cert.status == "PASS"
+    assert np.array_equal(cert.v.values, x)
+
+
+def test_symmetric_drop_point_checks_its_inputs(g1d2):
+    from symvar import NotSymmetricInput, nonneg_cone
+
+    C = _halfplane_C()
+    x = g1d2.function([0.0, 0.0])
+    with pytest.raises(NotSymmetricInput, match="fully symmetric class"):
+        symmetric_drop_point(x, Ball(g1d2.function([3.0, 3.0]), 1.0), C, 0.05)
+    B = Ball(g1d2.function([3.0, 3.0]), 1.0, symmetric=True)
+    with pytest.raises(AssumptionViolated, match="vertex x must belong"):
+        symmetric_drop_point(g1d2.function([2.0, 2.0]), B, C, 0.05)
+    # the vertex lies in B: d(B, C) = 0
+    with pytest.raises(SeparationViolated, match="≤ 0"):
+        symmetric_drop_point(g1d2.function([3.0, 3.0]), B,
+                             nonneg_cone(g1d2), 0.05)
+
+
+def test_symmetric_petal_point_checks_its_inputs(g1d4):
+    box = box_set(g1d4, 0.0, 0.6)
+    half, one = (g1d4.function(np.full(4, c)) for c in (0.5, 1.0))
+    with pytest.raises(AssumptionViolated, match="x must belong to C"):
+        symmetric_petal_point(one, one, box, 0.05)
+    with pytest.raises(AssumptionViolated, match="y must lie outside C"):
+        symmetric_petal_point(half, half, box, 0.05)
+    # x = 0 is ‖1‖ from y, but the box comes within ‖0.4·1‖ of y
+    with pytest.raises(AssumptionViolated, match="slope condition fails"):
+        symmetric_petal_point(g1d4.zeros(), one, box, 0.05)

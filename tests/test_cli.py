@@ -316,6 +316,11 @@ def test_rejected_configs_name_their_field(tmp_path, capsys):
         assert field in err, (label, err)
 
 
+def test_unreadable_config_path_exits_1(tmp_path, capsys):
+    assert run_config(tmp_path / "no_such_config.json") == 1
+    assert "cannot read config" in capsys.readouterr().err
+
+
 def test_shipped_schema_is_generated_from_registry():
     import symvar.cli as cli
     assert cli.CONFIG_SCHEMA_PATH.read_text() == \

@@ -366,6 +366,36 @@ def test_descent_raises_the_error_of_the_first_start(g1d4, tags, expected,
         assert same(X[i], x) and same(F[i], fx)
 
 
+def test_row_whose_accepted_trial_gradient_raises_stops_there():
+    # row 0's first trial is accepted at |x| < 1, where the gradient raises:
+    # that row keeps its start and its error, row 1 takes its one step
+    def fun(W):
+        return np.sum(W * W, axis=-1)
+
+    def grad(W):
+        if np.any(np.abs(W) < 1.0):
+            raise IntegrandError("gradient undefined near 0")
+        return 2.0 * W
+
+    starts = np.array([[1.2, 1.2], [10.0, 10.0]])
+    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, 1)
+    assert list(errors) == [0]
+    assert isinstance(errors[0], IntegrandError)
+    assert same(X[0], starts[0]) and F[0] == fun(starts[0])
+    assert F[1] < fun(starts[1])
+
+
+def test_compass_search_from_a_non_finite_start_does_not_move():
+    calls = []
+
+    def fun(x):
+        calls.append(x)
+        return math.inf
+
+    x, fx = _descent.compass_minimize(fun, np.ones(3), scale=1.0)
+    assert same(x, np.ones(3)) and fx == math.inf and len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the all-non-finite fallback
 

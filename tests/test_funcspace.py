@@ -194,6 +194,14 @@ def test_gridfunction_immutable_and_space_checked(g1d4, g1d8):
         g1d4.function([1, 2, 3, np.nan])
 
 
+def test_gridfunction_refuses_a_wrong_shape_and_assignment(g1d4):
+    with pytest.raises(SpaceMismatch, match="expected 4 values"):
+        GridFunction(g1d4, np.ones(5))
+    u = g1d4.function([1, 2, 3, 4])
+    with pytest.raises(AttributeError, match="immutable"):
+        u.values = np.zeros(4)
+
+
 def test_serialization_round_trip(g1d4):
     u = g1d4.function([0.25, -1.5, 3.0, 0.0])
     obj = function_to_json(u)
@@ -421,6 +429,15 @@ def test_eval_rows_fallback_and_checks(g1d4):
     wrong = Functional(eval=ev, eval_batch=lambda W: np.zeros(len(W) + 1))
     with pytest.raises(InvalidArgument, match="shape"):
         wrong._eval_rows(g1d4, W)
+
+
+def test_eval_batch_rows_must_be_finite(g1d4):
+    f = Functional(eval=lambda u: 0.0, name="zero",
+                   eval_batch=lambda W: np.zeros(len(W)))
+    W = np.ones((3, 4))
+    W[1, 2] = np.inf
+    with pytest.raises(InvalidArgument, match="values must be finite"):
+        f._eval_rows(g1d4, W)
 
 
 def test_user_functional_rows_are_checked_read_only_copies(g1d4):

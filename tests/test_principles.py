@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from collections import Counter
 
@@ -9,7 +10,7 @@ from symvar import (AssumptionViolated, BadStart, Certificate,
                     Functional, GridFunction, InvalidArgument, NoMountainPass,
                     NotSymmetricInput, SymmetryViolation, bump_perturbation,
                     constrained_symmetric_ekeland, dgz_check, ekeland_point,
-                    make_grid, nonneg_cone, norm_V, norm_X, path_minimax,
+                    estimate_inf, make_grid, nonneg_cone, norm_V, norm_X, path_minimax,
                     schwarz, sqps_sequence, strong_slope,
                     symmetric_borwein_preiss, symmetric_ekeland,
                     symmetric_zhong, theta, verify_certificate, whole_space,
@@ -1659,3 +1660,223 @@ def test_penalty_grad_rows_equal_single_calls(g1d8, g2d4):
         w = W[0]
         assert np.array_equal(metric.penalty_grad(w, c),
                               gram @ (w - c) / metric.norm(w - c))
+
+
+# ---------------------------------------------------------------------------
+# argument checks, guards and rare branches of the engines
+
+@pytest.mark.parametrize("sigma", [0.0, float("nan"), True])
+def test_ekeland_point_checks_sigma_like_every_engine(g1d4, sigma):
+    # σ = 0 from the minimizer used to divide by zero in the location
+    # slack, NaN to surface as a GridFunction error, True to be accepted
+    a = _sym_dec(g1d4, 1)
+    with pytest.raises(InvalidArgument, match="sigma must be a finite "
+                                              "positive number"):
+        ekeland_point(quad_X(a), whole_space(g1d4), a, sigma, 0.1)
+
+
+def test_ekeland_point_checks_rho(g1d4):
+    a = _sym_dec(g1d4, 1)
+    with pytest.raises(InvalidArgument, match="rho must be a finite positive"):
+        ekeland_point(quad_X(a), whole_space(g1d4), a, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_dgz_check_refuses_eps_not_positive(g1d4, eps):
+    # a bound of ε ≤ 0 used to come back as a FAILED certificate
+    a = sym_center(g1d4, 41)
+    with pytest.raises(InvalidArgument, match="eps must be a finite positive"):
+        dgz_check(quad_X(a), bump_perturbation(g1d4, a, 0.1, 1.0), a, eps)
+
+
+def test_estimate_inf_refuses_a_false_lower_bound(g1d4):
+    f = Functional(eval=lambda u: float(u.values @ u.values),
+                   lower_bound=1.0, name="false_bound")
+    with pytest.raises(AssumptionViolated, match="below the declared lower"):
+        estimate_inf(f, g1d4, whole_space(g1d4), 0)
+
+
+def test_sample_inequality_skips_a_block_the_domain_empties(g1d4):
+    # no sampled point lies in the domain: the deficit is never called and
+    # nothing is reported
+    from symvar.principles import SetOracle, sample_inequality
+
+    def deficit(W, D):
+        raise AssertionError("the deficit scored an empty block")
+
+    empty = SetOracle(contains=lambda v: False, project=lambda v: v)
+    rep = sample_inequality(deficit, g1d4, np.zeros(4), n_samples=300,
+                            seed=0, radii=(0.1,),
+                            metric_norm=XMetric(g1d4).norm, domain=empty)
+    assert (rep.max_violation, rep.argmax_w) == (0.0, None)
+
+
+def test_check_symmetry_without_polarizers_evaluates_nothing():
+    # a one-cell grid (built field by field: make_grid takes even n only)
+    # registers no polarizer, so there is nothing to sample
+    from symvar import GridSpace
+    from symvar.principles import check_symmetry
+
+    bare = GridSpace(dimension=1, n=1, radius=1.0, p=2.0, q_V=8.0, q_W=4.0,
+                     cells=np.zeros((1, 1)), lattice=np.zeros((1, 1), int),
+                     spacing=2.0, cell_measure=2.0, K=1.0)
+    assert bare.polarizers == ()
+
+    def ev(u):
+        raise AssertionError("f was evaluated")
+
+    assert check_symmetry(Functional(eval=ev, name="never"), bare, 0) is None
+
+
+def test_ekeland_chain_refuses_a_start_outside_the_domain(g1d4):
+    # a domain whose projection misses it: f is +inf at the start
+    from symvar import OutsideDomain
+    from symvar.principles import SetOracle
+
+    nowhere = SetOracle(contains=lambda v: False, project=lambda v: v)
+    with pytest.raises(OutsideDomain, match="f\\(u0\\) is not finite"):
+        _ekeland_chain(quad_X(g1d4.zeros()), g1d4, nowhere, np.ones(4), 0.1,
+                       XMetric(g1d4), np.random.default_rng(0),
+                       anchor_vals=np.zeros(4), trust=1.0)
+
+
+def test_symmetric_ekeland_refuses_an_unknown_variant(g1d4):
+    a = sym_center(g1d4, 31)
+    with pytest.raises(InvalidArgument, match="unknown variant 'VI'"):
+        symmetric_ekeland(quad_X(a), g1d4, a, 0.1, 0.1, variant="VI")
+
+
+def test_variant_III_checks_its_points(g1d4):
+    a = sym_center(g1d4, 15)
+    f = quad_X(a)
+    with pytest.raises(AssumptionViolated, match="needs Y or a gamma"):
+        symmetric_ekeland(f, g1d4, a, 0.2, 0.2, variant="III")
+    with pytest.raises(NotSymmetricInput, match="Y must lie inside"):
+        symmetric_ekeland(f, g1d4, a, 0.2, 0.2, variant="III",
+                          Y=[g1d4.function([1.0, 0.0, 0.0, 0.0])])
+    with pytest.raises(AssumptionViolated, match="recovery sequence"):
+        symmetric_ekeland(f, g1d4, a, 0.2, 0.2, variant="III",
+                          gamma_sequence=([f], lambda u, h: -1.0 * u), h0=0)
+
+
+def test_variant_III_gamma_sequence_with_points_bounds_the_drift(g1d4):
+    # the recovery point sits off Y by a constant shift, which T_ρ keeps
+    # fixed: d(v, Y) is bounded by ρ plus the shift's X norm
+    a = sym_center(g1d4, 15)
+    f = quad_X(a)
+    shift = g1d4.function(np.full(4, 0.05))
+    cert = symmetric_ekeland(f, g1d4, a, 0.2, 0.2, variant="III", Y=[a],
+                             gamma_sequence=([f], lambda u, h: u + shift),
+                             h0=0, seed=7, n_samples=500)
+    assert cert.status == "PASS"
+    value, bound = cert.measured["d(v,Y)"]
+    assert bound == pytest.approx(0.2 + norm_X(shift), rel=1e-12)
+    assert value <= bound
+
+
+def _bp_descent_patch(monkeypatch, move):
+    """Route the Borwein-Preiss inner minimization (its four starts) to
+    ``move(eta)``; the inf probe's descent runs as it is."""
+    from symvar import _descent
+
+    real = _descent.minimize_multistart
+
+    def patched(fun, grad, starts, **kw):
+        if len(starts) != 4:
+            return real(fun, grad, starts, **kw)
+        x = move(np.asarray(starts[0], float))
+        return x, float(fun(x)), [float(fun(x))] * 4
+
+    monkeypatch.setattr(_descent, "minimize_multistart", patched)
+
+
+def test_bp_center_loop_that_never_settles_is_typed(g1d4, monkeypatch):
+    from symvar import ConvergenceFailure
+
+    _bp_descent_patch(monkeypatch, lambda eta: eta + 1.0)
+    a = sym_center(g1d4, 21)
+    with pytest.raises(ConvergenceFailure, match="did not settle") as exc:
+        symmetric_borwein_preiss(quad_X(a), g1d4, a, 0.1, 0.1, seed=0,
+                                 n_samples=200)
+    assert isinstance(exc.value.best, GridFunction)
+
+
+def test_bp_inner_minimizer_above_the_gap_is_typed(g1d4, monkeypatch):
+    # the inner minimizer lands within ρ/2 of η but above inf + σρ²
+    from symvar import ConvergenceFailure
+
+    _bp_descent_patch(monkeypatch, lambda eta: eta + 0.02)
+    a = sym_center(g1d4, 21)
+    with pytest.raises(ConvergenceFailure, match="stalled above") as exc:
+        symmetric_borwein_preiss(quad_X(a), g1d4, a, 0.1, 0.1, seed=0,
+                                 n_samples=200)
+    assert exc.value.residual > 0
+
+
+def test_constrained_refuses_dependent_saturated_constraints(g1d2):
+    f = quad_X(g1d2.zeros())
+    u0 = g1d2.function(np.full(2, 1.0 / np.sqrt(2 * g1d2.cell_measure)))
+    with pytest.raises(ConstraintDegeneracy, match="numerically dependent"):
+        constrained_symmetric_ekeland(f, [_l2_sphere(g1d2)] * 2, 2, u0, 0.05,
+                                      seed=0, n_samples=200)
+
+
+def test_constrained_with_no_saturated_constraint_reports_the_slope(g1d2):
+    # an inequality that never binds: no multiplier, and the residual is
+    # the X norm of f's Riesz gradient 2(v − a), nonzero at this start
+    a = g1d2.function([0.3, 0.3])
+    m = g1d2.cell_measure
+    loose = Functional(eval=lambda u: 16.0 - m * float(u.values @ u.values),
+                       gradient=lambda W: -2.0 * m * W, name="loose")
+    cert = constrained_symmetric_ekeland(quad_X(a), [loose], 0,
+                                         g1d2.function([0.31, 0.31]), 0.05,
+                                         seed=0, n_samples=300)
+    assert cert.status == "PASS"
+    assert cert.extras["saturated"] == []
+    assert cert.extras["multipliers"] == [0.0]
+    resid = cert.measured["‖df-Σλ·dG‖_X'"][0]
+    assert resid > 0.01
+    assert resid == pytest.approx(2.0 * norm_X(cert.v - a), rel=1e-12)
+
+
+def test_sqps_projects_a_start_outside_its_domain(g1d4):
+    # f = m·Σ(u_i − 1/2)² on the box [−0.15, 0.15]: the minimizing sequence
+    # sits at 1/2, outside the box, and each step starts from its
+    # projection 0.15, the minimizer on the box
+    m = g1d4.cell_measure
+    f = Functional(eval=lambda u: m * float(np.sum((u.values - 0.5) ** 2)),
+                   gradient=lambda W: 2.0 * m * (W - 0.5),
+                   symmetry_class="polarization-invariant", lower_bound=0.0,
+                   name="to_half")
+    box = box_set(g1d4, -0.15, 0.15)
+    starts = []
+
+    def recording(v):
+        starts.append(np.array(v))
+        return box.project(v)
+
+    out = sqps_sequence(f, g1d4, [0.1], seed=0, n_samples=200, q_probes=4,
+                        domain=dataclasses.replace(box, project=recording),
+                        minimizing_sequence=lambda h: g1d4.function(
+                            np.full(4, 0.5)))
+    assert any(np.array_equal(s, np.full(4, 0.5)) for s in starts)
+    cert, _ = out[0]
+    assert cert.status == "PASS"
+    assert np.allclose(cert.v.values, 0.15, atol=1e-9)
+
+
+def test_sqps_needs_a_dominating_point(g1d4):
+    # f(u) = m·Σ(u_i + 1)² is rearrangement invariant, but Θ(−1) = 1 has
+    # the larger value
+    m = g1d4.cell_measure
+    f = Functional(eval=lambda u: m * float(np.sum((u.values + 1.0) ** 2)),
+                   symmetry_class="polarization-invariant", name="shifted")
+    with pytest.raises(AssumptionViolated, match="no dominating point"):
+        sqps_sequence(f, g1d4, [0.1], seed=0, n_samples=200,
+                      minimizing_sequence=lambda h: g1d4.function(-np.ones(4)))
+
+
+def test_sqps_requires_p2():
+    g = make_grid(1, 4, 1.0, 3.0, 4)
+    with pytest.raises(AssumptionViolated, match="requires the Hilbert"):
+        sqps_sequence(quad_V(g.zeros()), g, [0.1])

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import symvar
-from symvar import GridFunction, OutsideDomain, make_grid, norm_X, q_form, strong_slope
+from symvar import (GridFunction, InvalidArgument, OutsideDomain, make_grid,
+                    norm_X, q_form, strong_slope)
 from symvar.funcspace import Functional, gram_matrix
 
 from conftest import linear_fn, quad_X
@@ -69,6 +70,13 @@ def test_q_form_quadratic_exact_quotient(g1d4):
     assert est.value == pytest.approx(norm_X(w) ** 2, abs=1e-6)
     assert len(est.schedule) == 3
     assert est.t_min <= 1e-4
+
+
+def test_q_form_refuses_delta_not_positive(g1d4):
+    u = g1d4.function([0.2, 0.0, 0.9, 0.5])
+    f = Functional(eval=norm_X, name="norm")
+    with pytest.raises(InvalidArgument, match="delta must be positive"):
+        q_form(f, u, u, delta=0.0)
 
 
 def test_q_form_linear_vanishes(g1d4):
