@@ -797,22 +797,25 @@ class Ball:
                                     "symmetric center")
 
     def _images(self, vals):
-        """vals under each element of the reflection group generated by the
-        β = 0 polarizers, the identity first."""
+        """vals (one vector or a block (k, N) of rows) under each element of
+        the reflection group generated by the β = 0 polarizers, the identity
+        first."""
         space = self.center.space
         if space.dimension == 1:
-            return [vals, vals[::-1]]
-        v = vals.reshape(space.n, space.n)
+            return [vals, vals[..., ::-1]]
+        v = vals.reshape(vals.shape[:-1] + (space.n, space.n))
         imgs = []
-        for a in (v, v[::-1, :], v[:, ::-1], v[::-1, ::-1]):
-            imgs.extend((a.ravel(), a.T.ravel()))
+        for a in (v, v[..., ::-1, :], v[..., ::-1], v[..., ::-1, ::-1]):
+            imgs.extend((a.reshape(vals.shape),
+                         a.swapaxes(-1, -2).reshape(vals.shape)))
         return imgs
 
     def _sym_project(self, vals):
         """Average over the reflection group generated by the β = 0
-        polarizers: the L² projector onto the fixed subspace."""
+        polarizers: the L² projector onto the fixed subspace, of one vector
+        or of each row of a block, the images summed in one order."""
         if self.center.space.dimension == 1:
-            return 0.5 * (vals + vals[::-1])
+            return 0.5 * (vals + vals[..., ::-1])
         return sum(self._images(vals)) / 8.0
 
     def contains(self, vals) -> bool:
@@ -826,28 +829,42 @@ class Ball:
         return self.norm(vals - self.center.values) <= self.radius + tol
 
     def project(self, vals):
+        """The radial projection into the ball (after the reflection
+        average on a symmetric ball) of one vector or of each row of a
+        block (k, N), each row bit-equal to its one-vector call."""
         w = np.array(vals, float)
         if self.symmetric:
             w = self._sym_project(w)
-        d = self.norm(w - self.center.values)
-        if d > self.radius:
-            w = self.center.values + (self.radius / d) * (w - self.center.values)
+        c = self.center.values
+        if w.ndim == 1:
+            # the engines' one-point calls skip the block bookkeeping
+            d = self.norm(w - c)
+            return c + (self.radius / d) * (w - c) if d > self.radius else w
+        d = _row_norms(self.norm, w - c)
+        out = d > self.radius
+        w[out] = c + (self.radius / d[out])[:, None] * (w[out] - c)
         return w
 
-    def dist(self, vals) -> float:
-        return self.norm(vals - self.project(vals))
+    def dist(self, vals):
+        """‖vals − project(vals)‖: a float for one vector, the (k,) row
+        values for a block."""
+        return _row_norms(self.norm, vals - self.project(vals))
 
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def boundary_sample(self, rng):
-        z = rng.standard_normal(len(self.center.values))
+    def sphere_points(self, Z):
+        """The sphere points c + (r/‖z‖)·z of the rows z of the draws Z
+        (k, N), each reflection-averaged first on a symmetric ball; a row of
+        norm 0 gives the center."""
         if self.symmetric:
-            z = self._sym_project(z)
-        nz = self.norm(z)
-        if nz == 0:
-            return np.array(self.center.values)
-        return self.center.values + (self.radius / nz) * z
+            Z = self._sym_project(Z)
+        nz = _row_norms(self.norm, Z)
+        zero = nz == 0.0
+        S = self.center.values + (
+            self.radius / np.where(zero, 1.0, nz))[:, None] * Z
+        S[zero] = self.center.values
+        return S
 
 
 @dataclass
@@ -986,13 +1003,14 @@ def _in_drop(y, D: Drop) -> bool:
 
 
 def petal_membership(y: GridFunction, P: Petal) -> bool:
-    return bool(_in_petal(P, y.values[None])[0])
+    W = y.values[None]
+    return bool(_in_petal(P, W, _row_norms(P.norm, W - P.x0.values))[0])
 
 
-def _in_petal(P: Petal, W):
-    """``petal_membership`` of each row of the block W."""
-    lhs = (P.eps * _row_norms(P.norm, W - P.x0.values)
-           + _row_norms(P.norm, W - P.x1.values))
+def _in_petal(P: Petal, W, d0):
+    """``petal_membership`` of each row of the block W, given each row's
+    distance d0 = ‖w − x0‖."""
+    lhs = P.eps * d0 + _row_norms(P.norm, W - P.x1.values)
     return lhs <= P.norm(P.x0.values - P.x1.values) + 1e-12
 
 
@@ -1003,18 +1021,15 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
     """Verify both displayed inclusions by boundary sampling: the ball
     B_{(1−ε)/(1+ε)‖x0−x1‖}(x1) lies inside the petal, and so does the drop
     of that ball from x0.  A sample violates when it misses the petal by
-    more than 1e-9 (``_PETAL_TOL``)."""
-    rng = np.random.default_rng(seed)
+    more than 1e-9 (``_PETAL_TOL``).  ``n_samples`` must be an integer ≥ 1
+    (else InvalidArgument): no sample would report no violation."""
+    _check_n_samples(n_samples)
     d01 = P.norm(P.x0.values - P.x1.values)
     r = (1.0 - P.eps) / (1.0 + P.eps) * d01
-    ball = Ball(P.x1, r, norm=P.norm)
-    # the normal and uniform draws interleave, so they stay one at a time;
-    # each ball point b and its drop point y are scored in one block
-    Y = []
-    for _ in range(n_samples):
-        b = ball.boundary_sample(rng)
-        Y += [b, P.x0.values + rng.uniform(0.0, 1.0) * (b - P.x0.values)]
-    Y = np.reshape(Y, (-1, P.x0.space.n_cells))
+    # the loop only draws; ball and drop points are built, normed and
+    # scored as blocks, interleaved as [b₀, y₀, b₁, y₁, …]
+    Y = _inclusion_points(P, Ball(P.x1, r, norm=P.norm),
+                          np.random.default_rng(seed), n_samples)
     lhs = (P.eps * _row_norms(P.norm, Y - P.x0.values)
            + _row_norms(P.norm, Y - P.x1.values))
     viol = lhs > d01 + _PETAL_TOL
@@ -1023,6 +1038,22 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
             "drop_violations": int(viol[1::2].sum()),
             "worst_margin": max([-math.inf, *(lhs - d01).tolist()]),
             "tol": _PETAL_TOL}
+
+
+def _inclusion_points(P: Petal, ball: Ball, rng, n_samples):
+    """The rows [b₀, y₀, b₁, y₁, …] that ``petal_inclusions`` scores: b a
+    sphere point of the ball and y = x0 + t·(b − x0) its drop point.  Each
+    sample draws z ~ N(0, I) and then t ~ U[0, 1); the draws interleave, so
+    only they stay in the loop, and the points are built as blocks."""
+    Z = np.empty((n_samples, P.x0.space.n_cells))
+    T = np.empty((n_samples, 1))
+    for i in range(n_samples):
+        Z[i] = rng.standard_normal(Z.shape[1])
+        T[i] = rng.uniform(0.0, 1.0)
+    Y = np.empty((2 * n_samples, Z.shape[1]))
+    Y[0::2] = b = ball.sphere_points(Z)
+    Y[1::2] = P.x0.values + T * (b - P.x0.values)
+    return Y
 
 
 def _drop_project(D: Drop, vals):
@@ -1067,7 +1098,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     # separation estimate from projection probes
     W = C.project_rows(rng.standard_normal((64, space.n_cells))
                        * (1.0 + B.norm(B.center.values)))
-    d_est = min([math.inf, *(B.dist(w) for w in W[C.contains_rows(W)]),
+    d_est = min([math.inf, *B.dist(W[C.contains_rows(W)]).tolist(),
                  B.dist(C.project(x.values))])
     if not math.isfinite(d_est) or d_est <= 0.0:
         raise SeparationViolated(f"estimated d(B, C) = {d_est:.3e} ≤ 0")
@@ -1109,19 +1140,35 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
                              domain=Sprime, seed=seed, n_samples=n_samples,
                              metric=metric)
     xi = cert.v
-    # sampled minimality of Drop(xi, B) ∩ C: the draws interleave, so they
-    # stay one at a time; the sample points are scored as one block
-    rng2 = np.random.default_rng(seed + 13)
-    Y = []
-    for _ in range(minimality_samples):
-        b = B.boundary_sample(rng2) if rng2.uniform() < 0.5 else B.project(
-            B.center.values + B.radius * rng2.uniform(-1, 1)
-            * rng2.standard_normal(space.n_cells))
-        Y.append(xi.values + rng2.uniform(0.0, 1.0) * (b - xi.values))
-    Y = np.reshape(Y, (-1, space.n_cells))
+    # sampled minimality of Drop(xi, B) ∩ C, scored as one block
+    Y = _drop_points(xi.values, B, np.random.default_rng(seed + 13),
+                     minimality_samples)
     _record_second_points(cert, "drop", Y[C.contains_rows(Y) & (
         metric.norm(Y - xi.values) > 1e-9)], minimality_samples, d_est)
     return cert.seal()
+
+
+def _drop_points(x, B: Ball, rng, n_samples):
+    """Sample points x + t·(b − x) of Drop(x, B).  Each sample draws a coin
+    u ~ U[0, 1); b is a sphere point of B when u < 0.5, else the projection
+    into B of c + r·a·z with a ~ U[-1, 1) drawn before z ~ N(0, I); then
+    t ~ U[0, 1).  The draws interleave, so only they stay in the loop, and
+    the sphere, projected and drop points are built as blocks."""
+    n = len(x)
+    sphere = np.empty(n_samples, bool)
+    A, T = np.empty((n_samples, 1)), np.empty((n_samples, 1))
+    Z = np.empty((n_samples, n))
+    for i in range(n_samples):
+        sphere[i] = rng.uniform() < 0.5
+        if not sphere[i]:
+            A[i] = rng.uniform(-1, 1)
+        Z[i] = rng.standard_normal(n)
+        T[i] = rng.uniform(0.0, 1.0)
+    b = np.empty_like(Z)
+    b[sphere] = B.sphere_points(Z[sphere])
+    inner = ~sphere
+    b[inner] = B.project(B.center.values + B.radius * A[inner] * Z[inner])
+    return x + T * (b - x)
 
 
 def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
@@ -1174,12 +1221,22 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
     r = np.resize([4 * eps, eps, eps / 4, 1.0], (minimality_samples, 1))
     W = C.project_rows(xi.values + r * np.random.default_rng(
         seed + 13).standard_normal((minimality_samples, space.n_cells)))
-    W = W[C.contains_rows(W)]
-    _record_second_points(cert, "petal", W[
-        (_row_norms(norm, W - xi.values) > 1e-9)
-        & _in_petal(Petal(eps, xi, y, norm=norm), W)],
+    _record_second_points(cert, "petal", _petal_second_points(
+        Petal(eps, xi, y, norm=norm), W[C.contains_rows(W)]),
         minimality_samples, d_est)
     return cert.seal()
+
+
+def _petal_second_points(P: Petal, W):
+    """The rows of W other than x0 = ξ in Petal_ε(ξ, y), in order.  A row
+    equal to ξ is dropped unnormed; ‖w − ξ‖ is taken once per other row,
+    for both the 1e-9 test and the petal's ε‖w − ξ‖ term, and ‖w − y‖ only
+    on the rows past that test."""
+    W = W[(W != P.x0.values).any(axis=1)]
+    d0 = _row_norms(P.norm, W - P.x0.values)
+    far = d0 > 1e-9
+    W = W[far]
+    return W[_in_petal(P, W, d0[far])]
 
 
 def _record_second_points(cert: Certificate, kind, hits, samples, d_est):

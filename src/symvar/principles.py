@@ -481,7 +481,9 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     marked ``_ignores_dist`` (``_deficit`` marks the SymBP and DGZ ones)
     gets NaN in place of every distance the sampler would have to norm: a
     probe's, an extra point's, a moved row's.
-    ``n_samples`` must be an integer ≥ 1 (else InvalidArgument)."""
+    ``n_samples`` must be an integer ≥ 1 (else InvalidArgument), and a
+    run that scores no point (``domain`` kept none) raises
+    AssumptionViolated: its report would be a PASS on no evidence."""
     _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
     n_dim = space.n_cells
@@ -490,7 +492,7 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     n_ball = len(radii)
     # each slot's distance to v; a probe's is filled in per block
     slot_dist = np.append(np.asarray(radii, float), np.nan)
-    maxv, arg = 0.0, None
+    maxv, arg, scored = 0.0, None, 0
     if getattr(deficit, "_ignores_dist", False):
         def offset_norm(B):
             return np.full(len(B), np.nan)
@@ -498,10 +500,11 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
         offset_norm = metric_norm
 
     def consider(W, D):
-        nonlocal maxv, arg
+        nonlocal maxv, arg, scored
         W, D = _project_rows(domain, W, D, v_vals, offset_norm)
         if len(W) == 0:
             return
+        scored += len(W)
         d = deficit(W, D)
         j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
         if d[j] > maxv:
@@ -537,6 +540,10 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
             consider(np.delete(W, gone, axis=0), np.delete(D, gone))
         else:
             consider(W, D)
+    if not scored:
+        where = "X" if domain is None else domain.description or domain.kind
+        raise AssumptionViolated(f"the domain {where} kept none of the "
+                                 f"{n_samples} sampled points")
     gf = None if arg is None else GridFunction(space, arg)
     return ViolationReport(n_samples=n_samples, max_violation=maxv,
                            argmax_w=gf, seed=int(seed))

@@ -19,7 +19,7 @@ from symvar.applications import (euler_lagrange_residual, h_minus1_norm,
                                  quasilinear_residual_vector,
                                  semilinear_functional)
 from symvar.funcspace import gram_matrix, laplacian_matrix
-from symvar.principles import box_set
+from symvar.principles import VMetric, box_set
 
 from conftest import random_S
 
@@ -628,6 +628,10 @@ def test_petal_inclusions_sampled(g1d2):
         rep = petal_inclusions(Petal(eps, x0, x1), n_samples=1000, seed=0)
         assert rep["ball_violations"] == 0
         assert rep["drop_violations"] == 0
+    # no sample would be a report of no violation
+    for n in (0, -1):
+        with pytest.raises(InvalidArgument, match="n_samples"):
+            petal_inclusions(Petal(0.5, x0, x1), n_samples=n)
 
 
 def _halfplane_C():
@@ -1155,15 +1159,184 @@ def test_clarke_contraction_failing_only_at_the_output(g1d4):
     assert norm_V(exc.value.witness) < 0.05
 
 
-def test_ball_boundary_sample_of_a_zero_draw_is_the_center(g1d2):
-    class Zeros:
-        def standard_normal(self, n):
-            return np.zeros(n)
-
+def test_ball_sphere_points_of_a_zero_draw_is_the_center(g1d2):
     center = g1d2.function([3.0, 3.0])
+    Z = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
     for symmetric in (False, True):
-        B = Ball(center, 1.0, symmetric=symmetric)
-        assert np.array_equal(B.boundary_sample(Zeros()), center.values)
+        S = Ball(center, 1.0, symmetric=symmetric).sphere_points(Z)
+        assert np.array_equal(S[[0, 2]], [center.values] * 2)
+        assert np.allclose(S[1], center.values + 1.0 / np.sqrt(2.0))
+
+
+# The geometry samplers' per-sample loops before their points were built as
+# blocks; the block samplers must reproduce their points bit for bit.
+
+def _loop_images(space, vals):
+    if space.dimension == 1:
+        return [vals, vals[::-1]]
+    v = vals.reshape(space.n, space.n)
+    imgs = []
+    for a in (v, v[::-1, :], v[:, ::-1], v[::-1, ::-1]):
+        imgs.extend((a.ravel(), a.T.ravel()))
+    return imgs
+
+
+def _loop_sym_project(space, vals):
+    if space.dimension == 1:
+        return 0.5 * (vals + vals[::-1])
+    return sum(_loop_images(space, vals)) / 8.0
+
+
+def _loop_project(B, vals):
+    w = np.array(vals, float)
+    if B.symmetric:
+        w = _loop_sym_project(B.center.space, w)
+    d = B.norm(w - B.center.values)
+    if d > B.radius:
+        w = B.center.values + (B.radius / d) * (w - B.center.values)
+    return w
+
+
+def _loop_boundary_sample(B, rng):
+    z = rng.standard_normal(len(B.center.values))
+    if B.symmetric:
+        z = _loop_sym_project(B.center.space, z)
+    nz = B.norm(z)
+    if nz == 0:
+        return np.array(B.center.values)
+    return B.center.values + (B.radius / nz) * z
+
+
+def _loop_inclusion_points(P, ball, rng, n_samples):
+    Y = []
+    for _ in range(n_samples):
+        b = _loop_boundary_sample(ball, rng)
+        Y += [b, P.x0.values + rng.uniform(0.0, 1.0) * (b - P.x0.values)]
+    return np.reshape(Y, (-1, P.x0.space.n_cells))
+
+
+def _loop_drop_points(x, B, rng, n_samples):
+    Y = []
+    for _ in range(n_samples):
+        b = _loop_boundary_sample(B, rng) if rng.uniform() < 0.5 else \
+            _loop_project(B, B.center.values + B.radius * rng.uniform(-1, 1)
+                          * rng.standard_normal(len(x)))
+        Y.append(x + rng.uniform(0.0, 1.0) * (b - x))
+    return np.reshape(Y, (-1, len(x)))
+
+
+def _l1(v):
+    return float(np.sum(np.abs(v)))
+
+
+def _radial_center(space, top):
+    """A radially decreasing center: fixed by every polarizer and every
+    reflection, so a symmetric ball accepts it."""
+    k = np.arange(space.n) - (space.n - 1) / 2.0
+    r2 = k * k if space.dimension == 1 else np.add.outer(k * k, k * k)
+    return space.function(top - 0.1 * r2.ravel())
+
+
+def _bits_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("grid", ["g1d8", "g2d4"])
+@pytest.mark.parametrize("norm", [None, _l1], ids=["V", "l1"])
+def test_petal_inclusion_points_equal_the_per_sample_loop(grid, norm,
+                                                          request):
+    from symvar.applications import _inclusion_points
+
+    space = request.getfixturevalue(grid)
+    rng = np.random.default_rng(3)
+    P = Petal(0.5, space.function(rng.uniform(1.0, 3.0, space.n_cells)),
+              space.function(rng.uniform(0.0, 0.5, space.n_cells)), norm=norm)
+    ball = Ball(P.x1, 0.7, norm=P.norm)
+    Y = _inclusion_points(P, ball, np.random.default_rng(5), 500)
+    assert _bits_equal(Y, _loop_inclusion_points(
+        P, ball, np.random.default_rng(5), 500))
+    # the report scores those points as before
+    rep = petal_inclusions(P, n_samples=300, seed=11)
+    r = (1.0 - P.eps) / (1.0 + P.eps) * P.norm(P.x0.values - P.x1.values)
+    Y = _loop_inclusion_points(P, Ball(P.x1, r, norm=P.norm),
+                               np.random.default_rng(11), 300)
+    lhs = np.array([P.eps * P.norm(w - P.x0.values) + P.norm(w - P.x1.values)
+                    for w in Y]) - P.norm(P.x0.values - P.x1.values)
+    assert rep["worst_margin"] == max(lhs)
+
+
+@pytest.mark.parametrize("grid", ["g1d8", "g2d4"])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "sym"])
+@pytest.mark.parametrize("norm", [None, _l1], ids=["V", "l1"])
+def test_drop_points_equal_the_per_sample_loop(grid, symmetric, norm,
+                                               request):
+    from symvar.applications import _drop_points
+
+    space = request.getfixturevalue(grid)
+    B = Ball(_radial_center(space, 3.0), 0.8, norm=norm, symmetric=symmetric)
+    x = np.random.default_rng(4).uniform(0.0, 0.5, space.n_cells)
+    Y = _drop_points(x, B, np.random.default_rng(6), 2000)
+    assert _bits_equal(Y, _loop_drop_points(x, B, np.random.default_rng(6),
+                                            2000))
+
+
+@pytest.mark.parametrize("grid", ["g1d8", "g2d4"])
+@pytest.mark.parametrize("norm", [None, _l1], ids=["V", "l1"])
+def test_ball_block_methods_equal_one_vector_calls(grid, norm, request):
+    space = request.getfixturevalue(grid)
+    W = _radial_center(space, 3.0).values + np.linspace(0.01, 1.0, 300)[
+        :, None] * np.random.default_rng(2).standard_normal((300, space.n_cells))
+    for symmetric in (False, True):
+        B = Ball(_radial_center(space, 3.0), 1.0, norm=norm,
+                 symmetric=symmetric)
+        P = B.project(W)
+        assert _bits_equal(P, np.array([_loop_project(B, w) for w in W]))
+        assert _bits_equal(P, np.array([B.project(w) for w in W]))
+        assert _bits_equal(B.dist(W), np.array([B.dist(w) for w in W]))
+        assert _bits_equal(B._sym_project(W), np.array(
+            [_loop_sym_project(space, w) for w in W]))
+        # the rows outside the ball moved onto its sphere, the others stayed
+        out = np.array([B.norm(w - B.center.values) for w in
+                        (_loop_sym_project(space, w) if symmetric else w
+                         for w in W)]) > B.radius
+        assert 0 < out.sum() < len(W)
+
+
+@pytest.mark.parametrize("norm", [None, _l1], ids=["V", "l1"])
+def test_petal_second_points_match_the_mask_formula(g1d4, norm):
+    # a block with known rows: ξ itself, a row within 1e-9 of ξ, petal
+    # members and non-members; the count and the witness (the last hit)
+    # match the mask (‖w−ξ‖ > 1e-9) & (ε‖w−ξ‖ + ‖w−y‖ ≤ ‖ξ−y‖ + 1e-12)
+    from symvar.applications import _petal_second_points
+
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return (norm or VMetric(g1d4).norm)(v)
+
+    xi, y = np.array([1.0, 2.0, 2.0, 1.0]), np.zeros(4)
+    eps = 0.3
+    P = Petal(eps, g1d4.function(xi), g1d4.function(y), norm=counted)
+    members = [xi + s * (y - xi) for s in (0.2, 0.5, 0.9)]
+    W = np.array([xi, xi + 1e-12, members[0], 3.0 * xi, members[1],
+                  xi, -xi, members[2], xi + [0.0, 0.0, 0.0, 1e-12],
+                  xi + [5.0, 0.0, 0.0, 0.0]])
+    calls.clear()
+    hits = _petal_second_points(P, W)
+    # one norm per row other than ξ, one per row past the 1e-9 test, and
+    # ‖ξ − y‖ once
+    assert len(calls) == 8 + 6 + 1
+
+    def d(w, c):
+        return (norm or VMetric(g1d4).norm)(w - c)
+
+    mask = np.array([d(w, xi) > 1e-9
+                     and eps * d(w, xi) + d(w, y) <= d(xi, y) + 1e-12
+                     for w in W])
+    assert mask.sum() == 3
+    assert _bits_equal(hits, W[mask])
+    assert _bits_equal(hits[-1], members[2])
 
 
 def test_convex_reaches_answers_false_once_the_bracket_stops_shrinking():

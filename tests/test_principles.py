@@ -1697,18 +1697,43 @@ def test_estimate_inf_refuses_a_false_lower_bound(g1d4):
 
 
 def test_sample_inequality_skips_a_block_the_domain_empties(g1d4):
-    # no sampled point lies in the domain: the deficit is never called and
-    # nothing is reported
+    # the domain keeps the extra point only: the sampled block it empties
+    # is skipped and the deficit scores the extra point alone
+    from symvar.principles import SetOracle, sample_inequality
+
+    e = np.full(4, 0.5)
+    blocks = []
+
+    def deficit(W, D):
+        blocks.append(W.copy())
+        return np.ones(len(W))
+
+    only_e = SetOracle(contains=lambda v: bool(np.array_equal(v, e)),
+                       project=lambda v: v)
+    rep = sample_inequality(deficit, g1d4, np.zeros(4), n_samples=300,
+                            seed=0, radii=(0.1,),
+                            metric_norm=XMetric(g1d4).norm, domain=only_e,
+                            extra_points=[e])
+    assert len(blocks) == 1 and np.array_equal(blocks[0], [e])
+    assert rep.max_violation == 1.0
+    assert np.array_equal(rep.argmax_w.values, e)
+
+
+def test_sample_inequality_refuses_a_domain_that_keeps_no_point(g1d4):
+    # no sampled point lies in the domain: a report would be a 300-sample
+    # PASS on no evidence, so the sampler raises and names the domain
     from symvar.principles import SetOracle, sample_inequality
 
     def deficit(W, D):
         raise AssertionError("the deficit scored an empty block")
 
-    empty = SetOracle(contains=lambda v: False, project=lambda v: v)
-    rep = sample_inequality(deficit, g1d4, np.zeros(4), n_samples=300,
-                            seed=0, radii=(0.1,),
-                            metric_norm=XMetric(g1d4).norm, domain=empty)
-    assert (rep.max_violation, rep.argmax_w) == (0.0, None)
+    empty = SetOracle(contains=lambda v: False, project=lambda v: v,
+                      description="nowhere")
+    with pytest.raises(AssumptionViolated,
+                       match="domain nowhere kept none of the 300"):
+        sample_inequality(deficit, g1d4, np.zeros(4), n_samples=300, seed=0,
+                          radii=(0.1,), metric_norm=XMetric(g1d4).norm,
+                          domain=empty)
 
 
 def test_check_symmetry_without_polarizers_evaluates_nothing():
