@@ -1,7 +1,8 @@
 """List every statement of ``src/symvar`` that the Tier-1 suite never runs.
 
 Runs the Tier-1 suite in this process through ``pytest.main`` under a
-``sys.settrace`` line tracer limited to ``src/symvar``, then prints each
+line tracer limited to ``src/symvar`` (``sys.settrace``, and
+``threading.settrace`` for the threads the suite starts), then prints each
 statement line (``ast.stmt``, docstrings and ``global``/``nonlocal``
 left out: they compile to no code) that never ran.  Run it from anywhere::
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 import ast
 import os
 import sys
+import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -134,11 +136,14 @@ def trace_suite(stmts: dict[str, dict], pytest_args: list[str]):
 
     import pytest
 
+    # threads the suite starts (the samplers' draw-ahead) are traced too
+    threading.settrace(on_call)
     sys.settrace(on_call)
     try:
         code = pytest.main(pytest_args)
     finally:
         sys.settrace(None)
+        threading.settrace(None)
     return int(code), ran
 
 

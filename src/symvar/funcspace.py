@@ -364,7 +364,25 @@ def _norm_X_raw(values, dimension, n, spacing, measure, p):
 
 
 def _lr_norm_raw(values, measure, r):
-    return _pow_rows(_sum_rows(np.abs(values) ** r) * measure, 1.0 / r)
+    """(measure·Σ|x|^r)^{1/r} of one vector or of each row of a block.  A
+    row whose power sum overflows to inf while its entries are finite is
+    normed as s·‖x/s‖, s = max|x| (numpy still warns of the overflow);
+    every finite result keeps its bits."""
+    a = np.abs(values)
+    out = _pow_rows(_sum_rows(a ** r) * measure, 1.0 / r)
+    if a.ndim == 1:
+        # a comparison, not np.isinf: one-vector norms are the drop
+        # membership's inner loop
+        if out < math.inf or not np.isfinite(a).all():
+            return out
+        s = a.max()
+        return s * _lr_norm_raw(a / s, measure, r)
+    over = np.isinf(out)
+    if over.any():
+        over &= np.isfinite(a).all(axis=-1)
+        s = a[over].max(axis=1)
+        out[over] = s * _lr_norm_raw(a[over] / s[:, None], measure, r)
+    return out
 
 
 def _norm_V_raw(values, measure, p, q_V):

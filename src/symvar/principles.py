@@ -19,7 +19,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import queue
+import threading
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
 
@@ -448,6 +451,60 @@ def _probe_frac(Z):
     return Z
 
 
+def _normal_blocks(rng, n_samples, rows, shape):
+    """Yield (start, Z) for start = 0, rows, 2·rows, … below ``n_samples``
+    (≥ 1), Z the next min(rows, n_samples − start) standard normal draws
+    of ``shape`` from ``rng``: the blocks of the serial loop, in its
+    order, so the stream and every draw are the same.
+
+    The caller's thread draws the first block.  While a next block exists,
+    one daemon worker draws it as the caller scores the current one (numpy
+    releases the GIL while it fills a block), with at most one block
+    waiting in a queue.  Nothing but the worker touches ``rng`` until the
+    worker is joined, which the generator does when it ends, is closed,
+    or its consumer raises and closes it (``contextlib.closing``); an
+    error in the worker is raised in the consumer."""
+    starts = range(0, n_samples, rows)
+
+    def draw(start):
+        return rng.standard_normal((min(rows, n_samples - start),) + shape)
+
+    first = draw(0)
+    if len(starts) == 1:
+        yield 0, first
+        return
+    ahead = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def work():
+        # one put per check of ``stop``: once it is set and the queue has
+        # been emptied once, no put can block
+        try:
+            for start in starts[1:]:
+                if not stop.is_set():
+                    ahead.put((start, draw(start)))
+        except BaseException as exc:  # handed to the consumer, who raises
+            ahead.put((None, exc))
+
+    worker = threading.Thread(target=work, name="symvar-normal-blocks",
+                              daemon=True)
+    worker.start()
+    try:
+        yield 0, first
+        for _ in starts[1:]:
+            start, Z = ahead.get()
+            if start is None:
+                raise Z
+            yield start, Z
+    finally:
+        stop.set()
+        try:
+            ahead.get_nowait()
+        except queue.Empty:
+            pass
+        worker.join()
+
+
 def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
                       radii, metric_norm, domain: SetOracle = None,
                       extra_points=()):
@@ -473,7 +530,10 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     samples extends a run with fewer (the max can only grow); the first
     strict maximum above 0 wins, the extra points first.  A block holds
     2**14 values but at least 512 rows (``_SAMPLE_VALUES``,
-    ``_SAMPLE_BLOCK``); its size changes no point and no winner.  Each
+    ``_SAMPLE_BLOCK``); its size changes no point and no winner.  While
+    the current block is scored, a worker thread draws the next one from
+    the same stream, in the same order (``_normal_blocks``); no thread
+    outlives the call, and an error in a draw is raised here.  Each
     block becomes its points in place: the ball rows are gathered once,
     normed, multiplied by r, divided by ‖z‖ and shifted by v, the probe
     rows are mapped through a strided view of the block, so every point
@@ -513,33 +573,33 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     if len(extra_points):
         E = np.array([np.asarray(w, float) for w in extra_points])
         consider(E, offset_norm(E - v_vals))
-    for start in range(0, n_samples, rows):
-        W = rng.standard_normal((min(rows, n_samples - start), n_dim))
-        slot = (start + np.arange(len(W))) % (n_ball + 1)
-        D = slot_dist[slot]
-        ball = slot < n_ball
-        B = W[ball]
-        nz = metric_norm(B)
-        zero = nz == 0.0
-        has_zero = bool(zero.any())
-        B *= D[ball, None]
-        B /= (np.where(zero, 1.0, nz) if has_zero else nz)[:, None]
-        B += v_vals
-        W[ball] = B
-        # the probe rows, every (n_ball + 1)-th, mapped in place in W and
-        # normed before v is added
-        probe = np.s_[(n_ball - start) % (n_ball + 1)::n_ball + 1]
-        P = _probe_frac(W[probe])
-        P *= 2.0
-        P -= 1.0
-        P *= width
-        D[probe] = offset_norm(P)
-        P += v_vals
-        if has_zero:
-            gone = np.flatnonzero(ball)[zero]
-            consider(np.delete(W, gone, axis=0), np.delete(D, gone))
-        else:
-            consider(W, D)
+    with closing(_normal_blocks(rng, n_samples, rows, (n_dim,))) as blocks:
+        for start, W in blocks:
+            slot = (start + np.arange(len(W))) % (n_ball + 1)
+            D = slot_dist[slot]
+            ball = slot < n_ball
+            B = W[ball]
+            nz = metric_norm(B)
+            zero = nz == 0.0
+            has_zero = bool(zero.any())
+            B *= D[ball, None]
+            B /= (np.where(zero, 1.0, nz) if has_zero else nz)[:, None]
+            B += v_vals
+            W[ball] = B
+            # the probe rows, every (n_ball + 1)-th, mapped in place in W
+            # and normed before v is added
+            probe = np.s_[(n_ball - start) % (n_ball + 1)::n_ball + 1]
+            P = _probe_frac(W[probe])
+            P *= 2.0
+            P -= 1.0
+            P *= width
+            D[probe] = offset_norm(P)
+            P += v_vals
+            if has_zero:
+                gone = np.flatnonzero(ball)[zero]
+                consider(np.delete(W, gone, axis=0), np.delete(D, gone))
+            else:
+                consider(W, D)
     if not scored:
         where = "X" if domain is None else domain.description or domain.kind
         raise AssumptionViolated(f"the domain {where} kept none of the "
@@ -1534,18 +1594,19 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     # the first strict maximum wins
     rng_ver = np.random.default_rng(c_ver)
     maxv, arg = 0.0, None
-    for start in range(0, n_samples, _SAMPLE_BLOCK):
-        Z = rng_ver.standard_normal(
-            (min(_SAMPLE_BLOCK, n_samples - start),) + cur.shape)
-        r = np.array([4 * eps, eps, eps / 4])[(start + np.arange(len(Z))) % 3]
-        nz = path_dists(cur + Z, cur)
-        keep = nz != 0
-        paths = cur + r[keep, None, None] * Z[keep] / nz[keep, None, None]
-        d = np.append(max(fv) - eps * path_dists(paths, cur)
-                      - [max(v) for v in node_vals(paths)], 0.0)
-        j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
-        if d[j] > maxv:
-            maxv, arg = d[j], paths[j]
+    with closing(_normal_blocks(rng_ver, n_samples, _SAMPLE_BLOCK,
+                                cur.shape)) as blocks:
+        for start, Z in blocks:
+            r = np.array([4 * eps, eps, eps / 4])[
+                (start + np.arange(len(Z))) % 3]
+            nz = path_dists(cur + Z, cur)
+            keep = nz != 0
+            paths = cur + r[keep, None, None] * Z[keep] / nz[keep, None, None]
+            d = np.append(max(fv) - eps * path_dists(paths, cur)
+                          - [max(v) for v in node_vals(paths)], 0.0)
+            j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
+            if d[j] > maxv:
+                maxv, arg = d[j], paths[j]
     cert.violation = ViolationReport(
         n_samples=n_samples, max_violation=maxv,
         argmax_w=None if arg is None else GridFunction(

@@ -101,6 +101,30 @@ def test_norm_V_indicator(g1d4):
     assert norm_W(u) == pytest.approx(m ** (1 / g1d4.q_W), abs=1e-14)
 
 
+def test_lr_norms_of_finite_input_do_not_overflow():
+    # Σ|x|^8 overflows to inf above about 1e38 and Σ|x|^4 above about
+    # 1e77: such a row is normed as s·‖x/s‖, s = max|x|; a finite result
+    # keeps its bits, and a row with an infinite entry stays inf
+    g = make_grid(2, 4, 1.0, 2, 4)
+    assert (g.q_V, g.q_W) == (8.0, 4.0)
+    z = g.function(np.random.default_rng(0).standard_normal(g.n_cells))
+    m = g.cell_measure
+    with np.errstate(over="ignore"):
+        big_V, big_W = norm_V(1e39 * z), norm_W(1e100 * z)
+        block = np.vstack([z.values, 1e39 * z.values, 1e300 * z.values,
+                           np.append(np.inf, z.values[1:])])
+        rows = _norm_V_raw(block, m, g.p, g.q_V)
+        one = [_norm_V_raw(w, m, g.p, g.q_V) for w in block]
+    assert math.isfinite(big_V) and math.isfinite(big_W)
+    assert big_V == pytest.approx(1e39 * norm_V(z), rel=1e-12)
+    assert big_W == pytest.approx(1e100 * norm_W(z), rel=1e-12)
+    assert np.array_equal(rows, one)
+    assert rows[0] == norm_V(z) == max(_lr_norm_plain(z.values, m, g.p),
+                                       _lr_norm_plain(z.values, m, g.q_V))
+    assert rows[2] == pytest.approx(1e300 * norm_V(z), rel=1e-12)
+    assert rows[3] == math.inf
+
+
 def test_norms_constant_on_unit_measure_grid():
     g = make_grid(1, 4, 0.5, 2, 4)   # total measure = 1
     u = g.function(np.ones(4))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 from collections import Counter
 
 import numpy as np
@@ -1352,6 +1353,141 @@ def test_sample_inequality_norms_no_distance_a_deficit_ignores(g1d8):
     assert np.array_equal(D[kept], D_m[kept]) and not np.isnan(D).any()
     assert 0 < kept.sum() < len(D_m)
     assert normed_m == 1125 < normed     # the ball rows, 3 of each 4
+
+
+# ---------------------------------------------------------------------------
+# the sampler's draw-ahead: next block of normals on a worker thread
+
+def _serial_blocks(rng, n_samples, rows, shape):
+    """The serial loop that principles._normal_blocks replaces."""
+    for start in range(0, n_samples, rows):
+        yield start, rng.standard_normal((min(rows, n_samples - start),)
+                                         + shape)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [4, 128])
+@pytest.mark.parametrize("full,extra", [(0, 1), (1, -1), (1, 0), (1, 1),
+                                        (3, 5)])
+def test_sample_inequality_normal_blocks_are_one_serial_stream(n, full,
+                                                               extra):
+    # for n_samples = full·rows + extra on the sampler's block size, the
+    # blocks, their starts and the generator's state afterwards are those
+    # of one serial standard_normal draw, and no thread outlives the
+    # iterator
+    from symvar.principles import (_SAMPLE_BLOCK, _SAMPLE_VALUES,
+                                   _normal_blocks)
+
+    rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n)
+    n_samples = full * rows + extra
+    threads = threading.active_count()
+    rng = np.random.default_rng(31)
+    blocks = list(_normal_blocks(rng, n_samples, rows, (n,)))
+    assert threading.active_count() == threads
+    starts = list(range(0, n_samples, rows))
+    assert [start for start, _ in blocks] == starts
+    assert [Z.shape for _, Z in blocks] == [
+        (min(rows, n_samples - start), n) for start in starts]
+    ref = np.random.default_rng(31)
+    assert np.array_equal(np.concatenate([Z for _, Z in blocks]),
+                          ref.standard_normal((n_samples, n)))
+    assert rng.integers(2 ** 31) == ref.integers(2 ** 31)
+
+
+def test_sample_inequality_normal_blocks_stop_on_close(g1d4):
+    # closed after its first block, the iterator joins its worker; the
+    # worker had drawn at most two blocks ahead, in stream order
+    from symvar.principles import _normal_blocks
+
+    threads = threading.active_count()
+    for _ in range(20):
+        rng = np.random.default_rng(7)
+        blocks = _normal_blocks(rng, 100, 10, (4,))
+        start, Z = next(blocks)
+        assert start == 0 and threading.active_count() == threads + 1
+        blocks.close()
+        assert threading.active_count() == threads
+        ref = np.random.default_rng(7).standard_normal((100, 4))
+        assert np.array_equal(Z, ref[:10])
+        ahead = rng.standard_normal((1, 4))[0]
+        assert any(np.array_equal(ahead, ref[k]) for k in (10, 20, 30))
+
+
+def test_sample_inequality_deficit_raising_in_a_later_block(g1d4):
+    # a deficit raising on the second block propagates its error and leaves
+    # no drawing thread behind
+    from symvar.principles import _SAMPLE_VALUES, sample_inequality
+
+    rows = _SAMPLE_VALUES // 4
+    calls = []
+
+    def deficit(W, D):
+        calls.append(len(W))
+        if len(calls) == 2:
+            raise _Boom("second block")
+        return np.zeros(len(W))
+
+    threads = threading.active_count()
+    with pytest.raises(_Boom, match="second block"):
+        sample_inequality(deficit, g1d4, np.zeros(4), n_samples=3 * rows + 5,
+                          seed=2, radii=(0.4, 0.1, 0.025),
+                          metric_norm=XMetric(g1d4).norm)
+    assert calls == [rows, rows]
+    assert threading.active_count() == threads
+
+
+def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
+    # the caller draws the first block, the worker every later one; a
+    # draw raising on the worker raises in the caller, and no thread is
+    # left behind
+    from symvar.principles import _SAMPLE_VALUES, sample_inequality
+
+    real = np.random.default_rng
+    drawn_on = []
+
+    class Failing:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def standard_normal(self, size):
+            drawn_on.append(threading.current_thread())
+            if len(drawn_on) == 2:
+                raise _Boom("second draw")
+            return self.rng.standard_normal(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Failing)
+    threads = threading.active_count()
+    with pytest.raises(_Boom, match="second draw"):
+        sample_inequality(lambda W, D: np.zeros(len(W)), g1d4, np.zeros(4),
+                          n_samples=3 * _SAMPLE_VALUES // 4, seed=2,
+                          radii=(0.4, 0.1, 0.025),
+                          metric_norm=XMetric(g1d4).norm)
+    assert threading.active_count() == threads
+    assert drawn_on[0] is threading.main_thread()
+    assert drawn_on[1] is not threading.main_thread()
+
+
+def test_path_minimax_verifier_draws_the_serial_stream(g1d2, monkeypatch):
+    # the verification sampler over three blocks of paths gives the
+    # certificate bytes, the report and the seed of the serial loop
+    from symvar import principles
+
+    def run():
+        return path_minimax(_radial_double_well(g1d2), _unit_sym(g1d2), 12,
+                            0.05, seed=1, n_samples=1100)
+
+    threads = threading.active_count()
+    cert = run()
+    assert threading.active_count() == threads
+    monkeypatch.setattr(principles, "_normal_blocks", _serial_blocks)
+    ref = run()
+    assert cert.to_json_bytes() == ref.to_json_bytes()
+    assert cert.violation.n_samples == 1100
+    assert (cert.violation.max_violation, cert.violation.seed) == (
+        ref.violation.max_violation, ref.violation.seed)
 
 
 def _ref_pair(maxv_arg):
