@@ -19,9 +19,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import queue
-import threading
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Optional
@@ -451,6 +451,20 @@ def _probe_frac(Z):
     return Z
 
 
+def _draw_worker():
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="symvar-draw")
+
+
+# the one thread per process that draws the samplers' next block ahead; it
+# starts on the first submit.  A forked child has no copy of the parent's
+# thread, and its submit to the parent's executor would never complete, so
+# the child gets a fresh executor
+_DRAW = _draw_worker()
+if hasattr(os, "register_at_fork"):  # not on Windows, which has no fork
+    os.register_at_fork(
+        after_in_child=lambda: globals().update(_DRAW=_draw_worker()))
+
+
 def _normal_blocks(rng, n_samples, rows, shape):
     """Yield (start, Z) for start = 0, rows, 2·rows, … below ``n_samples``
     (≥ 1), Z the next min(rows, n_samples − start) standard normal draws
@@ -458,51 +472,28 @@ def _normal_blocks(rng, n_samples, rows, shape):
     order, so the stream and every draw are the same.
 
     The caller's thread draws the first block.  While a next block exists,
-    one daemon worker draws it as the caller scores the current one (numpy
-    releases the GIL while it fills a block), with at most one block
-    waiting in a queue.  Nothing but the worker touches ``rng`` until the
-    worker is joined, which the generator does when it ends, is closed,
-    or its consumer raises and closes it (``contextlib.closing``); an
-    error in the worker is raised in the consumer."""
+    the process's one drawing worker (``_DRAW``) draws it as the caller
+    scores the current one (numpy releases the GIL while it fills a
+    block), with at most one draw pending.  When the generator ends, is
+    closed, or its consumer raises and closes it (``contextlib.closing``),
+    a pending draw is cancelled or waited for, so nothing touches ``rng``
+    once it returns; an error in a draw is raised in the consumer."""
     starts = range(0, n_samples, rows)
 
     def draw(start):
         return rng.standard_normal((min(rows, n_samples - start),) + shape)
 
-    first = draw(0)
-    if len(starts) == 1:
-        yield 0, first
-        return
-    ahead = queue.Queue(maxsize=1)
-    stop = threading.Event()
-
-    def work():
-        # one put per check of ``stop``: once it is set and the queue has
-        # been emptied once, no put can block
-        try:
-            for start in starts[1:]:
-                if not stop.is_set():
-                    ahead.put((start, draw(start)))
-        except BaseException as exc:  # handed to the consumer, who raises
-            ahead.put((None, exc))
-
-    worker = threading.Thread(target=work, name="symvar-normal-blocks",
-                              daemon=True)
-    worker.start()
+    Z = draw(0)
+    ahead = None
     try:
-        yield 0, first
-        for _ in starts[1:]:
-            start, Z = ahead.get()
-            if start is None:
-                raise Z
+        for start, nxt in zip(starts, starts[1:]):
+            ahead = _DRAW.submit(draw, nxt)
             yield start, Z
+            Z = ahead.result()
+        yield starts[-1], Z
     finally:
-        stop.set()
-        try:
-            ahead.get_nowait()
-        except queue.Empty:
-            pass
-        worker.join()
+        if ahead is not None:
+            ahead.cancel() or ahead.exception()
 
 
 def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
@@ -531,9 +522,10 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     strict maximum above 0 wins, the extra points first.  A block holds
     2**14 values but at least 512 rows (``_SAMPLE_VALUES``,
     ``_SAMPLE_BLOCK``); its size changes no point and no winner.  While
-    the current block is scored, a worker thread draws the next one from
-    the same stream, in the same order (``_normal_blocks``); no thread
-    outlives the call, and an error in a draw is raised here.  Each
+    the current block is scored, the process's one drawing worker draws
+    the next one from the same stream, in the same order
+    (``_normal_blocks``); no draw is pending once the call returns or
+    raises, and an error in a draw is raised here.  Each
     block becomes its points in place: the ball rows are gathered once,
     normed, multiplied by r, divided by ‖z‖ and shifted by v, the probe
     rows are mapped through a strided view of the block, so every point

@@ -635,18 +635,12 @@ def test_petal_inclusions_sampled(g1d2):
 
 
 def _halfplane_C():
-    def contains(v):
-        return bool(np.all(v >= -1e-12) and v[0] + v[1] <= 1.0 + 1e-12)
+    """C = {u >= 0, u0 + u1 <= 1} on 1D n = 2: the CLI's ``halfplane_sum``,
+    whose Euclidean projection lands in C
+    (``test_set_projections_land_in_their_sets``)."""
+    from symvar.cli import SETS
 
-    def project(v):
-        w = np.maximum(v, 0.0)
-        ex = w[0] + w[1] - 1.0
-        if ex > 0:
-            w = w - ex / 2
-        return np.maximum(w, 0.0)
-
-    return SetOracle(contains=contains, project=project, kind="custom",
-                     description="{u >= 0, u0+u1 <= 1}")
+    return SETS["halfplane_sum"]({"level": 1.0})
 
 
 def test_symmetric_drop_point_hand_geometry(g1d2):
@@ -668,12 +662,10 @@ def test_symmetric_drop_point_reaches_the_end_of_a_thin_drop(g1d2):
     # a symmetric ball on 1D n = 2 makes the drop a segment of the
     # diagonal; the feasibility projection is exact on that subspace, so
     # the engine reaches the segment's end in C instead of stalling short
-    from symvar.cli import SETS
-
     B = Ball(g1d2.function([3.0, 3.0]), 0.5, symmetric=True)
-    cert = symmetric_drop_point(g1d2.function([0.2, 0.2]), B,
-                                SETS["halfplane_sum"]({"level": 1.0}), 0.05,
-                                seed=0, n_samples=300, minimality_samples=1000)
+    cert = symmetric_drop_point(g1d2.function([0.2, 0.2]), B, _halfplane_C(),
+                                0.05, seed=0, n_samples=300,
+                                minimality_samples=1000)
     assert cert.status == "PASS"
     assert np.max(np.abs(cert.v.values - 0.5)) < 1e-9
     assert cert.extras["drop_minimality"]["second_points"] == 0

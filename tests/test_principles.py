@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
+import signal
 import threading
+import time
 from collections import Counter
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -1369,6 +1373,38 @@ class _Boom(Exception):
     pass
 
 
+class _Drawing:
+    """Draws from ``rng`` and records the thread of each draw; draw
+    number ``fail_at`` (from 1) raises, and every draw after the first
+    waits ``delay`` seconds first."""
+
+    def __init__(self, rng, fail_at=None, delay=0.0):
+        self.rng = rng
+        self.fail_at = fail_at
+        self.delay = delay
+        self.threads = []
+
+    def standard_normal(self, size):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) > 1:
+            time.sleep(self.delay)
+        if len(self.threads) == self.fail_at:
+            raise _Boom(f"draw {self.fail_at}")
+        return self.rng.standard_normal(size)
+
+
+def _draw_threads():
+    return [t for t in threading.enumerate()
+            if t.name.startswith("symvar-draw")]
+
+
+def _assert_no_draw_pending(rng):
+    # a draw still pending on the worker would move the generator's state
+    state = rng.bit_generator.state
+    time.sleep(0.01)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("n", [4, 128])
 @pytest.mark.parametrize("full,extra", [(0, 1), (1, -1), (1, 0), (1, 1),
                                         (3, 5)])
@@ -1376,17 +1412,15 @@ def test_sample_inequality_normal_blocks_are_one_serial_stream(n, full,
                                                                extra):
     # for n_samples = full·rows + extra on the sampler's block size, the
     # blocks, their starts and the generator's state afterwards are those
-    # of one serial standard_normal draw, and no thread outlives the
-    # iterator
+    # of one serial standard_normal draw
     from symvar.principles import (_SAMPLE_BLOCK, _SAMPLE_VALUES,
                                    _normal_blocks)
 
     rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n)
     n_samples = full * rows + extra
-    threads = threading.active_count()
     rng = np.random.default_rng(31)
     blocks = list(_normal_blocks(rng, n_samples, rows, (n,)))
-    assert threading.active_count() == threads
+    _assert_no_draw_pending(rng)
     starts = list(range(0, n_samples, rows))
     assert [start for start, _ in blocks] == starts
     assert [Z.shape for _, Z in blocks] == [
@@ -1398,31 +1432,97 @@ def test_sample_inequality_normal_blocks_are_one_serial_stream(n, full,
 
 
 def test_sample_inequality_normal_blocks_stop_on_close(g1d4):
-    # closed after its first block, the iterator joins its worker; the
-    # worker had drawn at most two blocks ahead, in stream order
+    # closed after its first block, the iterator has cancelled or finished
+    # its one pending draw, of the second block, in stream order; nothing
+    # draws from the generator after close() returns
     from symvar.principles import _normal_blocks
 
-    threads = threading.active_count()
     for _ in range(20):
         rng = np.random.default_rng(7)
         blocks = _normal_blocks(rng, 100, 10, (4,))
         start, Z = next(blocks)
-        assert start == 0 and threading.active_count() == threads + 1
+        assert start == 0
         blocks.close()
-        assert threading.active_count() == threads
+        _assert_no_draw_pending(rng)
         ref = np.random.default_rng(7).standard_normal((100, 4))
         assert np.array_equal(Z, ref[:10])
         ahead = rng.standard_normal((1, 4))[0]
-        assert any(np.array_equal(ahead, ref[k]) for k in (10, 20, 30))
+        assert any(np.array_equal(ahead, ref[k]) for k in (10, 20))
 
 
-def test_sample_inequality_deficit_raising_in_a_later_block(g1d4):
-    # a deficit raising on the second block propagates its error and leaves
-    # no drawing thread behind
+def test_sample_inequality_normal_blocks_share_one_worker():
+    # 50 calls that run to the end, are closed after the first block, whose
+    # consumer raises or whose draw raises: every draw after a first block
+    # ran on one long-lived thread, the only live drawing thread, and no
+    # draw is pending once a call returns or raises (each worker draw takes
+    # 3 ms, so one left running would still be drawing)
+    from symvar.principles import _normal_blocks
+
+    drawn_on = set()
+    for k in range(50):
+        kind = k % 4
+        rng = _Drawing(np.random.default_rng(k),
+                       fail_at=3 if kind == 3 else None, delay=0.003)
+        blocks = _normal_blocks(rng, 40, 10, (4,))
+        if kind == 0:
+            assert sum(len(Z) for _, Z in blocks) == 40
+        elif kind == 1:
+            with closing(blocks):
+                next(blocks)
+        elif kind == 2:
+            with pytest.raises(_Boom, match="consumer"), closing(blocks):
+                for start, _ in blocks:
+                    if start == 20:
+                        raise _Boom("consumer")
+        else:
+            with pytest.raises(_Boom, match="draw 3"), closing(blocks):
+                list(blocks)
+        _assert_no_draw_pending(rng.rng)
+        assert rng.threads[0] is threading.current_thread()
+        drawn_on.update(rng.threads[1:])
+        assert len(_draw_threads()) <= 1
+    assert len(drawn_on) == 1 and drawn_on == set(_draw_threads())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_sample_inequality_normal_blocks_in_a_forked_child():
+    # a child forked after the parent's worker ran draws on a fresh one:
+    # it exits 0 only if its blocks are the serial stream's; on the
+    # parent's executor its first submit would never complete, and the
+    # alarm ends it
+    from symvar.principles import _normal_blocks
+
+    def blocks(make):
+        return list(make(np.random.default_rng(5), 100, 10, (4,)))
+
+    assert len(blocks(_normal_blocks)) == 10
+    assert _draw_threads()
+    pid = os.fork()
+    if pid == 0:  # the child: leave only through os._exit
+        code = 1
+        try:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(10)
+            got, ref = blocks(_normal_blocks), blocks(_serial_blocks)
+            code = int(not (
+                [s for s, _ in got] == [s for s, _ in ref]
+                and all(np.array_equal(Z, R)
+                        for (_, Z), (_, R) in zip(got, ref))))
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_sample_inequality_deficit_raising_in_a_later_block(g1d4,
+                                                            monkeypatch):
+    # a deficit raising on the second block propagates its error, and no
+    # draw is pending once the sampler has raised
     from symvar.principles import _SAMPLE_VALUES, sample_inequality
 
     rows = _SAMPLE_VALUES // 4
-    calls = []
+    calls, made = [], []
+    real = np.random.default_rng
 
     def deficit(W, D):
         calls.append(len(W))
@@ -1430,42 +1530,43 @@ def test_sample_inequality_deficit_raising_in_a_later_block(g1d4):
             raise _Boom("second block")
         return np.zeros(len(W))
 
-    threads = threading.active_count()
+    def recording_rng(seed):
+        made.append(real(seed))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
     with pytest.raises(_Boom, match="second block"):
         sample_inequality(deficit, g1d4, np.zeros(4), n_samples=3 * rows + 5,
                           seed=2, radii=(0.4, 0.1, 0.025),
                           metric_norm=XMetric(g1d4).norm)
     assert calls == [rows, rows]
-    assert threading.active_count() == threads
+    (rng,) = made
+    _assert_no_draw_pending(rng)
 
 
 def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
     # the caller draws the first block, the worker every later one; a
-    # draw raising on the worker raises in the caller, and no thread is
-    # left behind
+    # draw raising on the worker raises in the caller, and no draw is
+    # pending once it has
     from symvar.principles import _SAMPLE_VALUES, sample_inequality
 
+    made = []
     real = np.random.default_rng
-    drawn_on = []
 
-    class Failing:
-        def __init__(self, seed):
-            self.rng = real(seed)
+    def failing(seed):
+        made.append(_Drawing(real(seed), fail_at=2))
+        return made[-1]
 
-        def standard_normal(self, size):
-            drawn_on.append(threading.current_thread())
-            if len(drawn_on) == 2:
-                raise _Boom("second draw")
-            return self.rng.standard_normal(size)
-
-    monkeypatch.setattr(np.random, "default_rng", Failing)
-    threads = threading.active_count()
-    with pytest.raises(_Boom, match="second draw"):
+    monkeypatch.setattr(np.random, "default_rng", failing)
+    with pytest.raises(_Boom, match="draw 2"):
         sample_inequality(lambda W, D: np.zeros(len(W)), g1d4, np.zeros(4),
                           n_samples=3 * _SAMPLE_VALUES // 4, seed=2,
                           radii=(0.4, 0.1, 0.025),
                           metric_norm=XMetric(g1d4).norm)
-    assert threading.active_count() == threads
+    (rng,) = made
+    _assert_no_draw_pending(rng.rng)
+    drawn_on = rng.threads
+    assert len(drawn_on) == 2
     assert drawn_on[0] is threading.main_thread()
     assert drawn_on[1] is not threading.main_thread()
 
@@ -1479,9 +1580,8 @@ def test_path_minimax_verifier_draws_the_serial_stream(g1d2, monkeypatch):
         return path_minimax(_radial_double_well(g1d2), _unit_sym(g1d2), 12,
                             0.05, seed=1, n_samples=1100)
 
-    threads = threading.active_count()
     cert = run()
-    assert threading.active_count() == threads
+    assert len(_draw_threads()) <= 1
     monkeypatch.setattr(principles, "_normal_blocks", _serial_blocks)
     ref = run()
     assert cert.to_json_bytes() == ref.to_json_bytes()
