@@ -53,10 +53,6 @@ ALLOWED = {
      "cur_terms, cur_dist = cur_terms[:, 0], cur_dist[0]"):
         "the plateau walk's move onto a run outside the kept set "
         "(ROADMAP item 7)",
-    ("principles.py", "path_minimax",
-     "maxv, arg = d[j], paths[j]"):
-        "a positive path deficit: no registered mountain pass gets that far "
-        "(ROADMAP item 10)",
     ("cli.py", "_run_path_minimax",
      'out.write_csv(["status", "argmax_node", "f(u_eps)"],'):
         "the path_minimax subcommand's writer: every registered functional "

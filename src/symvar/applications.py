@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrs
 
 from ._descent import _FD_STEP, _BandHessian
 from .errors import (AssumptionViolated, IntegrandError, InvalidArgument,
                      InvalidEpsilon, NotBoundedBelow, NotSymmetricInput,
                      SeparationViolated)
-from .funcspace import (Functional, GridFunction, GridSpace, _dirichlet_rows,
-                        _laplacian_rows, _sum_rows, gram_matrix,
-                        laplacian_matrix, norm_V, riesz_from_euclidean,
-                        theta)
+from .funcspace import (Functional, GridFunction, GridSpace, _band_cholesky,
+                        _dirichlet_rows, _laplacian_rows, _sum_rows,
+                        gram_matrix, norm_V, riesz_from_euclidean, theta)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
                          XMetric, _check_n_samples, _polarized_draws,
                          estimate_inf, sqps_sequence, symmetric_ekeland,
@@ -579,11 +579,11 @@ def _euler_lagrange_rows(N: SemilinearNonlinearity, space: GridSpace, values):
 
 
 def h_minus1_norm(space: GridSpace, psi_euclid) -> float:
-    """Dual norm of the gradient (H¹₀) seminorm, via the Dirichlet
-    Laplacian solve."""
-    A = laplacian_matrix(space)
-    sol = np.linalg.solve(A, np.asarray(psi_euclid, float))
-    return float(math.sqrt(max(0.0, psi_euclid @ sol)))
+    """Dual norm of the gradient (H¹₀) seminorm, √(ψᵀA⁻¹ψ), by ``dpbtrs``
+    on the ``dpbtrf`` factor of the Dirichlet Laplacian's band."""
+    psi = np.asarray(psi_euclid, float)
+    sol = dpbtrs(_band_cholesky(space._bands[0]), psi)[0]
+    return float(math.sqrt(max(0.0, psi @ sol)))
 
 
 def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,

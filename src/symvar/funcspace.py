@@ -8,7 +8,7 @@ d in {1, 2}, with an even cell count per axis so that every reflection
 used by the polarizer machinery maps cell centers to cell centers.  Each
 grid carries a proven embedding constant K ≥ ‖u‖_V/‖u‖_X in closed form
 (exact eigen-data for p = 2, line-sum and Hölder bounds otherwise), and
-builds its p = 2 matrices and its polarizer family on first use.
+builds its p = 2 operators as bands and its polarizer family on first use.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
+from ._descent import _BandHessian
 from .errors import (InvalidArgument, InvalidExponent, InvalidGrid,
                      SpaceMismatch)
 
@@ -71,30 +72,11 @@ class GridSpace:
         return (self.dimension, self.n, self.radius, self.p, self.q_V, self.q_W)
 
     @functools.cached_property
-    def _matrices(self):
-        """(A, Gx, upper Cholesky factor U of Gx = UᵀU) for p = 2: built on
-        first use and kept on the grid, so they are freed with it."""
-        n, h, m = self.n, self.spacing, self.cell_measure
-        d1 = np.zeros((n + 1, n))
-        idx = np.arange(n)
-        d1[idx, idx] = 1.0
-        d1[idx + 1, idx] -= 1.0
-        lap = d1.T @ d1  # tridiag(-1, 2, -1)
-        if self.dimension == 2:
-            eye = np.eye(n)
-            lap = np.kron(lap, eye) + np.kron(eye, lap)
-        a_grad = (m / h ** 2) * lap
-        gram = a_grad + m * np.eye(self.n_cells)
-        # Fortran-ordered U, so LAPACK takes it uncopied
-        chol_upper = np.linalg.cholesky(gram).T
-        chol_upper.setflags(write=False)
-        return a_grad, gram, chol_upper
-
-    @functools.cached_property
     def _bands(self):
-        """(A, Gx) of _matrices in LAPACK band storage, ab[w + i − j, j] =
-        M[i, j], w = 1 in 1D and n in 2D, built from the stencil with the
-        same arithmetic, so entry for entry equal to the dense matrices."""
+        """The grid's one build of its p = 2 operators, from the stencil:
+        A = (m/h²)(L ⊗ I + I ⊗ L) (1D: (m/h²)L), L = tridiag(−1, 2, −1),
+        and Gx = A + m·I, in LAPACK band storage ab[w + i − j, j] = M[i, j],
+        w = 1 in 1D and n in 2D."""
         n, N = self.n, self.n_cells
         c = self.cell_measure / self.spacing ** 2
         w = 1 if self.dimension == 1 else n
@@ -110,6 +92,18 @@ class GridSpace:
         A.setflags(write=False)
         gram.setflags(write=False)
         return A, gram
+
+    @functools.cached_property
+    def _gram_factor(self):
+        """Gx = UᵀU: U in upper band storage, kept on the grid."""
+        return _band_cholesky(self._bands[1])
+
+    @functools.cached_property
+    def _gram_dense(self):
+        """Gx as a dense read-only array (``gram_matrix``)."""
+        M = _BandHessian(self._bands[1]).dense()
+        M.setflags(write=False)
+        return M
 
     @functools.cached_property
     def polarizers(self) -> tuple:
@@ -424,9 +418,22 @@ def theta(u: GridFunction) -> GridFunction:
 # ---------------------------------------------------------------------------
 # p = 2 linear algebra
 
+def _band_cholesky(ab):
+    """The Cholesky factor U (UᵀU = M) of a positive definite band ab
+    (2w + 1 rows), by raw ``dpbtrf`` on its upper w + 1 rows; read-only."""
+    U, info = dpbtrf(ab[:(len(ab) + 1) // 2])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpbtrf returned info={info}")
+    U.setflags(write=False)
+    return U
+
+
 def laplacian_matrix(space: GridSpace) -> np.ndarray:
-    """Gradient-part matrix A with u^T A u = Σ_edges |fd|^2 · measure."""
-    return space._matrices[0]
+    """Gradient-part matrix A with uᵀAu = Σ_edges |fd|² · measure: a dense
+    read-only view of the grid's band, built on each call."""
+    M = _BandHessian(space._bands[0]).dense()
+    M.setflags(write=False)
+    return M
 
 
 def _dirichlet_rows(space: GridSpace, values):
@@ -457,17 +464,16 @@ def _laplacian_rows(space: GridSpace, values):
 
 
 def gram_matrix(space: GridSpace) -> np.ndarray:
-    """X-inner-product matrix for p = 2: A + measure·I."""
-    return space._matrices[1]
+    """X-inner-product matrix for p = 2, A + measure·I: a dense read-only
+    view of the grid's band, cached on the grid, for products only."""
+    return space._gram_dense
 
 
 def riesz_from_euclidean(space: GridSpace, g: np.ndarray) -> np.ndarray:
-    """Solve Gx·rep = g: X-Riesz representative of the Euclidean gradient g,
-    by two triangular solves on the grid's cached Cholesky factor of Gx."""
-    rep, info = dpotrs(space._matrices[2], np.asarray(g, float), lower=0)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dpotrs returned info={info}")
-    return rep
+    """Solve Gx·rep = g (g (N,) or columns (N, k)): the X-Riesz
+    representative of the Euclidean gradient g, by ``dpbtrs`` on the grid's
+    cached band Cholesky factor of Gx."""
+    return dpbtrs(space._gram_factor, np.asarray(g, float))[0]
 
 
 def _declared_gradient(f: Functional, W) -> np.ndarray:

@@ -28,6 +28,7 @@ from typing import Callable, ClassVar, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
+from scipy.linalg.lapack import dgesv, dtbtrs
 from scipy.optimize import lsq_linear
 
 from . import _descent
@@ -39,7 +40,7 @@ from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, theta, function_from_json,
                         function_to_json,
                         _declared_gradient, _norm_V_raw, _norm_X_raw,
-                        _pow_rows, _riesz_gradient)
+                        _pow_rows, _riesz_gradient, _sum_rows)
 from .rearrange import (approx_symmetrize, is_family_fixed,
                         polarizer_sequence_json, schwarz, _polarize_raw)
 from .slopes import strong_slope
@@ -881,7 +882,7 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
         return _symmetric_ekeland_gamma(
             f, space, u0, sigma, rho, Y=Y, gamma_sequence=gamma_sequence,
             h0=h0, seed=seed, n_samples=n_samples, metric=metric,
-            c_inf=c_inf, c_rest=c_chain)
+            c_rest=c_chain)
 
     u_start = u0
     dom = domain
@@ -975,12 +976,12 @@ def _radial_draws(rng, metric, n_cells, k, lo, hi):
 
 
 def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
-                             h0, seed, n_samples, metric, c_inf, c_rest):
+                             h0, seed, n_samples, metric, c_rest):
     """Γ-limit variant.  With gamma_sequence=(f_list, recovery) the engine
     follows the approximating construction; with f_h ≡ f (default) it runs
     the specialization on a point list Y in the fully symmetric class.
-    c_inf seeds the inf probe and c_rest the inner variant-II run; both are
-    streams of the caller's spawn, apart from its symmetry-check stream."""
+    c_rest seeds the inner variant-II run on f_h from u_h, whose inf probe
+    and start check (gap σ_eff·ρ_eff = σ̃ρ) the certificate records."""
     m = 5
     sig_hat, sig_til = 0.2 * sigma, 0.4 * sigma
     sig_eff = m * sig_til / (m - 1)            # = sigma/2 < sigma
@@ -1005,27 +1006,22 @@ def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
         if np.any(u_h.values < 0):
             raise AssumptionViolated("recovery sequence must stay in S")
 
-    dom = whole_space(space)
-    inf_est, log, argmin = estimate_inf(f_h, space, dom,
-                                        np.random.default_rng(c_inf),
-                                        extra_starts=[u_h.values])
-    _check_start(f_h(u_h), inf_est, sig_til * rho)
-
     sub = symmetric_ekeland(f_h, space, u_h, sig_eff, rho_eff, variant="II",
                             seed=int(np.random.default_rng(c_rest).integers(2 ** 31)),
                             n_samples=n_samples, metric=metric)
     v = sub.v
     fv = f_h(v)
     cert = Certificate(variant="SymEkelandIII", v=v, sigma=sigma, rho=rho,
-                       seed=seed, slack=sub.slack, inf_est=inf_est,
-                       inf_probe_log=log, t_rho_sequence=sub.t_rho_sequence)
+                       seed=seed, slack=sub.slack, inf_est=sub.inf_est,
+                       inf_probe_log=sub.inf_probe_log,
+                       t_rho_sequence=sub.t_rho_sequence)
     cert.extras["metric"] = metric.name
     cert.extras["constants"] = {"m": m, "sigma_hat": sig_hat,
                                 "sigma_tilde": sig_til,
                                 "sigma_effective": sig_eff,
                                 "rho_effective": rho_eff, "h": h_used}
     cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, rho))
-    cert.add_measured("|f(v)-inf_est|", abs(fv - inf_est), sigma * rho)
+    cert.add_measured("|f(v)-inf_est|", abs(fv - sub.inf_est), sigma * rho)
     if Y:
         xm = XMetric(space)
         dY = min(xm.dist(v.values, y.values) for y in Y)
@@ -1337,12 +1333,10 @@ def _constraint_set(space, G, n_eq):
             if not act:
                 return x
             J = np.stack([_declared_gradient(G[j], x) for j in act])
-            c = r[act]
-            try:
-                dx = -J.T @ np.linalg.solve(J @ J.T + 1e-12 * np.eye(len(act)), c)
-            except np.linalg.LinAlgError:
+            *_, y, info = dgesv(J @ J.T + 1e-12 * np.eye(len(act)), r[act])
+            if info != 0:
                 return x
-            x = x + dx
+            x = x - J.T @ y
         return x
 
     return SetOracle(contains=contains, project=project, kind="custom",
@@ -1358,8 +1352,9 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
 
     With no constraints this reduces to the symmetric Ekeland principle II.
     With constraints it needs declared gradients of f and every G_j and
-    p = 2: the multipliers and the residual's dual norm are taken from
-    their Riesz solves with the Cholesky factor of Gx.
+    p = 2: with the grid's band factor Gx = UᵀU, one ``dtbtrs`` gives
+    y = U⁻ᵀ∇f and A = U⁻ᵀ∇G_sat, λ minimizes ‖y − Aλ‖ and the residual's
+    dual norm is ‖y − Aλ‖; A near-singular raises ConstraintDegeneracy.
     """
     _check_number("eps", eps, True)
     _check_n_samples(n_samples)
@@ -1390,25 +1385,20 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     rvals = np.array([Gj(v) for Gj in G])
     saturated = [j for j in range(len(G)) if abs(rvals[j]) <= 10 * _TOL_CON]
     lam = np.zeros(len(G))
-    rep_f = _riesz_gradient(f, space, v.values)
+    grads = np.stack([_declared_gradient(F, v.values)
+                      for F in [f, *(G[j] for j in saturated)]], axis=1)
+    yA = dtbtrs(space._gram_factor, grads, trans="T")[0]
+    y, A = yA[:, 0], yA[:, 1:]
     if saturated:
-        reps = np.stack([_riesz_gradient(G[j], space, v.values)
-                         for j in saturated]).T
-        U = space._matrices[2]  # the grid's Cholesky factor, gram = UᵀU
-        A = U @ reps
-        y = U @ rep_f
         sv = np.linalg.svd(A, compute_uv=False)
         if sv.size and sv.min() < 1e-10 * max(1.0, sv.max()):
             raise ConstraintDegeneracy("saturated constraint gradients are "
                                        "numerically dependent")
         lo = [-np.inf if j < n_eq else 0.0 for j in saturated]
         sol = lsq_linear(A, y, bounds=(lo, [np.inf] * len(saturated)))
-        for k, j in enumerate(saturated):
-            lam[j] = sol.x[k]
-        resid_vec = rep_f - reps @ sol.x
-    else:
-        resid_vec = rep_f
-    resid = float(np.sqrt(resid_vec @ gram_matrix(space) @ resid_vec))
+        lam[saturated] = sol.x
+        y = y - A @ sol.x
+    resid = math.sqrt(_sum_rows(y * y))
 
     cert = Certificate(variant="Constrained", v=v, sigma=eps, rho=eps,
                        seed=seed, slack=default_slack(fv), inf_est=inf_est,
@@ -1583,8 +1573,9 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     cert.add_measured("c_est-f(u_ε)", c_est - fu, 0.0)  # c ≤ f̂(γ_ε) = f(u_ε)
 
     # sample i lies on the sphere of radius (4ε, ε, ε/4)[i % 3] around γ_ε;
-    # the first strict maximum wins
-    rng_ver = np.random.default_rng(c_ver)
+    # the first strict maximum wins; the seed recorded is the one sampled
+    seed_ver = int(np.random.default_rng(c_ver).integers(2 ** 31))
+    rng_ver = np.random.default_rng(seed_ver)
     maxv, arg = 0.0, None
     with closing(_normal_blocks(rng_ver, n_samples, _SAMPLE_BLOCK,
                                 cur.shape)) as blocks:
@@ -1603,7 +1594,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
         n_samples=n_samples, max_violation=maxv,
         argmax_w=None if arg is None else GridFunction(
             space, nodes(arg)[int(np.argmax(node_vals([arg])[0]))]),
-        seed=int(rng_ver.integers(2 ** 31)))
+        seed=seed_ver)
     return cert.seal()
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from symvar import (AssumptionViolated, Ball, Drop, Functional, GridFunction,
                     quasilinear_functional, quasilinear_residual, schwarz,
                     semilinear_experiment, symmetric_drop_point,
                     symmetric_petal_point, theta)
+from symvar import _descent
 from symvar.applications import (euler_lagrange_residual, h_minus1_norm,
                                  quasilinear_residual_vector,
                                  semilinear_functional)
-from symvar.funcspace import gram_matrix, laplacian_matrix
+from symvar.funcspace import (_dirichlet_rows, _laplacian_rows, gram_matrix,
+                              laplacian_matrix, riesz_from_euclidean)
+from symvar.slopes import strong_slope
 from symvar.principles import VMetric, box_set
 
 from conftest import random_S
@@ -432,9 +436,18 @@ def test_semilinear_equivariance_invariants(g1d8):
             norm_X(u), rel=1e-13)
 
 
-def test_semilinear_oracles_never_build_the_dense_laplacian():
+def _no_dense_views(monkeypatch):
+    """Make building a dense view of any band (``laplacian_matrix``,
+    ``gram_matrix``) fail the test."""
+    def refuse(self):
+        raise AssertionError("a dense view of a band was built")
+    monkeypatch.setattr(_descent._BandHessian, "dense", refuse)
+
+
+def test_semilinear_oracles_never_build_the_dense_laplacian(monkeypatch):
     # f, its declared gradient and ψ take the Dirichlet part on the edge
     # stencil: the dense 4096 × 4096 Laplacian (128 MB) is never formed
+    _no_dense_views(monkeypatch)
     space = make_grid(2, 64, 1.0, 2, 4)
     N = _cubic()
     f = semilinear_functional(N, space)
@@ -443,7 +456,35 @@ def test_semilinear_oracles_never_build_the_dense_laplacian():
     assert np.isfinite(f(u)) and np.isfinite(f._eval_rows(space, W)).all()
     assert f.gradient(W).shape == W.shape
     assert np.array_equal(f.gradient(W[0]), euler_lagrange_residual(N, u))
-    assert "_matrices" not in space.__dict__
+    assert "_gram_dense" not in space.__dict__
+
+
+def test_p2_solves_never_build_a_dense_view(monkeypatch):
+    # on 2D 64×64 the Riesz solve, the dual norm's solve route, the H⁻¹
+    # norm and strong_slope's lower end all solve with a band factor; each
+    # is checked against the stencil, and no dense 4096 × 4096 view
+    # (134 MB) is formed: numpy's traced allocations for the grid and the
+    # first three stay below 16 MB (the bands and Gx's factor take 10.6)
+    _no_dense_views(monkeypatch)
+    tracemalloc.start()
+    space = make_grid(2, 64, 1.0, 2, 4)
+    m = space.cell_measure
+    u = 0.1 * np.random.default_rng(9).standard_normal(space.n_cells)
+    Au = _laplacian_rows(space, u)
+    rep = riesz_from_euclidean(space, Au + m * u)
+    assert np.max(np.abs(rep - u)) <= 1e-10 * np.max(np.abs(u))
+    assert dual_norm(space, Au + m * u) == pytest.approx(
+        norm_X(space.function(u)), rel=1e-10)
+    assert h_minus1_norm(space, Au) == pytest.approx(
+        math.sqrt(_dirichlet_rows(space, u)), rel=1e-10)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 16e6
+    f = semilinear_functional(_cubic(), space)
+    est = strong_slope(f, space.function(u), radii=(1e-3,), n_samples=2)
+    assert est.lower == pytest.approx(dual_norm(space, f.gradient(u)),
+                                      rel=1e-10)
+    assert "_gram_dense" not in space.__dict__
 
 
 def test_gradient_norm_exhaustive_small_grids():

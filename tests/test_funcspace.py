@@ -256,22 +256,49 @@ def test_riesz_matches_dense_solve(dimension, n):
 
 
 def test_riesz_reuses_cached_factor(g1d8):
-    upper = g1d8._matrices[2]
-    assert np.array_equal(upper, np.triu(upper))
-    assert np.allclose(upper.T @ upper, gram_matrix(g1d8), rtol=1e-13)
-    assert not upper.flags.writeable
+    # Gx is factored once, in LAPACK's upper band storage (w + 1 rows,
+    # ab[w + i − j, j] = U[i, j]), kept read-only on the grid and reused by
+    # every later solve
+    upper = g1d8._gram_factor
+    assert upper.shape == (2, 8) and not upper.flags.writeable
+    U = np.diag(upper[1]) + np.diag(upper[0, 1:], k=1)
+    assert np.allclose(U.T @ U, gram_matrix(g1d8), rtol=1e-13)
     grad = np.arange(8.0)
     first = riesz_from_euclidean(g1d8, grad)
     for _ in range(3):
-        assert g1d8._matrices[2] is upper
+        assert g1d8._gram_factor is upper
         assert np.array_equal(riesz_from_euclidean(g1d8, grad), first)
+    block = np.stack([grad, -grad], axis=1)
+    assert np.allclose(riesz_from_euclidean(g1d8, block),
+                       np.stack([first, -first], axis=1), rtol=1e-15)
+
+
+@pytest.mark.parametrize("dimension,n", [(1, 2), (1, 8), (1, 128),
+                                         (2, 2), (2, 4), (2, 16)])
+def test_dense_views_equal_the_kronecker_reference(dimension, n):
+    # the dense views of the band equal, entry for entry, the closed form
+    # (m/h²)(L ⊗ I + I ⊗ L) + m·I (1D: (m/h²)L + m·I), L = tridiag(−1, 2,
+    # −1); both are read-only and the Gram view is cached on the grid
+    g = make_grid(dimension, n, 1.0, 2, 4)
+    m, h = g.cell_measure, g.spacing
+    L = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    if dimension == 2:
+        L = np.kron(L, np.eye(n)) + np.kron(np.eye(n), L)
+    A = (m / h ** 2) * L
+    lap, gram = laplacian_matrix(g), gram_matrix(g)
+    assert np.array_equal(lap, A)
+    assert np.array_equal(gram, A + m * np.eye(g.n_cells))
+    assert not lap.flags.writeable and not gram.flags.writeable
+    assert gram_matrix(g) is gram
 
 
 def test_grid_matrices_are_freed_with_the_grid():
     g = make_grid(2, 4, 1.0, 2, 4)
     gram_matrix(g)
+    riesz_from_euclidean(g, np.ones(16))   # builds the band factor
     is_family_fixed(g.zeros())      # builds the polarizer family and table
-    refs = [weakref.ref(x) for x in (g, *g.polarizers, *g._polarizer_table)]
+    refs = [weakref.ref(x) for x in (g, *g.polarizers, *g._polarizer_table,
+                                     g._gram_factor, g._gram_dense)]
     del g
     gc.collect()
     assert all(ref() is None for ref in refs)

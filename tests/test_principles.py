@@ -234,6 +234,36 @@ def test_variant_III_inf_probe_stream_is_not_the_symmetry_stream(
     assert states["check_symmetry"] != states["estimate_inf"]
 
 
+def test_variant_III_probes_once_and_checks_its_start(g1d4, monkeypatch):
+    # the inner variant-II run's inf probe and start check are the
+    # variant's own: one estimate_inf call, whose log (starts u_h and
+    # T_ρ u_h) the certificate records, and a point list whose best point
+    # lies above the probe by more than σ̃ρ = 0.016 still raises BadStart
+    import symvar.principles as pr
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    real = pr.estimate_inf
+    monkeypatch.setattr(pr, "estimate_inf", counting)
+    a = sym_center(g1d4, 15)
+    Y = [a, schwarz(g1d4.function([1.0, 1.0, 1.0, 1.0]))]
+    cert = symmetric_ekeland(quad_X(a), g1d4, a, 0.2, 0.2, variant="III", Y=Y,
+                             seed=7, n_samples=200)
+    assert len(calls) == 1
+    assert [tag for tag, _ in cert.inf_probe_log[:3]] == [
+        "origin", "given0", "given1"]
+    far = a + g1d4.function(np.full(4, 0.5))
+    assert quad_X(a)(far) > 0.2 * 0.4 * 0.2
+    with pytest.raises(BadStart):
+        symmetric_ekeland(quad_X(a), g1d4, a, 0.2, 0.2, variant="III",
+                          Y=[far], seed=7, n_samples=200)
+    assert len(calls) == 2
+
+
 def test_symmetry_violation_rejected(g1d4):
     # deliberately asymmetric functional declared as nonincreasing
     def ev(u):
@@ -1573,21 +1603,60 @@ def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
 
 def test_path_minimax_verifier_draws_the_serial_stream(g1d2, monkeypatch):
     # the verification sampler over three blocks of paths gives the
-    # certificate bytes, the report and the seed of the serial loop
+    # certificate bytes and the report of the serial loop, and the report's
+    # seed is the one it samples with: the serial loop replayed from that
+    # seed reproduces max_violation and its path's top node, on a seed with
+    # no positive deficit and on one with a positive deficit
     from symvar import principles
 
-    def run():
-        return path_minimax(_radial_double_well(g1d2), _unit_sym(g1d2), 12,
-                            0.05, seed=1, n_samples=1100)
+    f, eps, n = _radial_double_well(g1d2), 0.05, 1100
+    metric = XMetric(g1d2)
+    real = principles._normal_blocks
+    for seed in (1, 4):
+        starts = []
 
-    cert = run()
-    assert len(_draw_threads()) <= 1
-    monkeypatch.setattr(principles, "_normal_blocks", _serial_blocks)
-    ref = run()
-    assert cert.to_json_bytes() == ref.to_json_bytes()
-    assert cert.violation.n_samples == 1100
-    assert (cert.violation.max_violation, cert.violation.seed) == (
-        ref.violation.max_violation, ref.violation.seed)
+        def recording(rng, *args):
+            starts.append(rng.bit_generator.state)
+            return real(rng, *args)
+
+        def run():
+            return path_minimax(f, _unit_sym(g1d2), 12, eps, seed=seed,
+                                n_samples=n)
+
+        monkeypatch.setattr(principles, "_normal_blocks", recording)
+        cert = run()
+        assert len(_draw_threads()) <= 1
+        report = cert.violation
+        assert starts == [
+            np.random.default_rng(report.seed).bit_generator.state]
+        monkeypatch.setattr(principles, "_normal_blocks", _serial_blocks)
+        ref = run()
+        assert cert.to_json_bytes() == ref.to_json_bytes()
+        assert report.n_samples == n
+        assert (report.max_violation, report.seed) == (
+            ref.violation.max_violation, ref.violation.seed)
+
+        nodes = np.array(cert.extras["path"])
+        cur, top = nodes[1:-1], max(f(g1d2.function(x)) for x in nodes)
+        worst, top_node = 0.0, None
+        rng = np.random.default_rng(report.seed)
+        for i in range(n):
+            z = rng.standard_normal(cur.shape)
+            nz = metric.norm((cur + z) - cur).max()
+            if nz == 0:
+                continue
+            path = cur + (4 * eps, eps, eps / 4)[i % 3] * z / nz
+            full = np.vstack([nodes[0], path, nodes[-1]])
+            vals = [f(g1d2.function(x)) for x in full]
+            d = top - eps * metric.norm(path - cur).max() - max(vals)
+            if d > worst:
+                worst, top_node = d, full[int(np.argmax(vals))]
+        assert worst == report.max_violation
+        if top_node is None:
+            assert seed == 1 and report.argmax_w is None
+        else:
+            assert seed == 4 and worst > cert.slack
+            assert np.array_equal(report.argmax_w.values, top_node)
 
 
 def _ref_pair(maxv_arg):
