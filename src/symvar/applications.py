@@ -26,9 +26,9 @@ from .funcspace import (Functional, GridFunction, GridSpace, _band_cholesky,
                         _dirichlet_rows, _laplacian_rows, _sum_rows,
                         gram_matrix, norm_V, riesz_from_euclidean, theta)
 from .principles import (CallableMetric, Certificate, SetOracle, VMetric,
-                         XMetric, _check_n_samples, _polarized_draws,
-                         estimate_inf, sqps_sequence, symmetric_ekeland,
-                         whole_space)
+                         XMetric, _FromProbe, _check_n_samples,
+                         _polarized_draws, _start_record, estimate_inf,
+                         sqps_sequence, symmetric_ekeland, whole_space)
 from .rearrange import is_family_fixed, polarize, schwarz
 
 __all__ = [
@@ -426,18 +426,19 @@ def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,
                            u0: GridFunction = None) -> Certificate:
     """Almost-symmetric almost-critical point of the quasi-linear energy.
 
-    Runs the symmetric principle (dominating-point form) with σ = ρ = ε and
-    augments the certificate with the Euler-Lagrange residual's dual norm,
-    computed twice (Riesz solve and independent ascent)."""
+    Runs the symmetric principle (dominating-point form) with σ = ρ = ε from
+    ``u0`` or Θ(argmin) of its one inf probe (``extras["start"]`` records
+    the route), and augments the certificate with the Euler-Lagrange
+    residual's dual norm, twice (Riesz solve and independent ascent)."""
     _check_n_samples(n_samples)
     I.validate(seed=seed)
     f = quasilinear_functional(I, space)
-    if u0 is None:
-        _, _, argmin = estimate_inf(f, space, whole_space(space),
-                                    np.random.default_rng(seed + 1))
-        u0 = theta(GridFunction(space, argmin))
-    cert = symmetric_ekeland(f, space, u0, eps, eps, variant="II",
-                             seed=seed, n_samples=n_samples)
+    cert = symmetric_ekeland(f, space, _FromProbe() if u0 is None else u0,
+                             eps, eps, variant="II", seed=seed,
+                             n_samples=n_samples)
+    if u0 is not None:
+        cert.extras["start"] = _start_record(f, f(theta(u0)), eps * eps,
+                                             "given")
     u_eps = cert.v
     r = quasilinear_residual_vector(I, u_eps)
     if space.p == 2.0:
@@ -595,28 +596,30 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
     ∫|Dw|² − ∫D̲g(u_h)w² bounded below.
 
     Returns the per-ε certificates with the residual reports in extras.
-    Needs f bounded below (probe-checked); pass a box oracle for
-    superquadratic nonlinearities and the box is recorded."""
+    Needs f bounded below, checked by the call's one inf probe, from whose
+    argmin every SQPS step starts unless a ``minimizing_sequence`` is given;
+    pass a box oracle for superquadratic nonlinearities (it is recorded)."""
     _check_n_samples(n_samples)
     N.validate(seed=seed)
     dom = box if box is not None else whole_space(space)
     f = semilinear_functional(N, space, box=box)
 
-    # boundedness probes: local descent plus escape rays t·w (superquadratic
+    # boundedness probes: the inf probe plus escape rays t·w (superquadratic
     # nonlinearities sink along rays; a box oracle turns those to +inf)
-    probe_inf, _, _ = estimate_inf(f, space, dom, np.random.default_rng(seed))
+    probe = estimate_inf(f, space, dom, np.random.default_rng(seed))
     rng0 = np.random.default_rng(seed + 5)
     rays = [np.ones(space.n_cells), np.abs(rng0.standard_normal(space.n_cells))]
     floor = -1e6 * (1.0 + abs(f(space.zeros())))
     vals = f._eval_rows(space, np.array([t * w for w in rays for t in (
         1.0, 4.0, 16.0, 64.0, 256.0)]))
-    probe_inf = min([probe_inf, *vals[np.isfinite(vals)].tolist()])
+    probe_inf = min([probe[0], *vals[np.isfinite(vals)].tolist()])
     if not math.isfinite(probe_inf) or probe_inf < floor:
         raise NotBoundedBelow("energy probe diverged along rays; supply a "
                               "box oracle")
 
     out = sqps_sequence(f, space, eps_schedule, domain=dom,
-                        minimizing_sequence=minimizing_sequence, seed=seed,
+                        minimizing_sequence=minimizing_sequence
+                        or _FromProbe(probe=probe), seed=seed,
                         n_samples=n_samples, q_probes=q_probes)
     rng = np.random.default_rng(seed + 17)
     m = space.cell_measure
@@ -649,9 +652,9 @@ def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
     """Almost-fixed point of a map satisfying the descent condition
     ‖F(u)−u‖ ≤ f(u) − f(F(u)).
 
-    Runs the symmetric principle with σ = ρ = ε; the returned residual
-    ‖F(ξ)−ξ‖_X obeys residual ≤ slack/(1−ε) where slack is the verified
-    inequality deficit at w = F(ξ)."""
+    Runs the symmetric principle with σ = ρ = ε from Θ(argmin) of its inf
+    probe; the returned residual ‖F(ξ)−ξ‖_X obeys residual ≤ slack/(1−ε)
+    where slack is the verified inequality deficit at w = F(ξ)."""
     if not 0.0 < eps < 1.0:
         raise InvalidEpsilon(f"eps must lie in (0, 1), got {eps}")
     _check_n_samples(n_samples)
@@ -668,11 +671,8 @@ def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
             raise AssumptionViolated("Caristi condition fails on a probe",
                                      witness=u)
 
-    _, _, argmin = estimate_inf(f, space, whole_space(space),
-                                np.random.default_rng(seed + 1))
-    u0 = theta(GridFunction(space, argmin))
-    cert = symmetric_ekeland(f, space, u0, eps, eps, variant="II", seed=seed,
-                             n_samples=n_samples)
+    cert = symmetric_ekeland(f, space, _FromProbe(), eps, eps, variant="II",
+                             seed=seed, n_samples=n_samples)
     xi = cert.v
     Fxi = F(xi)
     gap = caristi_gap(xi)
@@ -699,7 +699,8 @@ _CLARKE_T = (1.0, 0.5, 0.25, 0.125, 0.0625)
 def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
                        seed=0, n_samples=2000, return_certificate=False):
     """Almost-fixed point of a directionally contractive map, minimizing
-    f(u) = ‖u − F(u)‖_V through the symmetric principle in the V metric.
+    f(u) = ‖u − F(u)‖_V through the symmetric principle in the V metric
+    from Θ(argmin) of its inf probe.
 
     Residual bound: ‖ξ−F(ξ)‖_V ≤ slack/(1−σ−ε) with slack the t-normalized
     inequality deficit at the witness segment point."""
@@ -729,11 +730,8 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
     f = Functional(eval=lambda u: metric.dist(u.values, F(u).values),
                    symmetry_class="polarization-nonincreasing",
                    lower_bound=0.0, name="clarke-displacement")
-    _, _, argmin = estimate_inf(f, space, whole_space(space),
-                                np.random.default_rng(seed + 1))
-    u0 = theta(GridFunction(space, argmin))
-    cert = symmetric_ekeland(f, space, u0, eps, eps, variant="II", seed=seed,
-                             n_samples=n_samples, metric=metric)
+    cert = symmetric_ekeland(f, space, _FromProbe(), eps, eps, variant="II",
+                             seed=seed, n_samples=n_samples, metric=metric)
     xi = cert.v
     Fxi = F(xi)
     residual = f(xi)
@@ -1129,16 +1127,12 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
                    symmetry_class="polarization-nonincreasing",
                    lower_bound=0.0, name="dist-to-B")
     metric = VMetric(space)
-    # the theorem carries no start-energy hypothesis: launch the chain from
-    # a near-infimum point of S' found by the documented probe
-    _, _, argmin = estimate_inf(f, space, Sprime,
-                                np.random.default_rng(seed + 7),
-                                extra_starts=[x.values])
+    # the theorem carries no start-energy hypothesis: the chain starts from
+    # the projection of |argmin| of the engine's probe (x an extra start);
     # project lands in S': it returns a member or the vertex x, which is one
-    u0 = GridFunction(space, Sprime.project(np.abs(argmin)))
-    cert = symmetric_ekeland(f, space, u0, eps, eps, variant="I",
-                             domain=Sprime, seed=seed, n_samples=n_samples,
-                             metric=metric)
+    cert = symmetric_ekeland(f, space, _FromProbe(starts=(x.values,)), eps,
+                             eps, variant="I", domain=Sprime, seed=seed,
+                             n_samples=n_samples, metric=metric)
     xi = cert.v
     # sampled minimality of Drop(xi, B) ∩ C, scored as one block
     Y = _drop_points(xi.values, B, np.random.default_rng(seed + 13),

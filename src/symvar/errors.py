@@ -26,7 +26,14 @@ class OutsideDomain(SymvarError):
 
 
 class BadStart(SymvarError):
-    """Starting point fails the energy precondition of a principle."""
+    """Starting point fails the energy precondition of a principle; carries
+    f(u0), inf_est and the gap, the start route and the probe's log."""
+
+    def __init__(self, message, f_u0=None, inf_est=None, gap=None,
+                 start_route=None, probe_log=None):
+        super().__init__(message)
+        self.f_u0, self.inf_est, self.gap = f_u0, inf_est, gap
+        self.start_route, self.probe_log = start_route, probe_log
 
 
 class SymmetryViolation(SymvarError):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
 
@@ -545,6 +546,15 @@ def _embedding_constant(dimension, n, h, p, q_V):
     return float(max(K_p, C_inf ** (1 - p / q_V) * K_p ** (p / q_V)))
 
 
+def _check_number(name, x, positive, error=InvalidArgument):
+    """``error`` unless x is a finite real number (> 0 if ``positive``);
+    bools are refused."""
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
+            or not math.isfinite(x) or positive and x <= 0):
+        raise error(f"{name} must be a finite "
+                    f"{'positive ' * positive}number, got {x!r}")
+
+
 def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
               q_V=None) -> GridSpace:
     """Build a symmetric uniform grid with its embedding constant K (see
@@ -556,7 +566,7 @@ def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
     ----------
     dimension : 1 or 2
     n_cells_per_axis : even int (reflections about 0 must be cell automorphisms)
-    domain_radius : half-width R of the domain [-R, R]^dimension
+    domain_radius : half-width R > 0 (finite, not a bool) of [-R, R]^dimension
     p : X-norm exponent, > 1
     q_W : exponent of the compactness-target norm, p < q_W < q_V
     q_V : optional override of the V-norm second exponent
@@ -578,6 +588,7 @@ def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
     if not (p < q_W < q_V):
         raise InvalidExponent(f"need p < q_W < q_V, got {p}, {q_W}, {q_V}")
 
+    _check_number("domain_radius", domain_radius, True, InvalidGrid)
     R = float(domain_radius)
     h = 2.0 * R / n
     axis_lattice = 2 * np.arange(n) + 1 - n           # odd integers

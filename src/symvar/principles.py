@@ -39,7 +39,8 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
                         norm_V, theta, function_from_json,
                         function_to_json,
-                        _declared_gradient, _norm_V_raw, _norm_X_raw,
+                        _check_number, _declared_gradient, _norm_V_raw,
+                        _norm_X_raw,
                         _pow_rows, _riesz_gradient, _sum_rows)
 from .rearrange import (approx_symmetrize, is_family_fixed,
                         polarizer_sequence_json, schwarz, _polarize_raw)
@@ -192,15 +193,6 @@ def _check_n_samples(n_samples):
             or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
         raise InvalidArgument(
             f"n_samples must be an integer >= 1, got {n_samples!r}")
-
-
-def _check_number(name, x, positive):
-    """InvalidArgument unless x is a finite real number (> 0 if
-    ``positive``); bools are refused."""
-    if (isinstance(x, bool) or not isinstance(x, numbers.Real)
-            or not math.isfinite(x) or positive and x <= 0):
-        raise InvalidArgument(f"{name} must be a finite "
-                              f"{'positive ' * positive}number, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -383,11 +375,33 @@ def _on_domain(f: Functional, space: GridSpace, domain: SetOracle):
     return guarded, grad, project, box
 
 
-def _check_start(f_start, inf_est, gap):
-    """The start-energy hypothesis f(u0) ≤ inf_est + gap, else BadStart."""
+def _check_start(f_start, inf_est, gap, route, log):
+    """The start-energy hypothesis f(u0) ≤ inf_est + gap, else BadStart
+    with its witness."""
     if f_start > inf_est + gap + 1e-12 * (1.0 + abs(inf_est)):
         raise BadStart(f"f(u0) = {f_start:.6g} exceeds inf_est + {gap:.6g} "
-                       f"= {inf_est + gap:.6g}")
+                       f"= {inf_est + gap:.6g}", f_u0=f_start,
+                       inf_est=inf_est, gap=gap, start_route=route,
+                       probe_log=log)
+
+
+def _start_record(f: Functional, f_start, gap, route):
+    """The start ``route`` and its check's: "declared lower bound" if f(u0)
+    ≤ f.lower_bound + gap, else "by construction" (u0 is the argmin of the
+    probe it is checked against) or "probe estimate" (a given u0)."""
+    lb = f.lower_bound
+    return {"route": route, "check": (
+        "declared lower bound" if lb is not None and f_start <= lb + gap
+        else "by construction" if route == "probe argmin"
+        else "probe estimate")}
+
+
+@dataclass(frozen=True)
+class _FromProbe:
+    """u0 of the private probe form (``_symmetric_start``); ``probe`` is
+    the (inf_est, log, argmin) of a probe already run on f and the domain."""
+    starts: tuple = ()
+    probe: Optional[tuple] = None
 
 
 def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
@@ -710,28 +724,38 @@ def _open_symmetric(f: Functional, space: GridSpace, u0: GridFunction, seed,
     for name, x in positives.items():
         _check_number(name, x, True)
     _check_n_samples(n_samples)
-    if np.any(u0.values < 0):
+    if isinstance(u0, GridFunction) and np.any(u0.values < 0):
         raise AssumptionViolated("u0 must lie in the cone S (values >= 0)")
     c_sym, *streams = np.random.SeedSequence(seed).spawn(n_streams)
     check_symmetry(f, space, c_sym)
     return streams
 
 
-def _symmetric_start(f: Functional, space: GridSpace, dom: SetOracle,
-                     u_start: GridFunction, r, c_inf, gap):
-    """Symmetric-engine opening, part 2: T_r u_start, f(T_r u) ≤ f(u), the
-    inf probe from both points and, unless ``gap`` is None, the start check.
-    Returns (u_tilde, word, f(u_start), inf_est, probe log, argmin)."""
+def _symmetric_start(f: Functional, space: GridSpace, dom: SetOracle, u0,
+                     r, c_inf, gap, dominate=False):
+    """Symmetric-engine opening, part 2: the start u (Θ(u0), checked to
+    dominate, if ``dominate``), T_r u with f(T_r u) ≤ f(u), the one inf
+    probe (from u and T_r u; in the probe form first, u0 then being the
+    projection of |argmin| into ``dom``) and, unless ``gap`` is None, the
+    start check.  Returns (u, T_r u, word, f(u), inf_est, probe log,
+    argmin, {"start": the start record} in the probe form, else {})."""
+    probe = None
+    if isinstance(u0, _FromProbe):
+        probe = u0.probe or estimate_inf(f, space, dom, c_inf,
+                                         extra_starts=u0.starts)
+        u0 = GridFunction(space, dom.project(np.abs(probe[2])))
+    u_start = _dominating_theta(f, u0) if dominate else u0
     u_tilde, seq = _t_rho(u_start, r)
     f_start = f(u_start)
     if f(u_tilde) > f_start + 1e-9 * (1.0 + abs(f_start)):
         raise SymmetryViolation("f increased along the T_rho polarization word")
-    inf_est, log, argmin = estimate_inf(f, space, dom, c_inf,
-                                        extra_starts=[u_start.values,
-                                                      u_tilde.values])
+    inf_est, log, argmin = probe or estimate_inf(
+        f, space, dom, c_inf, extra_starts=[u_start.values, u_tilde.values])
+    route = "given" if probe is None else "probe argmin"
     if gap is not None:
-        _check_start(f_start, inf_est, gap)
-    return u_tilde, seq, f_start, inf_est, log, argmin
+        _check_start(f_start, inf_est, gap, route, log)
+    start = {"start": _start_record(f, f_start, gap, route)} if probe else {}
+    return u_start, u_tilde, seq, f_start, inf_est, log, argmin, start
 
 
 def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
@@ -827,7 +851,7 @@ def ekeland_point(f: Functional, domain_oracle: SetOracle, u0: GridFunction,
     inf_est, log, argmin = estimate_inf(f, space, domain_oracle, s_inf,
                                         extra_starts=[u0.values])
     fu0 = f(u0)
-    _check_start(fu0, inf_est, sigma * rho)
+    _check_start(fu0, inf_est, sigma * rho, "given", log)
 
     v_vals, chain_log = _ekeland_chain(f, space, domain_oracle, u0.values,
                                        sigma, metric, s_chain,
@@ -871,6 +895,10 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
         f(v) ≤ f(u0) − σ‖v − T_ρ u0‖ and the strict sampled inequality;
         when the start also satisfies the energy precondition, the
         ``location_recovery`` extras recover the ρ-location bound.
+
+    In the private probe form of variants I and II (``_FromProbe``) u0 is
+    the projection of |argmin| of the one inf probe into the domain, and
+    ``extras["start"]`` records that route and its start check's.
     """
     if variant not in ("I", "II", "III", "IV", "V"):
         raise InvalidArgument(f"unknown variant {variant!r}")
@@ -884,20 +912,15 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
             h0=h0, seed=seed, n_samples=n_samples, metric=metric,
             c_rest=c_chain)
 
-    u_start = u0
-    dom = domain
-    extras = {"metric": metric.name, "variant_detail": {}}
-    if variant == "I":
-        dom = dom or nonneg_cone(space)
-    elif variant == "II":
-        u_start = _dominating_theta(f, u0)
-    dom = dom or whole_space(space)
+    dom = domain or (nonneg_cone(space) if variant == "I"
+                     else whole_space(space))
 
     # variant IV polarizes to ρ1 + ρ2 and carries that radius in its bounds
     r_bound = (rho + (rho if rho2 is None else rho2)) if variant == "IV" else rho
-    u_tilde, seq, f_start, inf_est, log, argmin = _symmetric_start(
-        f, space, dom, u_start, r_bound, c_inf,
-        None if variant == "V" else sigma * rho)
+    u_start, u_tilde, seq, f_start, inf_est, log, argmin, start = \
+        _symmetric_start(f, space, dom, u0, r_bound, c_inf,
+                         None if variant == "V" else sigma * rho,
+                         dominate=variant == "II")
 
     rng_chain = np.random.default_rng(c_chain)
     v_vals, chain_log = _ekeland_chain(
@@ -910,8 +933,8 @@ def symmetric_ekeland(f: Functional, space: GridSpace, u0: GridFunction,
                        rho=rho, seed=seed, slack=default_slack(fv),
                        inf_est=inf_est, inf_probe_log=log,
                        t_rho_sequence=polarizer_sequence_json(seq))
-    cert.extras.update(extras)
-    cert.extras["chain"] = chain_log
+    cert.extras.update(metric=metric.name, variant_detail={}, chain=chain_log,
+                       **start)
 
     sym_val, sym_bound = _symmetry_pair(v, metric, r_bound)
     cert.add_measured("‖v-v*‖_V", sym_val, sym_bound)
@@ -1049,13 +1072,14 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
 
     The proof's countable convex combination is replaced by one moving
     center: η starts at T_ρu0, v is the penalized global minimizer, and η
-    bisects toward v until ‖v−η‖ ≤ ρ/2, in at most 200 rounds."""
+    bisects toward v until ‖v−η‖ ≤ ρ/2, in at most 200 rounds.  u0 may
+    take the probe form, as in ``symmetric_ekeland``."""
     metric = XMetric(space)
     dom = domain or whole_space(space)
     c_inf, c_ver = _open_symmetric(f, space, u0, seed, 3, n_samples,
                                    sigma=sigma, rho=rho)
     gap = sigma * rho ** p_exp
-    u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
+    u0, u_tilde, seq, _, inf_est, log, argmin, start = _symmetric_start(
         f, space, dom, u0, rho, c_inf, gap)
 
     # the penalized minimizer runs on f itself, without the domain guard
@@ -1106,7 +1130,7 @@ def symmetric_borwein_preiss(f: Functional, space: GridSpace,
                        slack=default_slack(fv),
                        inf_est=inf_est, inf_probe_log=log,
                        t_rho_sequence=polarizer_sequence_json(seq))
-    cert.extras["metric"] = metric.name
+    cert.extras.update(metric=metric.name, **start)
     drift = metric.dist(u_tilde.values, u0.values)
     cert.add_measured("‖v-v*‖_V", *_symmetry_pair(v, metric, rho))
     cert.add_measured("‖v-u‖", metric.dist(v_vals, u0.values), rho + drift)
@@ -1177,7 +1201,7 @@ def symmetric_zhong(f: Functional, space: GridSpace, u0: GridFunction,
     c_inf, c_chain, c_ver = _open_symmetric(f, space, u0, seed, 4,
                                             n_samples, sigma=sigma, rho=rho)
     r = zhong_radius(h, rho)
-    u_tilde, seq, fu0, inf_est, log, argmin = _symmetric_start(
+    _, u_tilde, seq, fu0, inf_est, log, argmin, _ = _symmetric_start(
         f, space, dom, u0, r, c_inf, sigma * rho)
 
     anchor = np.array(u_tilde.values)
@@ -1372,7 +1396,7 @@ def constrained_symmetric_ekeland(f: Functional, G, n_eq, u0: GridFunction,
     # symmetry of the constrained problem: u^H stays feasible, f does not grow
     check_symmetry(f, space, c_sym, dom)
     u_start = GridFunction(space, dom.project(np.abs(u0.values)))
-    u_tilde, seq, _, inf_est, log, argmin = _symmetric_start(
+    _, u_tilde, seq, _, inf_est, log, argmin, _ = _symmetric_start(
         f, space, dom, u_start, eps, c_inf, eps * eps)
 
     v_vals, chain_log = _ekeland_chain(
@@ -1609,8 +1633,9 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
 
     For each ε_h in the decreasing schedule the smooth principle runs with
     p = 2 and σ = ρ = ε_h from a dominating point of the bounded minimizing
-    sequence; each step reports the slope bound, the symmetry residual, and
-    the sampled minimum of quotient + 2ε_h‖ζ‖² (which the penalized-
+    sequence, by default the argmin of one inf probe, which then serves
+    every step (``extras["start"]`` records the route).  Each step reports
+    the slope bound, the symmetry residual, and the sampled minimum of quotient + 2ε_h‖ζ‖² (which the penalized-
     minimizer construction keeps ≥ 0 up to solver slack; the QBoundReport
     accepts a minimum down to −1e-6).  Each certificate carries the default
     slack 1e-6·(1 + |f(v)|)."""
@@ -1638,19 +1663,15 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     if np.any(nh > nu + 1e-9 * (1.0 + nu)):
         raise AssumptionViolated("‖u^H‖ ≤ ‖u‖ failed on a sample")
 
-    if minimizing_sequence is None:
-        inf0, _, argmin0 = estimate_inf(
-            f, space, dom, c_inf, extra_starts=[])
-
-        def minimizing_sequence(h):
-            return GridFunction(space, argmin0)
-
+    xi_h = minimizing_sequence or _FromProbe(
+        probe=estimate_inf(f, space, dom, c_inf))
     out = []
     for h, eps_h in enumerate(eps_schedule):
         try:
-            xi_h = _dominating_theta(f, minimizing_sequence(h))
-            if not dom.contains(xi_h.values):
-                xi_h = GridFunction(space, dom.project(xi_h.values))
+            if callable(minimizing_sequence):
+                xi_h = _dominating_theta(f, minimizing_sequence(h))
+                if not dom.contains(xi_h.values):
+                    xi_h = GridFunction(space, dom.project(xi_h.values))
             cert = symmetric_borwein_preiss(
                 f, space, xi_h, eps_h, eps_h, p_exp=2, domain=dom,
                 seed=int(np.random.default_rng(c_h[2 * h]).integers(2 ** 31)),
@@ -1658,6 +1679,9 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
         except (BadStart, ConvergenceFailure) as exc:
             exc.args = (f"schedule step h={h} (eps={eps_h}): {exc}",)
             raise
+        if "start" not in cert.extras:
+            cert.extras["start"] = _start_record(f, f(xi_h),
+                                                 eps_h * eps_h ** 2, "given")
         v_h, eta_h = cert.v, cert.eta
         dve = metric.dist(v_h.values, eta_h.values)
 

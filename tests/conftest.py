@@ -132,3 +132,20 @@ def on_rows(grad):
 
 def random_S(space, rng, scale=1.0) -> GridFunction:
     return GridFunction(space, scale * np.abs(rng.standard_normal(space.n_cells)))
+
+
+def probe_spy(monkeypatch):
+    """Record every ``estimate_inf`` call as (its extra starts, its result),
+    wherever the library has bound the name."""
+    from symvar import applications, principles
+
+    real, calls = principles.estimate_inf, []
+
+    def spy(f, space, domain, seed, extra_starts=()):
+        out = real(f, space, domain, seed, extra_starts=extra_starts)
+        calls.append(([np.array(s) for s in extra_starts], out))
+        return out
+
+    monkeypatch.setattr(principles, "estimate_inf", spy)
+    monkeypatch.setattr(applications, "estimate_inf", spy)
+    return calls

@@ -25,7 +25,7 @@ from symvar.funcspace import (_dirichlet_rows, _laplacian_rows, gram_matrix,
 from symvar.slopes import strong_slope
 from symvar.principles import VMetric, box_set
 
-from conftest import random_S
+from conftest import probe_spy, random_S
 
 
 # ---------------------------------------------------------------------------
@@ -1074,6 +1074,73 @@ def test_semilinear_experiment_takes_a_minimizing_sequence(g1d8):
     for c in certs:
         assert c.status == "PASS"
         assert np.max(np.abs(c.v.values)) <= 1e-6
+        assert c.extras["start"]["route"] == "given"
+
+
+def _experiments(g1d2, g1d4, g1d8):
+    """Each experiment's call, with the extra starts its probe takes."""
+    F, f = _caristi_pair(g1d4)
+    x = g1d2.function([0.2, 0.2])
+    return {
+        "quasilinear": (lambda: [quasilinear_experiment(
+            forced_dirichlet_integrand(1.0), g1d8, 0.01, seed=3,
+            n_samples=300)], []),
+        "caristi": (lambda: [caristi_fixed_point(
+            F, f, 0.25, g1d4, seed=0, n_samples=300,
+            return_certificate=True)[2]], []),
+        "clarke": (lambda: [clarke_fixed_point(
+            lambda u: GridFunction(g1d4, 0.4 * u.values), 0.4, 0.3, g1d4,
+            seed=0, n_samples=300, return_certificate=True)[2]], []),
+        "drop": (lambda: [symmetric_drop_point(
+            x, Ball(g1d2.function([3.0, 3.0]), 0.5, symmetric=True),
+            _halfplane_C(), 0.05, seed=0, n_samples=300,
+            minimality_samples=1000)], [x.values]),
+        "semilinear": (lambda: semilinear_experiment(
+            _lin_damping(), g1d8, [0.1, 0.05], seed=1, n_samples=300,
+            q_probes=8, second_order_samples=8), []),
+    }
+
+
+@pytest.mark.parametrize("name", ["quasilinear", "caristi", "clarke", "drop",
+                                  "semilinear"])
+def test_each_experiment_runs_one_inf_probe(g1d2, g1d4, g1d8, monkeypatch,
+                                            name):
+    # the engine starts from its own probe's argmin (semilinear: every SQPS
+    # step from the call's one probe): one probe per call, whose estimate
+    # and log every certificate records with its start route and the route
+    # of its start check
+    run, starts = _experiments(g1d2, g1d4, g1d8)[name]
+    calls = probe_spy(monkeypatch)
+    certs = run()
+    (probe_starts, (inf_est, log, argmin)), = calls
+    assert len(probe_starts) == len(starts)
+    assert all(np.array_equal(a, b) for a, b in zip(probe_starts, starts))
+    for cert in certs:
+        assert cert.status == "PASS"
+        assert cert.inf_est == inf_est and cert.inf_probe_log is log
+        start = cert.extras["start"]
+        assert start["route"] == "probe argmin"
+        assert start["check"] in ("declared lower bound", "by construction")
+    # the potentials declaring lower bound 0 start within σρ of it; the
+    # drop's distance and the two energies declare none that close
+    declared = name in ("caristi", "clarke")
+    assert all((c.extras["start"]["check"] == "declared lower bound")
+               == declared for c in certs)
+
+
+def test_quasilinear_experiment_records_a_given_start(g1d8, monkeypatch):
+    # a given u0 keeps the engine's path: its probe runs from Θ(u0) and
+    # T_ρΘ(u0), and the experiment records the route "given", whose check
+    # was against that probe's upper estimate
+    I = forced_dirichlet_integrand(1.0)
+    probed = quasilinear_experiment(I, g1d8, 0.01, seed=3, n_samples=300)
+    calls = probe_spy(monkeypatch)
+    cert = quasilinear_experiment(I, g1d8, 0.01, seed=3, n_samples=300,
+                                  u0=probed.v)
+    (starts, _), = calls
+    assert np.array_equal(starts[0], probed.v.values)
+    assert cert.extras["start"] == {"route": "given",
+                                    "check": "probe estimate"}
 
 
 # ---------------------------------------------------------------------------

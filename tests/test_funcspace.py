@@ -55,6 +55,26 @@ def test_make_grid_errors():
         make_grid(1, 4, 1.0, 2, q_W=1.5)  # q_W < p
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("radius", [0, 0.0, -1.0, -0.5, math.nan, math.inf,
+                                    -math.inf, True, "1.0", None])
+def test_make_grid_refuses_a_radius_that_is_not_a_finite_positive_number(
+        dim, p, radius):
+    # radius 0 gave K = 0, NaN gave K = NaN, a negative radius an untyped
+    # ValueError (1D, p = 2), a TypeError (p = 3) or a 2D grid of spacing
+    # -0.5; a bool is not a radius
+    with pytest.raises(InvalidGrid, match="domain_radius"):
+        make_grid(dim, 4, radius, p, 4)
+
+
+def test_make_grid_takes_any_finite_positive_real_radius():
+    for r in (1, 0.25, np.float64(2.0), np.float32(0.5), np.int64(3)):
+        g = make_grid(1, 4, r, 2, 4)
+        assert g.radius == float(r) and g.spacing == 2.0 * float(r) / 4
+        assert math.isfinite(g.K) and g.K > 0
+
+
 def test_exponent_structure():
     g = make_grid(1, 4, 1.0, 2, 4)
     assert g.p < g.q_W < g.q_V

@@ -23,8 +23,8 @@ from symvar import (AssumptionViolated, BadStart, Certificate,
 from symvar.funcspace import gram_matrix
 from symvar.principles import XMetric, _ekeland_chain, box_set
 
-from conftest import (double_well, on_rows, quad_V, quad_X, random_S,
-                      sym_center)
+from conftest import (double_well, on_rows, probe_spy, quad_V, quad_X,
+                      random_S, sym_center)
 
 
 def _sym_dec(g, seed=0, scale=1.0):
@@ -351,6 +351,99 @@ def test_bp_bad_start(g1d4):
     with pytest.raises(BadStart):
         symmetric_borwein_preiss(f, g1d4, a + g1d4.function(np.ones(4)),
                                  0.01, 0.01, seed=0)
+
+
+@pytest.mark.parametrize("engine", ["ekeland", "bp", "sqps"])
+def test_bad_start_carries_its_witness(g1d4, monkeypatch, engine):
+    # the failing start names the probe it was checked against: f(u0),
+    # inf_est, the gap, the start route and the probe's log
+    a = sym_center(g1d4, 22)
+    f = quad_X(a)
+    u0 = a + g1d4.function(np.ones(4))
+    sigma, rho = (0.01, 0.01) if engine == "sqps" else (0.01, 0.02)
+    gap = sigma * rho if engine == "ekeland" else sigma * rho ** 2
+    calls = probe_spy(monkeypatch)
+    with pytest.raises(BadStart) as exc:
+        if engine == "ekeland":
+            symmetric_ekeland(f, g1d4, u0, sigma, rho, seed=0)
+        elif engine == "bp":
+            symmetric_borwein_preiss(f, g1d4, u0, sigma, rho, seed=0)
+        else:
+            sqps_sequence(f, g1d4, [sigma], minimizing_sequence=lambda h: u0,
+                          seed=0, n_samples=50, q_probes=4)
+    e = exc.value
+    (_, (inf_est, log, _)), = calls
+    assert e.f_u0 == f(u0) and e.inf_est == inf_est and e.gap == gap
+    assert e.start_route == "given" and e.probe_log is log
+    assert e.f_u0 > e.inf_est + e.gap
+    # the message text is the one it always was
+    msg = (f"f(u0) = {e.f_u0:.6g} exceeds inf_est + {gap:.6g} "
+           f"= {inf_est + gap:.6g}")
+    assert str(e) == (f"schedule step h=0 (eps=0.01): {msg}"
+                      if engine == "sqps" else msg)
+
+
+def test_engines_given_u0_keep_their_path(g1d8, monkeypatch):
+    # a given u0 never reaches the probe form: the probe runs once, after
+    # T_ρ, from u and T_ρu, no start record is built, and the bytes equal
+    # those of an unspied run
+    from symvar import principles
+
+    a = sym_center(g1d8, 3)
+    f = quad_X(a)
+    u0 = a * 1.001
+    runs = {
+        "I": lambda: symmetric_ekeland(f, g1d8, u0, 0.1, 0.1, variant="I",
+                                       seed=2, n_samples=200),
+        "II": lambda: symmetric_ekeland(f, g1d8, u0, 0.1, 0.1, variant="II",
+                                        seed=2, n_samples=200),
+        "BP": lambda: symmetric_borwein_preiss(f, g1d8, u0, 0.1, 0.1,
+                                               seed=2, n_samples=200),
+    }
+    plain = {k: run().to_json_bytes() for k, run in runs.items()}
+    calls = probe_spy(monkeypatch)
+
+    def no_record(*args):
+        raise AssertionError("a given start built a start record")
+
+    monkeypatch.setattr(principles, "_start_record", no_record)
+    for k, run in runs.items():
+        calls.clear()
+        cert = run()
+        assert cert.to_json_bytes() == plain[k]
+        assert "start" not in cert.extras
+        (starts, (inf_est, log, _)), = calls
+        assert [t for t, _ in log] == ["origin", "given0", "given1",
+                                       *(f"random{j}" for j in range(6))]
+        assert np.array_equal(starts[0], u0.values)
+        assert cert.inf_est == inf_est and cert.inf_probe_log is log
+
+
+def test_sqps_runs_one_probe_per_call(g1d4, monkeypatch):
+    # the steps start from the argmin of the call's one probe and certify
+    # against it; a given minimizing sequence's steps each probe from
+    # their start and record the route "given"
+    gram = gram_matrix(g1d4)
+    f = Functional(eval=lambda u: 0.5 * float(u.values @ gram @ u.values),
+                   gradient=lambda W: np.matmul(gram, W[..., None])[..., 0],
+                   symmetry_class="polarization-nonincreasing",
+                   lower_bound=0.0, name="halfsq")
+    calls = probe_spy(monkeypatch)
+    out = sqps_sequence(f, g1d4, [0.1, 0.05, 0.02], seed=3, n_samples=100,
+                        q_probes=4)
+    (starts, (inf_est, log, _)), = calls
+    assert starts == []
+    for cert, _ in out:
+        assert cert.status == "PASS"
+        assert cert.inf_est == inf_est and cert.inf_probe_log is log
+        assert cert.extras["start"] == {"route": "probe argmin",
+                                        "check": "declared lower bound"}
+    calls.clear()
+    given = sqps_sequence(f, g1d4, [0.1, 0.05], seed=3, n_samples=100,
+                          q_probes=4,
+                          minimizing_sequence=lambda h: out[0][0].v)
+    assert len(calls) == 2
+    assert [c.extras["start"]["route"] for c, _ in given] == ["given"] * 2
 
 
 # ---------------------------------------------------------------------------
