@@ -34,13 +34,6 @@ MAX_RAISES = 20
 # first source line stripped): no line numbers, so an edit elsewhere in a
 # file keeps its keys.
 ALLOWED = {
-    ("applications.py", "quasilinear_experiment",
-     'dn = dual_norm(space, r, method="ascent", seed=seed + 2)'):
-        "the p != 2 experiment's dual norm; one run takes about 4.5 s, and "
-        "its p != 2 brackets are ROADMAP item 2",
-    ("applications.py", "quasilinear_experiment",
-     'cert.extras["dual_norm_ascent"] = dn'):
-        "the p != 2 experiment's record (ROADMAP item 2)",
     ("rearrange.py", "approx_symmetrize",
      "cur_terms = _run_terms(cur_terms, [t], runs, at, new_terms)"):
         "the plateau walk's move onto a run outside the kept set; no known "

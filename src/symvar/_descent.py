@@ -8,7 +8,10 @@ the block.  The multi-start descent runs its starts in lock-step as the
 rows of one block: ``fun``, ``grad`` and ``project`` also take a block,
 each row bit-equal to its single-vector call, and the Armijo test, the BB
 step and the stop rules run row by row on the single-vector expressions,
-so row i follows the descent from start i alone bit for bit.
+so row i follows the descent from start i alone bit for bit.  Without a
+gradient the starts run the compass search in lock-step the same way
+(``compass_rows``): one sweep of every active start is one ``project``
+and one ``fun`` call on the block of their neighbours.
 Unconstrained and on a box (the nonnegative cone included) each start's
 descent stops after _BB_STEPS_POLISHED = 5 BB steps and a Newton polish
 finishes it; under a custom projection there is no polish and the descent
@@ -55,6 +58,11 @@ _F_ROUNDING = 2.0 ** -52
 # ill-conditioned Euclidean descent leaves), the long one when none does
 _BB_STEPS_POLISHED = 5
 _BB_STEPS = 400
+
+# the compass search: at most this many sweeps per start, and at most this
+# many values per block of neighbours it scores (bounds the memory)
+_COMPASS_SWEEPS = 400
+_COMPASS_VALUES = 2 ** 17
 
 
 def _fd_hessian(grad, x, idx):
@@ -349,42 +357,99 @@ def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
     return x, fx
 
 
-def compass_minimize(fun, x0, *, scale, project=None, f_atol=0.0):
-    """Coordinate pattern search; derivative-free, deterministic.
-
-    Full ±e_i sweep per iteration, move to the best improving point, halve
-    the step when none improves.  ``f_atol`` ends the search once a sweep's
-    best improvement drops below it (callers pass their acceptance
-    threshold so the search does not chase sub-threshold gains)."""
-    x = np.array(x0, float)
-    if project is not None:
-        x = project(x)
-    fx = fun(x)
-    if not math.isfinite(fx):
-        return x, fx
-    step = float(scale)
-    n = len(x)
-    for _ in range(400):
-        best_f, best_x = fx, None
-        for j in range(n):
-            for s in (step, -step):
-                xn = x.copy()
-                xn[j] += s
-                if project is not None:
-                    xn = project(xn)
-                fn = fun(xn)
-                if math.isfinite(fn) and fn < best_f:
-                    best_f, best_x = fn, xn
-        if best_x is None:
-            step *= 0.5
-            if step < 1e-12:
-                break
-        else:
-            if fx - best_f < f_atol and step < float(scale) / 8.0:
-                x, fx = best_x, best_f
-                break
-            x, fx = best_x, best_f
-    return x, fx
+def compass_rows(fun, X0, scale, *, project=None, f_atol=0.0):
+    """Coordinate pattern search from each row of X0, derivative free and
+    deterministic, all rows in lock-step.  A sweep of one start scores its
+    2N neighbours x ± step·e_j (j in order, +step before −step), each
+    projected when ``project`` is given, moves to the first strictly
+    lowest finite value below f(x), and halves the step when none is lower
+    (the search ends once the step is below 1e-12).  It also ends after a
+    move that gains less than ``f_atol`` while the step is below scale/8
+    (callers pass their acceptance threshold, so the search does not chase
+    sub-threshold gains), and after _COMPASS_SWEEPS sweeps; a start whose
+    projected value is not finite does not move.  One sweep of all active
+    starts is one ``project`` and one ``fun`` call on the block of their
+    neighbours, cut into blocks of at most _COMPASS_VALUES values; the
+    choice of the move and the step rules run row by row, so each row ends
+    where the search from its start alone would end.
+    Returns (x, f, errors) as armijo_bb_rows does; a start's error is the
+    first its own search would meet (rows in sweep order, each projected
+    before it is scored), and that start stops there."""
+    X = np.array(X0, float)
+    k, n = X.shape
+    errors = {}
+    x = list(X) if project is None else _call(project, X, range(k), errors)
+    live = [i for i in range(k) if i not in errors]
+    fx = [None] * k
+    for i, f in zip(live, _call(fun, np.array([x[i] for i in live]),
+                                live, errors)):
+        fx[i] = f
+    live = [i for i in live if fx[i] is not None and math.isfinite(fx[i])]
+    step = dict.fromkeys(live, float(scale))
+    # neighbour q of a start moves coordinate q // 2 by +step (q even) or
+    # −step (q odd)
+    coord = np.repeat(np.arange(n), 2)
+    sign = np.tile([1.0, -1.0], n)
+    per = max(1, _COMPASS_VALUES // n)
+    for _ in range(_COMPASS_SWEEPS):
+        if not live:
+            break
+        owner = np.repeat(np.arange(len(live)), 2 * n)
+        cols = np.tile(coord, len(live))
+        moves = np.repeat([step[i] for i in live], 2 * n) * np.tile(
+            sign, len(live))
+        XL = np.array([x[i] for i in live])
+        best_f = [fx[i] for i in live]
+        best_x = [None] * len(live)
+        for a in range(0, len(owner), per):
+            b = min(a + per, len(owner))
+            B = XL[owner[a:b]]
+            B[np.arange(b - a), cols[a:b]] += moves[a:b]
+            failed = {}
+            P = B if project is None else _call(project, B, range(a, b),
+                                                failed)
+            if failed:
+                # a row whose projection raised is not scored
+                ok = [r for r in range(a, b) if r not in failed]
+                vals = _call(fun, np.array([P[r - a] for r in ok]), ok,
+                             failed)
+            else:
+                ok = range(a, b)
+                vals = _call(fun, np.asarray(P), ok, failed)
+            # +inf for a row whose call raised or whose value is not finite
+            V = np.full(b - a, math.inf)
+            V[np.asarray(ok, int) - a] = [math.inf if f is None else f
+                                          for f in vals]
+            V[~np.isfinite(V)] = math.inf
+            for r in sorted(failed):
+                errors.setdefault(live[owner[r]], failed[r])
+            # each start's first strict minimum over its rows in this block,
+            # against the best of its earlier blocks
+            lo = a
+            while lo < b:
+                s = owner[lo]
+                hi = min((s + 1) * 2 * n, b)
+                m = lo - a + int(np.argmin(V[lo - a:hi - a]))
+                if V[m] < best_f[s]:
+                    best_f[s], best_x[s] = float(V[m]), np.array(P[m])
+                lo = hi
+        nxt = []
+        for s, i in enumerate(live):
+            if i in errors:
+                continue
+            if best_x[s] is None:
+                step[i] *= 0.5
+                if step[i] < 1e-12:
+                    continue
+            else:
+                done = (fx[i] - best_f[s] < f_atol
+                        and step[i] < float(scale) / 8.0)
+                x[i], fx[i] = best_x[s], best_f[s]
+                if done:
+                    continue
+            nxt.append(i)
+        live = nxt
+    return x, fx, errors
 
 
 def minimize_multistart(fun, grad, starts, *, project=None, box=None,
@@ -396,28 +461,29 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
     cone being the box [0, ∞)), at most _BB_STEPS_POLISHED steps, then a
     Newton polish per start (with ``hess``, the declared Hessian, when
     given); under any other projection at most _BB_STEPS steps, and the
-    descent's end is kept.  Derivative free path: compass search.
+    descent's end is kept.  Derivative free path: the compass search of
+    all starts in lock-step (``compass_rows``, steps from
+    ``compass_scale``, stopped below ``f_atol`` gains); ``fun`` and
+    ``project`` then take the block of every active start's neighbours.
     Returns (x, f(x), values), ``values`` the final f of each start.  When
     a start raises, the error of the first such start in start order is
     raised, as a run of one start after the other would."""
     X0 = np.array(starts, float)
-    polish = box is not None or project is None
-    if grad is not None:
+    polish = grad is not None and (box is not None or project is None)
+    if grad is None:
+        X, F, errors = compass_rows(fun, X0, compass_scale, project=project,
+                                    f_atol=f_atol)
+    else:
         X, F, errors = armijo_bb_rows(
             fun, grad, X0, _BB_STEPS_POLISHED if polish else _BB_STEPS,
             project=project)
     best_x, best_f, values = None, math.inf, []
-    for i, x0 in enumerate(X0):
-        if grad is not None:
-            if i in errors:
-                raise errors[i]
-            x, fx = X[i], float(F[i])
-            if polish:
-                x, fx = newton_polish(fun, grad, x, fx, *(box or ()),
-                                      hess=hess)
-        else:
-            x, fx = compass_minimize(fun, x0, scale=compass_scale,
-                                     project=project, f_atol=f_atol)
+    for i in range(len(X0)):
+        if i in errors:
+            raise errors[i]
+        x, fx = X[i], float(F[i])
+        if polish:
+            x, fx = newton_polish(fun, grad, x, fx, *(box or ()), hess=hess)
         values.append(fx)
         if math.isfinite(fx) and fx < best_f:
             best_x, best_f = x, fx

@@ -887,18 +887,32 @@ class Petal:
             self.norm = VMetric(self.x0.space).norm
 
 
+# ∓ a0 in the numerators of _near_zero_interval's two rows
+_SIGNS = np.array([[-1.0], [1.0]])
+
+
 def _near_zero_interval(a0, a1, tol):
     """The closed interval of s with ‖a0 + s·a1‖_∞ ≤ tol, or None if empty.
 
-    Each coordinate with a1ᵢ ≠ 0 allows the s between its two crossings of
-    ±tol; a coordinate with a1ᵢ = 0 allows every s or none."""
-    still = a1 == 0.0
-    if np.any(np.abs(a0[still]) > tol):
+    With t = tol·sign(a1ᵢ), coordinate i allows the s between its two
+    crossings of ±tol, (−t − a0ᵢ)/a1ᵢ ≤ (t − a0ᵢ)/a1ᵢ.  The interval runs
+    from the largest lower crossing to the smallest upper one: one maximum
+    per row of the block of quotients (∓a0ᵢ − t)/a1ᵢ, whose first row is
+    the lower crossings and whose second row the upper ones negated, bit
+    for bit, with no coordinate selected.  A coordinate with a1ᵢ = 0
+    allows every s or none: its quotients give (−inf, inf) when
+    |a0ᵢ| < tol, one NaN, which the maximum skips, at |a0ᵢ| = tol, and an
+    empty pair of equal infinities when |a0ᵢ| > tol.  Only such a pair or
+    an overflowing quotient can end the interval on one infinity at both
+    ends, so only that interval is checked for such a coordinate."""
+    t = np.copysign(tol, a1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lo, neg_hi = np.fmax.reduce((_SIGNS * a0 - t) / a1, axis=1,
+                                    initial=-math.inf).tolist()
+    hi = -neg_hi
+    if lo == hi and math.isinf(lo) and np.any((a1 == 0.0)
+                                              & (np.abs(a0) > tol)):
         return None
-    moving = ~still
-    ends = (np.array([-tol, tol])[:, None] - a0[moving]) / a1[moving]
-    lo = float(np.max(np.min(ends, axis=0), initial=-math.inf))
-    hi = float(np.min(np.max(ends, axis=0), initial=math.inf))
     return (lo, hi) if lo <= hi else None
 
 

@@ -359,11 +359,15 @@ def _norm_X_raw(values, dimension, n, spacing, measure, p):
 
 
 def _lr_norm_raw(values, measure, r):
-    """(measure·Σ|x|^r)^{1/r} of one vector or of each row of a block.  A
-    row whose power sum overflows to inf while its entries are finite is
-    normed as s·‖x/s‖, s = max|x| (numpy still warns of the overflow);
-    every finite result keeps its bits."""
-    a = np.abs(values)
+    """(measure·Σ|x|^r)^{1/r} of one vector or of each row of a block."""
+    return _lr_norm_abs(np.abs(values), measure, r)
+
+
+def _lr_norm_abs(a, measure, r):
+    """``_lr_norm_raw`` of the x with a = |x|.  A row whose power sum
+    overflows to inf while its entries are finite is normed as s·‖x/s‖,
+    s = max|x| (numpy still warns of the overflow); every finite result
+    keeps its bits."""
     out = _pow_rows(_sum_rows(a ** r) * measure, 1.0 / r)
     if a.ndim == 1:
         # a comparison, not np.isinf: one-vector norms are the drop
@@ -371,18 +375,30 @@ def _lr_norm_raw(values, measure, r):
         if out < math.inf or not np.isfinite(a).all():
             return out
         s = a.max()
-        return s * _lr_norm_raw(a / s, measure, r)
+        return s * _lr_norm_abs(a / s, measure, r)
     over = np.isinf(out)
     if over.any():
         over &= np.isfinite(a).all(axis=-1)
         s = a[over].max(axis=1)
-        out[over] = s * _lr_norm_raw(a[over] / s[:, None], measure, r)
+        out[over] = s * _lr_norm_abs(a[over] / s[:, None], measure, r)
     return out
 
 
 def _norm_V_raw(values, measure, p, q_V):
-    a, b = _lr_norm_raw(values, measure, p), _lr_norm_raw(values, measure, q_V)
-    return np.maximum(a, b)
+    """max(‖x‖_{L^p}, ‖x‖_{L^{q_V}}) of one vector or of each row of a
+    block, |x| taken once.  One vector, the drop membership's inner loop,
+    takes both power sums inline, by ``_lr_norm_abs``'s operations and
+    with its bits; only a power sum that overflows goes through its
+    rescaling."""
+    a = np.abs(values)
+    if a.ndim == 1:
+        lp = _pow_rows(_sum_rows(a ** p) * measure, 1.0 / p)
+        lq = _pow_rows(_sum_rows(a ** q_V) * measure, 1.0 / q_V)
+        # finite norms are not NaN, so this is np.maximum's answer
+        if lp < math.inf and lq < math.inf:
+            return lp if lp >= lq else lq
+    return np.maximum(_lr_norm_abs(a, measure, p),
+                      _lr_norm_abs(a, measure, q_V))
 
 
 # ---------------------------------------------------------------------------

@@ -778,7 +778,13 @@ def _ekeland_chain(f: Functional, space: GridSpace, domain: SetOracle,
         vk = v
 
         def phi(w):
-            sw = sigma if weight_fn is None else sigma * weight_fn(w)
+            # one vector, or a block of rows with the weight taken per row
+            if weight_fn is None:
+                sw = sigma
+            elif np.ndim(w) == 1:
+                sw = sigma * weight_fn(w)
+            else:
+                sw = sigma * np.array([weight_fn(r) for r in w], float)
             return fun(w) + sw * metric.dist(w, vk)
 
         grad_phi = hess_phi = None

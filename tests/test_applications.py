@@ -309,6 +309,24 @@ def test_quasilinear_experiment_torsion_oracle(g1d8):
                - cert.extras["dual_norm_ascent"]) <= 1e-8
 
 
+def test_quasilinear_experiment_p3_torsion_passes_and_replays():
+    # p ≠ 2: no gradient reaches the descent, so the probe and the chain
+    # run the compass search; the engine starts from its probe's argmin,
+    # and the certificate compares the ascent's dual norm (a lower
+    # estimate, ROADMAP item 2) with ε
+    g = make_grid(1, 16, 1.0, 3, 4)
+    I = forced_dirichlet_integrand(1.0)
+    certs = [quasilinear_experiment(I, g, 0.01, seed=7, n_samples=500)
+             for _ in range(2)]
+    assert certs[0].status == "PASS"
+    assert certs[0].extras["start"] == {"route": "probe argmin",
+                                        "check": "by construction"}
+    assert "dual_norm_solve" not in certs[0].extras
+    assert certs[0].extras["dual_norm_ascent"] == certs[0].measured[
+        "‖w_ε‖_dual"][0]
+    assert certs[0].to_json_bytes() == certs[1].to_json_bytes()
+
+
 # ---------------------------------------------------------------------------
 # lower derivative
 
@@ -1454,6 +1472,82 @@ def test_convex_reaches_answers_false_once_the_bracket_stops_shrinking():
 
     assert not _convex_reaches(h, 0.0, h(0.0), 1.0, 0.0)
     assert len(calls) < 100
+
+
+def selecting_near_zero_interval(a0, a1, tol):
+    """The reference: ``_near_zero_interval`` by selecting the coordinates
+    with a1ᵢ = 0 (every s or none) and the crossings of the others."""
+    still = a1 == 0.0
+    if np.any(np.abs(a0[still]) > tol):
+        return None
+    moving = ~still
+    ends = (np.array([-tol, tol])[:, None] - a0[moving]) / a1[moving]
+    lo = float(np.max(np.min(ends, axis=0), initial=-math.inf))
+    hi = float(np.min(np.max(ends, axis=0), initial=math.inf))
+    return (lo, hi) if lo <= hi else None
+
+
+@pytest.mark.parametrize("grid", ["g1d2", "g1d8", "g2d4"])
+def test_near_zero_interval_equals_its_reference(grid, request):
+    # the off-subspace parts a0 = x − Sx and a1 = d − Sd of a symmetric
+    # ball's rays, then edge cases: zero a1 entries (either sign), |a0| at,
+    # below and above tol there, and quotients that overflow
+    from symvar.applications import _DROP_TOL, _near_zero_interval
+
+    g = request.getfixturevalue(grid)
+    n, tol = g.n_cells, _DROP_TOL
+    B = Ball(g.function(np.zeros(n)), 1.0, symmetric=True)
+    rng = np.random.default_rng(n)
+    pairs = []
+    for scale in (1e-12, 1e-10, 1.0):
+        x, d = scale * rng.standard_normal((2, n))
+        pairs.append((x - B._sym_project(x), d - B._sym_project(d)))
+        pairs.append((x - B._sym_project(x), np.zeros(n)))
+    for a0_still in (0.0, 0.5 * tol, tol, -tol, 2.0 * tol, -2.0 * tol):
+        for zero in (0.0, -0.0):
+            a0 = 1e-11 * rng.standard_normal(n)
+            a1 = rng.standard_normal(n)
+            a0[0], a1[0] = a0_still, zero
+            pairs.append((a0, a1))
+            pairs.append((np.full(n, a0_still), np.full(n, zero)))
+    for big in (1.0, -1.0):
+        # (±tol − a0)/1e-310 overflows to one infinity at both crossings
+        a0, a1 = np.zeros(n), np.zeros(n)
+        a0[0], a1[0] = big, 1e-310
+        pairs.append((a0.copy(), a1.copy()))
+        a0[-1] = 2.0 * tol                     # and a still coordinate off
+        pairs.append((a0.copy(), a1.copy()))
+        a1[-1] = 1.0                           # or moving
+        pairs.append((a0, a1))
+    answers = set()
+    for a0, a1 in pairs:
+        with np.errstate(over="ignore"):
+            want = selecting_near_zero_interval(a0, a1, tol)
+        got = _near_zero_interval(a0, a1, tol)
+        assert got == want, (a0, a1)
+        answers.add("empty" if got is None else
+                    "all" if got == (-math.inf, math.inf) else
+                    "infinite" if math.isinf(got[0]) or math.isinf(got[1])
+                    else "finite")
+    assert answers == {"empty", "all", "infinite", "finite"}
+
+
+def test_drop_membership_answers_the_geometry_queries(g1d2):
+    # the benchmark's geometry queries on the criterion-9 drop, a diagonal
+    # segment from the origin: points inside it, and outside it off the
+    # diagonal, past its far end and behind its vertex
+    D = _criterion9_drop(g1d2)
+    s_max = float(D.ball.project(np.array([1e3, 1e3]))[0])
+    rng = np.random.default_rng(35)
+    inside = [[s, s] for s in rng.uniform(0.02, 0.98, 90) * s_max]
+    outside = []
+    for s in rng.uniform(0.1, 1.0, 30) * s_max:
+        d = rng.uniform(0.05, 0.3) * s
+        outside.append([s + d, s - d])
+    outside += [[s, s] for s in rng.uniform(1.02, 2.0, 30) * s_max]
+    outside += [[-s, -s] for s in rng.uniform(0.02, 1.0, 30) * s_max]
+    assert all(drop_membership(g1d2.function(y), D) for y in inside)
+    assert not any(drop_membership(g1d2.function(y), D) for y in outside)
 
 
 def test_drop_membership_of_a_ray_with_no_symmetric_motion(g1d2):

@@ -5,22 +5,32 @@
 start of the lock-step descent must end on the same bytes and the same
 value as its own run under its path's step cap (5 BB steps where a
 Newton polish follows, 400 under a custom projection) and f's rounding
-floor, and errors must surface in start order.
+floor, and errors must surface in start order.  ``solo_compass`` is the
+same for the derivative-free path: the single-start pattern search that
+``_descent.compass_rows`` replaced.
 """
 
+import inspect
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.optimize import nnls
 
-from symvar import IntegrandError, InvalidArgument, _descent, make_grid
+import cli_cases
+from conftest import quad_X, sym_center
+from test_applications import _criterion9_drop, _diag_ray_C, _halfplane_C
+from symvar import (IntegrandError, InvalidArgument, SymvarError, _descent,
+                    make_grid, symmetric_ekeland, symmetric_zhong)
 from symvar import applications as ap
-from symvar.cli import FUNCTIONALS, SETS, _check, _fn_object, _to_grid
+from symvar.cli import (FUNCTIONALS, SETS, _check, _fn_object, _to_grid,
+                        run_config)
 from symvar.funcspace import (Functional, _pow_rows, gram_matrix,
-                              laplacian_matrix)
-from symvar.principles import (XMetric, _f_arr, _on_domain, box_set,
-                               estimate_inf, nonneg_cone, whole_space)
+                              laplacian_matrix, theta)
+from symvar.principles import (VMetric, XMetric, _f_arr, _on_domain,
+                               box_set, estimate_inf, nonneg_cone,
+                               whole_space)
 
 
 # ---------------------------------------------------------------------------
@@ -388,12 +398,272 @@ def test_row_whose_accepted_trial_gradient_raises_stops_there():
 def test_compass_search_from_a_non_finite_start_does_not_move():
     calls = []
 
-    def fun(x):
-        calls.append(x)
-        return math.inf
+    def fun(X):
+        calls.append(len(X))
+        return np.full(len(X), math.inf)
 
-    x, fx = _descent.compass_minimize(fun, np.ones(3), scale=1.0)
-    assert same(x, np.ones(3)) and fx == math.inf and len(calls) == 1
+    X, F, errors = _descent.compass_rows(fun, np.ones((1, 3)), 1.0)
+    assert errors == {} and same(X[0], np.ones(3)) and F[0] == math.inf
+    assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# the derivative-free path: the lock-step compass search against one start
+# at a time
+
+def solo_compass(fun, x0, scale, project=None, f_atol=0.0):
+    """The single-start coordinate pattern search that
+    ``_descent.compass_rows`` replaced: a full ±step·e_j sweep (+ before −)
+    moves to its first strict best finite value, else the step halves.
+    Returns (x, f(x), sweeps, why), why the stop: "nonfinite" start,
+    "step" below 1e-12, "f_atol" or the 400-sweep "cap"."""
+    x = np.array(x0, float)
+    if project is not None:
+        x = project(x)
+    fx = fun(x)
+    if not math.isfinite(fx):
+        return x, fx, 0, "nonfinite"
+    step = float(scale)
+    for k in range(400):
+        best_f, best_x = fx, None
+        for j in range(len(x)):
+            for s in (step, -step):
+                xn = x.copy()
+                xn[j] += s
+                if project is not None:
+                    xn = project(xn)
+                fn = fun(xn)
+                if math.isfinite(fn) and fn < best_f:
+                    best_f, best_x = fn, xn
+        if best_x is None:
+            step *= 0.5
+            if step < 1e-12:
+                return x, fx, k + 1, "step"
+        else:
+            if fx - best_f < f_atol and step < float(scale) / 8.0:
+                return best_x, best_f, k + 1, "f_atol"
+            x, fx = best_x, best_f
+    return x, fx, 400, "cap"
+
+
+def solo_compass_pick(fun, starts, ends, project):
+    """The derivative-free multi-start loop's pick over the solo ends
+    (x, f(x), ...) in start order: (x, f(x), values), the all-non-finite
+    fallback included."""
+    best_x, best_f, values = None, math.inf, []
+    for x, fx, *_ in ends:
+        values.append(fx)
+        if math.isfinite(fx) and fx < best_f:
+            best_x, best_f = x, fx
+    if best_x is None:
+        x = np.array(starts[0], float)
+        x = x if project is None else project(x)
+        return x, fun(x), values
+    return best_x, best_f, values
+
+
+def _check_compass(fun, starts, scale, project, f_atol,
+                   multistart=_descent.minimize_multistart):
+    """Each lock-step row against its solo search, and the multi-start
+    pick against the solo loop's; returns the solo stop reasons."""
+    X, F, errors = _descent.compass_rows(fun, starts, scale,
+                                         project=project, f_atol=f_atol)
+    assert errors == {}
+    ends = [solo_compass(fun, x0, scale, project, f_atol) for x0 in starts]
+    for i, (x, fx, sweeps, why) in enumerate(ends):
+        assert same(X[i], x) and same(F[i], fx), (i, sweeps, why)
+    lock = multistart(fun, None, starts, project=project,
+                      compass_scale=scale, f_atol=f_atol)
+    solo = solo_compass_pick(fun, starts, ends, project)
+    assert all(same(a, b) for a, b in zip(lock, solo))
+    return [why for *_, why in ends]
+
+
+@pytest.fixture
+def compass_checked(monkeypatch):
+    """Check the first derivative-free ``minimize_multistart`` calls an
+    engine makes, at the call, against the solo loop; returns the stop
+    reasons seen, one list per checked call."""
+    real, seen = _descent.minimize_multistart, []
+    signature = inspect.signature(real)
+
+    def checked(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        a = call.arguments
+        if a["grad"] is None and len(seen) < 2:
+            seen.append(_check_compass(a["fun"], np.array(a["starts"], float),
+                                       a["compass_scale"], a["project"],
+                                       a["f_atol"], real))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_descent, "minimize_multistart", checked)
+    return seen
+
+
+def _drop_engine(tmp_path):
+    # criterion 9's drop: the S' oracle (C ∩ drop) and the V distance
+    D = _criterion9_drop(make_grid(1, 2, 1.0, 2, 4))
+    ap.symmetric_drop_point(D.vertex, D.ball, _halfplane_C(), 0.05, seed=91,
+                            n_samples=50, minimality_samples=50)
+
+
+def _petal_engine(tmp_path):
+    # criterion 9's petal in the l1 norm (a caller's metric) on a ray
+    g = make_grid(1, 2, 1.0, 2, 4)
+    ap.symmetric_petal_point(g.function([1.0, 1.0]), g.function([0.0, 0.0]),
+                             _diag_ray_C(), 0.3,
+                             norm=lambda v: float(np.sum(np.abs(v))),
+                             seed=92, n_samples=50, minimality_samples=50)
+
+
+def _caristi_engine(tmp_path):
+    # the CLI's Caristi potential, 2·‖u‖_X, which has no gradient
+    path = tmp_path / "caristi.json"
+    path.write_text(json.dumps(cli_cases.config(
+        "caristi_fixed_point", 4, {"eps": 0.25}, seed=12)))
+    assert run_config(path, out_dir=str(tmp_path), n_samples=50) == 0
+
+
+def _norm_dist_engine(tmp_path):
+    # the CLI's norm_dist functional, ‖u − a‖_V, under the V metric
+    g = make_grid(1, 4, 1.0, 2, 4)
+    f = _cli(g, "norm_dist", center=[0.1, 0.4, 0.4, 0.1])
+    symmetric_ekeland(f, g, g.function([0.15, 0.4, 0.4, 0.1]), 0.3, 0.3,
+                      variant="I", seed=3, n_samples=50, metric=VMetric(g))
+
+
+def _torsion_engine(tmp_path):
+    # p ≠ 2: the descent has no gradient, the probe and the chain run the
+    # compass search
+    g = make_grid(1, 4, 1.0, 3, 4)
+    ap.quasilinear_experiment(ap.forced_dirichlet_integrand(1.0), g, 0.01,
+                              seed=7, n_samples=50)
+
+
+def _zhong_engine(tmp_path):
+    # the Zhong-weighted chain: the weight 1/(1 + h(‖w − anchor‖)) per row
+    g = make_grid(1, 4, 1.0, 2, 4)
+    a = sym_center(g, 24)
+    u0 = theta(a + g.function(0.03 * np.random.default_rng(25)
+                              .standard_normal(4)))
+    symmetric_zhong(quad_X(a), g, u0, 0.1, 0.2, lambda s: s, seed=1,
+                    n_samples=50)
+
+
+@pytest.mark.parametrize("engine", [_drop_engine, _petal_engine,
+                                    _caristi_engine, _norm_dist_engine,
+                                    _torsion_engine, _zhong_engine],
+                         ids=["drop", "petal-l1", "caristi", "norm_dist",
+                              "torsion-p3", "zhong"])
+def test_lockstep_compass_rows_equal_solo_runs_in_engines(engine, tmp_path,
+                                                          compass_checked):
+    engine(tmp_path)
+    assert compass_checked, "no derivative-free descent ran"
+
+
+def test_lockstep_compass_stops_each_row_by_its_own_rule():
+    # ‖x − c‖₁ from four starts with an f_atol: two starts stop on it, one
+    # halves its step below 1e-12 at the minimum, and the start outside
+    # the domain (+inf there) does not move; −Σx keeps moving to the cap
+    c = np.array([0.3, -0.7, 1.1])
+
+    def l1(X):
+        inside = X[..., 0] <= 5.0
+        return np.where(inside, np.sum(np.abs(X - c), axis=-1), math.inf)
+
+    starts = np.array([c, [0.1, 0.2, 0.3], [-1.0, 2.0, 0.5], [6.0, 0, 0]])
+    assert _check_compass(l1, starts, 0.25, None, 1e-3) == [
+        "step", "f_atol", "f_atol", "nonfinite"]
+    assert _check_compass(l1, starts[:1] + 0.01, 0.25, None, 0.0) == [
+        "step"]
+
+    def down(X):
+        return -np.sum(X, axis=-1)
+
+    assert _check_compass(down, np.zeros((2, 4)), 0.5, None, 0.0) == [
+        "cap", "cap"]
+
+
+def test_lockstep_compass_blocks_split_a_sweep(monkeypatch):
+    # blocks of at most 5 values on 3 cells: one row per block, so each
+    # sweep of each start spans six blocks, and its first strict minimum
+    # is found across them; the ball projection bounds the search
+    monkeypatch.setattr(_descent, "_COMPASS_VALUES", 5)
+    sizes = []
+
+    def f(X):
+        sizes.append(len(X))
+        return np.sum((X - 0.4) ** 4, axis=-1) + X[..., 0] * X[..., 2]
+
+    def project(X):
+        nrm = np.linalg.norm(X, axis=-1, keepdims=True)
+        return X / np.maximum(nrm, 1.0)
+
+    starts = np.random.default_rng(2).standard_normal((4, 3))
+    _check_compass(f, starts, 0.25, project, 1e-9)
+    assert max(sizes) == 4                     # the starts' first scores
+    assert 1 in sizes
+
+
+@pytest.mark.parametrize("values", [_descent._COMPASS_VALUES, 2])
+def test_lockstep_compass_raises_the_error_of_the_first_start(monkeypatch,
+                                                              values):
+    # project raises past 5 in coordinate 1, fun past 5 in coordinate 0.
+    # In the first case start 1's first sweep meets fun's error on its row
+    # 0 (x + step·e_0) and project's on its row 2 (x + step·e_1), and start
+    # 2 only project's; in the second, start 1 only project's and start 2
+    # only fun's.  The block calls raise, so the rows are scored alone, and
+    # each start keeps the first error in sweep order, although the block
+    # projects all its rows before it scores any.  With blocks of one row
+    # (2 values on 2 cells) a block can hold no row left to score
+    monkeypatch.setattr(_descent, "_COMPASS_VALUES", values)
+    def project(X):
+        if np.any(X[..., 1] > 5.0):
+            raise IntegrandError("project")
+        return X
+
+    def fun(X):
+        if np.any(X[..., 0] > 5.0):
+            raise InvalidArgument("fun")
+        return np.sum(X * X, axis=-1)
+
+    cases = [np.array([[0.2, 0.1], [4.9, 4.9], [0.1, 4.9]]),
+             np.array([[0.2, 0.1], [4.0, 4.9], [4.9, 4.0]])]
+    for starts, first in zip(cases, ("fun", "project")):
+        for i in (1, 2):
+            with pytest.raises(SymvarError) as solo:
+                solo_compass(fun, starts[i], 0.25, project)
+            assert str(solo.value) == ("fun" if (i == 1) == (first == "fun")
+                                       else "project")
+        X, F, errors = _descent.compass_rows(fun, starts, 0.25,
+                                             project=project)
+        assert sorted(errors) == [1, 2]
+        assert str(errors[1]) == first
+        x, fx, _, _ = solo_compass(fun, starts[0], 0.25, project)
+        assert same(X[0], x) and same(F[0], fx)
+        with pytest.raises(SymvarError, match=first):
+            _descent.minimize_multistart(fun, None, starts, project=project)
+
+
+def test_lockstep_compass_from_a_non_finite_start(g1d4):
+    # a NaN start: a Functional rejects it (InvalidArgument, as the solo
+    # search does), a plain fun scores it NaN and the start stays put
+    f = _f_arr(_cli(g1d4, "norm_dist"), g1d4)
+    starts = np.array([[0.1, 0.2, 0.3, 0.4], [0.0, np.nan, 0.0, 0.0]])
+    with pytest.raises(InvalidArgument, match="finite"):
+        solo_compass(f, starts[1], 0.25)
+    X, F, errors = _descent.compass_rows(f, starts, 0.25)
+    assert list(errors) == [1] and isinstance(errors[1], InvalidArgument)
+    with pytest.raises(InvalidArgument, match="finite"):
+        _descent.minimize_multistart(f, None, starts)
+
+    def plain(X):
+        return np.sum(X * X, axis=-1)
+
+    X, F, errors = _descent.compass_rows(plain, starts, 0.25)
+    assert errors == {} and same(X[1], starts[1]) and math.isnan(F[1])
+    assert _check_compass(plain, starts, 0.25, None, 0.0)[1] == "nonfinite"
 
 
 # ---------------------------------------------------------------------------

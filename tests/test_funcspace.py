@@ -145,6 +145,29 @@ def test_lr_norms_of_finite_input_do_not_overflow():
     assert rows[3] == math.inf
 
 
+@pytest.mark.parametrize("dimension,n,p,q_W", [
+    (1, 2, 2, 4), (1, 16, 2, 4), (1, 128, 2, 4), (1, 8, 3, 4.5),
+    (2, 4, 2, 4), (2, 4, 1.5, 2)])
+def test_one_vector_V_norm_equals_its_block_row(dimension, n, p, q_W):
+    # the one-vector V norm takes both power sums inline: the same bits as
+    # its row of a block and as the two L^r norms' maximum, on the
+    # rescaling path (1e39·z, Σ|x|^{q_V} overflows) and past it too
+    g = make_grid(dimension, n, 1.0, p, q_W)
+    m = g.cell_measure
+    z = np.random.default_rng(n).standard_normal(g.n_cells)
+    block = np.vstack([z, 1e-300 * z, 1e39 * z, 1e300 * z,
+                       np.zeros(g.n_cells), np.append(np.inf, z[1:])])
+    with np.errstate(over="ignore"):
+        rows = _norm_V_raw(block, m, g.p, g.q_V)
+        for w, row in zip(block, rows):
+            one = _norm_V_raw(w, m, g.p, g.q_V)
+            assert type(one) is np.float64
+            assert one.tobytes() == row.tobytes()
+            assert one == max(_lr_norm_raw(w, m, g.p),
+                              _lr_norm_raw(w, m, g.q_V))
+    assert math.isfinite(rows[2]) and rows[5] == math.inf
+
+
 def test_norms_constant_on_unit_measure_grid():
     g = make_grid(1, 4, 0.5, 2, 4)   # total measure = 1
     u = g.function(np.ones(4))
