@@ -365,7 +365,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
 
     ``solve`` (p = 2): Riesz solve against the X-Gram matrix.
     ``ascent``: projected gradient ascent on q(v) = r·v/‖v‖_X from r and
-    three random starts; independent of the solve route."""
+    three random normal starts (one block); independent of the solve route."""
     r = np.asarray(r_euclid, float)
     if method == "solve":
         if space.p != 2.0:
@@ -394,7 +394,7 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
 
     rng = np.random.default_rng(seed)
     best = 0.0
-    starts = [r] + [rng.standard_normal(len(r)) for _ in range(3)]
+    starts = [r, *rng.standard_normal((3, len(r)))]
     for v in starts:
         v = np.array(v, float)
         if nx(v) == 0:
@@ -600,6 +600,8 @@ def semilinear_experiment(N: SemilinearNonlinearity, space: GridSpace,
     argmin every SQPS step starts unless a ``minimizing_sequence`` is given;
     pass a box oracle for superquadratic nonlinearities (it is recorded)."""
     _check_n_samples(n_samples)
+    _check_n_samples(q_probes, "q_probes")
+    _check_n_samples(second_order_samples, "second_order_samples")
     N.validate(seed=seed)
     dom = box if box is not None else whole_space(space)
     f = semilinear_functional(N, space, box=box)
@@ -665,8 +667,8 @@ def caristi_fixed_point(F, f: Functional, eps, space: GridSpace, *, seed=0,
         Fu = F(u)
         return metric.dist(Fu.values, u.values) - (f(u) - f(Fu))
 
-    for _ in range(16):
-        u = GridFunction(space, rng.standard_normal(space.n_cells))
+    for z in rng.standard_normal((16, space.n_cells)):
+        u = GridFunction(space, z)
         if caristi_gap(u) > 1e-9 * (1.0 + abs(f(u))):
             raise AssumptionViolated("Caristi condition fails on a probe",
                                      witness=u)
@@ -1038,8 +1040,8 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
     _check_n_samples(n_samples)
     d01 = P.norm(P.x0.values - P.x1.values)
     r = (1.0 - P.eps) / (1.0 + P.eps) * d01
-    # the loop only draws; ball and drop points are built, normed and
-    # scored as blocks, interleaved as [b₀, y₀, b₁, y₁, …]
+    # ball and drop points are built, normed and scored as blocks,
+    # interleaved as [b₀, y₀, b₁, y₁, …]
     Y = _inclusion_points(P, Ball(P.x1, r, norm=P.norm),
                           np.random.default_rng(seed), n_samples)
     lhs = (P.eps * _row_norms(P.norm, Y - P.x0.values)
@@ -1053,15 +1055,12 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
 
 
 def _inclusion_points(P: Petal, ball: Ball, rng, n_samples):
-    """The rows [b₀, y₀, b₁, y₁, …] that ``petal_inclusions`` scores: b a
-    sphere point of the ball and y = x0 + t·(b − x0) its drop point.  Each
-    sample draws z ~ N(0, I) and then t ~ U[0, 1); the draws interleave, so
-    only they stay in the loop, and the points are built as blocks."""
-    Z = np.empty((n_samples, P.x0.space.n_cells))
-    T = np.empty((n_samples, 1))
-    for i in range(n_samples):
-        Z[i] = rng.standard_normal(Z.shape[1])
-        T[i] = rng.uniform(0.0, 1.0)
+    """The rows [b₀, y₀, b₁, y₁, …] that ``petal_inclusions`` scores: b the
+    sphere point of the ball from z ~ N(0, I) and y = x0 + t·(b − x0) its
+    drop point, t ~ U[0, 1).  The n_samples z's are drawn as one block,
+    then the t's as another, and the points are built as blocks."""
+    Z = rng.standard_normal((n_samples, P.x0.space.n_cells))
+    T = rng.uniform(0.0, 1.0, (n_samples, 1))
     Y = np.empty((2 * n_samples, Z.shape[1]))
     Y[0::2] = b = ball.sphere_points(Z)
     Y[1::2] = P.x0.values + T * (b - P.x0.values)
@@ -1100,6 +1099,7 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
     the smallness threshold ε·diam(B) < (1−ε)·d(B,C), and a polarization/
     symmetrization-stable C (a hypothesis on the caller's C, not checked)."""
     _check_n_samples(n_samples)
+    _check_n_samples(minimality_samples, "minimality_samples")
     space = x.space
     if not B.symmetric:
         raise NotSymmetricInput("B must lie in the fully symmetric class")
@@ -1157,21 +1157,16 @@ def symmetric_drop_point(x: GridFunction, B: Ball, C: SetOracle, eps, *,
 
 
 def _drop_points(x, B: Ball, rng, n_samples):
-    """Sample points x + t·(b − x) of Drop(x, B).  Each sample draws a coin
-    u ~ U[0, 1); b is a sphere point of B when u < 0.5, else the projection
-    into B of c + r·a·z with a ~ U[-1, 1) drawn before z ~ N(0, I); then
-    t ~ U[0, 1).  The draws interleave, so only they stay in the loop, and
+    """Sample points x + t·(b − x) of Drop(x, B).  Each sample has a coin
+    u ~ U[0, 1); b is the sphere point of B from z ~ N(0, I) when u < 0.5,
+    else the projection into B of c + r·a·z, a ~ U[-1, 1); t ~ U[0, 1).
+    The u's, a's, z's and t's are drawn in that order, one block each
+    (an a is drawn for every sample and read by the projected ones), and
     the sphere, projected and drop points are built as blocks."""
-    n = len(x)
-    sphere = np.empty(n_samples, bool)
-    A, T = np.empty((n_samples, 1)), np.empty((n_samples, 1))
-    Z = np.empty((n_samples, n))
-    for i in range(n_samples):
-        sphere[i] = rng.uniform() < 0.5
-        if not sphere[i]:
-            A[i] = rng.uniform(-1, 1)
-        Z[i] = rng.standard_normal(n)
-        T[i] = rng.uniform(0.0, 1.0)
+    sphere = rng.uniform(size=n_samples) < 0.5
+    A = rng.uniform(-1, 1, (n_samples, 1))
+    Z = rng.standard_normal((n_samples, len(x)))
+    T = rng.uniform(0.0, 1.0, (n_samples, 1))
     b = np.empty_like(Z)
     b[sphere] = B.sphere_points(Z[sphere])
     inner = ~sphere
@@ -1189,6 +1184,7 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
     (exact check), and the slope condition ‖x−y‖ ≤ d(y, C) + ε² against a
     projection-probe estimate of d(y, C)."""
     _check_n_samples(n_samples)
+    _check_n_samples(minimality_samples, "minimality_samples")
     space = x.space
     if norm is None:
         norm = VMetric(space).norm

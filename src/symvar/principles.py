@@ -185,14 +185,14 @@ class CallableMetric(_Metric):
         return float(self._fn(values))
 
 
-def _check_n_samples(n_samples):
-    """InvalidArgument unless ``n_samples`` is an integer ≥ 1: a smaller
-    count draws nothing, so its report would be a vacuous PASS.  The
-    sampling engines call it in their prologue, before any descent."""
+def _check_n_samples(n_samples, name="n_samples"):
+    """InvalidArgument unless the sample count ``name`` is an integer ≥ 1: a
+    smaller count draws nothing, so its report would be a vacuous PASS.  The
+    sampling engines check each count in their prologue, before any descent."""
     if (isinstance(n_samples, bool)
             or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
         raise InvalidArgument(
-            f"n_samples must be an integer >= 1, got {n_samples!r}")
+            f"{name} must be an integer >= 1, got {n_samples!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +407,8 @@ class _FromProbe:
 def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
                  extra_starts=()):
     """Documented multi-start minimization probe: the origin, the given
-    starts and six random starts, descended together by one
-    ``minimize_multistart`` call.
+    starts and six random starts (one block of normals), descended together
+    by one ``minimize_multistart`` call.
 
     Returns (inf_est, log, argmin_values).  The estimate is an upper bound
     on inf f over the domain; engines record it and certify against it."""
@@ -421,9 +421,9 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
         starts.append(domain.project(np.asarray(s0, float)))
         tags.append(f"given{j}")
     scale = max(1.0, max(float(np.max(np.abs(s))) for s in starts))
-    for j in range(6):
-        starts.append(domain.project(rng.standard_normal(space.n_cells) * scale))
-        tags.append(f"random{j}")
+    starts += [domain.project(z) for z in
+               rng.standard_normal((6, space.n_cells)) * scale]
+    tags += [f"random{j}" for j in range(6)]
 
     best_x, best_f, values = _descent.minimize_multistart(
         fun, grad, starts, project=project, box=box, hess=f.hessian)
@@ -689,13 +689,12 @@ def check_symmetry(f: Functional, space: GridSpace, seed, domain=None):
 
 
 def _polarized_draws(space: GridSpace, seed, k):
-    """k draws u = |z|, z standard normal, each followed by its polarizer H
-    drawn from the registered family: (the (k, N) block of u, the H's)."""
+    """(the (k, N) block of u = |z|, z standard normal, then k polarizers H
+    drawn uniformly from the registered family, one block of indices)."""
     rng = np.random.default_rng(seed)
     fam = space.polarizers
-    draws = [(np.abs(rng.standard_normal(space.n_cells)),
-              fam[rng.integers(len(fam))]) for _ in range(k)]
-    return np.array([u for u, _ in draws]), [H for _, H in draws]
+    U = np.abs(rng.standard_normal((k, space.n_cells)))
+    return U, [fam[i] for i in rng.integers(len(fam), size=k)]
 
 
 def _dominating_theta(f: Functional, u: GridFunction) -> GridFunction:
@@ -992,16 +991,14 @@ def _stability_modulus(f, space, v_vals, fv, sigma, metric, rng, *, rho):
 
 
 def _radial_draws(rng, metric, n_cells, k, lo, hi):
-    """The rows c·z/‖z‖ of k draws: z standard normal, then, unless
-    ‖z‖ = 0 drops the draw, c uniform in [lo, hi].  The normal and uniform
-    draws interleave, so they stay one at a time."""
-    rows = []
-    for _ in range(k):
-        z = rng.standard_normal(n_cells)
-        nz = metric.norm(z)
-        if nz != 0:
-            rows.append(rng.uniform(lo, hi) * z / nz)
-    return np.reshape(rows, (-1, n_cells))
+    """The rows c·z/‖z‖ of k draws, z standard normal and c uniform in
+    [lo, hi): the (k, N) block of z, then the k c's.  A draw with ‖z‖ = 0
+    is dropped."""
+    Z = rng.standard_normal((k, n_cells))
+    C = rng.uniform(lo, hi, (k, 1))
+    nz = metric.norm(Z)
+    keep = nz != 0
+    return C[keep] * Z[keep] / nz[keep, None]
 
 
 def _symmetric_ekeland_gamma(f, space, u0, sigma, rho, *, Y, gamma_sequence,
@@ -1278,11 +1275,13 @@ def bump_perturbation(space: GridSpace, v: GridFunction, eps: float,
 def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
               u0: GridFunction = None, seed=0, n_samples=2000) -> Certificate:
     """Report-only verification of a smooth-perturbation certificate:
-    sup|g| ≤ ε, sup‖g'‖ ≤ ε on probes, and global minimality of f+g at v.
-    ‖g'‖ is the X-norm of the Riesz solve of g's declared gradient on
-    p = 2 grids (one block gradient call and one solve for all probes),
-    else a forward difference along one random direction per probe.
-    Never raises on a failed check; failures surface as a FAILED
+    sup|g| ≤ ε, sup‖g'‖ ≤ ε on max(200, n_samples // 10) probes (half,
+    rounded up, v + c·z/‖z‖_X with c ~ U[0, 4), the rest in the box
+    v ± max(1, 2·max|v|), each half one block), and global minimality of f+g
+    at v.  ‖g'‖ is the X-norm of the Riesz solve of g's declared gradient on
+    p = 2 grids (one block gradient call and one solve for all probes), else
+    a forward difference along one random direction per probe (one more
+    block).  Never raises on a failed check; failures surface as a FAILED
     certificate with witness."""
     _check_number("eps", eps, True)
     _check_n_samples(n_samples)
@@ -1292,30 +1291,23 @@ def dgz_check(f: Functional, g: Functional, v: GridFunction, eps, *,
     ss = np.random.SeedSequence(seed)
     c_probe, c_ver = ss.spawn(2)
     rng = np.random.default_rng(c_probe)
-    # the probe draws interleave, so they stay one at a time; g scores the
-    # probes (and their finite-difference partners) as blocks
+    n_probes = max(200, n_samples // 10)
     width = max(1.0, 2.0 * float(np.max(np.abs(v.values))))
-    W, fd = [], []
-    for i in range(max(200, n_samples // 10)):
-        z = rng.standard_normal(space.n_cells)
-        if i % 2 == 0:
-            nz = metric.norm(z)
-            W.append(v.values + (rng.uniform(0, 4) * z / nz if nz > 0 else z))
-        else:
-            W.append(v.values + width * (2.0 * _probe_frac(z) - 1.0))
-        if not riesz:
-            # the partner of the finite difference (w itself if d = 0)
-            d = rng.standard_normal(space.n_cells)
-            nd = metric.norm(d)
-            fd.append(W[-1] + (1e-6 * d / nd if nd > 0 else 0.0))
-    W = np.array(W)
+    radial = _radial_draws(rng, metric, space.n_cells, (n_probes + 1) // 2,
+                           0, 4)
+    box = _probe_frac(rng.standard_normal((n_probes // 2, space.n_cells)))
+    W = v.values + np.concatenate([radial, width * (2.0 * box - 1.0)])
     gw = g._eval_rows(space, W)
     sup_g = max([0.0, *np.abs(gw).tolist()])
     if riesz:
         sup_gp = max([0.0,
                       *metric.norm(_riesz_gradient(g, space, W)).tolist()])
     else:
-        gd = g._eval_rows(space, np.array(fd))
+        # each probe's finite-difference partner (w itself if d = 0)
+        D = rng.standard_normal(W.shape)
+        nd = metric.norm(D)[:, None]
+        gd = g._eval_rows(space, W + np.divide(
+            1e-6 * D, nd, out=np.zeros_like(D), where=nd > 0))
         sup_gp = max([0.0, *(np.abs(gd - gw) / 1e-6).tolist()])
 
     fv = f(v)
@@ -1641,14 +1633,17 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
     p = 2 and σ = ρ = ε_h from a dominating point of the bounded minimizing
     sequence, by default the argmin of one inf probe, which then serves
     every step (``extras["start"]`` records the route).  Each step reports
-    the slope bound, the symmetry residual, and the sampled minimum of quotient + 2ε_h‖ζ‖² (which the penalized-
+    the slope bound, the symmetry residual, and the minimum of quotient +
+    2ε_h‖ζ‖² over ``q_probes`` (an integer ≥ 1) radial probes ζ = c·z/‖z‖_X,
+    c uniform in [0.25, 2) (``_radial_draws``), which the penalized-
     minimizer construction keeps ≥ 0 up to solver slack; the QBoundReport
-    accepts a minimum down to −1e-6).  Each certificate carries the default
+    accepts a minimum down to −1e-6.  Each certificate carries the default
     slack 1e-6·(1 + |f(v)|)."""
     if space.p != 2.0:
         raise AssumptionViolated("the SQPS pipeline requires the Hilbert "
                                  "case p = 2")
     _check_n_samples(n_samples)
+    _check_n_samples(q_probes, "q_probes")
     eps_schedule = [float(e) for e in eps_schedule]
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise InvalidArgument("eps_schedule must decrease strictly")

@@ -1315,8 +1315,7 @@ def _loop_project(B, vals):
     return w
 
 
-def _loop_boundary_sample(B, rng):
-    z = rng.standard_normal(len(B.center.values))
+def _loop_sphere_point(B, z):
     if B.symmetric:
         z = _loop_sym_project(B.center.space, z)
     nz = B.norm(z)
@@ -1326,20 +1325,25 @@ def _loop_boundary_sample(B, rng):
 
 
 def _loop_inclusion_points(P, ball, rng, n_samples):
+    # the sampler's own draws (every z, then every t); each point built alone
+    Z = rng.standard_normal((n_samples, P.x0.space.n_cells))
     Y = []
-    for _ in range(n_samples):
-        b = _loop_boundary_sample(ball, rng)
-        Y += [b, P.x0.values + rng.uniform(0.0, 1.0) * (b - P.x0.values)]
+    for z, t in zip(Z, rng.uniform(0.0, 1.0, n_samples)):
+        b = _loop_sphere_point(ball, z)
+        Y += [b, P.x0.values + t * (b - P.x0.values)]
     return np.reshape(Y, (-1, P.x0.space.n_cells))
 
 
 def _loop_drop_points(x, B, rng, n_samples):
+    # the sampler's own draws (every coin, a, z, then every t); each point
+    # built alone
+    coins, A = rng.uniform(size=n_samples), rng.uniform(-1, 1, n_samples)
+    Z = rng.standard_normal((n_samples, len(x)))
     Y = []
-    for _ in range(n_samples):
-        b = _loop_boundary_sample(B, rng) if rng.uniform() < 0.5 else \
-            _loop_project(B, B.center.values + B.radius * rng.uniform(-1, 1)
-                          * rng.standard_normal(len(x)))
-        Y.append(x + rng.uniform(0.0, 1.0) * (b - x))
+    for u, a, z, t in zip(coins, A, Z, rng.uniform(0.0, 1.0, n_samples)):
+        b = _loop_sphere_point(B, z) if u < 0.5 else \
+            _loop_project(B, B.center.values + B.radius * a * z)
+        Y.append(x + t * (b - x))
     return np.reshape(Y, (-1, len(x)))
 
 
@@ -1396,6 +1400,109 @@ def test_drop_points_equal_the_per_sample_loop(grid, symmetric, norm,
     Y = _drop_points(x, B, np.random.default_rng(6), 2000)
     assert _bits_equal(Y, _loop_drop_points(x, B, np.random.default_rng(6),
                                             2000))
+
+
+def test_normal_only_draws_equal_their_per_draw_loops(g1d8, monkeypatch):
+    # estimate_inf's six random starts, caristi_fixed_point's 16 probes and
+    # dual_norm's three ascent starts each come from one block of normals,
+    # bit for bit the per-draw loop's
+    from conftest import quad_X
+    from symvar import applications as ap
+    from symvar import principles as pr
+
+    def per_draw(seed, k):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal(g1d8.n_cells) for _ in range(k)]
+
+    # estimate_inf: scaled by the largest start, then projected one by one
+    starts, real = [], _descent.minimize_multistart
+
+    def spy(fun, grad, S, **kw):
+        starts.extend(S)
+        return real(fun, grad, S, **kw)
+
+    monkeypatch.setattr(_descent, "minimize_multistart", spy)
+    dom = box_set(g1d8, -2.0, 2.0)
+    pr.estimate_inf(quad_X(g1d8.function(np.full(8, 0.5))), g1d8, dom, 7,
+                    extra_starts=[np.full(8, 1.5)])
+    assert len(starts) == 8
+    ref = [dom.project(z * 1.5) for z in per_draw(7, 6)]
+    assert any((np.abs(z) * 1.5 > 2.0).any() for z in per_draw(7, 6))
+    assert all(_bits_equal(a, b) for a, b in zip(starts[2:], ref))
+
+    # caristi_fixed_point: F sees the 16 probes first
+    class Probed(Exception):
+        pass
+
+    seen = []
+
+    def F(u):
+        seen.append(np.array(u.values))
+        if len(seen) == 16:
+            raise Probed
+        return u
+
+    f = Functional(eval=lambda u: norm_X(u), lower_bound=0.0)
+    with pytest.raises(Probed):
+        caristi_fixed_point(F, f, 0.3, g1d8, seed=4)
+    assert all(_bits_equal(a, b) for a, b in zip(seen, per_draw(4, 16)))
+
+    # dual_norm: each ascent start is normed as drawn before it is scaled
+    normed = []
+
+    class Spy(pr.XMetric):
+        def norm(self, values):
+            normed.append(np.array(values))
+            return super().norm(values)
+
+    monkeypatch.setattr(ap, "XMetric", Spy)
+    dual_norm(g1d8, np.linspace(-1.0, 1.0, 8), method="ascent", seed=5)
+    for z in per_draw(5, 3):
+        assert any(_bits_equal(w, z) for w in normed)
+
+
+def test_petal_inclusion_points_take_t_in_the_unit_interval(g1d8):
+    # every drop point lies on the segment from x0 to its sphere point b, at
+    # a t drawn uniformly from [0, 1); every b lies on the ball's sphere
+    from symvar.applications import _inclusion_points
+
+    rng = np.random.default_rng(3)
+    P = Petal(0.5, g1d8.function(rng.uniform(1.0, 3.0, g1d8.n_cells)),
+              g1d8.function(rng.uniform(0.0, 0.5, g1d8.n_cells)))
+    Y = _inclusion_points(P, Ball(P.x1, 0.7), np.random.default_rng(5), 2000)
+    assert np.allclose([P.norm(b - P.x1.values) for b in Y[0::2]], 0.7,
+                       rtol=1e-12, atol=0)
+    B, D = Y[0::2] - P.x0.values, Y[1::2] - P.x0.values
+    t = np.sum(D * B, axis=1) / np.sum(B * B, axis=1)
+    assert np.allclose(D, t[:, None] * B, rtol=0, atol=1e-12)
+    assert -1e-12 <= t.min() and t.max() <= 1.0
+    # uniform: each tenth of [0, 1) holds a share (200 expected)
+    assert np.histogram(t, bins=10, range=(0.0, 1.0))[0].min() > 150
+
+
+def test_drop_points_reach_both_branches_of_the_coin(g1d8, monkeypatch):
+    # a fair coin sends each sample to a sphere point or to a projected
+    # interior draw; both branches are reached, about half the time each
+    from symvar.applications import _drop_points
+
+    rows = {}
+
+    def counted(name):
+        real = getattr(Ball, name)
+
+        def method(self, W):
+            rows[name] = rows.get(name, 0) + len(W)
+            return real(self, W)
+        return method
+
+    for name in ("sphere_points", "project"):
+        monkeypatch.setattr(Ball, name, counted(name))
+    B = Ball(_radial_center(g1d8, 3.0), 0.8)
+    x = np.random.default_rng(4).uniform(0.0, 0.5, g1d8.n_cells)
+    Y = _drop_points(x, B, np.random.default_rng(6), 2000)
+    assert Y.shape == (2000, g1d8.n_cells)
+    assert rows["sphere_points"] + rows["project"] == 2000
+    assert 850 < rows["sphere_points"] < 1150
 
 
 @pytest.mark.parametrize("grid", ["g1d8", "g2d4"])

@@ -1376,6 +1376,46 @@ def test_engines_refuse_a_count_below_one_before_any_descent(g1d4,
         engines[1](100)
 
 
+@pytest.mark.parametrize("engine,count", [
+    ("sqps_sequence", "q_probes"), ("semilinear_experiment", "q_probes"),
+    ("semilinear_experiment", "second_order_samples"),
+    ("symmetric_drop_point", "minimality_samples"),
+    ("symmetric_petal_point", "minimality_samples")])
+def test_engines_refuse_other_counts_below_one_before_any_descent(
+        engine, count, g1d4, monkeypatch):
+    # a sample count other than n_samples is checked in the prologue too: a
+    # count below 1 would score no probe and report a vacuous PASS or bound
+    from symvar import _descent
+    from symvar import applications as ap
+    from symvar import principles as pr
+
+    def descent(*args, **kwargs):
+        raise AssertionError("a descent ran before the count check")
+
+    for mod, name in ((pr, "estimate_inf"), (ap, "estimate_inf"),
+                      (_descent, "minimize_multistart")):
+        monkeypatch.setattr(mod, name, descent)
+    a = sym_center(g1d4, 41)
+    sym = GridFunction(g1d4, np.full(4, 0.5))
+    N = ap.SemilinearNonlinearity(g=lambda s: 0.0, G=lambda s: 0.0, a1=1.0,
+                                  a2=1.0, b=1.0, p=3.0, name="zero")
+    call = {
+        "sqps_sequence": lambda **kw: sqps_sequence(quad_X(a), g1d4, [0.1],
+                                                    **kw),
+        "semilinear_experiment": lambda **kw: ap.semilinear_experiment(
+            N, g1d4, [0.1], **kw),
+        "symmetric_drop_point": lambda **kw: ap.symmetric_drop_point(
+            sym, ap.Ball(g1d4.function(np.full(4, 4.0)), 1.0, symmetric=True),
+            nonneg_cone(g1d4), 0.05, **kw),
+        "symmetric_petal_point": lambda **kw: ap.symmetric_petal_point(
+            sym, g1d4.function(np.ones(4)), box_set(g1d4, 0.0, 0.6), 0.05,
+            **kw),
+    }[engine]
+    for bad in (0, -3, 2.5, True):
+        with pytest.raises(InvalidArgument, match=f"{count} must be"):
+            call(**{count: bad})
+
+
 def test_sample_inequality_prefix_property(g1d4):
     # one stream drawn a block at a time: every run is a prefix of a longer
     # run, so the maximum only rises with n_samples
@@ -1759,7 +1799,8 @@ def _ref_pair(maxv_arg):
 
 def test_stability_modulus_scores_each_sample_once(g1d4):
     # the per-δ table of variant IV equals the loop that re-evaluated every
-    # sample once per δ, with f evaluated once per sample
+    # sample once per δ, each sample built alone from the sampler's own
+    # draws (every z, then every radius), with f evaluated once per sample
     from symvar.cli import FUNCTIONALS
     from symvar.principles import _stability_modulus
 
@@ -1770,12 +1811,9 @@ def test_stability_modulus_scores_each_sample_once(g1d4):
     for f in (quad_X(a), FUNCTIONALS["quadratic"].build(g1d4, {"center": a})):
         fv = f(v)
         rng = np.random.default_rng(3)
-        samples = []
-        for _ in range(400):
-            z = rng.standard_normal(4)
-            nz = metric.norm(z)
-            r = rng.uniform(0, 4 * rho)
-            samples.append(v.values + r * z / nz)
+        Z = rng.standard_normal((400, 4))
+        samples = [v.values + r * z / metric.norm(z)
+                   for z, r in zip(Z, rng.uniform(0, 4 * rho, 400))]
         expected = []
         for d in (sigma * rho, sigma * rho / 4, sigma * rho / 16,
                   sigma * rho / 64):
@@ -1793,6 +1831,60 @@ def test_stability_modulus_scores_each_sample_once(g1d4):
         assert table == expected
         assert any(w > 0.0 for _, w in table)
         assert calls["f"] == (0 if f.eval_batch else 400)
+
+
+def test_radial_draws_have_radii_in_range_and_X_unit_directions(g2d4):
+    # the SQPS q-probes and variant IV's modulus: rows c·z/‖z‖_X, c uniform
+    # in [lo, hi), directions X-unit and spread over every axis
+    from symvar.principles import _radial_draws
+
+    metric = XMetric(g2d4)
+    R = _radial_draws(np.random.default_rng(9), metric, g2d4.n_cells, 2000,
+                      0.25, 2.0)
+    radii = metric.norm(R)
+    assert R.shape == (2000, g2d4.n_cells)
+    assert np.all((radii >= 0.25 * (1 - 1e-12)) & (radii <= 2.0))
+    assert np.histogram(radii, bins=8, range=(0.25 * (1 - 1e-12), 2.0))[
+        0].min() > 150
+    U = R / radii[:, None]
+    assert np.allclose(metric.norm(U), 1.0, rtol=1e-12, atol=0)
+    assert np.all(np.abs(U.mean(axis=0)) < 0.1 * np.abs(U).mean(axis=0))
+
+
+def test_dgz_probes_and_their_partners_keep_their_distributions(g1d4):
+    # half the probes (rounded up) lie at X-distance in [0, 4) from v, the
+    # rest in the box of half-width max(1, 2·max|v|) around v; each
+    # finite-difference partner lies at X-distance 1e-6 from its probe
+    a = sym_center(g1d4, 41)
+    seen = []
+
+    def g_rows(W):
+        seen.append(np.array(W))
+        return np.zeros(len(W))
+
+    g = Functional(eval=lambda u: 0.0, eval_batch=g_rows)
+    cert = dgz_check(quad_X(a), g, a, 0.1, seed=3, n_samples=2010)
+    assert cert.status == "PASS"
+    metric = XMetric(g1d4)
+    W, partners = seen[0], seen[1]
+    assert W.shape == (201, 4) and partners.shape == W.shape
+    d = metric.norm(W[:101] - a.values)
+    assert 3.5 < d.max() < 4.0
+    width = max(1.0, 2.0 * np.max(np.abs(a.values)))
+    box = np.abs(W[101:] - a.values)
+    assert box.max() <= width and box.max() > 0.9 * width
+    assert np.allclose(metric.norm(partners - W), 1e-6, rtol=1e-6, atol=0)
+
+
+def test_polarized_draws_take_nonnegative_rows_and_family_polarizers(g2d4):
+    # u = |z| row by row, and every H is one of the grid's registered
+    # polarizers, each drawn
+    from symvar.principles import _polarized_draws
+
+    fam = g2d4.polarizers
+    U, Hs = _polarized_draws(g2d4, 5, 40 * len(fam))
+    assert U.shape == (40 * len(fam), g2d4.n_cells) and np.all(U >= 0)
+    assert {id(H) for H in Hs} == {id(P) for P in fam}
 
 
 # ---------------------------------------------------------------------------
