@@ -571,6 +571,16 @@ def _check_number(name, x, positive, error=InvalidArgument):
                     f"{'positive ' * positive}number, got {x!r}")
 
 
+def _check_n_samples(n_samples, name="n_samples"):
+    """InvalidArgument unless the sample count ``name`` is an integer ≥ 1: a
+    smaller count draws nothing, so its report or slope would be vacuous.
+    Every sampling engine and slope estimate checks its counts first."""
+    if (isinstance(n_samples, bool)
+            or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
+        raise InvalidArgument(
+            f"{name} must be an integer >= 1, got {n_samples!r}")
+
+
 def make_grid(dimension, n_cells_per_axis, domain_radius, p, q_W,
               q_V=None) -> GridSpace:
     """Build a symmetric uniform grid with its embedding constant K (see

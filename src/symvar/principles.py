@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -37,11 +36,10 @@ from .errors import (AssumptionViolated, BadStart, ConstraintDegeneracy,
                      InvalidArgument, NoMountainPass, NotSymmetricInput,
                      OutsideDomain, SymmetryViolation)
 from .funcspace import (Functional, GridFunction, GridSpace, gram_matrix,
-                        norm_V, theta, function_from_json,
-                        function_to_json,
-                        _check_number, _declared_gradient, _norm_V_raw,
-                        _norm_X_raw,
-                        _pow_rows, _riesz_gradient, _sum_rows)
+                        norm_V, theta, function_from_json, function_to_json,
+                        _check_n_samples, _check_number, _declared_gradient,
+                        _norm_V_raw, _norm_X_raw, _pow_rows, _riesz_gradient,
+                        _sum_rows)
 from .rearrange import (approx_symmetrize, is_family_fixed,
                         polarizer_sequence_json, schwarz, _polarize_raw)
 from .slopes import strong_slope
@@ -174,6 +172,15 @@ class VMetric(_Metric):
         return _norm_V_raw(values, s.cell_measure, s.p, s.q_V)
 
 
+class _PathMetric(XMetric):
+    """The largest X norm over a path's nodes, for each path of a block."""
+    name = "X-path-sup"
+
+    def norm(self, paths):
+        d = super().norm(np.reshape(paths, (-1, self.space.n_cells)))
+        return d.reshape(len(paths), -1).max(axis=1)
+
+
 class CallableMetric(_Metric):
     def __init__(self, fn, name="custom"):
         self._fn = fn
@@ -183,16 +190,6 @@ class CallableMetric(_Metric):
         if np.ndim(values) == 2:
             return np.array([float(self._fn(w)) for w in values])
         return float(self._fn(values))
-
-
-def _check_n_samples(n_samples, name="n_samples"):
-    """InvalidArgument unless the sample count ``name`` is an integer ≥ 1: a
-    smaller count draws nothing, so its report would be a vacuous PASS.  The
-    sampling engines check each count in their prologue, before any descent."""
-    if (isinstance(n_samples, bool)
-            or not isinstance(n_samples, numbers.Integral) or n_samples < 1):
-        raise InvalidArgument(
-            f"{name} must be an integer >= 1, got {n_samples!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +303,7 @@ class Certificate:
         """The certificate a :meth:`to_json_dict` record describes, with the
         fields re-verification reads; each is checked, and a malformed one
         raises InvalidArgument naming it (a missing one, KeyError)."""
-        # σ weighs the inequality, and ρ sizes the balls _sampler_radii
+        # σ weighs the inequality, and ρ sizes the balls _sampler_balls
         # samples unless a Zhong radius is given
         for name in ("sigma", "rho", "p_exp", "slack"):
             _check_number(name, raw[name], name in ("sigma", "rho"))
@@ -315,10 +312,17 @@ class Certificate:
             if not isinstance(raw[name], kind):
                 raise InvalidArgument(f"{name} must be {what}, "
                                       f"got {raw[name]!r}")
-        # the Zhong radius and weight, read by _sampler_radii and _deficit
+        # the Zhong radius and weight, read by _sampler_balls and _deficit
         for name in ("r_of_rho", "weight_at_v"):
             _check_number(f"extras.{name}", raw["extras"].get(name, 1.0), True)
         v = function_from_json(raw["v"])
+        if raw["variant"] == "PathMinimax":
+            path = np.array(raw["extras"].get("path"), dtype=object)
+            if path.shape[1:] != (v.space.n_cells,) or len(path) < 3:
+                raise InvalidArgument(f"extras.path must hold at least 3 "
+                                      f"nodes of {v.space.n_cells} numbers")
+            for x in path.flat:
+                _check_number("extras.path", x, False)
         eta = None if raw["eta"] is None else function_from_json(raw["eta"])
         if (eta is None and raw["variant"] == "SymBP"
                 or eta is not None and eta.space.signature != v.space.signature):
@@ -434,8 +438,8 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
     return best_f, log, best_x
 
 
-# rows drawn and scored at a time (bounds the memory): path_minimax takes
-# 512 paths, sample_inequality 2**14 values but never fewer than 512 rows
+# rows drawn and scored at a time (bounds the memory): sample_inequality
+# takes 2**14 values, but never fewer than 512 rows
 _SAMPLE_BLOCK = 512
 _SAMPLE_VALUES = 2 ** 14
 
@@ -521,39 +525,39 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     when ‖z‖ = 0), or, when that index is len(radii), into the global probe
     v + h·(2·frac(z) − 1) in the box of half-width h = max(1, 2‖v‖_∞)
     around v, where frac(z) = z − ⌊z⌋ (``_probe_frac``, bit for bit
-    ``z % 1.0``).  ``deficit(W, D)`` scores a block (k, N) of points row
-    by row, given each row's distance D to v; ``metric_norm`` norms a block
-    row by row.  The sampler owns the distances: a ball point is at its
-    radius r, a probe at metric_norm of its offset h·(2·frac(z) − 1), an
-    extra point and a point that ``domain``'s projection moved at
-    metric_norm(w − v).  The radius stands for ‖w − v‖ only because the
-    norm is positively homogeneous (the X, V and l1 norms are): it then
-    differs from the norm of the rounded w − v by about 1e-15·(1 + ‖v‖_∞),
-    far below any certificate's slack 1e-6·(1 + |f(v)|).
+    ``z % 1.0``).  ``deficit(W, D)`` scores a block (k, len(v_vals)) of
+    points row by row, given each row's distance D to v; ``metric_norm``
+    norms a block row by row.  The sampler owns the distances: a ball
+    point is at its radius r, a probe at metric_norm of its offset
+    h·(2·frac(z) − 1), an extra point and a point that ``domain``'s
+    projection moved at metric_norm(w − v).  The radius stands for ‖w − v‖
+    only because the norm is positively homogeneous (the X, V, l1 and path
+    sup norms are): it then differs from the norm of the rounded w − v by
+    about 1e-15·(1 + ‖v‖_∞), far below the slack 1e-6·(1 + |f(v)|).
 
     Draws come sequentially from one seeded stream, a block at a time (a
     block draw equals the same draws made one by one), so a run with more
     samples extends a run with fewer (the max can only grow); the first
     strict maximum above 0 wins, the extra points first.  A block holds
     2**14 values but at least 512 rows (``_SAMPLE_VALUES``,
-    ``_SAMPLE_BLOCK``); its size changes no point and no winner.  While
-    the current block is scored, the process's one drawing worker draws
-    the next one from the same stream, in the same order
-    (``_normal_blocks``); no draw is pending once the call returns or
-    raises, and an error in a draw is raised here.  Each
-    block becomes its points in place: the ball rows are gathered once,
-    normed, multiplied by r, divided by ‖z‖ and shifted by v, the probe
-    rows are mapped through a strided view of the block, so every point
-    and every distance has the bits of its one-sample formula.  A deficit
-    marked ``_ignores_dist`` (``_deficit`` marks the SymBP and DGZ ones)
-    gets NaN in place of every distance the sampler would have to norm: a
-    probe's, an extra point's, a moved row's.
-    ``n_samples`` must be an integer ≥ 1 (else InvalidArgument), and a
-    run that scores no point (``domain`` kept none) raises
+    ``_SAMPLE_BLOCK``); its size changes no point and no winner.  While the
+    current block is scored, the process's one drawing worker draws the next
+    one from the same stream, in the same order (``_normal_blocks``); no
+    draw is pending once the call returns or raises, and an error in a draw
+    is raised here.  Each block becomes its points in place: the ball rows
+    are gathered once, normed, multiplied by r, divided by ‖z‖ and shifted
+    by v, the probe rows are mapped through a strided view of the block, so
+    every point and every distance has the bits of its one-sample formula.
+    A deficit marked ``_ignores_dist`` (``_deficit`` marks the SymBP and DGZ
+    ones) gets NaN in place of every distance the sampler would have to
+    norm: a probe's, an extra point's, a moved row's.  The report's argmax_w
+    is the winning row, or its ``_witness`` if the deficit has one (the path
+    form's).  ``n_samples`` must be an integer ≥ 1 (else InvalidArgument),
+    and a run that scores no point (``domain`` kept none) raises
     AssumptionViolated: its report would be a PASS on no evidence."""
     _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
-    n_dim = space.n_cells
+    n_dim = len(v_vals)
     rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n_dim)
     width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
     n_ball = len(radii)
@@ -611,7 +615,8 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
         where = "X" if domain is None else domain.description or domain.kind
         raise AssumptionViolated(f"the domain {where} kept none of the "
                                  f"{n_samples} sampled points")
-    gf = None if arg is None else GridFunction(space, arg)
+    witness = getattr(deficit, "_witness", lambda w: w)
+    gf = None if arg is None else GridFunction(space, witness(arg))
     return ViolationReport(n_samples=n_samples, max_violation=maxv,
                            argmax_w=gf, seed=int(seed))
 
@@ -622,10 +627,12 @@ def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
     f(v) and D holds each row's distance ‖w−v‖ as ``sample_inequality``
     hands it.  SymBP: f(w) ≥ f(v) + σ(‖v−η‖^p − ‖w−η‖^p); DGZCheck:
     f(w) + g(w) ≥ f(v) + g(v), both ignoring D and marked
-    ``_ignores_dist``, so the sampler norms no offset for them; otherwise
-    f(w) ≥ f(v) − σc·D, c the Zhong weight at v (1 for other kinds).  Each
-    row's deficit is bit-equal to the deficit of that point alone, given
-    the same distance."""
+    ``_ignores_dist``, so the sampler norms no offset for them; PathMinimax:
+    f̂(w) ≥ f(v) − σ·D, w a path's inner nodes, f̂ its largest node value
+    with ``extras["path"]``'s endpoints, its ``_witness`` w's top node;
+    otherwise f(w) ≥ f(v) − σc·D, c the Zhong weight at v (1 for other
+    kinds).  Each row's deficit is bit-equal to the deficit of that point
+    alone, given the same distance."""
     space, v_vals, sigma = cert.v.space, cert.v.values, cert.sigma
     if cert.variant == "SymBP":
         eta, p = cert.eta.values, cert.p_exp
@@ -637,6 +644,21 @@ def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
         fgv = fv + g(cert.v)
         score = lambda W, D: (fgv - f._eval_rows(space, W)
                               - g._eval_rows(space, W))
+    elif cert.variant == "PathMinimax":
+        ends = np.array(cert.extras["path"])[[0, -1]]
+        f_ends = f._eval_rows(space, ends).max()
+
+        def score(W, D):
+            F = f._eval_rows(space, W.reshape(-1, space.n_cells))
+            return fv - sigma * D - np.maximum(
+                F.reshape(len(W), -1).max(axis=1), f_ends)
+
+        def witness(w):
+            P = np.vstack([ends[0], w.reshape(-1, space.n_cells), ends[1]])
+            return P[np.argmax(f._eval_rows(space, P))]
+
+        score._witness = witness
+        return score
     else:
         s = sigma * cert.extras.get("weight_at_v", 1)
         return lambda W, D: fv - s * D - f._eval_rows(space, W)
@@ -644,21 +666,25 @@ def _deficit(f: Functional, cert: Certificate, metric, fv, g=None):
     return score
 
 
-def _sampler_radii(cert: Certificate):
-    """Ball radii (4r, r, r/4) around v; r = r(ρ) for Zhong, else ρ."""
+def _sampler_balls(cert: Certificate):
+    """(center, radii): the balls (4r, r, r/4) around v, or around a path
+    certificate's inner nodes, flattened; r = r(ρ) for Zhong, else ρ."""
     r = cert.extras.get("r_of_rho", cert.rho)
-    return (4 * r, r, r / 4)
+    center = (np.ravel(cert.extras["path"][1:-1])
+              if cert.variant == "PathMinimax" else cert.v.values)
+    return center, (4 * r, r, r / 4)
 
 
 def _issue_sample(f, cert: Certificate, metric, fv, stream, n_samples, *,
                   domain=None, extra_points=(), g=None) -> ViolationReport:
     """Issue-time sampling of the certificate's inequality, seeded from the
     engine's verification stream."""
+    center, radii = _sampler_balls(cert)
     return sample_inequality(
-        _deficit(f, cert, metric, fv, g), cert.v.space, cert.v.values,
+        _deficit(f, cert, metric, fv, g), cert.v.space, center,
         n_samples=n_samples,
         seed=int(np.random.default_rng(stream).integers(2 ** 31)),
-        radii=_sampler_radii(cert), metric_norm=metric.norm, domain=domain,
+        radii=radii, metric_norm=metric.norm, domain=domain,
         extra_points=extra_points)
 
 
@@ -1454,9 +1480,10 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     functional is f̂(γ) = max_t f(γ_t) with the sup-of-X-norms metric.  The
     engine checks the mountain-pass geometry, polarizes nodewise, runs the
     set-restricted Ekeland chain in path space and returns the argmax node
-    with the three measured bounds.  It needs p = 2 and f's declared
-    gradient: the node moves and ‖df(u_ε)‖ take the gradient's Riesz
-    solve."""
+    u_ε of the final path γ_ε with the three measured bounds and the sampled
+    f̂(w) ≥ f(u_ε) − ε·d(w, γ_ε), which ``verify_certificate`` re-samples
+    around ``extras["path"]``.  It needs p = 2 and f's declared gradient:
+    the node moves and ‖df(u_ε)‖ take the gradient's Riesz solve."""
     space = psi.space
     if space.p != 2.0 or f.gradient is None:
         raise AssumptionViolated("path minimax needs p = 2 and a declared "
@@ -1471,25 +1498,17 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     f_ends = (f(zero), f(psi))
     barrier = max(f_ends)
     m = int(m_nodes)
-    metric = XMetric(space)
+    metric, path_metric = XMetric(space), _PathMetric(space)
     if m < 2:
         raise NoMountainPass("a two-node path cannot exceed its endpoints: "
                              "f̂ = max(f(0), f(ψ))")
 
     # a path is the (m−1, N) block of its inner nodes γ_1, ..., γ_{m−1}
-    def nodes(path):
-        return np.vstack([zero.values, path, psi.values])
-
     def node_vals(paths):
         """[f(0), f(γ_1), ..., f(ψ)] for each path of a list or block."""
         inner = f._eval_rows(space, np.reshape(paths, (-1, space.n_cells)))
         return [[f_ends[0], *row, f_ends[1]]
                 for row in inner.reshape(-1, m - 1).tolist()]
-
-    def path_dists(paths, b):
-        """The sup over the nodes of ‖γ_t − b_t‖_X for each path γ."""
-        d = metric.norm((paths - b).reshape(-1, space.n_cells))
-        return d.reshape(len(paths), m - 1).max(axis=1)
 
     def node_gradient_moves(path, fv, step):
         """The path with its near-top nodes (fv: the f values of its nodes)
@@ -1553,12 +1572,12 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
         for _ in range(60):
             moves = node_gradient_moves(cur, fv, step)
             Z = rng_chain.standard_normal((2,) + cur.shape)
-            Z = (step * Z
-                 / np.maximum(1e-12, path_dists(Z + vk, vk))[:, None, None])
+            nz = path_metric.dist(Z + vk, vk)
+            Z = step * Z / np.maximum(1e-12, nz)[:, None, None]
             paths = np.array([cur, *moves, *(cur + Z)])
             fvs = node_vals(paths)
             phis = [max(v) + eps * d
-                    for v, d in zip(fvs, path_dists(paths, vk).tolist())]
+                    for v, d in zip(fvs, path_metric.dist(paths, vk).tolist())]
             best = 0
             for j in range(1, len(paths)):
                 if phis[j] < phis[best] - 1e-13 * (1.0 + abs(phis[best])):
@@ -1572,7 +1591,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
         if not improved or fvk - max(fv) < 1e-12 * (1.0 + abs(fvk)):
             break
 
-    nodes_final = nodes(cur)
+    nodes_final = np.vstack([zero.values, cur, psi.values])
     t_idx = int(np.argmax(fv))
     u_eps = GridFunction(space, nodes_final[t_idx])
     fu = fv[t_idx]
@@ -1594,29 +1613,7 @@ def path_minimax(f: Functional, psi: GridFunction, m_nodes: int, eps, *,
     cert.add_measured("f(u_ε)-c_est", fu - c_est, eps)
     cert.add_measured("c_est-f(u_ε)", c_est - fu, 0.0)  # c ≤ f̂(γ_ε) = f(u_ε)
 
-    # sample i lies on the sphere of radius (4ε, ε, ε/4)[i % 3] around γ_ε;
-    # the first strict maximum wins; the seed recorded is the one sampled
-    seed_ver = int(np.random.default_rng(c_ver).integers(2 ** 31))
-    rng_ver = np.random.default_rng(seed_ver)
-    maxv, arg = 0.0, None
-    with closing(_normal_blocks(rng_ver, n_samples, _SAMPLE_BLOCK,
-                                cur.shape)) as blocks:
-        for start, Z in blocks:
-            r = np.array([4 * eps, eps, eps / 4])[
-                (start + np.arange(len(Z))) % 3]
-            nz = path_dists(cur + Z, cur)
-            keep = nz != 0
-            paths = cur + r[keep, None, None] * Z[keep] / nz[keep, None, None]
-            d = np.append(max(fv) - eps * path_dists(paths, cur)
-                          - [max(v) for v in node_vals(paths)], 0.0)
-            j = int(np.argmax(np.where(np.isnan(d), -np.inf, d)))
-            if d[j] > maxv:
-                maxv, arg = d[j], paths[j]
-    cert.violation = ViolationReport(
-        n_samples=n_samples, max_violation=maxv,
-        argmax_w=None if arg is None else GridFunction(
-            space, nodes(arg)[int(np.argmax(node_vals([arg])[0]))]),
-        seed=seed_ver)
+    cert.violation = _issue_sample(f, cert, path_metric, fu, c_ver, n_samples)
     return cert.seal()
 
 
@@ -1726,32 +1723,30 @@ def sqps_sequence(f: Functional, space: GridSpace, eps_schedule, *,
 def verify_certificate(f: Functional, cert: Certificate, n_samples, *,
                        domain=None, g=None, seed=104729) -> ViolationReport:
     """Re-sample a certificate's variational inequality with an independent
-    seed and the issuing engine's sampler: spheres of radius 4r, r and r/4
-    around v (r = r(ρ) for Zhong, else ρ) plus global probes in the box of
-    half-width max(1, 2‖v‖_∞) around v.
+    seed and the issuing engine's sampler and deficit: spheres of radius 4r,
+    r and r/4 (r = r(ρ) for Zhong, else ρ) plus global probes in the box of
+    half-width max(1, 2‖v‖_∞) around v, or around the inner nodes of a path
+    certificate's ``extras["path"]``.
 
     ``domain`` restores set-restricted quantifiers (variant I, constrained);
-    ``g`` supplies the perturbation for DGZ certificates.  Only X- and
-    V-metric certificates can be re-sampled (AssumptionViolated otherwise).
-    Pure and idempotent; a larger n_samples extends the smaller run's sample
+    ``g`` supplies the perturbation for DGZ certificates.  A certificate of
+    another metric than X, V and X-path-sup raises AssumptionViolated.  Pure
+    and idempotent; a larger n_samples extends the smaller run's sample
     stream.
     """
     space = cert.v.space
-    if cert.variant == "PathMinimax":
-        raise AssumptionViolated(
-            "path certificates carry a path-space inequality that cannot be "
-            "reconstructed from the argmax node (the node is a near-saddle, "
-            "not an Ekeland point); they are verified at emission")
     metric_name = cert.extras.get("metric", "X")
-    if metric_name not in ("X", "V"):
+    metrics = {"X": XMetric, "V": VMetric, "X-path-sup": _PathMetric}
+    if metric_name not in metrics:
         raise AssumptionViolated(
             f"certificate metric {metric_name!r} cannot be rebuilt: "
-            "re-verification knows only the X and V metrics")
-    metric = XMetric(space) if metric_name == "X" else VMetric(space)
+            "re-verification knows only the X, V and X-path-sup metrics")
+    metric = metrics[metric_name](space)
     if cert.variant == "DGZCheck" and g is None:
         raise AssumptionViolated("DGZ verification needs the g oracle")
 
+    center, radii = _sampler_balls(cert)
     return sample_inequality(
-        _deficit(f, cert, metric, f(cert.v), g), space, cert.v.values,
-        n_samples=n_samples, seed=seed, radii=_sampler_radii(cert),
+        _deficit(f, cert, metric, f(cert.v), g), space, center,
+        n_samples=n_samples, seed=seed, radii=radii,
         metric_norm=metric.norm, domain=domain)

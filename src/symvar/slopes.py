@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgument, OutsideDomain
-from .funcspace import (Functional, GridFunction, norm_X, _norm_X_raw,
-                        _riesz_gradient)
+from .funcspace import (Functional, GridFunction, norm_X, _check_n_samples,
+                        _norm_X_raw, _riesz_gradient)
 
 __all__ = ["SlopeEstimate", "QEstimate", "strong_slope", "q_form",
            "unit_directions"]
@@ -89,6 +89,7 @@ def strong_slope(f: Functional, u: GridFunction, radii=(1e-3, 1e-4, 1e-5),
     slope) and the solve's X-norm is the lower bracket end.  Each radius
     scores its probes as one block.
     """
+    _check_n_samples(n_samples)
     radii = tuple(float(r) for r in radii)
     if any(r <= 0 for r in radii) or any(a <= b for a, b in zip(radii, radii[1:])):
         raise InvalidArgument("radii must be positive and strictly decreasing")
@@ -126,6 +127,7 @@ def q_form(f: Functional, u: GridFunction, w: GridFunction, delta=1e-4,
     infinite are skipped; if every probe is infinite the point is outside
     the domain.  Each level scores its probes as one block.
     """
+    _check_n_samples(n_samples)
     if delta <= 0:
         raise InvalidArgument("delta must be positive")
     space = u.space

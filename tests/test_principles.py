@@ -1023,12 +1023,98 @@ def test_certificate_failed_bounds_reporting(g1d4):
     assert "impossible" in cert.failed_bounds()
 
 
-def test_verify_certificate_rejects_path_variant(g1d2):
-    f = _radial_double_well(g1d2)
-    psi = _unit_sym(g1d2)
-    cert = path_minimax(f, psi, 8, 0.1, seed=2, n_samples=100)
-    with pytest.raises(AssumptionViolated):
-        verify_certificate(f, cert, 100)
+def _round_trip(cert):
+    return Certificate.from_json_dict(json.loads(cert.to_json_bytes()))
+
+
+def test_path_minimax_certificate_reverifies_at_its_own_seed(g1d2):
+    # re-verified from its JSON record at the report's own seed, a path
+    # certificate's sampled inequality is the one it was issued with: the
+    # same max_violation, witness and seed, on a PASS and a FAILED one
+    f, psi = _radial_double_well(g1d2), _unit_sym(g1d2)
+    for seed, status in ((0, "PASS"), (4, "FAILED")):
+        cert = path_minimax(f, psi, 8, 0.05, seed=seed, n_samples=300)
+        assert cert.status == status
+        issued = cert.violation
+        rep = verify_certificate(f, _round_trip(cert), issued.n_samples,
+                                 seed=issued.seed)
+        assert (rep.max_violation, rep.seed) == (issued.max_violation,
+                                                 issued.seed)
+        if status == "PASS":
+            assert rep.argmax_w is None and issued.argmax_w is None
+        else:
+            assert rep.max_violation > cert.slack
+            assert np.array_equal(rep.argmax_w.values,
+                                  issued.argmax_w.values)
+
+
+def test_path_minimax_certificate_with_a_tampered_path_fails(g1d2):
+    # the digest case issues a PASS, and re-verifies as one at seeds 1-3;
+    # with the top node of its recorded path scaled by 0.9 the path no
+    # longer crosses the ridge at f(u_eps), and paths sampled around it
+    # score below f(u_eps) - eps·d at the same seeds
+    f, psi = _radial_double_well(g1d2), _unit_sym(g1d2)
+    cert = path_minimax(f, psi, 8, 0.05, seed=8, n_samples=300)
+    assert cert.status == "PASS"
+    raw = json.loads(cert.to_json_bytes())
+    top = raw["extras"]["argmax_node"]
+    raw["extras"]["path"][top] = [0.9 * x for x in raw["extras"]["path"][top]]
+    tampered = Certificate.from_json_dict(raw)
+    for seed in (1, 2, 3):
+        rep = verify_certificate(f, _round_trip(cert), 300, seed=seed)
+        assert rep.max_violation <= cert.slack, seed
+        rep = verify_certificate(f, tampered, 300, seed=seed)
+        assert rep.max_violation > 100 * tampered.slack, seed
+
+
+def test_path_minimax_deficit_counts_the_endpoints(g1d2):
+    # f̂ of a sampled path is its largest node value, the recorded
+    # endpoints included; when an endpoint is the top node it sets the
+    # deficit and is the witness
+    from symvar.principles import _deficit
+
+    f = quad_X(g1d2.function([0.3, 0.3]))
+    nodes = [[0.0, 0.0], [0.2, 0.2], [0.4, 0.4], [2.0, 2.0]]
+    v = g1d2.function(nodes[2])
+    cert = Certificate(variant="PathMinimax", v=v, sigma=0.1, rho=0.1,
+                       extras={"path": nodes})
+    deficit = _deficit(f, cert, XMetric(g1d2), f(v))
+    W = np.array([[0.2, 0.2, 0.4, 0.4], [0.25, 0.25, 0.35, 0.35]])
+    top = f(g1d2.function(nodes[3]))
+    assert top > max(f(g1d2.function(w)) for w in W.reshape(-1, 2))
+    assert np.array_equal(deficit(W, np.array([0.5, 0.25])),
+                          f(v) - 0.1 * np.array([0.5, 0.25]) - top)
+    assert np.array_equal(deficit._witness(W[1]), nodes[3])
+
+
+def test_path_minimax_record_with_a_malformed_path_is_refused(g1d2, tmp_path,
+                                                               capsys):
+    # re-verification samples around the recorded path, so a path with
+    # fewer than 3 nodes or a ragged one is refused when the record is
+    # read, by the library and by the CLI's verify_certificate (exit 1)
+    from cli_cases import WELL, config
+    from symvar.cli import run_config
+
+    cert = path_minimax(_radial_double_well(g1d2), _unit_sym(g1d2), 8, 0.05,
+                        seed=8, n_samples=50)
+    raw = json.loads(cert.to_json_bytes())
+    path = raw["extras"]["path"]
+    for label, bad in (("two_nodes", [path[0], path[-1]]),
+                       ("ragged", [*path[:3], path[3][:1], *path[4:]]),
+                       ("not_a_number", [*path[:3], [0.1, "0.2"], *path[4:]])):
+        record = {**raw, "extras": {**raw["extras"], "path": bad}}
+        with pytest.raises(InvalidArgument, match="extras.path"):
+            Certificate.from_json_dict(record)
+        cert_path = tmp_path / f"{label}.json"
+        cert_path.write_text(json.dumps(record))
+        verify = tmp_path / f"verify_{label}.json"
+        verify.write_text(json.dumps(config(
+            "verify_certificate", 2, {"certificate_path": str(cert_path)},
+            WELL)))
+        assert run_config(verify, out_dir=str(tmp_path / label)) == 1
+        err = capsys.readouterr().err
+        assert "config.parameters.certificate_path" in err, label
+        assert "extras.path" in err, label
 
 
 def test_sqps_error_carries_schedule_index(g1d4):
@@ -1077,7 +1163,7 @@ def _reference_sample(deficit, space, v_vals, *, n_samples, seed, radii,
         w = np.asarray(w, float)
         consider(w, metric_norm(w - v_vals))
     for i in range(n_samples):
-        z = rng.standard_normal(space.n_cells)
+        z = rng.standard_normal(len(v_vals))
         k = i % (len(radii) + 1)
         if k < len(radii):
             nz = metric_norm(z)
@@ -1734,26 +1820,27 @@ def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
     assert drawn_on[1] is not threading.main_thread()
 
 
-def test_path_minimax_verifier_draws_the_serial_stream(g1d2, monkeypatch):
-    # the verification sampler over three blocks of paths gives the
-    # certificate bytes and the report of the serial loop, and the report's
-    # seed is the one it samples with: the serial loop replayed from that
-    # seed reproduces max_violation and its path's top node, on a seed with
-    # no positive deficit and on one with a positive deficit
+def test_path_minimax_samples_through_sample_inequality(g1d2, monkeypatch):
+    # the path certificate's sampled inequality over three blocks of paths
+    # is sample_inequality's: the report's seed is the one it draws with,
+    # the report equals the per-sample loop's over flattened paths, with
+    # the winning path's top node as its witness, and the certificate bytes
+    # are those of the serial loop; on a seed with no positive deficit and
+    # on one with a positive deficit
     from symvar import principles
 
-    f, eps, n = _radial_double_well(g1d2), 0.05, 1100
+    f, eps, n, m = _radial_double_well(g1d2), 0.05, 1600, 12
     metric = XMetric(g1d2)
     real = principles._normal_blocks
-    for seed in (1, 4):
+    for seed in (1, 5):
         starts = []
 
-        def recording(rng, *args):
-            starts.append(rng.bit_generator.state)
-            return real(rng, *args)
+        def recording(rng, n_samples, rows, shape):
+            starts.append((rng.bit_generator.state, n_samples > 2 * rows))
+            return real(rng, n_samples, rows, shape)
 
         def run():
-            return path_minimax(f, _unit_sym(g1d2), 12, eps, seed=seed,
+            return path_minimax(f, _unit_sym(g1d2), m, eps, seed=seed,
                                 n_samples=n)
 
         monkeypatch.setattr(principles, "_normal_blocks", recording)
@@ -1761,35 +1848,31 @@ def test_path_minimax_verifier_draws_the_serial_stream(g1d2, monkeypatch):
         assert len(_draw_threads()) <= 1
         report = cert.violation
         assert starts == [
-            np.random.default_rng(report.seed).bit_generator.state]
+            (np.random.default_rng(report.seed).bit_generator.state, True)]
         monkeypatch.setattr(principles, "_normal_blocks", _serial_blocks)
-        ref = run()
-        assert cert.to_json_bytes() == ref.to_json_bytes()
-        assert report.n_samples == n
-        assert (report.max_violation, report.seed) == (
-            ref.violation.max_violation, ref.violation.seed)
+        assert run().to_json_bytes() == cert.to_json_bytes()
 
         nodes = np.array(cert.extras["path"])
-        cur, top = nodes[1:-1], max(f(g1d2.function(x)) for x in nodes)
-        worst, top_node = 0.0, None
-        rng = np.random.default_rng(report.seed)
-        for i in range(n):
-            z = rng.standard_normal(cur.shape)
-            nz = metric.norm((cur + z) - cur).max()
-            if nz == 0:
-                continue
-            path = cur + (4 * eps, eps, eps / 4)[i % 3] * z / nz
-            full = np.vstack([nodes[0], path, nodes[-1]])
-            vals = [f(g1d2.function(x)) for x in full]
-            d = top - eps * metric.norm(path - cur).max() - max(vals)
-            if d > worst:
-                worst, top_node = d, full[int(np.argmax(vals))]
-        assert worst == report.max_violation
-        if top_node is None:
+
+        def with_ends(w):
+            return np.vstack([nodes[0], w.reshape(m - 1, -1), nodes[-1]])
+
+        def node_values(w):
+            return [f(g1d2.function(x)) for x in with_ends(w)]
+
+        fu = f(cert.v)
+        worst, arg = _reference_sample(
+            lambda w, dist: fu - eps * dist - max(node_values(w)), g1d2,
+            nodes[1:-1].ravel(), n_samples=n, seed=report.seed,
+            radii=(4 * eps, eps, eps / 4),
+            metric_norm=lambda z: metric.norm(z.reshape(m - 1, -1)).max())
+        assert (report.n_samples, report.max_violation) == (n, worst)
+        if arg is None:
             assert seed == 1 and report.argmax_w is None
         else:
-            assert seed == 4 and worst > cert.slack
-            assert np.array_equal(report.argmax_w.values, top_node)
+            assert seed == 5 and worst > cert.slack
+            top = with_ends(arg)[int(np.argmax(node_values(arg)))]
+            assert np.array_equal(report.argmax_w.values, top)
 
 
 def _ref_pair(maxv_arg):

@@ -203,3 +203,21 @@ def test_strong_slope_bracket_holds_off_p2(name):
         est = strong_slope(f, space.function(rng.standard_normal(8)))
         assert est.lower == 0.0
         assert est.bracket_ok()
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 2.0, True])
+def test_strong_slope_refuses_a_count_below_one(g1d4, n_samples):
+    # no probe direction would be drawn, and the upper end would read 0.0,
+    # the slope of a critical point
+    f = quad_X(g1d4.function([0.4, 0.8, 0.6, 0.2]))
+    with pytest.raises(InvalidArgument, match="n_samples"):
+        strong_slope(f, g1d4.zeros(), n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n_samples", [0, -3, 2.0, True])
+def test_q_form_refuses_a_count_below_one(g1d4, n_samples):
+    # only the (0, 0) direction pair would be scored
+    f = quad_X(g1d4.function([0.4, 0.8, 0.6, 0.2]))
+    u = g1d4.function([0.1, 0.2, 0.2, 0.1])
+    with pytest.raises(InvalidArgument, match="n_samples"):
+        q_form(f, u, u, n_samples=n_samples)
