@@ -14,10 +14,14 @@ gradient the starts run the compass search in lock-step the same way
 and one ``fun`` call on the block of their neighbours.
 Unconstrained and on a box (the nonnegative cone included) each start's
 descent stops after _BB_STEPS_POLISHED = 5 BB steps and a Newton polish
-finishes it; under a custom projection there is no polish and the descent
-runs up to _BB_STEPS = 400 steps.  On every path a start's descent also
-ends at f's rounding floor: once the decrease its next trial predicts is
-below _F_ROUNDING·|f(x)|, the same rule that ends the polish.
+finishes it, again all starts in lock-step (``newton_rows``): each Newton
+round is one ``grad`` call on the block of every row still polishing, each
+trial round one ``fun`` call on the rows still in their line search, and
+the free set, the factor and the step rules stay row by row; under a
+custom projection there is no polish and the descent runs up to
+_BB_STEPS = 400 steps.  On every path a start's descent also ends at f's
+rounding floor: once the decrease its next trial predicts is below
+_F_ROUNDING·|f(x)|, the same rule that ends the polish.
 
 The polish holds every Hessian in one form, :class:`_BandHessian`: a band
 in LAPACK storage plus an optional low-rank term U·diag(c)·Uᵀ.  The
@@ -287,13 +291,15 @@ def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
     return x, fx, errors
 
 
-def _newton_step(fun, x, fx, idx, solve, gf, lo, hi):
+def _newton_step(x, fx, idx, solve, gf, lo, hi):
     """The first of the points x + t·d (t = 1, 1/2, 1/4, clipped to the
     box), d = −H⁻¹gf on the coordinates ``idx`` by the factored Hessian's
     ``solve``, where f does not increase, as (x, f(x)); None when none
     does or H is singular.  When the decrease the quadratic model predicts,
     ½|gfᵀd|, is below the rounding of f, _F_ROUNDING·|f(x)|, no trial is
-    evaluated and (x, fx) itself comes back: the polish is done."""
+    evaluated and (x, fx) itself comes back: the polish is done.  A
+    generator, as ``_polish`` is: it yields ("fun", trial) and is sent the
+    trial's value."""
     d = solve(-gf)
     if d is None:
         return None
@@ -303,28 +309,16 @@ def _newton_step(fun, x, fx, idx, solve, gf, lo, hi):
         xn = x.copy()
         xn[idx] += t * d
         xn = np.clip(xn, lo, hi)
-        fn = fun(xn)
+        fn = yield "fun", xn
         if math.isfinite(fn) and fn <= fx:
             return xn, fn
     return None
 
 
-def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
-                  hess=None):
-    """Chord Newton refinement on the free coordinates of a point of the
-    box [lo, hi] (unbounded by default): a coordinate is held when it sits
-    on a bound its gradient pushes against.  The Hessian is ``hess(x)``
-    sliced to the free set when declared, else _fd_hessian; it is built
-    and factored once when there is none yet or the free set has changed,
-    and its factor is reused otherwise.  When every step size is rejected
-    with a reused factor the Hessian is rebuilt once at the current point;
-    when a fresh one is rejected the polish stops.  It also stops, before
-    any rebuild or trial, once the predicted decrease ½|gfᵀd| of the
-    Newton step d is below the rounding of f, 2⁻⁵²·|f(x)|: no comparison of
-    computed values of f could confirm such a step.
-
-    Exact (to rounding) in one step for quadratics; steps are only accepted
-    when they do not increase f, so nonconvex objectives stay safe."""
+def _polish(grad, x, fx, lo, hi, hess):
+    """The polish of one start (see newton_rows) as a generator: it yields
+    ("grad", x) at each Newton step and ("fun", trial) at each trial,
+    is sent the value at that point, and returns the end (x, f(x))."""
     def build(x, idx):
         if hess is None:
             H = _BandHessian.from_dense(_fd_hessian(grad, x, idx))
@@ -334,7 +328,7 @@ def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
 
     solve = held = None
     for _ in range(_NEWTON_ITERS):
-        g = grad(x)
+        g = yield "grad", x
         at_lo = (x <= lo + 1e-12) & (g > 0)
         at_hi = (x >= hi - 1e-12) & (g < 0)
         free = ~(at_lo | at_hi)
@@ -347,14 +341,61 @@ def newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
         reused = held is not None and np.array_equal(idx, held)
         if not reused:
             solve, held = build(x, idx), idx
-        step = _newton_step(fun, x, fx, idx, solve, gf, lo, hi)
+        step = yield from _newton_step(x, fx, idx, solve, gf, lo, hi)
         if step is None and reused:
             solve = build(x, idx)
-            step = _newton_step(fun, x, fx, idx, solve, gf, lo, hi)
+            step = yield from _newton_step(x, fx, idx, solve, gf, lo, hi)
         if step is None or step[0] is x:
             break
         x, fx = step
     return x, fx
+
+
+def newton_rows(fun, grad, X, F, lo=-math.inf, hi=math.inf, *, hess=None):
+    """Chord Newton refinement of each row of X (f values F) on its free
+    coordinates in the box [lo, hi] (unbounded by default), all rows in
+    lock-step: a coordinate is held when it sits on a bound its gradient
+    pushes against.  Each Newton round is one ``grad`` call on every row
+    still polishing, and each trial round one ``fun`` call on every row
+    still in its line search (t = 1, 1/2, 1/4); the rest runs row by row,
+    so each row ends on the bytes of its own polish.  A row's Hessian is
+    ``hess(x)`` sliced to the free set when declared, else _fd_hessian; it
+    is built and factored once when there is none yet or the free set has
+    changed, and its factor is reused otherwise.  When every step size is
+    rejected with a reused factor the Hessian is rebuilt once at the
+    current point; when a fresh one is rejected the row stops.  It also
+    stops, before any rebuild or trial, once the predicted decrease
+    ½|gfᵀd| of the Newton step d is below the rounding of f,
+    2⁻⁵²·|f(x)|: no comparison of computed values of f could confirm such
+    a step.
+    Exact (to rounding) in one step for quadratics; steps are only accepted
+    when they do not increase f, so nonconvex objectives stay safe.
+    Returns (x, f, errors) as armijo_bb_rows does."""
+    x, fx, errors = list(X), list(F), {}
+    rows = [_polish(grad, xi, fi, lo, hi, hess) for xi, fi in zip(x, fx)]
+    calls, wait = {"fun": fun, "grad": grad}, {}
+
+    def resume(i, value):
+        try:
+            wait[i] = rows[i].send(value)
+        except StopIteration as stop:
+            x[i], fx[i] = stop.value
+        except Exception as exc:
+            errors[i] = exc
+
+    for i in range(len(rows)):
+        resume(i, None)
+    while wait:
+        # the trials of every row in a line search, then the gradients of
+        # the rows at their next Newton step
+        kind = ("fun" if any(k == "fun" for k, _ in wait.values())
+                else "grad")
+        ids = [i for i in sorted(wait) if wait[i][0] == kind]
+        P = np.array([wait.pop(i)[1] for i in ids])
+        for i, value in zip(ids, _call(calls[kind], P, ids, errors)):
+            if value is not None:
+                resume(i, value)
+    return x, fx, errors
 
 
 def compass_rows(fun, X0, scale, *, project=None, f_atol=0.0):
@@ -458,13 +499,14 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
 
     Smooth path (grad given): BB descent of all starts in lock-step.  When
     unconstrained (no ``project``) or on a box (``box`` = (lo, hi), the
-    cone being the box [0, ∞)), at most _BB_STEPS_POLISHED steps, then a
-    Newton polish per start (with ``hess``, the declared Hessian, when
-    given); under any other projection at most _BB_STEPS steps, and the
-    descent's end is kept.  Derivative free path: the compass search of
-    all starts in lock-step (``compass_rows``, steps from
-    ``compass_scale``, stopped below ``f_atol`` gains); ``fun`` and
-    ``project`` then take the block of every active start's neighbours.
+    cone being the box [0, ∞)), at most _BB_STEPS_POLISHED steps, then the
+    Newton polish of all starts in lock-step (``newton_rows``, with
+    ``hess``, the declared Hessian, when given); under any other
+    projection at most _BB_STEPS steps, and the descent's end is kept.
+    Derivative free path: the compass search of all starts in lock-step
+    (``compass_rows``, steps from ``compass_scale``, stopped below
+    ``f_atol`` gains); ``fun`` and ``project`` then take the block of
+    every active start's neighbours.
     Returns (x, f(x), values), ``values`` the final f of each start.  When
     a start raises, the error of the first such start in start order is
     raised, as a run of one start after the other would."""
@@ -477,13 +519,19 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
         X, F, errors = armijo_bb_rows(
             fun, grad, X0, _BB_STEPS_POLISHED if polish else _BB_STEPS,
             project=project)
+    if polish:
+        ok = [i for i in range(len(X0)) if i not in errors]
+        XP, FP, failed = newton_rows(fun, grad, [X[i] for i in ok],
+                                     [float(F[i]) for i in ok],
+                                     *(box or ()), hess=hess)
+        for j, i in enumerate(ok):
+            X[i], F[i] = XP[j], FP[j]
+        errors.update((ok[j], exc) for j, exc in failed.items())
     best_x, best_f, values = None, math.inf, []
     for i in range(len(X0)):
         if i in errors:
             raise errors[i]
         x, fx = X[i], float(F[i])
-        if polish:
-            x, fx = newton_polish(fun, grad, x, fx, *(box or ()), hess=hess)
         values.append(fx)
         if math.isfinite(fx) and fx < best_f:
             best_x, best_f = x, fx

@@ -364,8 +364,9 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
     """Discrete dual norm sup {r·v : ‖v‖_X ≤ 1}.
 
     ``solve`` (p = 2): Riesz solve against the X-Gram matrix.
-    ``ascent``: projected gradient ascent on q(v) = r·v/‖v‖_X from r and
-    three random normal starts (one block); independent of the solve route."""
+    ``ascent``: gradient ascent on q(v) = r·v/‖v‖_X from r and three
+    random normal starts (one block), the four in lock-step
+    (``_dual_ascent``); independent of the solve route."""
     r = np.asarray(r_euclid, float)
     if method == "solve":
         if space.p != 2.0:
@@ -375,50 +376,84 @@ def dual_norm(space: GridSpace, r_euclid, *, method="solve", seed=0):
     if method != "ascent":
         raise InvalidArgument(f"unknown dual-norm method {method!r}")
 
-    nx = XMetric(space).norm
-
-    def q(v):
-        nv = nx(v)
-        return (r @ v) / nv if nv > 0 else 0.0
-
-    def grad_q(v):
-        nv = nx(v)
-        if space.p == 2.0:
-            gnorm = gram_matrix(space) @ v / nv
-        else:
-            # central differences along each coordinate, as one block
-            hstep = 1e-7 * (1.0 + float(np.max(np.abs(v))))
-            E = hstep * np.eye(len(v))
-            gnorm = (nx(v + E) - nx(v - E)) / (2 * hstep)
-        return r / nv - (r @ v) / nv ** 2 * gnorm
-
     rng = np.random.default_rng(seed)
     best = 0.0
-    starts = [r, *rng.standard_normal((3, len(r)))]
-    for v in starts:
-        v = np.array(v, float)
-        if nx(v) == 0:
-            continue
-        v /= nx(v)
-        step = 1.0
-        qv = q(v)
-        for _ in range(4000):
-            g = grad_q(v)
-            gn = float(np.linalg.norm(g))
-            if gn < 1e-14 * (1.0 + abs(qv)):
-                break
-            while step > 1e-16:
-                vn = v + step * g
-                qn = q(vn)
-                if qn > qv + 1e-16:
-                    v, qv = vn / nx(vn), q(vn)
-                    step *= 1.3
-                    break
-                step *= 0.5
-            else:
-                break
-        best = max(best, qv)
+    for end in _dual_ascent(space, r, np.array(
+            [r, *rng.standard_normal((3, len(r)))])):
+        if end is not None:
+            best = max(best, end[1])
     return best
+
+
+def _dual_ascent(space: GridSpace, r, V):
+    """Gradient ascent on q(v) = r·v/‖v‖_X from each row of V, all rows in
+    lock-step, after each row is scaled to X norm 1; returns each row's end
+    (v, q(v)), None for a row of X norm 0.  A round is one block X norm of
+    the live rows for their gradients (off p = 2 one more of their
+    central-difference rows) and one block X norm per trial round of the
+    rows still in their line search; the dot products and the Gram product
+    are stacked mat-vecs, so each row's ddot and gemv, and its step, line
+    search and stop rules, are its own run's, bit for bit."""
+    nx = XMetric(space).norm
+    k, n = V.shape
+
+    def dots(W, u):
+        # u·w for each row w of W, bit-equal to its one-vector product
+        return np.matmul(W[:, None, :], u[..., None])[:, 0, 0]
+
+    def q(W):
+        nw = nx(W)
+        rw = dots(W, r)
+        return np.divide(rw, nw, out=np.zeros(len(W)), where=nw > 0), nw
+
+    def grad_q(W, nw):
+        if space.p == 2.0:
+            gnorm = (np.matmul(gram_matrix(space), W[..., None])[..., 0]
+                     / nw[:, None])
+        else:
+            # central differences along each coordinate, as one block
+            hstep = 1e-7 * (1.0 + np.max(np.abs(W), axis=1))
+            E = hstep[:, None, None] * np.eye(n)
+            B = nx(np.concatenate((W[:, None] + E, W[:, None] - E))
+                   .reshape(-1, n)).reshape(2, len(W), n)
+            gnorm = (B[0] - B[1]) / (2 * hstep[:, None])
+        # the scalar power of each row's norm, as the one-vector call takes
+        nw2 = np.array([a ** 2 for a in nw])
+        return r / nw[:, None] - (dots(W, r) / nw2)[:, None] * gnorm
+
+    norms = nx(V)
+    live = [i for i in range(k) if norms[i] != 0]
+    V = V / np.where(norms != 0, norms, 1.0)[:, None]
+    qv, nv, step = np.zeros(k), np.ones(k), np.ones(k)
+    if live:
+        qv[live], nv[live] = q(V[live])
+    for _ in range(4000):
+        if not live:
+            break
+        G = np.zeros((k, n))
+        G[live] = grad_q(V[live], nv[live])
+        gn = np.sqrt(dots(G[live], G[live]))
+        trying = [i for i, g in zip(live, gn)
+                  if not g < 1e-14 * (1.0 + abs(qv[i])) and step[i] > 1e-16]
+        moved = []
+        while trying:
+            VN = V[trying] + step[trying, None] * G[trying]
+            qn, nvn = q(VN)
+            back = []
+            for j, i in enumerate(trying):
+                if qn[j] > qv[i] + 1e-16:
+                    V[i], qv[i] = VN[j] / nvn[j], qn[j]
+                    step[i] *= 1.3
+                    moved.append(i)
+                else:
+                    step[i] *= 0.5
+                    if step[i] > 1e-16:
+                        back.append(i)
+            trying = back
+        live = sorted(moved)
+        if live:
+            nv[live] = nx(V[live])
+    return [(V[i], qv[i]) if norms[i] != 0 else None for i in range(k)]
 
 
 def quasilinear_experiment(I: QuasilinearIntegrand, space: GridSpace, eps, *,

@@ -323,6 +323,13 @@ class Certificate:
                                       f"nodes of {v.space.n_cells} numbers")
             for x in path.flat:
                 _check_number("extras.path", x, False)
+        # the path metric norms a path's nodes: a path record is scored
+        # under it and every other record under another
+        metric = raw["extras"].get("metric")
+        if (metric == _PathMetric.name) != (raw["variant"] == "PathMinimax"):
+            raise InvalidArgument(f"extras.metric must be {_PathMetric.name!r} "
+                                  f"for a PathMinimax record and only for "
+                                  f"one, got {metric!r}")
         eta = None if raw["eta"] is None else function_from_json(raw["eta"])
         if (eta is None and raw["variant"] == "SymBP"
                 or eta is not None and eta.space.signature != v.space.signature):

@@ -17,13 +17,14 @@ from symvar import (AssumptionViolated, Ball, Drop, Functional, GridFunction,
                     semilinear_experiment, symmetric_drop_point,
                     symmetric_petal_point, theta)
 from symvar import _descent
+from symvar import applications as ap
 from symvar.applications import (euler_lagrange_residual, h_minus1_norm,
                                  quasilinear_residual_vector,
                                  semilinear_functional)
 from symvar.funcspace import (_dirichlet_rows, _laplacian_rows, gram_matrix,
                               laplacian_matrix, riesz_from_euclidean)
 from symvar.slopes import strong_slope
-from symvar.principles import VMetric, box_set
+from symvar.principles import VMetric, XMetric, box_set
 
 from conftest import probe_spy, random_S
 
@@ -292,6 +293,80 @@ def test_dual_norm_two_routes_agree(g1d8):
         a = dual_norm(g1d8, r, method="solve")
         b = dual_norm(g1d8, r, method="ascent", seed=5)
         assert abs(a - b) <= 1e-8 * (1.0 + max(a, b))
+
+
+def solo_dual_ascent(space, r, v):
+    """The one-start ascent on q(v) = r·v/‖v‖_X that
+    ``applications._dual_ascent`` runs in lock-step, kept as the
+    reference: (v, q(v)) at its end and the number of gradient steps it
+    took, None for a start of X norm 0."""
+    nx = XMetric(space).norm
+
+    def q(v):
+        nv = nx(v)
+        return (r @ v) / nv if nv > 0 else 0.0
+
+    def grad_q(v):
+        nv = nx(v)
+        if space.p == 2.0:
+            gnorm = gram_matrix(space) @ v / nv
+        else:
+            hstep = 1e-7 * (1.0 + float(np.max(np.abs(v))))
+            E = hstep * np.eye(len(v))
+            gnorm = (nx(v + E) - nx(v - E)) / (2 * hstep)
+        return r / nv - (r @ v) / nv ** 2 * gnorm
+
+    v = np.array(v, float)
+    if nx(v) == 0:
+        return None
+    v /= nx(v)
+    step, qv, k = 1.0, q(v), 0
+    for k in range(4000):
+        g = grad_q(v)
+        if float(np.linalg.norm(g)) < 1e-14 * (1.0 + abs(qv)):
+            break
+        while step > 1e-16:
+            vn = v + step * g
+            if q(vn) > qv + 1e-16:
+                v, qv = vn / nx(vn), q(vn)
+                step *= 1.3
+                break
+            step *= 0.5
+        else:
+            break
+    return v, qv, k
+
+
+@pytest.mark.parametrize("dimension,n,p", [
+    (1, 8, 2.0), (1, 16, 2.0), (1, 128, 2.0), (2, 4, 2.0),
+    (1, 8, 3.0), (1, 16, 3.0), (2, 4, 3.0)])
+def test_lockstep_ascent_equals_solo_runs(dimension, n, p):
+    # dual_norm's four starts ascend in lock-step: each ends on the bytes
+    # and value of its own one-start ascent, a start of norm 0 is skipped,
+    # and dual_norm is the largest end value (or 0).  p = 3 on 1D n = 128
+    # is left out: its one-start runs alone take about 100 s
+    g = make_grid(dimension, n, 1.0, p, 4)
+    rng = np.random.default_rng(int(10 * p) + n)
+    N = g.n_cells
+    u = g.function(0.1 * rng.standard_normal(N))
+    residual = quasilinear_residual_vector(forced_dirichlet_integrand(1.0), u)
+    steps = set()
+    for r in (rng.standard_normal(N), residual, np.zeros(N)):
+        V = np.vstack([r, rng.standard_normal((3, N))])
+        ends = ap._dual_ascent(g, r, V)
+        solo = [solo_dual_ascent(g, r, v) for v in V]
+        assert [e is None for e in ends] == [s is None for s in solo]
+        for e, s in zip(ends, solo):
+            if e is not None:
+                assert _bits_equal(e[0], s[0]) and e[1] == s[1]
+                steps.add(s[2])
+        value = dual_norm(g, r, method="ascent", seed=9)
+        V9 = np.vstack([r, np.random.default_rng(9).standard_normal((3, N))])
+        assert value == max([0.0] + [e[1] for e in ap._dual_ascent(g, r, V9)
+                                     if e is not None])
+    # the starts take different numbers of steps, so rows leave the block
+    # at different rounds
+    assert len(steps) > 1
 
 
 def test_quasilinear_experiment_torsion_oracle(g1d8):
@@ -1447,12 +1522,13 @@ def test_normal_only_draws_equal_their_per_draw_loops(g1d8, monkeypatch):
         caristi_fixed_point(F, f, 0.3, g1d8, seed=4)
     assert all(_bits_equal(a, b) for a, b in zip(seen, per_draw(4, 16)))
 
-    # dual_norm: each ascent start is normed as drawn before it is scaled
+    # dual_norm: each ascent start is normed as drawn before it is scaled,
+    # as a row of a block the ascent norms
     normed = []
 
     class Spy(pr.XMetric):
         def norm(self, values):
-            normed.append(np.array(values))
+            normed.extend(np.atleast_2d(values))
             return super().norm(values)
 
     monkeypatch.setattr(ap, "XMetric", Spy)

@@ -5,9 +5,10 @@
 start of the lock-step descent must end on the same bytes and the same
 value as its own run under its path's step cap (5 BB steps where a
 Newton polish follows, 400 under a custom projection) and f's rounding
-floor, and errors must surface in start order.  ``solo_compass`` is the
-same for the derivative-free path: the single-start pattern search that
-``_descent.compass_rows`` replaced.
+floor, and errors must surface in start order.  ``solo_newton_polish`` is
+the one-start chord Newton polish that ``_descent.newton_rows`` replaced,
+and ``solo_compass`` the same for the derivative-free path: the
+single-start pattern search that ``_descent.compass_rows`` replaced.
 """
 
 import inspect
@@ -94,25 +95,96 @@ def solo_armijo_bb(fun, grad, x0, max_steps, project=None):
     return x, fx, k, why
 
 
-def solo_multistart(fun, grad, starts, project=None, box=None):
+def solo_multistart(fun, grad, starts, project=None, box=None, hess=None):
     """The multi-start loop: descent under the path's cap, then Newton
     polish, start by start.  Returns (x, f(x), values)."""
     cap = path_cap(project, box)
     return polish_and_pick(fun, grad, (solo_armijo_bb(fun, grad, x0, cap,
                                                       project)
-                                       for x0 in starts), project, box)
+                                       for x0 in starts), project, box, hess)
 
 
-def polish_and_pick(fun, grad, ends, project, box):
+def solo_newton_step(fun, x, fx, idx, solve, gf, lo, hi):
+    """The trials of one Newton step: the first of x + t·d (t = 1, 1/2,
+    1/4, clipped to the box), d = −H⁻¹gf, where f does not increase, as
+    (x, f(x)); (x, fx) itself, with no trial, when ½|gfᵀd| is below
+    2⁻⁵²·|f(x)|; None when no trial passes or H is singular."""
+    d = solve(-gf)
+    if d is None:
+        return None
+    if 0.5 * abs(float(gf @ d)) < 2.0 ** -52 * abs(fx):
+        return x, fx
+    for t in (1.0, 0.5, 0.25):
+        xn = x.copy()
+        xn[idx] += t * d
+        xn = np.clip(xn, lo, hi)
+        fn = fun(xn)
+        if math.isfinite(fn) and fn <= fx:
+            return xn, fn
+    return None
+
+
+def solo_newton_polish(fun, grad, x, fx, lo=-math.inf, hi=math.inf, *,
+                       hess=None, trace=None):
+    """The one-start chord Newton polish on the box [lo, hi]: at most 6
+    steps on the free coordinates (those not on a bound their gradient
+    pushes against), the Hessian (declared, else _fd_hessian) built and
+    factored when the free set changes, its factor reused otherwise and
+    rebuilt once when every step size with a reused one is rejected; the
+    polish stops when a fresh factor is rejected and at f's rounding
+    floor.  Returns (x, f(x)); ``trace``, a list, gets how each step
+    ended: "built", "reused" or "rebuilt" when it moved (fresh, kept, or
+    rebuilt after the kept one's trials were all rejected), else "held",
+    "stationary", "floor" or "rejected", or "iters" after 6 steps."""
+    trace = [] if trace is None else trace
+
+    def build(x, idx):
+        if hess is None:
+            H = _descent._BandHessian.from_dense(
+                _descent._fd_hessian(grad, x, idx))
+        else:
+            H = _descent._band_form(hess(x)).take(idx)
+        return H.factor()
+
+    solve = held = None
+    for _ in range(6):
+        g = grad(x)
+        free = ~(((x <= lo + 1e-12) & (g > 0)) | ((x >= hi - 1e-12) & (g < 0)))
+        if not np.any(free):
+            trace.append("held")
+            break
+        gf = g[free]
+        if float(np.linalg.norm(gf)) < 1e-14 * (1.0 + abs(fx)):
+            trace.append("stationary")
+            break
+        idx = np.flatnonzero(free)
+        how = "reused" if held is not None and np.array_equal(idx,
+                                                              held) else "built"
+        if how == "built":
+            solve, held = build(x, idx), idx
+        step = solo_newton_step(fun, x, fx, idx, solve, gf, lo, hi)
+        if step is None and how == "reused":
+            solve, how = build(x, idx), "rebuilt"
+            step = solo_newton_step(fun, x, fx, idx, solve, gf, lo, hi)
+        if step is None or step[0] is x:
+            trace.append("rejected" if step is None else "floor")
+            break
+        trace.append(how)
+        x, fx = step
+    else:
+        trace.append("iters")
+    return x, fx
+
+
+def polish_and_pick(fun, grad, ends, project, box, hess=None):
     """Newton polish of each descent end (x, f(x), ...) in turn and the
     first strict best."""
     best_x, best_f, values = None, math.inf, []
     for x, fx, *_ in ends:
-        if box is not None:
-            x, fx = _descent.newton_polish(fun, grad, x, fx, box[0], box[1])
-        elif project is None:
-            x, fx = _descent.newton_polish(fun, grad, x, fx)
-        values.append(fx)
+        if box is not None or project is None:
+            x, fx = solo_newton_polish(fun, grad, x, float(fx),
+                                       *(box or ()), hess=hess)
+        values.append(float(fx))
         if math.isfinite(fx) and fx < best_f:
             best_x, best_f = x, fx
     return best_x, best_f, values
@@ -173,6 +245,10 @@ def _phis(f, space, domain, rng):
     def chain_grad(w):
         return grad_f(w) + sigma * metric.penalty_grad(w, vk)
 
+    def chain_hess(w):
+        return (_descent._band_form(f.hessian(w))
+                + sigma * metric.penalty_hessian(w, vk))
+
     raw = _f_arr(f, space)
 
     def bp_phi(w):
@@ -182,8 +258,12 @@ def _phis(f, space, domain, rng):
         pen = np.matmul(gram, (w - vk)[..., None])[..., 0]
         return grad_f(w) + 2.0 * sigma * pen
 
-    return [("chain", chain_phi, chain_grad, project, box, vk),
-            ("bp", bp_phi, bp_grad, project, box, vk)]
+    def bp_hess(w):
+        return _descent._band_form(f.hessian(w)) + (
+            2.0 * sigma) * _descent._BandHessian(space._bands[1])
+
+    return [("chain", chain_phi, chain_grad, project, box, vk, chain_hess),
+            ("bp", bp_phi, bp_grad, project, box, vk, bp_hess)]
 
 
 def _starts(space, rng, stationary):
@@ -222,7 +302,8 @@ def test_lockstep_descent_equals_solo_runs(n):
             starts[1] = np.full(n, 0.9)           # outside the box: f = +inf
         _check_rows(label, fun, grad, starts, project, box, seen)
         if label in ("forced/cone", "cubic/box"):
-            for name, phi, gphi, proj, bx, vk in _phis(f, space, domain, rng):
+            for name, phi, gphi, proj, bx, vk, _ in _phis(f, space, domain,
+                                                          rng):
                 phi_starts = _starts(space, rng, vk)
                 _check_rows(f"{label}/{name}", phi, gphi, phi_starts, proj,
                             bx, seen)
@@ -236,6 +317,177 @@ def test_lockstep_descent_equals_solo_runs(n):
     assert ((400, "floor") in seen) == (n > 2)
     assert ((400, "cap") in seen) == (n == 128)
     assert not any(why == "linesearch" for _, why in seen)
+
+
+# ---------------------------------------------------------------------------
+# the Newton polish: the lock-step rows against one start at a time
+
+def _steep_well():
+    """Σ|v_j|^1.2 on rows, with its gradient and its diagonal Hessian.
+    The curvature grows toward the minimum, so every trial with a kept
+    factor overshoots and is rejected while the rebuilt factor's step of
+    1/4 passes: the polish's rebuild path."""
+    def fun(W):
+        return np.add.reduce(np.abs(W) ** 1.2, axis=-1)
+
+    def grad(W):
+        return 1.2 * np.sign(W) * np.abs(W) ** 0.2
+
+    def hess(x):
+        return _descent._BandHessian(0.24 * np.abs(x)[None] ** -0.8)
+
+    return fun, grad, hess
+
+
+def _check_polish(label, fun, grad, hess, X, box, seen):
+    """Each row of one newton_rows call from the points X against the solo
+    polish from that row; adds how the solo steps ended to ``seen``."""
+    F = [float(v) for v in fun(np.array(X))]
+    XP, FP, errors = _descent.newton_rows(fun, grad, X, F, *(box or ()),
+                                          hess=hess)
+    assert errors == {}, label
+    for i, (x, fx) in enumerate(zip(X, F)):
+        trace = []
+        xs, fs = solo_newton_polish(fun, grad, x, fx, *(box or ()),
+                                    hess=hess, trace=trace)
+        seen.update(trace)
+        assert same(XP[i], xs) and same(FP[i], fs), (label, i, trace)
+
+
+@pytest.mark.parametrize("n", [2, 16, 128])
+def test_lockstep_polish_equals_solo_polish(n):
+    # the descent test's functionals on the space, the cone and the box,
+    # the chain's φ and Borwein-Preiss's φ, each with its declared Hessian
+    # and with the finite-difference one, polished from the BB ends and
+    # from the starts themselves, and the steep well: every row of the
+    # lock-step polish ends on the bytes and value of its own polish
+    space = make_grid(1, n, 1.0, 2, 4)
+    rng = np.random.default_rng(n + 1)
+    seen = set()
+    for label, f, domain, stationary in _functionals(space, rng):
+        fun, grad, project, box = _on_domain(f, space, domain)
+        if project is not None and box is None:
+            continue                    # no polish under a custom projection
+        cases = [(label, fun, grad, f.hessian, box, stationary)]
+        if label in ("forced/cone", "cubic/box"):
+            cases += [(f"{label}/{name}", phi, gphi, hphi, bx, vk)
+                      for name, phi, gphi, _, bx, vk, hphi
+                      in _phis(f, space, domain, rng)]
+        for name, phi, gphi, hphi, bx, center in cases:
+            starts = _starts(space, rng, center)
+            if project is not None:
+                starts = project(starts)
+            X, _, _ = _descent.armijo_bb_rows(phi, gphi, starts, 5,
+                                              project=project)
+            for hess in (hphi, None):
+                _check_polish(name, phi, gphi, hess, X, bx, seen)
+                _check_polish(name, phi, gphi, hess, list(starts), bx, seen)
+    fun, grad, hess = _steep_well()
+    starts = rng.uniform(0.5, 2.0, (4, n)) * rng.choice([-1.0, 1.0], (4, n))
+    for h in (hess, None):
+        _check_polish("steep", fun, grad, h, list(starts), None, seen)
+    # the rows stop by every rule: at f's rounding floor, stationary, after
+    # a rejected fresh factor and after 6 steps, having moved with a fresh,
+    # a kept and a rebuilt factor
+    assert {"floor", "stationary", "rejected", "iters", "built", "reused",
+            "rebuilt"} <= seen, seen
+
+
+def _steep_tagged():
+    """v₀² + 30·v₁² + 900·v₂² with the last cell a tag that the descent
+    never moves: the BB descent stays above 1e-8 and the polish's first
+    step goes below.  Tag 1 raises IntegrandError in f below 1e-8 (a
+    polish trial), tag 2 in the gradient there (the next Newton round),
+    tag 3 in the Hessian (the first build)."""
+    w = np.array([1.0, 30.0, 900.0])
+
+    def fun(W):
+        q = np.add.reduce(w * W[..., :3] * W[..., :3], axis=-1)
+        if np.any((W[..., 3] == 1.0) & (q < 1e-8)):
+            raise IntegrandError("tag 1")
+        return q
+
+    def grad(W):
+        if np.any((W[..., 3] == 2.0) & (fun(W) < 1e-8)):
+            raise IntegrandError("tag 2")
+        G = np.zeros_like(W)
+        G[..., :3] = 2.0 * w * W[..., :3]
+        return G
+
+    def hess(x):
+        if x[3] == 3.0:
+            raise IntegrandError("tag 3")
+        # the tag's entry is any positive number: its gradient is 0
+        return _descent._BandHessian(np.append(2.0 * w, 1.0)[None])
+
+    return fun, grad, hess
+
+
+@pytest.mark.parametrize("tags,match", [
+    ((0, 1, 0, 3, 2), "tag 1"),
+    ((0, 3, 2, 1), "tag 3"),
+    ((0, 2, 3, 1), "tag 2"),
+])
+def test_lockstep_polish_raises_the_error_of_the_first_start(tags, match):
+    fun, grad, hess = _steep_tagged()
+    starts = np.array([[0.9, -1.1, 0.8, t] for t in tags])
+    cap = path_cap(None, None)
+    ends = [solo_armijo_bb(fun, grad, x0, cap) for x0 in starts]
+    assert all(fx > 1e-8 for _, fx, *_ in ends)
+    with pytest.raises(IntegrandError, match=match) as solo:
+        solo_multistart(fun, grad, starts, hess=hess)
+    with pytest.raises(IntegrandError, match=match) as lock:
+        _descent.minimize_multistart(fun, grad, starts, hess=hess)
+    assert str(lock.value) == str(solo.value)
+    # each tagged row leaves the block with its own error, the others go
+    # on to their own end points
+    X, F, errors = _descent.newton_rows(fun, grad, [x for x, *_ in ends],
+                                        [fx for _, fx, *_ in ends],
+                                        hess=hess)
+    assert {i: str(e) for i, e in errors.items()} == {
+        i: f"tag {t}" for i, t in enumerate(tags) if t}
+    for i in (i for i, t in enumerate(tags) if not t):
+        x, fx = solo_newton_polish(fun, grad, *ends[i][:2], hess=hess)
+        assert same(X[i], x) and same(F[i], fx) and fx < 1e-8
+
+
+def test_polish_grad_calls_do_not_grow_with_starts(monkeypatch):
+    # the polish phase of minimize_multistart (every gradient call made
+    # outside the BB descent) takes one block gradient call per Newton
+    # round: 3 and 12 starts of the forced Dirichlet energy on 1D n = 128
+    # make the same number, at most _NEWTON_ITERS (the declared Hessian's
+    # rebuilds call no gradient)
+    space = make_grid(1, 128, 1.0, 2, 4)
+    f = ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.0), space)
+    fun, grad, _, _ = _on_domain(f, space, whole_space(space))
+    real, in_descent = _descent.armijo_bb_rows, [False]
+
+    def descent(*args, **kwargs):
+        in_descent[0] = True
+        try:
+            return real(*args, **kwargs)
+        finally:
+            in_descent[0] = False
+
+    monkeypatch.setattr(_descent, "armijo_bb_rows", descent)
+    calls = []
+
+    def counted(W):
+        if not in_descent[0]:
+            calls.append(len(np.atleast_2d(W)))
+        return grad(W)
+
+    rng = np.random.default_rng(5)
+    counts = []
+    for k in (3, 12):
+        calls.clear()
+        _descent.minimize_multistart(fun, counted,
+                                     rng.standard_normal((k, 128)),
+                                     hess=f.hessian)
+        counts.append(len(calls))
+        assert calls[0] == k
+    assert counts[0] == counts[1], counts
+    assert 1 <= counts[0] <= _descent._NEWTON_ITERS
 
 
 def test_estimate_inf_reaches_the_torsion_function():
@@ -751,12 +1003,16 @@ def test_singular_band_makes_the_newton_step_return_none():
     for H in (B, R):
         solve = H.factor()
         assert solve(np.ones(4)) is None
-        assert _descent._newton_step(fun, x, fx, np.arange(4), solve,
-                                     2.0 * x, -np.inf, np.inf) is None
+        # the step returns None before it yields a trial
+        step = _descent._newton_step(x, fx, np.arange(4), solve, 2.0 * x,
+                                     -np.inf, np.inf)
+        with pytest.raises(StopIteration) as stop:
+            next(step)
+        assert stop.value.value is None
         # the polish keeps its point, without evaluating f
-        xp, fp = _descent.newton_polish(fun, lambda v: 2.0 * v, x, fx,
-                                        hess=lambda v, H=H: H)
-        assert xp is x and fp == fx
+        X, F, errors = _descent.newton_rows(fun, lambda v: 2.0 * v, [x], [fx],
+                                            hess=lambda v, H=H: H)
+        assert X[0] is x and F[0] == fx and errors == {}
     assert not evals
 
 
@@ -769,22 +1025,24 @@ def test_polish_stops_at_the_rounding_floor(g1d8):
     a = np.linspace(-1.0, 1.0, g1d8.n_cells)
     evals = [0]
 
-    def fun(x):
-        evals[0] += 1
-        D = x - a
-        return 0.5 * float(D @ A @ D) + 1.0
+    def fun(X):
+        # f of each row
+        evals[0] += len(X)
+        return np.array([0.5 * float((x - a) @ A @ (x - a)) + 1.0
+                         for x in X])
 
-    def grad(x):
-        return A @ (x - a)
+    def grad(X):
+        return (X - a) @ A
 
     def hess(x):
         return A
 
     for shift, stops in ((1e-3, False), (1e-10, True)):
         x = a + shift * np.cos(np.arange(g1d8.n_cells))
-        fx = fun(x)
+        fx = float(fun(x[None])[0])
         evals[0] = 0
-        xp, fp = _descent.newton_polish(fun, grad, x, fx, hess=hess)
+        (xp,), (fp,), _ = _descent.newton_rows(fun, grad, [x], [fx],
+                                               hess=hess)
         if stops:
             assert xp is x and fp == fx and evals[0] == 0
         else:

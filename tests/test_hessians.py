@@ -159,8 +159,8 @@ def _polish_log(monkeypatch):
     Hessian's solve, accepted)."""
     log, real = [], _descent._newton_step
 
-    def step(fun, x, fx, idx, solve, gf, lo, hi):
-        out = real(fun, x, fx, idx, solve, gf, lo, hi)
+    def step(x, fx, idx, solve, gf, lo, hi):
+        out = yield from real(x, fx, idx, solve, gf, lo, hi)
         log.append((idx.tobytes(), id(solve), out is not None))
         return out
 
@@ -232,8 +232,8 @@ def test_polish_builds_one_hessian_while_the_free_set_holds(g1d8,
             log.clear()
             built.update(declared=0, fd=0)
             factored[0] = 0
-            _, fn = _descent.newton_polish(fun, grad, x, fun(x), *bounds,
-                                           hess=hess)
+            _, (fn,), _ = _descent.newton_rows(fun, grad, [x], [fun(x)],
+                                               *bounds, hess=hess)
             assert fn < fun(x)
             assert built["declared" if declared else "fd"] == sum(
                 built.values()) == _follows_the_chord_rule(log)

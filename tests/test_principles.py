@@ -1117,6 +1117,48 @@ def test_path_minimax_record_with_a_malformed_path_is_refused(g1d2, tmp_path,
         assert "extras.path" in err, label
 
 
+def test_record_metric_must_match_the_path_variant(g1d2, g1d4, tmp_path,
+                                                    capsys):
+    # a path record re-verifies under the path metric only: with its
+    # metric edited to "V" or "X" (or left out) the digest path record
+    # would be re-sampled under a grid norm of the flattened path rows,
+    # another inequality, so the record is refused when it is read, by
+    # the library and by the CLI's verify_certificate (exit 1); a record
+    # of another variant may not claim the path metric
+    from cli_cases import WELL, config
+    from symvar.cli import run_config
+
+    f = _radial_double_well(g1d2)
+    cert = path_minimax(f, _unit_sym(g1d2), 8, 0.05, seed=8, n_samples=50)
+    raw = json.loads(cert.to_json_bytes())
+    assert raw["extras"]["metric"] == "X-path-sup"
+    other = json.loads(symmetric_ekeland(
+        quad_X(g1d4.zeros()), g1d4, g1d4.zeros(), 0.1, 0.1, variant="II",
+        seed=1, n_samples=50).to_json_bytes())
+    extras = {k: v for k, v in raw["extras"].items() if k != "metric"}
+    records = {"V": {**raw, "extras": {**extras, "metric": "V"}},
+               "X": {**raw, "extras": {**extras, "metric": "X"}},
+               "none": {**raw, "extras": extras},
+               "other": {**other, "extras": {**other["extras"],
+                                             "metric": "X-path-sup"}}}
+    for label, record in records.items():
+        with pytest.raises(InvalidArgument, match="extras.metric"):
+            Certificate.from_json_dict(record)
+        cert_path = tmp_path / f"{label}.json"
+        cert_path.write_text(json.dumps(record))
+        verify = tmp_path / f"verify_{label}.json"
+        verify.write_text(json.dumps(config(
+            "verify_certificate", 2 if label != "other" else 4,
+            {"certificate_path": str(cert_path)}, WELL)))
+        assert run_config(verify, out_dir=str(tmp_path / label)) == 1
+        err = capsys.readouterr().err
+        assert "extras.metric" in err, label
+    # the records as issued are read and re-verify as before
+    assert verify_certificate(f, Certificate.from_json_dict(raw), 50,
+                              seed=3).n_samples == 50
+    assert Certificate.from_json_dict(other).extras["metric"] == "X"
+
+
 def test_sqps_error_carries_schedule_index(g1d4):
     a = sym_center(g1d4, 50)
     f = quad_X(a)
@@ -2107,8 +2149,8 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
                                       _column_hessian(grad, x, idx)), f.name
             lo, hi = -0.3 * np.ones(g.n_cells), 0.3 * np.ones(g.n_cells)
             xb = np.clip(x, lo, hi)
-            block = (_descent.newton_polish(fun, grad, x, fun(x)),
-                     _descent.newton_polish(fun, grad, xb, fun(xb), lo, hi))
+            block = (_descent.newton_rows(fun, grad, [x], [fun(x)]),
+                     _descent.newton_rows(fun, grad, [xb], [fun(xb)], lo, hi))
             built = []
 
             def column(grad_, x_, idx_):
@@ -2117,12 +2159,13 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
 
             with monkeypatch.context() as m:
                 m.setattr(_descent, "_fd_hessian", column)
-                loop = (_descent.newton_polish(fun, grad, x, fun(x)),
-                        _descent.newton_polish(fun, grad, xb, fun(xb),
-                                               lo, hi))
+                loop = (_descent.newton_rows(fun, grad, [x], [fun(x)]),
+                        _descent.newton_rows(fun, grad, [xb], [fun(xb)],
+                                             lo, hi))
             assert built, f.name
-            for (xa, fa), (xc, fc) in zip(block, loop):
-                assert np.array_equal(xa, xc) and fa == fc, f.name
+            for (xa, fa, ea), (xc, fc, ec) in zip(block, loop):
+                assert ea == ec == {}, f.name
+                assert np.array_equal(xa[0], xc[0]) and fa[0] == fc[0], f.name
 
 
 def test_descent_makes_no_riesz_solve(g1d8, monkeypatch):
