@@ -1,27 +1,24 @@
 """Deterministic local minimizers shared by the principle engines.
 
 Everything here works on flat numpy arrays and plain callables; the engines
-adapt GridFunction-valued functionals.  A ``grad`` takes one vector (N,) or
-a block (k, N) of rows and returns the Euclidean gradient of each row,
-bit-equal to its single-vector call; the finite-difference Hessians use
-the block.  The multi-start descent runs its starts in lock-step as the
-rows of one block: ``fun``, ``grad`` and ``project`` also take a block,
-each row bit-equal to its single-vector call, and the Armijo test, the BB
-step and the stop rules run row by row on the single-vector expressions,
-so row i follows the descent from start i alone bit for bit.  Without a
-gradient the starts run the compass search in lock-step the same way
+adapt GridFunction-valued functionals.  ``fun``, ``grad`` and ``project``
+take one vector (N,) or a block (k, N) of rows, each row bit-equal to its
+single-vector call; the finite-difference Hessians use the block.
+The multi-start descent runs each start as one-start code, a generator
+that yields its ``project``, ``fun`` and ``grad`` requests: the
+Barzilai-Borwein descent (``_bb``) and, unconstrained and on a box (the
+nonnegative cone included), after at most _BB_STEPS_POLISHED = 5 BB steps,
+the Newton polish (``_polish``); under a custom projection there is no
+polish and the descent runs up to _BB_STEPS = 400 steps.  One routine,
+``_lockstep``, runs all starts in lock-step: each round serves the
+pending projections, then f values, then gradients, each kind as one
+block call, so row i follows the run from start i alone bit for bit.
+On every path a start's descent also ends at f's rounding floor: once the
+decrease its next trial predicts is below _F_ROUNDING·|f(x)|, the same
+rule that ends the polish.
+Without a gradient the starts run the compass search in lock-step
 (``compass_rows``): one sweep of every active start is one ``project``
 and one ``fun`` call on the block of their neighbours.
-Unconstrained and on a box (the nonnegative cone included) each start's
-descent stops after _BB_STEPS_POLISHED = 5 BB steps and a Newton polish
-finishes it, again all starts in lock-step (``newton_rows``): each Newton
-round is one ``grad`` call on the block of every row still polishing, each
-trial round one ``fun`` call on the rows still in their line search, and
-the free set, the factor and the step rules stay row by row; under a
-custom projection there is no polish and the descent runs up to
-_BB_STEPS = 400 steps.  On every path a start's descent also ends at f's
-rounding floor: once the decrease its next trial predicts is below
-_F_ROUNDING·|f(x)|, the same rule that ends the polish.
 
 The polish holds every Hessian in one form, :class:`_BandHessian`: a band
 in LAPACK storage plus an optional low-rank term U·diag(c)·Uᵀ.  The
@@ -213,82 +210,48 @@ def _call(fn, X, starts, errors):
         return out
 
 
-def armijo_bb_rows(fun, grad, X0, max_steps, *, project=None):
+def _bb(x, max_steps, project):
     """Projected gradient descent with Barzilai-Borwein steps and Armijo
-    backtracking from each row of X0, at most ``max_steps`` steps per row,
-    all rows in lock-step: the trials of the rows still in their line
-    search are scored by one ``fun`` call, and the rows that accept get
-    their gradients from one ``grad`` call.  Everything else is done row by
-    row as for one start, so each row stops where its own descent would
-    stop.  A row also stops at f's rounding floor, like the Newton polish:
-    once the decrease its next trial predicts, t·‖d‖² with d = g, or
-    d = x − P(x − g) under a projection (at most t·gᵀd there), is below
-    _F_ROUNDING·|f(x)|, no comparison of computed values of f could
-    confirm the trial.
-    Returns (x, f, errors): the end point and value of each row, and the
-    error of each row whose call raised (that row stops there).
+    backtracking from the start x, at most ``max_steps`` steps, as a
+    generator: it yields ("project", y), ("fun", y) and ("grad", y), is
+    sent the value at y, and returns the end (x, f(x)).  The descent stops
+    where x is (projected) stationary, x − P(x − g) small, where f(x) is
+    not finite, and at f's rounding floor, like the Newton polish: once the
+    decrease its next trial predicts, t·‖d‖² with d = g, or d = x − P(x − g)
+    under a projection (at most t·gᵀd there), is below _F_ROUNDING·|f(x)|,
+    no comparison of computed values of f could confirm the trial.
     ``project`` must be idempotent."""
-    X = np.array(X0, float)
     if project is not None:
-        X = project(X)
-    errors = {}
-    x, fx = list(X), _call(fun, X, range(len(X)), errors)
-    live = [i for i, f in enumerate(fx) if f is not None and math.isfinite(f)]
-    g = dict(zip(live, _call(grad, X[live], live, errors)))
-    live = [i for i in live if g[i] is not None]
-    step = {i: 1.0 / max(1.0, float(np.linalg.norm(g[i]))) for i in live}
-    t, dd, n_steps = {}, {}, dict.fromkeys(live, 0)
-
-    def above_floor(i):
-        # the next trial of row i may still show a decrease in f
-        return t[i] > 1e-18 and t[i] * dd[i] >= _F_ROUNDING * abs(fx[i])
-
-    def search(rows):
-        # the rows not (projected) stationary, x - P(x - g) small, start a
-        # line search from their BB step
-        out = []
-        for i in rows:
-            d = g[i] if project is None else x[i] - project(x[i] - g[i])
-            nd = float(np.linalg.norm(d))
-            t[i], dd[i] = step[i], nd * nd
-            if not nd < 1e-12 and above_floor(i):
-                out.append(i)
-        return out
-
-    live = search(live)
-    while live:
-        XN = np.array([x[i] - t[i] * g[i] for i in live])
-        if project is not None:
-            XN = project(XN)
-        fn = _call(fun, XN, live, errors)
-        acc, back = [], []
-        for j, i in enumerate(live):
-            if fn[j] is None:
-                continue
-            if (math.isfinite(fn[j])
-                    and fn[j] <= fx[i] - 1e-4 * (g[i] @ (x[i] - XN[j]))
-                    and fn[j] < fx[i]):
-                acc.append(j)
-            else:
-                t[i] *= 0.5
-                if above_floor(i):
-                    back.append(i)
-        rows = [live[j] for j in acc]
-        moved = []
-        for j, i, gn in zip(acc, rows, _call(grad, XN[acc], rows, errors)):
-            if gn is None:
-                continue
-            s = XN[j] - x[i]
-            y = gn - g[i]
-            sy = float(s @ y)
-            step[i] = (float(s @ s) / sy if sy > 1e-18
-                       else min(step[i] * 2.0, 1e6))
-            x[i], fx[i], g[i] = XN[j], fn[j], gn
-            n_steps[i] += 1
-            if n_steps[i] < max_steps:
-                moved.append(i)
-        live = sorted(back + search(moved))
-    return x, fx, errors
+        x = yield "project", x
+    fx = yield "fun", x
+    if not math.isfinite(fx):
+        return x, fx
+    g = yield "grad", x
+    step = 1.0 / max(1.0, float(np.linalg.norm(g)))
+    for _ in range(max_steps):
+        d = g if project is None else x - (yield "project", x - g)
+        nd = float(np.linalg.norm(d))
+        if nd < 1e-12:
+            break
+        t, dd = step, nd * nd
+        while True:
+            if not (t > 1e-18 and t * dd >= _F_ROUNDING * abs(fx)):
+                return x, fx
+            xn = x - t * g
+            if project is not None:
+                xn = yield "project", xn
+            fn = yield "fun", xn
+            if (math.isfinite(fn) and fn <= fx - 1e-4 * (g @ (x - xn))
+                    and fn < fx):
+                break
+            t *= 0.5
+        gn = yield "grad", xn
+        s = xn - x
+        y = gn - g
+        sy = float(s @ y)
+        step = float(s @ s) / sy if sy > 1e-18 else min(step * 2.0, 1e6)
+        x, fx, g = xn, fn, gn
+    return x, fx
 
 
 def _newton_step(x, fx, idx, solve, gf, lo, hi):
@@ -316,9 +279,18 @@ def _newton_step(x, fx, idx, solve, gf, lo, hi):
 
 
 def _polish(grad, x, fx, lo, hi, hess):
-    """The polish of one start (see newton_rows) as a generator: it yields
-    ("grad", x) at each Newton step and ("fun", trial) at each trial,
-    is sent the value at that point, and returns the end (x, f(x))."""
+    """Chord Newton refinement of x (f value fx) on its free coordinates in
+    the box [lo, hi], those not on a bound their gradient pushes against,
+    at most _NEWTON_ITERS steps, each trying t = 1, 1/2, 1/4.  The Hessian
+    (``hess(x)`` sliced to the free set when declared, else _fd_hessian) is
+    built and factored when the free set changes, its factor reused
+    otherwise and rebuilt once at the current point when every step size
+    with it is rejected; the polish stops when a fresh factor is rejected,
+    and, before any rebuild or trial, once the predicted decrease ½|gfᵀd|
+    of the Newton step d is below the rounding of f, _F_ROUNDING·|f(x)|.
+    Exact (to rounding) in one step for quadratics; no step increases f.
+    A generator, as ``_bb`` is: it yields ("grad", x) at each Newton step
+    and ("fun", trial) at each trial and returns the end (x, f(x))."""
     def build(x, idx):
         if hess is None:
             H = _BandHessian.from_dense(_fd_hessian(grad, x, idx))
@@ -351,51 +323,36 @@ def _polish(grad, x, fx, lo, hi, hess):
     return x, fx
 
 
-def newton_rows(fun, grad, X, F, lo=-math.inf, hi=math.inf, *, hess=None):
-    """Chord Newton refinement of each row of X (f values F) on its free
-    coordinates in the box [lo, hi] (unbounded by default), all rows in
-    lock-step: a coordinate is held when it sits on a bound its gradient
-    pushes against.  Each Newton round is one ``grad`` call on every row
-    still polishing, and each trial round one ``fun`` call on every row
-    still in its line search (t = 1, 1/2, 1/4); the rest runs row by row,
-    so each row ends on the bytes of its own polish.  A row's Hessian is
-    ``hess(x)`` sliced to the free set when declared, else _fd_hessian; it
-    is built and factored once when there is none yet or the free set has
-    changed, and its factor is reused otherwise.  When every step size is
-    rejected with a reused factor the Hessian is rebuilt once at the
-    current point; when a fresh one is rejected the row stops.  It also
-    stops, before any rebuild or trial, once the predicted decrease
-    ½|gfᵀd| of the Newton step d is below the rounding of f,
-    2⁻⁵²·|f(x)|: no comparison of computed values of f could confirm such
-    a step.
-    Exact (to rounding) in one step for quadratics; steps are only accepted
-    when they do not increase f, so nonconvex objectives stay safe.
-    Returns (x, f, errors) as armijo_bb_rows does."""
-    x, fx, errors = list(X), list(F), {}
-    rows = [_polish(grad, xi, fi, lo, hi, hess) for xi, fi in zip(x, fx)]
-    calls, wait = {"fun": fun, "grad": grad}, {}
+def _lockstep(rows, calls):
+    """Run the one-start generators ``rows`` (``_bb``, ``_polish``) in
+    lock-step.  Each yields (kind, y) and is sent calls[kind](y).  A round
+    takes the kinds in the order of ``calls`` and serves all pending
+    requests of each by one block call through ``_call``, rows in order, so
+    a row may ask again for a later kind in the same round.  Each row ends
+    on the bytes of its own run, the calls being bit-equal row by row.
+    Returns (ends, errors): each row's return value, or None and its error
+    (under its index) for a row that raised, in its own code or its call."""
+    ends, errors, wait = [None] * len(rows), {}, {}
 
     def resume(i, value):
         try:
             wait[i] = rows[i].send(value)
         except StopIteration as stop:
-            x[i], fx[i] = stop.value
+            ends[i] = stop.value
         except Exception as exc:
             errors[i] = exc
 
     for i in range(len(rows)):
         resume(i, None)
     while wait:
-        # the trials of every row in a line search, then the gradients of
-        # the rows at their next Newton step
-        kind = ("fun" if any(k == "fun" for k, _ in wait.values())
-                else "grad")
-        ids = [i for i in sorted(wait) if wait[i][0] == kind]
-        P = np.array([wait.pop(i)[1] for i in ids])
-        for i, value in zip(ids, _call(calls[kind], P, ids, errors)):
-            if value is not None:
-                resume(i, value)
-    return x, fx, errors
+        for kind, fn in calls.items():
+            ids = [i for i in sorted(wait) if wait[i][0] == kind]
+            if ids:
+                P = np.array([wait.pop(i)[1] for i in ids])
+                for i, value in zip(ids, _call(fn, P, ids, errors)):
+                    if value is not None:
+                        resume(i, value)
+    return ends, errors
 
 
 def compass_rows(fun, X0, scale, *, project=None, f_atol=0.0):
@@ -413,9 +370,10 @@ def compass_rows(fun, X0, scale, *, project=None, f_atol=0.0):
     neighbours, cut into blocks of at most _COMPASS_VALUES values; the
     choice of the move and the step rules run row by row, so each row ends
     where the search from its start alone would end.
-    Returns (x, f, errors) as armijo_bb_rows does; a start's error is the
-    first its own search would meet (rows in sweep order, each projected
-    before it is scored), and that start stops there."""
+    Returns (x, f, errors): the end point and value of each row, and the
+    error of each row whose call raised, the first its own search would
+    meet (rows in sweep order, each projected before it is scored); that
+    start stops there."""
     X = np.array(X0, float)
     k, n = X.shape
     errors = {}
@@ -497,11 +455,12 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
                         hess=None, compass_scale=0.25, f_atol=0.0):
     """Best local minimum over the given starts.
 
-    Smooth path (grad given): BB descent of all starts in lock-step.  When
-    unconstrained (no ``project``) or on a box (``box`` = (lo, hi), the
-    cone being the box [0, ∞)), at most _BB_STEPS_POLISHED steps, then the
-    Newton polish of all starts in lock-step (``newton_rows``, with
-    ``hess``, the declared Hessian, when given); under any other
+    Smooth path (grad given): the BB descent of each start (``_bb``), all
+    starts in lock-step (``_lockstep``).  When unconstrained (no
+    ``project``) or on a box (``box`` = (lo, hi), the cone being the box
+    [0, ∞)), at most _BB_STEPS_POLISHED steps, each start's descent then
+    followed by its Newton polish (``_polish``, with ``hess``, the declared
+    Hessian, when given) in the same lock-step run; under any other
     projection at most _BB_STEPS steps, and the descent's end is kept.
     Derivative free path: the compass search of all starts in lock-step
     (``compass_rows``, steps from ``compass_scale``, stopped below
@@ -511,27 +470,28 @@ def minimize_multistart(fun, grad, starts, *, project=None, box=None,
     a start raises, the error of the first such start in start order is
     raised, as a run of one start after the other would."""
     X0 = np.array(starts, float)
-    polish = grad is not None and (box is not None or project is None)
     if grad is None:
         X, F, errors = compass_rows(fun, X0, compass_scale, project=project,
                                     f_atol=f_atol)
+        ends = list(zip(X, F))
     else:
-        X, F, errors = armijo_bb_rows(
-            fun, grad, X0, _BB_STEPS_POLISHED if polish else _BB_STEPS,
-            project=project)
-    if polish:
-        ok = [i for i in range(len(X0)) if i not in errors]
-        XP, FP, failed = newton_rows(fun, grad, [X[i] for i in ok],
-                                     [float(F[i]) for i in ok],
-                                     *(box or ()), hess=hess)
-        for j, i in enumerate(ok):
-            X[i], F[i] = XP[j], FP[j]
-        errors.update((ok[j], exc) for j, exc in failed.items())
+        polish = box is not None or project is None
+        lo, hi = box or (-math.inf, math.inf)
+
+        def start(x):
+            x, fx = yield from _bb(
+                x, _BB_STEPS_POLISHED if polish else _BB_STEPS, project)
+            if polish:
+                x, fx = yield from _polish(grad, x, float(fx), lo, hi, hess)
+            return x, fx
+
+        ends, errors = _lockstep([start(x) for x in X0], {
+            "project": project, "fun": fun, "grad": grad})
     best_x, best_f, values = None, math.inf, []
-    for i in range(len(X0)):
+    for i, end in enumerate(ends):
         if i in errors:
             raise errors[i]
-        x, fx = X[i], float(F[i])
+        x, fx = end[0], float(end[1])
         values.append(fx)
         if math.isfinite(fx) and fx < best_f:
             best_x, best_f = x, fx

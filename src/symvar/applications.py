@@ -799,19 +799,18 @@ def clarke_fixed_point(F, sigma_contraction, eps, space: GridSpace, *,
 # ---------------------------------------------------------------------------
 # drops and petals
 
-def _row_norms(norm, W):
-    """``norm`` of each row of the block W: the built-in V norm (the
-    default of balls and petals) takes the whole block, a caller's norm is
-    called once per row."""
-    if isinstance(getattr(norm, "__self__", None), VMetric):
-        return norm(W)
-    return CallableMetric(norm).norm(W)
+def _lifted(norm, space):
+    """The norm a ball or petal keeps, taking one vector or a block of rows:
+    the built-in V norm by default, else the caller's norm called once per
+    row (``CallableMetric.norm``)."""
+    return VMetric(space).norm if norm is None else CallableMetric(norm).norm
 
 
 @dataclass
 class Ball:
     """Norm ball, optionally intersected with the fully symmetric class
-    (functions fixed by every registered polarizer)."""
+    (functions fixed by every registered polarizer).  ``norm`` is lifted
+    once, at construction, to take one vector or a block of rows."""
 
     center: GridFunction
     radius: float
@@ -819,8 +818,7 @@ class Ball:
     symmetric: bool = False
 
     def __post_init__(self):
-        if self.norm is None:
-            self.norm = VMetric(self.center.space).norm
+        self.norm = _lifted(self.norm, self.center.space)
         # the center must also be fixed by the reflections that project and
         # contains average over: a function fixed by every registered
         # polarizer need not be reflection-symmetric
@@ -875,7 +873,7 @@ class Ball:
             # the engines' one-point calls skip the block bookkeeping
             d = self.norm(w - c)
             return c + (self.radius / d) * (w - c) if d > self.radius else w
-        d = _row_norms(self.norm, w - c)
+        d = self.norm(w - c)
         out = d > self.radius
         w[out] = c + (self.radius / d[out])[:, None] * (w[out] - c)
         return w
@@ -883,7 +881,7 @@ class Ball:
     def dist(self, vals):
         """‖vals − project(vals)‖: a float for one vector, the (k,) row
         values for a block."""
-        return _row_norms(self.norm, vals - self.project(vals))
+        return self.norm(vals - self.project(vals))
 
     def diameter(self) -> float:
         return 2.0 * self.radius
@@ -894,7 +892,7 @@ class Ball:
         norm 0 gives the center."""
         if self.symmetric:
             Z = self._sym_project(Z)
-        nz = _row_norms(self.norm, Z)
+        nz = self.norm(Z)
         zero = nz == 0.0
         S = self.center.values + (
             self.radius / np.where(zero, 1.0, nz))[:, None] * Z
@@ -912,7 +910,8 @@ class Drop:
 
 @dataclass
 class Petal:
-    """Petal_ε(x0, x1) = {y : ε‖y−x0‖ + ‖y−x1‖ ≤ ‖x0−x1‖}."""
+    """Petal_ε(x0, x1) = {y : ε‖y−x0‖ + ‖y−x1‖ ≤ ‖x0−x1‖}, its norm
+    lifted as a ball's is."""
 
     eps: float
     x0: GridFunction
@@ -920,8 +919,7 @@ class Petal:
     norm: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.norm is None:
-            self.norm = VMetric(self.x0.space).norm
+        self.norm = _lifted(self.norm, self.x0.space)
 
 
 # ∓ a0 in the numerators of _near_zero_interval's two rows
@@ -1053,13 +1051,13 @@ def _in_drop(y, D: Drop) -> bool:
 
 def petal_membership(y: GridFunction, P: Petal) -> bool:
     W = y.values[None]
-    return bool(_in_petal(P, W, _row_norms(P.norm, W - P.x0.values))[0])
+    return bool(_in_petal(P, W, P.norm(W - P.x0.values))[0])
 
 
 def _in_petal(P: Petal, W, d0):
     """``petal_membership`` of each row of the block W, given each row's
     distance d0 = ‖w − x0‖."""
-    lhs = P.eps * d0 + _row_norms(P.norm, W - P.x1.values)
+    lhs = P.eps * d0 + P.norm(W - P.x1.values)
     return lhs <= P.norm(P.x0.values - P.x1.values) + 1e-12
 
 
@@ -1077,10 +1075,10 @@ def petal_inclusions(P: Petal, *, n_samples=1000, seed=0) -> dict:
     r = (1.0 - P.eps) / (1.0 + P.eps) * d01
     # ball and drop points are built, normed and scored as blocks,
     # interleaved as [b₀, y₀, b₁, y₁, …]
-    Y = _inclusion_points(P, Ball(P.x1, r, norm=P.norm),
-                          np.random.default_rng(seed), n_samples)
-    lhs = (P.eps * _row_norms(P.norm, Y - P.x0.values)
-           + _row_norms(P.norm, Y - P.x1.values))
+    ball = Ball(P.x1, r)
+    ball.norm = P.norm                  # already lifted: keep it as it is
+    Y = _inclusion_points(P, ball, np.random.default_rng(seed), n_samples)
+    lhs = P.eps * P.norm(Y - P.x0.values) + P.norm(Y - P.x1.values)
     viol = lhs > d01 + _PETAL_TOL
     return {"n_samples": n_samples, "radius": r,
             "ball_violations": int(viol[0::2].sum()),
@@ -1235,14 +1233,14 @@ def symmetric_petal_point(x: GridFunction, y: GridFunction, C: SetOracle,
     W = C.project_rows(y.values + rng.standard_normal((64, space.n_cells))
                        * (1.0 + norm(y.values)))
     dxy = norm(x.values - y.values)
-    d_est = min([dxy, *_row_norms(norm, W[C.contains_rows(W)]
-                                  - y.values).tolist()])
+    metric = CallableMetric(norm, name="petal-norm")
+    d_est = min([dxy, *metric.norm(W[C.contains_rows(W)]
+                                   - y.values).tolist()])
     if dxy > d_est + eps * eps + 1e-12:
         raise AssumptionViolated(
             f"petal slope condition fails: ‖x−y‖ = {dxy:.6g} > "
             f"d(y,C) + eps² = {d_est + eps * eps:.6g}")
 
-    metric = CallableMetric(norm, name="petal-norm")
     f = Functional(eval=lambda u: norm(u.values - y.values),
                    symmetry_class="polarization-nonincreasing",
                    lower_bound=0.0, name="dist-to-y")
@@ -1272,7 +1270,7 @@ def _petal_second_points(P: Petal, W):
     for both the 1e-9 test and the petal's ε‖w − ξ‖ term, and ‖w − y‖ only
     on the rows past that test."""
     W = W[(W != P.x0.values).any(axis=1)]
-    d0 = _row_norms(P.norm, W - P.x0.values)
+    d0 = P.norm(W - P.x0.values)
     far = d0 > 1e-9
     W = W[far]
     return W[_in_petal(P, W, d0[far])]

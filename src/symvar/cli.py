@@ -154,12 +154,11 @@ def _fn_quadratic(space, params):
     gram = gram_matrix(space)
 
     def ev(u):
-        d = u.values - a.values
-        return float(d @ gram @ d)
+        return float(ev_rows(u.values[None])[0])
 
     def ev_rows(W):
-        # per row the same gemv and ddot as ev: a stacked (1, N) @ (N, N)
-        # is a gemv and a stacked (1, N) @ (N, 1) a ddot
+        # a gemv and a ddot per row: a stacked (1, N) @ (N, N) is a gemv
+        # and a stacked (1, N) @ (N, 1) a ddot
         D = W - a.values
         return np.matmul(np.matmul(D[:, None, :], gram), D[:, :, None])[:, 0, 0]
 
@@ -184,17 +183,16 @@ def _fn_double_well(space, params):
     r2 = params["radius"] ** 2
 
     def ev(u):
-        d = m * float(u.values @ u.values) - r2
-        return d * d
+        return float(ev_rows(u.values[None])[0])
 
     def ev_rows(W):
-        # the same ddot per row and the same one-multiply square as ev
+        # a ddot per row and a one-multiply square
         sq = np.matmul(W[:, None, :], W[:, :, None])[:, 0, 0]
         d = m * sq - r2
         return d * d
 
     def grad(W):
-        # 4(m‖v‖² − r²)·m·v with the same ddot per row as ev
+        # 4(m‖v‖² − r²)·m·v with the same ddot per row as ev_rows
         sq = np.matmul(W[..., None, :], W[..., :, None])[..., 0, 0]
         return (4.0 * (m * sq - r2) * m)[..., None] * W
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symvar import Functional, GridFunction, make_grid
+from symvar import Functional, GridFunction, _descent, make_grid
 from symvar.funcspace import gram_matrix
 
 
@@ -149,3 +149,14 @@ def probe_spy(monkeypatch):
     monkeypatch.setattr(principles, "estimate_inf", spy)
     monkeypatch.setattr(applications, "estimate_inf", spy)
     return calls
+
+
+def lockstep(rows, fun, grad, project=None):
+    """Run the one-start generators ``rows`` (``_descent._bb``,
+    ``_descent._polish``) through ``_descent._lockstep``, served as
+    ``minimize_multistart`` serves them.  Returns (x, f, errors) by row: x
+    and f are None for a row that raised, ``errors`` its error."""
+    ends, errors = _descent._lockstep(rows, {"project": project, "fun": fun,
+                                             "grad": grad})
+    return ([None if e is None else e[0] for e in ends],
+            [None if e is None else e[1] for e in ends], errors)

@@ -1,13 +1,16 @@
 """The lock-step multi-start descent against one start at a time.
 
-``solo_armijo_bb`` and ``solo_multistart`` are the descent loop that
-``_descent.armijo_bb_rows`` replaced, kept here as the reference: every
-start of the lock-step descent must end on the same bytes and the same
-value as its own run under its path's step cap (5 BB steps where a
-Newton polish follows, 400 under a custom projection) and f's rounding
-floor, and errors must surface in start order.  ``solo_newton_polish`` is
-the one-start chord Newton polish that ``_descent.newton_rows`` replaced,
-and ``solo_compass`` the same for the derivative-free path: the
+``solo_armijo_bb`` and ``solo_multistart`` are the reference descent loop
+and ``solo_newton_polish`` the reference chord Newton polish, each written
+as plain calls of f, its gradient and the projection.  The one-start
+generators ``_descent._bb`` and ``_descent._polish`` are that code with
+each call turned into a request, and one routine, ``_descent._lockstep``,
+serves the requests of every start as block calls (the tests run it
+through conftest's ``lockstep``): every start must end on the same bytes
+and the same value as its own reference run under its path's step cap
+(5 BB steps where a Newton polish follows, 400 under a custom projection)
+and f's rounding floor, and errors must surface in start order.
+``solo_compass`` is the same reference for the derivative-free path: the
 single-start pattern search that ``_descent.compass_rows`` replaced.
 """
 
@@ -20,7 +23,7 @@ import pytest
 from scipy.optimize import nnls
 
 import cli_cases
-from conftest import quad_X, sym_center
+from conftest import lockstep, quad_X, sym_center
 from test_applications import _criterion9_drop, _diag_ray_C, _halfplane_C
 from symvar import (IntegrandError, InvalidArgument, SymvarError, _descent,
                     make_grid, symmetric_ekeland, symmetric_zhong)
@@ -276,8 +279,8 @@ def _starts(space, rng, stationary):
 
 def _check_rows(label, fun, grad, starts, project, box, seen):
     cap = path_cap(project, box)
-    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, cap,
-                                           project=project)
+    X, F, errors = lockstep([_descent._bb(x0, cap, project)
+                             for x0 in starts], fun, grad, project)
     assert errors == {}, label
     ends = [solo_armijo_bb(fun, grad, x0, cap, project) for x0 in starts]
     for i, (x, fx, steps, why) in enumerate(ends):
@@ -340,11 +343,12 @@ def _steep_well():
 
 
 def _check_polish(label, fun, grad, hess, X, box, seen):
-    """Each row of one newton_rows call from the points X against the solo
+    """Each row of one lock-step polish from the points X against the solo
     polish from that row; adds how the solo steps ended to ``seen``."""
     F = [float(v) for v in fun(np.array(X))]
-    XP, FP, errors = _descent.newton_rows(fun, grad, X, F, *(box or ()),
-                                          hess=hess)
+    lo, hi = box or (-math.inf, math.inf)
+    XP, FP, errors = lockstep([_descent._polish(grad, x, fx, lo, hi, hess)
+                               for x, fx in zip(X, F)], fun, grad)
     assert errors == {}, label
     for i, (x, fx) in enumerate(zip(X, F)):
         trace = []
@@ -377,8 +381,8 @@ def test_lockstep_polish_equals_solo_polish(n):
             starts = _starts(space, rng, center)
             if project is not None:
                 starts = project(starts)
-            X, _, _ = _descent.armijo_bb_rows(phi, gphi, starts, 5,
-                                              project=project)
+            X, _, _ = lockstep([_descent._bb(x0, 5, project)
+                                for x0 in starts], phi, gphi, project)
             for hess in (hphi, None):
                 _check_polish(name, phi, gphi, hess, X, bx, seen)
                 _check_polish(name, phi, gphi, hess, list(starts), bx, seen)
@@ -441,9 +445,9 @@ def test_lockstep_polish_raises_the_error_of_the_first_start(tags, match):
     assert str(lock.value) == str(solo.value)
     # each tagged row leaves the block with its own error, the others go
     # on to their own end points
-    X, F, errors = _descent.newton_rows(fun, grad, [x for x, *_ in ends],
-                                        [fx for _, fx, *_ in ends],
-                                        hess=hess)
+    X, F, errors = lockstep([_descent._polish(grad, x, fx, -math.inf,
+                                              math.inf, hess)
+                             for x, fx, *_ in ends], fun, grad)
     assert {i: str(e) for i, e in errors.items()} == {
         i: f"tag {t}" for i, t in enumerate(tags) if t}
     for i in (i for i, t in enumerate(tags) if not t):
@@ -451,30 +455,19 @@ def test_lockstep_polish_raises_the_error_of_the_first_start(tags, match):
         assert same(X[i], x) and same(F[i], fx) and fx < 1e-8
 
 
-def test_polish_grad_calls_do_not_grow_with_starts(monkeypatch):
-    # the polish phase of minimize_multistart (every gradient call made
-    # outside the BB descent) takes one block gradient call per Newton
-    # round: 3 and 12 starts of the forced Dirichlet energy on 1D n = 128
-    # make the same number, at most _NEWTON_ITERS (the declared Hessian's
-    # rebuilds call no gradient)
+def test_polish_grad_calls_do_not_grow_with_starts():
+    # the smooth path of minimize_multistart serves every start's gradient
+    # request of a round by one block gradient call: 3 and 12 starts of
+    # the forced Dirichlet energy on 1D n = 128 make the same number, at
+    # most one per BB step, one per Newton step and the first (the
+    # declared Hessian's rebuilds call no gradient)
     space = make_grid(1, 128, 1.0, 2, 4)
     f = ap.quasilinear_functional(ap.forced_dirichlet_integrand(1.0), space)
     fun, grad, _, _ = _on_domain(f, space, whole_space(space))
-    real, in_descent = _descent.armijo_bb_rows, [False]
-
-    def descent(*args, **kwargs):
-        in_descent[0] = True
-        try:
-            return real(*args, **kwargs)
-        finally:
-            in_descent[0] = False
-
-    monkeypatch.setattr(_descent, "armijo_bb_rows", descent)
     calls = []
 
     def counted(W):
-        if not in_descent[0]:
-            calls.append(len(np.atleast_2d(W)))
+        calls.append(len(np.atleast_2d(W)))
         return grad(W)
 
     rng = np.random.default_rng(5)
@@ -487,7 +480,8 @@ def test_polish_grad_calls_do_not_grow_with_starts(monkeypatch):
         counts.append(len(calls))
         assert calls[0] == k
     assert counts[0] == counts[1], counts
-    assert 1 <= counts[0] <= _descent._NEWTON_ITERS
+    assert 1 <= counts[0] <= (_descent._BB_STEPS_POLISHED
+                              + _descent._NEWTON_ITERS + 1)
 
 
 def test_estimate_inf_reaches_the_torsion_function():
@@ -531,7 +525,7 @@ def test_start_at_a_minimizer_ends_at_the_rounding_floor():
         return fun(X)
 
     cap = path_cap(project, box)
-    X, F, errors = _descent.armijo_bb_rows(counted, grad, u[None], cap)
+    X, F, errors = lockstep([_descent._bb(u, cap, None)], counted, grad)
     assert errors == {} and calls == [1]
     x, fx, steps, why = solo_armijo_bb(fun, grad, u, cap)
     assert (steps, why) == (0, "floor")
@@ -621,7 +615,8 @@ def test_descent_raises_the_error_of_the_first_start(g1d4, tags, expected,
     assert str(lock.value) == str(solo.value)
     # the other rows go on to their own end points
     cap = path_cap(None, None)
-    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, cap)
+    X, F, errors = lockstep([_descent._bb(x0, cap, None) for x0 in starts],
+                            fun, grad)
     assert sorted(errors) == [i for i, t in enumerate(tags) if t]
     for i in (i for i, t in enumerate(tags) if not t):
         x, fx, _, _ = solo_armijo_bb(fun, grad, starts[i], cap)
@@ -630,7 +625,8 @@ def test_descent_raises_the_error_of_the_first_start(g1d4, tags, expected,
 
 def test_row_whose_accepted_trial_gradient_raises_stops_there():
     # row 0's first trial is accepted at |x| < 1, where the gradient raises:
-    # that row keeps its start and its error, row 1 takes its one step
+    # that row leaves the run with its error and no end, row 1 takes its
+    # one step
     def fun(W):
         return np.sum(W * W, axis=-1)
 
@@ -640,10 +636,11 @@ def test_row_whose_accepted_trial_gradient_raises_stops_there():
         return 2.0 * W
 
     starts = np.array([[1.2, 1.2], [10.0, 10.0]])
-    X, F, errors = _descent.armijo_bb_rows(fun, grad, starts, 1)
+    X, F, errors = lockstep([_descent._bb(x0, 1, None) for x0 in starts],
+                            fun, grad)
     assert list(errors) == [0]
     assert isinstance(errors[0], IntegrandError)
-    assert same(X[0], starts[0]) and F[0] == fun(starts[0])
+    assert X[0] is None and F[0] is None
     assert F[1] < fun(starts[1])
 
 
@@ -1010,8 +1007,9 @@ def test_singular_band_makes_the_newton_step_return_none():
             next(step)
         assert stop.value.value is None
         # the polish keeps its point, without evaluating f
-        X, F, errors = _descent.newton_rows(fun, lambda v: 2.0 * v, [x], [fx],
-                                            hess=lambda v, H=H: H)
+        X, F, errors = lockstep([_descent._polish(
+            lambda v: 2.0 * v, x, fx, -math.inf, math.inf,
+            lambda v, H=H: H)], fun, lambda v: 2.0 * v)
         assert X[0] is x and F[0] == fx and errors == {}
     assert not evals
 
@@ -1041,8 +1039,8 @@ def test_polish_stops_at_the_rounding_floor(g1d8):
         x = a + shift * np.cos(np.arange(g1d8.n_cells))
         fx = float(fun(x[None])[0])
         evals[0] = 0
-        (xp,), (fp,), _ = _descent.newton_rows(fun, grad, [x], [fx],
-                                               hess=hess)
+        (xp,), (fp,), _ = lockstep([_descent._polish(
+            grad, x, fx, -math.inf, math.inf, hess)], fun, grad)
         if stops:
             assert xp is x and fp == fx and evals[0] == 0
         else:

@@ -20,6 +20,7 @@ from symvar import principles as pr
 from symvar.funcspace import gram_matrix, laplacian_matrix
 from symvar.principles import XMetric, box_set, whole_space
 
+from conftest import lockstep
 from test_applications import _quartic_integrand
 from test_descent import _cli
 
@@ -232,8 +233,9 @@ def test_polish_builds_one_hessian_while_the_free_set_holds(g1d8,
             log.clear()
             built.update(declared=0, fd=0)
             factored[0] = 0
-            _, (fn,), _ = _descent.newton_rows(fun, grad, [x], [fun(x)],
-                                               *bounds, hess=hess)
+            lo, hi = bounds or (-np.inf, np.inf)
+            _, (fn,), _ = lockstep([_descent._polish(grad, x, fun(x), lo, hi,
+                                                     hess)], fun, grad)
             assert fn < fun(x)
             assert built["declared" if declared else "fd"] == sum(
                 built.values()) == _follows_the_chord_rule(log)

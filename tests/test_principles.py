@@ -23,8 +23,8 @@ from symvar import (AssumptionViolated, BadStart, Certificate,
 from symvar.funcspace import gram_matrix
 from symvar.principles import XMetric, _ekeland_chain, box_set
 
-from conftest import (double_well, on_rows, probe_spy, quad_V, quad_X,
-                      random_S, sym_center)
+from conftest import (double_well, lockstep, on_rows, probe_spy, quad_V,
+                      quad_X, random_S, sym_center)
 
 
 def _sym_dec(g, seed=0, scale=1.0):
@@ -2149,8 +2149,12 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
                                       _column_hessian(grad, x, idx)), f.name
             lo, hi = -0.3 * np.ones(g.n_cells), 0.3 * np.ones(g.n_cells)
             xb = np.clip(x, lo, hi)
-            block = (_descent.newton_rows(fun, grad, [x], [fun(x)]),
-                     _descent.newton_rows(fun, grad, [xb], [fun(xb)], lo, hi))
+
+            def polish(x, lo=-np.inf, hi=np.inf):
+                return lockstep([_descent._polish(grad, x, fun(x), lo, hi,
+                                                  None)], fun, grad)
+
+            block = (polish(x), polish(xb, lo, hi))
             built = []
 
             def column(grad_, x_, idx_):
@@ -2159,9 +2163,7 @@ def test_block_hessian_equals_column_loop(g1d8, g2d4, monkeypatch):
 
             with monkeypatch.context() as m:
                 m.setattr(_descent, "_fd_hessian", column)
-                loop = (_descent.newton_rows(fun, grad, [x], [fun(x)]),
-                        _descent.newton_rows(fun, grad, [xb], [fun(xb)],
-                                             lo, hi))
+                loop = (polish(x), polish(xb, lo, hi))
             assert built, f.name
             for (xa, fa, ea), (xc, fc, ec) in zip(block, loop):
                 assert ea == ec == {}, f.name
