@@ -446,9 +446,20 @@ def estimate_inf(f: Functional, space: GridSpace, domain: SetOracle, seed,
 
 
 # rows drawn and scored at a time (bounds the memory): sample_inequality
-# takes 2**14 values, but never fewer than 512 rows
+# takes 2**14 values, but never fewer than 512 rows, rounded up to whole slot
+# periods (``_sample_rows``): every block then starts at slot 0, so one
+# per-call template of each row's radius serves every block
 _SAMPLE_BLOCK = 512
 _SAMPLE_VALUES = 2 ** 14
+
+
+def _sample_rows(n_dim, period):
+    """Rows of a ``sample_inequality`` block of points of ``n_dim`` values
+    whose slots repeat every ``period`` rows: 2**14 values but at least 512
+    rows, rounded up to a multiple of ``period``, so every block starts at
+    slot 0."""
+    rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n_dim)
+    return -(-rows // period) * period
 
 
 def _project_rows(domain: SetOracle, W, D, v_vals, metric_norm):
@@ -546,32 +557,44 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
     block draw equals the same draws made one by one), so a run with more
     samples extends a run with fewer (the max can only grow); the first
     strict maximum above 0 wins, the extra points first.  A block holds
-    2**14 values but at least 512 rows (``_SAMPLE_VALUES``,
-    ``_SAMPLE_BLOCK``); its size changes no point and no winner.  While the
-    current block is scored, the process's one drawing worker draws the next
-    one from the same stream, in the same order (``_normal_blocks``); no
-    draw is pending once the call returns or raises, and an error in a draw
-    is raised here.  Each block becomes its points in place: the ball rows
-    are gathered once, normed, multiplied by r, divided by ‖z‖ and shifted
-    by v, the probe rows are mapped through a strided view of the block, so
-    every point and every distance has the bits of its one-sample formula.
-    A deficit marked ``_ignores_dist`` (``_deficit`` marks the SymBP and DGZ
-    ones) gets NaN in place of every distance the sampler would have to
-    norm: a probe's, an extra point's, a moved row's.  The report's argmax_w
-    is the winning row, or its ``_witness`` if the deficit has one (the path
-    form's).  ``n_samples`` must be an integer ≥ 1 (else InvalidArgument),
-    and a run that scores no point (``domain`` kept none) raises
-    AssumptionViolated: its report would be a PASS on no evidence."""
+    2**14 values but at least 512 rows, rounded up to whole slot periods of
+    len(radii) + 1 rows (``_sample_rows``), so every block starts at slot 0
+    and only the last can end inside a period; its size changes no point
+    and no winner.  While the current block is scored, the process's one
+    drawing worker draws the next one from the same stream, in the same
+    order (``_normal_blocks``); no draw is pending once the call returns or
+    raises, and an error in a draw is raised here.  Each block becomes its
+    points in one pass over its own storage: the probe rows, every
+    period-th, are mapped in place through a strided view; one
+    ``metric_norm`` call on the whole block gives each ball row's ‖z‖ and
+    each probe's offset norm; the whole block is multiplied by its rows'
+    radii, divided by their ‖z‖ (a probe row by 1.0 and by 1.0, which keep
+    its bits) and shifted by v, so every point and every distance has the
+    bits of its one-sample formula.  A deficit marked ``_ignores_dist``
+    (``_deficit`` marks the SymBP and DGZ ones) gets NaN in place of every
+    distance the sampler would have to norm: a probe's, an extra point's, a
+    moved row's; for it the sampler norms only a copy of the ball rows.
+    The report's argmax_w is the winning row, or its ``_witness`` if the
+    deficit has one (the path form's).  ``n_samples`` must be an integer
+    ≥ 1 (else InvalidArgument), and a run that scores no point (``domain``
+    kept none) raises AssumptionViolated: its report would be a PASS on no
+    evidence."""
     _check_n_samples(n_samples)
     rng = np.random.default_rng(seed)
     n_dim = len(v_vals)
-    rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n_dim)
-    width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
     n_ball = len(radii)
-    # each slot's distance to v; a probe's is filled in per block
-    slot_dist = np.append(np.asarray(radii, float), np.nan)
+    period = n_ball + 1
+    rows = _sample_rows(n_dim, period)
+    width = max(1.0, 2.0 * float(np.max(np.abs(v_vals))))
+    # per row of the longest block: its distance to v (a probe's is filled
+    # in per block), the factor of its z·r, and whether it is a ball row
+    slot_dist = np.tile(np.append(radii, np.nan), rows // period)
+    slot_scale = np.tile(np.append(radii, 1.0), rows // period)[:, None]
+    slot_ball = np.tile(np.arange(period) < n_ball, rows // period)
+    probe = np.s_[n_ball::period]
     maxv, arg, scored = 0.0, None, 0
-    if getattr(deficit, "_ignores_dist", False):
+    ignores_dist = getattr(deficit, "_ignores_dist", False)
+    if ignores_dist:
         def offset_norm(B):
             return np.full(len(B), np.nan)
     else:
@@ -592,29 +615,31 @@ def sample_inequality(deficit, space: GridSpace, v_vals, *, n_samples, seed,
         E = np.array([np.asarray(w, float) for w in extra_points])
         consider(E, offset_norm(E - v_vals))
     with closing(_normal_blocks(rng, n_samples, rows, (n_dim,))) as blocks:
-        for start, W in blocks:
-            slot = (start + np.arange(len(W))) % (n_ball + 1)
-            D = slot_dist[slot]
-            ball = slot < n_ball
-            B = W[ball]
-            nz = metric_norm(B)
-            zero = nz == 0.0
-            has_zero = bool(zero.any())
-            B *= D[ball, None]
-            B /= (np.where(zero, 1.0, nz) if has_zero else nz)[:, None]
-            B += v_vals
-            W[ball] = B
-            # the probe rows, every (n_ball + 1)-th, mapped in place in W
-            # and normed before v is added
-            probe = np.s_[(n_ball - start) % (n_ball + 1)::n_ball + 1]
+        for _, W in blocks:
+            k = len(W)
+            ball = slot_ball[:k]
+            D = slot_dist[:k].copy()
+            # the probe rows, every period-th, mapped in place in W
             P = _probe_frac(W[probe])
             P *= 2.0
             P -= 1.0
             P *= width
-            D[probe] = offset_norm(P)
-            P += v_vals
-            if has_zero:
-                gone = np.flatnonzero(ball)[zero]
+            # ‖z‖ of each ball row and, when the deficit reads D, the norm
+            # of each probe's offset, before v is added; a probe row is
+            # then scaled by 1.0 and divided by 1.0, which keep its bits
+            if ignores_dist:
+                nz = np.ones(k)
+                nz[ball] = metric_norm(W[ball])
+            else:
+                nz = metric_norm(W)
+                D[probe] = nz[probe]
+                nz = np.where(ball, nz, 1.0)
+            gone = np.flatnonzero(nz == 0.0)
+            nz[gone] = 1.0
+            W *= slot_scale[:k]
+            W /= nz[:, None]
+            W += v_vals
+            if len(gone):
                 consider(np.delete(W, gone, axis=0), np.delete(D, gone))
             else:
                 consider(W, D)

@@ -1315,11 +1315,14 @@ def _block_equals_loop(space, a, v, eta, metric_name, domain_name,
                                          "custom"])
 def test_sample_inequality_equals_per_sample_loop(g1d4, metric_name,
                                                   domain_name):
+    # 1100 samples are 275 whole slot periods; 1103 end in three ball rows
+    # past the last period, two of which the semi metric norms to 0
     a = sym_center(g1d4, 40)
     v = a + g1d4.function([0.05, -0.02, 0.04, 0.1])
     eta = v + g1d4.function([0.01, 0.02, 0.0, -0.01])
-    assert _block_equals_loop(g1d4, a, v, eta, metric_name, domain_name,
-                              n_samples=1100) >= 2
+    for n_samples in (1100, 1103):
+        assert _block_equals_loop(g1d4, a, v, eta, metric_name, domain_name,
+                                  n_samples=n_samples) >= 2
 
 
 @pytest.mark.parametrize("metric_name", ["X", "V"])
@@ -1365,9 +1368,9 @@ def test_sample_inequality_probe_map_is_remainder_bit_for_bit():
                                            (1, 16, 1.5), (1, 128, 2.0),
                                            (2, 4, 2.0), (2, 16, 2.0)])
 def test_sample_inequality_probe_norms_on_strided_rows(dimension, n, p):
-    # the sampler norms its probe offsets through a strided view of the
-    # block: every X and V norm of a strided row view has the bits of the
-    # same norm of a contiguous copy
+    # a property of the norm kernels: every X and V norm of a strided row
+    # view has the bits of the same norm of a contiguous copy, so a row's
+    # norm does not depend on where the block holding it lies in memory
     from symvar.funcspace import _norm_V_raw, _norm_X_raw
 
     g = make_grid(dimension, n, 1.0, p, 4)
@@ -1547,19 +1550,21 @@ def test_engines_refuse_other_counts_below_one_before_any_descent(
 def test_sample_inequality_prefix_property(g1d4):
     # one stream drawn a block at a time: every run is a prefix of a longer
     # run, so the maximum only rises with n_samples
-    from symvar.principles import _deficit, sample_inequality
+    from symvar.principles import _deficit, _sample_rows, sample_inequality
 
     a = sym_center(g1d4, 41)
     v = a + g1d4.function([0.05, -0.02, 0.04, 0.1])
     f = quad_X(a)
     cert = Certificate(variant="EkelandCore", v=v, sigma=0.1, rho=0.1)
     metric = XMetric(g1d4)
-    # two radii: three sample kinds, which do not divide the block size; the
-    # counts straddle the end of the first block of 2**14 / 4 = 4096 rows
-    # and reach a partial third
+    # blocks hold whole slot periods: 2**14 / 4 = 4096 rows for three radii
+    # (period 4), rounded up to 4098 for two (period 3); the counts straddle
+    # the end of the first block and reach a partial third
     for radii in ((0.4, 0.1, 0.025), (0.3, 0.05)):
+        rows = _sample_rows(4, len(radii) + 1)
         seen = []
-        for n in (1, 100, 4095, 4096, 4097, 8200):
+        for n in sorted({1, 100, 4095, 4096, 4097, 8200,
+                         rows - 1, rows, rows + 1}):
             kw = dict(n_samples=n, seed=9, radii=radii,
                       metric_norm=metric.norm)
             rep = sample_inequality(_deficit(f, cert, metric, f(v)), g1d4,
@@ -1704,10 +1709,9 @@ def test_sample_inequality_normal_blocks_are_one_serial_stream(n, full,
     # for n_samples = full·rows + extra on the sampler's block size, the
     # blocks, their starts and the generator's state afterwards are those
     # of one serial standard_normal draw
-    from symvar.principles import (_SAMPLE_BLOCK, _SAMPLE_VALUES,
-                                   _normal_blocks)
+    from symvar.principles import _normal_blocks, _sample_rows
 
-    rows = max(_SAMPLE_BLOCK, _SAMPLE_VALUES // n)
+    rows = _sample_rows(n, 4)
     n_samples = full * rows + extra
     rng = np.random.default_rng(31)
     blocks = list(_normal_blocks(rng, n_samples, rows, (n,)))
@@ -1809,9 +1813,9 @@ def test_sample_inequality_deficit_raising_in_a_later_block(g1d4,
                                                             monkeypatch):
     # a deficit raising on the second block propagates its error, and no
     # draw is pending once the sampler has raised
-    from symvar.principles import _SAMPLE_VALUES, sample_inequality
+    from symvar.principles import _sample_rows, sample_inequality
 
-    rows = _SAMPLE_VALUES // 4
+    rows = _sample_rows(4, 4)
     calls, made = [], []
     real = np.random.default_rng
 
@@ -1839,7 +1843,7 @@ def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
     # the caller draws the first block, the worker every later one; a
     # draw raising on the worker raises in the caller, and no draw is
     # pending once it has
-    from symvar.principles import _SAMPLE_VALUES, sample_inequality
+    from symvar.principles import _sample_rows, sample_inequality
 
     made = []
     real = np.random.default_rng
@@ -1851,7 +1855,7 @@ def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", failing)
     with pytest.raises(_Boom, match="draw 2"):
         sample_inequality(lambda W, D: np.zeros(len(W)), g1d4, np.zeros(4),
-                          n_samples=3 * _SAMPLE_VALUES // 4, seed=2,
+                          n_samples=3 * _sample_rows(4, 4), seed=2,
                           radii=(0.4, 0.1, 0.025),
                           metric_norm=XMetric(g1d4).norm)
     (rng,) = made
@@ -1862,23 +1866,23 @@ def test_sample_inequality_draw_failing_on_the_worker(g1d4, monkeypatch):
     assert drawn_on[1] is not threading.main_thread()
 
 
-def test_path_minimax_samples_through_sample_inequality(g1d2, monkeypatch):
-    # the path certificate's sampled inequality over three blocks of paths
-    # is sample_inequality's: the report's seed is the one it draws with,
-    # the report equals the per-sample loop's over flattened paths, with
-    # the winning path's top node as its witness, and the certificate bytes
-    # are those of the serial loop; on a seed with no positive deficit and
-    # on one with a positive deficit
+def _path_sampling_equals_loop(g1d2, monkeypatch, m, n):
+    """Issue path certificates of m nodes sampled n times, on a seed with no
+    positive deficit and on one with a positive deficit; assert that n spans
+    three blocks and that each report equals the per-sample loop's.  Return
+    the block rows the sampler drew with."""
     from symvar import principles
 
-    f, eps, n, m = _radial_double_well(g1d2), 0.05, 1600, 12
+    f, eps = _radial_double_well(g1d2), 0.05
     metric = XMetric(g1d2)
     real = principles._normal_blocks
+    block_rows = set()
     for seed in (1, 5):
         starts = []
 
         def recording(rng, n_samples, rows, shape):
             starts.append((rng.bit_generator.state, n_samples > 2 * rows))
+            block_rows.add(rows)
             return real(rng, n_samples, rows, shape)
 
         def run():
@@ -1915,6 +1919,29 @@ def test_path_minimax_samples_through_sample_inequality(g1d2, monkeypatch):
             assert seed == 5 and worst > cert.slack
             top = with_ends(arg)[int(np.argmax(node_values(arg)))]
             assert np.array_equal(report.argmax_w.values, top)
+    return block_rows
+
+
+def test_path_minimax_samples_through_sample_inequality(g1d2, monkeypatch):
+    # the path certificate's sampled inequality over three blocks of paths
+    # is sample_inequality's: the report's seed is the one it draws with,
+    # the report equals the per-sample loop's over flattened paths, with
+    # the winning path's top node as its witness, and the certificate bytes
+    # are those of the serial loop; on a seed with no positive deficit and
+    # on one with a positive deficit
+    _path_sampling_equals_loop(g1d2, monkeypatch, 12, 1600)
+
+
+def test_path_minimax_samples_through_sample_inequality_in_rounded_blocks(
+        g1d2, monkeypatch):
+    # a path of 10 nodes is a row of 9·2 = 18 values: 2**14 // 18 = 910
+    # rows, not a multiple of the slot period 4, round up to blocks of 912;
+    # 2001 samples fill two and leave 177 rows, 44 periods and one ball row
+    # past the last; the checks of the test above hold there too
+    from symvar.principles import _sample_rows
+
+    assert (_sample_rows(18, 1), _sample_rows(18, 4)) == (910, 912)
+    assert _path_sampling_equals_loop(g1d2, monkeypatch, 10, 2001) == {912}
 
 
 def _ref_pair(maxv_arg):
